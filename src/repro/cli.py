@@ -393,10 +393,10 @@ def _cmd_db_recover(args: argparse.Namespace) -> int:
     print(report.summary())
     if not report.ok:
         assert report.database is not None
-        # Rewrite the store from the salvaged documents so the manifest no
-        # longer references quarantined files and verify passes afterwards.
+        # Rewrite a clean segment per collection from the salvaged documents
+        # so the manifest no longer names damaged ones and verify passes.
         save_database(report.database, root)
-        print(f"# store rewritten; damaged files kept under {root}/{QUARANTINE_DIR}")
+        print(f"# store rewritten; damaged bytes kept under {root}/{QUARANTINE_DIR}")
     return 0
 
 
@@ -446,6 +446,7 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
         depth = depths[relation]
         suffix = "full build" if depth == 0 else f"{depth} delta build(s) deep"
         print(f"seo [{relation}]: delta chain depth {depth} ({suffix})")
+    _print_store_parts(args.root, database.total_bytes())
     _print_index_status(_db_root(args.root))
     report = load_build_report(args.root)
     if report is None:
@@ -460,13 +461,36 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_store_parts(root: str, document_bytes: int) -> None:
+    """Print on-disk bytes per part of a saved system and their ratio to
+    the serialized documents (the benchmark's ``store_amplification``)."""
+    import os
+
+    from .xmldb.storage import store_bytes
+
+    def tree_bytes(directory: str) -> int:
+        return sum(
+            os.path.getsize(os.path.join(parent, name))
+            for parent, _dirs, names in os.walk(directory)
+            for name in names
+        )
+
+    parts = store_bytes(_db_root(root))
+    parts["seo"] = tree_bytes(os.path.join(root, "seo"))
+    parts["total"] = tree_bytes(root)
+    for part in ("segments", "indexes", "seo", "manifest", "total"):
+        ratio = parts[part] / document_bytes if document_bytes else 0.0
+        print(f"store [{part}]: {parts[part]} bytes, {ratio:.3f}x the documents")
+
+
 def _print_index_status(root: str) -> bool:
     """Print per-collection search-index health; True when all are ok."""
-    from .xmldb.index import index_status
+    from .errors import XmlDbError
+    from .xmldb.storage import index_status
 
     try:
         statuses = index_status(root)
-    except (OSError, ValueError) as exc:
+    except XmlDbError as exc:
         print(f"search indexes: unreadable store manifest ({exc})")
         return False
     if not statuses:
@@ -477,8 +501,8 @@ def _print_index_status(root: str) -> bool:
         entry = statuses[name]
         status = entry["status"]
         line = f"search index [{name}]: {status}"
-        stats = entry.get("stats")
-        if stats:
+        if "index" in entry:
+            stats = entry["index"].stats()
             line += (
                 f" ({stats['documents']} documents, {stats['terms']} terms, "
                 f"{stats['postings']} postings, {stats['paths']} tag paths)"

@@ -7,8 +7,8 @@ one directory:
 
     root/
       system.json          measure, epsilon, DBA constraints
-      database/            collections as plain XML files + manifest
-      seo/<relation>.json  one persisted SEO per relation
+      database/            one checksummed segment per collection + manifest
+      seo/<relation>.json  one persisted SEO per relation (compact JSON)
 
 A loaded system is immediately queryable (its SEOs are restored verbatim,
 not rebuilt); calling :meth:`~repro.core.system.TossSystem.build` on it
@@ -26,7 +26,7 @@ from ..errors import ReproError, SimilarityError, TossError
 from ..ioutils import atomic_write_text
 from ..ontology.constraints import parse_constraint
 from ..ontology.hierarchy import Ontology
-from ..similarity.persistence import read_seo, save_seo
+from ..similarity.persistence import dump_seo, read_seo
 from ..xmldb.storage import load_database, save_database
 from .build_report import BuildReport
 from .conditions import SeoConditionContext
@@ -54,11 +54,13 @@ def save_system(system: TossSystem, root_dir: str) -> None:
     seo_dir = os.path.join(root_dir, _SEO_DIR)
     os.makedirs(seo_dir, exist_ok=True)
     for relation, seo in system.context.seos.items():
-        save_seo(seo, os.path.join(seo_dir, f"{relation}.json"))
+        # Compact: an SEO is machine-read cache, and indentation is a third
+        # of its bytes (``repro.cli seo --out`` still pretty-prints one).
+        atomic_write_text(os.path.join(seo_dir, f"{relation}.json"), dump_seo(seo))
     if system.build_report is not None:
         atomic_write_text(
             os.path.join(root_dir, _BUILD_REPORT_FILE),
-            json.dumps(system.build_report.to_dict(), indent=2, sort_keys=True),
+            json.dumps(system.build_report.to_dict(), sort_keys=True),
         )
 
     constraints: Dict[str, List[str]] = {

@@ -44,8 +44,8 @@ class StorageCorruptionError(XmlDbError):
     """A persisted file is truncated, unreadable or fails its checksum.
 
     Raised by :func:`repro.xmldb.storage.load_database` in ``raise`` mode;
-    in ``quarantine`` mode the offending file is moved aside and recorded
-    in a :class:`~repro.xmldb.storage.RecoveryReport` instead.
+    in ``quarantine`` mode the offending bytes are copied aside and
+    recorded in a :class:`~repro.xmldb.storage.RecoveryReport` instead.
     """
 
 

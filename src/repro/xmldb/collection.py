@@ -261,7 +261,7 @@ class Collection:
 
         The caller is responsible for having verified that the index
         matches the current documents — storage only attaches indexes
-        whose content key matches the manifest checksums.
+        whose content key matches the manifest's segment digest.
         """
         self._search_index = index
 

@@ -11,24 +11,22 @@ the query executor (see :mod:`repro.core.planner`):
 
 :class:`CollectionSearchIndex` combines both for one collection;
 :mod:`repro.xmldb.index.store` persists it next to the saved store,
-checksummed and keyed by the collection's document content so a stale or
+checksummed and keyed by the digest of the collection's segment so a stale or
 corrupt index file can only cause a rebuild, never a wrong answer.
 """
 
 from .postings import CollectionSearchIndex
 from .store import (
     INDEX_DIR,
-    index_content_key,
-    index_status,
-    load_collection_index,
+    index_file_status,
+    index_path,
     save_collection_index,
 )
 
 __all__ = [
     "CollectionSearchIndex",
     "INDEX_DIR",
-    "index_content_key",
-    "index_status",
-    "load_collection_index",
+    "index_file_status",
+    "index_path",
     "save_collection_index",
 ]

@@ -6,183 +6,115 @@ whose bytes were damaged (corrupt): either would silently prune the
 wrong candidates.  So, following the SEO cache design, every file
 records
 
-* a **content key**: SHA-256 over the collection name and the per-
-  document checksums already kept in the store manifest — any document
-  added, removed or changed produces a different key, and
+* a **content key**: SHA-256 over the collection name and the digest of
+  the collection's segment file (:mod:`repro.xmldb.storage`) — any
+  document added, removed or changed produces a different segment, hence
+  a different key, and
 * a **checksum** over the canonical JSON of the index payload itself.
 
-:func:`load_collection_index` verifies format, collection name, content
-key and checksum *before* restoring anything; on any mismatch or parse
-failure it returns None and the caller rebuilds from the documents.
-Files are written with the crash-safe atomic writer, before the store
-manifest, so a crash mid-save leaves either the old consistent
-(index, manifest) pair or the new one.
+:func:`index_file_status` verifies format, checksum, collection name and
+content key *before* restoring anything; on any mismatch or parse failure
+it hands back no index and the caller rebuilds from the documents.
+The file is named after the segment it describes (``<segment stem>.idx``),
+so a re-save never overwrites the index of the state a crash would fall
+back to.  It holds the JSON envelope zlib-compressed (the codec of
+``serving/snapshot.py``): postings repeat keys and paths heavily, and
+nobody reads derived data by eye.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Mapping, Optional
+import zlib
+from typing import Dict
 
-from ...ioutils import atomic_write_text, sha256_text
+from ...ioutils import atomic_write_bytes, sha256_text
 from .postings import CollectionSearchIndex
 
-#: Directory under the database root holding one index file per collection.
+#: Directory under the database root holding one index file per segment.
 INDEX_DIR = ".indexes"
 
 #: Format of the on-disk envelope (distinct from the payload format).
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 
 def _canonical(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def index_content_key(collection_name: str, documents: Mapping[str, str]) -> str:
-    """Content key binding an index to exact document content.
-
-    ``documents`` maps document key to the SHA-256 of its serialised
-    text — the same checksums the store manifest records, so the key can
-    be recomputed from the manifest alone without re-reading documents.
-    """
+def index_content_key(collection_name: str, segment_sha256: str) -> str:
+    """Content key binding an index to one exact segment of one collection."""
     return sha256_text(
         _canonical(
             {
                 "format": STORE_FORMAT,
                 "collection": collection_name,
-                "documents": dict(sorted(documents.items())),
+                "segment": segment_sha256,
             }
         )
     )
 
 
-def index_path(root_dir: str, dirname: str) -> str:
-    """Where the index file for a collection directory lives."""
-    return os.path.join(root_dir, INDEX_DIR, f"{dirname}.json")
+def index_path(root_dir: str, segment: str) -> str:
+    """Where the index of the segment file named ``segment`` lives."""
+    return os.path.join(root_dir, INDEX_DIR, os.path.splitext(segment)[0] + ".idx")
 
 
 def save_collection_index(
     root_dir: str,
-    dirname: str,
+    segment: str,
     collection_name: str,
+    segment_sha256: str,
     index: CollectionSearchIndex,
-    content_key: str,
 ) -> str:
-    """Atomically write one collection's index file; returns its path."""
+    """Atomically write the index of one segment; returns its path."""
     payload = index.to_dict()
     entry = {
         "format": STORE_FORMAT,
         "collection": collection_name,
-        "content_key": content_key,
+        "content_key": index_content_key(collection_name, segment_sha256),
         "checksum": sha256_text(_canonical(payload)),
         "index": payload,
     }
-    path = index_path(root_dir, dirname)
+    path = index_path(root_dir, segment)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    atomic_write_text(path, json.dumps(entry, sort_keys=True))
+    atomic_write_bytes(path, zlib.compress(_canonical(entry).encode("utf-8")))
     return path
 
 
-def load_collection_index(
-    root_dir: str,
-    dirname: str,
-    collection_name: str,
-    expected_key: str,
-) -> Optional[CollectionSearchIndex]:
-    """Restore a collection's index, or None if it cannot be trusted.
+def index_file_status(
+    root_dir: str, segment: str, collection_name: str, segment_sha256: str
+) -> Dict[str, object]:
+    """Health of one segment's index: ``{"path", "status"[, "index"]}``.
 
-    Every check happens before the payload is handed to
-    :meth:`CollectionSearchIndex.from_dict`; any failure — missing file,
-    bad JSON, wrong collection, stale content key, checksum mismatch,
-    unsupported format — degrades to a rebuild, never a wrong answer.
+    Status is one of ``"ok"`` (the restored index rides along),
+    ``"missing"``, ``"stale"`` (an intact envelope for another collection
+    or other content) or ``"corrupt: <reason>"``.  Every check — envelope
+    format, payload checksum, collection name, content key — happens
+    before the payload is handed to
+    :meth:`CollectionSearchIndex.from_dict`; whatever fails means no
+    index and a rebuild by the caller, never a wrong answer.
     """
-    path = index_path(root_dir, dirname)
+    path = index_path(root_dir, segment)
+    status: Dict[str, object] = {"path": path}
+    if not os.path.exists(path):
+        status["status"] = "missing"
+        return status
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("format") != STORE_FORMAT:
-            return None
-        if entry.get("collection") != collection_name:
-            return None
-        if entry.get("content_key") != expected_key:
-            return None
-        payload = entry.get("index")
-        if sha256_text(_canonical(payload)) != entry.get("checksum"):
-            return None
-        return CollectionSearchIndex.from_dict(payload)
-    except Exception:
-        return None
-
-
-def _manifest_checksums(root_dir: str) -> Dict[str, Dict[str, object]]:
-    """Per-collection {dirname, documents:{key: sha}} from the store manifest."""
-    manifest_path = os.path.join(root_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    result: Dict[str, Dict[str, object]] = {}
-    collections = manifest.get("collections", {})
-    if not isinstance(collections, dict):
-        return result
-    for name, info in collections.items():
-        if not isinstance(info, dict) or "directory" not in info:
-            continue
-        documents: Dict[str, str] = {}
-        entries = info.get("documents", {})
-        if isinstance(entries, dict):
-            for key, value in entries.items():
-                if isinstance(value, dict) and value.get("sha256"):
-                    documents[key] = str(value["sha256"])
-                else:
-                    # format-1 entry (no checksum): the content key cannot
-                    # be derived, so indexes for this store are unusable.
-                    documents[key] = ""
-        result[name] = {"directory": str(info["directory"]), "documents": documents}
-    return result
-
-
-def index_status(root_dir: str) -> Dict[str, Dict[str, object]]:
-    """Per-collection index health for ``db index verify`` / ``db stats``.
-
-    Returns ``{collection: {"status": ..., "path": ..., "stats": ...}}``
-    with status one of ``"ok"``, ``"missing"``, ``"stale"`` or
-    ``"corrupt: <reason>"``.  A stale or corrupt file is reported, never
-    loaded — exactly mirroring what the query path would do.
-    """
-    statuses: Dict[str, Dict[str, object]] = {}
-    for name, info in _manifest_checksums(root_dir).items():
-        dirname = str(info["directory"])
-        documents: Mapping[str, str] = info["documents"]  # type: ignore[assignment]
-        path = index_path(root_dir, dirname)
-        entry_status: Dict[str, object] = {"path": path}
-        if not os.path.exists(path):
-            entry_status["status"] = "missing"
-            statuses[name] = entry_status
-            continue
-        expected_key = index_content_key(name, documents)
-        index = load_collection_index(root_dir, dirname, name, expected_key)
-        if index is not None:
-            entry_status["status"] = "ok"
-            entry_status["stats"] = index.stats()
-            statuses[name] = entry_status
-            continue
-        # Distinguish a stale-but-well-formed file from a damaged one.
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if (
-                isinstance(entry, dict)
-                and entry.get("format") == STORE_FORMAT
-                and entry.get("collection") == name
-                and entry.get("content_key") != expected_key
-                and sha256_text(_canonical(entry.get("index"))) == entry.get("checksum")
-            ):
-                entry_status["status"] = "stale"
-            else:
-                entry_status["status"] = "corrupt: integrity check failed"
-        except Exception as exc:
-            entry_status["status"] = f"corrupt: {exc}"
-        statuses[name] = entry_status
-    return statuses
+        with open(path, "rb") as handle:
+            entry = json.loads(zlib.decompress(handle.read()).decode("utf-8"))
+        if not isinstance(entry, dict) or entry.get("format") != STORE_FORMAT:
+            raise ValueError(f"not a format-{STORE_FORMAT} index envelope")
+        if sha256_text(_canonical(entry.get("index"))) != entry.get("checksum"):
+            raise ValueError("payload checksum mismatch")
+        if entry.get("collection") != collection_name or entry.get(
+            "content_key"
+        ) != index_content_key(collection_name, segment_sha256):
+            status["status"] = "stale"
+            return status
+        status["index"] = CollectionSearchIndex.from_dict(entry["index"])
+        status["status"] = "ok"
+    except Exception as exc:
+        status["status"] = f"corrupt: {exc}"
+    return status

@@ -69,7 +69,7 @@ class TestCorruptionRecovery:
     def test_corrupt_document_raises_by_default(self, built_system, tmp_path):
         root = tmp_path / "sys"
         save_system(built_system, str(root))
-        victim = next((root / "database" / "dblp").glob("*.xml"))
+        victim = next((root / "database").glob("dblp.*.seg"))
         victim.write_text("garbage")
         from repro.errors import StorageCorruptionError
 
@@ -79,7 +79,7 @@ class TestCorruptionRecovery:
     def test_corrupt_document_quarantined(self, built_system, tmp_path):
         root = tmp_path / "sys"
         save_system(built_system, str(root))
-        victim = next((root / "database" / "dblp").glob("*.xml"))
+        victim = next((root / "database").glob("dblp.*.seg"))
         victim.write_text("garbage")
         loaded = load_system(str(root), on_corruption="quarantine")
         report = loaded.database.recovery_report

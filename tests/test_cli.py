@@ -185,20 +185,21 @@ class TestDbCommand:
         assert "0 quarantined" in out
 
     def test_verify_detects_corruption(self, store, tmp_path, capsys):
-        victim = next((tmp_path / "system" / "database" / "dblp").glob("*.xml"))
+        victim = next((tmp_path / "system" / "database").glob("dblp.*.seg"))
         victim.write_text("garbage")
         assert main(["db", "verify", store]) == 1
         assert "1 quarantined" in capsys.readouterr().out
-        assert victim.exists()  # verify is read-only
+        assert victim.read_text() == "garbage"  # verify is read-only
 
     def test_recover_quarantines_and_rewrites(self, store, tmp_path, capsys):
-        victim = next((tmp_path / "system" / "database" / "dblp").glob("*.xml"))
+        victim = next((tmp_path / "system" / "database").glob("dblp.*.seg"))
         victim.write_text("garbage")
         assert main(["db", "recover", store]) == 0
         out = capsys.readouterr().out
         assert "store rewritten" in out
-        assert not victim.exists()
-        assert (tmp_path / "system" / "database" / ".quarantine").is_dir()
+        assert not victim.exists()  # superseded by a clean segment ...
+        kept = tmp_path / "system" / "database" / ".quarantine" / "dblp"
+        assert [p.read_text() for p in kept.iterdir()] == ["garbage\n"]  # ... bytes kept
         # after recovery the store verifies clean again
         assert main(["db", "verify", store]) == 0
 

@@ -34,7 +34,7 @@ def store(tmp_path, capsys):
 
 def _index_file(tmp_path):
     files = list(
-        (tmp_path / "system" / "database" / ".indexes").glob("*.json")
+        (tmp_path / "system" / "database" / ".indexes").glob("*.idx")
     )
     assert files, "expected a persisted index file"
     return files[0]
@@ -52,7 +52,7 @@ class TestDbIndexCommand:
     def test_verify_fails_on_missing_index(self, store, tmp_path, capsys):
         index_dir = tmp_path / "system" / "database" / ".indexes"
         if index_dir.exists():
-            for f in index_dir.glob("*.json"):
+            for f in index_dir.glob("*.idx"):
                 f.unlink()
         assert main(["db", "index", "verify", store]) == 1
         assert "missing" in capsys.readouterr().out
@@ -87,3 +87,21 @@ class TestDbIndexCommand:
         out = capsys.readouterr().out
         assert "search index [dblp]: ok" in out
         assert "postings" in out
+
+    def test_db_stats_prints_bytes_per_part(self, store, tmp_path, capsys):
+        assert main(["db", "index", "build", store]) == 0
+        capsys.readouterr()
+        assert main(["db", "stats", store]) == 0
+        out = capsys.readouterr().out
+        database = tmp_path / "system" / "database"
+        (segment,) = database.glob("*.seg")
+        assert f"store [segments]: {segment.stat().st_size} bytes, " in out
+        index = _index_file(tmp_path)
+        assert f"store [indexes]: {index.stat().st_size} bytes, " in out
+        for part in ("seo", "manifest", "total"):
+            assert f"store [{part}]: " in out
+        total = sum(
+            p.stat().st_size for p in (tmp_path / "system").rglob("*") if p.is_file()
+        )
+        assert f"store [total]: {total} bytes, " in out
+        assert "x the documents" in out

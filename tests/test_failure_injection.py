@@ -35,7 +35,7 @@ from repro.tax.pattern import PatternTree
 from repro.xmldb.collection import Collection
 from repro.xmldb.database import Database
 from repro.xmldb.parser import parse_document
-from repro.xmldb.storage import load_database, save_database
+from repro.xmldb.storage import load_database, save_database, verify_database
 from repro.xmldb.xpath import XPathQuery
 
 
@@ -207,10 +207,10 @@ class TestDegenerateInputs:
         assert doc.text == ""
 
 
-def _small_database():
+def _small_database(papers=4):
     db = Database()
     coll = db.create_collection("bib")
-    for i in range(4):
+    for i in range(papers):
         coll.add_document(
             f"doc{i}", f"<bib><paper><title>Paper {i}</title></paper></bib>"
         )
@@ -218,7 +218,7 @@ def _small_database():
 
 
 def _store_files(root):
-    """Every data file of a saved store (documents + manifest), sorted."""
+    """Every data file of a saved store (segments + manifest), sorted."""
     found = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d != ".quarantine"]
@@ -227,63 +227,162 @@ def _store_files(root):
     return sorted(found)
 
 
+def _segment_path(root):
+    (path,) = [f for f in _store_files(root) if f.endswith(".seg")]
+    return path
+
+
+def _contents(db):
+    """{collection: [(key, xml), ...]} in iteration order."""
+    from repro.xmldb.serializer import serialize
+
+    return {
+        coll.name: [(key, serialize(tree)) for key, tree in coll.documents()]
+        for coll in db.collections()
+    }
+
+
 class TestCrashRecovery:
     """A kill-9 mid-save must never leave the store unloadable."""
 
     def test_truncated_document_raise_mode(self, tmp_path):
         root = str(tmp_path / "s")
         save_database(_small_database(), root)
-        victim = _store_files(root)[1]  # some document
-        with open(victim, "r+") as handle:
-            handle.truncate(10)
-        with pytest.raises(StorageCorruptionError):
+        segment = _segment_path(root)
+        with open(segment, "r+b") as handle:
+            handle.truncate(os.path.getsize(segment) - 10)  # inside doc3
+        with pytest.raises(StorageCorruptionError, match="'doc3'"):
             load_database(root)
 
     def test_truncated_document_quarantine_mode(self, tmp_path):
         root = str(tmp_path / "s")
         save_database(_small_database(), root)
-        doc = next(f for f in _store_files(root) if f.endswith(".xml"))
-        with open(doc, "r+") as handle:
-            handle.truncate(10)
+        segment = _segment_path(root)
+        with open(segment, "r+b") as handle:
+            handle.truncate(os.path.getsize(segment) - 10)
         db = load_database(root, on_corruption="quarantine")
         report = db.recovery_report
         assert not report.ok
         assert report.loaded_documents == 3
-        assert [q.reason for q in report.quarantined] == [
-            "checksum mismatch (truncated or corrupted)"
-        ]
+        (lost,) = report.quarantined
+        assert lost.key == "doc3" and lost.reason.startswith("unreadable record")
         # the survivors still answer queries
         assert len(db.xpath("bib", "//title")) == 3
 
     def test_checksum_flip_detected_even_when_well_formed(self, tmp_path):
         root = str(tmp_path / "s")
         save_database(_small_database(), root)
-        doc = next(f for f in _store_files(root) if f.endswith(".xml"))
-        with open(doc) as handle:
+        segment = _segment_path(root)
+        with open(segment) as handle:
             text = handle.read()
-        with open(doc, "w") as handle:
+        with open(segment, "w") as handle:
             handle.write(text.replace("Paper", "Papre", 1))  # still valid XML
         with pytest.raises(StorageCorruptionError, match="checksum"):
             load_database(root)
         db = load_database(root, on_corruption="quarantine")
         assert len(db.recovery_report.quarantined) == 1
 
+    def test_every_record_corruption_is_pinned_to_its_key(self, tmp_path):
+        """Flip one byte / cut inside every record in turn.
+
+        Raise mode names the record hit; quarantine mode loses exactly
+        the records from the damage to the next intact line, keeps their
+        raw bytes, and deletes nothing.
+        """
+        import shutil
+
+        pristine = tmp_path / "pristine"
+        save_database(_small_database(6), str(pristine))
+        segment = os.path.basename(_segment_path(str(pristine)))
+        data = (pristine / segment).read_bytes()
+        lines = data.split(b"\n")[:-1]
+        keys = [f"doc{i}" for i in range(6)]
+        offsets = [sum(len(l) + 1 for l in lines[:i]) for i in range(6)]
+        for index, key in enumerate(keys):
+            inside = offsets[index] + len(lines[index]) - 20  # in the xml field
+            for action in ("flip", "truncate"):
+                root = tmp_path / f"{action}-{index}"
+                shutil.copytree(pristine, root)
+                if action == "flip":
+                    damaged = bytearray(data)
+                    damaged[inside] ^= 0x01
+                    (root / segment).write_bytes(bytes(damaged))
+                    lost = [key]
+                else:
+                    (root / segment).write_bytes(data[:inside])
+                    lost = keys[index:]
+                with pytest.raises(StorageCorruptionError, match=repr(key)):
+                    load_database(str(root))
+                before = (root / segment).read_bytes()
+                db = load_database(str(root), on_corruption="quarantine")
+                assert list(db.get_collection("bib").keys()) == [
+                    k for k in keys if k not in lost
+                ]
+                report = db.recovery_report
+                assert report.quarantined[0].key == key
+                kept = open(report.quarantined[0].quarantined_to, "rb").read()
+                assert kept == before[offsets[index]:].split(b"\n")[0] + b"\n"
+                if action == "truncate" and len(lost) > 1:
+                    assert report.quarantined[1].reason == (
+                        f"{len(lost) - 1} records missing (segment truncated)"
+                    )
+                assert (root / segment).read_bytes() == before  # never deleted
+
+    def test_no_single_byte_flip_goes_unnoticed(self, tmp_path):
+        root = tmp_path / "s"
+        save_database(_small_database(2), str(root))
+        segment = _segment_path(str(root))
+        data = open(segment, "rb").read()
+        for position in range(len(data)):
+            damaged = bytearray(data)
+            damaged[position] ^= 0x04
+            with open(segment, "wb") as handle:
+                handle.write(bytes(damaged))
+            with pytest.raises(StorageCorruptionError):
+                load_database(str(root))
+            assert not verify_database(str(root)).ok
+
     def test_corrupt_manifest_quarantine_salvages_documents(self, tmp_path):
         root = tmp_path / "s"
-        save_database(_small_database(), str(root))
-        (root / "manifest.json").write_text('{"format": 2, "collections": {')
-        db = load_database(str(root), on_corruption="quarantine")
-        report = db.recovery_report
+        db = _small_database()
+        db.get_collection("bib").add_document("odd key/..\n\"q\"", "<bib/>")
+        save_database(db, str(root))
+        (root / "manifest.json").write_text('{"format": 3, "collections": {')
+        with pytest.raises(StorageCorruptionError, match="manifest"):
+            load_database(str(root))
+        assert not verify_database(str(root)).manifest_ok
+        loaded = load_database(str(root), on_corruption="quarantine")
+        report = loaded.recovery_report
         assert not report.manifest_ok
-        # the documents are rebuilt from a directory scan
-        assert db.collection_names() == ["bib"]
-        assert len(db.xpath("bib", "//title")) == 4
+        # the documents are rebuilt from a scan of the segments, keys and all
+        assert _contents(loaded) == _contents(load_database(str(root)))
+        assert _contents(loaded)["bib"] == sorted(_contents(db)["bib"])
         # the torn manifest was moved aside, not destroyed
         moved = report.quarantined[0].quarantined_to
         assert moved and os.path.exists(moved)
         # a fresh manifest was rewritten: the next load is clean
         again = load_database(str(root))
-        assert len(again.get_collection("bib")) == 4
+        assert len(again.get_collection("bib")) == 5
+
+    def test_salvage_after_a_crashed_resave_keeps_both_states(self, tmp_path):
+        root = tmp_path / "s"
+        save_database(_small_database(4), str(root))
+        old = _segment_path(str(root))
+        # a re-save died after writing its segment, then the manifest was lost
+        other = tmp_path / "other"
+        save_database(_small_database(5), str(other))
+        new = _segment_path(str(other))
+        os.replace(new, root / os.path.basename(new))
+        os.utime(old, (1, 1))
+        (root / "manifest.json").write_text("{torn")
+        db = load_database(str(root), on_corruption="quarantine")
+        # the newest segment gets the collection's name, the other one
+        # comes back beside it: nothing is dropped, nothing is mixed
+        older = os.path.basename(old)[: -len(".seg")]
+        assert db.collection_names() == ["bib", older]
+        assert len(db.get_collection("bib")) == 5
+        assert len(db.get_collection(older)) == 4
+        assert _contents(load_database(str(root))) == _contents(db)
 
     def test_kill9_sweep_store_always_loadable(self, tmp_path):
         """Simulate a crash at every possible point of a save.
@@ -297,7 +396,7 @@ class TestCrashRecovery:
         pristine = tmp_path / "pristine"
         save_database(_small_database(), str(pristine))
         files = _store_files(str(pristine))
-        assert len(files) == 5  # 4 documents + manifest
+        assert len(files) == 2  # one segment + manifest
         import shutil
 
         for index, victim in enumerate(files):
@@ -320,10 +419,98 @@ class TestCrashRecovery:
                 report = db.recovery_report
                 assert report.database is db
                 assert not report.ok
-                assert report.loaded_documents >= 3 or not report.manifest_ok
+                assert report.loaded_documents == (0 if index == 0 else 4)
                 # loading again after quarantine is clean or at least stable
                 db2 = load_database(str(root), on_corruption="quarantine")
-                assert db2.recovery_report.loaded_documents <= report.loaded_documents
+                assert db2.recovery_report.loaded_documents == report.loaded_documents
+
+    def test_kill9_sweep_resave_loads_old_or_new_in_raise_mode(
+        self, tmp_path, monkeypatch
+    ):
+        """Crash a re-save over an existing store at every step.
+
+        Every durable step of ``save_database`` (each atomic write, each
+        unlink of a superseded file) is cut short in turn — before it
+        happens, or leaving a torn file behind: at the temporary name a
+        kill -9 leaves, or at the final name a filesystem without atomic
+        rename could leave.  The strict loader must then see exactly the
+        old database (manifest not yet replaced) or exactly the new one,
+        never a refusal and never a mix.
+        """
+        import itertools
+        import shutil
+
+        from repro import ioutils
+        from repro.xmldb import storage
+        from repro.xmldb.index import store as index_store
+
+        old_db, new_db = _small_database(4), _small_database(4)
+        new_db.get_collection("bib").replace_document(
+            "doc1", "<bib><paper><title>Rewritten</title></paper></bib>"
+        )
+        new_db.get_collection("bib").add_document("doc9", "<bib/>")
+        new_db.create_collection("extra").add_document("e", "<e/>")
+        pristine, reference = tmp_path / "pristine", tmp_path / "reference"
+        save_database(old_db, str(pristine), write_indexes=True)
+        save_database(new_db, str(reference), write_indexes=True)
+        old = _contents(load_database(str(pristine)))
+        new = _contents(load_database(str(reference)))
+        assert old != new
+
+        class Kill9(BaseException):
+            pass
+
+        def crash_resave(root, cut_at, tear):
+            """Re-save into ``root``, dying at step ``cut_at``; the files
+            each step was about, and whether the save died."""
+            steps = []
+
+            def dying(real, tear):
+                def step(path, *args):
+                    steps.append(os.path.basename(path))
+                    if len(steps) - 1 == cut_at:
+                        if tear:
+                            torn = path + ".k9.tmp" if tear == "temp" else path
+                            with open(torn, "wb") as handle:
+                                handle.write(b'{"key":"do')
+                        raise Kill9()
+                    return real(path, *args)
+
+                return step
+
+            with monkeypatch.context() as patch:
+                write = dying(ioutils.atomic_write_bytes, tear)
+                for module in (ioutils, storage, index_store):
+                    patch.setattr(module, "atomic_write_bytes", write)
+                patch.setattr(os, "unlink", dying(os.unlink, None))
+                try:
+                    save_database(new_db, str(root), write_indexes=True)
+                except Kill9:
+                    return steps, True
+            return steps, False
+
+        seen = set()
+        for tear in (None, "temp", "final"):
+            for cut_at in itertools.count():
+                root = tmp_path / f"resave-{tear}-{cut_at}"
+                shutil.copytree(pristine, root)
+                steps, died = crash_resave(root, cut_at, tear)
+                if tear == "final" and died and steps[-1] == "manifest.json":
+                    continue  # the one state atomic rename exists to rule out
+                committed = "manifest.json" in (steps[:-1] if died else steps)
+                state = _contents(load_database(str(root)))  # raise mode
+                assert state == (new if committed else old), (tear, steps)
+                seen.add((steps[-1].rsplit(".", 1)[-1], committed))
+                if not died:
+                    # 2 segments + 2 indexes + manifest, then the old
+                    # segment and index unlinked
+                    assert len(steps) == 7
+                    assert sorted(os.listdir(root)) == sorted(os.listdir(reference))
+                    break
+        assert seen == {
+            ("seg", False), ("idx", False), ("json", False),  # before the commit
+            ("seg", True), ("idx", True),  # while unlinking what it superseded
+        }
 
 
 class TestResourceGuard:

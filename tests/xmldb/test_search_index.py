@@ -7,19 +7,26 @@ ignored and rebuilt — never trusted.
 """
 
 import json
+import os
+import shutil
 
 import pytest
 
 from repro.xmldb.database import Database
+import zlib
+
 from repro.xmldb.index import (
     CollectionSearchIndex,
-    index_content_key,
-    index_status,
-    load_collection_index,
+    index_file_status,
+    index_path,
     save_collection_index,
 )
-from repro.xmldb.index.store import index_path
-from repro.xmldb.storage import build_indexes, load_database, save_database
+from repro.xmldb.storage import (
+    build_indexes,
+    index_status,
+    load_database,
+    save_database,
+)
 
 DOC_A = """
 <dblp>
@@ -153,35 +160,64 @@ class TestRoundTrip:
             CollectionSearchIndex.from_dict({"format": 999})
 
 
+SEGMENT = "dblp.0123456789ab.seg"
+
+
+def _envelope(path):
+    return json.loads(zlib.decompress(open(path, "rb").read()))
+
+
+def _write_envelope(path, envelope):
+    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    open(path, "wb").write(zlib.compress(text.encode("utf-8")))
+
+
+def load_collection_index(root, segment, collection_name, digest):
+    return index_file_status(root, segment, collection_name, digest).get("index")
+
+
 class TestStorePersistence:
     def test_save_load_round_trip(self, collection, tmp_path):
         index = collection.search_index()
-        key = index_content_key("dblp", {"a": "x", "b": "y", "c": "z"})
-        save_collection_index(str(tmp_path), "dblp", "dblp", index, key)
-        restored = load_collection_index(str(tmp_path), "dblp", "dblp", key)
+        path = save_collection_index(str(tmp_path), SEGMENT, "dblp", "digest", index)
+        assert path == index_path(str(tmp_path), SEGMENT)
+        assert os.path.basename(path) == "dblp.0123456789ab.idx"
+        restored = load_collection_index(str(tmp_path), SEGMENT, "dblp", "digest")
         assert restored is not None
         assert restored.to_dict() == index.to_dict()
+        # derived data is stored compressed: well under the plain JSON
+        assert os.path.getsize(path) < len(json.dumps(index.to_dict())) / 2
 
     def test_stale_content_key_is_rejected(self, collection, tmp_path):
         index = collection.search_index()
-        key = index_content_key("dblp", {"a": "x"})
-        save_collection_index(str(tmp_path), "dblp", "dblp", index, key)
-        other = index_content_key("dblp", {"a": "CHANGED"})
-        assert load_collection_index(str(tmp_path), "dblp", "dblp", other) is None
+        save_collection_index(str(tmp_path), SEGMENT, "dblp", "digest", index)
+        assert load_collection_index(str(tmp_path), SEGMENT, "dblp", "CHANGED") is None
+        status = index_file_status(str(tmp_path), SEGMENT, "dblp", "CHANGED")
+        assert status["status"] == "stale" and "index" not in status
 
     def test_corrupt_file_is_rejected(self, collection, tmp_path):
         index = collection.search_index()
-        key = index_content_key("dblp", {"a": "x"})
-        path = save_collection_index(str(tmp_path), "dblp", "dblp", index, key)
-        text = open(path).read()
-        open(path, "w").write(text[: len(text) // 2])
-        assert load_collection_index(str(tmp_path), "dblp", "dblp", key) is None
+        path = save_collection_index(str(tmp_path), SEGMENT, "dblp", "digest", index)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[: len(data) // 2])
+        assert load_collection_index(str(tmp_path), SEGMENT, "dblp", "digest") is None
+
+    def test_payload_checksum_is_checked(self, collection, tmp_path):
+        # a well-formed envelope with the right content key whose payload
+        # was altered: only the payload checksum stands in the way
+        index = collection.search_index()
+        path = save_collection_index(str(tmp_path), SEGMENT, "dblp", "digest", index)
+        envelope = _envelope(path)
+        envelope["index"] = CollectionSearchIndex().to_dict()
+        _write_envelope(path, envelope)
+        assert load_collection_index(str(tmp_path), SEGMENT, "dblp", "digest") is None
+        status = index_file_status(str(tmp_path), SEGMENT, "dblp", "digest")
+        assert status["status"] == "corrupt: payload checksum mismatch"
 
     def test_wrong_collection_is_rejected(self, collection, tmp_path):
         index = collection.search_index()
-        key = index_content_key("dblp", {"a": "x"})
-        save_collection_index(str(tmp_path), "dblp", "dblp", index, key)
-        assert load_collection_index(str(tmp_path), "dblp", "other", key) is None
+        save_collection_index(str(tmp_path), SEGMENT, "dblp", "digest", index)
+        assert load_collection_index(str(tmp_path), SEGMENT, "other", "digest") is None
 
 
 def _store(tmp_path):
@@ -192,6 +228,10 @@ def _store(tmp_path):
     root = str(tmp_path / "store")
     save_database(db, root, write_indexes=True)
     return root
+
+
+def _index_file(root):
+    return index_status(root)["dblp"]["path"]
 
 
 class TestStorageIntegration:
@@ -206,8 +246,7 @@ class TestStorageIntegration:
 
     def test_corrupt_index_is_ignored_and_lazily_rebuilt(self, tmp_path):
         root = _store(tmp_path)
-        path = index_path(root, "dblp")
-        open(path, "w").write("{not json")
+        open(_index_file(root), "w").write("{not json")
         assert index_status(root)["dblp"]["status"].startswith("corrupt")
         loaded = load_database(root)
         col = loaded.get_collection("dblp")
@@ -217,18 +256,39 @@ class TestStorageIntegration:
 
     def test_stale_index_is_detected_and_not_attached(self, tmp_path):
         root = _store(tmp_path)
+        old_index = _index_file(root)
+        kept = str(tmp_path / "old.idx")
+        shutil.copy(old_index, kept)
         db = load_database(root)
         db.get_collection("dblp").replace_document("a", DOC_C)
-        # Re-save the store without refreshing the index files: the old
-        # index no longer matches the manifest checksums.
+        # Re-save without index files: the new segment has another name,
+        # so the old index is superseded, not left to be picked up ...
         save_database(db, root, write_indexes=False)
+        assert not os.path.exists(old_index)
+        assert index_status(root)["dblp"]["status"] == "missing"
+        # ... and put back under the new segment's name it is still
+        # refused: its content key binds it to the old segment's digest.
+        shutil.copy(kept, _index_file(root))
         assert index_status(root)["dblp"]["status"] == "stale"
         col = load_database(root).get_collection("dblp")
         assert col.search_index(build=False) is None
 
+    def test_index_not_adopted_beside_a_damaged_segment(self, tmp_path):
+        # the index is sound and keyed to the manifest's digest, but the
+        # segment on disk no longer is that segment
+        root = _store(tmp_path)
+        manifest = json.load(open(os.path.join(root, "manifest.json")))
+        segment = os.path.join(root, manifest["collections"]["dblp"]["segment"])
+        lines = open(segment, "rb").read().split(b"\n")
+        open(segment, "wb").write(lines[0] + b"\n")
+        assert index_status(root)["dblp"]["status"] == "ok"
+        col = load_database(root, on_corruption="quarantine").get_collection("dblp")
+        assert list(col.keys()) == ["a"]
+        assert col.search_index(build=False) is None
+
     def test_build_indexes_repairs_stale_and_corrupt(self, tmp_path):
         root = _store(tmp_path)
-        open(index_path(root, "dblp"), "w").write("junk")
+        open(_index_file(root), "w").write("junk")
         stats = build_indexes(root)
         assert stats["dblp"]["documents"] == 2
         assert index_status(root)["dblp"]["status"] == "ok"

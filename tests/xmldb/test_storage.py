@@ -1,5 +1,6 @@
 """Unit tests for database directory persistence."""
 
+import hashlib
 import json
 import os
 
@@ -7,7 +8,9 @@ import pytest
 
 from repro.errors import StorageCorruptionError, XmlDbError
 from repro.ioutils import sha256_text
+from repro.obs.metrics import REGISTRY
 from repro.xmldb.database import Database
+from repro.xmldb.serializer import serialize
 from repro.xmldb.storage import (
     load_database,
     recover_database,
@@ -29,6 +32,40 @@ def database():
     return db
 
 
+def _manifest(root):
+    return json.loads((root / "manifest.json").read_text())
+
+
+def _segment(root, collection):
+    """Path of the segment file the manifest names for ``collection``."""
+    return root / _manifest(root)["collections"][collection]["segment"]
+
+
+def _records(root, collection):
+    return [
+        json.loads(line)
+        for line in _segment(root, collection).read_bytes().split(b"\n")
+        if line
+    ]
+
+
+def _rewrite_record(root, collection, index, **changes):
+    """Edit one record in place, keeping the manifest's segment digest in
+    step — so only the record's own checksum can notice."""
+    records = _records(root, collection)
+    records[index].update(changes)
+    data = "".join(
+        json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for r in records
+    ).encode("utf-8")
+    _segment(root, collection).write_bytes(data)
+    manifest = _manifest(root)
+    manifest["collections"][collection].update(
+        sha256=hashlib.sha256(data).hexdigest(), bytes=len(data)
+    )
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestRoundTrip:
     def test_structure_survives(self, database, tmp_path):
         save_database(database, str(tmp_path / "store"))
@@ -45,13 +82,31 @@ class TestRoundTrip:
         titles = [n.text for n in loaded.xpath("dblp", "//title")]
         assert titles == ["One"]
 
-    def test_documents_are_plain_xml_files(self, database, tmp_path):
+    def test_segments_are_greppable_json_lines(self, database, tmp_path):
         root = tmp_path / "store"
         save_database(database, str(root))
-        files = list((root / "dblp").iterdir())
-        assert len(files) == 1
-        assert files[0].suffix == ".xml"
-        assert "<title>" in files[0].read_text()
+        segments = sorted(p.name for p in root.glob("*.seg"))
+        assert [name.split(".")[0] for name in segments] == ["dblp", "sigmod"]
+        lines = _segment(root, "sigmod").read_text().splitlines()
+        assert len(lines) == 2
+        assert all("<title>One.</title>" in line for line in lines)
+        assert [set(json.loads(line)) for line in lines] == [{"key", "sha256", "xml"}] * 2
+
+    def test_load_order_is_key_order_not_insertion_order(self, tmp_path):
+        # Pinned on purpose: the e2e goldens were recorded against stores
+        # that come back sorted (docs/PERSISTENCE.md "Load order").
+        db = Database()
+        for name in ("zeta", "alpha"):
+            coll = db.create_collection(name)
+            for i in (2, 10, 1, 0):
+                coll.add_document(f"{name}-{i}", f"<x>{i}</x>")
+        assert list(db.get_collection("zeta").keys())[0] == "zeta-2"
+        save_database(db, str(tmp_path / "s"))
+        loaded = load_database(str(tmp_path / "s"))
+        assert loaded.collection_names() == ["alpha", "zeta"]
+        assert list(loaded.get_collection("zeta").keys()) == [
+            "zeta-0", "zeta-1", "zeta-10", "zeta-2",
+        ]
 
     def test_unsafe_keys_sanitised(self, database, tmp_path):
         root = tmp_path / "store"
@@ -60,11 +115,20 @@ class TestRoundTrip:
         assert "weird key/with:chars" in loaded.get_collection("sigmod")
 
     def test_resave_overwrites(self, database, tmp_path):
-        root = str(tmp_path / "store")
-        save_database(database, root)
-        save_database(database, root)  # idempotent
-        loaded = load_database(root)
-        assert len(loaded.get_collection("dblp")) == 1
+        root = tmp_path / "store"
+        save_database(database, str(root))
+        before = sorted(p.name for p in root.iterdir())
+        save_database(database, str(root))  # idempotent
+        assert sorted(p.name for p in root.iterdir()) == before
+        database.get_collection("dblp").add_document("doc-c", DOC_B)
+        database.drop_collection("sigmod")
+        (root / "notes.txt").write_text("not ours")
+        save_database(database, str(root))
+        loaded = load_database(str(root))
+        assert len(loaded.get_collection("dblp")) == 2
+        # superseded segments are gone, foreign files are left alone
+        assert [p.name for p in root.glob("*.seg")] == [_segment(root, "dblp").name]
+        assert (root / "notes.txt").exists()
 
     def test_size_cap_preserved(self, tmp_path):
         db = Database(max_document_bytes=1234)
@@ -87,9 +151,18 @@ class TestErrors:
             load_database(str(tmp_path))
 
     def test_bad_format_version(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(json.dumps({"format": 9}))
-        with pytest.raises(XmlDbError):
-            load_database(str(tmp_path))
+        # formats 1 and 2 (one .xml file per document) are not read any
+        # more: every mode refuses them by name rather than guessing
+        for version in (1, 2, 9):
+            (tmp_path / "manifest.json").write_text(
+                json.dumps({"format": version, "collections": {}})
+            )
+            for mode in ("raise", "quarantine"):
+                with pytest.raises(XmlDbError, match=f"format {version}") as info:
+                    load_database(str(tmp_path), on_corruption=mode)
+                assert not isinstance(info.value, StorageCorruptionError)
+            with pytest.raises(XmlDbError, match=f"format {version}"):
+                verify_database(str(tmp_path))
 
     def test_bad_on_corruption_value(self, tmp_path):
         with pytest.raises(ValueError):
@@ -100,12 +173,16 @@ class TestFilenameCollisions:
     def test_sanitised_keys_get_distinct_files(self, tmp_path):
         db = Database()
         coll = db.create_collection("c")
-        # both sanitise to "a_b.xml"; a literal "1-a_b" also collides with
-        # the naive numeric-prefix disambiguation
+        # keys never become file names (they live inside the records), so
+        # keys that sanitise alike cannot overwrite one another ...
         coll.add_document("a b", "<x>one</x>")
         coll.add_document("a:b", "<x>two</x>")
         coll.add_document("1-a_b", "<x>three</x>")
         coll.add_document("a/b", "<x>four</x>")
+        # ... and collection names that sanitise alike get distinct,
+        # content-named segment files
+        db.create_collection("c d").add_document("k", "<x>five</x>")
+        db.create_collection("c:d").add_document("k", "<x>six</x>")
         root = str(tmp_path / "s")
         save_database(db, root)
         loaded = load_database(root)
@@ -114,8 +191,9 @@ class TestFilenameCollisions:
             for key in ("a b", "a:b", "1-a_b", "a/b")
         }
         assert got == {"a b": "one", "a:b": "two", "1-a_b": "three", "a/b": "four"}
-        files = [p for p in (tmp_path / "s" / "c").iterdir() if p.suffix == ".xml"]
-        assert len(files) == 4
+        assert loaded.get_collection("c d").get_document("k").text == "five"
+        assert loaded.get_collection("c:d").get_document("k").text == "six"
+        assert len(list((tmp_path / "s").glob("c_d-*.seg"))) == 2
 
 
 class TestPathTraversal:
@@ -126,88 +204,143 @@ class TestPathTraversal:
         save_database(db, str(root))
         return root
 
-    def _manifest(self, root):
-        return json.loads((root / "manifest.json").read_text())
+    def _point_segment_at(self, root, target):
+        manifest = _manifest(root)
+        manifest["collections"]["c"]["segment"] = target
+        (root / "manifest.json").write_text(json.dumps(manifest))
 
     def test_directory_escape_rejected(self, tmp_path):
         root = self._store(tmp_path)
-        manifest = self._manifest(root)
-        manifest["collections"]["c"]["directory"] = "../evil"
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(XmlDbError, match="unsafe|escapes"):
+        outside = tmp_path / "evil.000000000000.seg"
+        outside.write_bytes(_segment(root, "c").read_bytes())
+        self._point_segment_at(root, "../evil.000000000000.seg")
+        with pytest.raises(XmlDbError, match="unsafe") as info:
             load_database(str(root))
+        assert not isinstance(info.value, StorageCorruptionError)
 
     def test_filename_escape_rejected(self, tmp_path):
         root = self._store(tmp_path)
-        manifest = self._manifest(root)
-        docs = manifest["collections"]["c"]["documents"]
-        docs["d"]["file"] = "../../etc/passwd"
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(XmlDbError, match="unsafe|escapes"):
+        self._point_segment_at(root, "../../etc/passwd")
+        with pytest.raises(XmlDbError, match="unsafe"):
             load_database(str(root))
+        with pytest.raises(XmlDbError, match="unsafe"):
+            verify_database(str(root))
 
     def test_traversal_rejected_even_in_quarantine_mode(self, tmp_path):
         root = self._store(tmp_path)
-        manifest = self._manifest(root)
-        manifest["collections"]["c"]["documents"]["d"]["file"] = "..\\..\\boom.xml"
-        (root / "manifest.json").write_text(json.dumps(manifest))
+        self._point_segment_at(root, "..\\..\\boom.seg")
         with pytest.raises(XmlDbError):
             load_database(str(root), on_corruption="quarantine")
+        assert not (root / ".quarantine").exists()
 
     def test_absolute_path_rejected(self, tmp_path):
         root = self._store(tmp_path)
-        manifest = self._manifest(root)
-        manifest["collections"]["c"]["documents"]["d"]["file"] = "/etc/hostname"
-        (root / "manifest.json").write_text(json.dumps(manifest))
+        self._point_segment_at(root, "/etc/hostname")
         with pytest.raises(XmlDbError):
             load_database(str(root))
 
+    def test_symlinked_segment_outside_root_rejected(self, tmp_path):
+        root = self._store(tmp_path)
+        outside = tmp_path / "outside.seg"
+        outside.write_bytes(_segment(root, "c").read_bytes())
+        os.symlink(outside, root / "link.000000000000.seg")
+        self._point_segment_at(root, "link.000000000000.seg")
+        with pytest.raises(XmlDbError, match="unsafe"):
+            load_database(str(root), on_corruption="quarantine")
 
-class TestFormatV2:
+
+class TestFormatV3:
     def test_manifest_records_checksums(self, database, tmp_path):
         root = tmp_path / "s"
         save_database(database, str(root))
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["format"] == 2
-        entry = manifest["collections"]["dblp"]["documents"]["doc-a"]
-        text = (root / "dblp" / entry["file"]).read_text()
-        assert entry["sha256"] == sha256_text(text)
-        assert entry["bytes"] == len(text.encode("utf-8"))
-
-    def test_format_1_still_loads(self, tmp_path):
-        # hand-write a format-1 store: plain {key: filename} document maps,
-        # no checksums — what earlier versions of save_database produced
-        root = tmp_path / "old"
-        (root / "dblp").mkdir(parents=True)
-        (root / "dblp" / "doc-a.xml").write_text(DOC_A)
-        manifest = {
-            "format": 1,
-            "max_document_bytes": 5 * 1024 * 1024,
-            "collections": {
-                "dblp": {
-                    "directory": "dblp",
-                    "documents": {"doc-a": "doc-a.xml"},
-                    "max_document_bytes": 5 * 1024 * 1024,
-                }
-            },
+        manifest = _manifest(root)
+        assert manifest["format"] == 3
+        entry = manifest["collections"]["dblp"]
+        assert set(entry) == {
+            "segment", "records", "bytes", "sha256", "max_document_bytes"
         }
-        (root / "manifest.json").write_text(json.dumps(manifest))
-        loaded = load_database(str(root))
-        assert len(loaded.get_collection("dblp")) == 1
-        assert loaded.recovery_report.format == 1
-        # corruption in a format-1 file is still caught (parse failure)
-        (root / "dblp" / "doc-a.xml").write_text("<dblp><broken>")
-        with pytest.raises(StorageCorruptionError):
-            load_database(str(root))
+        data = (root / entry["segment"]).read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        assert entry["sha256"] == digest
+        assert entry["segment"] == f"dblp.{digest[:12]}.seg"
+        assert (entry["records"], entry["bytes"]) == (1, len(data))
+        (record,) = _records(root, "dblp")
+        tree = database.get_collection("dblp").get_document("doc-a")
+        assert record["xml"] == serialize(tree)
+        assert record["sha256"] == sha256_text("doc-a\n" + record["xml"])
 
     def test_checksum_mismatch_raises(self, database, tmp_path):
         root = tmp_path / "s"
         save_database(database, str(root))
-        victim = next((root / "dblp").glob("*.xml"))
-        # still well-formed XML, so only the checksum can catch it
-        victim.write_text(DOC_B)
-        with pytest.raises(StorageCorruptionError, match="checksum"):
+        # still well-formed XML under a segment digest the manifest agrees
+        # with, so only the record's own checksum can catch it
+        _rewrite_record(root, "sigmod", 0, xml=DOC_A)
+        with pytest.raises(StorageCorruptionError, match="'doc-b'.*checksum"):
             load_database(str(root))
+
+    def test_record_checksum_covers_the_key(self, database, tmp_path):
+        root = tmp_path / "s"
+        save_database(database, str(root))
+        _rewrite_record(root, "sigmod", 0, key="doc-x")
+        with pytest.raises(StorageCorruptionError, match="'doc-x'.*checksum"):
+            load_database(str(root))
+
+    def test_segment_digest_catches_what_records_cannot(self, database, tmp_path):
+        root = tmp_path / "s"
+        save_database(database, str(root))
+        segment = _segment(root, "sigmod")
+        lines = segment.read_bytes().split(b"\n")
+        # every record still verifies on its own: a line went missing ...
+        segment.write_bytes(lines[0] + b"\n")
+        with pytest.raises(StorageCorruptionError, match="1 records missing"):
+            load_database(str(root))
+        # ... or came back twice under another key order
+        segment.write_bytes(lines[1] + b"\n" + lines[0] + b"\n")
+        with pytest.raises(StorageCorruptionError, match="segment checksum"):
+            load_database(str(root))
+        report = verify_database(str(root))
+        assert [q.reason for q in report.quarantined] == [
+            "segment checksum mismatch (every record verifies)"
+        ]
+
+    def test_fsyncs_do_not_depend_on_document_count(self, tmp_path):
+        fsyncs = REGISTRY.counter("storage.fsyncs")
+        written = REGISTRY.counter("storage.bytes_written")
+        costs = {}
+        for count in (10, 1000):
+            db = Database()
+            coll = db.create_collection("c")
+            for i in range(count):
+                coll.add_document(f"d{i}", f"<x>{i}</x>")
+            before, bytes_before = fsyncs.value, written.value
+            save_database(db, str(tmp_path / f"s{count}"), write_indexes=True)
+            costs[count] = fsyncs.value - before
+            on_disk = sum(
+                p.stat().st_size
+                for p in (tmp_path / f"s{count}").rglob("*") if p.is_file()
+            )
+            assert written.value - bytes_before == on_disk
+        # segment, index and manifest: a file and a directory flush each
+        assert costs == {10: 6, 1000: 6}
+
+    def test_save_and_load_spans_carry_the_write_bill(self, database, tmp_path):
+        from repro.obs.trace import Tracer
+
+        root = tmp_path / "s"
+        tracer = Tracer()
+        with tracer.trace("test"):
+            save_database(database, str(root))
+            load_database(str(root))
+        save, load = tracer.finish()["children"]
+        on_disk = sum(p.stat().st_size for p in root.iterdir() if p.is_file())
+        segments = sum(p.stat().st_size for p in root.glob("*.seg"))
+        assert (save["name"], save["attributes"]) == (
+            "storage.save", {"documents": 3, "bytes": on_disk, "fsyncs": 6}
+        )
+        assert (load["name"], load["attributes"]) == (
+            "storage.load",
+            {"documents": 3, "bytes": segments, "fsyncs": 0, "quarantined": 0},
+        )
 
 
 class TestVerifyAndRecover:
@@ -222,33 +355,45 @@ class TestVerifyAndRecover:
     def test_verify_reports_without_moving(self, database, tmp_path):
         root = tmp_path / "s"
         save_database(database, str(root))
-        victim = next((root / "dblp").glob("*.xml"))
-        victim.write_text("garbage")
+        victim = _segment(root, "dblp")
+        victim.write_text("garbage\n")
         report = verify_database(str(root))
         assert not report.ok
         assert len(report.quarantined) == 1
-        assert victim.exists()  # verify never moves files
+        assert report.quarantined[0].quarantined_to is None
+        assert victim.read_text() == "garbage\n"  # verify never touches files
         assert not (root / ".quarantine").exists()
 
     def test_recover_moves_and_salvages(self, database, tmp_path):
         root = tmp_path / "s"
         save_database(database, str(root))
-        victim = next((root / "dblp").glob("*.xml"))
-        victim.write_text("garbage")
+        segment = _segment(root, "sigmod")
+        good, bad = segment.read_bytes().split(b"\n")[:2]
+        bad = bad.replace(b"One.", b"Eno.")
+        segment.write_bytes(good + b"\n" + bad + b"\n")
         report = recover_database(str(root))
-        assert report.database is not None
-        assert len(report.database.get_collection("sigmod")) == 2
-        assert not victim.exists()
-        assert len(report.quarantined) == 1
-        moved = report.quarantined[0].quarantined_to
-        assert moved and os.path.exists(moved)
-        assert ".quarantine" in moved
+        assert report.database is report.database.recovery_report.database
+        assert list(report.database.get_collection("sigmod").keys()) == ["doc-b"]
+        assert len(report.database.get_collection("dblp")) == 1
+        (lost,) = report.quarantined
+        assert (lost.collection, lost.key) == ("sigmod", "weird key/with:chars")
+        # the damaged line is kept byte for byte, and nothing was deleted
+        assert lost.quarantined_to.startswith(str(root / ".quarantine" / "sigmod"))
+        assert open(lost.quarantined_to, "rb").read() == bad + b"\n"
+        assert segment.exists()
+        # recovering again finds the same damage and copies nothing new
+        again = recover_database(str(root))
+        assert [q.quarantined_to for q in again.quarantined] == [lost.quarantined_to]
+        assert len(list((root / ".quarantine" / "sigmod").iterdir())) == 1
 
     def test_recover_then_resave_verifies_clean(self, database, tmp_path):
-        root = str(tmp_path / "s")
-        save_database(database, root)
-        victim = next((tmp_path / "s" / "dblp").glob("*.xml"))
+        root = tmp_path / "s"
+        save_database(database, str(root))
+        victim = _segment(root, "dblp")
         victim.write_text("garbage")
-        report = recover_database(root)
-        save_database(report.database, root)
-        assert verify_database(root).ok
+        report = recover_database(str(root))
+        save_database(report.database, str(root))
+        assert verify_database(str(root)).ok
+        assert not victim.exists()  # superseded by the clean (empty) segment
+        kept = report.quarantined[0].quarantined_to
+        assert open(kept).read() == "garbage\n"
