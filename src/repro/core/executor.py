@@ -19,6 +19,7 @@ comparisons, negation) are still answered exactly.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -30,6 +31,7 @@ from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import current_request
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, REGISTRY as METRICS
 from ..obs.window import WINDOWS
+from ..similarity.candidates import bipartite_index, similar_pairs
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.compile import compile_batch_steps, compile_condition
@@ -653,10 +655,18 @@ class QueryExecutor:
         #: become unreachable (and age out of the LRU) instead of being
         #: replayed with stale term expansions.
         self._context_epoch = 0
-        #: Memoised cross-side join probes, keyed by collection
-        #: generations + probe spec (stale generations simply miss).
+        #: Memoised cross-side join probes (document-key sets plus the
+        #: cold probe's guard ticks, replayed on a hit), keyed by
+        #: collection generations + probe spec + SEO; stale generations
+        #: simply miss.  Guarded and unguarded joins share it.
         self._cross_probe_cache = LruCache(
-            32, metric_prefix="executor.cross_probe_cache"
+            32, metric_prefix="planner.cross_probe.memo"
+        )
+        #: Filter indexes over a hash join's right-side values (see
+        #: :func:`~repro.similarity.candidates.bipartite_index`), keyed
+        #: by SEO + the value set itself.
+        self._join_index_cache = LruCache(
+            32, metric_prefix="planner.cross_probe.index"
         )
         #: Tracing + sink configuration; the shared no-op instance by
         #: default, so an uninstrumented executor allocates no spans and
@@ -674,7 +684,8 @@ class QueryExecutor:
         #: one tree per candidate, and decide join pairs before any
         #: product tree is materialised (see :mod:`repro.tax.batch`).
         #: Ablatable like ``compile_conditions``; results, ontology
-        #: accesses and guard behaviour are identical either way, and
+        #: accesses and guard accounting are identical either way (off,
+        #: the same operators walk every candidate per tree), and
         #: candidates without columns fall back per entry.
         self.verify_batched = verify_batched
 
@@ -708,6 +719,7 @@ class QueryExecutor:
         if seo_changed:
             self._context_epoch += 1
             self._cross_probe_cache.clear()
+            self._join_index_cache.clear()
 
     def _pattern_key(self, kind: str, pattern: PatternTree) -> Tuple:
         structure = tuple(
@@ -860,96 +872,35 @@ class QueryExecutor:
             guard.start()
         return guard
 
-    def _guarded_per_tree(
-        self,
-        candidates: Sequence[XmlNode],
-        guard: Optional[ResourceGuard],
-        run,
-    ) -> List[XmlNode]:
-        """Run a per-tree algebra operator over ``candidates`` under a guard.
-
-        Selection and projection treat input trees independently, so with
-        a guard active the candidates are processed one at a time with a
-        deadline/step check between each — a pathological verification
-        phase is interrupted instead of blocking until the end.
-        """
-        if guard is None:
-            return run(list(candidates))
-        results: List[XmlNode] = []
-        for candidate in candidates:
-            guard.tick(what="result verification")
-            results.extend(run([candidate]))
-            guard.check_results(len(results), "query verification")
-        return dedupe(results)
-
-    def _resolve_entries(
-        self, collection_name: str, candidates: Sequence[XmlNode]
-    ) -> List[tax_batch.Entry]:
-        """Map candidate nodes to batched-verify entries.
-
-        A candidate that is a live row of its document's columnar arrays
-        becomes ``(columns, row)``; anything else (a detached tree, a
-        stale copy, a collection without columnar scans) stays a
-        ``(None, node)`` fallback entry, which the batched verifier runs
-        through the per-tree walk.  Column lookups are memoised per
-        document root, so many candidates from one document pay one
-        ``columns_for_root`` call.
-        """
-        collection = self.database.get_collection(collection_name)
-        by_root: Dict[int, Any] = {}
-        entries: List[tax_batch.Entry] = []
-        for node in candidates:
-            root = node
-            while root.parent is not None:
-                root = root.parent
-            root_id = id(root)
-            if root_id in by_root:
-                cols = by_root[root_id]
-            else:
-                cols = collection.columns_for_root(root)
-                by_root[root_id] = cols
-            row = node.pre
-            if (
-                cols is not None
-                and 0 <= row < len(cols.nodes)
-                and cols.nodes[row] is node
-            ):
-                entries.append((cols, row))
-            else:
-                entries.append((None, node))
-        return entries
-
-    def _side_candidates(
+    def _candidate_entries(
         self,
         collection_name: str,
         xpath: str,
         guard: Optional[ResourceGuard],
         doc_keys: Optional[Set[str]],
-    ):
-        """(candidate nodes, fully-columnar entries or None) for a join side.
+    ) -> List[tax_batch.Entry]:
+        """The XPath prefilter's candidates as batched-verify entries.
 
-        The entries list is returned only when *every* candidate resolved
-        to a columnar row — the late-materialised join scans virtual
-        products over the two sides' columns and has no per-pair
-        fallback, so one unresolvable candidate sends the whole join to
-        the materialised path.
+        ``(columns, row)`` pairs straight from the columnar fetch; a
+        query outside the columnar subset runs on the reference engine
+        and — like every candidate when :attr:`verify_batched` is off —
+        yields ``(None, node)`` entries, which the verifier walks per
+        tree.  Guarded or not, the route is the same.
         """
-        if self.verify_batched and guard is None:
-            rows = self.database.xpath_rows(
-                collection_name, xpath, document_keys=doc_keys
-            )
-            if rows is not None:
-                return [cols.nodes[row] for cols, row in rows], rows
-        raw = self.database.xpath(
+        entries = self.database.xpath_rows(
             collection_name, xpath, guard=guard, document_keys=doc_keys
         )
-        candidates = [node for node in raw if isinstance(node, XmlNode)]
-        if not self.verify_batched:
-            return candidates, None
-        entries = self._resolve_entries(collection_name, candidates)
-        if any(cols is None for cols, _ in entries):
-            return candidates, None
-        return candidates, entries
+        if entries is None:
+            return [
+                (None, node)
+                for node in self.database.xpath(
+                    collection_name, xpath, guard=guard, document_keys=doc_keys
+                )
+                if isinstance(node, XmlNode)
+            ]
+        if self.verify_batched:
+            return entries
+        return [(None, cols.nodes[row]) for cols, row in entries]
 
     def _accesses(self) -> int:
         return self.context.ontology_accesses if self.context is not None else 0
@@ -1096,17 +1047,62 @@ class QueryExecutor:
         serving layer's intra-query partitioning runs one selection per
         contiguous chunk and merges the reports.
         """
+        return self._pattern_query(
+            "selection",
+            collection_name,
+            pattern,
+            tax_batch.selection_batched,
+            list(sl_labels),
+            guard,
+            document_keys,
+        )
+
+    def projection(
+        self,
+        collection_name: str,
+        pattern: PatternTree,
+        pl: Sequence[tax_algebra.ProjectionEntry],
+        guard: Optional[ResourceGuard] = None,
+        document_keys: Optional[Iterable[str]] = None,
+    ) -> ExecutionReport:
+        """Execute a projection query through the same pipeline."""
+        return self._pattern_query(
+            "projection",
+            collection_name,
+            pattern,
+            tax_batch.projection_batched,
+            pl,
+            guard,
+            document_keys,
+        )
+
+    def _pattern_query(
+        self,
+        kind: str,
+        collection_name: str,
+        pattern: PatternTree,
+        verify,
+        keep: Sequence,
+        guard: Optional[ResourceGuard],
+        document_keys: Optional[Iterable[str]],
+    ) -> ExecutionReport:
+        """The one-collection pipeline selection and projection share.
+
+        ``verify`` is the batched operator (:mod:`repro.tax.batch`) and
+        ``keep`` its SL / PL argument; everything else — plan cache,
+        index pruning, candidate fetch, guard accounting, report — is
+        the same for both.
+        """
         restrict = None if document_keys is None else set(document_keys)
         guard = self._start_guard(guard)
         accesses_before = self._accesses()
         tracer = self.observability.tracer()
 
-        with tracer.trace("query.selection", collection=collection_name):
+        with tracer.trace(f"query.{kind}", collection=collection_name):
             started = time.perf_counter()
             with tracer.span("rewrite"):
                 plan, cache_hit = self._selection_plan(pattern)
                 tracer.annotate(plan_cache_hit=cache_hit)
-            condition: Condition = plan["condition"]  # type: ignore[assignment]
             xpath: str = plan["xpath"]  # type: ignore[assignment]
             spec: PlanSpec = plan["spec"]  # type: ignore[assignment]
             rewrite_seconds = time.perf_counter() - started
@@ -1128,30 +1124,11 @@ class QueryExecutor:
             started = time.perf_counter()
             steps_before = self._guard_steps(guard)
             with tracer.span("xpath", query=xpath):
-                entries: Optional[List[tax_batch.Entry]] = None
-                if self.verify_batched and guard is None:
-                    # Batched-verify fast path: fetch candidates directly
-                    # as (columns, row) pairs — no per-candidate node
-                    # resolution, and the verifier scans columns in place.
-                    entries = self.database.xpath_rows(
-                        collection_name, xpath, document_keys=doc_keys
-                    )
-                if entries is None:
-                    raw = self.database.xpath(
-                        collection_name, xpath, guard=guard, document_keys=doc_keys
-                    )
-                    candidates = [
-                        node for node in raw if isinstance(node, XmlNode)
-                    ]
-                    if self.verify_batched:
-                        entries = self._resolve_entries(
-                            collection_name, candidates
-                        )
-                    n_candidates = len(candidates)
-                else:
-                    n_candidates = len(entries)
+                entries = self._candidate_entries(
+                    collection_name, xpath, guard, doc_keys
+                )
                 tracer.annotate(
-                    candidates=n_candidates,
+                    candidates=len(entries),
                     guard_steps=self._guard_steps(guard) - steps_before,
                 )
             xpath_seconds = time.perf_counter() - started
@@ -1162,38 +1139,20 @@ class QueryExecutor:
                 verified_pattern, evaluator, restrictions, order, vsteps = (
                     self._verify_tools(plan, pattern)
                 )
-                sl = list(sl_labels)
-                if entries is not None:
-                    results = self._guarded_per_tree(
-                        entries,
-                        guard,
-                        lambda ents: tax_batch.selection_batched(
-                            ents,
-                            verified_pattern,
-                            sl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                            order=order,
-                            steps=vsteps,
-                        ),
-                    )
-                else:
-                    results = self._guarded_per_tree(
-                        candidates,
-                        guard,
-                        lambda trees: tax_algebra.selection(
-                            trees,
-                            verified_pattern,
-                            sl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                        ),
-                    )
+                results = verify(
+                    entries,
+                    verified_pattern,
+                    keep,
+                    self._evaluation_context(),
+                    evaluator=evaluator,
+                    restrictions=restrictions,
+                    order=order,
+                    steps=vsteps,
+                    guard=guard,
+                )
                 tracer.annotate(
                     results=len(results),
-                    batched=entries is not None,
+                    batched=self.verify_batched,
                     guard_steps=self._guard_steps(guard) - steps_before,
                 )
             convert_seconds = time.perf_counter() - started
@@ -1203,17 +1162,17 @@ class QueryExecutor:
             xpath_seconds,
             convert_seconds,
             [xpath],
-            n_candidates,
+            len(entries),
             self._accesses() - accesses_before,
             planner_seconds=planner_seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
             index_used=index_used,
             plan_cache_hit=cache_hit,
-            docs_verified=n_candidates,
+            docs_verified=len(entries),
         )
         return self._finish_query(
-            "selection",
+            kind,
             xpath,
             tracer,
             guard,
@@ -1312,143 +1271,6 @@ class QueryExecutor:
             return list(collection.keys())
         return [key for key in collection.keys() if key in left_keys]
 
-    def projection(
-        self,
-        collection_name: str,
-        pattern: PatternTree,
-        pl: Sequence[tax_algebra.ProjectionEntry],
-        guard: Optional[ResourceGuard] = None,
-        document_keys: Optional[Iterable[str]] = None,
-    ) -> ExecutionReport:
-        """Execute a projection query through the same pipeline."""
-        restrict = None if document_keys is None else set(document_keys)
-        guard = self._start_guard(guard)
-        accesses_before = self._accesses()
-        tracer = self.observability.tracer()
-
-        with tracer.trace("query.projection", collection=collection_name):
-            started = time.perf_counter()
-            with tracer.span("rewrite"):
-                plan, cache_hit = self._selection_plan(pattern)
-                tracer.annotate(plan_cache_hit=cache_hit)
-            condition: Condition = plan["condition"]  # type: ignore[assignment]
-            xpath: str = plan["xpath"]  # type: ignore[assignment]
-            spec: PlanSpec = plan["spec"]  # type: ignore[assignment]
-            rewrite_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("plan"):
-                doc_keys, docs_total, docs_scanned, index_used = self._prune(
-                    collection_name, spec, guard, restrict=restrict
-                )
-                tracer.annotate(
-                    docs_total=docs_total,
-                    docs_scanned=docs_scanned,
-                    index_used=index_used,
-                    guard_steps=self._guard_steps(guard) - steps_before,
-                )
-            planner_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("xpath", query=xpath):
-                entries: Optional[List[tax_batch.Entry]] = None
-                if self.verify_batched and guard is None:
-                    # Batched-verify fast path: fetch candidates directly
-                    # as (columns, row) pairs — no per-candidate node
-                    # resolution, and the verifier scans columns in place.
-                    entries = self.database.xpath_rows(
-                        collection_name, xpath, document_keys=doc_keys
-                    )
-                if entries is None:
-                    raw = self.database.xpath(
-                        collection_name, xpath, guard=guard, document_keys=doc_keys
-                    )
-                    candidates = [
-                        node for node in raw if isinstance(node, XmlNode)
-                    ]
-                    if self.verify_batched:
-                        entries = self._resolve_entries(
-                            collection_name, candidates
-                        )
-                    n_candidates = len(candidates)
-                else:
-                    n_candidates = len(entries)
-                tracer.annotate(
-                    candidates=n_candidates,
-                    guard_steps=self._guard_steps(guard) - steps_before,
-                )
-            xpath_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("verify"):
-                verified_pattern, evaluator, restrictions, order, vsteps = (
-                    self._verify_tools(plan, pattern)
-                )
-                if entries is not None:
-                    results = self._guarded_per_tree(
-                        entries,
-                        guard,
-                        lambda ents: tax_batch.projection_batched(
-                            ents,
-                            verified_pattern,
-                            pl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                            order=order,
-                            steps=vsteps,
-                        ),
-                    )
-                else:
-                    results = self._guarded_per_tree(
-                        candidates,
-                        guard,
-                        lambda trees: tax_algebra.projection(
-                            trees,
-                            verified_pattern,
-                            pl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                        ),
-                    )
-                tracer.annotate(
-                    results=len(results),
-                    batched=entries is not None,
-                    guard_steps=self._guard_steps(guard) - steps_before,
-                )
-            convert_seconds = time.perf_counter() - started
-        report = ExecutionReport(
-            results,
-            rewrite_seconds,
-            xpath_seconds,
-            convert_seconds,
-            [xpath],
-            n_candidates,
-            self._accesses() - accesses_before,
-            planner_seconds=planner_seconds,
-            docs_total=docs_total,
-            docs_scanned=docs_scanned,
-            index_used=index_used,
-            plan_cache_hit=cache_hit,
-            docs_verified=n_candidates,
-        )
-        return self._finish_query(
-            "projection",
-            xpath,
-            tracer,
-            guard,
-            report,
-            plan_lines=(
-                list(spec.describe())
-                if self.observability.enabled and index_used
-                else None
-            ),
-        )
-
     def join(
         self,
         left_collection: str,
@@ -1488,7 +1310,6 @@ class QueryExecutor:
             with tracer.span("rewrite"):
                 plan, cache_hit = self._join_plan(pattern, root_children)
                 tracer.annotate(plan_cache_hit=cache_hit)
-            condition: Condition = plan["condition"]  # type: ignore[assignment]
             sides = plan["sides"]  # type: ignore[assignment]
             rewrite_seconds = time.perf_counter() - started
 
@@ -1516,15 +1337,15 @@ class QueryExecutor:
             steps_before = self._guard_steps(guard)
             with tracer.span("xpath"):
                 with tracer.span("xpath.left", query=sides[0]["xpath"]):
-                    left_candidates, left_entries = self._side_candidates(
+                    left_entries = self._candidate_entries(
                         left_collection, sides[0]["xpath"], guard, left_keys
                     )
-                    tracer.annotate(candidates=len(left_candidates))
+                    tracer.annotate(candidates=len(left_entries))
                 with tracer.span("xpath.right", query=sides[1]["xpath"]):
-                    right_candidates, right_entries = self._side_candidates(
+                    right_entries = self._candidate_entries(
                         right_collection, sides[1]["xpath"], guard, right_keys
                     )
-                    tracer.annotate(candidates=len(right_candidates))
+                    tracer.annotate(candidates=len(right_entries))
                 tracer.annotate(
                     guard_steps=self._guard_steps(guard) - steps_before
                 )
@@ -1537,6 +1358,8 @@ class QueryExecutor:
                     self._verify_tools(plan, pattern)
                 )
                 sl = list(sl_labels)
+                left_candidates = _entry_nodes(left_entries)
+                right_candidates = _entry_nodes(right_entries)
                 pair_filter = None
                 if self.context is not None and self.similarity_hash_join:
                     atom = _cross_similarity_atom(
@@ -1553,128 +1376,65 @@ class QueryExecutor:
                             )
                             tracer.annotate(pairs=len(pair_filter))
 
-                use_batched = (
-                    left_entries is not None and right_entries is not None
-                )
-                pairs_probed = (
-                    len(left_candidates) * len(right_candidates)
-                    if pair_filter is None
-                    else len(pair_filter)
-                )
-                pairs_materialized = pairs_probed
-                if use_batched:
-                    if pair_filter is None:
-                        pairs = [
-                            (i, j)
-                            for i in range(len(left_candidates))
-                            for j in range(len(right_candidates))
-                        ]
-                    else:
-                        pairs = sorted(pair_filter)
-                    if guard is None:
-                        results, pairs_materialized = (
-                            tax_batch.join_pairs_batched(
-                                left_entries,
-                                right_entries,
-                                pairs,
-                                verified_pattern,
-                                sl,
-                                self._evaluation_context(),
-                                evaluator=evaluator,
-                                restrictions=restrictions,
-                                order=order,
-                                steps=vsteps,
-                            )
-                        )
-                    else:
-                        # Same guard accounting as the materialised
-                        # paths: charge the product size (up front when
-                        # unfiltered, per pair after a hash join), then
-                        # one verification tick per probed pair.
-                        if pair_filter is None:
-                            guard.tick(pairs_probed, what="join product")
-                        else:
-                            for _ in pairs:
-                                guard.tick(what="join product")
-                        results = []
-                        pairs_materialized = 0
-                        for pair in pairs:
-                            guard.tick(what="result verification")
-                            pair_results, materialized = (
-                                tax_batch.join_pairs_batched(
-                                    left_entries,
-                                    right_entries,
-                                    [pair],
-                                    verified_pattern,
-                                    sl,
-                                    self._evaluation_context(),
-                                    evaluator=evaluator,
-                                    restrictions=restrictions,
-                                    order=order,
-                                    steps=vsteps,
-                                )
-                            )
-                            results.extend(pair_results)
-                            pairs_materialized += materialized
-                            guard.check_results(
-                                len(results), "query verification"
-                            )
-                        results = dedupe(results)
-                elif pair_filter is None:
-                    if guard is None:
-                        results = tax_algebra.join(
-                            left_candidates,
-                            right_candidates,
-                            verified_pattern,
-                            sl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                        )
-                    else:
-                        # Account for the product size up front (the step
-                        # budget rejects a blow-up before it is
-                        # materialised), then verify product trees one at
-                        # a time under the deadline.
+                # The product is charged before any of it exists: its
+                # size when unfiltered (the step budget rejects a blow-up
+                # before it is enumerated), else a step per pair kept.
+                if pair_filter is None:
+                    if guard is not None:
                         guard.tick(
-                            len(left_candidates) * len(right_candidates),
+                            len(left_entries) * len(right_entries),
                             what="join product",
                         )
-                        products = tax_algebra.product(
-                            left_candidates, right_candidates
-                        )
-                        results = self._guarded_per_tree(
-                            products,
-                            guard,
-                            lambda trees: tax_algebra.selection(
-                                trees,
-                                verified_pattern,
-                                sl,
-                                self._evaluation_context(),
-                                evaluator=evaluator,
-                                restrictions=restrictions,
-                            ),
-                        )
+                    pairs = [
+                        (i, j)
+                        for i in range(len(left_entries))
+                        for j in range(len(right_entries))
+                    ]
                 else:
-                    products: List[XmlNode] = []
-                    for left_index, right_index in sorted(pair_filter):
-                        if guard is not None:
-                            guard.tick(what="join product")
-                        root = XmlNode(tax_algebra.PRODUCT_ROOT_TAG)
-                        root.append(left_candidates[left_index].copy())
-                        root.append(right_candidates[right_index].copy())
-                        products.append(root.renumber())
-                    results = self._guarded_per_tree(
-                        products,
-                        guard,
-                        lambda trees: tax_algebra.selection(
-                            trees,
-                            verified_pattern,
-                            sl,
-                            self._evaluation_context(),
-                            evaluator=evaluator,
-                            restrictions=restrictions,
-                        ),
+                    pairs = sorted(pair_filter)
+                    if guard is not None and pairs:
+                        guard.tick_each(len(pairs), "join product")
+                pairs_probed = pairs_materialized = len(pairs)
+                # The virtual-product scan has no per-pair fallback, so
+                # one candidate without columns (or verify_batched off)
+                # sends the join through materialised product trees.
+                use_batched = all(
+                    cols is not None
+                    for cols, _ in itertools.chain(left_entries, right_entries)
+                )
+                if use_batched:
+                    results, pairs_materialized = tax_batch.join_pairs_batched(
+                        left_entries,
+                        right_entries,
+                        pairs,
+                        verified_pattern,
+                        sl,
+                        self._evaluation_context(),
+                        evaluator=evaluator,
+                        restrictions=restrictions,
+                        order=order,
+                        steps=vsteps,
+                        guard=guard,
+                    )
+                else:
+                    results = tax_batch.selection_batched(
+                        [
+                            (
+                                None,
+                                tax_algebra.product_tree(
+                                    left_candidates[i], right_candidates[j]
+                                ),
+                            )
+                            for i, j in pairs
+                        ],
+                        verified_pattern,
+                        sl,
+                        self._evaluation_context(),
+                        evaluator=evaluator,
+                        restrictions=restrictions,
+                        order=order,
+                        steps=vsteps,
+                        guard=guard,
                     )
                 tracer.annotate(
                     results=len(results),
@@ -1690,14 +1450,14 @@ class QueryExecutor:
             xpath_seconds,
             convert_seconds,
             [sides[0]["xpath"], sides[1]["xpath"]],
-            len(left_candidates) + len(right_candidates),
+            len(left_entries) + len(right_entries),
             self._accesses() - accesses_before,
             planner_seconds=planner_seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
             index_used=index_used,
             plan_cache_hit=cache_hit,
-            docs_verified=len(left_candidates) + len(right_candidates),
+            docs_verified=len(left_entries) + len(right_entries),
             pairs_probed=pairs_probed,
             pairs_materialized=pairs_materialized,
         )
@@ -1753,32 +1513,22 @@ class QueryExecutor:
 
         cross = plan["cross"]
         if cross is not None:
-            # The cross probe is a pure function of the two indexes, the
-            # probe spec and the SEO, so its result is memoised per
-            # collection generation; a guard opts out (cache hits would
-            # skip its per-term ticks and distort step accounting).
-            cache_key = None
-            if guard is None:
-                cache_key = (
+            cross_left, cross_right = prune_join_docs(
+                left_index,
+                right_index,
+                cross,
+                seo,
+                guard,
+                memo=self._cross_probe_cache,
+                memo_key=(
                     left_collection,
                     left.generation,
                     right_collection,
                     right.generation,
                     cross,
                     id(seo),
-                )
-                cached = self._cross_probe_cache.get(cache_key)
-                if cached is None:
-                    cached = prune_join_docs(
-                        left_index, right_index, cross, seo, None
-                    )
-                    self._cross_probe_cache.put(cache_key, cached)
-                # Copies: callers intersect the sets in place.
-                cross_left, cross_right = set(cached[0]), set(cached[1])
-            else:
-                cross_left, cross_right = prune_join_docs(
-                    left_index, right_index, cross, seo, guard
-                )
+                ),
+            )
             left_keys = (
                 cross_left if left_keys is None else left_keys & cross_left
             )
@@ -1807,18 +1557,16 @@ class QueryExecutor:
     ) -> Set[Tuple[int, int]]:
         """Candidate pairs that can satisfy a cross-side ``~`` conjunct.
 
-        A length-bucketed similarity hash join: right-side values outside
-        the ontology are bucketed by string length; each left value probes
-        only the buckets the measure's length lower bound allows.  Values
-        known to the SEO go through ``seo.similar`` directly (fused terms
-        may be "similar" at arbitrary string distance, so the distance
-        bucketing must not prune them).  Sound: a pair is dropped only
-        when *no* value pair can satisfy the atom.
+        Values known to the SEO go through ``seo.similar`` directly
+        (fused terms may be "similar" at arbitrary string distance, so
+        no distance filter may prune them); values outside it are joined
+        by :func:`~repro.similarity.candidates.similar_pairs` — length
+        and bigram-count filters first, the measure on the survivors.
+        Sound: a pair is dropped only when *no* value pair can satisfy
+        the atom.
         """
         assert self.context is not None
         seo = self.context.seo
-        measure = seo.measure
-        epsilon = seo.epsilon
         tags = required_tags(condition)
 
         def values_of(candidate: XmlNode, label: int) -> List[str]:
@@ -1832,42 +1580,53 @@ class QueryExecutor:
         left_label = next(iter(atom.left.labels()))
         right_label = next(iter(atom.right.labels()))
 
-        by_length: Dict[int, List[Tuple[int, str]]] = {}
-        known_right: List[Tuple[int, str]] = []
+        #: value -> candidate indices holding it, per side and SEO status.
+        known_right: Dict[str, List[int]] = {}
+        unknown_right: Dict[str, List[int]] = {}
         for j, candidate in enumerate(right_candidates):
             for value in values_of(candidate, right_label):
-                if value in seo:
-                    known_right.append((j, value))
-                else:
-                    by_length.setdefault(len(value), []).append((j, value))
+                side = known_right if value in seo else unknown_right
+                side.setdefault(value, []).append(j)
 
-        radius = int(epsilon)
         pairs: Set[Tuple[int, int]] = set()
+        unknown_left: Dict[str, List[int]] = {}
         for i, candidate in enumerate(left_candidates):
             if guard is not None:
                 guard.tick(what="similarity hash join")
             for value in values_of(candidate, left_label):
+                partners = [known_right]
                 if value in seo:
-                    # Known terms may be similar to anything sharing an
-                    # SEO node: fall back to the semantic test everywhere.
-                    for j, other in known_right:
+                    partners.append(unknown_right)
+                else:
+                    unknown_left.setdefault(value, []).append(i)
+                for side in partners:
+                    for other, holders in side.items():
                         if seo.similar(value, other):
-                            pairs.add((i, j))
-                    for bucket in by_length.values():
-                        for j, other in bucket:
-                            if seo.similar(value, other):
-                                pairs.add((i, j))
-                    continue
-                for length in range(len(value) - radius, len(value) + radius + 1):
-                    for j, other in by_length.get(length, ()):
-                        if (i, j) in pairs:
-                            continue
-                        if measure.bounded_distance(value, other, epsilon) <= epsilon:
-                            pairs.add((i, j))
-                for j, other in known_right:
-                    if seo.similar(value, other):
-                        pairs.add((i, j))
+                            pairs.update((i, j) for j in holders)
+        # The right side of a join is the same value set request after
+        # request (filters usually sit on the left), and its index is a
+        # pure function of that set: keep it, keyed by content.
+        index_key = (id(seo), frozenset(unknown_right))
+        index = self._join_index_cache.get(index_key)
+        if index is None:
+            index = bipartite_index(list(unknown_right), seo.measure, seo.epsilon)
+            self._join_index_cache.put(index_key, index)
+        matches, _stats = similar_pairs(
+            unknown_left, index, seo.measure, guard, what="similarity hash join"
+        )
+        for value, other in matches:
+            pairs.update(
+                (i, j) for i in unknown_left[value] for j in unknown_right[other]
+            )
         return pairs
+
+
+def _entry_nodes(entries: Sequence[tax_batch.Entry]) -> List[XmlNode]:
+    """The candidate node behind each batched-verify entry."""
+    return [
+        item if cols is None else cols.nodes[item]  # type: ignore[index]
+        for cols, item in entries
+    ]
 
 
 def _cross_similarity_atom(

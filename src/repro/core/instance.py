@@ -63,17 +63,29 @@ class SemistructuredInstance:
 
 
 class OntologyExtendedInstance(SemistructuredInstance):
-    """``(V, E, t, H_isa)`` — an instance with an associated ontology."""
+    """``(V, E, t, H_isa)`` — an instance with an associated ontology.
+
+    ``ontology`` may be a zero-argument callable producing it: a system
+    restored from disk answers queries from its persisted SEOs and needs
+    an instance's own ontology only at the next build or write, so the
+    extraction runs on first access instead of at load time.
+    """
 
     def __init__(
         self,
         name: str,
         trees: Sequence[XmlNode],
-        ontology: Ontology,
+        ontology: "Ontology | Callable[[], Ontology]",
         typing: TypingFunction = default_typing,
     ) -> None:
         super().__init__(name, trees, typing)
-        self.ontology = ontology
+        self._ontology = ontology
+
+    @property
+    def ontology(self) -> Ontology:
+        if not isinstance(self._ontology, Ontology):
+            self._ontology = self._ontology()
+        return self._ontology
 
     @property
     def isa(self) -> Hierarchy:

@@ -6,14 +6,17 @@ Combines the two lower-level persistence layers — the XML database
 one directory:
 
     root/
-      system.json          measure, epsilon, DBA constraints
+      system.json          measure, epsilon, DBA constraints, Ontology Maker
       database/            one checksummed segment per collection + manifest
       seo/<relation>.json  one persisted SEO per relation (compact JSON)
 
 A loaded system is immediately queryable (its SEOs are restored verbatim,
-not rebuilt); calling :meth:`~repro.core.system.TossSystem.build` on it
-recomputes everything from the restored documents, which is also how
-constraint edits are applied after loading.
+not rebuilt) and writable (its Ontology Maker — lexicon, content tags,
+DBA rules — is restored from ``system.json``; each instance's ontology is
+extracted with it on first use).  Calling
+:meth:`~repro.core.system.TossSystem.build` on it recomputes everything
+from the restored documents, which is also how constraint edits are
+applied after loading.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from ..errors import ReproError, SimilarityError, TossError
 from ..ioutils import atomic_write_text
 from ..ontology.constraints import parse_constraint
 from ..ontology.hierarchy import Ontology
+from ..ontology.maker import OntologyMaker
 from ..similarity.persistence import dump_seo, read_seo
 from ..xmldb.storage import load_database, save_database
 from .build_report import BuildReport
 from .conditions import SeoConditionContext
 from .executor import QueryExecutor
-from .instance import OntologyExtendedInstance
 from .system import TossSystem
 
 _SYSTEM_FILE = "system.json"
+#: ``system.json`` format.  2 added the ``maker`` block (the Ontology
+#: Maker's lexicon, content tags, rules and term cap); format 1 files,
+#: which a load silently paired with a default maker, are refused.
+SYSTEM_FORMAT = 2
 _DATABASE_DIR = "database"
 _SEO_DIR = "seo"
 _BUILD_REPORT_FILE = "build_report.json"
@@ -68,18 +75,20 @@ def save_system(system: TossSystem, root_dir: str) -> None:
         for relation, items in system._constraints.items()
     }
     payload = {
-        "format": 1,
+        "format": SYSTEM_FORMAT,
         "measure": system.measure.name,
         "epsilon": system.epsilon,
         "instances": sorted(system.instances),
         "constraints": constraints,
         "relations": sorted(system.context.seos),
+        "maker": system.maker.to_dict(),
     }
     # The system file is written last and atomically: a crash anywhere in
     # save_system leaves either the previous complete system or the new one.
+    # Compact, like the SEO files: with the maker's lexicon aboard,
+    # indentation would be a third of its bytes.
     atomic_write_text(
-        os.path.join(root_dir, _SYSTEM_FILE),
-        json.dumps(payload, indent=2, sort_keys=True),
+        os.path.join(root_dir, _SYSTEM_FILE), json.dumps(payload, sort_keys=True)
     )
 
 
@@ -115,29 +124,32 @@ def load_system(root_dir: str, on_corruption: str = "raise") -> TossSystem:
         raise TossError(f"no saved system at {root_dir}") from None
     except json.JSONDecodeError as exc:
         raise TossError(f"corrupt system file at {path}: {exc}") from exc
-    if payload.get("format") != 1:
-        raise TossError(f"unsupported system format {payload.get('format')!r}")
+    if payload.get("format") != SYSTEM_FORMAT:
+        raise TossError(
+            f"unsupported system format {payload.get('format')!r} at {path} "
+            f"(this version reads format {SYSTEM_FORMAT}, which records the "
+            "Ontology Maker; save the system again from its sources)"
+        )
+    try:
+        maker = OntologyMaker.from_dict(payload["maker"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TossError(f"system file {path}: cannot restore {exc}") from exc
 
     system = TossSystem(
-        measure=payload["measure"], epsilon=float(payload["epsilon"])
+        measure=payload["measure"], epsilon=float(payload["epsilon"]), maker=maker
     )
     system.database = load_database(
         os.path.join(root_dir, _DATABASE_DIR), on_corruption=on_corruption
     )
     system.build_report = load_build_report(root_dir)
 
-    # Restore instances with freshly extracted ontologies (deterministic,
-    # cheap, and only consulted by a future rebuild — the restored SEOs
-    # below carry the queried state).
+    # The restored SEOs below carry the queried state; an instance's own
+    # ontology is only consulted by a future build or write, and is
+    # extracted then (with the restored maker), not here.
     for name in payload.get("instances", ()):
         if on_corruption == "quarantine" and name not in system.database:
             continue  # the whole collection was lost to quarantine
-        collection = system.database.get_collection(name)
-        roots = collection.roots()
-        ontology = system.maker.make_combined(roots)
-        system.instances[name] = OntologyExtendedInstance(
-            name, roots, ontology, system.typing
-        )
+        system.restore_instance(name)
 
     for relation, texts in payload.get("constraints", {}).items():
         for text in texts:

@@ -36,12 +36,14 @@ to the full scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..errors import ConditionError
-from ..guard import ResourceGuard
+from ..guard import ResourceGuard, TickRecorder, replay_ticks
+from ..lru import LruCache
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
+from ..similarity.candidates import BlockStats, bipartite_index, similar_pairs
 from ..similarity.seo import SimilarityEnhancedOntology
 from ..tax.conditions import (
     And,
@@ -142,9 +144,10 @@ def describe_verify_strategy(batched: bool, join: bool = False) -> str:
 
     ``batched`` reflects the executor's ``verify_batched`` knob — the
     set-oriented columnar scan (and, for joins, late product
-    materialisation) versus the per-candidate tree walk.  Note the knob
-    states intent: candidates whose documents have no columnar arrays
-    still fall back to the tree walk entry by entry.
+    materialisation) versus the per-candidate reference tree walk.  A
+    resource guard never changes the strategy, only what is charged.
+    Note the knob states intent: candidates of a query outside the
+    columnar subset still fall back to the tree walk entry by entry.
     """
     if not batched:
         return "verify: per-candidate tree walk (verify_batched=False)"
@@ -449,85 +452,106 @@ def prune_join_docs(
     probe: CrossProbe,
     seo: Optional[SimilarityEnhancedOntology],
     guard: Optional[ResourceGuard] = None,
+    memo: Optional[LruCache] = None,
+    memo_key: Optional[Hashable] = None,
 ) -> Tuple[Set[str], Set[str]]:
     """Documents on each side that can participate in the cross conjunct.
 
-    Works over *distinct terms* rather than candidate pairs — the same
-    length-bucketed strategy as the executor's similarity hash join, but
-    at index granularity, before any XPath runs.  A document survives iff
-    one of its indexed values (under the probe's tags) has a partner on
-    the other side; the semantics mirror ``seo.similar`` exactly (shared
+    Works over *distinct terms* rather than candidate pairs, at index
+    granularity, before any XPath runs.  A document survives iff one of
+    its indexed values (under the probe's tags) has a partner on the
+    other side; the semantics mirror ``seo.similar`` exactly (shared
     node for known pairs, bounded edit distance otherwise), so every
-    verifiable pair's documents survive.
+    verifiable pair's documents survive.  Terms outside the ontology go
+    through :func:`~repro.similarity.candidates.similar_pairs`, so the
+    measure runs on the pairs that survive the length and bigram-count
+    filters, not on every length-compatible pair.
+
+    The probe is a pure function of the two indexes, the probe spec and
+    the SEO, so with ``memo`` the result is kept under ``memo_key``
+    together with the guard ticks the cold probe charged; a hit replays
+    them (:func:`~repro.guard.replay_ticks`), which leaves a guard
+    exactly where the cold probe would — including the step it trips on.
     """
-    left_terms = left_index.terms_with_tags(probe.left_tags)
-    right_terms = right_index.terms_with_tags(probe.right_tags)
     tracer = current_tracer()
     METRICS.counter("planner.probes.cross").inc()
+    with tracer.span("planner.cross_probe", kind=probe.kind):
+        cached = memo.get(memo_key) if memo is not None else None
+        if cached is not None:
+            left_docs, right_docs, runs = cached
+            if guard is not None:
+                replay_ticks(guard, runs)
+            stats = BlockStats()
+        else:
+            ticks = TickRecorder(guard)
+            left_docs, right_docs, stats = _cross_probe(
+                left_index, right_index, probe, seo, ticks
+            )
+            if memo is not None:
+                memo.put(memo_key, (left_docs, right_docs, ticks.runs))
+        METRICS.counter("planner.cross_probe.pairs").inc(stats.length_compatible)
+        METRICS.counter("planner.cross_probe.verified").inc(stats.candidates)
+        tracer.annotate(
+            memo_hit=cached is not None,
+            pairs=stats.length_compatible,
+            verified=stats.candidates,
+        )
+    # Copies: callers intersect the sets in place.
+    return set(left_docs), set(right_docs)
 
-    def tick(steps: int = 1) -> None:
-        if guard is not None:
-            guard.tick(steps, what="index probe")
 
-    tick(len(left_terms) + len(right_terms))
+def _cross_probe(
+    left_index: CollectionSearchIndex,
+    right_index: CollectionSearchIndex,
+    probe: CrossProbe,
+    seo: Optional[SimilarityEnhancedOntology],
+    ticks: TickRecorder,
+) -> Tuple[Set[str], Set[str], BlockStats]:
+    """The cold cross probe: (left documents, right documents, counts)."""
+    left_terms = left_index.terms_with_tags(probe.left_tags)
+    right_terms = right_index.terms_with_tags(probe.right_tags)
+    tick = ticks.tick
+    tick(len(left_terms) + len(right_terms), "index probe")
 
     left_docs: Set[str] = set()
     right_docs: Set[str] = set()
 
+    def keep(term: str, other: str) -> None:
+        left_docs.update(left_terms[term])
+        right_docs.update(right_terms[other])
+
     if probe.kind == "equal":
-        with tracer.span(
-            "planner.cross_probe",
-            kind=probe.kind,
-            left_terms=len(left_terms),
-            right_terms=len(right_terms),
-        ):
-            for term, docs in left_terms.items():
-                partner = right_terms.get(term)
-                tick()
-                if partner is not None:
-                    left_docs |= docs
-                    right_docs |= partner
-        return left_docs, right_docs
+        for term in left_terms:
+            tick(1, "index probe")
+            if term in right_terms:
+                keep(term, term)
+        return left_docs, right_docs, BlockStats()
 
     assert seo is not None
-    measure = seo.measure
-    epsilon = seo.epsilon
-    radius = int(epsilon)
-
-    known_right: List[str] = []
-    by_length: Dict[int, List[str]] = {}
-    for term in right_terms:
+    known_right = [term for term in right_terms if term in seo]
+    unknown_left: List[str] = []
+    for term in left_terms:
         if term in seo:
-            known_right.append(term)
-        else:
-            by_length.setdefault(len(term), []).append(term)
-
-    with tracer.span(
-        "planner.cross_probe",
-        kind=probe.kind,
-        left_terms=len(left_terms),
-        right_terms=len(right_terms),
-    ):
-        for term, docs in left_terms.items():
-            if term in seo:
-                # Fused SEO terms can be similar at arbitrary distance, so
-                # known terms consult the ontology against every partner.
-                for other in right_terms:
-                    tick()
-                    if seo.similar(term, other):
-                        left_docs |= docs
-                        right_docs |= right_terms[other]
-                continue
-            for length in range(len(term) - radius, len(term) + radius + 1):
-                for other in by_length.get(length, ()):
-                    tick()
-                    if measure.bounded_distance(term, other, epsilon) <= epsilon:
-                        left_docs |= docs
-                        right_docs |= right_terms[other]
-            for other in known_right:
-                tick()
+            # Fused SEO terms can be similar at arbitrary distance, so
+            # known terms consult the ontology against every partner.
+            for other in right_terms:
+                tick(1, "index probe")
                 if seo.similar(term, other):
-                    left_docs |= docs
-                    right_docs |= right_terms[other]
-
-    return left_docs, right_docs
+                    keep(term, other)
+            continue
+        unknown_left.append(term)
+        for other in known_right:
+            tick(1, "index probe")
+            if seo.similar(term, other):
+                keep(term, other)
+    unknown_right = [term for term in right_terms if term not in seo]
+    matches, stats = similar_pairs(
+        unknown_left,
+        bipartite_index(unknown_right, seo.measure, seo.epsilon),
+        seo.measure,
+        ticks,
+        what="index probe",
+    )
+    for term, other in matches:
+        keep(term, other)
+    return left_docs, right_docs, stats

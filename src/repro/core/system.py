@@ -306,27 +306,47 @@ class TossSystem:
             )
         )
 
+    def restore_instance(self, name: str) -> None:
+        """Register an already stored collection as an instance (the load path).
+
+        The instance's ontology is extracted on first use — the next
+        :meth:`build` or write — with the :attr:`maker` then in place,
+        into the same replayable extraction state :meth:`add_instance`
+        keeps, so the first write after a load is a delta like any other.
+        """
+        roots = self.database.get_collection(name).roots()
+
+        def extract() -> Ontology:
+            state = CombinedExtraction(self.maker)
+            if not state.supported:  # rule-bearing maker: not replayable
+                return self.maker.make_combined(roots)
+            state.extend(roots)
+            self._sources[name] = state
+            return state.ontology
+
+        self.instances[name] = OntologyExtendedInstance(
+            name, roots, extract, self.typing
+        )
+
     def _source_state(self, name: str) -> Optional[CombinedExtraction]:
         """The replayable extraction state for ``name``, rebuilding if lost.
 
-        A rebuilt state (e.g. after :func:`~repro.core.persistence.load_system`,
-        which restores instances without extraction state) replays the
-        instance's current documents; if the result disagrees with the
-        instance's ontology — it carried an external one — the pending
-        deltas are poisoned so the next build re-fuses, and the source
-        converts to extracted ontologies from here on (the behaviour
-        appends always had).
+        A rebuilt state replays the instance's current documents; if the
+        result disagrees with the instance's ontology — it carried an
+        external one — the pending deltas are poisoned so the next build
+        re-fuses, and the source converts to extracted ontologies from
+        here on (the behaviour appends always had).
         """
+        ontology = self.instances[name].ontology  # a restored instance extracts here
         state = self._sources.get(name)
         if state is not None:
             return state
         candidate = CombinedExtraction(self.maker)
         if not candidate.supported:
             return None
-        instance = self.instances[name]
-        candidate.extend(list(instance.trees))
+        candidate.extend(list(self.instances[name].trees))
         self._sources[name] = candidate
-        if candidate.ontology != instance.ontology:
+        if candidate.ontology != ontology:
             self._poison()
         return candidate
 

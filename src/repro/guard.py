@@ -22,7 +22,7 @@ configured budget even when individual steps are microseconds.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .errors import QueryTimeoutError, ResourceExhaustedError
 
@@ -132,6 +132,22 @@ class ResourceGuard:
             self._since_check = 0
             self.check_deadline(what)
 
+    def tick_each(self, count: int, what: str = "operation") -> None:
+        """Charge ``count`` unit steps in one call.
+
+        Observably ``count`` single :meth:`tick` calls: a budget that
+        runs out part-way raises the same error at the same step count
+        (the charge stops on the step that trips), without ``count``
+        trips through the bookkeeping.  Meant for steps whose work is
+        already done or about to be skipped — replayed memo ticks,
+        documents just scanned; work that takes time between ticks is
+        charged in chunks of at most :data:`CHECK_INTERVAL` so the
+        deadline keeps being re-checked.
+        """
+        if self.max_steps is not None and self._steps + count > self.max_steps:
+            count = self.max_steps - self._steps + 1
+        self.tick(count, what)
+
     def check_results(self, count: int, what: str = "query") -> None:
         """Raise :class:`ResourceExhaustedError` when ``count`` exceeds the cap."""
         if self.max_results is not None and count > self.max_results:
@@ -145,3 +161,40 @@ class ResourceGuard:
             f"ResourceGuard(deadline_seconds={self.deadline_seconds}, "
             f"max_results={self.max_results}, max_steps={self.max_steps})"
         )
+
+
+class TickRecorder:
+    """Forwards ticks to an optional guard and remembers them for replay.
+
+    A memo that answers from cache must still charge what the cold
+    computation charged, or a budget tuned on cold runs silently admits
+    more on warm ones.  The cold run ticks through a recorder; the memo
+    stores :attr:`runs` with the entry and hands them to
+    :func:`replay_ticks` on every hit.
+    """
+
+    __slots__ = ("guard", "runs")
+
+    def __init__(self, guard: Optional[ResourceGuard] = None) -> None:
+        self.guard = guard
+        #: Run-length encoded tick sequence: ``[what, steps, repeats]``.
+        self.runs: List[List] = []
+
+    def tick(self, steps: int = 1, what: str = "operation") -> None:
+        runs = self.runs
+        if runs and runs[-1][0] == what and runs[-1][1] == steps:
+            runs[-1][2] += 1
+        else:
+            runs.append([what, steps, 1])
+        if self.guard is not None:
+            self.guard.tick(steps, what)
+
+
+def replay_ticks(guard: ResourceGuard, runs: List[List]) -> None:
+    """Charge ``guard`` the recorded tick sequence, tripping where it did."""
+    for what, steps, repeats in runs:
+        if steps == 1:
+            guard.tick_each(repeats, what)
+        else:
+            for _ in range(repeats):
+                guard.tick(steps, what)

@@ -41,6 +41,17 @@ DEFAULT_CONTENT_TAGS = frozenset({"author", "booktitle", "conference", "editor"}
 Rule = Tuple[str, str, str]  # (relation, lower_term, upper_term)
 
 
+def _strings(values, count: Optional[int] = None) -> List[str]:
+    """``values`` as a list of strings (of length ``count``), else TypeError."""
+    values = list(values)
+    if not all(isinstance(value, str) for value in values) or count not in (
+        None,
+        len(values),
+    ):
+        raise TypeError(f"expected {count or 'a list of'} strings, got {values!r}")
+    return values
+
+
 class OntologyMaker:
     """Builds an :class:`Ontology` from an XML instance.
 
@@ -70,6 +81,38 @@ class OntologyMaker:
         self.content_tags = frozenset(content_tags)
         self.rules = list(rules)
         self.max_content_terms = max_content_terms
+
+    # -- persistence ---------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        """A JSON-compatible snapshot of the whole configuration."""
+        return {
+            "lexicon": self.lexicon.to_dict(),
+            "content_tags": sorted(self.content_tags),
+            "rules": [list(rule) for rule in self.rules],
+            "max_content_terms": self.max_content_terms,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "OntologyMaker":
+        """Rebuild a maker from :meth:`to_dict` output.
+
+        Raises ``ValueError`` naming the first field that is missing or
+        malformed — a maker restored with a silently defaulted field
+        would extract a different ontology than the one that was saved.
+        """
+        fields = {}
+        for name, restore in (
+            ("lexicon", Lexicon.from_dict),
+            ("content_tags", lambda tags: frozenset(_strings(tags))),
+            ("rules", lambda rules: [tuple(_strings(rule, 3)) for rule in rules]),
+            ("max_content_terms", lambda cap: None if cap is None else int(cap)),
+        ):
+            try:
+                fields[name] = restore(payload[name])
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"maker field {name!r}: {exc!r}") from exc
+        return cls(**fields)
 
     # -- public API ----------------------------------------------------------
 

@@ -23,10 +23,9 @@ Identity with serial execution is structural, not statistical:
   ticked back into the parent guard — a budget the partitions
   collectively exceed raises exactly like serial execution;
 * each chunk runs through the executor's set-oriented verifier
-  (``verify_batched``): candidates resolve to columnar ``(columns,
-  row)`` entries per chunk and batch-verify in scan order, with the
-  same one-tick-per-candidate guard accounting as the per-document
-  walk — so the merged report's ``docs_verified`` / ``pairs_probed``
+  (``verify_batched``): candidates arrive as columnar ``(columns,
+  row)`` entries per chunk and batch-verify in scan order, one guard
+  tick per candidate — so the merged report's ``docs_verified`` / ``pairs_probed``
   counters sum to the serial run's and the results stay bit-identical.
 """
 

@@ -1,9 +1,11 @@
-"""Candidate generation for the epsilon-similarity graph.
+"""Candidate generation for epsilon-similarity: the SEA graph and join probes.
 
 The SEA precomputation (Figure 12) needs every pair of hierarchy nodes
-within edit distance epsilon.  Enumerating all ``C(n, 2)`` pairs and
-running the (even banded) dynamic programme on each is the dominant cost
-of a build over a real ontology; the similarity-join literature replaces
+within edit distance epsilon, and a cross-source ``~`` join (Example 13)
+needs every such pair *across* two term sets.  Enumerating all pairs and
+running the bounded edit distance on each is the dominant cost of a
+build over a real ontology — and of a join probe over a few thousand
+titles; the similarity-join literature replaces
 the enumeration with *candidate generation*: an inverted index over
 string features emits a small superset of the truly similar pairs, and
 only that superset is verified.
@@ -29,7 +31,10 @@ unit-cost Levenshtein measure:
   pool.
 
 Pairs that share no indexed occurrence are therefore *never generated*,
-which removes the quadratic enumeration for realistic inputs.  Probing
+which removes the quadratic enumeration for realistic inputs.  One
+:class:`CandidateIndex` implements the stack for both shapes: the
+self-join (:func:`block_edges`) and the bipartite join
+(:func:`bipartite_index` + :func:`similar_pairs`).  The self-join
 walks strings in length-sorted order against the already-indexed ones,
 so the work decomposes into independent contiguous *blocks* of probe
 positions — exactly the unit the parallel build layer
@@ -40,13 +45,15 @@ their edge sets are bit-identical.
 For measures where the q-gram bound is unsound (anything other than
 plain :class:`~repro.similarity.measures.Levenshtein`), callers pass
 ``use_filter=False`` and :func:`block_edges` degrades to verified
-all-pairs enumeration over the same probe order.
+all-pairs enumeration over the same probe order (the bipartite join
+decides the same way from :func:`supports_filter`); the length filter
+still applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..guard import ResourceGuard
 from .measures import Levenshtein, StringSimilarityMeasure
@@ -75,10 +82,12 @@ def bigram_occurrences(text: str) -> Tuple[Occurrence, ...]:
     """
     if len(text) < 2:
         return ((text, 1),)
+    grams = [text[i : i + 2] for i in range(len(text) - 1)]
+    if len(set(grams)) == len(grams):
+        return tuple([(gram, 1) for gram in grams])
     counts: Dict[str, int] = {}
     out: List[Occurrence] = []
-    for i in range(len(text) - 1):
-        gram = text[i : i + 2]
+    for gram in grams:
         k = counts.get(gram, 0) + 1
         counts[gram] = k
         out.append((gram, k))
@@ -97,7 +106,7 @@ def length_sorted_order(reps: Sequence[str]) -> List[int]:
 
 @dataclass
 class BlockStats:
-    """Counters for one :func:`block_edges` call."""
+    """Counters for one :func:`block_edges` / :func:`similar_pairs` call."""
 
     #: Probe positions processed (block width).
     probes: int = 0
@@ -105,11 +114,138 @@ class BlockStats:
     candidates: int = 0
     #: Verified epsilon-similar pairs.
     edges: int = 0
+    #: Length-compatible pairs the probes faced (:func:`similar_pairs` only).
+    length_compatible: int = 0
 
     def merge(self, other: "BlockStats") -> None:
         self.probes += other.probes
         self.candidates += other.candidates
         self.edges += other.edges
+        self.length_compatible += other.length_compatible
+
+
+def gram_frequencies(profiles: Iterable[Sequence[Occurrence]]) -> Dict[str, int]:
+    """Bigram occurrence totals over ``profiles`` — the prefix order's key."""
+    frequency: Dict[str, int] = {}
+    for occ in profiles:
+        for gram, _ in occ:
+            frequency[gram] = frequency.get(gram, 0) + 1
+    return frequency
+
+
+#: What :meth:`CandidateIndex.profile` derives from one string.
+Profile = Tuple[int, Tuple[Occurrence, ...], FrozenSet[Occurrence]]
+
+
+class CandidateIndex:
+    """Strings indexed for epsilon-similarity probing.
+
+    The length filter always applies.  With ``frequency`` (sound only
+    when :func:`supports_filter` holds) the bigram count and prefix
+    filters apply too: profiles are ordered rarest gram first (any
+    fixed total order is sound, so grams ``frequency`` has never seen
+    sort first), only the short prefixes are inverted, and a probe
+    returns the positions that share a prefix occurrence or sit in the
+    small-profile pool *and* pass the exact count filter.  Self-joins (:func:`block_edges`) probe each string
+    against the ones added before it; bipartite joins
+    (:func:`bipartite_index` + :func:`similar_pairs`) add one side,
+    then probe the other.
+    """
+
+    def __init__(
+        self, epsilon: float, frequency: Optional[Dict[str, int]] = None
+    ) -> None:
+        self.epsilon = epsilon
+        self.frequency = frequency
+        self.budget = 4.0 * epsilon  # Ukkonen: L1 of bigram profiles <= 2q * epsilon
+        self.prefix_length = int(2.5 * epsilon) + 2
+        #: The indexed strings by position (set by :func:`bipartite_index`).
+        self.texts: Sequence[str] = ()
+        self.lengths: List[int] = []
+        #: Positions per string length (the length filter's buckets).
+        self.by_length: Dict[int, List[int]] = {}
+        self.occ_sets: List[FrozenSet[Occurrence]] = []
+        self.inverted: Dict[Occurrence, List[int]] = {}
+        #: Positions whose profile is small enough that some partner
+        #: could meet the count bound with zero shared occurrences
+        #: (threshold <= 0 needs p_x + p_y <= budget, hence p <= budget - 1).
+        self.small_pool: List[int] = []
+
+    def profile(
+        self, text: str, occ: Optional[Sequence[Occurrence]] = None
+    ) -> Profile:
+        """(length, prefix, occurrence set) of ``text``; filter-less: length only.
+
+        ``occ`` passes :func:`bigram_occurrences` of ``text`` in when
+        the caller already has it.
+        """
+        frequency = self.frequency
+        if frequency is None:
+            return (len(text), (), frozenset())
+        if occ is None:
+            occ = bigram_occurrences(text)
+        get = frequency.get
+        # Rarest first, so prefixes are maximally selective; the gram text
+        # breaks ties deterministically (serial and parallel runs agree).
+        ordered = sorted([(get(gram, 0), gram, k) for gram, k in occ])
+        return (
+            len(text),
+            tuple([(gram, k) for _, gram, k in ordered[: self.prefix_length]]),
+            frozenset(occ),
+        )
+
+    def add(self, profile: Profile) -> None:
+        length, prefix, occ_set = profile
+        position = len(self.lengths)
+        self.lengths.append(length)
+        self.by_length.setdefault(length, []).append(position)
+        if self.frequency is None:
+            return
+        self.occ_sets.append(occ_set)
+        for entry in prefix:
+            self.inverted.setdefault(entry, []).append(position)
+        if len(occ_set) <= self.budget - 1.0:
+            self.small_pool.append(position)
+
+    def length_compatible(self, length: int) -> int:
+        """How many indexed strings pass the length filter against ``length``."""
+        radius = int(self.epsilon)
+        by_length = self.by_length
+        return sum(
+            len(by_length.get(other, ()))
+            for other in range(length - radius, length + radius + 1)
+        )
+
+    def probe(self, profile: Profile) -> List[int]:
+        """Indexed positions that survive every filter against ``profile``."""
+        length, prefix, occ_set = profile
+        if self.frequency is None:
+            radius = int(self.epsilon)
+            out: List[int] = []
+            for other in range(length - radius, length + radius + 1):
+                out.extend(self.by_length.get(other, ()))
+            return out
+        seen: set = set()
+        inverted = self.inverted
+        for entry in prefix:
+            postings = inverted.get(entry)
+            if postings:
+                seen.update(postings)
+        budget, epsilon = self.budget, self.epsilon
+        lengths, occ_sets = self.lengths, self.occ_sets
+        size = len(occ_set)
+        if size <= budget - 1.0:
+            for q in self.small_pool:
+                if size + len(occ_sets[q]) <= budget:
+                    seen.add(q)
+        # Exact count filter: multiset L1 distance as the symmetric
+        # difference of occurrence sets.
+        return [
+            q
+            for q in sorted(seen)
+            if abs(length - lengths[q]) <= epsilon
+            and len(occ_set ^ occ_sets[q]) <= budget
+        ]
 
 
 def block_edges(
@@ -135,8 +271,9 @@ def block_edges(
 
     With ``use_filter`` (sound only when :func:`supports_filter` holds)
     candidates come from the prefix-filtered inverted occurrence index;
-    otherwise every earlier probe position is verified (all-pairs mode).
-    ``guard`` is ticked once per probe and once per verified candidate.
+    otherwise every earlier length-compatible probe position is verified
+    (all-pairs mode).  ``guard`` is ticked once per probe and once per
+    verified candidate.
     """
     stats = BlockStats()
     edges: List[Tuple[int, int]] = []
@@ -146,93 +283,85 @@ def block_edges(
     if n < 2 or lo == hi:
         return edges, stats
 
-    lengths = [len(reps[i]) for i in order]
-
-    def verify(pos_a: int, pos_b: int) -> None:
-        """Run the measure on an order-position pair; record an edge."""
-        i, j = order[pos_a], order[pos_b]
-        stats.candidates += 1
-        if guard is not None:
-            guard.tick(1, what=what)
-        rep_i, rep_j = reps[i], reps[j]
-        if rep_i == rep_j:
-            close = True
-        else:
-            close = measure.bounded_distance(rep_i, rep_j, epsilon) <= epsilon
-        if close:
-            stats.edges += 1
-            edges.append((i, j) if i <= j else (j, i))
-
-    if not use_filter:
-        # All-pairs fallback: verify each probe against every earlier one.
-        for p in range(lo, hi):
-            stats.probes += 1
-            if guard is not None:
-                guard.tick(1, what=what)
-            length_p = lengths[p]
-            for q in range(p):
-                if abs(length_p - lengths[q]) > epsilon:
-                    continue
-                verify(q, p)
-        return edges, stats
-
-    budget = 4.0 * epsilon  # Ukkonen: L1 of bigram profiles <= 2q * epsilon
-    occs = [bigram_occurrences(reps[i]) for i in order]
-    profile_sizes = [len(occ) for occ in occs]
-
-    # Global gram frequencies define the prefix order (rarest first, so
-    # prefixes are maximally selective); deterministic tie-break on the
-    # gram text keeps serial and parallel runs identical.
-    frequency: Dict[str, int] = {}
-    for occ in occs:
-        for gram, _ in occ:
-            frequency[gram] = frequency.get(gram, 0) + 1
-    sorted_occs: List[Tuple[Occurrence, ...]] = [
-        tuple(sorted(occ, key=lambda item: (frequency[item[0]], item[0], item[1])))
-        for occ in occs
-    ]
-    occ_sets: List[FrozenSet[Occurrence]] = [frozenset(occ) for occ in occs]
-    prefix_length = int(2.5 * epsilon) + 2
-
-    inverted: Dict[Occurrence, List[int]] = {}
-    #: Probe positions whose profile is small enough that some partner
-    #: pair could meet the count bound with zero shared occurrences
-    #: (threshold <= 0 needs p_x + p_y <= budget, hence p <= budget - 1).
-    small_pool: List[int] = []
-
+    # Global gram frequencies (over every representative, whatever the
+    # block) keep the prefix order identical across blocks and workers.
+    occs = [bigram_occurrences(rep) for rep in reps] if use_filter else None
+    index = CandidateIndex(epsilon, gram_frequencies(occs) if use_filter else None)
     for p in range(hi):
-        occ = sorted_occs[p]
-        prefix = occ[:prefix_length]
+        j = order[p]
+        rep_j = reps[j]
+        profile = index.profile(rep_j, occs[j] if use_filter else None)
         if p >= lo:
             stats.probes += 1
             if guard is not None:
                 guard.tick(1, what=what)
-            length_p = lengths[p]
-            size_p = profile_sizes[p]
-            occ_set_p = occ_sets[p]
-            seen: set = set()
-            for entry in prefix:
-                postings = inverted.get(entry)
-                if postings:
-                    seen.update(postings)
-            if size_p <= budget - 1.0:
-                for q in small_pool:
-                    if size_p + profile_sizes[q] <= budget:
-                        seen.add(q)
-            for q in sorted(seen):
-                if abs(length_p - lengths[q]) > epsilon:
-                    continue
-                # Exact count filter: multiset L1 distance as symmetric
-                # difference of occurrence sets.
-                if len(occ_set_p ^ occ_sets[q]) > budget:
-                    continue
-                verify(q, p)
-        for entry in prefix:
-            inverted.setdefault(entry, []).append(p)
-        if profile_sizes[p] <= budget - 1.0:
-            small_pool.append(p)
-
+            for q in index.probe(profile):
+                i = order[q]
+                stats.candidates += 1
+                if guard is not None:
+                    guard.tick(1, what=what)
+                rep_i = reps[i]
+                if (
+                    rep_i == rep_j
+                    or measure.bounded_distance(rep_i, rep_j, epsilon) <= epsilon
+                ):
+                    stats.edges += 1
+                    edges.append((i, j) if i <= j else (j, i))
+        index.add(profile)
     return edges, stats
+
+
+def bipartite_index(
+    right: Sequence[str], measure: StringSimilarityMeasure, epsilon: float
+) -> CandidateIndex:
+    """``right`` (distinct strings) indexed for :func:`similar_pairs`.
+
+    A pure function of its arguments, so callers that probe the same
+    right side again and again (a join's right candidates across
+    requests) may keep the index.
+    """
+    filtered = supports_filter(measure)
+    occs = [bigram_occurrences(text) if filtered else None for text in right]
+    index = CandidateIndex(epsilon, gram_frequencies(occs) if filtered else None)
+    for text, occ in zip(right, occs):
+        index.add(index.profile(text, occ))
+    index.texts = right
+    return index
+
+
+def similar_pairs(
+    left: Iterable[str],
+    index: CandidateIndex,
+    measure: StringSimilarityMeasure,
+    guard: Optional[ResourceGuard] = None,
+    what: str = "similarity probe",
+) -> Tuple[List[Tuple[str, str]], BlockStats]:
+    """Every ``(x, y)`` within epsilon, ``x`` in ``left``, ``y`` indexed.
+
+    The bipartite form of :func:`block_edges`: the right side is indexed
+    once (:func:`bipartite_index`), each ``left`` string probes it, and
+    only survivors of the filters reach the measure — so the work is
+    bounded by surviving pairs, not by the size of the cross product.
+    ``guard`` is ticked once per probe string and once per verified pair.
+    """
+    stats = BlockStats()
+    matches: List[Tuple[str, str]] = []
+    epsilon = index.epsilon
+    right = index.texts
+    for text in left:
+        stats.probes += 1
+        if guard is not None:
+            guard.tick(1, what=what)
+        stats.length_compatible += index.length_compatible(len(text))
+        for q in index.probe(index.profile(text)):
+            other = right[q]
+            stats.candidates += 1
+            if guard is not None:
+                guard.tick(1, what=what)
+            if text == other or measure.bounded_distance(text, other, epsilon) <= epsilon:
+                stats.edges += 1
+                matches.append((text, other))
+    return matches, stats
 
 
 def pair_count(group_sizes: Sequence[int]) -> int:

@@ -16,7 +16,6 @@ the TOSS framework.
 from __future__ import annotations
 
 import abc
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import tokenize
@@ -106,67 +105,47 @@ def get_measure(name: str) -> StringSimilarityMeasure:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
-def _levenshtein(x: str, y: str) -> int:
-    """Classic unit-cost edit distance, two-row dynamic programme."""
-    if x == y:
-        return 0
-    if not x:
-        return len(y)
-    if not y:
-        return len(x)
-    if len(x) < len(y):  # iterate over the longer string's columns
-        x, y = y, x
-    previous = list(range(len(y) + 1))
-    for i, cx in enumerate(x, start=1):
-        current = [i]
-        for j, cy in enumerate(y, start=1):
-            cost = 0 if cx == cy else 1
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
-@lru_cache(maxsize=65536)
-def _banded_levenshtein(x: str, y: str, bound: float) -> float:
-    """Banded edit-distance DP; ``len(x) >= len(y)`` and both non-equal.
+def _bit_vector_levenshtein(x: str, y: str, bound: float) -> float:
+    """Myers' bit-vector edit distance; ``len(x) >= len(y)``.
 
     Returns the distance, or ``bound + 1`` once it provably exceeds the
-    bound (whole rows of the band above the threshold).
+    bound.  The dynamic programme's column of vertical deltas lives in
+    two Python ints (``pv``/``mv``: +1 / -1 between neighbouring rows of
+    ``y``), so one character of ``x`` costs a dozen word operations
+    whatever the band width (past 64 characters the ints just widen).
+    ``score`` is the column's last cell, ``d(x[:i], y)``; each remaining
+    character of ``x`` lowers it by at most one — the early exit.
     """
-    radius = int(bound)
-    len_x, len_y = len(x), len(y)
-    big = bound + 1.0
-    previous = [float(j) if j <= radius else big for j in range(len_y + 1)]
-    for i in range(1, len_x + 1):
-        lo = max(1, i - radius)
-        hi = min(len_y, i + radius)
-        current = [big] * (len_y + 1)
-        row_min = big
-        if lo == 1:
-            current[0] = float(i) if i <= radius else big
-            row_min = current[0]
-        cx = x[i - 1]
-        for j in range(lo, hi + 1):
-            cost = 0.0 if cx == y[j - 1] else 1.0
-            best = min(
-                previous[j] + 1.0,
-                current[j - 1] + 1.0,
-                previous[j - 1] + cost,
-            )
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > bound:
-            return big
-        previous = current
-    return previous[len_y] if previous[len_y] <= bound else big
+    rows = len(y)
+    if rows == 0:
+        return float(len(x)) if len(x) <= bound else bound + 1.0
+    peq: Dict[str, int] = {}
+    bit = 1
+    for char in y:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, rows
+    slack = bound + len(x)  # score may exceed bound by the characters left
+    get = peq.get
+    for consumed, char in enumerate(x, start=1):
+        eq = get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if mh & last:
+            score -= 1
+        else:
+            if ph & last:
+                score += 1
+            if score + consumed > slack:
+                return bound + 1.0
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return float(score) if score <= bound else bound + 1.0
 
 
 class Levenshtein(StringSimilarityMeasure):
@@ -179,19 +158,21 @@ class Levenshtein(StringSimilarityMeasure):
     is_strong = True
 
     def distance(self, x: str, y: str) -> float:
-        return float(_levenshtein(*tokenize.sorted_token_pair(x, y)))
+        if len(x) < len(y):
+            x, y = y, x
+        return _bit_vector_levenshtein(x, y, float("inf"))
 
     def lower_bound(self, x: str, y: str) -> float:
         return float(abs(len(x) - len(y)))
 
     def bounded_distance(self, x: str, y: str, bound: float) -> float:
-        """Banded (Ukkonen) edit distance: O(bound * min(len)) time.
+        """Bounded edit distance (Myers' bit-vector kernel).
 
         Returns ``bound + 1`` as soon as the distance provably exceeds the
         bound, which is what makes epsilon-similarity graphs over thousands
-        of ontology terms tractable.  Results are memoised (the DP is the
-        similarity hot spot of join pruning and verification, and the same
-        title/venue pairs recur across queries).
+        of ontology terms tractable.  Nothing is memoised here: callers
+        that probe many pairs filter them first
+        (:mod:`repro.similarity.candidates`) and keep what they derive.
         """
         if x == y:
             return 0.0
@@ -201,7 +182,7 @@ class Levenshtein(StringSimilarityMeasure):
             return bound + 1.0
         if len(x) < len(y):
             x, y = y, x
-        return _banded_levenshtein(x, y, bound)
+        return _bit_vector_levenshtein(x, y, bound)
 
 
 class NormalizedLevenshtein(StringSimilarityMeasure):
@@ -213,14 +194,13 @@ class NormalizedLevenshtein(StringSimilarityMeasure):
     """
 
     is_strong = False
+    _edit = Levenshtein()
 
     def distance(self, x: str, y: str) -> float:
-        if x == y:
-            return 0.0
         longest = max(len(x), len(y))
-        if longest == 0:
+        if x == y or longest == 0:
             return 0.0
-        return _levenshtein(*tokenize.sorted_token_pair(x, y)) / longest
+        return self._edit.distance(x, y) / longest
 
 
 class DamerauLevenshtein(StringSimilarityMeasure):

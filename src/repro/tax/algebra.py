@@ -139,7 +139,7 @@ def projection(
     return dedupe(results)
 
 
-def _paired_copy(first: XmlNode, second: XmlNode) -> XmlNode:
+def product_tree(first: XmlNode, second: XmlNode) -> XmlNode:
     """Copy both trees under a fresh product root, numbering as it copies.
 
     Single-pass equivalent of ``copy()`` + ``renumber()`` on the product
@@ -168,7 +168,7 @@ def product(left: Collection, right: Collection) -> List[XmlNode]:
     pairs: List[XmlNode] = []
     for first in left:
         for second in right:
-            pairs.append(_paired_copy(first, second))
+            pairs.append(product_tree(first, second))
     return pairs
 
 

@@ -16,8 +16,11 @@ Equivalence contract (the property suite pins it): for every entry, the
 batched enumeration visits candidate rows in exactly the order
 ``find_embeddings`` visits the corresponding nodes and calls the
 condition evaluator at exactly the same points — so verdicts, result
-sequences, ontology-access counts and guard behaviour are bit-identical
-to the per-candidate path.  Entries whose document has no columns
+sequences and ontology-access counts are bit-identical to the
+per-candidate path.  A resource guard is charged by these operators
+themselves, a chunk of candidates per call, at exactly the
+one-candidate-at-a-time price (:class:`_Verification`); guarded and
+unguarded queries run the same code.  Entries whose document has no columns
 (``columns is None``) fall back to ``find_embeddings`` per entry, the
 same way :func:`repro.xmldb.columnar.compile_columnar` falls back.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
+from ..guard import CHECK_INTERVAL, ResourceGuard
 from ..xmldb.columnar import DocumentColumns
 from ..xmldb.model import XmlNode
 from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator, TagRestrictions
@@ -39,7 +43,6 @@ from .compile import BatchStep, compile_batch_steps
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT, required_tags
 from .embedding import Embedding, find_embeddings, find_matches, witness_tree
 from .pattern import PC, PatternTree
-from .tree import dedupe
 
 #: A batched-verify candidate: ``(columns, row)``, or ``(None, node)``
 #: when the candidate's document has no columnar arrays.
@@ -50,6 +53,81 @@ Entry = Tuple[Optional[DocumentColumns], Union[int, XmlNode]]
 #: nodes, and a freshly built product root always has tag
 #: ``tax_prod_root`` and empty content — one instance serves every pair.
 _VIRTUAL_ROOT = XmlNode(PRODUCT_ROOT_TAG)
+
+
+class _Verification:
+    """One verify stage: its guard accounting and its set-semantics results.
+
+    The guard contract is one ``"result verification"`` step per
+    candidate (document or probed pair), taken before the candidate's
+    work, and the result cap checked after every candidate against the
+    running total of each candidate's *own* distinct results.
+    :meth:`candidates` keeps it at one guard call per chunk of
+    :data:`~repro.guard.CHECK_INTERVAL` (the deadline's stride): a chunk
+    never reaches past the step budget, so it is charged in arrears —
+    when it ends, or when the result cap trips inside it — and a spent
+    budget raises before the next candidate's work, on the same step
+    with the same message as single ticks.  Nothing else ticks during
+    verification, so the arrears are unobservable.
+
+    Results are kept on first occurrence of their canonical key —
+    exactly :func:`~repro.tax.tree.dedupe` over every candidate's output.
+    """
+
+    __slots__ = ("guard", "cap", "count", "started", "seen", "out")
+
+    def __init__(self, guard: Optional[ResourceGuard]) -> None:
+        self.guard = guard
+        self.cap = guard.max_results if guard is not None else None
+        self.count = 0
+        #: Candidates handed out since the last charge.
+        self.started = 0
+        self.seen: Set[Tuple] = set()
+        self.out: List = []
+
+    def candidates(self, items: Sequence) -> Iterable:
+        """``items`` in order, each charged one verification step."""
+        return items if self.guard is None else self._charged(items)
+
+    def _charged(self, items: Sequence) -> Iterable:
+        guard = self.guard
+        start, total = 0, len(items)
+        while start < total:
+            room = CHECK_INTERVAL
+            if guard.max_steps is not None:
+                room = min(room, guard.max_steps - guard.steps)
+                if room <= 0:
+                    guard.tick(1, "result verification")  # raises: budget spent
+            for item in items[start : start + room]:
+                self.started += 1
+                yield item
+            self._charge()
+            start += room
+
+    def _charge(self) -> None:
+        started, self.started = self.started, 0
+        self.guard.tick(started, "result verification")
+
+    def candidate_done(self, keyed: Sequence[Tuple[Tuple, object]]) -> None:
+        """Book one candidate's ``(canonical key, result)`` pairs."""
+        seen, out = self.seen, self.out
+        if len(keyed) == 1:
+            key, result = keyed[0]
+            if key not in seen:
+                seen.add(key)
+                out.append(result)
+            self.count += 1
+        else:
+            own: Set[Tuple] = set()
+            for key, result in keyed:
+                own.add(key)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(result)
+            self.count += len(own)
+        if self.cap is not None and self.count > self.cap:
+            self._charge()
+            self.guard.check_results(self.count, "query verification")
 
 
 def prepare(
@@ -322,13 +400,15 @@ def selection_batched(
     restrictions: Optional[TagRestrictions] = None,
     order: Optional[List] = None,
     steps: Optional[List[BatchStep]] = None,
+    guard: Optional[ResourceGuard] = None,
 ) -> List[XmlNode]:
     """``tax.algebra.selection`` over batched-verify entries.
 
     Produces the identical result sequence ``selection([nodes...])``
     would, but enumerates embeddings over columns where available and —
     on the root-inflating fast path — dedupes on cached subtree keys
-    before materialising any witness.
+    before materialising any witness.  ``guard`` is charged per entry
+    (see :class:`_Verification`).
     """
     sl = list(sl_labels)
     evaluator, restrictions, order, steps = prepare(
@@ -337,87 +417,78 @@ def selection_batched(
     root_label = pattern.root
     root_prune = _root_prune(steps)
     scan = _scan_star if _is_star(steps) else _scan_entry
+    results = _Verification(guard)
+    # The binding/row dicts and the emit closures are shared across
+    # entries — every label is rebound before an emit can observe them.
+    rows: Dict[int, int] = {}
+    binding: Dict[int, XmlNode] = {}
     if root_label in sl:
         # Root-inflating fast path (the paper's Figure 16 shape): one
         # witness per distinct root image, deduped by subtree key before
         # the copy is ever made (a copy's canonical key equals its
-        # source's, so pre-copy dedupe is exact).  The binding/row dicts
-        # and the emit closure are shared across entries — every label
-        # is rebound before an emit can observe them, and ``holder``
-        # carries the entry's columns to the closure.
-        tops: Dict[int, Tuple[Optional[DocumentColumns], Union[int, XmlNode]]] = {}
-        rows: Dict[int, int] = {}
-        binding: Dict[int, XmlNode] = {}
-        holder: List[Optional[DocumentColumns]] = [None]
+        # source's, so pre-copy dedupe is exact).
+        found: Dict[int, None] = {}
 
         def emit() -> None:
-            cols = holder[0]
-            top_row = rows[root_label]
-            tops.setdefault(cols.nodes[top_row].object_id, (cols, top_row))
+            found[rows[root_label]] = None
 
-        for cols, item in entries:
+        for cols, item in results.candidates(entries):
             if cols is None:
-                for fallback_binding in find_matches(
+                tops = {
+                    match[root_label].object_id: match[root_label]
+                    for match in find_matches(
+                        pattern,
+                        item,  # type: ignore[arg-type]
+                        context,
+                        evaluator=evaluator,
+                        restrictions=restrictions,
+                        order=order,
+                    )
+                }
+                results.candidate_done(
+                    [(top.canonical_key(), (None, top)) for top in tops.values()]
+                )
+            else:
+                scan(
+                    steps, cols, item, cols.end[item], binding, rows,
+                    evaluator, emit, root_prune,
+                )
+                results.candidate_done(
+                    [(cols.subtree_key(row), (cols, row)) for row in found]
+                )
+                found.clear()
+        return [
+            top.copy_numbered(itertools.count(), itertools.count())
+            if cols is None
+            else cols.materialize(top)
+            for cols, top in results.out
+        ]
+    witnesses: List[XmlNode] = []
+
+    def emit_witness() -> None:
+        witnesses.append(witness_tree(Embedding(pattern, dict(binding)), sl))
+
+    for cols, item in results.candidates(entries):
+        if cols is None:
+            witnesses.extend(
+                witness_tree(embedding, sl)
+                for embedding in find_embeddings(
                     pattern,
                     item,  # type: ignore[arg-type]
                     context,
                     evaluator=evaluator,
                     restrictions=restrictions,
                     order=order,
-                ):
-                    top = fallback_binding[root_label]
-                    tops.setdefault(top.object_id, (None, top))
-            else:
-                holder[0] = cols
-                scan(
-                    steps, cols, item, cols.end[item], binding, rows,
-                    evaluator, emit, root_prune,
                 )
-        seen: Set[Tuple] = set()
-        out: List[XmlNode] = []
-        for cols, item in tops.values():
-            if cols is None:
-                key = item.canonical_key()  # type: ignore[union-attr]
-            else:
-                key = cols.subtree_key(item)  # type: ignore[arg-type]
-            if key in seen:
-                continue
-            seen.add(key)
-            if cols is None:
-                out.append(
-                    item.copy_numbered(  # type: ignore[union-attr]
-                        itertools.count(), itertools.count()
-                    )
-                )
-            else:
-                out.append(cols.materialize(item))  # type: ignore[arg-type]
-        return out
-    witnesses: List[XmlNode] = []
-    general_rows: Dict[int, int] = {}
-    general_binding: Dict[int, XmlNode] = {}
-
-    def emit_witness() -> None:
-        witnesses.append(
-            witness_tree(Embedding(pattern, dict(general_binding)), sl)
-        )
-
-    for cols, item in entries:
-        if cols is None:
-            for embedding in find_embeddings(
-                pattern,
-                item,  # type: ignore[arg-type]
-                context,
-                evaluator=evaluator,
-                restrictions=restrictions,
-                order=order,
-            ):
-                witnesses.append(witness_tree(embedding, sl))
+            )
         else:
             scan(
-                steps, cols, item, cols.end[item], general_binding,
-                general_rows, evaluator, emit_witness, root_prune,
+                steps, cols, item, cols.end[item], binding, rows,
+                evaluator, emit_witness, root_prune,
             )
-    return dedupe(witnesses)
+        results.candidate_done([(w.canonical_key(), w) for w in witnesses])
+        witnesses.clear()
+    return results.out
 
 
 def projection_batched(
@@ -429,8 +500,10 @@ def projection_batched(
     restrictions: Optional[TagRestrictions] = None,
     order: Optional[List] = None,
     steps: Optional[List[BatchStep]] = None,
+    guard: Optional[ResourceGuard] = None,
 ) -> List[XmlNode]:
-    """``tax.algebra.projection`` over batched-verify entries."""
+    """``tax.algebra.projection`` over batched-verify entries (``guard``
+    as in :func:`selection_batched`)."""
     from .embedding import assemble_forest
 
     pl_entries: List[Tuple[int, bool]] = [
@@ -441,49 +514,43 @@ def projection_batched(
     )
     root_prune = _root_prune(steps)
     scan = _scan_star if _is_star(steps) else _scan_entry
-    results: List[XmlNode] = []
+    results = _Verification(guard)
     rows: Dict[int, int] = {}
     scan_binding: Dict[int, XmlNode] = {}
-    matched_holder: List[Set[XmlNode]] = [set()]
+    matched: Set[XmlNode] = set()
 
-    def emit() -> None:
-        matched = matched_holder[0]
+    def keep(binding: Dict[int, XmlNode]) -> None:
         for label, keep_subtree in pl_entries:
-            image = scan_binding.get(label)
+            image = binding.get(label)
             if image is None:
                 continue
             matched.add(image)
             if keep_subtree:
                 matched.update(image.descendants())
 
-    for cols, item in entries:
-        matched: Set[XmlNode] = set()
+    def emit() -> None:
+        keep(scan_binding)
+
+    for cols, item in results.candidates(entries):
         if cols is None:
-            bindings = find_matches(
+            for binding in find_matches(
                 pattern,
                 item,  # type: ignore[arg-type]
                 context,
                 evaluator=evaluator,
                 restrictions=restrictions,
                 order=order,
-            )
-            for binding in bindings:
-                for label, keep_subtree in pl_entries:
-                    image = binding.get(label)
-                    if image is None:
-                        continue
-                    matched.add(image)
-                    if keep_subtree:
-                        matched.update(image.descendants())
+            ):
+                keep(binding)
         else:
-            matched_holder[0] = matched
             scan(
                 steps, cols, item, cols.end[item], scan_binding, rows,
                 evaluator, emit, root_prune,
             )
-        if matched:
-            results.extend(assemble_forest(matched))
-    return dedupe(results)
+        forest = assemble_forest(matched) if matched else ()
+        results.candidate_done([(tree.canonical_key(), tree) for tree in forest])
+        matched.clear()
+    return results.out
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +775,7 @@ def _materialize_product(
     lcols: DocumentColumns, l_row: int, rcols: DocumentColumns, r_row: int
 ) -> XmlNode:
     """The full product tree of a passing pair, numbered like
-    ``_paired_copy``'s output renumbered from zero (root pre 0, left
+    ``product_tree``'s output renumbered from zero (root pre 0, left
     subtree pre 1..L, right subtree pre L+1..L+R)."""
     left_size = lcols.end[l_row] - l_row
     right_size = rcols.end[r_row] - r_row
@@ -828,7 +895,7 @@ def _assemble_product_witness(
 def join_pairs_batched(
     left: Sequence[Tuple[DocumentColumns, int]],
     right: Sequence[Tuple[DocumentColumns, int]],
-    pairs: Iterable[Tuple[int, int]],
+    pairs: Sequence[Tuple[int, int]],
     pattern: PatternTree,
     sl_labels: Iterable[int],
     context: ConditionContext = DEFAULT_CONTEXT,
@@ -836,6 +903,7 @@ def join_pairs_batched(
     restrictions: Optional[TagRestrictions] = None,
     order: Optional[List] = None,
     steps: Optional[List[BatchStep]] = None,
+    guard: Optional[ResourceGuard] = None,
 ) -> Tuple[List[XmlNode], int]:
     """Late-materialised join over candidate pairs.
 
@@ -845,7 +913,8 @@ def join_pairs_batched(
     materialised only for pairs whose witness survives dedupe, and
     otherwise each passing embedding's witness is assembled directly
     from its virtual positions.  Returns ``(results,
-    pairs_materialized)``.
+    pairs_materialized)``.  ``guard`` is charged per pair (see
+    :class:`_Verification`).
     """
     sl = list(sl_labels)
     root_label = pattern.root
@@ -853,77 +922,67 @@ def join_pairs_batched(
         pattern, context, evaluator, restrictions, order, steps
     )
     root_prune = _root_prune(steps)
-    # The binding/position dicts, the pool memo and the emit closure are
-    # shared across pairs — every label is rebound before an emit can
-    # observe the dicts, and ``current`` carries the pair's sides and
-    # indices to the closure.
+    results = _Verification(guard)
+    # The binding/position dicts, the pool memo and the emit closures
+    # are shared across pairs — every label is rebound before an emit
+    # can observe the dicts.
     binding: Dict[int, XmlNode] = {}
     positions: Dict[int, Tuple[int, int]] = {}
     memo: Dict = {}
-    current: List = [None, 0, None, 0, 0, 0]
-    if root_label not in sl:
-        # General witnesses (e.g. the paper's Figure 16(b) join keeps
-        # only the two title subtrees): one witness per embedding,
-        # assembled from positions, deduped at the end like
-        # ``selection``'s general path.
-        witnesses: List[XmlNode] = []
-        contributing: Set[Tuple[int, int]] = set()
-
-        def emit_witness() -> None:
-            lcols, l_row, rcols, r_row, i, j = current
-            witnesses.append(
-                _assemble_product_witness(
-                    lcols, l_row, rcols, r_row, positions, sl
-                )
-            )
-            contributing.add((i, j))
-
-        for i, j in pairs:
-            lcols, l_row = left[i]
-            rcols, r_row = right[j]
-            current[0] = lcols
-            current[1] = l_row
-            current[2] = rcols
-            current[3] = r_row
-            current[4] = i
-            current[5] = j
-            _product_scan(
-                steps, 0, lcols, l_row, lcols.end[l_row],
-                rcols, r_row, rcols.end[r_row],
-                binding, positions, evaluator, emit_witness, root_prune,
-                memo,
-            )
-        return dedupe(witnesses), len(contributing)
-    # One entry per distinct top position, in discovery order — the same
-    # sequence the per-product ``tops`` dict would hold, with pair
-    # indices standing in for the distinct object identities fresh
-    # product copies would have had.
-    tops: Dict[Tuple[int, int, int, int], None] = {}
+    inflate_root = root_label in sl
+    #: Per pair: distinct top positions (root in SL), else the witnesses.
+    found: Dict[Tuple[int, int], None] = {}
+    witnesses: List[XmlNode] = []
+    contributing = 0
+    lcols = rcols = None
+    l_row = r_row = 0
 
     def emit() -> None:
-        rank, row = positions[root_label]
-        tops.setdefault((current[4], current[5], rank, row), None)
+        found[positions[root_label]] = None
 
-    for i, j in pairs:
+    def emit_witness() -> None:
+        # Reads the current pair's sides from the enclosing loop.
+        witnesses.append(
+            _assemble_product_witness(lcols, l_row, rcols, r_row, positions, sl)
+        )
+
+    for i, j in results.candidates(pairs):
         lcols, l_row = left[i]
         rcols, r_row = right[j]
-        current[4] = i
-        current[5] = j
         _product_scan(
             steps, 0, lcols, l_row, lcols.end[l_row],
             rcols, r_row, rcols.end[r_row],
-            binding, positions, evaluator, emit, root_prune, memo,
+            binding, positions, evaluator,
+            emit if inflate_root else emit_witness, root_prune, memo,
         )
-    seen: Set[Tuple] = set()
+        if inflate_root:
+            # One entry per distinct top position — pair indices stand
+            # in for the distinct object identities fresh product
+            # copies would have had.
+            results.candidate_done(
+                [
+                    (
+                        _product_top_key(lcols, l_row, rcols, r_row, rank, row),
+                        (i, j, rank, row),
+                    )
+                    for rank, row in found
+                ]
+            )
+            found.clear()
+        else:
+            # General witnesses (e.g. the paper's Figure 16(b) join
+            # keeps only the two title subtrees): one per embedding,
+            # assembled from positions.
+            contributing += bool(witnesses)
+            results.candidate_done([(w.canonical_key(), w) for w in witnesses])
+            witnesses.clear()
+    if not inflate_root:
+        return results.out, contributing
     out: List[XmlNode] = []
     materialized_pairs: Set[Tuple[int, int]] = set()
-    for i, j, rank, row in tops:
+    for i, j, rank, row in results.out:
         lcols, l_row = left[i]
         rcols, r_row = right[j]
-        key = _product_top_key(lcols, l_row, rcols, r_row, rank, row)
-        if key in seen:
-            continue
-        seen.add(key)
         materialized_pairs.add((i, j))
         out.append(_materialize_top(lcols, l_row, rcols, r_row, rank, row))
     return out, len(materialized_pairs)

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import CollectionError, DocumentTooLargeError
-from ..guard import ResourceGuard
+from ..guard import CHECK_INTERVAL, ResourceGuard
 from .columnar import DocumentColumns
 from .index import CollectionSearchIndex
 from .indexes import CollectionIndex, DocumentIndex
@@ -45,17 +45,14 @@ class Collection:
         self.max_document_bytes = max_document_bytes
         self._documents: Dict[str, XmlNode] = {}
         self._index = CollectionIndex()
-        #: Run unguarded XPath scans through compiled columnar matchers
-        #: when the query supports them (ablatable; results identical).
+        #: Match columnar-subset queries with the compiled columnar
+        #: matchers rather than the reference engine (ablatable; results
+        #: and guard charges identical).
         self.use_columnar = True
         #: Lazily built per-document columnar arrays, keyed by document
         #: key; each entry remembers the root it was built from so a
         #: replaced document can never serve stale columns.
         self._columns: Dict[str, Tuple[XmlNode, DocumentColumns]] = {}
-        #: ``(generation, {id(root): key})`` — lazy reverse lookup from a
-        #: document root object to its key, rebuilt when the generation
-        #: moves (see :meth:`columns_for_root`).
-        self._root_keys: Optional[Tuple[int, Dict[int, str]]] = None
         #: Collection-wide term/path search index (see repro.xmldb.index),
         #: built lazily on first use or attached from a persisted file;
         #: maintained incrementally once present.
@@ -64,49 +61,53 @@ class Collection:
         #: Snapshot consumers (the serving layer's worker pools) compare
         #: generations to detect that a snapshot went stale.
         self.generation = 0
-        #: Ring of recent mutations: ``(generation, op, key, removed_id,
-        #: added_id)`` with ``op`` one of add/replace/remove and the ids
-        #: the ``id()`` of the outgoing/incoming root (None when absent).
-        #: :meth:`changes_since` replays it so snapshot refreshes ship
-        #: deltas instead of the whole collection, and
-        #: :meth:`columns_for_root` patches its reverse map instead of
-        #: rebuilding it per mutation.
-        self._changelog: Deque[Tuple[int, str, str, Optional[int], Optional[int]]] = (
-            deque(maxlen=CHANGELOG_CAPACITY)
+        #: Ring of recent mutations: ``(generation, op, key)`` with ``op``
+        #: one of add/replace/remove.  :meth:`changes_since` replays it
+        #: so snapshot refreshes ship deltas instead of the whole
+        #: collection.
+        self._changelog: Deque[Tuple[int, str, str]] = deque(
+            maxlen=CHANGELOG_CAPACITY
         )
 
     # -- document management ---------------------------------------------------
 
-    def add_document(self, key: str, document: "XmlNode | str") -> XmlNode:
+    def add_document(
+        self,
+        key: str,
+        document: "XmlNode | str",
+        serialized_bytes: Optional[int] = None,
+    ) -> XmlNode:
         """Store a document under ``key``.
 
         Accepts a parsed tree or raw XML text.  Raises
         :class:`DocumentTooLargeError` if the serialised document exceeds
         the configured cap and :class:`CollectionError` on duplicate keys.
+        ``serialized_bytes`` is the compact serialisation's byte length
+        when the caller already knows it (the store loader does).
         """
         if key in self._documents:
             raise CollectionError(
                 f"collection {self.name!r} already has a document {key!r}"
             )
-        return self._store(key, document, "add", None)
+        return self._store(key, document, "add", serialized_bytes)
 
     def _store(
         self,
         key: str,
         document: "XmlNode | str",
         op: str,
-        removed_id: Optional[int],
+        serialized_bytes: Optional[int] = None,
     ) -> XmlNode:
         if isinstance(document, str):
             root = parse_document(document)
         else:
             root = document.renumber()
-        size = document_bytes(root)
+        size = serialized_bytes if serialized_bytes is not None else document_bytes(root)
         if size > self.max_document_bytes:
             raise DocumentTooLargeError(size, self.max_document_bytes)
         self._documents[key] = root
         self.generation += 1
-        self._changelog.append((self.generation, op, key, removed_id, id(root)))
+        self._changelog.append((self.generation, op, key))
         if self._search_index is not None:
             self._search_index.add_document(key, root)
         return root
@@ -120,7 +121,7 @@ class Collection:
             if self._search_index is not None:
                 self._search_index.remove_document(key, root)
             del self._documents[key]
-            return self._store(key, document, "replace", id(root))
+            return self._store(key, document, "replace")
         return self.add_document(key, document)
 
     def remove_document(self, key: str) -> None:
@@ -131,7 +132,7 @@ class Collection:
                 f"collection {self.name!r} has no document {key!r}"
             ) from None
         self.generation += 1
-        self._changelog.append((self.generation, "remove", key, id(root), None))
+        self._changelog.append((self.generation, "remove", key))
         self._index.invalidate(root)
         self._columns.pop(key, None)
         if self._search_index is not None:
@@ -153,7 +154,7 @@ class Collection:
             return None
         changes = [
             (op, key)
-            for gen, op, key, _removed, _added in self._changelog
+            for gen, op, key in self._changelog
             if gen > generation
         ]
         if len(changes) != self.generation - generation:
@@ -207,42 +208,6 @@ class Collection:
         self._columns[key] = (root, columns)
         return columns
 
-    def columns_for_root(self, root: XmlNode) -> Optional[DocumentColumns]:
-        """Columnar arrays for the stored document rooted at ``root``.
-
-        ``root`` must be the *identical object* a current document is
-        stored under — anything else (a copy, a replaced document, a
-        foreign tree) returns None and the caller falls back to
-        tree-walking verification.  The reverse id->key map is maintained
-        copy-on-write: when the generation moves, the changelog entries
-        since the map's generation are replayed onto it (cost proportional
-        to the delta); only a truncated ring forces a full rebuild.
-        """
-        cached = self._root_keys
-        if cached is not None and cached[0] != self.generation:
-            mapping = cached[1]
-            behind = cached[0]
-            patched = False
-            if self.generation - behind <= len(self._changelog):
-                entries = [e for e in self._changelog if e[0] > behind]
-                if len(entries) == self.generation - behind:
-                    for _gen, _op, key, removed_id, added_id in entries:
-                        if removed_id is not None:
-                            mapping.pop(removed_id, None)
-                        if added_id is not None:
-                            mapping[added_id] = key
-                    self._root_keys = cached = (self.generation, mapping)
-                    patched = True
-            if not patched:
-                cached = None
-        if cached is None:
-            mapping = {id(node): key for key, node in self._documents.items()}
-            self._root_keys = cached = (self.generation, mapping)
-        key = cached[1].get(id(root))
-        if key is None or self._documents.get(key) is not root:
-            return None
-        return self.columns_for(key, root)
-
     def search_index(self, build: bool = True) -> Optional[CollectionSearchIndex]:
         """The collection-wide search index, built on first request.
 
@@ -265,6 +230,82 @@ class Collection:
         """
         self._search_index = index
 
+    def _selected(
+        self, document_keys: Optional["Iterable[str]"]
+    ) -> "Iterable[Tuple[str, XmlNode]]":
+        """The documents a query covers, in collection insertion order."""
+        if document_keys is None:
+            return self._documents.items()
+        wanted = set(document_keys)
+        return [item for item in self._documents.items() if item[0] in wanted]
+
+    def _rows(
+        self,
+        compiled: XPathQuery,
+        documents: "Iterable[Tuple[str, XmlNode]]",
+        guard: Optional[ResourceGuard],
+    ) -> Optional[List[Tuple[DocumentColumns, int]]]:
+        """The candidate fetch: ``(columns, row)`` per match, or None.
+
+        None means the query is outside the columnar subset: the
+        reference engine runs it, metering its own steps.  Inside the
+        subset a guard is charged ``"xpath evaluation"`` one step per
+        document scanned plus one per row produced, a chunk per call,
+        and its result cap is checked as rows accumulate.  Ablating
+        :attr:`use_columnar` swaps only the matcher — the reference
+        engine finds the same rows (a stored node's ``pre`` is its row).
+        """
+        rows_fn = compiled.columnar_rows()
+        if rows_fn is None:
+            return None
+        columnar = self.use_columnar
+        pairs: List[Tuple[DocumentColumns, int]] = []
+        append = pairs.append
+        column_cache = self._columns
+        cap = guard.max_results if guard is not None else None
+        pending = 0
+        for key, root in documents:
+            entry = column_cache.get(key)
+            if entry is not None and entry[0] is root:
+                cols = entry[1]
+            else:
+                cols = self.columns_for(key, root)
+            if columnar:
+                rows = rows_fn(cols)
+            else:
+                rows = [node.pre for node in compiled.select(root)]
+            if rows:
+                if len(rows) == 1:
+                    append((cols, rows[0]))
+                else:
+                    pairs.extend((cols, row) for row in rows)
+            if guard is not None:
+                pending += 1 + len(rows)
+                if pending >= CHECK_INTERVAL:
+                    guard.tick_each(pending, "xpath evaluation")
+                    pending = 0
+                if cap is not None and len(pairs) > cap:
+                    guard.check_results(len(pairs), f"query over {self.name!r}")
+        if pending:
+            guard.tick_each(pending, "xpath evaluation")
+        return pairs
+
+    def _evaluate(
+        self,
+        compiled: XPathQuery,
+        documents: "Iterable[Tuple[str, XmlNode]]",
+        guard: Optional[ResourceGuard],
+    ) -> List[ResultNode]:
+        pairs = self._rows(compiled, documents, guard)
+        if pairs is not None:
+            return [cols.nodes[row] for cols, row in pairs]
+        results: List[ResultNode] = []
+        for _key, root in documents:
+            results.extend(compiled.select(root, guard=guard))
+            if guard is not None:
+                guard.check_results(len(results), f"query over {self.name!r}")
+        return results
+
     def xpath(
         self,
         query: "str | XPathQuery",
@@ -279,70 +320,29 @@ class Collection:
         order as a full scan filtered to those documents.
 
         A :class:`~repro.guard.ResourceGuard` bounds the evaluation: its
-        deadline and step budget apply inside the XPath engine, and its
-        result cap is checked as results accumulate across documents.
+        deadline and step budget are charged as the scan proceeds (see
+        :meth:`_rows`) and its result cap is checked as results
+        accumulate across documents.
         """
         compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        wanted = None if document_keys is None else set(document_keys)
-        # The columnar fast path never ticks a guard, so a guarded scan
-        # always runs the (tick-accurate) AST engine.
-        matcher = (
-            compiled.columnar_matcher()
-            if guard is None and self.use_columnar
-            else None
-        )
-        results: List[ResultNode] = []
-        for key, root in self._documents.items():
-            if wanted is not None and key not in wanted:
-                continue
-            if matcher is not None:
-                results.extend(matcher(self.columns_for(key, root)))
-            else:
-                results.extend(compiled.select(root, guard=guard))
-            if guard is not None:
-                guard.check_results(len(results), f"query over {self.name!r}")
-        return results
+        return self._evaluate(compiled, self._selected(document_keys), guard)
 
     def xpath_rows(
         self,
         query: "str | XPathQuery",
+        guard: Optional[ResourceGuard] = None,
         document_keys: Optional["Iterable[str]"] = None,
     ) -> Optional[List[Tuple[DocumentColumns, int]]]:
-        """Columnar ``(columns, row)`` results of an unguarded query, or None.
+        """Columnar ``(columns, row)`` results of a query, or None.
 
-        Returns None when the query falls outside the columnar subset or
-        :attr:`use_columnar` is off — the caller must then run
-        :meth:`xpath` and resolve nodes itself.  When supported, the
-        returned pairs cover exactly the node sequence :meth:`xpath`
-        yields (same documents, same order): ``columns.nodes[row]`` is
-        that node.  Never ticks a guard, hence unguarded-only (mirrors
-        the columnar-matcher rule in :meth:`xpath`).
+        Returns None when the query falls outside the columnar subset —
+        the caller must then run :meth:`xpath` and resolve nodes itself.
+        When supported, the returned pairs cover exactly the node
+        sequence :meth:`xpath` yields (same documents, same order, same
+        guard charges): ``columns.nodes[row]`` is that node.
         """
-        if not self.use_columnar:
-            return None
         compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        rows_fn = compiled.columnar_rows()
-        if rows_fn is None:
-            return None
-        wanted = None if document_keys is None else set(document_keys)
-        pairs: List[Tuple[DocumentColumns, int]] = []
-        append = pairs.append
-        column_cache = self._columns
-        for key, root in self._documents.items():
-            if wanted is not None and key not in wanted:
-                continue
-            entry = column_cache.get(key)
-            if entry is not None and entry[0] is root:
-                cols = entry[1]
-            else:
-                cols = self.columns_for(key, root)
-            rows = rows_fn(cols)
-            if rows:
-                if len(rows) == 1:
-                    append((cols, rows[0]))
-                else:
-                    pairs.extend((cols, row) for row in rows)
-        return pairs
+        return self._rows(compiled, self._selected(document_keys), guard)
 
     def xpath_document(
         self,
@@ -352,12 +352,7 @@ class Collection:
     ) -> List[ResultNode]:
         """Run an XPath query over a single document."""
         compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        root = self.get_document(key)
-        if guard is None and self.use_columnar:
-            matcher = compiled.columnar_matcher()
-            if matcher is not None:
-                return list(matcher(self.columns_for(key, root)))
-        return compiled.select(root, guard=guard)
+        return self._evaluate(compiled, [(key, self.get_document(key))], guard)
 
     def __repr__(self) -> str:
         return f"Collection({self.name!r}, {len(self)} documents)"

@@ -14,8 +14,9 @@ the very same node list (same objects, same order) as
 ``XPathQuery.select``.  Anything outside the subset makes
 :func:`compile_columnar` return None and the caller falls back to the
 AST engine, so coverage gaps cost speed, never correctness.  The
-matcher performs no resource-guard ticks; guarded evaluations must use
-the AST engine.
+matchers themselves never tick a resource guard; the collection scan
+that drives them charges it per document scanned and per row produced
+(:meth:`repro.xmldb.collection.Collection.xpath_rows`).
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class DocumentColumns:
         a parent stack instead of per-node recursion.  The ``*_base``
         offsets and ``parent`` let the join path number a product root
         plus two materialised subtrees as one tree, mirroring
-        ``tax_algebra._paired_copy``.
+        ``tax_algebra.product_tree``.
         """
         tags = self.tags
         texts = self.texts

@@ -164,43 +164,47 @@ class Database:
             )
         else:
             results = collection.xpath_document(document_key, compiled, guard=guard)
-        seconds = time.perf_counter() - started
-        self.statistics.record(seconds, len(results))
-        METRICS.counter("xpath.queries").inc()
-        METRICS.counter("xpath.results").inc(len(results))
-        METRICS.histogram("xpath.seconds").observe(seconds)
-        if guard is not None:
-            guard.check_results(len(results), f"xpath query {query!r}")
+        self._record_query(query, time.perf_counter() - started, len(results), guard)
         return results
 
     def xpath_rows(
         self,
         collection_name: str,
         query: str,
+        guard: Optional[ResourceGuard] = None,
         document_keys: Optional[Iterable[str]] = None,
     ):
-        """Columnar ``(columns, row)`` pairs for an unguarded query, or None.
+        """Columnar ``(columns, row)`` pairs for a query, or None.
 
-        The batched-verification fast path: when the compiled query is
+        The batched-verification fetch: when the compiled query is
         inside the columnar subset (and the collection has columnar
         scans enabled), the matching candidates come back as
         ``(DocumentColumns, row)`` pairs covering the exact node
-        sequence :meth:`xpath` would return.  None means the caller must
-        fall back to :meth:`xpath`.  Statistics and metrics are recorded
-        the same way as a node-returning query.
+        sequence :meth:`xpath` would return, at the same guard charges.
+        None means the caller must fall back to :meth:`xpath`.
+        Statistics and metrics are recorded the same way as a
+        node-returning query.
         """
         collection = self.get_collection(collection_name)
         compiled = self.compile(query)
         started = time.perf_counter()
-        pairs = collection.xpath_rows(compiled, document_keys=document_keys)
+        pairs = collection.xpath_rows(
+            compiled, guard=guard, document_keys=document_keys
+        )
         if pairs is None:
             return None
-        seconds = time.perf_counter() - started
-        self.statistics.record(seconds, len(pairs))
-        METRICS.counter("xpath.queries").inc()
-        METRICS.counter("xpath.results").inc(len(pairs))
-        METRICS.histogram("xpath.seconds").observe(seconds)
+        self._record_query(query, time.perf_counter() - started, len(pairs), guard)
         return pairs
+
+    def _record_query(
+        self, query: str, seconds: float, results: int, guard: Optional[ResourceGuard]
+    ) -> None:
+        self.statistics.record(seconds, results)
+        METRICS.counter("xpath.queries").inc()
+        METRICS.counter("xpath.results").inc(results)
+        METRICS.histogram("xpath.seconds").observe(seconds)
+        if guard is not None:
+            guard.check_results(results, f"xpath query {query!r}")
 
     def total_bytes(self) -> int:
         return sum(c.total_bytes() for c in self._collections.values())

@@ -513,7 +513,9 @@ def _load_segment(
             fail("checksum mismatch (truncated or corrupted)", raw)
             continue
         try:
-            collection.add_document(key, xml)
+            # The record's text is the compact serialisation save wrote (the
+            # checksum just proved it): its length is what the cap measures.
+            collection.add_document(key, xml, len(xml.encode("utf-8")))
         except XmlDbError as exc:
             fail(f"invalid document: {exc}", raw)
     if len(lines) < records:

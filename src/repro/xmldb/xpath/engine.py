@@ -621,8 +621,9 @@ class XPathQuery:
         same node list :meth:`select` would, but without walking the AST
         per node — see :mod:`repro.xmldb.columnar` for the supported
         subset.  Callers must fall back to :meth:`select` when this
-        returns None, and must not use the matcher under a resource
-        guard (it does not tick).
+        returns None; the matcher does not tick a resource guard — a
+        guarded caller charges it per document and result itself, as
+        :class:`~repro.xmldb.collection.Collection` does.
         """
         if self._columnar is _COLUMNAR_UNTRIED:
             from ..columnar import compile_columnar  # deferred: avoids a cycle
@@ -633,7 +634,7 @@ class XPathQuery:
     def columnar_rows(self):
         """A compiled columnar scan returning matching *rows*, or None.
 
-        Same subset, caching and guard caveats as
+        Same subset, caching and guard contract as
         :meth:`columnar_matcher`, but the compiled function maps a
         :class:`~repro.xmldb.columnar.DocumentColumns` to the matching
         row indexes — the executor's batched verification path consumes

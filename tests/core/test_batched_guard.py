@@ -114,3 +114,325 @@ class TestJoinGuardParity:
         assert out_b[1] == out_u[1]
         assert g_b.steps == g_u.steps
         assert g_b.stage_steps == g_u.stage_steps
+
+
+# ---------------------------------------------------------------------------
+# Chunked ticks == one-candidate-at-a-time accounting
+# ---------------------------------------------------------------------------
+#
+# The batched operators charge a chunk of candidates per guard call.  The
+# contract they must keep is PR 8's: one "result verification" tick per
+# candidate, taken before the candidate's work; the result cap checked
+# after every candidate against the running total of each candidate's own
+# results.  ``_reference`` is that accounting, spelled out.
+
+from repro.errors import QueryTimeoutError
+from repro.guard import CHECK_INTERVAL
+from repro.tax import batch as tax_batch
+from repro.tax.tree import dedupe
+
+
+def _reference(run, candidates, guard):
+    """PR 8's per-candidate loop around a batched operator ``run``."""
+    results = []
+    for candidate in candidates:
+        guard.tick(what="result verification")
+        results.extend(run([candidate], None))
+        guard.check_results(len(results), "query verification")
+    return dedupe(results)
+
+
+def _outcome(call, guard):
+    try:
+        result = ("ok", [tree.canonical_key() for tree in call(guard)])
+    except (ResourceExhaustedError, QueryTimeoutError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, guard.steps, guard.stage_steps
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Enough candidates for three verification chunks."""
+    corpus = generate_corpus(3 * CHECK_INTERVAL, seed=SEED)
+    keys = corpus.paper_keys()
+    pages = render_sigmod_pages(corpus, seed=SEED, paper_keys=keys)
+    system = build_system(
+        corpus, _sharded(corpus, keys), EPSILON,
+        sigmod_documents=pages, use_cache=False,
+    )
+    executor = system.executor
+    pattern = build_scalability_pattern(narrow_category="conference")
+    plan, _ = executor._selection_plan(pattern)
+    entries = executor._candidate_entries("dblp", plan["xpath"], None, None)
+    assert len(entries) > 2 * CHECK_INTERVAL
+    tools = dict(
+        zip(
+            ("pattern", "evaluator", "restrictions", "order", "steps"),
+            executor._verify_tools(plan, pattern),
+        )
+    )
+    return system, entries, tools
+
+
+def _operator(wide, operator, keep):
+    _system, entries, tools = wide
+    verified = tools["pattern"]
+    rest = {k: v for k, v in tools.items() if k != "pattern"}
+    context = _system.executor._evaluation_context()
+
+    def run(candidates, guard):
+        return operator(candidates, verified, keep, context, guard=guard, **rest)
+
+    return run, entries
+
+
+#: Step budgets that run out at the first, a middle and the last candidate
+#: of the first and second chunk, one past each, and never.
+_BUDGETS = [
+    0, 1, CHECK_INTERVAL // 2, CHECK_INTERVAL - 1, CHECK_INTERVAL,
+    CHECK_INTERVAL + 1, 2 * CHECK_INTERVAL - 1, 2 * CHECK_INTERVAL, 10**6,
+]
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize(
+    "operator,keep",
+    [
+        (tax_batch.selection_batched, [1]),      # root in SL: late materialisation
+        (tax_batch.selection_batched, [2]),      # general witnesses
+        (tax_batch.projection_batched, [2, 3]),
+    ],
+    ids=["selection-root", "selection-witness", "projection"],
+)
+def test_chunked_ticks_match_per_candidate_accounting(wide, operator, keep, budget):
+    run, entries = _operator(wide, operator, keep)
+    chunked = _outcome(lambda g: run(entries, g), ResourceGuard(max_steps=budget))
+    reference = _outcome(
+        lambda g: _reference(run, entries, g), ResourceGuard(max_steps=budget)
+    )
+    assert chunked == reference
+    if budget < len(entries):
+        assert chunked[0] == (
+            "ResourceExhaustedError",
+            f"result verification exceeded its evaluation budget of {budget} steps",
+        )
+        assert chunked[1] == budget + 1
+
+
+@pytest.mark.parametrize("cap", [0, 1, CHECK_INTERVAL, CHECK_INTERVAL + 3])
+def test_result_cap_seen_at_candidate_granularity(wide, cap):
+    run, entries = _operator(wide, tax_batch.selection_batched, [1])
+    chunked = _outcome(lambda g: run(entries, g), ResourceGuard(max_results=cap))
+    reference = _outcome(
+        lambda g: _reference(run, entries, g), ResourceGuard(max_results=cap)
+    )
+    assert chunked == reference
+    assert chunked[0][0] == "ResourceExhaustedError"
+    # Tripped after candidate cap+1, not at the end of its chunk.
+    assert chunked[1] == cap + 1
+
+
+def test_deadline_rechecked_inside_verification(wide):
+    run, entries = _operator(wide, tax_batch.selection_batched, [1])
+    guard = ResourceGuard(deadline_seconds=0.0)
+    with pytest.raises(QueryTimeoutError, match="result verification"):
+        run(entries, guard)
+    assert guard.steps <= CHECK_INTERVAL  # within one deadline stride
+
+
+def _join_parts(system):
+    executor = system.executor
+    pattern = build_join_pattern()
+    plan, _ = executor._join_plan(pattern, pattern.children(pattern.root))
+    sides = plan["sides"]
+    left = executor._candidate_entries("dblp", sides[0]["xpath"], None, None)
+    right = executor._candidate_entries("sigmod", sides[1]["xpath"], None, None)
+    tools = executor._verify_tools(plan, pattern)
+    return left, right, tools
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("sl", [[0], [2, 5]], ids=["root", "witness"])
+def test_join_pairs_chunked_ticks_match_per_pair_accounting(wide, sl, budget):
+    system = wide[0]
+    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(system)
+    pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+    pairs = pairs[: 2 * CHECK_INTERVAL + 9]
+    assert len(pairs) > 2 * CHECK_INTERVAL
+    context = system.executor._evaluation_context()
+
+    def run(some_pairs, guard):
+        return tax_batch.join_pairs_batched(
+            left, right, some_pairs, verified, sl, context,
+            evaluator=evaluator, restrictions=restrictions, order=order,
+            steps=steps, guard=guard,
+        )[0]
+
+    chunked = _outcome(lambda g: run(pairs, g), ResourceGuard(max_steps=budget))
+    reference = _outcome(
+        lambda g: _reference(run, pairs, g), ResourceGuard(max_steps=budget)
+    )
+    assert chunked == reference
+
+
+@pytest.mark.parametrize("hash_join", [False, True])
+def test_executor_join_trips_inside_a_verification_chunk(wide, hash_join):
+    """End to end: the budget runs out at the first, a middle and the last
+    pair of a chunk, with and without the hash join in front."""
+    system = wide[0]
+    executor = system.executor
+    executor.similarity_hash_join = hash_join
+    try:
+        full = ResourceGuard(max_steps=10**9)
+        _join(system, full)
+        stages = full.stage_steps
+        pairs = stages["result verification"]
+        assert stages["join product"] == pairs > 2
+        assert hash_join or pairs > CHECK_INTERVAL
+        before_verify = full.steps - pairs
+        chunk = min(pairs, CHECK_INTERVAL)
+        # first, middle and last pair of the first chunk, then the next pair
+        for into in (0, chunk // 2, chunk - 1, min(chunk, pairs - 1)):
+            budget = before_verify + into
+            guard = ResourceGuard(max_steps=budget)
+            with pytest.raises(ResourceExhaustedError) as info:
+                _join(system, guard)
+            assert str(info.value) == (
+                f"result verification exceeded its evaluation budget of {budget} steps"
+            )
+            assert guard.steps == budget + 1
+            expected = dict(stages, **{"result verification": into + 1})
+            assert guard.stage_steps == expected
+    finally:
+        executor.similarity_hash_join = False
+
+
+# ---------------------------------------------------------------------------
+# The fetch stage: one tick per document scanned plus one per row produced
+# ---------------------------------------------------------------------------
+
+
+class TestFetchAccounting:
+    QUERY = "//inproceedings[booktitle]"
+
+    def test_stage_attribution(self, wide):
+        collection = wide[0].database.get_collection("dblp")
+        guard = ResourceGuard(max_steps=10**6)
+        rows = collection.xpath_rows(self.QUERY, guard=guard)
+        assert guard.stage_steps == {"xpath evaluation": len(collection) + len(rows)}
+
+    def test_same_charges_on_the_reference_engine(self, wide):
+        collection = wide[0].database.get_collection("dblp")
+        snapshots = []
+        for columnar in (True, False):
+            collection.use_columnar = columnar
+            try:
+                guard = ResourceGuard(max_steps=CHECK_INTERVAL + 7)
+                snapshots.append(
+                    _outcome(lambda g: collection.xpath(self.QUERY, guard=g), guard)
+                )
+            finally:
+                collection.use_columnar = True
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0][0] == (
+            "ResourceExhaustedError",
+            f"xpath evaluation exceeded its evaluation budget of "
+            f"{CHECK_INTERVAL + 7} steps",
+        )
+        assert snapshots[0][1] == CHECK_INTERVAL + 8
+
+    def test_deadline_and_result_cap(self, wide):
+        collection = wide[0].database.get_collection("dblp")
+        with pytest.raises(QueryTimeoutError, match="xpath evaluation"):
+            collection.xpath_rows(self.QUERY, guard=ResourceGuard(deadline_seconds=0.0))
+        with pytest.raises(ResourceExhaustedError, match="query over 'dblp'"):
+            collection.xpath_rows(self.QUERY, guard=ResourceGuard(max_results=5))
+
+    def test_never_more_than_the_tree_engine_charges(self, wide):
+        from repro.xmldb.xpath import XPathQuery
+
+        collection = wide[0].database.get_collection("dblp")
+        columnar = ResourceGuard()
+        collection.xpath_rows(self.QUERY, guard=columnar)
+        tree = ResourceGuard()
+        compiled = XPathQuery(self.QUERY)
+        for _key, root in collection.documents():
+            compiled.select(root, guard=tree)
+        assert 0 < columnar.steps <= tree.steps
+
+
+# ---------------------------------------------------------------------------
+# One route: a guard changes what is charged, never what runs
+# ---------------------------------------------------------------------------
+
+
+def _texts(report):
+    return [text.encode("utf-8") for text in report.result_texts()]
+
+
+@pytest.mark.parametrize("kind", ["selection", "projection", "join"])
+def test_guarded_equals_unguarded(wide, kind):
+    system = wide[0]
+    executor = system.executor
+    executor.similarity_hash_join = True
+    try:
+        reports = []
+        for guard in (None, ResourceGuard(max_steps=10**9, max_results=10**6)):
+            if kind == "selection":
+                report = _selection(system, guard)
+            elif kind == "projection":
+                report = executor.projection(
+                    "dblp", build_scalability_pattern(), [2, 3], guard=guard
+                )
+            else:
+                report = _join(system, guard)
+            reports.append(report)
+    finally:
+        executor.similarity_hash_join = False
+    plain, guarded = reports
+    assert _texts(plain) == _texts(guarded) and plain.results
+    for field in ("candidates", "docs_verified", "pairs_probed", "pairs_materialized"):
+        assert getattr(plain, field) == getattr(guarded, field)
+
+
+# ---------------------------------------------------------------------------
+# The cross-probe memo replays the cold probe's ticks
+# ---------------------------------------------------------------------------
+
+
+class TestCrossProbeMemoIsGuardHonest:
+    def _join(self, system, guard):
+        system.executor.similarity_hash_join = True
+        try:
+            return _join(system, guard)
+        finally:
+            system.executor.similarity_hash_join = False
+
+    def test_warm_hit_charges_what_the_cold_probe_charged(self, wide):
+        system = wide[0]
+        memo = system.executor._cross_probe_cache
+        memo.clear()
+        cold = ResourceGuard(max_steps=10**9)
+        cold_report = self._join(system, cold)
+        hits = memo.hits
+        warm = ResourceGuard(max_steps=10**9)
+        warm_report = self._join(system, warm)
+        assert memo.hits == hits + 1
+        assert (warm.steps, warm.stage_steps) == (cold.steps, cold.stage_steps)
+        assert _texts(warm_report) == _texts(cold_report)
+        # An unguarded request shares the entry...
+        self._join(system, None)
+        assert memo.hits == hits + 2
+        # ...and a budget one below the probe's cold cost trips on the hit,
+        # on the very step the cold probe would have tripped on.
+        probe_cost = cold.stage_steps["index probe"]
+        outcomes = []
+        for warm_memo in (True, False):
+            if not warm_memo:
+                memo.clear()
+            guard = ResourceGuard(max_steps=probe_cost - 1)
+            with pytest.raises(ResourceExhaustedError, match="index probe") as info:
+                self._join(system, guard)
+            outcomes.append((str(info.value), guard.steps, guard.stage_steps))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == probe_cost

@@ -86,3 +86,58 @@ def test_qgram_count_bound_is_sound_for_levenshtein(x, y):
     # The exact form used by the count filter (only applied when len >= 2).
     if len(x) >= 2 and len(y) >= 2:
         assert symdiff <= 4.0 * lev
+
+
+def _two_row_levenshtein(x, y):
+    """The textbook two-row dynamic programme — the kernel's reference."""
+    previous = list(range(len(y) + 1))
+    for i, cx in enumerate(x, start=1):
+        current = [i]
+        for j, cy in enumerate(y, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (cx != cy))
+            )
+        previous = current
+    return previous[-1]
+
+
+#: Any unicode, including astral code points, past the 64-character word.
+kernel_text = st.text(max_size=90)
+kernel_pair = st.one_of(
+    st.tuples(kernel_text, kernel_text),
+    kernel_text.map(lambda x: (x, x)),  # equal strings
+    # a long string and a few edits of it: distances near the bounds
+    st.tuples(
+        st.text(alphabet="abc é\U0001F600", min_size=60, max_size=90),
+        st.lists(st.tuples(st.integers(0, 89), st.sampled_from("abcx")), max_size=4),
+    ).map(
+        lambda pair: (
+            pair[0],
+            "".join(
+                dict(pair[1]).get(i, char) for i, char in enumerate(pair[0])
+            ),
+        )
+    ),
+)
+
+
+@given(
+    pair=kernel_pair,
+    bound=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, float("inf")]),
+        st.floats(min_value=0, max_value=100),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_bit_vector_kernel_equals_two_row_reference(pair, bound):
+    from repro.similarity.measures import _bit_vector_levenshtein
+
+    x, y = pair if len(pair[0]) >= len(pair[1]) else pair[::-1]
+    exact = _two_row_levenshtein(x, y)
+    got = _bit_vector_levenshtein(x, y, bound)
+    if exact <= bound:
+        assert got == exact and isinstance(got, float)
+    else:
+        assert got == bound + 1.0
+    measure = Levenshtein()
+    assert measure.distance(*pair) == measure.distance(*pair[::-1]) == exact

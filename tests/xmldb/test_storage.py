@@ -139,6 +139,27 @@ class TestRoundTrip:
         assert loaded.max_document_bytes == 1234
         assert loaded.get_collection("x").max_document_bytes == 99999
 
+    def test_size_cap_still_checked_on_load(self, tmp_path):
+        """The loader hands the record's byte length to the cap check
+        instead of re-serialising; the check and its number stay."""
+        import json
+
+        from repro.xmldb.serializer import document_bytes
+
+        db = Database()
+        root = db.create_collection("x").add_document("d", "<a><b>caf\u00e9</b></a>")
+        size = document_bytes(root)
+        save_database(db, str(tmp_path / "s"))
+        manifest = tmp_path / "s" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["collections"]["x"]["max_document_bytes"] = size
+        manifest.write_text(json.dumps(payload))
+        assert len(load_database(str(tmp_path / "s")).get_collection("x")) == 1
+        payload["collections"]["x"]["max_document_bytes"] = size - 1
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(XmlDbError, match=f"{size} bytes"):
+            load_database(str(tmp_path / "s"))
+
 
 class TestErrors:
     def test_missing_manifest(self, tmp_path):
