@@ -1,10 +1,10 @@
 """Shared result emission for the standalone benchmark scripts.
 
-``bench_query_exec`` and ``bench_seo_build`` both write the same payload
-twice: the canonical machine-readable copy under ``benchmarks/results/``
-and a trajectory copy at the repo root (``BENCH_<name>.json``).  The two
-writers used to be duplicated in each script and could drift; this module
-is now the single place that knows the layout.
+The standalone benches (``bench_seo_build``, ``bench_serving``, ...) all
+write the same payload twice: the canonical machine-readable copy under
+``benchmarks/results/`` and a trajectory copy at the repo root
+(``BENCH_<name>.json``).  This module is the single place that knows
+the layout.
 
 It also owns :func:`stage_breakdown`, which flattens an observability
 span tree (:meth:`repro.obs.trace.Span.to_dict` shape) into the
@@ -14,7 +14,6 @@ shows where inside the pipeline the measured time went.
 
 from __future__ import annotations
 
-import cProfile
 import json
 import os
 import pathlib
@@ -22,41 +21,11 @@ import subprocess
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-PROFILE_DIR = RESULTS_DIR / "profiles"
 
 #: Version of the emitted payload layout.  Bump when the shape every
 #: benchmark shares changes (e.g. the ``meta`` block itself), so readers
 #: of committed ``BENCH_*.json`` files can tell old records apart.
 SCHEMA_VERSION = 2
-
-#: Environment switch for :func:`dump_profile`.  Off by default so the
-#: timed sweeps stay unperturbed; CI's smoke-benchmark job sets it to
-#: capture pstats artifacts for the largest fig-16 runs.
-PROFILE_ENV = "BENCH_PROFILE"
-
-
-def dump_profile(label, fn):
-    """Run ``fn`` once under cProfile and dump ``<label>.pstats``.
-
-    No-op (``fn`` is not even called) unless the :data:`PROFILE_ENV`
-    environment variable is set — profiling is an *extra* run after the
-    timed measurement, never part of it, so the overhead of the profiler
-    cannot leak into recorded timings.  Returns the written path or
-    None.  The pstats file reloads with ``pstats.Stats(path)`` so the
-    next verify-stage hunt starts from a profile, not a guess.
-    """
-    if not os.environ.get(PROFILE_ENV):
-        return None
-    PROFILE_DIR.mkdir(parents=True, exist_ok=True)
-    path = PROFILE_DIR / f"{label}.pstats"
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        fn()
-    finally:
-        profiler.disable()
-    profiler.dump_stats(path)
-    return path
 
 
 def default_output_paths(name, smoke=False):
@@ -92,8 +61,8 @@ def _git_describe():
 def bench_meta():
     """The provenance block every emitted payload carries.
 
-    One place defines it so ``BENCH_query_exec.json`` and the serving
-    benches cannot drift apart on what a record says about the machine
+    One place defines it so the committed ``BENCH_*.json`` files
+    cannot drift apart on what a record says about the machine
     and tree that produced it.
     """
     return {

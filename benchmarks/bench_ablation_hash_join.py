@@ -1,11 +1,12 @@
-"""Ablation: similarity hash join vs the naive product join.
+"""Ablation: the production join vs the paper's product-then-select.
 
 The TAX join is a cross product followed by selection — O(|L| * |R|)
-product trees even when the similarity predicate is highly selective.
-The executor's length-bucketed similarity hash join prunes candidate
-pairs through the measure's length bound before any product tree is
-built.  This ablation measures both strategies on the Figure 16(b)
-workload and asserts they agree exactly.
+product trees even when the similarity predicate is highly selective;
+that is what the reference executor runs.  The production executor
+prunes documents through the cross-side index probe, then candidate
+pairs through the similarity hash join, and materialises a product only
+for pairs that produced a witness.  This ablation measures both on the
+Figure 16(b) workload and asserts they agree exactly.
 """
 
 import time
@@ -28,21 +29,18 @@ def test_ablation_hash_join(benchmark, results_dir):
         system = build_system(corpus, [dblp], 3.0, sigmod_documents=pages)
         pattern = build_join_pattern()
 
-        assert system.executor is not None
-        system.executor.similarity_hash_join = True
         started = time.perf_counter()
         hashed = system.join("dblp", "sigmod", pattern, sl_labels=[2, 5])
         hash_seconds = time.perf_counter() - started
 
-        system.executor.similarity_hash_join = False
+        reference = system.reference_executor()
         started = time.perf_counter()
-        naive = system.join("dblp", "sigmod", pattern, sl_labels=[2, 5])
+        naive = reference.join("dblp", "sigmod", pattern, sl_labels=[2, 5])
         naive_seconds = time.perf_counter() - started
-        system.executor.similarity_hash_join = True
 
-        assert {t.canonical_key() for t in hashed.results} == {
+        assert [t.canonical_key() for t in hashed.results] == [
             t.canonical_key() for t in naive.results
-        }
+        ]
         speedup = naive_seconds / max(hash_seconds, 1e-9)
         speedups.append(speedup)
         rows.append(
@@ -50,10 +48,10 @@ def test_ablation_hash_join(benchmark, results_dir):
         )
 
     table = format_table(
-        ["papers", "results", "hash-join s", "naive product s", "speedup"], rows
+        ["papers", "results", "system.join s", "reference join s", "speedup"], rows
     )
     persist(results_dir, "ablation_hash_join.txt",
-            "Ablation: similarity hash join vs naive product\n" + table)
+            "Ablation: production join vs the reference product-then-select\n" + table)
 
     # The product join is quadratic, the hash join near-linear: a large
     # speedup at every size.  (The exact growth of the ratio is too noisy

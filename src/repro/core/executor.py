@@ -19,10 +19,12 @@ comparisons, negation) are still answered exactly.
 
 from __future__ import annotations
 
-import itertools
+import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryExecutionError
 from ..guard import ResourceGuard
@@ -141,13 +143,13 @@ class ExecutionReport:
     #: True when the compiled plan came from the executor's plan cache.
     plan_cache_hit: bool = False
     #: Candidate documents run through embedding verification (every
-    #: XPath candidate, batched or not; for joins, both sides' counts).
+    #: XPath candidate; for joins, both sides' counts).
     docs_verified: int = 0
-    #: Join verification work: candidate pairs whose (virtual or
-    #: materialised) product was verified, and product trees actually
-    #: constructed.  Batched joins materialise only pairs that produced
-    #: a surviving witness; the per-product path builds every probed
-    #: pair.  Both stay 0 for selections/projections.
+    #: Join verification work: candidate pairs whose virtual product
+    #: was verified, and product trees actually constructed — only for
+    #: pairs that produced a surviving witness.  Both stay 0 for
+    #: selections/projections (and on the reference executor, which
+    #: materialises every pair).
     pairs_probed: int = 0
     pairs_materialized: int = 0
     #: Per-chunk failure detail when a partitioned query ran in degraded
@@ -431,6 +433,10 @@ ExecutionReport.results = property(_report_results_get, _report_results_set)
 # ---------------------------------------------------------------------------
 
 
+#: Tags inlined as XPath name tests; anything else goes through ``name()``.
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
+
+
 def _xpath_literal(value: str) -> Optional[str]:
     """Quote a string for XPath, or None when it cannot be quoted."""
     if "'" not in value:
@@ -534,9 +540,15 @@ def compile_pattern_to_xpath(
 
     def tag_expr(label: int) -> str:
         restriction = tags.get(label)
-        if restriction is not None and len(restriction) == 1:
-            return next(iter(restriction))
-        return "*"
+        if restriction is None or len(restriction) != 1:
+            return "*"
+        (tag,) = restriction
+        if _PLAIN_NAME.match(tag):
+            return tag
+        # Not an XPath name (``dc:title``, ``a|b``, ``1a``): spliced in
+        # bare it would fail to parse or be read as XPath syntax.
+        literal = _xpath_literal(tag)
+        return "*" if literal is None else f"*[name() = {literal}]"
 
     def name_predicate(label: int) -> Optional[str]:
         restriction = tags.get(label)
@@ -544,9 +556,10 @@ def compile_pattern_to_xpath(
             return None
         if len(restriction) > MAX_OR_ALTERNATIVES:
             return None  # capped: verification filters the tags exactly
-        alternatives = " or ".join(
-            f"name() = {_xpath_literal(tag)}" for tag in sorted(restriction)
-        )
+        literals = [_xpath_literal(tag) for tag in sorted(restriction)]
+        if None in literals:
+            return None  # unquotable alternative: verification filters it
+        alternatives = " or ".join(f"name() = {literal}" for literal in literals)
         return f"({alternatives})"
 
     def node_expression(label: int, is_root: bool) -> str:
@@ -604,6 +617,50 @@ def _side_condition(condition: Condition, side_labels: Set[int]) -> Condition:
     return And(*kept)
 
 
+@contextmanager
+def _stage(
+    tracer, guard: Optional[ResourceGuard], name: str, **attributes: Any
+) -> Iterator[SimpleNamespace]:
+    """One timed pipeline stage: a span, its wall time, its guard steps.
+
+    The body annotates the open span itself; on a clean exit the span
+    also gets ``guard_steps``, what the stage charged the guard.  Yields
+    an object whose ``seconds`` is the stage's wall time once it closed.
+    """
+    timing = SimpleNamespace(seconds=0.0)
+    started = time.perf_counter()
+    steps_before = guard.steps if guard is not None else 0
+    with tracer.span(name, **attributes):
+        yield timing
+        tracer.annotate(
+            guard_steps=(guard.steps if guard is not None else 0) - steps_before
+        )
+    timing.seconds = time.perf_counter() - started
+
+
+def join_side_patterns(
+    pattern: PatternTree, condition: Condition
+) -> List[PatternTree]:
+    """The two per-side patterns of a join pattern, left then right.
+
+    Each is the subtree under one child of the product root, carrying the
+    conjuncts of ``condition`` (already rewritten) that mention only that
+    side — what :func:`compile_pattern_to_xpath` turns into the side's
+    candidate query.
+    """
+    root_children = pattern.children(pattern.root)
+    if len(root_children) != 2:
+        raise QueryExecutionError(
+            "a join pattern needs exactly two subtrees under the product root"
+        )
+    sides = []
+    for child in root_children:
+        side = _subtree_pattern(pattern, child.label)
+        side.condition = _side_condition(condition, set(side.labels()))
+        sides.append(side)
+    return sides
+
+
 # ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
@@ -616,20 +673,13 @@ class QueryExecutor:
         self,
         database: Database,
         context: Optional[SeoConditionContext] = None,
-        similarity_hash_join: bool = True,
         guard: Optional[ResourceGuard] = None,
         exact_fallback: bool = False,
-        use_index: bool = True,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         observability: Optional[Observability] = None,
-        compile_conditions: bool = True,
-        verify_batched: bool = True,
     ) -> None:
         self.database = database
         self.context = context
-        #: Use the length-bucketed similarity hash join for cross-side
-        #: ``~`` conditions instead of the naive product (ablatable).
-        self.similarity_hash_join = similarity_hash_join
         #: Default per-query resource guard (restarted at each query); a
         #: per-call ``guard=`` argument overrides it.
         self.guard = guard
@@ -637,10 +687,6 @@ class QueryExecutor:
         #: matches instead of raising (degraded mode; see
         #: :class:`~repro.core.conditions.ExactFallbackContext`).
         self.exact_fallback = exact_fallback
-        #: Prune the XPath scan through the collection search index
-        #: (ablatable, like ``similarity_hash_join``); results are
-        #: identical either way.
-        self.use_index = use_index
         #: Bounded, thread-safe LRU over compiled plans (rewritten
         #: condition + XPath + probe spec), keyed by pattern structure
         #: and condition; 0 disables caching.  Hit/miss/eviction
@@ -674,20 +720,6 @@ class QueryExecutor:
         self.observability = (
             observability if observability is not None else NULL_OBSERVABILITY
         )
-        #: Compile the verification condition into closures once per
-        #: cached plan (see :mod:`repro.tax.compile`).  Ablatable; the
-        #: interpreted walk is used when off, results identical either
-        #: way (conditions nobody registered a compiler for fall back to
-        #: interpretation per node automatically).
-        self.compile_conditions = compile_conditions
-        #: Verify candidate sets over columnar arrays instead of walking
-        #: one tree per candidate, and decide join pairs before any
-        #: product tree is materialised (see :mod:`repro.tax.batch`).
-        #: Ablatable like ``compile_conditions``; results, ontology
-        #: accesses and guard accounting are identical either way (off,
-        #: the same operators walk every candidate per tree), and
-        #: candidates without columns fall back per entry.
-        self.verify_batched = verify_batched
 
     # -- plan cache ---------------------------------------------------------
 
@@ -754,9 +786,7 @@ class QueryExecutor:
         self._plan_store(key, entry)
         return entry, False
 
-    def _join_plan(
-        self, pattern: PatternTree, root_children
-    ) -> Tuple[Dict[str, object], bool]:
+    def _join_plan(self, pattern: PatternTree) -> Tuple[Dict[str, object], bool]:
         """The compiled per-side plan for a join pattern."""
         key = self._pattern_key("join", pattern)
         entry = self._plan_lookup(key)
@@ -768,11 +798,9 @@ class QueryExecutor:
             condition = pattern.condition
         sides = []
         side_label_sets = []
-        for child in root_children:
-            side_pattern = _subtree_pattern(pattern, child.label)
+        for side_pattern in join_side_patterns(pattern, condition):
             side_labels = set(side_pattern.labels())
             side_label_sets.append(side_labels)
-            side_pattern.condition = _side_condition(condition, side_labels)
             # The probe spec comes from the *original* side conjuncts —
             # verification evaluates those, not the rewritten ones.
             spec = build_plan_spec(
@@ -783,7 +811,6 @@ class QueryExecutor:
             )
             sides.append(
                 {
-                    "pattern": side_pattern,
                     "xpath": compile_pattern_to_xpath(side_pattern),
                     "spec": spec,
                     "labels": side_labels,
@@ -830,9 +857,10 @@ class QueryExecutor:
         All five are per-plan constants, so they live on the cached plan
         entry: the pattern skeleton is rebuilt once, ``required_tags``
         runs once, the validated preorder and the batched-verify step
-        program are lowered once, and — when :attr:`compile_conditions`
-        is on — the verify condition compiles once per evaluation
-        context instead of being interpreted per candidate binding.  The
+        program are lowered once, and the verify condition compiles once
+        per evaluation context instead of being interpreted per
+        candidate binding (a construct nobody registered a compiler for
+        leaves the evaluator None and the operators interpret it).  The
         entry is keyed by the context *object* so flipping
         ``exact_fallback`` (or swapping the SEO) between queries
         recompiles instead of reusing stale closures.
@@ -840,30 +868,23 @@ class QueryExecutor:
         context = self._evaluation_context()
         cached = plan.get("verify")
         if cached is not None and cached[0] is context:
-            _ctx, verified_pattern, evaluator, restrictions, order, steps = cached
-            if (evaluator is None) == (not self.compile_conditions):
-                return verified_pattern, evaluator, restrictions, order, steps
-        # Verify with the original condition when an SEO context is
-        # available: semantic atoms evaluate through the SEO index, which
-        # is cheaper than the expanded exact-match disjunction.
-        verify_condition: Condition = (
-            pattern.condition if self.context is not None else plan["condition"]
-        )  # type: ignore[assignment]
+            return cached[1:]
+        # Verify with the original condition, not the rewritten one
+        # (they differ only under an SEO context): semantic atoms evaluate
+        # through the SEO index, which is cheaper than the expanded
+        # exact-match disjunction.
+        verify_condition = pattern.condition
         verified_pattern = PatternTree(verify_condition)
         _copy_structure(pattern, verified_pattern)
         verified_pattern.validate()
         order = list(verified_pattern.preorder())
         restrictions = required_tags(verify_condition)
         steps = compile_batch_steps(verified_pattern, restrictions)
-        evaluator = (
-            compile_condition(verify_condition, context)
-            if self.compile_conditions
-            else None
-        )
+        evaluator = compile_condition(verify_condition, context)
         plan["verify"] = (
             context, verified_pattern, evaluator, restrictions, order, steps
         )
-        return verified_pattern, evaluator, restrictions, order, steps
+        return plan["verify"][1:]
 
     def _start_guard(self, guard: Optional[ResourceGuard]) -> Optional[ResourceGuard]:
         """Resolve the effective guard for one query and restart its clock."""
@@ -872,42 +893,30 @@ class QueryExecutor:
             guard.start()
         return guard
 
-    def _candidate_entries(
+    def _fetch(
         self,
         collection_name: str,
         xpath: str,
         guard: Optional[ResourceGuard],
         doc_keys: Optional[Set[str]],
     ) -> List[tax_batch.Entry]:
-        """The XPath prefilter's candidates as batched-verify entries.
+        """The XPath prefilter's candidates, as ``(columns, row)`` entries.
 
-        ``(columns, row)`` pairs straight from the columnar fetch; a
-        query outside the columnar subset runs on the reference engine
-        and — like every candidate when :attr:`verify_batched` is off —
-        yields ``(None, node)`` entries, which the verifier walks per
-        tree.  Guarded or not, the route is the same.
+        Every query :func:`compile_pattern_to_xpath` generates lies in
+        the columnar subset; one that does not is a compiler bug, and
+        raises rather than silently running somewhere slower.
         """
         entries = self.database.xpath_rows(
             collection_name, xpath, guard=guard, document_keys=doc_keys
         )
         if entries is None:
-            return [
-                (None, node)
-                for node in self.database.xpath(
-                    collection_name, xpath, guard=guard, document_keys=doc_keys
-                )
-                if isinstance(node, XmlNode)
-            ]
-        if self.verify_batched:
-            return entries
-        return [(None, cols.nodes[row]) for cols, row in entries]
+            raise QueryExecutionError(
+                f"generated XPath {xpath!r} is outside the columnar subset"
+            )
+        return entries
 
     def _accesses(self) -> int:
         return self.context.ontology_accesses if self.context is not None else 0
-
-    @staticmethod
-    def _guard_steps(guard: Optional[ResourceGuard]) -> int:
-        return guard.steps if guard is not None else 0
 
     def _finish_query(
         self,
@@ -993,12 +1002,10 @@ class QueryExecutor:
         )
         index_plan: List[str] = []
         if is_join:
-            plan, _ = self._join_plan(pattern, root_children)
+            plan, _ = self._join_plan(pattern)
             condition = plan["condition"]
             xpaths = [side["xpath"] for side in plan["sides"]]
-            if not self.use_index:
-                index_plan.append("full scan (use_index=False)")
-            elif not plan["prunable"]:
+            if not plan["prunable"]:
                 index_plan.append(
                     "full scan (semantic atoms require an SEO context)"
                 )
@@ -1016,13 +1023,8 @@ class QueryExecutor:
             plan, _ = self._selection_plan(pattern)
             condition = plan["condition"]
             xpaths = [plan["xpath"]]
-            if not self.use_index:
-                index_plan.append("full scan (use_index=False)")
-            else:
-                index_plan.extend(plan["spec"].describe())
-        index_plan.append(
-            describe_verify_strategy(self.verify_batched, join=is_join)
-        )
+            index_plan.extend(plan["spec"].describe())
+        index_plan.append(describe_verify_strategy(join=is_join))
         rewrite_seconds = time.perf_counter() - started
         return QueryPlan(
             original=repr(pattern.condition),
@@ -1107,9 +1109,7 @@ class QueryExecutor:
             spec: PlanSpec = plan["spec"]  # type: ignore[assignment]
             rewrite_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("plan"):
+            with _stage(tracer, guard, "plan") as plan_stage:
                 doc_keys, docs_total, docs_scanned, index_used = self._prune(
                     collection_name, spec, guard, restrict=restrict
                 )
@@ -1117,25 +1117,13 @@ class QueryExecutor:
                     docs_total=docs_total,
                     docs_scanned=docs_scanned,
                     index_used=index_used,
-                    guard_steps=self._guard_steps(guard) - steps_before,
                 )
-            planner_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("xpath", query=xpath):
-                entries = self._candidate_entries(
-                    collection_name, xpath, guard, doc_keys
-                )
-                tracer.annotate(
-                    candidates=len(entries),
-                    guard_steps=self._guard_steps(guard) - steps_before,
-                )
-            xpath_seconds = time.perf_counter() - started
+            with _stage(tracer, guard, "xpath", query=xpath) as xpath_stage:
+                entries = self._fetch(collection_name, xpath, guard, doc_keys)
+                tracer.annotate(candidates=len(entries))
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("verify"):
+            with _stage(tracer, guard, "verify") as verify_stage:
                 verified_pattern, evaluator, restrictions, order, vsteps = (
                     self._verify_tools(plan, pattern)
                 )
@@ -1150,21 +1138,16 @@ class QueryExecutor:
                     steps=vsteps,
                     guard=guard,
                 )
-                tracer.annotate(
-                    results=len(results),
-                    batched=self.verify_batched,
-                    guard_steps=self._guard_steps(guard) - steps_before,
-                )
-            convert_seconds = time.perf_counter() - started
+                tracer.annotate(results=len(results), batched=True)
         report = ExecutionReport(
             results,
             rewrite_seconds,
-            xpath_seconds,
-            convert_seconds,
+            xpath_stage.seconds,
+            verify_stage.seconds,
             [xpath],
             len(entries),
             self._accesses() - accesses_before,
-            planner_seconds=planner_seconds,
+            planner_seconds=plan_stage.seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
             index_used=index_used,
@@ -1201,7 +1184,7 @@ class QueryExecutor:
         """
         collection = self.database.get_collection(collection_name)
         docs_total = len(collection)
-        if not self.use_index or not spec.prunable:
+        if not spec.prunable:
             if restrict is not None:
                 keys = {key for key in restrict if key in collection}
                 return keys, docs_total, len(keys), False
@@ -1257,12 +1240,7 @@ class QueryExecutor:
         the serial product order); keys are returned in collection
         insertion order.
         """
-        root_children = pattern.children(pattern.root)
-        if len(root_children) != 2:
-            raise QueryExecutionError(
-                "a join pattern needs exactly two subtrees under the product root"
-            )
-        plan, _ = self._join_plan(pattern, root_children)
+        plan, _ = self._join_plan(pattern)
         left_keys, _right, _total, _scanned, _used = self._prune_join(
             left_collection, right_collection, plan, guard
         )
@@ -1293,11 +1271,6 @@ class QueryExecutor:
         evaluated in full by every partition, since the product pairs
         each left document with all right documents.
         """
-        root_children = pattern.children(pattern.root)
-        if len(root_children) != 2:
-            raise QueryExecutionError(
-                "a join pattern needs exactly two subtrees under the product root"
-            )
         restrict = None if document_keys is None else set(document_keys)
         guard = self._start_guard(guard)
         accesses_before = self._accesses()
@@ -1308,14 +1281,12 @@ class QueryExecutor:
         ):
             started = time.perf_counter()
             with tracer.span("rewrite"):
-                plan, cache_hit = self._join_plan(pattern, root_children)
+                plan, cache_hit = self._join_plan(pattern)
                 tracer.annotate(plan_cache_hit=cache_hit)
             sides = plan["sides"]  # type: ignore[assignment]
             rewrite_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("plan"):
+            with _stage(tracer, guard, "plan") as plan_stage:
                 left_keys, right_keys, docs_total, docs_scanned, index_used = (
                     self._prune_join(
                         left_collection,
@@ -1329,47 +1300,35 @@ class QueryExecutor:
                     docs_total=docs_total,
                     docs_scanned=docs_scanned,
                     index_used=index_used,
-                    guard_steps=self._guard_steps(guard) - steps_before,
                 )
-            planner_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("xpath"):
+            with _stage(tracer, guard, "xpath") as xpath_stage:
                 with tracer.span("xpath.left", query=sides[0]["xpath"]):
-                    left_entries = self._candidate_entries(
+                    left_entries = self._fetch(
                         left_collection, sides[0]["xpath"], guard, left_keys
                     )
                     tracer.annotate(candidates=len(left_entries))
                 with tracer.span("xpath.right", query=sides[1]["xpath"]):
-                    right_entries = self._candidate_entries(
+                    right_entries = self._fetch(
                         right_collection, sides[1]["xpath"], guard, right_keys
                     )
                     tracer.annotate(candidates=len(right_entries))
-                tracer.annotate(
-                    guard_steps=self._guard_steps(guard) - steps_before
-                )
-            xpath_seconds = time.perf_counter() - started
 
-            started = time.perf_counter()
-            steps_before = self._guard_steps(guard)
-            with tracer.span("verify"):
+            with _stage(tracer, guard, "verify") as verify_stage:
                 verified_pattern, evaluator, restrictions, order, vsteps = (
                     self._verify_tools(plan, pattern)
                 )
                 sl = list(sl_labels)
-                left_candidates = _entry_nodes(left_entries)
-                right_candidates = _entry_nodes(right_entries)
                 pair_filter = None
-                if self.context is not None and self.similarity_hash_join:
+                if self.context is not None:
                     atom = _cross_similarity_atom(
                         pattern.condition, sides[0]["labels"], sides[1]["labels"]
                     )
                     if atom is not None:
                         with tracer.span("verify.hash_join"):
                             pair_filter = self._similarity_join_pairs(
-                                left_candidates,
-                                right_candidates,
+                                [cols.nodes[row] for cols, row in left_entries],
+                                [cols.nodes[row] for cols, row in right_entries],
                                 atom,
                                 pattern.condition,
                                 guard,
@@ -1394,65 +1353,35 @@ class QueryExecutor:
                     pairs = sorted(pair_filter)
                     if guard is not None and pairs:
                         guard.tick_each(len(pairs), "join product")
-                pairs_probed = pairs_materialized = len(pairs)
-                # The virtual-product scan has no per-pair fallback, so
-                # one candidate without columns (or verify_batched off)
-                # sends the join through materialised product trees.
-                use_batched = all(
-                    cols is not None
-                    for cols, _ in itertools.chain(left_entries, right_entries)
+                pairs_probed = len(pairs)
+                results, pairs_materialized = tax_batch.join_pairs_batched(
+                    left_entries,
+                    right_entries,
+                    pairs,
+                    verified_pattern,
+                    sl,
+                    self._evaluation_context(),
+                    evaluator=evaluator,
+                    restrictions=restrictions,
+                    order=order,
+                    steps=vsteps,
+                    guard=guard,
                 )
-                if use_batched:
-                    results, pairs_materialized = tax_batch.join_pairs_batched(
-                        left_entries,
-                        right_entries,
-                        pairs,
-                        verified_pattern,
-                        sl,
-                        self._evaluation_context(),
-                        evaluator=evaluator,
-                        restrictions=restrictions,
-                        order=order,
-                        steps=vsteps,
-                        guard=guard,
-                    )
-                else:
-                    results = tax_batch.selection_batched(
-                        [
-                            (
-                                None,
-                                tax_algebra.product_tree(
-                                    left_candidates[i], right_candidates[j]
-                                ),
-                            )
-                            for i, j in pairs
-                        ],
-                        verified_pattern,
-                        sl,
-                        self._evaluation_context(),
-                        evaluator=evaluator,
-                        restrictions=restrictions,
-                        order=order,
-                        steps=vsteps,
-                        guard=guard,
-                    )
                 tracer.annotate(
                     results=len(results),
-                    batched=use_batched,
+                    batched=True,
                     pairs_probed=pairs_probed,
                     pairs_materialized=pairs_materialized,
-                    guard_steps=self._guard_steps(guard) - steps_before,
                 )
-            convert_seconds = time.perf_counter() - started
         report = ExecutionReport(
             results,
             rewrite_seconds,
-            xpath_seconds,
-            convert_seconds,
+            xpath_stage.seconds,
+            verify_stage.seconds,
             [sides[0]["xpath"], sides[1]["xpath"]],
             len(left_entries) + len(right_entries),
             self._accesses() - accesses_before,
-            planner_seconds=planner_seconds,
+            planner_seconds=plan_stage.seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
             index_used=index_used,
@@ -1493,7 +1422,7 @@ class QueryExecutor:
         left = self.database.get_collection(left_collection)
         right = self.database.get_collection(right_collection)
         docs_total = len(left) + len(right)
-        if not self.use_index or not plan["prunable"]:
+        if not plan["prunable"]:
             if left_restrict is not None:
                 keys = {key for key in left_restrict if key in left}
                 return keys, None, docs_total, len(keys) + len(right), False
@@ -1574,7 +1503,7 @@ class QueryExecutor:
             return [
                 node.text
                 for node in candidate.iter()
-                if node.text and (restriction is None or node.tag in restriction)
+                if restriction is None or node.tag in restriction
             ]
 
         left_label = next(iter(atom.left.labels()))
@@ -1619,14 +1548,6 @@ class QueryExecutor:
                 (i, j) for i in unknown_left[value] for j in unknown_right[other]
             )
         return pairs
-
-
-def _entry_nodes(entries: Sequence[tax_batch.Entry]) -> List[XmlNode]:
-    """The candidate node behind each batched-verify entry."""
-    return [
-        item if cols is None else cols.nodes[item]  # type: ignore[index]
-        for cols, item in entries
-    ]
 
 
 def _cross_similarity_atom(

@@ -139,18 +139,11 @@ class PlanSpec:
         return lines
 
 
-def describe_verify_strategy(batched: bool, join: bool = False) -> str:
-    """One ``explain`` line naming the verification strategy.
-
-    ``batched`` reflects the executor's ``verify_batched`` knob — the
-    set-oriented columnar scan (and, for joins, late product
-    materialisation) versus the per-candidate reference tree walk.  A
-    resource guard never changes the strategy, only what is charged.
-    Note the knob states intent: candidates of a query outside the
-    columnar subset still fall back to the tree walk entry by entry.
-    """
-    if not batched:
-        return "verify: per-candidate tree walk (verify_batched=False)"
+def describe_verify_strategy(join: bool = False) -> str:
+    """One ``explain`` line naming the verification strategy: the
+    set-oriented columnar scan and, for joins, late product
+    materialisation.  A resource guard never changes it, only what is
+    charged."""
     if join:
         return "verify: set-oriented batch over columns, late-materialized products"
     return "verify: set-oriented batch over columnar rows"

@@ -53,6 +53,7 @@ from ..xmldb.model import XmlNode
 from .algebra import TossAlgebra
 from .conditions import SeoConditionContext, TypingFunction, default_typing
 from .executor import ExecutionReport, QueryExecutor
+from .reference import ReferenceExecutor
 from .instance import OntologyExtendedInstance
 from .types import TypeSystem, default_type_system
 
@@ -122,7 +123,6 @@ class TossSystem:
         guard: Optional[ResourceGuard] = None,
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        use_index: bool = True,
         observability: Optional[Observability] = None,
     ) -> None:
         self.measure = get_measure(measure) if isinstance(measure, str) else measure
@@ -154,9 +154,6 @@ class TossSystem:
         )
         #: :class:`~repro.core.build_report.BuildReport` of the last build.
         self.build_report: Optional[BuildReport] = None
-        #: Prune query scans through the collection search indexes
-        #: (ablatable; threaded into every executor this system creates).
-        self.use_index = use_index
         #: Tracing + sink configuration, threaded into every executor this
         #: system creates and into :meth:`build`'s trace.  The shared
         #: no-op instance by default.
@@ -688,7 +685,6 @@ class TossSystem:
                 None,
                 guard=self.guard,
                 exact_fallback=True,
-                use_index=self.use_index,
                 observability=self.observability,
             )
             return None
@@ -722,7 +718,6 @@ class TossSystem:
                 self.database,
                 context,
                 guard=self.guard,
-                use_index=self.use_index,
                 observability=self.observability,
             )
         return self.context
@@ -1012,6 +1007,10 @@ class TossSystem:
     def tax_executor(self) -> QueryExecutor:
         """A plain-TAX executor over the same database (the baseline)."""
         return QueryExecutor(self.database, context=None)
+
+    def reference_executor(self) -> ReferenceExecutor:
+        """The paper-faithful oracle over the same database and SEO."""
+        return ReferenceExecutor(self.database, self._require_context())
 
     def algebra(self) -> TossAlgebra:
         """The in-memory TOSS algebra bound to the built context."""

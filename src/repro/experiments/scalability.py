@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.executor import ExecutionReport
+from ..core.reference import ReferenceExecutor
 from ..data.dblp import render_dblp
 from ..data.ground_truth import Corpus, generate_corpus
 from ..data.sigmod import render_sigmod_pages
@@ -155,14 +156,14 @@ def join_scalability(
                 corpus, [dblp], epsilon,
                 sigmod_documents=pages, max_content_terms=cap,
             )
-            # Figure 16(b) reproduces the *paper's* execution strategy:
-            # product + selection, as the Xindice prototype ran it.  The
-            # optimised similarity hash join is measured separately in
+            # Figure 16(b) reproduces the *paper's* execution strategy —
+            # product + selection, as the Xindice prototype ran it — so
+            # both curves run on the reference executor.  The production
+            # join is measured against it in
             # benchmarks/bench_ablation_hash_join.py.
-            assert system.executor is not None
-            system.executor.similarity_hash_join = False
+            reference = system.reference_executor()
             reports = [
-                system.join("dblp", "sigmod", toss_pattern, sl_labels=[2, 5])
+                reference.join("dblp", "sigmod", toss_pattern, sl_labels=[2, 5])
                 for _ in range(repeats)
             ]
             total, rewrite, xpath, convert, accesses = _run_reports(reports)
@@ -174,9 +175,9 @@ def join_scalability(
                     accesses,
                 )
             )
-        tax_executor = system.tax_executor()
+        tax_reference = ReferenceExecutor(system.database, None)
         reports = [
-            tax_executor.join("dblp", "sigmod", tax_pattern, sl_labels=[2, 5])
+            tax_reference.join("dblp", "sigmod", tax_pattern, sl_labels=[2, 5])
             for _ in range(repeats)
         ]
         total, rewrite, xpath, convert, accesses = _run_reports(reports)

@@ -7,8 +7,7 @@ thread wakes at a configurable rate, reads the *target* thread's frame
 stack out of :func:`sys._current_frames`, and increments one counter
 per ``(phase, stack)`` pair.  The profiled thread executes zero extra
 instructions; total overhead is the GIL time the sampler thread steals,
-which at the default ~97 Hz measures under 2% on the fig-16 workloads
-(the benchmark suite gates this — see ``benchmarks/check_regression``).
+which at the default ~97 Hz measured under 2% on the fig-16 workloads.
 
 Phase attribution piggybacks on the tracer: ``repro.obs.trace`` keeps
 its active-tracer stack in a module global precisely so this thread can

@@ -11,14 +11,11 @@ unchanged execution pipeline:
     as a plain-data payload (documents + SEOs) on spawn-only platforms.
     Snapshots know when they are stale (collection generation counters).
 
-:class:`~repro.serving.pool.WorkerPool`
-    A pool of long-lived worker processes, each holding the snapshot
-    and answering textual queries; failures cross the process boundary
-    as typed markers, never raw exceptions.
-
 :class:`~repro.serving.supervisor.SupervisedWorkerPool`
-    The fault-tolerant pool (and the server default): per-worker
-    processes under parent-side supervision — crash detection and
+    The pool of long-lived worker processes, each holding the snapshot
+    and answering textual queries (:mod:`repro.serving.pool` is the
+    worker side; failures cross the process boundary as typed markers,
+    never raw exceptions), under parent-side supervision — crash detection and
     respawn with capped backoff, hard timeouts for hung workers,
     bounded retries, poison-task quarantine and a crash-rate circuit
     breaker (:class:`~repro.serving.supervisor.RetryPolicy` holds the
@@ -47,7 +44,6 @@ says so in the report (``degraded`` + ``failed_partitions``).
 """
 
 from .partition import execute_partitioned, partition_document_keys
-from .pool import WorkerPool
 from .server import (
     GuardSpec,
     QueryOutcome,
@@ -67,7 +63,6 @@ __all__ = [
     "RetryPolicy",
     "SupervisedWorkerPool",
     "SystemSnapshot",
-    "WorkerPool",
     "execute_many",
     "execute_partitioned",
     "partition_document_keys",

@@ -22,10 +22,9 @@ Identity with serial execution is structural, not statistical:
   remaining budget at dispatch, and the workers' consumed steps are
   ticked back into the parent guard — a budget the partitions
   collectively exceed raises exactly like serial execution;
-* each chunk runs through the executor's set-oriented verifier
-  (``verify_batched``): candidates arrive as columnar ``(columns,
-  row)`` entries per chunk and batch-verify in scan order, one guard
-  tick per candidate — so the merged report's ``docs_verified`` / ``pairs_probed``
+* each chunk runs through the executor's set-oriented verifier:
+  candidates arrive as columnar ``(columns, row)`` entries per chunk
+  and batch-verify in scan order, one guard tick per candidate — so the merged report's ``docs_verified`` / ``pairs_probed``
   counters sum to the serial run's and the results stay bit-identical.
 """
 
@@ -41,7 +40,8 @@ from ..obs.context import current_request
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.window import WINDOWS
 from ..parallel import absorb_worker_steps, remaining_budget
-from .pool import WorkerPool, reconstruct_failure
+from .pool import reconstruct_failure
+from .supervisor import SupervisedWorkerPool
 
 
 def partition_document_keys(
@@ -94,7 +94,7 @@ def _candidate_keys(
 
 def execute_partitioned(
     system,
-    pool: WorkerPool,
+    pool: SupervisedWorkerPool,
     collection: str,
     query: str,
     sl_variables: Iterable[str] = (),
@@ -115,8 +115,7 @@ def execute_partitioned(
     in-process: partitioning never changes results, only wall-clock.
 
     ``on_chunk_failure`` picks the failure semantics when a chunk fails
-    permanently (all retries exhausted under a supervised pool, or any
-    failure under a plain one):
+    permanently (all retries exhausted):
 
     * ``"raise"`` (default) — exact-or-error: the first chunk failure is
       reconstructed and raised, no partial results escape;

@@ -1,10 +1,10 @@
-"""Long-lived worker processes answering queries from a snapshot.
+"""The worker side of serving: answer queries from a snapshot.
 
-Workers are plain ``multiprocessing.Pool`` processes initialized once
-with the system snapshot (inherited copy-on-write under fork, rebuilt
-from the payload under spawn) and reused for every query after that —
-the per-query cost is one small task dict and one report dict, never a
-re-load of the system.
+A worker process (see :mod:`repro.serving.supervisor`, which owns the
+processes) is initialized once with the system snapshot (inherited
+copy-on-write under fork, rebuilt from the payload under spawn) and
+reused for every query after that — the per-query cost is one small
+task dict and one report dict, never a re-load of the system.
 
 The cross-process discipline mirrors :mod:`repro.parallel`:
 
@@ -21,11 +21,9 @@ The cross-process discipline mirrors :mod:`repro.parallel`:
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .. import errors as _errors
 from ..errors import (
@@ -41,19 +39,19 @@ from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import RequestContext, activate
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.window import WINDOWS
-from .snapshot import FORK, SystemSnapshot, restore_payload
+from .snapshot import FORK, restore_payload
 
 #: Worker-process state: the restored/inherited system, set by the
 #: pool initializer (one system per worker process).
 _WORKER: Dict[str, Any] = {"system": None}
 
-#: Parent-side handoff for fork pools: the initializer in a forked child
+#: Parent-side handoff for fork workers: the initializer in a forked child
 #: reads the live system from here (inherited through copy-on-write).
 _FORK_SYSTEM: Any = None
 
 
 def _initialize_worker(mode: str, payload: Optional[Dict[str, Any]]) -> None:
-    """Pool initializer: install the snapshot system in this process."""
+    """Worker initializer: install the snapshot system in this process."""
     if mode == FORK:
         system = _FORK_SYSTEM
     else:
@@ -236,88 +234,3 @@ def reconstruct_failure(
     if exc is None:
         exc = ServingError(f"worker query failed ({name}): {message}")
     return _attach_context(exc, worker_pid, query)
-
-
-class WorkerPool:
-    """A persistent pool of query workers over one system snapshot."""
-
-    def __init__(self, snapshot: SystemSnapshot, workers: int) -> None:
-        if workers < 1:
-            raise ServingError(f"workers must be >= 1, got {workers}")
-        self.snapshot = snapshot
-        self.workers = workers
-        # The snapshot mode picks the *transport* (inheritance vs payload);
-        # the start method is always fork where the platform has it — a
-        # pickle snapshot under fork still exercises the payload path,
-        # which is how the fallback is tested on fork platforms.
-        start_method = (
-            FORK if FORK in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        context = multiprocessing.get_context(start_method)
-        if snapshot.mode == FORK:
-            # Workers fork at Pool() construction, inheriting the live
-            # system via this module global (copy-on-write).  The parent
-            # heap is frozen into the permanent GC generation across the
-            # fork: the children inherit that frozen state, so a worker's
-            # collector never traverses the shared system — without this,
-            # the first full collection in a worker walks every inherited
-            # object, dirties each copy-on-write page it visits, and
-            # shows up as a several-hundred-ms stall on an early query.
-            # The parent unfreezes immediately; only the children keep
-            # the inherited heap permanent (they never drop it anyway).
-            global _FORK_SYSTEM
-            _FORK_SYSTEM = snapshot.system
-            gc.freeze()
-            try:
-                self._pool = context.Pool(
-                    processes=workers,
-                    initializer=_initialize_worker,
-                    initargs=(snapshot.mode, None),
-                )
-            finally:
-                _FORK_SYSTEM = None
-                gc.unfreeze()
-        else:
-            self._pool = context.Pool(
-                processes=workers,
-                initializer=_initialize_worker,
-                initargs=(snapshot.mode, snapshot.payload),
-            )
-        self._closed = False
-
-    def run_batch(self, tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Execute ``tasks`` across the pool, outcomes in task order."""
-        if self._closed:
-            raise ServingError("the worker pool is closed")
-        return self._pool.map(run_query_task, tasks)
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Shut the workers down (idempotent).
-
-        Graceful first: stop accepting work, give the workers
-        ``timeout`` seconds to drain and exit, then terminate whatever
-        is left — so an interrupted ``serve`` run neither hangs on a
-        stuck worker nor hard-kills ones mid-write.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.close()
-        deadline = time.perf_counter() + max(0.0, timeout)
-        for process in getattr(self._pool, "_pool", []):
-            process.join(max(0.0, deadline - time.perf_counter()))
-        self._pool.terminate()
-        self._pool.join()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (
-            f"WorkerPool({self.workers} workers, {self.snapshot.mode} "
-            f"snapshot, {state})"
-        )

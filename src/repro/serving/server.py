@@ -1,7 +1,8 @@
 """The query server: batch execution over a persistent worker pool.
 
 :class:`QueryServer` owns one :class:`~repro.serving.snapshot.SystemSnapshot`
-and one :class:`~repro.serving.pool.WorkerPool` for its whole lifetime —
+and one :class:`~repro.serving.supervisor.SupervisedWorkerPool` for its
+whole lifetime —
 the system is loaded/built once and every batch after that pays only the
 per-query dispatch cost.  Submissions pass three gates before any worker
 sees them:
@@ -35,7 +36,7 @@ from ..obs.context import RequestContext, activate, new_request_id
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.window import WINDOWS
 from .partition import execute_partitioned
-from .pool import WorkerPool, reconstruct_failure
+from .pool import reconstruct_failure
 from .snapshot import SystemSnapshot
 from .supervisor import RetryPolicy, SupervisedWorkerPool
 
@@ -150,22 +151,17 @@ class QueryServer:
     default_collection:
         Collection for requests that name none (e.g. plain-string
         queries).
-    supervised:
-        Run workers under the crash-tolerant
-        :class:`~repro.serving.supervisor.SupervisedWorkerPool` (the
-        default); ``False`` keeps the plain ``multiprocessing.Pool``
-        transport, where any worker death fails the whole batch.
     policy:
-        :class:`~repro.serving.supervisor.RetryPolicy` for the
-        supervised pool (retries, backoff, hard timeouts, quarantine,
-        circuit breaker).  Ignored when ``supervised=False``.
+        :class:`~repro.serving.supervisor.RetryPolicy` for the worker
+        pool (retries, backoff, hard timeouts, quarantine, circuit
+        breaker).
     degrade_partial:
         Opt-in partial-result degradation for partitioned queries
         (``jobs > 1``): a chunk that fails permanently is recorded in
         the merged report's ``failed_partitions`` instead of failing the
         query.  Exact-by-default (``False``: chunk failure raises).
     fault_plan:
-        :class:`~repro.faults.FaultPlan` handed to the supervised pool —
+        :class:`~repro.faults.FaultPlan` handed to the worker pool —
         test/benchmark harness only.
     """
 
@@ -177,7 +173,6 @@ class QueryServer:
         default_guard: Optional[GuardSpec] = None,
         snapshot_mode: Optional[str] = None,
         default_collection: Optional[str] = None,
-        supervised: bool = True,
         policy: Optional[RetryPolicy] = None,
         degrade_partial: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -193,7 +188,6 @@ class QueryServer:
             if default_guard is not None
             else GuardSpec.from_guard(system.guard)
         )
-        self.supervised = supervised
         self.policy = policy
         self.degrade_partial = degrade_partial
         self.fault_plan = fault_plan
@@ -202,15 +196,13 @@ class QueryServer:
         self.pool = self._make_pool()
         self._closed = False
 
-    def _make_pool(self):
-        if self.supervised:
-            return SupervisedWorkerPool(
-                self.snapshot,
-                self.workers,
-                policy=self.policy,
-                fault_plan=self.fault_plan,
-            )
-        return WorkerPool(self.snapshot, self.workers)
+    def _make_pool(self) -> SupervisedWorkerPool:
+        return SupervisedWorkerPool(
+            self.snapshot,
+            self.workers,
+            policy=self.policy,
+            fault_plan=self.fault_plan,
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -222,19 +214,18 @@ class QueryServer:
 
         * ``"noop"`` — the snapshot already matches the live generation
           signature; nothing moves.
-        * ``"delta"`` — the supervised pool broadcasts a
+        * ``"delta"`` — the pool broadcasts a
           :class:`~repro.serving.snapshot.SnapshotDelta` (changed
           documents + changed SEOs only) to the live workers, which
           converge in place; no respawn, no full re-serialization.
-        * ``"full"`` — re-capture and a fresh pool: the plain
-          (unsupervised) pool has no per-worker addressing, the
-          changelog was truncated, the system is mid-mutation (not yet
-          rebuilt), or ``incremental=False`` forced it.
+        * ``"full"`` — re-capture and a fresh pool: the changelog was
+          truncated, the system is mid-mutation (not yet rebuilt), or
+          ``incremental=False`` forced it.
         """
         self._ensure_open()
         if not self.snapshot.stale(self.system):
             return "noop"
-        if incremental and isinstance(self.pool, SupervisedWorkerPool):
+        if incremental:
             delta = self.snapshot.delta(self.system)
             if delta is not None:
                 self.pool.apply_delta(delta)
@@ -254,13 +245,10 @@ class QueryServer:
         Optional pre-warming barrier: execution works as soon as one
         worker is up, but a caller that wants full-fleet steady state
         before taking traffic (or before timing the delta-refresh path)
-        waits here.  Returns the number of ready workers; the plain
-        pool spawns synchronously and reports its worker count.
+        waits here.  Returns the number of ready workers.
         """
         self._ensure_open()
-        if isinstance(self.pool, SupervisedWorkerPool):
-            return self.pool.wait_ready(timeout=timeout)
-        return self.workers
+        return self.pool.wait_ready(timeout=timeout)
 
     def close(self) -> None:
         if not self._closed:

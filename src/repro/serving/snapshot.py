@@ -180,7 +180,6 @@ class SystemSnapshot:
         return {
             "measure": system.measure.name,
             "epsilon": system.epsilon,
-            "use_index": system.use_index,
             "degraded": system.degraded,
             "collections": collections,
             "seos": seos,
@@ -337,25 +336,18 @@ def _seo_patch_chain(seo, base):
     return links
 
 
-def _collection_documents(documents) -> List[Tuple[str, str]]:
-    """(key, xml-text) pairs from either payload shape.
-
-    The current shape is the compressed segment dict built by
-    :meth:`SystemSnapshot._build_payload`; a plain list of pairs (the
-    pre-compression shape) still restores, so a payload captured by an
-    older parent replays unchanged.
-    """
-    if isinstance(documents, dict):
-        blob = zlib.decompress(documents["docs_z"]).decode("utf-8")
-        keys = documents["keys"]
-        texts = blob.split(_DOC_SEPARATOR) if keys else []
-        if len(texts) != len(keys):
-            raise ServingError(
-                f"snapshot segment corrupt: {len(keys)} keys for "
-                f"{len(texts)} documents"
-            )
-        return list(zip(keys, texts))
-    return [(key, text) for key, text in documents]
+def _collection_documents(segment: Dict[str, Any]) -> List[Tuple[str, str]]:
+    """(key, xml-text) pairs of one compressed collection segment (see
+    :meth:`SystemSnapshot._build_payload`)."""
+    blob = zlib.decompress(segment["docs_z"]).decode("utf-8")
+    keys = segment["keys"]
+    texts = blob.split(_DOC_SEPARATOR) if keys else []
+    if len(texts) != len(keys):
+        raise ServingError(
+            f"snapshot segment corrupt: {len(keys)} keys for "
+            f"{len(texts)} documents"
+        )
+    return list(zip(keys, texts))
 
 
 def restore_payload(payload: Dict[str, Any]):
@@ -369,16 +361,14 @@ def restore_payload(payload: Dict[str, Any]):
     system = TossSystem(
         measure=payload["measure"],
         epsilon=float(payload["epsilon"]),
-        use_index=payload["use_index"],
     )
-    for name, documents in payload["collections"].items():
+    for name, segment in payload["collections"].items():
         collection = system.database.create_collection(name)
-        for key, text in _collection_documents(documents):
+        for key, text in _collection_documents(segment):
             collection.add_document(key, text)
-        if isinstance(documents, dict) and "generation" in documents:
-            # Adopt the live generation counter so delta refreshes line
-            # up against the same base the parent computes from.
-            collection.generation = documents["generation"]
+        # Adopt the live generation counter so delta refreshes line up
+        # against the same base the parent computes from.
+        collection.generation = segment["generation"]
     if payload["seos"] is not None:
         seos = {
             relation: seo_from_dict(entry)
@@ -393,16 +383,11 @@ def restore_payload(payload: Dict[str, Any]):
             type_system=system.type_system,
             typing=system.typing,
         )
-        system.executor = QueryExecutor(
-            system.database, system.context, use_index=system.use_index
-        )
+        system.executor = QueryExecutor(system.database, system.context)
     else:
         system.degraded = bool(payload.get("degraded", True))
         system.executor = QueryExecutor(
-            system.database,
-            None,
-            exact_fallback=True,
-            use_index=system.use_index,
+            system.database, None, exact_fallback=True
         )
     return system
 
@@ -486,8 +471,6 @@ def apply_snapshot_delta(system, delta: SnapshotDelta):
         if system.executor is not None and not system.executor.exact_fallback:
             system.executor.set_context(context, seo_changed=True)
         else:
-            system.executor = QueryExecutor(
-                system.database, context, use_index=system.use_index
-            )
+            system.executor = QueryExecutor(system.database, context)
         system.degraded = False
     return database.generation_signature()

@@ -1,14 +1,13 @@
 """Supervised worker pool: crash detection, respawn, retries, quarantine.
 
-:class:`~repro.serving.pool.WorkerPool` rides on
-``multiprocessing.Pool``, which is brittle in exactly the ways serving
+A plain ``multiprocessing.Pool`` is brittle in exactly the ways serving
 cannot afford: a worker SIGKILLed mid-batch (OOM killer, operator)
 poisons the shared result pipe and the whole batch errors or hangs, a
 worker stuck in native code stalls ``map()`` forever because deadlines
 are only enforced *inside* the worker, and one dead process takes every
 queued task down with it.
 
-:class:`SupervisedWorkerPool` is the fault-tolerant replacement, built
+:class:`SupervisedWorkerPool` is the serving tier's one pool, built
 on per-worker ``Process`` + request-queue + response-pipe triples so
 each worker's fate is independent and observable.  Responses
 deliberately do **not** share a queue: a shared
@@ -54,11 +53,9 @@ slow-query logs.  Fault injection (:mod:`repro.faults`) is honoured by
 the worker main loop, so every path above is deterministically
 testable.
 
-The dispatch interface is identical to :class:`WorkerPool`
-(``run_batch(tasks) -> outcomes in task order``), so
-:class:`~repro.serving.server.QueryServer` and
-:func:`~repro.serving.partition.execute_partitioned` work unchanged on
-either pool.
+The dispatch interface is ``run_batch(tasks) -> outcomes in task
+order``; :class:`~repro.serving.server.QueryServer` and
+:func:`~repro.serving.partition.execute_partitioned` drive it.
 """
 
 from __future__ import annotations
@@ -416,9 +413,8 @@ class _Worker:
 class SupervisedWorkerPool:
     """A crash-tolerant pool of query workers over one system snapshot.
 
-    Drop-in for :class:`~repro.serving.pool.WorkerPool` — same
-    ``snapshot`` / ``workers`` attributes, same
-    ``run_batch``/``close``/context-manager surface — with the
+    ``snapshot`` / ``workers`` attributes and a
+    ``run_batch``/``close``/context-manager surface, with the
     supervision semantics described in the module docstring.
 
     Parameters
@@ -505,8 +501,8 @@ class SupervisedWorkerPool:
             daemon=True,
         )
         if self.snapshot.mode == FORK:
-            # Same copy-on-write handoff as WorkerPool: the child reads
-            # the live system from the module global it inherits at fork.
+            # Copy-on-write handoff: the child reads the live system
+            # from the module global it inherits at fork.
             _pool._FORK_SYSTEM = self.snapshot.system
             try:
                 worker.process.start()

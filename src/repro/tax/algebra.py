@@ -9,7 +9,7 @@ the same code runs plain TAX (default context) and TOSS (SEO context).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..xmldb.model import XmlNode
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT
@@ -18,8 +18,9 @@ from .pattern import PatternTree
 from .tree import Collection, dedupe
 
 #: A compiled pattern condition (see :mod:`repro.tax.compile`) and the
-#: tag restrictions derived from it — both optional accelerations that
-#: must be exactly equivalent to interpreting ``pattern.condition``.
+#: tag restrictions derived from it — the batched operators'
+#: accelerations (:mod:`repro.tax.batch`), exactly equivalent to
+#: interpreting ``pattern.condition`` the way the operators here do.
 ConditionEvaluator = Callable[[Binding], bool]
 TagRestrictions = Mapping[int, Set[str]]
 
@@ -35,8 +36,6 @@ def selection(
     pattern: PatternTree,
     sl_labels: Iterable[int] = (),
     context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
 ) -> List[XmlNode]:
     """``sigma_{P, SL}``: all witness trees of ``pattern`` over the collection.
 
@@ -57,14 +56,7 @@ def selection(
         root_label = pattern.root
         tops: Dict[int, XmlNode] = {}
         for tree in collection:
-            for binding in find_matches(
-                pattern,
-                tree,
-                context,
-                evaluator=evaluator,
-                restrictions=restrictions,
-                order=order,
-            ):
+            for binding in find_matches(pattern, tree, context, order=order):
                 top = binding[root_label]
                 tops.setdefault(top.object_id, top)
         # Dedupe on the sources before copying: a copy's canonical key
@@ -82,14 +74,7 @@ def selection(
         return out
     witnesses: List[XmlNode] = []
     for tree in collection:
-        for embedding in find_embeddings(
-            pattern,
-            tree,
-            context,
-            evaluator=evaluator,
-            restrictions=restrictions,
-            order=order,
-        ):
+        for embedding in find_embeddings(pattern, tree, context, order=order):
             witnesses.append(witness_tree(embedding, sl))
     return dedupe(witnesses)
 
@@ -99,8 +84,6 @@ def projection(
     pattern: PatternTree,
     pl: Sequence[ProjectionEntry],
     context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
 ) -> List[XmlNode]:
     """``pi_{P, PL}``: keep nodes matched by the PL labels, per input tree.
 
@@ -119,14 +102,7 @@ def projection(
     results: List[XmlNode] = []
     for tree in collection:
         matched: Set[XmlNode] = set()
-        for binding in find_matches(
-            pattern,
-            tree,
-            context,
-            evaluator=evaluator,
-            restrictions=restrictions,
-            order=order,
-        ):
+        for binding in find_matches(pattern, tree, context, order=order):
             for label, keep_subtree in entries:
                 image = binding.get(label)
                 if image is None:
@@ -178,18 +154,9 @@ def join(
     pattern: PatternTree,
     sl_labels: Iterable[int] = (),
     context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
 ) -> List[XmlNode]:
     """Condition join: product followed by selection (Example 6)."""
-    return selection(
-        product(left, right),
-        pattern,
-        sl_labels,
-        context,
-        evaluator=evaluator,
-        restrictions=restrictions,
-    )
+    return selection(product(left, right), pattern, sl_labels, context)
 
 
 def union(left: Collection, right: Collection) -> List[XmlNode]:

@@ -20,20 +20,16 @@ sequences and ontology-access counts are bit-identical to the
 per-candidate path.  A resource guard is charged by these operators
 themselves, a chunk of candidates per call, at exactly the
 one-candidate-at-a-time price (:class:`_Verification`); guarded and
-unguarded queries run the same code.  Entries whose document has no columns
-(``columns is None``) fall back to ``find_embeddings`` per entry, the
-same way :func:`repro.xmldb.columnar.compile_columnar` falls back.
+unguarded queries run the same code.
 
-An entry is ``(columns, row)`` for a columnar candidate or
-``(None, node)`` for a fallback candidate; ``columns.nodes[row]`` is the
-candidate node itself, so evaluators see the *original* document nodes
-either way.
+An entry is ``(columns, row)``; ``columns.nodes[row]`` is the candidate
+node itself, so evaluators see the *original* document nodes.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..guard import CHECK_INTERVAL, ResourceGuard
 from ..xmldb.columnar import DocumentColumns
@@ -41,12 +37,11 @@ from ..xmldb.model import XmlNode
 from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator, TagRestrictions
 from .compile import BatchStep, compile_batch_steps
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT, required_tags
-from .embedding import Embedding, find_embeddings, find_matches, witness_tree
+from .embedding import Embedding, witness_tree
 from .pattern import PC, PatternTree
 
-#: A batched-verify candidate: ``(columns, row)``, or ``(None, node)``
-#: when the candidate's document has no columnar arrays.
-Entry = Tuple[Optional[DocumentColumns], Union[int, XmlNode]]
+#: A batched-verify candidate: row ``row`` of a document's columns.
+Entry = Tuple[DocumentColumns, int]
 
 #: The shared stand-in for a product root during virtual-product
 #: enumeration.  Conditions only ever read ``tag``/``content`` of bound
@@ -141,7 +136,7 @@ def prepare(
     """(evaluator, restrictions, preorder, steps) for a validated pattern.
 
     Fills whichever accelerations the caller did not supply, exactly the
-    way ``find_embeddings`` does — an interpreted-closure evaluator over
+    way ``find_matches`` does — an interpreted-closure evaluator over
     ``pattern.condition`` and freshly derived ``required_tags`` — and
     lowers the pattern to the flat step program the batched scans
     interpret.  Callers looping over many entries should call this once
@@ -405,8 +400,8 @@ def selection_batched(
     """``tax.algebra.selection`` over batched-verify entries.
 
     Produces the identical result sequence ``selection([nodes...])``
-    would, but enumerates embeddings over columns where available and —
-    on the root-inflating fast path — dedupes on cached subtree keys
+    would, but enumerates embeddings over columns and — on the
+    root-inflating fast path — dedupes on cached subtree keys
     before materialising any witness.  ``guard`` is charged per entry
     (see :class:`_Verification`).
     """
@@ -433,59 +428,25 @@ def selection_batched(
             found[rows[root_label]] = None
 
         for cols, item in results.candidates(entries):
-            if cols is None:
-                tops = {
-                    match[root_label].object_id: match[root_label]
-                    for match in find_matches(
-                        pattern,
-                        item,  # type: ignore[arg-type]
-                        context,
-                        evaluator=evaluator,
-                        restrictions=restrictions,
-                        order=order,
-                    )
-                }
-                results.candidate_done(
-                    [(top.canonical_key(), (None, top)) for top in tops.values()]
-                )
-            else:
-                scan(
-                    steps, cols, item, cols.end[item], binding, rows,
-                    evaluator, emit, root_prune,
-                )
-                results.candidate_done(
-                    [(cols.subtree_key(row), (cols, row)) for row in found]
-                )
-                found.clear()
-        return [
-            top.copy_numbered(itertools.count(), itertools.count())
-            if cols is None
-            else cols.materialize(top)
-            for cols, top in results.out
-        ]
+            scan(
+                steps, cols, item, cols.end[item], binding, rows,
+                evaluator, emit, root_prune,
+            )
+            results.candidate_done(
+                [(cols.subtree_key(row), (cols, row)) for row in found]
+            )
+            found.clear()
+        return [cols.materialize(top) for cols, top in results.out]
     witnesses: List[XmlNode] = []
 
     def emit_witness() -> None:
         witnesses.append(witness_tree(Embedding(pattern, dict(binding)), sl))
 
     for cols, item in results.candidates(entries):
-        if cols is None:
-            witnesses.extend(
-                witness_tree(embedding, sl)
-                for embedding in find_embeddings(
-                    pattern,
-                    item,  # type: ignore[arg-type]
-                    context,
-                    evaluator=evaluator,
-                    restrictions=restrictions,
-                    order=order,
-                )
-            )
-        else:
-            scan(
-                steps, cols, item, cols.end[item], binding, rows,
-                evaluator, emit_witness, root_prune,
-            )
+        scan(
+            steps, cols, item, cols.end[item], binding, rows,
+            evaluator, emit_witness, root_prune,
+        )
         results.candidate_done([(w.canonical_key(), w) for w in witnesses])
         witnesses.clear()
     return results.out
@@ -516,10 +477,10 @@ def projection_batched(
     scan = _scan_star if _is_star(steps) else _scan_entry
     results = _Verification(guard)
     rows: Dict[int, int] = {}
-    scan_binding: Dict[int, XmlNode] = {}
+    binding: Dict[int, XmlNode] = {}
     matched: Set[XmlNode] = set()
 
-    def keep(binding: Dict[int, XmlNode]) -> None:
+    def emit() -> None:
         for label, keep_subtree in pl_entries:
             image = binding.get(label)
             if image is None:
@@ -528,25 +489,11 @@ def projection_batched(
             if keep_subtree:
                 matched.update(image.descendants())
 
-    def emit() -> None:
-        keep(scan_binding)
-
     for cols, item in results.candidates(entries):
-        if cols is None:
-            for binding in find_matches(
-                pattern,
-                item,  # type: ignore[arg-type]
-                context,
-                evaluator=evaluator,
-                restrictions=restrictions,
-                order=order,
-            ):
-                keep(binding)
-        else:
-            scan(
-                steps, cols, item, cols.end[item], scan_binding, rows,
-                evaluator, emit, root_prune,
-            )
+        scan(
+            steps, cols, item, cols.end[item], binding, rows,
+            evaluator, emit, root_prune,
+        )
         forest = assemble_forest(matched) if matched else ()
         results.candidate_done([(tree.canonical_key(), tree) for tree in forest])
         matched.clear()
@@ -685,7 +632,10 @@ def _product_scan(
                     ((2, y) for y in range(r_lo, r_hi)),
                 )
             else:
-                left_key = (idx, 1, l_lo, id(lcols))
+                # Keyed apart from the side-anchored pools below: under
+                # the root a side's own root row is a descendant, under
+                # that row it is not.
+                left_key = ("root", idx, 1, l_lo, id(lcols))
                 left_part = None if memo is None else memo.get(left_key)
                 if left_part is None:
                     if len(tags_tuple) == 1:
@@ -703,7 +653,7 @@ def _product_scan(
                         ]
                     if memo is not None:
                         memo[left_key] = left_part
-                right_key = (idx, 2, r_lo, id(rcols))
+                right_key = ("root", idx, 2, r_lo, id(rcols))
                 right_part = None if memo is None else memo.get(right_key)
                 if right_part is None:
                     if len(tags_tuple) == 1:
@@ -893,8 +843,8 @@ def _assemble_product_witness(
 
 
 def join_pairs_batched(
-    left: Sequence[Tuple[DocumentColumns, int]],
-    right: Sequence[Tuple[DocumentColumns, int]],
+    left: Sequence[Entry],
+    right: Sequence[Entry],
     pairs: Sequence[Tuple[int, int]],
     pattern: PatternTree,
     sl_labels: Iterable[int],

@@ -16,9 +16,8 @@ images of SL-listed pattern nodes to their full subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from ..xmldb.indexes import DocumentIndex
 from ..xmldb.model import XmlNode, ancestor_of
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT, required_tags
 from .pattern import AD, PC, PatternNode, PatternTree
@@ -42,10 +41,7 @@ class Embedding:
 def _tag_buckets(tree: XmlNode) -> Dict[str, List[XmlNode]]:
     """All subtree nodes bucketed by tag, each bucket in document order.
 
-    One preorder pass shared by the root pool and the ad-edge probes —
-    the same node sequences the tag-index path produced, without
-    materializing a full :class:`DocumentIndex` (whose value index the
-    embedder never used).
+    One preorder pass shared by the root pool and the ad-edge probes.
     """
     buckets: Dict[str, List[XmlNode]] = {}
     for node in tree.iter():
@@ -61,33 +57,17 @@ def find_embeddings(
     pattern: PatternTree,
     tree: XmlNode,
     context: ConditionContext = DEFAULT_CONTEXT,
-    index: Optional[DocumentIndex] = None,
-    evaluator: Optional[Callable[[Binding], bool]] = None,
-    restrictions: Optional[Mapping[int, Set[str]]] = None,
     order: Optional[Sequence[PatternNode]] = None,
 ) -> Iterator[Embedding]:
     """Enumerate all embeddings of ``pattern`` into ``tree``.
 
-    ``index`` may be a prebuilt :class:`DocumentIndex` for the tree;
-    without one, root candidates come from a direct preorder scan.
-    ``evaluator`` may be a compiled form of ``pattern.condition`` (see
-    :mod:`repro.tax.compile`) closed over ``context``, and
-    ``restrictions`` its precomputed :func:`required_tags` — both are
-    derived on the fly otherwise.  ``order`` may be the pattern's
-    precomputed (validated) preorder; passing it lets a caller looping
-    over many trees pay validation once.  The condition is evaluated
-    once per complete structural match (candidate tag pruning makes the
-    common conjunctive queries cheap before that point).
+    ``order`` may be the pattern's precomputed (validated) preorder;
+    passing it lets a caller looping over many trees pay validation
+    once.  The condition is evaluated once per complete structural
+    match (candidate tag pruning makes the common conjunctive queries
+    cheap before that point).
     """
-    for binding in find_matches(
-        pattern,
-        tree,
-        context,
-        index=index,
-        evaluator=evaluator,
-        restrictions=restrictions,
-        order=order,
-    ):
+    for binding in find_matches(pattern, tree, context, order=order):
         yield Embedding(pattern, dict(binding))
 
 
@@ -95,9 +75,6 @@ def find_matches(
     pattern: PatternTree,
     tree: XmlNode,
     context: ConditionContext = DEFAULT_CONTEXT,
-    index: Optional[DocumentIndex] = None,
-    evaluator: Optional[Callable[[Binding], bool]] = None,
-    restrictions: Optional[Mapping[int, Set[str]]] = None,
     order: Optional[Sequence[PatternNode]] = None,
 ) -> Iterator[Binding]:
     """Like :func:`find_embeddings`, but yields the *live* binding dict.
@@ -105,21 +82,15 @@ def find_matches(
     The same dict object is yielded for every match (and mutated between
     yields) — callers that keep a binding past one iteration must copy
     it.  Callers that only inspect one or two labels per match (the
-    root-inflating selection fast path, projection's PL probes, the
-    batched verifier's fallback entries) skip the per-match
-    :class:`Embedding` + dict-copy allocation this way.
+    root-inflating selection fast path, projection's PL probes) skip
+    the per-match :class:`Embedding` + dict-copy allocation this way.
     """
     if order is None:
         pattern.validate()
         order = list(pattern.preorder())
-    if restrictions is None:
-        restrictions = required_tags(pattern.condition)
+    restrictions = required_tags(pattern.condition)
     binding: Dict[int, XmlNode] = {}
-    if evaluator is None:
-        condition, ctx = pattern.condition, context
-
-        def evaluator(b: Binding, _c=condition, _ctx=ctx) -> bool:
-            return _c.evaluate(b, _ctx)
+    condition = pattern.condition
 
     buckets: Optional[Dict[str, List[XmlNode]]] = None
 
@@ -134,12 +105,7 @@ def find_matches(
         if pattern_node.parent is None:
             if tags is None:
                 return tree.iter()
-            if index is not None:
-                pool: Iterable[XmlNode] = []
-                for tag in tags:
-                    pool = list(pool) + index.tags.nodes(tag)
-                return pool
-            pool = []
+            pool: Iterable[XmlNode] = []
             for tag in tags:
                 pool.extend(tag_bucket(tag))
             return pool
@@ -160,7 +126,7 @@ def find_matches(
 
     def backtrack(position: int) -> Iterator[Binding]:
         if position == len(order):
-            if evaluator(binding):
+            if condition.evaluate(binding, context):
                 yield binding
             return
         pattern_node = order[position]

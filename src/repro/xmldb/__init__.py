@@ -5,8 +5,8 @@ collections and are queried with XPath.  This package reproduces that
 substrate in Python: an ordered labelled tree model with preorder/postorder
 numbering (:mod:`model`), an XML reader/writer (:mod:`parser`,
 :mod:`serializer`), named collections with Xindice's per-document size cap
-(:mod:`collection`), tag/value indexes (:mod:`indexes`), an XPath-subset
-engine (:mod:`xpath`), and the :class:`Database` facade tying them together.
+(:mod:`collection`), an XPath-subset engine (:mod:`xpath`), and the
+:class:`Database` facade tying them together.
 """
 
 from .collection import Collection

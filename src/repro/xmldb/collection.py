@@ -15,7 +15,6 @@ from ..errors import CollectionError, DocumentTooLargeError
 from ..guard import CHECK_INTERVAL, ResourceGuard
 from .columnar import DocumentColumns
 from .index import CollectionSearchIndex
-from .indexes import CollectionIndex, DocumentIndex
 from .model import XmlNode
 from .parser import parse_document
 from .serializer import document_bytes
@@ -44,11 +43,6 @@ class Collection:
         self.name = name
         self.max_document_bytes = max_document_bytes
         self._documents: Dict[str, XmlNode] = {}
-        self._index = CollectionIndex()
-        #: Match columnar-subset queries with the compiled columnar
-        #: matchers rather than the reference engine (ablatable; results
-        #: and guard charges identical).
-        self.use_columnar = True
         #: Lazily built per-document columnar arrays, keyed by document
         #: key; each entry remembers the root it was built from so a
         #: replaced document can never serve stale columns.
@@ -116,7 +110,6 @@ class Collection:
         """Overwrite (or create) the document under ``key``."""
         if key in self._documents:
             root = self._documents[key]
-            self._index.invalidate(root)
             self._columns.pop(key, None)
             if self._search_index is not None:
                 self._search_index.remove_document(key, root)
@@ -133,7 +126,6 @@ class Collection:
             ) from None
         self.generation += 1
         self._changelog.append((self.generation, "remove", key))
-        self._index.invalidate(root)
         self._columns.pop(key, None)
         if self._search_index is not None:
             self._search_index.remove_document(key, root)
@@ -195,10 +187,6 @@ class Collection:
 
     # -- querying ----------------------------------------------------------------
 
-    def index_for(self, root: XmlNode) -> DocumentIndex:
-        """Per-document tag/value index (built lazily, cached)."""
-        return self._index.index_for(root)
-
     def columns_for(self, key: str, root: XmlNode) -> DocumentColumns:
         """Columnar arrays for a stored document (built lazily, cached)."""
         entry = self._columns.get(key)
@@ -248,17 +236,14 @@ class Collection:
         """The candidate fetch: ``(columns, row)`` per match, or None.
 
         None means the query is outside the columnar subset: the
-        reference engine runs it, metering its own steps.  Inside the
+        tree engine runs it, metering its own steps.  Inside the
         subset a guard is charged ``"xpath evaluation"`` one step per
         document scanned plus one per row produced, a chunk per call,
-        and its result cap is checked as rows accumulate.  Ablating
-        :attr:`use_columnar` swaps only the matcher — the reference
-        engine finds the same rows (a stored node's ``pre`` is its row).
+        and its result cap is checked as rows accumulate.
         """
         rows_fn = compiled.columnar_rows()
         if rows_fn is None:
             return None
-        columnar = self.use_columnar
         pairs: List[Tuple[DocumentColumns, int]] = []
         append = pairs.append
         column_cache = self._columns
@@ -270,10 +255,7 @@ class Collection:
                 cols = entry[1]
             else:
                 cols = self.columns_for(key, root)
-            if columnar:
-                rows = rows_fn(cols)
-            else:
-                rows = [node.pre for node in compiled.select(root)]
+            rows = rows_fn(cols)
             if rows:
                 if len(rows) == 1:
                     append((cols, rows[0]))

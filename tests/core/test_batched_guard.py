@@ -1,24 +1,30 @@
-"""Guard accounting parity: batched verify vs per-document verify.
+"""Guard accounting of the batched route: chunked == one candidate at a time.
 
 The batched verifier must be invisible to the resource guard: one tick
 per candidate document (and per probed join pair), the same ``what``
 labels, the same ``stage_steps == steps`` partition, and — when a step
 budget trips mid-verify — the same exception with the same message at
-the same step count.  Otherwise a budget tuned against one path would
-silently admit (or kill) queries on the other.
+the same step count as a loop that ticks, verifies and checks the
+result cap one candidate at a time.  That loop is spelled out here
+(:func:`_reference`); the production route is held to it stage by
+stage and end to end.
 """
 
 import pytest
 
+from repro.core.conditions import SimilarTo
 from repro.data import generate_corpus, render_dblp
 from repro.data.sigmod import render_sigmod_pages
-from repro.errors import ResourceExhaustedError
+from repro.errors import QueryTimeoutError, ResourceExhaustedError
 from repro.experiments.workload import (
     build_join_pattern,
     build_scalability_pattern,
     build_system,
 )
-from repro.guard import ResourceGuard
+from repro.guard import CHECK_INTERVAL, ResourceGuard
+from repro.tax import batch as tax_batch
+from repro.tax.conditions import And, Comparison, Or
+from repro.tax.tree import dedupe
 
 SEED = 11
 EPSILON = 3.0
@@ -28,17 +34,29 @@ def _sharded(corpus, keys):
     return [render_dblp(corpus, seed=SEED, paper_keys=[key]) for key in keys]
 
 
+def _full_product_join_pattern():
+    """Figure 16(b)'s join with its ``~`` inside an ``or``: the same
+    answers, but no *top-level* cross-side ``~`` — so neither the hash
+    join nor the cross probe thins the product, and verification sees
+    every candidate pair."""
+    pattern = build_join_pattern()
+    *tags, similar = pattern.condition.operands
+    assert isinstance(similar, SimilarTo)
+    pattern.condition = And(
+        *tags, Or(similar, Comparison("=", similar.left, similar.right))
+    )
+    return pattern
+
+
 @pytest.fixture(scope="module")
 def system():
     corpus = generate_corpus(30, seed=SEED)
     keys = corpus.paper_keys()
     documents = _sharded(corpus, keys)
     pages = render_sigmod_pages(corpus, seed=SEED, paper_keys=keys)
-    system = build_system(
+    return build_system(
         corpus, documents, EPSILON, sigmod_documents=pages, use_cache=False
     )
-    system.executor.similarity_hash_join = False
-    return system
 
 
 def _selection(system, guard):
@@ -48,88 +66,11 @@ def _selection(system, guard):
     )
 
 
-def _join(system, guard):
+def _join(system, guard, pattern=None):
+    pattern = pattern if pattern is not None else build_join_pattern()
     return system.executor.join(
-        "dblp", "sigmod", build_join_pattern(), sl_labels=[2, 5], guard=guard
+        "dblp", "sigmod", pattern, sl_labels=[2, 5], guard=guard
     )
-
-
-def _run_both(system, run, max_steps):
-    """((outcome, guard) batched, (outcome, guard) per-document)."""
-    executor = system.executor
-    snapshots = []
-    for batched in (True, False):
-        executor.verify_batched = batched
-        guard = ResourceGuard(max_steps=max_steps)
-        try:
-            outcome = ("ok", [t.canonical_key() for t in run(system, guard).results])
-        except ResourceExhaustedError as exc:
-            outcome = ("error", str(exc))
-        snapshots.append((outcome, guard))
-    executor.verify_batched = True
-    return snapshots
-
-
-class TestSelectionGuardParity:
-    def test_ample_budget_identical_accounting(self, system):
-        (out_b, g_b), (out_u, g_u) = _run_both(system, _selection, 10**6)
-        assert out_b[0] == out_u[0] == "ok"
-        assert out_b[1] == out_u[1]
-        assert g_b.steps == g_u.steps > 0
-        assert g_b.stage_steps == g_u.stage_steps
-        assert sum(g_b.stage_steps.values()) == g_b.steps
-        assert g_b.stage_steps["result verification"] > 0
-
-    def test_step_budget_trips_identically(self, system):
-        # Pick a budget that lands mid-verify: enough for the xpath
-        # phase, short of the full candidate sweep.
-        _, full_guard = _run_both(system, _selection, 10**6)[0]
-        verify_ticks = full_guard.stage_steps["result verification"]
-        budget = full_guard.steps - verify_ticks // 2
-        (out_b, g_b), (out_u, g_u) = _run_both(system, _selection, budget)
-        assert out_b[0] == out_u[0] == "error"
-        assert out_b[1] == out_u[1]
-        assert g_b.steps == g_u.steps
-        assert g_b.stage_steps == g_u.stage_steps
-
-
-class TestJoinGuardParity:
-    def test_ample_budget_identical_accounting(self, system):
-        (out_b, g_b), (out_u, g_u) = _run_both(system, _join, 10**7)
-        assert out_b[0] == out_u[0] == "ok"
-        assert out_b[1] == out_u[1]
-        assert g_b.steps == g_u.steps > 0
-        assert g_b.stage_steps == g_u.stage_steps
-        assert sum(g_b.stage_steps.values()) == g_b.steps
-        # One product tick per probed pair, one verification tick per pair.
-        assert g_b.stage_steps["join product"] > 0
-        assert g_b.stage_steps["result verification"] > 0
-
-    def test_step_budget_trips_identically(self, system):
-        _, full_guard = _run_both(system, _join, 10**7)[0]
-        verify_ticks = full_guard.stage_steps["result verification"]
-        budget = full_guard.steps - verify_ticks // 2
-        (out_b, g_b), (out_u, g_u) = _run_both(system, _join, budget)
-        assert out_b[0] == out_u[0] == "error"
-        assert out_b[1] == out_u[1]
-        assert g_b.steps == g_u.steps
-        assert g_b.stage_steps == g_u.stage_steps
-
-
-# ---------------------------------------------------------------------------
-# Chunked ticks == one-candidate-at-a-time accounting
-# ---------------------------------------------------------------------------
-#
-# The batched operators charge a chunk of candidates per guard call.  The
-# contract they must keep is PR 8's: one "result verification" tick per
-# candidate, taken before the candidate's work; the result cap checked
-# after every candidate against the running total of each candidate's own
-# results.  ``_reference`` is that accounting, spelled out.
-
-from repro.errors import QueryTimeoutError
-from repro.guard import CHECK_INTERVAL
-from repro.tax import batch as tax_batch
-from repro.tax.tree import dedupe
 
 
 def _reference(run, candidates, guard):
@@ -142,12 +83,139 @@ def _reference(run, candidates, guard):
     return dedupe(results)
 
 
+def _selection_by_candidate(system, guard):
+    """:func:`_selection` with its verify stage run through :func:`_reference`."""
+    executor = system.executor
+    pattern = build_scalability_pattern()
+    guard.start()
+    plan, _ = executor._selection_plan(pattern)
+    doc_keys, *_ = executor._prune("dblp", plan["spec"], guard)
+    entries = executor._fetch("dblp", plan["xpath"], guard, doc_keys)
+    verified, evaluator, restrictions, order, steps = executor._verify_tools(
+        plan, pattern
+    )
+
+    def run(candidates, inner_guard):
+        return tax_batch.selection_batched(
+            candidates, verified, [1], executor._evaluation_context(),
+            evaluator=evaluator, restrictions=restrictions, order=order,
+            steps=steps, guard=inner_guard,
+        )
+
+    return _reference(run, entries, guard)
+
+
+def _join_by_pair(system, guard, pattern):
+    """:func:`_join` (no hash join) with one verification call per pair."""
+    executor = system.executor
+    guard.start()
+    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(
+        system, pattern, guard
+    )
+    guard.tick(len(left) * len(right), what="join product")
+    pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+
+    def run(some_pairs, inner_guard):
+        return tax_batch.join_pairs_batched(
+            left, right, some_pairs, verified, [2, 5],
+            executor._evaluation_context(), evaluator=evaluator,
+            restrictions=restrictions, order=order, steps=steps,
+            guard=inner_guard,
+        )[0]
+
+    return _reference(run, pairs, guard)
+
+
+def _join_parts(system, pattern, guard=None):
+    """(left entries, right entries, verify tools) of a join, pre-verify."""
+    executor = system.executor
+    plan, _ = executor._join_plan(pattern)
+    sides = plan["sides"]
+    left_keys, right_keys, *_ = executor._prune_join("dblp", "sigmod", plan, guard)
+    left = executor._fetch("dblp", sides[0]["xpath"], guard, left_keys)
+    right = executor._fetch("sigmod", sides[1]["xpath"], guard, right_keys)
+    return left, right, executor._verify_tools(plan, pattern)
+
+
 def _outcome(call, guard):
     try:
         result = ("ok", [tree.canonical_key() for tree in call(guard)])
     except (ResourceExhaustedError, QueryTimeoutError) as exc:
         result = (type(exc).__name__, str(exc))
     return result, guard.steps, guard.stage_steps
+
+
+def _run_both(production, by_candidate, max_steps):
+    """(outcome, steps, stages) of the chunked route and of the loop."""
+    return (
+        _outcome(lambda g: production(g).results, ResourceGuard(max_steps=max_steps)),
+        _outcome(by_candidate, ResourceGuard(max_steps=max_steps)),
+    )
+
+
+class TestSelectionGuardParity:
+    def _both(self, system, max_steps):
+        return _run_both(
+            lambda g: _selection(system, g),
+            lambda g: _selection_by_candidate(system, g),
+            max_steps,
+        )
+
+    def test_ample_budget_identical_accounting(self, system):
+        chunked, looped = self._both(system, 10**6)
+        assert chunked == looped
+        (kind, keys), steps, stages = chunked
+        assert kind == "ok" and keys
+        assert sum(stages.values()) == steps > 0
+        assert stages["result verification"] > 0
+
+    def test_step_budget_trips_identically(self, system):
+        # Pick a budget that lands mid-verify: enough for the xpath
+        # phase, short of the full candidate sweep.
+        _, steps, stages = self._both(system, 10**6)[0]
+        budget = steps - stages["result verification"] // 2
+        chunked, looped = self._both(system, budget)
+        assert chunked == looped
+        assert chunked[0][0] == "ResourceExhaustedError"
+        assert chunked[1] == budget + 1
+
+
+class TestJoinGuardParity:
+    def _both(self, system, max_steps):
+        pattern = _full_product_join_pattern()
+        return _run_both(
+            lambda g: _join(system, g, pattern),
+            lambda g: _join_by_pair(system, g, pattern),
+            max_steps,
+        )
+
+    def test_ample_budget_identical_accounting(self, system):
+        chunked, looped = self._both(system, 10**7)
+        assert chunked == looped
+        (kind, keys), steps, stages = chunked
+        assert kind == "ok" and keys
+        assert sum(stages.values()) == steps > 0
+        # One product tick per probed pair, one verification tick per pair.
+        assert stages["join product"] == stages["result verification"] > 0
+
+    def test_step_budget_trips_identically(self, system):
+        _, steps, stages = self._both(system, 10**7)[0]
+        budget = steps - stages["result verification"] // 2
+        chunked, looped = self._both(system, budget)
+        assert chunked == looped
+        assert chunked[0][0] == "ResourceExhaustedError"
+        assert chunked[1] == budget + 1
+
+
+# ---------------------------------------------------------------------------
+# Chunked ticks == one-candidate-at-a-time accounting
+# ---------------------------------------------------------------------------
+#
+# The batched operators charge a chunk of candidates per guard call.  The
+# contract they must keep is PR 8's: one "result verification" tick per
+# candidate, taken before the candidate's work; the result cap checked
+# after every candidate against the running total of each candidate's own
+# results.  ``_reference`` (above) is that accounting, spelled out.
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +231,7 @@ def wide():
     executor = system.executor
     pattern = build_scalability_pattern(narrow_category="conference")
     plan, _ = executor._selection_plan(pattern)
-    entries = executor._candidate_entries("dblp", plan["xpath"], None, None)
+    entries = executor._fetch("dblp", plan["xpath"], None, None)
     assert len(entries) > 2 * CHECK_INTERVAL
     tools = dict(
         zip(
@@ -240,22 +308,13 @@ def test_deadline_rechecked_inside_verification(wide):
     assert guard.steps <= CHECK_INTERVAL  # within one deadline stride
 
 
-def _join_parts(system):
-    executor = system.executor
-    pattern = build_join_pattern()
-    plan, _ = executor._join_plan(pattern, pattern.children(pattern.root))
-    sides = plan["sides"]
-    left = executor._candidate_entries("dblp", sides[0]["xpath"], None, None)
-    right = executor._candidate_entries("sigmod", sides[1]["xpath"], None, None)
-    tools = executor._verify_tools(plan, pattern)
-    return left, right, tools
-
-
 @pytest.mark.parametrize("budget", _BUDGETS)
 @pytest.mark.parametrize("sl", [[0], [2, 5]], ids=["root", "witness"])
 def test_join_pairs_chunked_ticks_match_per_pair_accounting(wide, sl, budget):
     system = wide[0]
-    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(system)
+    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(
+        system, _full_product_join_pattern()
+    )
     pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
     pairs = pairs[: 2 * CHECK_INTERVAL + 9]
     assert len(pairs) > 2 * CHECK_INTERVAL
@@ -280,31 +339,28 @@ def test_executor_join_trips_inside_a_verification_chunk(wide, hash_join):
     """End to end: the budget runs out at the first, a middle and the last
     pair of a chunk, with and without the hash join in front."""
     system = wide[0]
-    executor = system.executor
-    executor.similarity_hash_join = hash_join
-    try:
-        full = ResourceGuard(max_steps=10**9)
-        _join(system, full)
-        stages = full.stage_steps
-        pairs = stages["result verification"]
-        assert stages["join product"] == pairs > 2
-        assert hash_join or pairs > CHECK_INTERVAL
-        before_verify = full.steps - pairs
-        chunk = min(pairs, CHECK_INTERVAL)
-        # first, middle and last pair of the first chunk, then the next pair
-        for into in (0, chunk // 2, chunk - 1, min(chunk, pairs - 1)):
-            budget = before_verify + into
-            guard = ResourceGuard(max_steps=budget)
-            with pytest.raises(ResourceExhaustedError) as info:
-                _join(system, guard)
-            assert str(info.value) == (
-                f"result verification exceeded its evaluation budget of {budget} steps"
-            )
-            assert guard.steps == budget + 1
-            expected = dict(stages, **{"result verification": into + 1})
-            assert guard.stage_steps == expected
-    finally:
-        executor.similarity_hash_join = False
+    pattern = build_join_pattern() if hash_join else _full_product_join_pattern()
+    full = ResourceGuard(max_steps=10**9)
+    _join(system, full, pattern)
+    stages = full.stage_steps
+    pairs = stages["result verification"]
+    assert stages["join product"] == pairs > 2
+    assert ("similarity hash join" in stages) == hash_join
+    assert hash_join or pairs > CHECK_INTERVAL
+    before_verify = full.steps - pairs
+    chunk = min(pairs, CHECK_INTERVAL)
+    # first, middle and last pair of the first chunk, then the next pair
+    for into in (0, chunk // 2, chunk - 1, min(chunk, pairs - 1)):
+        budget = before_verify + into
+        guard = ResourceGuard(max_steps=budget)
+        with pytest.raises(ResourceExhaustedError) as info:
+            _join(system, guard, pattern)
+        assert str(info.value) == (
+            f"result verification exceeded its evaluation budget of {budget} steps"
+        )
+        assert guard.steps == budget + 1
+        expected = dict(stages, **{"result verification": into + 1})
+        assert guard.stage_steps == expected
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +377,16 @@ class TestFetchAccounting:
         rows = collection.xpath_rows(self.QUERY, guard=guard)
         assert guard.stage_steps == {"xpath evaluation": len(collection) + len(rows)}
 
-    def test_same_charges_on_the_reference_engine(self, wide):
+    def test_step_budget_trips_on_the_exact_step(self, wide):
         collection = wide[0].database.get_collection("dblp")
-        snapshots = []
-        for columnar in (True, False):
-            collection.use_columnar = columnar
-            try:
-                guard = ResourceGuard(max_steps=CHECK_INTERVAL + 7)
-                snapshots.append(
-                    _outcome(lambda g: collection.xpath(self.QUERY, guard=g), guard)
-                )
-            finally:
-                collection.use_columnar = True
-        assert snapshots[0] == snapshots[1]
-        assert snapshots[0][0] == (
+        guard = ResourceGuard(max_steps=CHECK_INTERVAL + 7)
+        outcome = _outcome(lambda g: collection.xpath(self.QUERY, guard=g), guard)
+        assert outcome[0] == (
             "ResourceExhaustedError",
             f"xpath evaluation exceeded its evaluation budget of "
             f"{CHECK_INTERVAL + 7} steps",
         )
-        assert snapshots[0][1] == CHECK_INTERVAL + 8
+        assert outcome[1] == CHECK_INTERVAL + 8
 
     def test_deadline_and_result_cap(self, wide):
         collection = wide[0].database.get_collection("dblp")
@@ -373,22 +420,17 @@ def _texts(report):
 @pytest.mark.parametrize("kind", ["selection", "projection", "join"])
 def test_guarded_equals_unguarded(wide, kind):
     system = wide[0]
-    executor = system.executor
-    executor.similarity_hash_join = True
-    try:
-        reports = []
-        for guard in (None, ResourceGuard(max_steps=10**9, max_results=10**6)):
-            if kind == "selection":
-                report = _selection(system, guard)
-            elif kind == "projection":
-                report = executor.projection(
-                    "dblp", build_scalability_pattern(), [2, 3], guard=guard
-                )
-            else:
-                report = _join(system, guard)
-            reports.append(report)
-    finally:
-        executor.similarity_hash_join = False
+    reports = []
+    for guard in (None, ResourceGuard(max_steps=10**9, max_results=10**6)):
+        if kind == "selection":
+            report = _selection(system, guard)
+        elif kind == "projection":
+            report = system.executor.projection(
+                "dblp", build_scalability_pattern(), [2, 3], guard=guard
+            )
+        else:
+            report = _join(system, guard)
+        reports.append(report)
     plain, guarded = reports
     assert _texts(plain) == _texts(guarded) and plain.results
     for field in ("candidates", "docs_verified", "pairs_probed", "pairs_materialized"):
@@ -401,27 +443,20 @@ def test_guarded_equals_unguarded(wide, kind):
 
 
 class TestCrossProbeMemoIsGuardHonest:
-    def _join(self, system, guard):
-        system.executor.similarity_hash_join = True
-        try:
-            return _join(system, guard)
-        finally:
-            system.executor.similarity_hash_join = False
-
     def test_warm_hit_charges_what_the_cold_probe_charged(self, wide):
         system = wide[0]
         memo = system.executor._cross_probe_cache
         memo.clear()
         cold = ResourceGuard(max_steps=10**9)
-        cold_report = self._join(system, cold)
+        cold_report = _join(system, cold)
         hits = memo.hits
         warm = ResourceGuard(max_steps=10**9)
-        warm_report = self._join(system, warm)
+        warm_report = _join(system, warm)
         assert memo.hits == hits + 1
         assert (warm.steps, warm.stage_steps) == (cold.steps, cold.stage_steps)
         assert _texts(warm_report) == _texts(cold_report)
         # An unguarded request shares the entry...
-        self._join(system, None)
+        _join(system, None)
         assert memo.hits == hits + 2
         # ...and a budget one below the probe's cold cost trips on the hit,
         # on the very step the cold probe would have tripped on.
@@ -432,7 +467,7 @@ class TestCrossProbeMemoIsGuardHonest:
                 memo.clear()
             guard = ResourceGuard(max_steps=probe_cost - 1)
             with pytest.raises(ResourceExhaustedError, match="index probe") as info:
-                self._join(system, guard)
+                _join(system, guard)
             outcomes.append((str(info.value), guard.steps, guard.stage_steps))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] == probe_cost

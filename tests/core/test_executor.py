@@ -11,6 +11,7 @@ from repro.core.executor import (
     _side_condition,
     _subtree_pattern,
 )
+from repro.core.reference import ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology
@@ -278,3 +279,32 @@ class TestJoinExecution:
             "dblp", "sigmod", pattern, sl_labels=[2, 4]
         )
         assert report.results == []
+
+    def test_descendants_of_a_side_root_exclude_the_root_itself(self, context):
+        # Regression: in the virtual product, the pool "descendants of the
+        # product root on this side" (which holds the side's root row) was
+        # memoised under the same key as "descendants of the side's root
+        # row" (which must not), so an ``ad`` edge hanging off the pattern
+        # root could bind a node as its own descendant.
+        database = Database()
+        for name in ("left", "right"):
+            database.create_collection(name).add_document(
+                "d", "<lib><book><book>alpha</book></book></lib>"
+            )
+        pattern = pattern_of(
+            [(0, None, PC), (1, 0, AD), (2, 1, PC), (3, 0, AD), (4, 3, PC)]
+        )
+        pattern.condition = And(
+            *(Comparison("=", NodeTag(n), Constant("book")) for n in (1, 2, 3, 4)),
+            Comparison("=", NodeContent(2), NodeContent(4)),
+        )
+        report = QueryExecutor(database, context).join(
+            "left", "right", pattern, sl_labels=[2, 4]
+        )
+        oracle = ReferenceExecutor(database, context).join(
+            "left", "right", pattern, sl_labels=[2, 4]
+        )
+        assert [t.canonical_key() for t in report.results] == [
+            t.canonical_key() for t in oracle.results
+        ]
+        assert all(tree.tag == "tax_prod_root" for tree in report.results)

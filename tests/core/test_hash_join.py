@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.conditions import SeoConditionContext, SimilarTo
 from repro.core.executor import QueryExecutor, _cross_similarity_atom
+from repro.core.reference import ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology
 from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag
 from repro.tax.pattern import pattern_of
 from repro.xmldb.database import Database
+
+from tests.oracle import assert_matches_reference
 
 LEFT = """
 <dblp>
@@ -99,14 +102,41 @@ class TestHashJoinEquivalence:
         }
 
     def test_agrees_with_naive_product(self, database, context):
-        fast = QueryExecutor(database, context, similarity_hash_join=True)
-        slow = QueryExecutor(database, context, similarity_hash_join=False)
         pattern = join_pattern()
-        fast_results = fast.join("left", "right", pattern, sl_labels=[2, 4])
-        slow_results = slow.join("left", "right", pattern, sl_labels=[2, 4])
-        assert {t.canonical_key() for t in fast_results.results} == {
-            t.canonical_key() for t in slow_results.results
-        }
+        for sl in ([2, 4], [0], []):
+            fast = QueryExecutor(database, context).join(
+                "left", "right", pattern, sl_labels=sl
+            )
+            naive = ReferenceExecutor(database, context).join(
+                "left", "right", pattern, sl_labels=sl
+            )
+            # Hash-joined: the reference evaluates all 9 pairs, so
+            # results only.
+            assert_matches_reference(fast, naive, accesses=False)
+            assert len(fast.results) == 2
+            assert fast.pairs_probed < 3 * 3 and naive.candidates == 3 + 3
+
+    def test_empty_contents_are_similar_too(self, context):
+        # "" ~ "" (distance 0) and "" ~ "ab" (distance 2 <= epsilon): the
+        # hash join may not drop valueless nodes from its value sets.
+        db = Database()
+        db.create_collection("left").add_document(
+            "l", "<dblp><inproceedings><title></title></inproceedings></dblp>"
+        )
+        db.create_collection("right").add_document(
+            "r",
+            "<page><article><title></title></article>"
+            "<article><title>ab</title></article>"
+            "<article><title>abcdef</title></article></page>",
+        )
+        pattern = join_pattern()
+        report = QueryExecutor(db, context).join("left", "right", pattern, [2, 4])
+        assert_matches_reference(
+            report,
+            ReferenceExecutor(db, context).join("left", "right", pattern, [2, 4]),
+            accesses=False,
+        )
+        assert len(report.results) == 2
 
     def test_falls_back_without_cross_atom(self, database, context):
         executor = QueryExecutor(database, context)

@@ -19,6 +19,7 @@ from repro.core.planner import (
     has_semantic_atom,
     prune_candidates,
 )
+from repro.core.reference import ReferenceExecutor
 from repro.errors import ResourceExhaustedError
 from repro.guard import ResourceGuard
 from repro.ontology import Hierarchy
@@ -34,6 +35,8 @@ from repro.tax.conditions import (
 )
 from repro.tax.pattern import AD, PC, pattern_of
 from repro.xmldb.database import Database
+
+from tests.oracle import assert_matches_reference
 
 DOCS = {
     "a": """
@@ -225,27 +228,30 @@ class TestCrossProbe:
 
 
 class TestExecutorIntegration:
-    def _results(self, executor, pattern):
-        report = executor.selection("dblp", pattern, sl_labels=[1])
-        return [tree.canonical_key() for tree in report.results]
-
     def test_indexed_equals_scan_and_reports_pruning(self, database, context):
         pattern = _author_pattern(
             SimilarTo(NodeContent(2), Constant("J. Smith"))
         )
-        indexed = QueryExecutor(database, context, use_index=True)
-        scan = QueryExecutor(database, context, use_index=False)
-        assert self._results(indexed, pattern) == self._results(scan, pattern)
+        report = QueryExecutor(database, context).selection(
+            "dblp", pattern, sl_labels=[1]
+        )
+        scan = ReferenceExecutor(database, context).selection(
+            "dblp", pattern, sl_labels=[1]
+        )
+        assert_matches_reference(report, scan)
+        assert report.results
 
-        report = indexed.selection("dblp", pattern, sl_labels=[1])
         assert report.index_used
         assert report.docs_total == 3
         assert report.docs_scanned == 2  # "c" pruned
         assert report.docs_pruned == 1
 
-        report = scan.selection("dblp", pattern, sl_labels=[1])
-        assert not report.index_used
-        assert report.docs_scanned == report.docs_total
+    def test_unprunable_plan_scans_every_document(self, database):
+        # Semantic atoms with no SEO context: the planner refuses to
+        # prune (the query must raise from verification, as a scan would).
+        pattern = _author_pattern(SimilarTo(NodeContent(2), Constant("J. Smith")))
+        executor = QueryExecutor(database, None)
+        assert executor.candidate_documents("dblp", pattern) == ["a", "b", "c"]
 
     def test_plan_cache_hits_on_repeat(self, database, context):
         pattern = _author_pattern(
@@ -285,13 +291,6 @@ class TestExecutorIntegration:
         assert "index    : tag in {inproceedings}" in plan
         assert "pc pair in {inproceedings/author}" in plan
         assert "terms within epsilon of 'J. Smith'" in plan
-
-    def test_explain_reports_full_scan_when_disabled(self, database, context):
-        pattern = _author_pattern(
-            Comparison("=", NodeContent(2), Constant("J. Smith"))
-        )
-        executor = QueryExecutor(database, context, use_index=False)
-        assert "full scan (use_index=False)" in str(executor.explain(pattern))
 
 
 class TestOrAlternativeCap:

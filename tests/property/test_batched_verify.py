@@ -1,17 +1,23 @@
-"""Property: batched columnar verify == per-document interpreted verify.
+"""Property: batched columnar verify == the reference executor.
 
-The set-oriented verifier (``verify_batched`` + compiled conditions +
-columnar scans) must be a pure acceleration of the per-document
-interpreted pipeline.  For fuzzed selections (selective and broad),
-and joins against a real SEO, the two configurations must agree on
+The production pipeline (index pruning + columnar fetch + compiled
+conditions + set-oriented verify) must be a pure acceleration of the
+paper's rewrite -> XPath -> algebra pipeline.  For fuzzed selections
+(selective and broad), projections and joins against a real SEO,
+:class:`~repro.core.executor.QueryExecutor` and
+:class:`~repro.core.reference.ReferenceExecutor` must agree on
 
-* the verdict sequence (canonical result keys, in order),
+* the result sequence (canonical keys, in order),
 * the serialised bytes of every result tree,
-* the number of ontology accesses the verification drove,
-* guard accounting (steps and per-stage breakdown), and
-* the error message when a step budget trips mid-verify.
+* the generated XPath, and
+* the number of ontology accesses the verification drove (selections,
+  projections, and joins no hash join or cross probe prunes);
+
+and a guard must change none of it — only raise, on exactly the step
+that exhausts its budget.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +31,8 @@ from repro.experiments.workload import (
     build_system,
 )
 from repro.guard import ResourceGuard
-from repro.xmldb.serializer import serialize
+
+from tests.oracle import answer, assert_matches_reference
 
 EPSILON_CHOICES = (1.0, 3.0)
 
@@ -46,50 +53,20 @@ def _system(seed, epsilon):
             corpus, documents, epsilon,
             sigmod_documents=pages, use_cache=False,
         )
-        system.executor.similarity_hash_join = False
         _SYSTEMS[key] = (corpus, system)
     return _SYSTEMS[key]
 
 
-def _configure(system, fast):
-    executor = system.executor
-    executor.verify_batched = fast
-    executor.compile_conditions = fast
-    for name in ("dblp", "sigmod"):
-        system.database.get_collection(name).use_columnar = fast
-
-
-def _run_modes(system, run, guard_steps=None):
-    """((outcome, guard) for the fast path, same for interpreted)."""
-    snapshots = []
-    for fast in (True, False):
-        _configure(system, fast)
-        guard = (
-            ResourceGuard(max_steps=guard_steps)
-            if guard_steps is not None
-            else None
-        )
-        try:
-            report = run(system, guard)
-            outcome = (
-                "ok",
-                [t.canonical_key() for t in report.results],
-                [serialize(t).encode("utf-8") for t in report.results],
-                report.ontology_accesses,
-            )
-        except ResourceExhaustedError as exc:
-            outcome = ("error", str(exc))
-        snapshots.append((outcome, guard))
-    _configure(system, True)
-    return snapshots
-
-
-def _assert_equivalent(snapshots):
-    (out_fast, g_fast), (out_interp, g_interp) = snapshots
-    assert out_fast == out_interp
-    if g_fast is not None:
-        assert g_fast.steps == g_interp.steps
-        assert g_fast.stage_steps == g_interp.stage_steps
+def _check(system, run, accesses=True):
+    """``run(executor, **guard)`` on production (unguarded and guarded)
+    against the reference."""
+    oracle = run(system.reference_executor())
+    plain = run(system.executor)
+    assert_matches_reference(plain, oracle, accesses=accesses)
+    guard = ResourceGuard(max_steps=10**9, max_results=10**6)
+    guarded = run(system.executor, guard=guard)
+    assert_matches_reference(guarded, oracle, accesses=accesses)
+    assert sum(guard.stage_steps.values()) == guard.steps > 0
 
 
 @given(
@@ -103,13 +80,31 @@ def _assert_equivalent(snapshots):
 def test_selection_equivalence(seed, epsilon, narrow):
     _corpus, system = _system(seed, epsilon)
     pattern = build_scalability_pattern(narrow_category=narrow)
-    _assert_equivalent(
-        _run_modes(
-            system,
-            lambda s, g: s.executor.selection(
-                "dblp", pattern, sl_labels=[1], guard=g
-            ),
-        )
+    _check(
+        system,
+        lambda executor, **guard: executor.selection(
+            "dblp", pattern, sl_labels=[1], **guard
+        ),
+    )
+
+
+@given(
+    seed=st.sampled_from([3, 5]),
+    epsilon=st.sampled_from(EPSILON_CHOICES),
+    narrow=st.sampled_from(
+        ["SIGMOD Conference", "database conference", "conference"]
+    ),
+    pl=st.sampled_from([[2], [2, 3], [(1, True)], [3, (4, True)]]),
+)
+@settings(max_examples=12, deadline=None)
+def test_projection_equivalence(seed, epsilon, narrow, pl):
+    _corpus, system = _system(seed, epsilon)
+    pattern = build_scalability_pattern(narrow_category=narrow)
+    _check(
+        system,
+        lambda executor, **guard: executor.projection(
+            "dblp", pattern, pl, **guard
+        ),
     )
 
 
@@ -127,28 +122,51 @@ def test_parsed_query_equivalence(seed, epsilon, author_index):
         f'inproceedings(author ~ "{author.canonical}", '
         f'booktitle below "conference")'
     )
-    _assert_equivalent(
-        _run_modes(
-            system,
-            lambda s, g: s.executor.selection(
-                "dblp", parsed.pattern, parsed.roots, guard=g
-            ),
-        )
+    _check(
+        system,
+        lambda executor, **guard: executor.selection(
+            "dblp", parsed.pattern, parsed.roots, **guard
+        ),
     )
 
 
-@given(seed=st.sampled_from([3, 5]), epsilon=st.sampled_from(EPSILON_CHOICES))
-@settings(max_examples=6, deadline=None)
-def test_join_equivalence(seed, epsilon):
+@given(
+    seed=st.sampled_from([3, 5]),
+    epsilon=st.sampled_from(EPSILON_CHOICES),
+    sl=st.sampled_from([[2, 5], [0], []]),
+)
+@settings(max_examples=8, deadline=None)
+def test_join_equivalence(seed, epsilon, sl):
+    # Hash-joined (top-level cross-side ``~``): the production path skips
+    # pairs the oracle's full product evaluates, so results only.
     _corpus, system = _system(seed, epsilon)
     pattern = build_join_pattern()
-    _assert_equivalent(
-        _run_modes(
-            system,
-            lambda s, g: s.executor.join(
-                "dblp", "sigmod", pattern, sl_labels=[2, 5], guard=g
-            ),
-        )
+    _check(
+        system,
+        lambda executor, **guard: executor.join(
+            "dblp", "sigmod", pattern, sl_labels=sl, **guard
+        ),
+        accesses=False,
+    )
+
+
+@given(
+    seed=st.sampled_from([3, 5]),
+    epsilon=st.sampled_from(EPSILON_CHOICES),
+    sl=st.sampled_from([[2, 5], [0]]),
+)
+@settings(max_examples=6, deadline=None)
+def test_join_without_cross_similarity_equivalence(seed, epsilon, sl):
+    # No top-level cross-side ``~``: no hash join in front of
+    # ``join_pairs_batched``, which gets the full product of the
+    # candidates — accesses must match the oracle's too.
+    _corpus, system = _system(seed, epsilon)
+    pattern = build_join_pattern(tax_fallback=True)
+    _check(
+        system,
+        lambda executor, **guard: executor.join(
+            "dblp", "sigmod", pattern, sl_labels=sl, **guard
+        ),
     )
 
 
@@ -160,10 +178,29 @@ def test_join_equivalence(seed, epsilon):
 def test_guard_trip_equivalence(seed, budget_fraction):
     _corpus, system = _system(seed, 3.0)
     pattern = build_scalability_pattern()
-    run = lambda s, g: s.executor.selection(
-        "dblp", pattern, sl_labels=[1], guard=g
+    run = lambda guard: system.executor.selection(
+        "dblp", pattern, sl_labels=[1], guard=guard
     )
     # Measure the full guarded cost once, then trip part-way through it.
-    (_, full_guard), _ = _run_modes(system, run, guard_steps=10**9)
-    budget = max(1, int(full_guard.steps * budget_fraction))
-    _assert_equivalent(_run_modes(system, run, guard_steps=budget))
+    full = ResourceGuard(max_steps=10**9)
+    expected = answer(run(full))
+    budget = max(1, int(full.steps * budget_fraction))
+    guard = ResourceGuard(max_steps=budget)
+    with pytest.raises(ResourceExhaustedError) as info:
+        run(guard)
+    # The charges are a prefix of the full run's: earlier stages in
+    # full, the stage the budget ran out in (named by the error) in
+    # part, later stages not at all.
+    assert guard.steps > budget
+    stage = str(info.value).split(" exceeded its evaluation budget")[0]
+    assert str(info.value) == (
+        f"{stage} exceeded its evaluation budget of {budget} steps"
+    )
+    stages = list(full.stage_steps)
+    reached = stages[: stages.index(stage) + 1]
+    assert list(guard.stage_steps) == reached
+    for name in reached[:-1]:
+        assert guard.stage_steps[name] == full.stage_steps[name]
+    assert guard.stage_steps[stage] <= full.stage_steps[stage]
+    # Exactly enough is enough.
+    assert answer(run(ResourceGuard(max_steps=full.steps))) == expected

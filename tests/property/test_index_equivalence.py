@@ -3,8 +3,9 @@
 The planner's whole contract is that pruning is invisible: for any
 store, any condition shape it probes (equality, or-chains, ``~``, isa)
 and any SEO context (present, absent with exact fallback, absent with
-plain equality), the indexed path returns the same result sequence —
-same trees, same order — as ``use_index=False``.  We fuzz synthetic
+plain equality), the indexed production path returns the same result
+sequence — same trees, same order, same bytes — as the reference
+executor, which scans every document.  We fuzz synthetic
 multi-document stores whose values are deliberate near-misses of each
 other so every pruning rule (exact probes, SEO expansion, edit-distance
 augmentation, cross-side pre-joins) is actually exercised.
@@ -13,14 +14,22 @@ augmentation, cross-side pre-joins) is actually exercised.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conditions import Below, SeoConditionContext, SimilarTo
+from repro.core.conditions import (
+    EXACT_FALLBACK_CONTEXT,
+    Below,
+    SeoConditionContext,
+    SimilarTo,
+)
 from repro.core.executor import QueryExecutor
+from repro.core.reference import ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology
 from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag, Or
 from repro.tax.pattern import AD, PC, pattern_of
 from repro.xmldb.database import Database
+
+from tests.oracle import answer, assert_matches_reference
 
 # Titles are near-misses of each other (edit distance 1-2) so similarity
 # probes must use distance augmentation, not just exact lookup.
@@ -97,10 +106,6 @@ def _atom(kind, title, venue):
     return Below(NodeContent(3), Constant(venue))
 
 
-def _keys(report):
-    return [tree.canonical_key() for tree in report.results]
-
-
 @given(
     store=docs,
     kind=st.sampled_from(["equal", "or", "similar", "below"]),
@@ -115,12 +120,15 @@ def test_selection_with_seo_context(store, kind, title, category, epsilon):
     database = _database("lib", store)
     pattern = _selection_pattern(_atom(kind, title, category))
     context = _context(epsilon)
-    indexed = QueryExecutor(database, context, use_index=True)
-    scan = QueryExecutor(database, context, use_index=False)
+    indexed = QueryExecutor(database, context)
+    scan = ReferenceExecutor(database, context)
     left = indexed.selection("lib", pattern, sl_labels=[1])
-    right = scan.selection("lib", pattern, sl_labels=[1])
-    assert _keys(left) == _keys(right)
+    assert_matches_reference(left, scan.selection("lib", pattern, sl_labels=[1]))
     assert left.docs_scanned <= left.docs_total
+    projected = indexed.projection("lib", pattern, [2, (3, True)])
+    assert_matches_reference(
+        projected, scan.projection("lib", pattern, [2, (3, True)])
+    )
 
 
 @given(
@@ -136,16 +144,14 @@ def test_selection_without_seo_context(store, kind, title, exact_fallback):
     # planner must refuse to prune so both paths raise identically.
     database = _database("lib", store)
     pattern = _selection_pattern(_atom(kind, title, "database conference"))
-    indexed = QueryExecutor(
-        database, None, use_index=True, exact_fallback=exact_fallback
-    )
-    scan = QueryExecutor(
-        database, None, use_index=False, exact_fallback=exact_fallback
+    indexed = QueryExecutor(database, None, exact_fallback=exact_fallback)
+    scan = ReferenceExecutor(
+        database, EXACT_FALLBACK_CONTEXT if exact_fallback else None
     )
 
     def run(executor):
         try:
-            return _keys(executor.selection("lib", pattern, sl_labels=[1]))
+            return answer(executor.selection("lib", pattern, sl_labels=[1]))
         except Exception as exc:
             return f"raised: {type(exc).__name__}"
 
@@ -186,11 +192,11 @@ def _render_right(names):
         max_size=3,
     ),
     cross_kind=st.sampled_from(["similar", "equal"]),
-    hash_join=st.booleans(),
+    sl=st.sampled_from([[2, 5], [0], [1]]),
     epsilon=st.sampled_from([1.0, 2.0]),
 )
 @settings(max_examples=40, deadline=None)
-def test_join_equivalence(left_store, right_store, cross_kind, hash_join, epsilon):
+def test_join_equivalence(left_store, right_store, cross_kind, sl, epsilon):
     database = Database()
     left = database.create_collection("lib")
     for i, books in enumerate(left_store):
@@ -201,13 +207,11 @@ def test_join_equivalence(left_store, right_store, cross_kind, hash_join, epsilo
 
     pattern = _join_pattern(cross_kind)
     context = _context(epsilon)
-    indexed = QueryExecutor(
-        database, context, use_index=True, similarity_hash_join=hash_join
+    a = QueryExecutor(database, context).join("lib", "shop", pattern, sl_labels=sl)
+    b = ReferenceExecutor(database, context).join(
+        "lib", "shop", pattern, sl_labels=sl
     )
-    scan = QueryExecutor(
-        database, context, use_index=False, similarity_hash_join=hash_join
-    )
-    a = indexed.join("lib", "shop", pattern, sl_labels=[2, 5])
-    b = scan.join("lib", "shop", pattern, sl_labels=[2, 5])
-    assert _keys(a) == _keys(b)
+    # The cross probe and the hash join skip pairs the oracle's full
+    # product evaluates: results only.
+    assert_matches_reference(a, b, accesses=False)
     assert a.docs_scanned <= a.docs_total

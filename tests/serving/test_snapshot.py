@@ -95,5 +95,4 @@ class TestRestore:
     def test_restored_system_preserves_configuration(self, system):
         restored = SystemSnapshot.capture(system, mode=PICKLE).restore()
         assert restored.epsilon == system.epsilon
-        assert restored.use_index == system.use_index
         assert restored.measure.name == system.measure.name

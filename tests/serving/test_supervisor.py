@@ -332,14 +332,6 @@ class TestServerIntegration:
             outcomes = server.execute_many([QUERY, QUERY])
         assert all(outcome.ok for outcome in outcomes)
 
-    def test_unsupervised_opt_out(self, snapshot):
-        system = snapshot.system
-        with QueryServer(
-            system, workers=1, default_collection="papers", supervised=False
-        ) as server:
-            assert not isinstance(server.pool, SupervisedWorkerPool)
-            assert server.execute_many([QUERY])[0].ok
-
     def test_refresh_keeps_supervision_and_policy(self, snapshot):
         system = snapshot.system
         with QueryServer(

@@ -1,11 +1,10 @@
-"""Unit tests for collections, the database facade and indexes."""
+"""Unit tests for collections and the database facade."""
 
 import pytest
 
 from repro.errors import CollectionError, DocumentTooLargeError
 from repro.xmldb.collection import Collection
 from repro.xmldb.database import Database
-from repro.xmldb.indexes import CollectionIndex, DocumentIndex
 from repro.xmldb.model import XmlNode
 from repro.xmldb.parser import parse_document
 
@@ -220,31 +219,3 @@ class TestDatabase:
         database.create_collection("a")
         database.create_collection("b")
         assert database.collection_names() == ["a", "b"]
-
-
-class TestIndexes:
-    def test_tag_index(self):
-        index = DocumentIndex(parse_document(DOC))
-        assert len(index.tags.nodes("author")) == 1
-        assert index.tags.count("inproceedings") == 1
-        assert index.tags.nodes("missing") == []
-
-    def test_value_index(self):
-        index = DocumentIndex(parse_document(DOC))
-        assert len(index.values.nodes("year", "1999")) == 1
-        assert index.values.nodes("year", "1883") == []
-        assert len(index.values.nodes_with_content("A")) == 1
-
-    def test_collection_index_caches(self):
-        root = parse_document(DOC)
-        index = CollectionIndex()
-        assert index.index_for(root) is index.index_for(root)
-        index.invalidate(root)
-        index.clear()
-
-    def test_distinct_tags_and_contents(self):
-        roots = [parse_document(DOC), parse_document("<x><y>A</y></x>")]
-        index = CollectionIndex()
-        assert "y" in index.distinct_tags(roots)
-        contents = list(index.distinct_contents(roots))
-        assert contents.count("A") == 1  # de-duplicated
