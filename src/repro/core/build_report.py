@@ -40,9 +40,25 @@ class RelationBuild:
     enhancement_patched: bool = False
     #: Incremental builds since the last from-scratch build (0 = full).
     chain_depth: int = 0
+    #: The ladder rung that ran: ``reuse`` (previous SEO returned),
+    #: ``patch`` (enhancement patched in place), ``delta`` (SEA ran,
+    #: replaying cached verdicts) or ``full``.
+    rung: str = "full"
+    #: Off the two cheap rungs, the precondition that failed: the write's
+    #: ``fallback_reason``, a changed parameter, or the fusion /
+    #: enhancement-patch step's :class:`~repro.errors.DeltaRefused` reason.
+    rung_reason: Optional[str] = None
 
     @classmethod
-    def from_stats(cls, relation: str, stats: SeoBuildStats) -> "RelationBuild":
+    def from_stats(
+        cls, relation: str, stats: SeoBuildStats, reason: Optional[str] = None
+    ) -> "RelationBuild":
+        """``reason`` is why the fusion could not follow the deltas, if so."""
+        if stats.enhancement_patched:
+            rung = "patch"
+        else:
+            rung = "delta" if stats.incremental else "full"
+            reason = reason or stats.patch_refused
         return cls(
             relation=relation,
             cache_hit=stats.cache_hit,
@@ -55,6 +71,8 @@ class RelationBuild:
             fusion_incremental=stats.fusion_incremental,
             enhancement_patched=stats.enhancement_patched,
             chain_depth=stats.chain_depth,
+            rung=rung,
+            rung_reason=reason,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -70,6 +88,8 @@ class RelationBuild:
             "fusion_incremental": self.fusion_incremental,
             "enhancement_patched": self.enhancement_patched,
             "chain_depth": self.chain_depth,
+            "rung": self.rung,
+            "rung_reason": self.rung_reason,
         }
 
     @classmethod
@@ -86,6 +106,8 @@ class RelationBuild:
             fusion_incremental=bool(payload.get("fusion_incremental", False)),
             enhancement_patched=bool(payload.get("enhancement_patched", False)),
             chain_depth=int(payload.get("chain_depth", 0)),
+            rung=payload.get("rung", "full"),
+            rung_reason=payload.get("rung_reason"),
         )
 
 
@@ -188,7 +210,10 @@ class BuildReport:
                     f"  {r.relation}: cache hit ({r.total_seconds:.3f}s)"
                 )
                 continue
-            detail = f"fusion {r.fusion_seconds:.3f}s, sea {r.sea_seconds:.3f}s"
+            detail = f"rung {r.rung}"
+            if r.rung_reason:
+                detail += f" ({r.rung_reason})"
+            detail += f", fusion {r.fusion_seconds:.3f}s, sea {r.sea_seconds:.3f}s"
             if r.incremental or r.fusion_incremental:
                 detail += f", incremental (chain depth {r.chain_depth})"
             if r.sea is not None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Set
 
 from ..errors import ConditionError, IllTypedConditionError
+from ..lru import LruCache
+from ..obs.metrics import REGISTRY as METRICS
 from ..ontology.hierarchy import Ontology
 from ..similarity.seo import SimilarityEnhancedOntology
 from ..tax.compile import compile_term, register_condition_compiler
@@ -42,6 +44,10 @@ from ..tax.conditions import (
 )
 from ..xmldb.model import XmlNode
 from .types import STRING, TypeSystem, default_type_system
+
+#: Entries the ``subtype_of`` verdict memo keeps (keys carry
+#: query-supplied terms, so a long-lived worker must bound it).
+SUBTYPE_MEMO_SIZE = 4096
 
 #: t(o, attr): maps a data node and attribute kind ("tag"/"content") to a type.
 TypingFunction = Callable[[XmlNode, str], str]
@@ -91,10 +97,11 @@ class SeoConditionContext(ConditionContext):
         #: How often the ontology was consulted (Section 6 attributes the
         #: growing TOSS-TAX gap to "more accesses to the ontology").
         self.ontology_accesses = 0
-        #: Verdict memo for ``subtype_of`` pairs.  Purely an evaluation
-        #: cache: the access counter above ticks before the memo is
-        #: consulted, so observable behaviour is unchanged.
-        self._subtype_memo: Dict[tuple, bool] = {}
+        #: Verdict memo for ``subtype_of`` pairs, least recently used
+        #: out.  Purely an evaluation cache: the access counter above
+        #: ticks before the memo is consulted, so observable behaviour
+        #: is unchanged.
+        self._subtype_memo = LruCache(SUBTYPE_MEMO_SIZE)
 
     def relation_seo(self, relation: str) -> SimilarityEnhancedOntology:
         try:
@@ -125,7 +132,9 @@ class SeoConditionContext(ConditionContext):
         verdict = memo.get(key)
         if verdict is None:
             verdict = left in self.seo.expand_below(right)
-            memo[key] = verdict
+            evicted = memo.put(key, verdict)
+            if evicted:
+                METRICS.counter("core.subtype_memo.evictions").inc(evicted)
         return verdict
 
     def below(self, left: str, right: str) -> bool:

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..errors import ReproError, TossError
+from ..errors import DeltaRefused, ReproError, TossError
 from ..guard import ResourceGuard
 from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.metrics import REGISTRY as METRICS
@@ -36,7 +36,7 @@ from ..ontology.constraints import (
     ScopedTerm,
     parse_constraint,
 )
-from ..ontology.fusion import extend_fusion
+from ..ontology.fusion import extend_fusion, retract_fusion
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..ontology.lexicon import Lexicon
 from ..ontology.maker import CombinedExtraction, OntologyMaker, RelationDelta
@@ -89,6 +89,12 @@ class MutationReceipt:
     #: forces a full re-fuse for the affected relations; the similarity
     #: graph still replays its cached verdicts either way).
     incremental: bool = True
+    #: Why the write fell off the delta path (None while ``incremental``):
+    #: ``"dropped-edge-live"`` (a surviving document lists an edge the
+    #: extraction's cycle pass dropped, so a removal had to re-extract),
+    #: ``"rule-bearing-maker"`` (DBA rules are not replayable) or
+    #: ``"external-ontology"`` (the instance's ontology was supplied).
+    fallback_reason: Optional[str] = None
     #: The updated instance (new object; previous snapshots are unchanged).
     instance: "OntologyExtendedInstance" = None  # type: ignore[assignment]
 
@@ -170,10 +176,10 @@ class TossSystem:
         #: successful build — what :meth:`build` turns into fusion/SEA
         #: deltas instead of a rebuild.
         self._pending: Dict[str, Dict[str, RelationDelta]] = {}
-        #: Relations whose pending state cannot be expressed as a delta
-        #: (a removal/replacement happened, or an instance arrived with an
-        #: external ontology): the next build re-fuses them from scratch.
-        self._poisoned: Set[str] = set()
+        #: Relations whose pending state cannot be expressed as a delta,
+        #: with the :attr:`MutationReceipt.fallback_reason` of the write
+        #: that made it so: the next build re-fuses them from scratch.
+        self._poisoned: Dict[str, str] = {}
         #: Per-relation state of the last successful build.
         self._relation_state: Dict[str, _RelationState] = {}
 
@@ -204,14 +210,12 @@ class TossSystem:
             if slot is None:
                 per_source[relation] = delta
             else:
-                slot.added_edges.extend(delta.added_edges)
-                slot.added_nodes.extend(delta.added_nodes)
-                slot.added_terms.update(delta.added_terms)
-                slot.leaf_only = slot.leaf_only and delta.leaf_only
+                slot.absorb(delta)
 
-    def _poison(self) -> None:
+    def _poison(self, reason: str) -> None:
         """Mark every relation as needing a from-scratch fuse next build."""
-        self._poisoned.update(_RELATIONS)
+        for relation in _RELATIONS:
+            self._poisoned.setdefault(relation, reason)
         self._pending.clear()
 
     def _emit_mutation(self, receipt: MutationReceipt) -> MutationReceipt:
@@ -227,6 +231,7 @@ class TossSystem:
             terms_added=len(receipt.terms_added),
             terms_removed=len(receipt.terms_removed),
             incremental=receipt.incremental,
+            fallback_reason=receipt.fallback_reason,
         )
         self.context = None  # queries must rebuild (incrementally) first
         return receipt
@@ -268,26 +273,26 @@ class TossSystem:
             roots.append(collection.add_document(key, document))
             keys.append(key)
         self._doc_counters[name] = len(roots)
-        incremental = False
+        fallback_reason = None
         terms_added: FrozenSet[str]
-        if ontology is None:
+        if ontology is not None:
+            fallback_reason = "external-ontology"
+        else:
             state = CombinedExtraction(self.maker)
             if state.supported:
                 deltas = state.extend(roots)
                 ontology = state.ontology
                 self._sources[name] = state
                 self._record_pending(name, deltas)
-                incremental = True
                 terms_added = frozenset(
                     term for delta in deltas.values() for term in delta.added_terms
                 )
-            else:  # rule-bearing maker: not replayable
+            else:
                 ontology = self.maker.make_combined(roots)
-                terms_added = self._ontology_terms(ontology)
-                self._poison()
-        else:
+                fallback_reason = "rule-bearing-maker"
+        if fallback_reason is not None:
             terms_added = self._ontology_terms(ontology)
-            self._poison()
+            self._poison(fallback_reason)
         instance = OntologyExtendedInstance(name, roots, ontology, self.typing)
         self.instances[name] = instance
         return self._emit_mutation(
@@ -298,7 +303,8 @@ class TossSystem:
                 generation_after=collection.generation,
                 documents_added=tuple(keys),
                 terms_added=terms_added,
-                incremental=incremental,
+                incremental=fallback_reason is None,
+                fallback_reason=fallback_reason,
                 instance=instance,
             )
         )
@@ -325,85 +331,91 @@ class TossSystem:
             name, roots, extract, self.typing
         )
 
-    def _source_state(self, name: str) -> Optional[CombinedExtraction]:
+    def _source_state(
+        self, name: str
+    ) -> Tuple[Optional[CombinedExtraction], Optional[str]]:
         """The replayable extraction state for ``name``, rebuilding if lost.
 
-        A rebuilt state replays the instance's current documents; if the
-        result disagrees with the instance's ontology — it carried an
-        external one — the pending deltas are poisoned so the next build
-        re-fuses, and the source converts to extracted ontologies from
-        here on (the behaviour appends always had).
+        Returns ``(state, fallback_reason)``.  A rebuilt state replays
+        the instance's current documents; if the result disagrees with
+        the instance's ontology — it carried an external one — the
+        pending deltas are poisoned so the next build re-fuses
+        (``"external-ontology"``), and the source converts to extracted
+        ontologies from here on (the behaviour appends always had).  A
+        rule-bearing maker has no replayable state at all.
         """
         ontology = self.instances[name].ontology  # a restored instance extracts here
         state = self._sources.get(name)
         if state is not None:
-            return state
-        candidate = CombinedExtraction(self.maker)
-        if not candidate.supported:
-            return None
-        candidate.extend(list(self.instances[name].trees))
-        self._sources[name] = candidate
-        if candidate.ontology != ontology:
-            self._poison()
-        return candidate
+            return state, None
+        state = CombinedExtraction(self.maker)
+        if not state.supported:
+            return None, "rule-bearing-maker"
+        state.extend(list(self.instances[name].trees))
+        self._sources[name] = state
+        if state.ontology != ontology:
+            self._poison("external-ontology")
+            return state, "external-ontology"
+        return state, None
 
-    def add_documents(
-        self,
-        name: str,
-        documents: "DocumentInput | Sequence[DocumentInput]",
-    ) -> MutationReceipt:
-        """Append documents to an existing instance.
+    def _write(self, name: str, operation: str, apply) -> MutationReceipt:
+        """One write to an existing instance, priced by what it touches.
 
-        The instance's combined ontology is extended by replaying the
-        extraction over just the new documents (identical to re-extracting
-        everything, see
-        :class:`~repro.ontology.maker.CombinedExtraction`), the built SEO
-        is invalidated, and the delta is queued for the next
-        :meth:`build` — which consumes it incrementally instead of
-        starting over.  Returns a :class:`MutationReceipt`; the updated
-        instance is ``receipt.instance``.
+        ``apply(collection)`` performs the storage mutation and returns
+        ``(retracted roots, extended roots, keys added, keys removed)``.
+        The instance's combined ontology then follows as a delta: the
+        retracted documents' own edges are withdrawn from the replayable
+        extraction state and the new documents' edges folded in
+        (identical to re-extracting the survivors, see
+        :class:`~repro.ontology.maker.CombinedExtraction`), and both
+        deltas are queued for the next :meth:`build`.  Only when the
+        state cannot follow does the write re-extract the source
+        (:meth:`_reextract`), and the receipt says why.
         """
-        try:
-            instance = self.instances[name]
-        except KeyError:
-            raise TossError(f"no instance named {name!r}; use add_instance") from None
-        if isinstance(documents, (str, XmlNode)):
-            documents = [documents]
+        if name not in self.instances:
+            raise TossError(f"no instance named {name!r}; use add_instance")
         collection = self.database.get_collection(name)
         generation_before = collection.generation
-        state = self._source_state(name)
-        keys = self._next_keys(name, len(documents))
-        roots = list(instance.trees)
-        added: List[XmlNode] = []
-        for key, document in zip(keys, documents):
-            root = collection.add_document(key, document)
-            roots.append(root)
-            added.append(root)
-        incremental = False
+        state, fallback_reason = self._source_state(name)
+        retracted, extended, keys_added, keys_removed = apply(collection)
+        net = RelationDelta()  # of every relation: the receipt's terms
         if state is not None:
-            deltas = state.extend(added)
-            ontology = state.ontology
-            self._record_pending(name, deltas)
-            incremental = True
-            terms_added = frozenset(
-                term for delta in deltas.values() for term in delta.added_terms
+            try:
+                steps = [state.retract(retracted)] if retracted else []
+            except DeltaRefused as refused:
+                state, fallback_reason = None, refused.reason
+            else:
+                if extended:
+                    steps.append(state.extend(extended))
+                for deltas in steps:
+                    self._record_pending(name, deltas)
+                    for delta in deltas.values():
+                        net.absorb(delta)
+        if state is None:
+            return self._reextract(
+                name,
+                operation,
+                generation_before,
+                keys_added,
+                keys_removed,
+                fallback_reason,
             )
-        else:
-            before_terms = self._ontology_terms(instance.ontology)
-            ontology = self.maker.make_combined(roots)
-            terms_added = self._ontology_terms(ontology) - before_terms
-            self._poison()
-        updated = OntologyExtendedInstance(name, roots, ontology, self.typing)
+        updated = OntologyExtendedInstance(
+            name, collection.roots(), state.ontology, self.typing
+        )
         self.instances[name] = updated
         return self._emit_mutation(
             MutationReceipt(
                 source=name,
-                operation="add_documents",
+                operation=operation,
                 generation_before=generation_before,
                 generation_after=collection.generation,
-                documents_added=tuple(keys),
-                terms_added=terms_added,
-                incremental=incremental,
+                documents_added=keys_added,
+                documents_removed=keys_removed,
+                terms_added=frozenset(net.added_terms),
+                terms_removed=frozenset(net.removed_terms),
+                incremental=fallback_reason is None,
+                fallback_reason=fallback_reason,
                 instance=updated,
             )
         )
@@ -415,20 +427,22 @@ class TossSystem:
         generation_before: int,
         documents_added: Tuple[str, ...],
         documents_removed: Tuple[str, ...],
+        fallback_reason: str,
     ) -> MutationReceipt:
         """Rebuild a source's ontology from its surviving documents.
 
-        The shared tail of :meth:`replace_documents` and
-        :meth:`remove_documents`: the greedy extraction state is not
-        reversible, so shrinking mutations re-extract and poison the
-        pending deltas (the next build re-fuses — the similarity graph
-        still replays every cached verdict, so even this path stays far
-        below a cold build).
+        The fallback of :meth:`_write`, reached only with a recorded
+        ``fallback_reason``: the extraction state could not follow the
+        write, so the source is re-extracted and the pending deltas are
+        poisoned (the next build re-fuses — the similarity graph still
+        replays every cached verdict, so even this path stays far below
+        a cold build).
         """
+        METRICS.counter("system.mutations.reextracted").inc()
         instance = self.instances[name]
         collection = self.database.get_collection(name)
         before_terms = self._ontology_terms(instance.ontology)
-        roots = [root for _key, root in collection.documents()]
+        roots = collection.roots()
         state = CombinedExtraction(self.maker)
         if state.supported:
             state.extend(roots)
@@ -437,7 +451,7 @@ class TossSystem:
         else:
             ontology = self.maker.make_combined(roots)
             self._sources.pop(name, None)
-        self._poison()
+        self._poison(fallback_reason)
         after_terms = self._ontology_terms(ontology)
         updated = OntologyExtendedInstance(name, roots, ontology, self.typing)
         self.instances[name] = updated
@@ -452,9 +466,36 @@ class TossSystem:
                 terms_added=after_terms - before_terms,
                 terms_removed=before_terms - after_terms,
                 incremental=False,
+                fallback_reason=fallback_reason,
                 instance=updated,
             )
         )
+
+    def add_documents(
+        self,
+        name: str,
+        documents: "DocumentInput | Sequence[DocumentInput]",
+    ) -> MutationReceipt:
+        """Append documents to an existing instance.
+
+        The built SEO is invalidated and the extraction delta queued for
+        the next :meth:`build`, which consumes it incrementally instead
+        of starting over (see :meth:`_write`).  Returns a
+        :class:`MutationReceipt`; the updated instance is
+        ``receipt.instance``.
+        """
+        if isinstance(documents, (str, XmlNode)):
+            documents = [documents]
+
+        def apply(collection):
+            keys = self._next_keys(name, len(documents))
+            added = [
+                collection.add_document(key, document)
+                for key, document in zip(keys, documents)
+            ]
+            return [], added, tuple(keys), ()
+
+        return self._write(name, "add_documents", apply)
 
     def replace_documents(
         self,
@@ -466,44 +507,41 @@ class TossSystem:
         Unknown keys are created.  Replaced documents move to the end of
         the collection's scan order (the storage semantics of
         :meth:`~repro.xmldb.collection.Collection.replace_document`).
+        One receipt covers the withdrawal of the old trees and the
+        arrival of the new ones (see :meth:`_write`).
         """
-        if name not in self.instances:
-            raise TossError(f"no instance named {name!r}; use add_instance") from None
-        collection = self.database.get_collection(name)
-        generation_before = collection.generation
-        replaced: List[str] = []
-        created: List[str] = []
-        for key, document in documents.items():
-            (replaced if key in collection else created).append(key)
-            collection.replace_document(key, document)
-        return self._reextract(
-            name,
-            "replace_documents",
-            generation_before,
-            documents_added=tuple(created),
-            documents_removed=tuple(replaced),
-        )
+
+        def apply(collection):
+            replaced: List[str] = []
+            created: List[str] = []
+            old_roots: List[XmlNode] = []
+            new_roots: List[XmlNode] = []
+            for key, document in documents.items():
+                if key in collection:
+                    replaced.append(key)
+                    old_roots.append(collection.get_document(key))
+                else:
+                    created.append(key)
+                new_roots.append(collection.replace_document(key, document))
+            return old_roots, new_roots, tuple(created), tuple(replaced)
+
+        return self._write(name, "replace_documents", apply)
 
     def remove_documents(
         self,
         name: str,
         keys: Iterable[str],
     ) -> MutationReceipt:
-        """Remove documents of an existing instance by key."""
-        if name not in self.instances:
-            raise TossError(f"no instance named {name!r}; use add_instance") from None
-        collection = self.database.get_collection(name)
-        generation_before = collection.generation
-        removed = tuple(keys)
-        for key in removed:
-            collection.remove_document(key)
-        return self._reextract(
-            name,
-            "remove_documents",
-            generation_before,
-            documents_added=(),
-            documents_removed=removed,
-        )
+        """Remove documents of an existing instance by key (see :meth:`_write`)."""
+
+        def apply(collection):
+            removed = tuple(keys)
+            old_roots = [collection.get_document(key) for key in removed]
+            for key in removed:
+                collection.remove_document(key)
+            return old_roots, [], (), removed
+
+        return self._write(name, "remove_documents", apply)
 
     def add_constraint(
         self,
@@ -588,18 +626,19 @@ class TossSystem:
         only.  The full outcome lands in :attr:`build_report`.
 
         **Incremental maintenance.**  After mutations whose receipts say
-        ``incremental=True``, each relation consumes its accumulated
-        deltas instead of starting over: the previous build's fusion is
-        extended (:func:`~repro.ontology.fusion.extend_fusion`), SEA
-        replays the rep-level verdict cache and verifies only pairs
-        involving new representatives, and — when nothing changed at all
-        for a relation — the previous SEO object is reused outright.  The
-        result is **identical** (same cliques, closures, serialised
-        bytes) to a from-scratch build; the property suite asserts it.  A
-        changed epsilon/mode/constraint set, a removal/replacement, or an
-        externally supplied ontology falls back to the full path for the
-        affected relations.  :class:`~repro.core.build_report.RelationBuild`
-        records which path ran (``incremental``/``chain_depth``).
+        ``incremental=True`` — adds, replacements and removals alike —
+        each relation consumes its accumulated, netted deltas instead of
+        starting over: the previous build's fusion follows the leaves
+        that came and went, the previous enhancement is patched in
+        place, and — when nothing changed at all for a relation — the
+        previous SEO object is reused outright (the rungs are listed on
+        :meth:`_build_relation`).  The result is **identical** (same
+        cliques, closures, serialised bytes) to a from-scratch build; the
+        property suite asserts it.  A changed epsilon/mode/constraint
+        set, a write with a ``fallback_reason``, or a delta that is not
+        leaf-only falls back to the full path for the affected relations.
+        :class:`~repro.core.build_report.RelationBuild` records which
+        rung ran and why (``rung``/``rung_reason``/``chain_depth``).
         """
         if on_failure not in ("raise", "degrade"):
             raise ValueError(
@@ -668,7 +707,7 @@ class TossSystem:
                         # later failure in another relation doesn't replay them.
                         for per_source in self._pending.values():
                             per_source.pop(relation, None)
-                        self._poisoned.discard(relation)
+                        self._poisoned.pop(relation, None)
         except ReproError as exc:
             self.build_seconds = time.perf_counter() - started
             report.build_seconds = self.build_seconds
@@ -734,31 +773,44 @@ class TossSystem:
         report: BuildReport,
         tracer,
     ) -> Tuple[SimilarityEnhancedOntology, EpsilonGraphCache, int]:
-        """Build one relation's SEO, incrementally when the deltas allow.
+        """Build one relation's SEO on the cheapest rung the deltas allow.
 
-        Three paths, cheapest first:
+        Cheapest first (the rung that ran and, off the two cheap ones,
+        the precondition that failed land in
+        :class:`~repro.core.build_report.RelationBuild` and on the
+        relation's trace span):
 
-        1. **No-op reuse** — not poisoned, same epsilon/mode/constraints,
-           and every pending delta for this relation is empty: the
+        1. **reuse** — not poisoned, same epsilon/mode/constraints, and
+           the pending deltas for this relation net out to nothing: the
            previous SEO *is* the from-scratch result; return it.
-        2. **Delta build** — all pending deltas are leaf-only and the
-           previous fusion extends cleanly: skip the condensation, let
-           SEA replay the rep-level verdict cache, bump the chain depth.
+        2. **patch** — the pending deltas only withdraw and hang leaves, so
+           the previous fusion follows them
+           (:func:`~repro.ontology.fusion.retract_fusion` then
+           :func:`~repro.ontology.fusion.extend_fusion`, no condensation)
+           and the previous enhancement is patched in place
+           (:func:`~repro.similarity.sea.extend_enhancement`).
            The persistent on-disk cache is bypassed (content keys would
            miss anyway, and storing every generation would bloat it).
-        3. **Full build** — everything else.  The rep-level verdict cache
-           still rides along (seeded, or replayed if epsilon held), so
-           even "full" rebuilds after a removal skip re-verification.
+        3. **delta** — SEA runs, replaying the rep-level verdict cache
+           and verifying only pairs involving new representatives: over
+           the followed fusion when just the enhancement patch was
+           refused, else over a from-scratch fusion.
+        4. **full** — everything else (no verdicts to replay).
         """
         prev = self._relation_state.get(relation)
-        incremental_ok = (
-            prev is not None
-            and relation not in self._poisoned
-            and prev.epsilon == self.epsilon
-            and prev.mode == mode
-            and prev.constraints == constraints
-        )
-        if incremental_ok:
+        if prev is None:
+            reason: Optional[str] = "first-build"
+        elif relation in self._poisoned:
+            reason = self._poisoned[relation]
+        elif prev.epsilon != self.epsilon:
+            reason = "epsilon-changed"
+        elif prev.mode != mode:
+            reason = "mode-changed"
+        elif prev.constraints != constraints:
+            reason = "constraints-changed"
+        else:
+            reason = None
+        if reason is None:
             pending = {
                 name: per_source[relation]
                 for name, per_source in self._pending.items()
@@ -771,39 +823,42 @@ class TossSystem:
                         incremental=True,
                         fusion_incremental=True,
                         chain_depth=prev.chain_depth,
+                        rung="reuse",
                     )
                 )
-                tracer.annotate(reused=True)
+                tracer.annotate(rung="reuse")
                 return prev.seo, prev.graph_cache, prev.chain_depth
-            if all(delta.leaf_only for delta in pending.values()):
-                extended = extend_fusion(
-                    prev.seo.fusion,
+            try:
+                followed = extend_fusion(
+                    retract_fusion(
+                        prev.seo.fusion,
+                        {name: delta.removed_terms for name, delta in pending.items()},
+                        {name: delta.removed_edges for name, delta in pending.items()},
+                        constraints,
+                    ),
                     {name: delta.added_edges for name, delta in pending.items()},
                     {name: delta.added_nodes for name, delta in pending.items()},
                 )
-                if extended is not None:
-                    chain_depth = prev.chain_depth + 1
-                    built = SimilarityEnhancedOntology.build(
-                        hierarchies,
-                        self.measure,
-                        self.epsilon,
-                        constraints,
-                        mode=mode,
-                        guard=guard,
-                        options=options,
-                        cache=None,
-                        fusion=extended,
-                        graph_cache=prev.graph_cache,
-                        previous=prev.seo,
-                    )
-                    stats = built.build_stats
-                    if stats is not None:
-                        stats.chain_depth = chain_depth
-                        report.relations.append(
-                            RelationBuild.from_stats(relation, stats)
-                        )
-                        tracer.annotate(incremental=True)
-                    return built, prev.graph_cache, chain_depth
+            except DeltaRefused as refused:
+                reason = refused.reason
+            else:
+                chain_depth = prev.chain_depth + 1
+                built = SimilarityEnhancedOntology.build(
+                    hierarchies,
+                    self.measure,
+                    self.epsilon,
+                    constraints,
+                    mode=mode,
+                    guard=guard,
+                    options=options,
+                    cache=None,
+                    fusion=followed,
+                    graph_cache=prev.graph_cache,
+                    previous=prev.seo,
+                )
+                built.build_stats.chain_depth = chain_depth
+                self._report_relation(relation, built.build_stats, None, report, tracer)
+                return built, prev.graph_cache, chain_depth
         graph_cache = (
             prev.graph_cache
             if prev is not None and prev.epsilon == self.epsilon
@@ -820,11 +875,23 @@ class TossSystem:
             cache=cache,
             graph_cache=graph_cache,
         )
-        stats = built.build_stats
-        if stats is not None:
-            report.relations.append(RelationBuild.from_stats(relation, stats))
-            tracer.annotate(cache_hit=stats.cache_hit)
+        self._report_relation(relation, built.build_stats, reason, report, tracer)
         return built, graph_cache, 0
+
+    @staticmethod
+    def _report_relation(
+        relation: str,
+        stats: SeoBuildStats,
+        reason: Optional[str],
+        report: BuildReport,
+        tracer,
+    ) -> None:
+        """Book one relation's build on the report and its trace span."""
+        entry = RelationBuild.from_stats(relation, stats, reason)
+        report.relations.append(entry)
+        tracer.annotate(
+            rung=entry.rung, rung_reason=entry.rung_reason, cache_hit=stats.cache_hit
+        )
 
     def _finish_build(
         self,

@@ -142,6 +142,21 @@ class ConstraintError(OntologyError):
     """An interoperation constraint references an unknown hierarchy/term."""
 
 
+class DeltaRefused(ReproError):
+    """A delta rung's precondition failed; ``reason`` names which one.
+
+    Raised by the incremental-maintenance steps (extraction retraction,
+    fusion extension/retraction, enhancement patching) and caught by the
+    write path and the build ladder, which record the reason and take the
+    next, dearer rung.  Never a failure of the request itself.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        #: Stable kebab-case name of the failed precondition.
+        self.reason = reason
+
+
 class FusionInconsistencyError(OntologyError):
     """The interoperation constraints are unsatisfiable.
 

@@ -82,10 +82,15 @@ class LruCache:
             ).inc()
         return value if hit else default
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store ``value``, evicting the least recently used past ``size``."""
+    def put(self, key: Hashable, value: Any) -> int:
+        """Store ``value``, evicting the least recently used past ``size``.
+
+        Returns how many entries were evicted, for callers on hot paths
+        that publish their own eviction counter instead of paying for a
+        ``metric_prefix`` on every :meth:`get`.
+        """
         if self.size <= 0:
-            return
+            return 0
         evicted = 0
         with self._lock:
             self._entries[key] = value
@@ -96,6 +101,7 @@ class LruCache:
             self.evictions += evicted
         if evicted and self.metric_prefix is not None:
             METRICS.counter(f"{self.metric_prefix}.evictions").inc(evicted)
+        return evicted
 
     def clear(self) -> None:
         """Drop every entry (counters are left intact)."""

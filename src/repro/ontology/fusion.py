@@ -35,7 +35,7 @@ from typing import (
 )
 
 from .. import graphutils
-from ..errors import ConstraintError, FusionInconsistencyError
+from ..errors import ConstraintError, DeltaRefused, FusionInconsistencyError
 from ..guard import ResourceGuard
 from .constraints import (
     EqualityConstraint,
@@ -102,9 +102,17 @@ class FusionResult:
     ) -> None:
         self.hierarchy = hierarchy
         self.witness: Dict[ScopedTerm, FusedNode] = dict(witness)
-        self._by_term: Dict[Hashable, Set[FusedNode]] = {}
-        for scoped, node in self.witness.items():
-            self._by_term.setdefault(scoped.term, set()).add(node)
+        self._term_index: Optional[Dict[Hashable, Set[FusedNode]]] = None
+
+    @property
+    def _by_term(self) -> Dict[Hashable, Set[FusedNode]]:
+        """Unscoped term -> fused nodes, built on first lookup (a fusion
+        the write path merely extends or retracts never needs it)."""
+        if self._term_index is None:
+            self._term_index = {}
+            for scoped, node in self.witness.items():
+                self._term_index.setdefault(scoped.term, set()).add(node)
+        return self._term_index
 
     def node_of(self, term: Hashable, source: Optional[Hashable] = None) -> FusedNode:
         """The fused node of a term.
@@ -232,8 +240,8 @@ def extend_fusion(
     prev: FusionResult,
     added_edges: Mapping[Hashable, Iterable[Tuple[Hashable, Hashable]]],
     added_nodes: Optional[Mapping[Hashable, Iterable[Hashable]]] = None,
-) -> Optional[FusionResult]:
-    """Extend a fusion with per-source *leaf* deltas, without refusing.
+) -> FusionResult:
+    """Extend a fusion with per-source *leaf* deltas, without recondensing.
 
     ``added_edges[source]`` lists ``(lower, upper)`` Hasse pairs whose
     lower term is new to that source; ``added_nodes[source]`` lists new
@@ -247,9 +255,10 @@ def extend_fusion(
     result ``canonical_fusion`` would on the grown inputs, in time
     proportional to the delta.
 
-    Returns None when the delta is not leaf-only for some source (a
-    "new" lower term is already witnessed there, or the new edges are
-    cyclic among themselves); callers fall back to the full fusion.
+    Raises :class:`~repro.errors.DeltaRefused` when the delta is not
+    leaf-only for some source (``"added-term-exists"``: a "new" lower
+    term is already witnessed there; ``"added-edges-cyclic"``); callers
+    fall back to the full fusion.
     """
     singleton: Dict[ScopedTerm, FusedNode] = {}
 
@@ -265,7 +274,7 @@ def extend_fusion(
         pairs = [(lower, upper) for lower, upper in edges]
         for lower, _ in pairs:
             if ScopedTerm(lower, source) in prev.witness:
-                return None
+                raise DeltaRefused("added-term-exists")
         for lower, upper in pairs:
             scoped_upper = ScopedTerm(upper, source)
             existing = prev.witness.get(scoped_upper)
@@ -279,7 +288,7 @@ def extend_fusion(
         for term in terms:
             scoped = ScopedTerm(term, source)
             if scoped in prev.witness:
-                return None
+                raise DeltaRefused("added-term-exists")
             isolated_nodes.append(node_for(scoped))
 
     if not singleton:
@@ -288,10 +297,60 @@ def extend_fusion(
         fused_edges, new_nodes=isolated_nodes
     )
     if hierarchy is None:
-        return None
+        raise DeltaRefused("added-edges-cyclic")
     witness = dict(prev.witness)
     for scoped, node in singleton.items():
         witness[scoped] = node
+    return FusionResult(hierarchy, witness)
+
+
+def retract_fusion(
+    prev: FusionResult,
+    removed_terms: Mapping[Hashable, Iterable[Hashable]],
+    removed_edges: Mapping[Hashable, Iterable[Tuple[Hashable, Hashable]]],
+    constraints: Iterable[InteroperationConstraint] = (),
+) -> FusionResult:
+    """Withdraw per-source *leaf* terms from a fusion — :func:`extend_fusion`'s dual.
+
+    ``removed_terms[source]`` lists the terms that left that source's
+    hierarchy and ``removed_edges[source]`` the Hasse pairs that left
+    with them.  A term that condensed to a singleton :class:`FusedNode`
+    with nothing below it has no incoming edge in the hierarchy graph,
+    so deleting it (and its outgoing edges) changes no other component
+    and no other path: the fused diagram shrinks via
+    :meth:`Hierarchy.without_leaves` to exactly what
+    ``canonical_fusion`` would build on the shrunk inputs.
+
+    Raises :class:`~repro.errors.DeltaRefused` otherwise: a withdrawn
+    edge whose lower term stays (``"removed-edge-between-survivors"``),
+    a term some constraint names (``"removed-term-constrained"`` — the
+    full fusion must reject that constraint), one fused with other terms
+    or unknown (``"removed-term-fused"``), or one with terms below it
+    (``"removed-term-has-children"``).
+    """
+    doomed: Dict[ScopedTerm, FusedNode] = {}
+    for source, edges in removed_edges.items():
+        leaving = set(removed_terms.get(source, ()))
+        if any(lower not in leaving for lower, _ in edges):
+            raise DeltaRefused("removed-edge-between-survivors")
+    for source, terms in removed_terms.items():
+        for term in terms:
+            scoped = ScopedTerm(term, source)
+            node = prev.witness.get(scoped)
+            if node is None or len(node.members) != 1:
+                raise DeltaRefused("removed-term-fused")
+            doomed[scoped] = node
+    if not doomed:
+        return prev
+    for constraint in constraints:
+        if constraint.left in doomed or constraint.right in doomed:
+            raise DeltaRefused("removed-term-constrained")
+    hierarchy = prev.hierarchy.without_leaves(doomed.values())
+    if hierarchy is None:
+        raise DeltaRefused("removed-term-has-children")
+    witness = {
+        scoped: node for scoped, node in prev.witness.items() if scoped not in doomed
+    }
     return FusionResult(hierarchy, witness)
 
 

@@ -27,10 +27,12 @@ matching the Hasse-diagram reading of Definition 3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import graphutils
+from ..errors import DeltaRefused
 from ..xmldb.model import XmlNode
 from .hierarchy import Hierarchy, Ontology
 from .lexicon import Lexicon, bibliography_lexicon
@@ -237,22 +239,52 @@ def _acyclic_hierarchy(
 
 @dataclass
 class RelationDelta:
-    """What one document batch contributed to one extracted relation."""
+    """What document batches added to or withdrew from one extracted relation."""
 
     added_edges: List[Tuple[str, str]] = field(default_factory=list)
     added_nodes: List[str] = field(default_factory=list)
     #: Terms that entered the hierarchy with this batch (edge endpoints
     #: not previously present, plus the isolated additions).
     added_terms: Set[str] = field(default_factory=set)
-    #: True when the hierarchy was grown via the leaf-extension fast path
-    #: (every genuinely new edge hangs a new term below the existing
-    #: order) — the condition under which downstream fusion can extend
-    #: incrementally too.
-    leaf_only: bool = True
+    #: Accepted edges no surviving document lists any more.
+    removed_edges: List[Tuple[str, str]] = field(default_factory=list)
+    #: Isolated terms (tags no edge touches) that left the hierarchy.
+    removed_nodes: List[str] = field(default_factory=list)
+    #: Every term that left the hierarchy (edge endpoints and isolated).
+    removed_terms: Set[str] = field(default_factory=set)
 
     @property
     def empty(self) -> bool:
-        return not self.added_edges and not self.added_nodes
+        return not (
+            self.added_edges
+            or self.added_nodes
+            or self.removed_edges
+            or self.removed_nodes
+        )
+
+    def absorb(self, later: "RelationDelta") -> None:
+        """Fold a later delta of the same relation in, netting what came and went.
+
+        Hierarchies are canonical, so an edge or term that left and came
+        back (or the reverse) since the last build is no change at all.
+        """
+        for pending, opposite, items in (
+            (self.removed_edges, self.added_edges, later.removed_edges),
+            (self.removed_nodes, self.added_nodes, later.removed_nodes),
+            (self.added_edges, self.removed_edges, later.added_edges),
+            (self.added_nodes, self.removed_nodes, later.added_nodes),
+        ):
+            for item in items:
+                if item in opposite:
+                    opposite.remove(item)
+                else:
+                    pending.append(item)
+        left_again = later.removed_terms & self.added_terms
+        self.added_terms -= left_again
+        self.removed_terms |= later.removed_terms - left_again
+        came_back = later.added_terms & self.removed_terms
+        self.removed_terms -= came_back
+        self.added_terms |= later.added_terms - came_back
 
 
 class CombinedExtraction:
@@ -261,31 +293,48 @@ class CombinedExtraction:
     The greedy cycle-dropping pass of ``_acyclic_hierarchy`` consumes the
     concatenated per-document edge lists in order, so its accepted graph
     after documents ``d1..dn`` is a pure function of that prefix.  This
-    state object keeps the accepted adjacency per relation and continues
-    the greedy pass over each newly appended batch, producing an ontology
-    **identical** to ``make_combined`` over all documents seen so far:
+    state object keeps the accepted graph per relation and continues the
+    greedy pass over each newly appended batch (:meth:`extend`),
+    producing an ontology **identical** to ``make_combined`` over all
+    documents seen so far:
 
-    * a re-extracted duplicate edge is a no-op in both paths (the
-      adjacency is unchanged, and ``Hierarchy`` de-duplicates);
+    * a re-extracted duplicate edge is a no-op in both paths (the graph
+      is unchanged, and ``Hierarchy`` de-duplicates);
     * a genuinely new edge faces exactly the ``has_path`` check the full
-      pass would apply, against the same adjacency.
+      pass would apply, against the same graph.
+
+    Every accepted edge, every tag and every edge the greedy pass
+    *dropped* carries the number of live documents listing it, which is
+    what makes a removal a delta too (:meth:`retract`): while no dropped
+    edge is live, the accepted graph is the plain union of the surviving
+    documents' edges — acyclic, so ``make_combined`` over the survivors
+    accepts all of it in any scan order (a replaced document moving to
+    the end of the collection changes nothing).
 
     Only valid for makers without DBA rules: ``make_combined`` appends
     rules *after* all documents, so a continuation would replay them in
     the wrong position.  Callers check :attr:`supported` and fall back to
-    the full combine.  Removals/replacements are likewise out of scope —
-    the greedy state is not reversible — so callers rebuild this state
-    from the surviving documents.
+    the full combine.
     """
 
     _RELATIONS = (Ontology.ISA, Ontology.PART_OF)
 
     def __init__(self, maker: OntologyMaker) -> None:
         self.maker = maker
-        self._adjacency: Dict[str, Dict[str, Set[str]]] = {
+        #: relation -> lower -> upper -> live documents listing the edge.
+        self._accepted: Dict[str, Dict[str, Dict[str, int]]] = {
             relation: {} for relation in self._RELATIONS
         }
-        self._tags: Set[str] = set()
+        #: relation -> cycle-dropped edge -> live documents listing it.
+        self._dropped: Dict[str, Dict[Tuple[str, str], int]] = {
+            relation: {} for relation in self._RELATIONS
+        }
+        #: relation -> term -> accepted edges touching it (either end).
+        self._degree: Dict[str, Dict[str, int]] = {
+            relation: {} for relation in self._RELATIONS
+        }
+        #: tag -> live documents carrying it.
+        self._tags: Dict[str, int] = {}
         self._hierarchies: Dict[str, Hierarchy] = {
             relation: Hierarchy() for relation in self._RELATIONS
         }
@@ -298,64 +347,148 @@ class CombinedExtraction:
     def ontology(self) -> Ontology:
         return Ontology(dict(self._hierarchies))
 
+    def _listed(self, relation: str, roots: Sequence[XmlNode]):
+        """Every non-reflexive edge listing of ``roots``, document by document."""
+        extract = (
+            self.maker._isa_edges
+            if relation == Ontology.ISA
+            else self.maker._part_of_edges
+        )
+        for root in roots:
+            for edge in extract(root):
+                if edge[0] != edge[1]:
+                    yield edge
+
     def extend(self, roots: Sequence[XmlNode]) -> Dict[str, RelationDelta]:
         """Fold a batch of documents into the combined ontology.
 
         Returns the per-relation delta (new accepted edges, new isolated
-        terms, and whether the hierarchy took the leaf-extension fast
-        path).  After the call, :attr:`ontology` equals
-        ``maker.make_combined(all documents so far)``.
+        terms).  After the call, :attr:`ontology` equals
+        ``maker.make_combined(all live documents)``.
         """
         if not self.supported:
             raise ValueError(
                 "CombinedExtraction cannot replay DBA rules; use make_combined"
             )
-        batch_tags: Set[str] = set()
+        new_tags: List[str] = []
         for root in roots:
-            batch_tags.update(self.maker._document_tags(root))
-        new_tags = batch_tags - self._tags
-        self._tags.update(new_tags)
+            for tag in self.maker._document_tags(root):
+                count = self._tags.get(tag, 0)
+                if not count:
+                    new_tags.append(tag)
+                self._tags[tag] = count + 1
 
-        extractors = {
-            Ontology.ISA: self.maker._isa_edges,
-            Ontology.PART_OF: self.maker._part_of_edges,
-        }
         deltas: Dict[str, RelationDelta] = {}
         for relation in self._RELATIONS:
-            adjacency = self._adjacency[relation]
-            extract = extractors[relation]
+            accepted = self._accepted[relation]
+            dropped = self._dropped[relation]
+            degree = self._degree[relation]
             added: List[Tuple[str, str]] = []
-            for root in roots:
-                for lower, upper in extract(root):
-                    if lower == upper:
-                        continue
-                    targets = adjacency.get(lower)
-                    if targets is not None and upper in targets:
-                        continue  # duplicate of an accepted edge: no-op
-                    if graphutils.has_path(adjacency, upper, lower):
-                        continue  # would close a cycle — dropped, as in the full pass
-                    adjacency.setdefault(lower, set()).add(upper)
-                    adjacency.setdefault(upper, set())
-                    added.append((lower, upper))
+            for edge in self._listed(relation, roots):
+                lower, upper = edge
+                targets = accepted.get(lower)
+                if targets is not None and upper in targets:
+                    targets[upper] += 1  # duplicate of an accepted edge
+                elif graphutils.has_path(accepted, upper, lower):
+                    # would close a cycle — dropped, as in the full pass
+                    dropped[edge] = dropped.get(edge, 0) + 1
+                else:
+                    accepted.setdefault(lower, {})[upper] = 1
+                    degree[lower] = degree.get(lower, 0) + 1
+                    degree[upper] = degree.get(upper, 0) + 1
+                    added.append(edge)
             previous = self._hierarchies[relation]
             isolated = [tag for tag in new_tags if tag not in previous]
             added_terms = set(isolated)
-            for lower, upper in added:
-                if lower not in previous:
-                    added_terms.add(lower)
-                if upper not in previous:
-                    added_terms.add(upper)
-            delta = RelationDelta(
-                added_edges=added, added_nodes=isolated, added_terms=added_terms
+            added_terms.update(
+                term for edge in added for term in edge if term not in previous
             )
             extended = previous.extended_with_lower_terms(added, new_nodes=isolated)
             if extended is None:
                 # Some new edge attaches below an existing term (e.g. a
                 # known tag nested under a new parent): rebuild this
                 # relation from the accepted graph.  Still exact — the
-                # adjacency is the full greedy outcome.
-                extended = Hierarchy(adjacency, nodes=self._tags)
-                delta.leaf_only = False
+                # graph is the full greedy outcome.
+                extended = Hierarchy(accepted, nodes=self._tags)
             self._hierarchies[relation] = extended
-            deltas[relation] = delta
+            deltas[relation] = RelationDelta(
+                added_edges=added, added_nodes=isolated, added_terms=added_terms
+            )
+        return deltas
+
+    def retract(self, roots: Sequence[XmlNode]) -> Dict[str, RelationDelta]:
+        """Withdraw a batch of documents previously folded in.
+
+        ``roots`` are the trees being removed: their own edges are
+        re-derived and the reference counts decremented, so the work is
+        proportional to the removed documents, never the source.  After
+        the call, :attr:`ontology` equals ``maker.make_combined(the
+        surviving documents)`` — exact because no dropped edge is live
+        (see the class docstring).  When a surviving document still lists
+        a cycle-dropped edge the greedy outcome depends on what is being
+        removed; the state is left untouched and
+        :class:`~repro.errors.DeltaRefused` (``"dropped-edge-live"``) is
+        raised — callers re-extract.
+        """
+        listed: Dict[str, Counter] = {}
+        for relation in self._RELATIONS:
+            counts = listed[relation] = Counter(self._listed(relation, roots))
+            dropped = self._dropped[relation]
+            if any(live > counts[edge] for edge, live in dropped.items()):
+                raise DeltaRefused("dropped-edge-live")
+
+        gone_tags: List[str] = []
+        for root in roots:
+            for tag in self.maker._document_tags(root):
+                self._tags[tag] -= 1
+                if not self._tags[tag]:
+                    del self._tags[tag]
+                    gone_tags.append(tag)
+
+        deltas: Dict[str, RelationDelta] = {}
+        for relation in self._RELATIONS:
+            accepted = self._accepted[relation]
+            degree = self._degree[relation]
+            self._dropped[relation].clear()  # all listed by ``roots`` (checked above)
+            removed: List[Tuple[str, str]] = []
+            for edge, count in listed[relation].items():
+                lower, upper = edge
+                targets = accepted.get(lower)
+                if targets is None or upper not in targets:
+                    continue  # one of the dropped edges
+                targets[upper] -= count
+                if targets[upper]:
+                    continue
+                del targets[upper]
+                if not targets:
+                    del accepted[lower]
+                for term in edge:
+                    degree[term] -= 1
+                    if not degree[term]:
+                        del degree[term]
+                removed.append(edge)
+            previous = self._hierarchies[relation]
+            candidates = {term for edge in removed for term in edge}
+            candidates.update(gone_tags)
+            vanished = {
+                term
+                for term in candidates
+                if term not in degree and term not in self._tags
+            }
+            shrunk = None
+            if all(lower in vanished for lower, _ in removed):
+                shrunk = previous.without_leaves(vanished)
+            if shrunk is None:
+                # An edge between surviving terms left, or a term with
+                # children did: rebuild this relation from the accepted
+                # graph (exact, as in :meth:`extend`).
+                shrunk = Hierarchy(accepted, nodes=self._tags)
+            self._hierarchies[relation] = shrunk
+            deltas[relation] = RelationDelta(
+                removed_edges=removed,
+                # Mirrors ``added_nodes`` (tags new to the hierarchy), so a
+                # tag that leaves and comes back nets out.
+                removed_nodes=[tag for tag in gone_tags if tag in vanished],
+                removed_terms=vanished,
+            )
         return deltas

@@ -33,9 +33,9 @@ object identity moved since capture (the system's incremental build
 keeps unchanged SEO objects alive precisely so this comparison works),
 either the chain of *enhancement patches* the patched builds recorded
 (when every build since capture took the
-:func:`~repro.similarity.sea.extend_enhancement` path — the payload is
-then sized to the writes, not the ontology) or the full serialized SEO
-as the fallback.  :func:`apply_snapshot_delta` replays a delta inside
+:func:`~repro.similarity.sea.extend_enhancement` path, whether terms
+came or went — the payload is then sized to the writes, not the
+ontology) or the full serialized SEO as the fallback.  :func:`apply_snapshot_delta` replays a delta inside
 a live worker, converging its inherited/restored system to the target
 generation signature bit-for-bit; the supervised pool broadcasts it
 between batches instead of respawning the fleet.  A truncated
@@ -278,10 +278,18 @@ class SystemSnapshot:
         refs re-anchor on the live context, and any pickle payload is
         dropped — :meth:`ensure_payload` rebuilds it lazily on the next
         respawn, keeping the delta path free of full re-serialization.
+        The SEOs now anchored on forget their patch provenance: the
+        links behind them have been shipped, so dropping them frees the
+        superseded SEOs and restarts the :data:`~repro.similarity.seo
+        .MAX_PATCH_CHAIN` count — a server that refreshes after every
+        write never reaches the cap.
         """
         self.signature = delta.target_signature
         if self.system.context is not None:
             self.seo_refs = dict(self.system.context.seos)
+            for seo in self.seo_refs.values():
+                seo.patch = None
+                seo.patch_depth = 0
         if self.payload is not None:
             self.payload = None
 
@@ -317,9 +325,11 @@ def _seo_patch_chain(seo, base):
     Each link is ``(previous, current, removed, added)`` as recorded by
     the patched build path (:attr:`SimilarityEnhancedOntology.patch`).
     Returns None when the chain does not reach ``base`` — some build in
-    between ran from scratch, the chain outgrew
-    :data:`~repro.similarity.seo.MAX_PATCH_CHAIN`, or the snapshot never
-    served this relation — and the caller ships the full SEO instead.
+    between ran from scratch, more than
+    :data:`~repro.similarity.seo.MAX_PATCH_CHAIN` patched builds piled
+    up since the last refresh, another snapshot already advanced past
+    ``base``, or the snapshot never served this relation — and the
+    caller ships the full SEO instead.
     """
     if base is None:
         return None

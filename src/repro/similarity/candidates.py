@@ -133,6 +133,34 @@ def gram_frequencies(profiles: Iterable[Sequence[Occurrence]]) -> Dict[str, int]
     return frequency
 
 
+def filter_survivors(
+    length: int,
+    occ_set: Optional[FrozenSet[Occurrence]],
+    positions: Iterable[int],
+    lengths: Sequence[int],
+    occ_sets: Optional[Sequence[FrozenSet[Occurrence]]],
+    epsilon: float,
+) -> List[int]:
+    """Of ``positions``, those that pass the length and count filters.
+
+    The one implementation of the pair filter: ``|len(x) - len(y)| <=
+    epsilon`` and — with occurrence sets — the exact Ukkonen count
+    bound, the multiset L1 distance of the bigram profiles (symmetric
+    difference of occurrence sets) at most ``2 q epsilon = 4 epsilon``.
+    ``occ_sets=None`` (measures the bound is unsound for) keeps the
+    length filter only.
+    """
+    if occ_sets is None:
+        return [q for q in positions if abs(length - lengths[q]) <= epsilon]
+    budget = 4.0 * epsilon
+    return [
+        q
+        for q in positions
+        if abs(length - lengths[q]) <= epsilon
+        and len(occ_set ^ occ_sets[q]) <= budget
+    ]
+
+
 #: What :meth:`CandidateIndex.profile` derives from one string.
 Profile = Tuple[int, Tuple[Occurrence, ...], FrozenSet[Occurrence]]
 
@@ -231,21 +259,15 @@ class CandidateIndex:
             postings = inverted.get(entry)
             if postings:
                 seen.update(postings)
-        budget, epsilon = self.budget, self.epsilon
-        lengths, occ_sets = self.lengths, self.occ_sets
+        budget, occ_sets = self.budget, self.occ_sets
         size = len(occ_set)
         if size <= budget - 1.0:
             for q in self.small_pool:
                 if size + len(occ_sets[q]) <= budget:
                     seen.add(q)
-        # Exact count filter: multiset L1 distance as the symmetric
-        # difference of occurrence sets.
-        return [
-            q
-            for q in sorted(seen)
-            if abs(length - lengths[q]) <= epsilon
-            and len(occ_set ^ occ_sets[q]) <= budget
-        ]
+        return filter_survivors(
+            length, occ_set, sorted(seen), self.lengths, occ_sets, self.epsilon
+        )
 
 
 def block_edges(

@@ -27,10 +27,10 @@ changed threshold or measure starts from an empty cache.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..guard import ResourceGuard
-from .candidates import BlockStats, Occurrence, bigram_occurrences
+from .candidates import BlockStats, Occurrence, bigram_occurrences, filter_survivors
 from .measures import StringSimilarityMeasure
 
 #: A rep-level edge: the pair of representative strings, min first.
@@ -134,6 +134,25 @@ class EpsilonGraphCache:
                 self._by_rep.setdefault(rep, index)
         self.generation += 1
 
+    def retire(self, reps: Iterable[str]) -> None:
+        """Forget representatives no node carries any more.
+
+        The enhancement-patch path calls this for withdrawn leaves so the
+        cache's footprint keeps tracking the corpus between two
+        :meth:`refresh` calls.  A bucket's invariant — every pair of its
+        ``reps`` has a verdict, an edge iff similar — survives dropping
+        a representative together with its edges.
+        """
+        for rep in reps:
+            index = self._by_rep.pop(rep, None)
+            if index is None:
+                continue
+            bucket = self._buckets[index]
+            bucket.reps.discard(rep)
+            bucket.edges = {edge for edge in bucket.edges if rep not in edge}
+            self._occ_sets.pop(rep, None)
+        self.generation += 1
+
 
 def delta_rep_edges(
     rep_set: Set[str],
@@ -149,9 +168,10 @@ def delta_rep_edges(
     Returns ``(edges, reused_pairs)`` where ``edges`` is exactly the set
     of epsilon-similar unordered rep pairs within ``rep_set`` and
     ``reused_pairs`` counts the pairs whose verdict was replayed from the
-    cache instead of recomputed.  Fresh pairs run the same length +
-    Ukkonen-count filters and the same ``bounded_distance`` verification
-    as :func:`~repro.similarity.candidates.block_edges`, so the output is
+    cache instead of recomputed.  Fresh pairs run the length +
+    Ukkonen-count filter of :func:`~repro.similarity.candidates
+    .filter_survivors` and the same ``bounded_distance`` verification as
+    :func:`~repro.similarity.candidates.block_edges`, so the output is
     identical to a from-scratch bucket build.
     """
     if stats is None:
@@ -172,20 +192,18 @@ def delta_rep_edges(
     if not fresh:
         return edges, reused
 
-    budget = 4.0 * epsilon  # Ukkonen: L1 of bigram profiles <= 2q * epsilon
     seen: List[str] = sorted(known)
-    seen_lengths = [len(rep) for rep in seen]
+    lengths = [len(rep) for rep in seen]
+    occ_sets = [cache.occ_set(rep) for rep in seen] if use_filter else None
     for probe in fresh:
         stats.probes += 1
         if guard is not None:
             guard.tick(1, what="SEA similarity graph (delta)")
-        length_p = len(probe)
         occ_p = cache.occ_set(probe) if use_filter else None
-        for index, known_rep in enumerate(seen):
-            if abs(length_p - seen_lengths[index]) > epsilon:
-                continue
-            if use_filter and len(occ_p ^ cache.occ_set(known_rep)) > budget:
-                continue
+        for index in filter_survivors(
+            len(probe), occ_p, range(len(seen)), lengths, occ_sets, epsilon
+        ):
+            known_rep = seen[index]
             stats.candidates += 1
             if guard is not None:
                 guard.tick(1, what="SEA similarity graph (delta)")
@@ -193,5 +211,7 @@ def delta_rep_edges(
                 stats.edges += 1
                 edges.add(_rep_pair(probe, known_rep))
         seen.append(probe)
-        seen_lengths.append(length_p)
+        lengths.append(len(probe))
+        if occ_sets is not None:
+            occ_sets.append(occ_p)
     return edges, reused

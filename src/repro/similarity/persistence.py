@@ -27,7 +27,7 @@ from .sea import EnhancedNode, NodeDistance, SimilarityEnhancement
 from .seo import SimilarityEnhancedOntology
 
 FORMAT_VERSION = 1
-PATCH_FORMAT_VERSION = 1
+PATCH_FORMAT_VERSION = 2
 
 
 def _scoped_to_json(scoped: ScopedTerm) -> List[Any]:
@@ -168,32 +168,40 @@ def seo_patch_to_dict(
     """The value-based wire form of one enhancement patch.
 
     ``seo`` must have been built from ``previous`` by
-    :func:`~repro.similarity.sea.extend_enhancement` (leaf-only growth),
-    with ``removed``/``added`` the enhanced cliques the patch dropped and
-    created.  The dict is JSON-compatible and sized to the *delta*, not
-    the ontology: the new fused singletons with their fusion covers, plus
-    the removed/added cliques with the added ones' covers in H'.  All
-    nodes are encoded by value (scoped-term sets), so
-    :func:`apply_seo_patch` can replay it against any value-identical
-    copy of ``previous`` — a worker's restored or fork-inherited SEO —
-    without sharing object identity with the builder.
+    :func:`~repro.similarity.sea.extend_enhancement` (minimal terms came
+    and went), with ``removed``/``added`` the enhanced cliques the patch
+    dropped and created.  The dict is JSON-compatible and sized to the
+    *delta*, not the ontology: the withdrawn fused singletons, the new
+    ones with their fusion covers, plus the removed/added cliques with
+    the added ones' covers in H'.  All nodes are encoded by value
+    (scoped-term sets), so :func:`apply_seo_patch` can replay it against
+    any value-identical copy of ``previous`` — a worker's restored or
+    fork-inherited SEO — without sharing object identity with the
+    builder.
     """
     removed = list(removed)
     added = list(added)
     prev_fused = previous.fusion.hierarchy
-    new_fused: List[FusedNode] = []
-    seen: set = set()
-    for node in added:
-        for member in node.members:
-            if member not in prev_fused and member not in seen:
-                seen.add(member)
-                new_fused.append(member)
-    new_fused.sort(key=str)
     fused_hierarchy = seo.fusion.hierarchy
+
+    def members_outside(cliques, hierarchy) -> List[FusedNode]:
+        outside = {
+            member
+            for node in cliques
+            for member in node.members
+            if member not in hierarchy
+        }
+        return sorted(outside, key=str)
+
+    new_fused = members_outside(added, prev_fused)
     return {
         "format": PATCH_FORMAT_VERSION,
         "epsilon": seo.epsilon,
         "fusion": {
+            "removed": [
+                _fused_to_json(node)
+                for node in members_outside(removed, fused_hierarchy)
+            ],
             "nodes": [_fused_to_json(node) for node in new_fused],
             "parents": [
                 [
@@ -260,6 +268,12 @@ def apply_seo_patch(
     if added_present or removed_present != len(removed):
         raise SimilarityError("SEO patch does not apply to this SEO")
 
+    gone_fused = [
+        _fused_from_json(entry) for entry in payload["fusion"]["removed"]
+    ]
+    shrunk_fusion = seo.fusion.hierarchy.without_leaves(gone_fused)
+    if shrunk_fusion is None:
+        raise SimilarityError("SEO patch fusion removals do not apply")
     fused_nodes = [
         _fused_from_json(entry) for entry in payload["fusion"]["nodes"]
     ]
@@ -273,12 +287,15 @@ def apply_seo_patch(
             )
         else:
             isolated.append(node)
-    extended_fusion = seo.fusion.hierarchy.extended_with_lower_terms(
+    extended_fusion = shrunk_fusion.extended_with_lower_terms(
         fused_edges, new_nodes=isolated
     )
     if extended_fusion is None:
         raise SimilarityError("SEO patch fusion extension does not apply")
     witness = dict(seo.fusion.witness)
+    for node in gone_fused:
+        for scoped in node.members:
+            del witness[scoped]
     for node in fused_nodes:
         for scoped in node.members:
             witness[scoped] = node
@@ -301,6 +318,8 @@ def apply_seo_patch(
     if extended is None:
         raise SimilarityError("SEO patch additions do not apply")
     mu = dict(seo.enhancement.mu)
+    for node in gone_fused:
+        del mu[node]
     for clique in removed:
         for member in clique.members:
             groups = mu.get(member)

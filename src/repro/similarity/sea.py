@@ -37,13 +37,14 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Set,
     Tuple,
 )
 
 from .. import graphutils
-from ..errors import SimilarityInconsistencyError
+from ..errors import DeltaRefused, SimilarityInconsistencyError
 from ..guard import ResourceGuard
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
@@ -225,8 +226,8 @@ class SimilarityEnhancement:
         #: Order-context buckets of the build (order-safe mode only):
         #: context -> every H node carrying it, singletons included.  The
         #: enhancement-patch path (:func:`extend_enhancement`) needs them
-        #: to find which existing nodes a new leaf must be compared
-        #: against without re-bucketing the whole hierarchy; None when
+        #: to find the one bucket a changed leaf touches without
+        #: re-bucketing the whole hierarchy; None when
         #: built in strict mode or restored from disk.
         self.context_buckets: Optional[Dict[OrderContext, List[Node]]] = None
 
@@ -298,8 +299,8 @@ class SeaStats:
     #: Rep-level pair verdicts replayed from the cache (incremental only).
     reused_pairs: int = 0
     #: True when the previous enhancement was *patched in place* — only
-    #: the buckets touched by new leaves were reprocessed and the
-    #: enhanced hierarchy was edited, never rebuilt (see
+    #: the buckets of the leaves that came or went were reprocessed and
+    #: the enhanced hierarchy was edited, never rebuilt (see
     #: :func:`extend_enhancement`).  Implies ``incremental``.
     patched: bool = False
 
@@ -725,6 +726,12 @@ EnhancementPatch = Tuple[
 ]
 
 
+def _refuse(reason: str) -> NoReturn:
+    """Count the failed patch precondition and hand it to the build ladder."""
+    METRICS.counter(f"sea.patch_refused.{reason}").inc()
+    raise DeltaRefused(reason)
+
+
 def extend_enhancement(
     previous: SimilarityEnhancement,
     old_hierarchy: Hierarchy,
@@ -734,109 +741,122 @@ def extend_enhancement(
     guard: Optional[ResourceGuard] = None,
     options: Optional[BuildOptions] = None,
     reuse: Optional[EpsilonGraphCache] = None,
-) -> Optional[EnhancementPatch]:
-    """Patch ``previous`` for a leaf-only hierarchy extension, in place of SEA.
+) -> EnhancementPatch:
+    """Patch ``previous`` for minimal terms that came and went, in place of SEA.
 
-    ``hierarchy`` must extend ``old_hierarchy`` (the hierarchy
-    ``previous`` was built over) with new *minimal* terms only — exactly
-    what :func:`~repro.ontology.fusion.extend_fusion` produces for
-    leaf-only mutation deltas.  Under order-safe semantics such an
-    extension is local by construction:
+    ``hierarchy`` must differ from ``old_hierarchy`` (the hierarchy
+    ``previous`` was built over) by *minimal* terms only — new ones
+    added, old ones withdrawn: exactly what
+    :func:`~repro.ontology.fusion.extend_fusion` and
+    :func:`~repro.ontology.fusion.retract_fusion` produce for leaf-only
+    mutation deltas.  Under order-safe semantics such a change is local
+    by construction:
 
-    * a new leaf's order context is ``(its ancestors, {})``, so the only
-      nodes it can ever be similar to are the members of that one stored
-      bucket — every other pairwise verdict of the previous build is
-      untouched (verdict purity, Lemma 1);
+    * a minimal term's order context is ``(its ancestors, {})``, so the
+      only nodes it can ever be similar to are the members of that one
+      stored bucket — every other pairwise verdict of the previous build
+      is untouched (verdict purity, Lemma 1);
     * members of such a bucket are themselves minimal terms, so the
-      cliques gaining members are *sink* nodes of H' — they have no
-      incoming H' edges, absorbing one (condition 4) cannot orphan an
-      edge, and the cliques created for the new leaves attach strictly
-      below existing H' nodes, which is precisely the shape
+      cliques gaining or losing members are *sink* nodes of H' — they
+      have no incoming H' edges, dropping one cannot orphan an edge, and
+      the cliques created (for new leaves, or reborn from what a
+      withdrawn leaf's cliques leave behind) attach strictly below
+      existing H' nodes, which is precisely the shape
+      :meth:`~repro.ontology.hierarchy.Hierarchy.without_leaves` and
       :meth:`~repro.ontology.hierarchy.Hierarchy.extended_with_lower_terms`
-      extends without re-reducing;
-    * the ancestors of the new leaves are the only existing nodes whose
-      context moves (their descendant sets grow).  The patch requires
-      each to sit in a singleton clique — the ubiquitous case for
-      structural tags — because a context move invalidates any similarity
-      edge built on the old context.
+      edit without re-reducing;
+    * the ancestors of the changed leaves are the only existing nodes
+      whose context moves (their descendant sets change).  The patch
+      requires each to sit in a singleton clique — the ubiquitous case
+      for structural tags — because a context move invalidates any
+      similarity edge built on the old context — and to land in a
+      context nobody else holds, because a shared context would create
+      comparison pairs this patch never runs.
 
     Every structure the result carries (cliques, mu, H' with its
     closures, context buckets, the rep-level verdict cache) is repaired
-    in time proportional to the touched buckets, never the hierarchy.
-    The output is value-identical to a from-scratch :func:`sea` run over
-    ``hierarchy`` — the property suite and the online-mutations benchmark
-    byte-compare the two.
+    in time proportional to the touched buckets, never the hierarchy;
+    withdrawing a leaf runs no distance computation at all.  The output
+    is value-identical to a from-scratch :func:`sea` run over
+    ``hierarchy`` — the property suite and the online-mutations
+    benchmark byte-compare the two.
 
-    Returns None whenever any precondition fails (strict mode, changed
-    epsilon, weak measure, missing bucket map, a non-leaf new term, a
-    similar or colliding ancestor...); callers fall back to :func:`sea`.
+    Raises :class:`~repro.errors.DeltaRefused` naming the precondition
+    whenever one fails (strict mode, changed epsilon, weak measure,
+    missing bucket map, a non-minimal changed term, a similar or
+    colliding ancestor...), after counting it under
+    ``sea.patch_refused.<reason>``; callers fall back to :func:`sea`.
     """
     if mode != ORDER_SAFE or previous.mode != ORDER_SAFE:
-        return None
+        _refuse("strict-mode")
     if previous.epsilon != epsilon:
-        return None
+        _refuse("epsilon-changed")
     distance = previous.distance
     measure = distance.measure
     if not measure.is_strong:
-        return None
-    buckets = getattr(previous, "context_buckets", None)
-    if buckets is None or reuse is None or len(reuse) == 0:
-        return None
+        _refuse("weak-measure")
+    buckets = previous.context_buckets
+    if buckets is None:
+        _refuse("no-context-buckets")
+    if reuse is None or len(reuse) == 0:
+        _refuse("no-verdict-cache")
     mu = previous.mu
     new_nodes = [node for node in hierarchy.terms if node not in mu]
+    gone_nodes: List[Node] = []
     if len(hierarchy) != len(mu) + len(new_nodes):
-        return None  # terms vanished: not a pure extension
-    if not new_nodes:
+        gone_nodes = [node for node in mu if node not in hierarchy]
+    if not new_nodes and not gone_nodes:
         return previous, [], []
     started = time.perf_counter()
     if guard is not None:
         guard.check_deadline("SEA enhancement patch")
-    for node in new_nodes:
-        if hierarchy.children(node):
-            return None  # a new term above another term: full rebuild
+    if any(hierarchy.children(node) for node in new_nodes):
+        _refuse("new-term-not-minimal")
+    if any(old_hierarchy.children(node) for node in gone_nodes):
+        _refuse("gone-term-not-minimal")
 
-    # The new leaves' ancestors are the only existing nodes whose order
-    # context moves.  Each must be similar to nothing (singleton clique),
-    # and no two moved contexts may coincide — a coincidence would create
-    # comparison pairs this patch never runs.  (A moved context can never
-    # coincide with an unmoved one: it contains a new leaf in its
-    # descendant half, and only moved contexts do.)
+    # The changed leaves' ancestors are the only existing nodes whose
+    # order context moves.  Each must be similar to nothing (singleton
+    # clique), and no moved context may coincide with another node's —
+    # a coincidence would create comparison pairs this patch never runs.
     gained: Dict[Node, Set[Node]] = {}
     for node in new_nodes:
         for ancestor in hierarchy.ancestors(node):
             gained.setdefault(ancestor, set()).add(node)
-    for ancestor in gained:
-        cliques_of = mu.get(ancestor)
-        if cliques_of is None or len(cliques_of) != 1:
-            return None
-        (clique,) = cliques_of
-        if clique.members != frozenset({ancestor}):
-            return None
-    moved: Dict[Node, OrderContext] = {
-        ancestor: (
+    lost: Dict[Node, Set[Node]] = {}
+    for node in gone_nodes:
+        for ancestor in old_hierarchy.ancestors(node):
+            lost.setdefault(ancestor, set()).add(node)
+    moved: Dict[Node, OrderContext] = {}
+    for ancestor in gained.keys() | lost.keys():
+        if mu.get(ancestor) != {EnhancedNode(frozenset({ancestor}))}:
+            _refuse("ancestor-not-singleton")
+        moved[ancestor] = (
             old_hierarchy.ancestors(ancestor),
-            frozenset(old_hierarchy.descendants(ancestor) | extra),
+            old_hierarchy.descendants(ancestor)
+            .difference(lost.get(ancestor, ()))
+            .union(gained.get(ancestor, ())),
         )
-        for ancestor, extra in gained.items()
-    }
-    if len(set(moved.values())) != len(moved):
-        return None
 
-    # Copy-on-write bucket map: move the ancestors to their new contexts.
+    # Copy-on-write bucket map: every moving ancestor leaves its old
+    # context first, so a context one of them vacates is free for another.
     updated_buckets = dict(buckets)
-    for ancestor, context in moved.items():
+    for ancestor in moved:
         old_context = (
             old_hierarchy.ancestors(ancestor),
             old_hierarchy.descendants(ancestor),
         )
         members = updated_buckets.get(old_context)
-        if members is None or ancestor not in members or context in updated_buckets:
-            return None  # stored buckets disagree with the old hierarchy
+        if members is None or ancestor not in members:
+            _refuse("buckets-disagree")  # not the buckets of old_hierarchy
         remaining = [other for other in members if other != ancestor]
         if remaining:
             updated_buckets[old_context] = remaining
         else:
             del updated_buckets[old_context]
+    for ancestor, context in moved.items():
+        if context in updated_buckets:
+            _refuse("moved-context-collides")
         updated_buckets[context] = [ancestor]
 
     options = SERIAL_OPTIONS if options is None else options
@@ -844,20 +864,81 @@ def extend_enhancement(
     use_filter = options.candidate_filter and supports_filter(measure)
     block_stats = BlockStats()
     reused_pairs = 0
-    groups: Dict[OrderContext, List[Node]] = {}
+    #: touched leaf bucket -> (withdrawn leaves, new leaves)
+    groups: Dict[OrderContext, Tuple[List[Node], List[Node]]] = {}
+    for node in gone_nodes:
+        key = (old_hierarchy.ancestors(node), _NO_DESCENDANTS)
+        groups.setdefault(key, ([], []))[0].append(node)
     for node in new_nodes:
         key = (hierarchy.ancestors(node), _NO_DESCENDANTS)
-        groups.setdefault(key, []).append(node)
+        groups.setdefault(key, ([], []))[1].append(node)
 
     removed: List[EnhancedNode] = []
     added: List[EnhancedNode] = []
+
+    def drop(clique: EnhancedNode) -> None:
+        try:
+            added.remove(clique)  # born and dropped within this patch
+        except ValueError:
+            removed.append(clique)
+
+    #: Working clique sets of the nodes the patch touches (copied from
+    #: ``mu`` on first use, so untouched bucket members cost nothing).
     clique_sets: Dict[Node, Set[EnhancedNode]] = {}
+
+    def cliques_of(node: Node) -> Set[EnhancedNode]:
+        cliques = clique_sets.get(node)
+        if cliques is None:
+            cliques = clique_sets[node] = set(mu[node])
+        return cliques
+
+    retired_reps: List[str] = []
     absorb_updates: List[Tuple[Set[str], Set[Tuple[str, str]]]] = []
     group_sizes: List[int] = []
-    for key, fresh in groups.items():
+    for key, (gone, fresh) in groups.items():
         existing = updated_buckets.get(key, [])
+        if any(node not in existing for node in gone):
+            _refuse("buckets-disagree")
+        # Withdraw the gone leaves one at a time; after each withdrawal
+        # the working clique sets are exactly the maximal cliques of the
+        # bucket graph without it (so clique co-membership *is* adjacency).
+        for node in gone:
+            dying = cliques_of(node)
+            del clique_sets[node]
+            rep = min(strings_of(node))
+            if not any(
+                min(strings_of(mate)) == rep
+                for clique in dying
+                for mate in clique.members
+                if mate != node
+            ):
+                retired_reps.append(rep)  # same-rep nodes always share a clique
+            for clique in dying:
+                for member in clique.members:
+                    if member != node:
+                        cliques_of(member).discard(clique)
+                drop(clique)
+            for clique in dying:
+                rest = clique.members - {node}
+                # What is left is still a clique; it is reborn unless a
+                # surviving clique already covers it (condition 4).
+                if rest and not any(
+                    rest <= other.members
+                    for other in cliques_of(next(iter(rest)))
+                ):
+                    reborn = EnhancedNode(rest)
+                    added.append(reborn)
+                    for member in rest:
+                        cliques_of(member).add(reborn)
+        survivors = [node for node in existing if node not in gone]
         fresh = sorted(fresh, key=lambda n: min(strings_of(n)))
-        members = list(existing) + fresh
+        members = survivors + fresh
+        if members:
+            updated_buckets[key] = members
+        else:
+            del updated_buckets[key]
+        if not fresh:
+            continue
         group_sizes.append(len(members))
         reps = {node: min(strings_of(node)) for node in members}
         rep_set = set(reps.values())
@@ -873,12 +954,9 @@ def extend_enhancement(
             neighbour_reps.setdefault(rep_a, set()).add(rep_b)
             neighbour_reps.setdefault(rep_b, set()).add(rep_a)
         nodes_by_rep: Dict[str, List[Node]] = {}
-        for node in existing:
+        for node in survivors:
             nodes_by_rep.setdefault(reps[node], []).append(node)
-            clique_sets[node] = set(mu[node])
-        # Insert the new leaves one at a time; after each insertion the
-        # working clique sets are exactly the maximal cliques of the
-        # bucket graph so far (so clique co-membership *is* adjacency).
+        # Insert the new leaves one at a time, keeping the same invariant.
         for node in fresh:
             rep = reps[node]
             neighbourhood = [
@@ -896,7 +974,7 @@ def extend_enhancement(
                     u: {
                         w
                         for w in neighbourhood
-                        if w != u and clique_sets[u] & clique_sets[w]
+                        if w != u and cliques_of(u) & cliques_of(w)
                     }
                     for u in neighbourhood
                 }
@@ -904,37 +982,35 @@ def extend_enhancement(
                 # absorbed (condition 4: the new leaf extends them).
                 dead: Set[EnhancedNode] = set()
                 for u in neighbourhood:
-                    for clique in clique_sets[u]:
+                    for clique in cliques_of(u):
                         if clique not in dead and clique.members <= neighbour_set:
                             dead.add(clique)
                 for clique in dead:
                     for member in clique.members:
-                        clique_sets[member].discard(clique)
-                    try:
-                        added.remove(clique)  # born and absorbed this patch
-                    except ValueError:
-                        removed.append(clique)
+                        cliques_of(member).discard(clique)
+                    drop(clique)
                 clique_sets[node] = set()
                 for local_clique in graphutils.maximal_cliques(local):
                     clique = EnhancedNode(frozenset(local_clique | {node}))
                     added.append(clique)
                     for member in clique.members:
-                        clique_sets[member].add(clique)
+                        cliques_of(member).add(clique)
             nodes_by_rep.setdefault(rep, []).append(node)
-        updated_buckets[key] = members
 
     new_mu: Dict[Node, FrozenSet[EnhancedNode]] = dict(mu)
-    for node, cliques_of in clique_sets.items():
-        new_mu[node] = frozenset(cliques_of)
+    for node in gone_nodes:
+        del new_mu[node]
+    for node, cliques in clique_sets.items():
+        new_mu[node] = frozenset(cliques)
 
-    # Patch H': absorbed cliques are sinks (their members are minimal
+    # Patch H': dropped cliques are sinks (their members are minimal
     # terms), new cliques attach strictly below the ancestor cliques —
     # all of which are singletons (checked above), so every counting
     # step of the full edge derivation degenerates to "one edge per
     # ancestor clique" and no cycle or condition-1 violation is possible.
     patched = previous.hierarchy.without_leaves(removed)
     if patched is None:
-        return None
+        _refuse("dropped-clique-not-a-sink")
     new_edges: List[Tuple[EnhancedNode, EnhancedNode]] = []
     for clique in added:
         member = next(iter(clique.members))
@@ -947,7 +1023,8 @@ def extend_enhancement(
                 new_edges.append((clique, upper))
     extended = patched.extended_with_lower_terms(new_edges, new_nodes=added)
     if extended is None:
-        return None
+        _refuse("new-clique-not-a-leaf")
+    reuse.retire(retired_reps)
     reuse.absorb(absorb_updates)
 
     stats = SeaStats(

@@ -32,8 +32,9 @@ from typing import (
     Tuple,
 )
 
-from ..errors import UnknownTermError
+from ..errors import DeltaRefused, UnknownTermError
 from ..guard import ResourceGuard
+from ..lru import LruCache
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
 from ..ontology.constraints import InteroperationConstraint
@@ -75,10 +76,13 @@ class SeoBuildStats:
     #: build's fusion instead of recondensed.
     fusion_incremental: bool = False
     #: True when the previous *enhancement* was patched in place — SEA
-    #: never ran; only the order-context buckets the new leaves landed in
-    #: were reprocessed (see :func:`~repro.similarity.sea
+    #: never ran; only the order-context buckets of the leaves that came
+    #: or went were reprocessed (see :func:`~repro.similarity.sea
     #: .extend_enhancement`).
     enhancement_patched: bool = False
+    #: The :func:`~repro.similarity.sea.extend_enhancement` precondition
+    #: that failed when the patch was attempted and SEA ran instead.
+    patch_refused: Optional[str] = None
     #: Incremental builds applied since the last from-scratch build of
     #: this relation (0 = this SEO is a full build).
     chain_depth: int = 0
@@ -94,16 +98,24 @@ class SeoBuildStats:
             "incremental": self.incremental,
             "fusion_incremental": self.fusion_incremental,
             "enhancement_patched": self.enhancement_patched,
+            "patch_refused": self.patch_refused,
             "chain_depth": self.chain_depth,
         }
 
 
-#: Longest provenance chain a patched SEO records (:attr:`~
+#: Longest provenance chain a patched SEO *retains* (:attr:`~
 #: SimilarityEnhancedOntology.patch`).  The serving layer walks the chain
-#: to ship enhancement patches instead of whole SEOs; the cap bounds both
-#: the walk and the memory the back-references keep alive between
-#: refreshes (a longer gap falls back to shipping the full SEO).
+#: to ship enhancement patches instead of whole SEOs and drops the links
+#: behind every SEO it has shipped (:meth:`~repro.serving.snapshot
+#: .SystemSnapshot.advance`), so the depth counts patched builds since
+#: the last refresh; the cap bounds both the walk and the memory the
+#: back-references keep alive when nobody refreshes (a longer gap falls
+#: back to shipping the full SEO).
 MAX_PATCH_CHAIN = 8
+
+#: Entries the unknown-term ``similar`` memo keeps (keys carry
+#: query-supplied strings, so a long-lived worker must bound it).
+SIMILAR_MEMO_SIZE = 4096
 
 
 class SimilarityEnhancedOntology:
@@ -141,10 +153,10 @@ class SimilarityEnhancedOntology:
         # memoised: `below`-style conditions evaluate once per embedding
         # candidate and would otherwise recompute the closure every time.
         self._expansion_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
-        #: Verdicts for the unknown-term ``similar`` fallback, memoised
-        #: the same way (the raw-measure comparison is the one similarity
-        #: probe the precomputed index cannot answer).
-        self._similar_cache: Dict[Tuple[str, str], bool] = {}
+        #: Verdicts for the unknown-term ``similar`` fallback (the
+        #: raw-measure comparison is the one similarity probe the
+        #: precomputed index cannot answer), least recently used out.
+        self._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
 
     # -- construction -------------------------------------------------------
 
@@ -185,7 +197,8 @@ class SimilarityEnhancedOntology:
         grew out of) also given, the build first attempts the cheapest
         path of all — :func:`~repro.similarity.sea.extend_enhancement`
         patches the previous enhancement and string index in delta time,
-        and SEA never runs; any failed precondition falls back silently.
+        and SEA never runs; a failed precondition is recorded in
+        :attr:`SeoBuildStats.patch_refused` and SEA runs instead.
         """
         stats = SeoBuildStats()
         stats.fusion_incremental = fusion is not None
@@ -217,17 +230,22 @@ class SimilarityEnhancedOntology:
         patch = None
         if previous is not None and stats.fusion_incremental:
             with tracer.span("seo.sea_patch", mode=mode):
-                patch = extend_enhancement(
-                    previous.enhancement,
-                    previous.fusion.hierarchy,
-                    fusion.hierarchy,
-                    epsilon,
-                    mode=mode,
-                    guard=guard,
-                    options=options,
-                    reuse=graph_cache,
+                try:
+                    patch = extend_enhancement(
+                        previous.enhancement,
+                        previous.fusion.hierarchy,
+                        fusion.hierarchy,
+                        epsilon,
+                        mode=mode,
+                        guard=guard,
+                        options=options,
+                        reuse=graph_cache,
+                    )
+                except DeltaRefused as refused:
+                    stats.patch_refused = refused.reason
+                tracer.annotate(
+                    patched=patch is not None, refused=stats.patch_refused
                 )
-                tracer.annotate(patched=patch is not None)
         if patch is not None:
             enhancement, removed_cliques, added_cliques = patch
             stats.enhancement_patched = True
@@ -318,7 +336,7 @@ class SimilarityEnhancedOntology:
                 del index[string]
         seo._nodes_by_string = index
         seo._expansion_cache = {}
-        seo._similar_cache = {}
+        seo._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
         return seo
 
     @classmethod
@@ -383,7 +401,9 @@ class SimilarityEnhancedOntology:
             verdict = (
                 self.measure.bounded_distance(x, y, self.epsilon) <= self.epsilon
             )
-            cache[key] = verdict
+            evicted = cache.put(key, verdict)
+            if evicted:
+                METRICS.counter("seo.similar_memo.evictions").inc(evicted)
         return verdict
 
     def expand_similar(self, term: str) -> FrozenSet[str]:

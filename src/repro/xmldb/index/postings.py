@@ -53,7 +53,10 @@ class CollectionSearchIndex:
         self._pc_docs: Dict[Tuple[str, str], Set[str]] = {}
         self._ad_docs: Dict[Tuple[str, str], Set[str]] = {}
         # Memo for repeated probes (the plan-cache workload re-runs the
-        # same lookups every query); any document mutation clears it.
+        # same lookups every query).  A document mutation drops the
+        # single-lookup entries and patches the ``("terms", tags)``
+        # mappings — the one probe that walks every term — for just the
+        # values the document carries (:meth:`_patch_probe_cache`).
         # Cached values are shared with callers and must stay read-only.
         self._probe_cache: Dict[Tuple, object] = {}
 
@@ -104,7 +107,7 @@ class CollectionSearchIndex:
             for pair in ad:
                 self._ad_docs.setdefault(pair, set()).add(key)
         self._documents.add(key)
-        self._probe_cache.clear()
+        self._patch_probe_cache(key, term_paths, added=True)
 
     def remove_document(self, key: str, root: XmlNode) -> None:
         """Remove ``key``'s contributions, recomputed from its stored tree."""
@@ -125,7 +128,41 @@ class CollectionSearchIndex:
             for pair in ad:
                 self._discard(self._ad_docs, pair, key)
         self._documents.discard(key)
-        self._probe_cache.clear()
+        self._patch_probe_cache(key, term_paths, added=False)
+
+    def _patch_probe_cache(
+        self, key: str, term_paths: Dict[str, PathSet], added: bool
+    ) -> None:
+        """Carry the probe memo across one document's arrival or departure.
+
+        Only :meth:`terms_with_tags` mappings survive: one the document
+        touches is replaced by a copy in which just the document's own
+        values gained or lost ``key`` (work proportional to the
+        document's terms times the cached tag sets), so a mapping handed
+        out earlier keeps describing the index as it was.  Every other
+        entry is a single dictionary lookup to recompute and is dropped.
+        """
+        patched: Dict[Tuple, object] = {}
+        for cache_key, mapping in self._probe_cache.items():
+            if cache_key[0] != "terms":
+                continue
+            tags = cache_key[1]
+            carried = [
+                value
+                for value, paths in term_paths.items()
+                if tags is None or any(_node_tag(path) in tags for path in paths)
+            ]
+            if carried:
+                mapping = dict(mapping)  # type: ignore[call-overload]
+                for value in carried:
+                    docs = mapping.get(value, frozenset())
+                    docs = docs | {key} if added else docs - {key}
+                    if docs:
+                        mapping[value] = docs
+                    else:
+                        mapping.pop(value, None)
+            patched[cache_key] = mapping
+        self._probe_cache = patched
 
     def remove_document_by_key(self, key: str) -> None:
         """Remove ``key`` everywhere (full sweep; used on re-add only)."""

@@ -124,3 +124,59 @@ def test_kill_mid_apply_then_clean_delta_converges():
         pool.apply_delta(delta)
         outcomes = pool.run_batch([make_task() for _ in range(3)])
         assert batch_texts(outcomes) == [serial(system)] * 3
+
+
+@pytest.mark.parametrize("mode", [None, PICKLE])
+def test_kill_mid_retraction_patch_converges(mode):
+    """A replace and a remove that retract ontology terms ship as SEO
+    patches; workers killed while replaying them respawn onto the target
+    generation and answer exactly like the reference executor."""
+    from repro.core.parser import parse_query
+
+    from ..oracle import assert_matches_reference
+
+    unique = (
+        "<paper key='u{0}'><title>Unique {0}</title>"
+        "<author>Author 9{0}</author><year>2004</year></paper>"
+    )
+    system = make_system(count=8)
+    receipt = system.add_documents("papers", [unique.format(0), unique.format(1)])
+    first, second = receipt.documents_added
+    system.build()
+    snapshot = SystemSnapshot.capture(system, mode=mode)
+    with SupervisedWorkerPool(snapshot, 2, policy=FAST) as pool:
+        pool.run_batch([make_task()])  # fleet warm and ready
+        replaced = system.replace_documents("papers", {first: unique.format(2)})
+        removed = system.remove_documents("papers", [second])
+        assert replaced.incremental and removed.incremental
+        assert {"Author 90", "Author 91"} <= replaced.terms_removed | removed.terms_removed
+        system.build()
+        delta = snapshot.delta()
+        assert "patches" in delta.seos["isa"]
+
+        pool.fault_plan = KILL_MID_APPLY
+        try:
+            stats = pool.apply_delta(delta)
+        finally:
+            pool.fault_plan = None
+        assert stats == {"applied": 0, "respawning": 2}
+        assert snapshot.signature == system.database.generation_signature()
+
+        for query in (QUERY, 'paper(author ~ "Author 92")', 'paper(author ~ "Author 91")'):
+            outcomes = pool.run_batch([make_task(query) for _ in range(3)])
+            assert batch_texts(outcomes) == [serial(system, query)] * 3
+            parsed = parse_query(query)
+            assert_matches_reference(
+                system.query("papers", query),
+                system.reference_executor().selection(
+                    "papers", parsed.pattern, parsed.roots
+                ),
+            )
+        # A clean patch on top of the recovered fleet still applies.
+        system.remove_documents("papers", [first])
+        system.build()
+        delta = snapshot.delta()
+        assert "patches" in delta.seos["isa"]
+        assert pool.apply_delta(delta)["respawning"] == 0
+        query = 'paper(author ~ "Author 92")'
+        assert batch_texts(pool.run_batch([make_task(query)])) == [serial(system, query)]

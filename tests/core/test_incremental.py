@@ -82,14 +82,16 @@ class TestMutationReceipts:
         assert receipt.generations_advanced == 1
         assert receipt.instance is system.instances["dblp"]
 
-    def test_replace_receipt_reports_keys_and_forces_full(self):
+    def test_replace_receipt_reports_keys_and_is_a_delta(self):
         system = TossSystem()
         system.add_instance("dblp", FIRST)
         (key,) = system.database.get_collection("dblp").keys()
         receipt = system.replace_documents("dblp", {key: SECOND})
         assert receipt.operation == "replace_documents"
         assert receipt.documents_removed == (key,)
-        assert not receipt.incremental
+        assert receipt.incremental and receipt.fallback_reason is None
+        assert "J. Smyth" in receipt.terms_added
+        assert "J. Smith" in receipt.terms_removed
 
     def test_remove_receipt_retires_terms(self):
         system = TossSystem()
@@ -99,7 +101,54 @@ class TestMutationReceipts:
         assert receipt.operation == "remove_documents"
         assert receipt.documents_removed == (keys[1],)
         assert "journal" in receipt.terms_removed
+        assert receipt.incremental and receipt.fallback_reason is None
+
+    def test_replace_with_the_same_terms_nets_out(self):
+        system = TossSystem()
+        system.add_instance("dblp", [FIRST, SECOND])
+        system.build()
+        seo = system.seo
+        (key, _) = system.database.get_collection("dblp").keys()
+        receipt = system.replace_documents("dblp", {key: FIRST})
+        assert receipt.terms_added == receipt.terms_removed == frozenset()
+        system.build()
+        assert system.seo is seo  # nothing came or went: the reuse rung
+        assert {r.rung for r in system.build_report.relations} == {"reuse"}
+
+    def test_fallbacks_are_reason_coded(self):
+        from repro.obs.metrics import REGISTRY as METRICS
+        from repro.ontology.maker import OntologyMaker
+
+        nesting = "<dblp><a><b><a><c/></a></b></a></dblp>"
+        system = TossSystem()
+        system.add_instance("dblp", [nesting, FIRST, SECOND])
+        system.build()
+        keys = list(system.database.get_collection("dblp").keys())
+        before = METRICS.counter("system.mutations.reextracted").value
+        receipt = system.remove_documents("dblp", [keys[2]])
         assert not receipt.incremental
+        assert receipt.fallback_reason == "dropped-edge-live"
+        assert METRICS.counter("system.mutations.reextracted").value == before + 1
+        system.build()
+        assert {r.rung_reason for r in system.build_report.relations} == {
+            "dropped-edge-live"
+        }
+        # Removing the nesting document itself takes the dropped edge with it.
+        receipt = system.remove_documents("dblp", [keys[0]])
+        assert receipt.incremental and receipt.fallback_reason is None
+
+        ruled = TossSystem(maker=OntologyMaker(rules=[("isa", "author", "agent")]))
+        assert ruled.add_instance("dblp", FIRST).fallback_reason == "rule-bearing-maker"
+        receipt = ruled.add_documents("dblp", SECOND)
+        assert not receipt.incremental
+        assert receipt.fallback_reason == "rule-bearing-maker"
+
+        external = TossSystem()
+        ontology = OntologyMaker(content_tags=()).make_combined([])
+        receipt = external.add_instance("dblp", FIRST, ontology=ontology)
+        assert receipt.fallback_reason == "external-ontology"
+        assert external.add_documents("dblp", SECOND).fallback_reason == "external-ontology"
+        assert external.add_documents("dblp", SECOND).fallback_reason is None
 
     def test_mutation_emits_event_and_counter(self, tmp_path):
         from repro.obs import Observability
@@ -120,3 +169,4 @@ class TestMutationReceipts:
         assert mutation[-1]["operation"] == "add_documents"
         assert mutation[-1]["source"] == "dblp"
         assert mutation[-1]["incremental"] is True
+        assert mutation[-1]["fallback_reason"] is None

@@ -33,12 +33,32 @@ def make_doc(author: str, title: str, serial: int) -> str:
     )
 
 
-documents = st.builds(
+#: Authors from a five-name pool: most removals only decrement a
+#: reference count (some other document still carries the name).
+shared_author_documents = st.builds(
     make_doc,
     author=st.sampled_from(AUTHORS),
     title=st.sampled_from(TITLES),
     serial=st.integers(min_value=0, max_value=9),
 )
+
+#: Fifty authors, each within edit distance 1 of several others: nearly
+#: every document's author is its own, so removing or replacing it really
+#: retracts an ontology term — and the cliques it sat in.
+unique_author_documents = st.builds(
+    lambda author, digit, title, serial: make_doc(f"{author}{digit}", title, serial),
+    author=st.sampled_from(AUTHORS),
+    digit=st.integers(min_value=0, max_value=9),
+    title=st.sampled_from(TITLES),
+    serial=st.integers(min_value=0, max_value=9),
+)
+
+documents = st.one_of(shared_author_documents, unique_author_documents)
+
+#: Mutual nesting: the part-of pass accepts (a, b) and drops (b, a) as
+#: cycle-closing.  While a document like this one is live, a removal
+#: cannot be retracted from the extraction state.
+MUTUAL_NESTING = "<dblp><a><b><a><c/></a></b></a></dblp>"
 
 #: One mutation: ("add", text) | ("replace", position_seed, text)
 #: | ("remove", position_seed).  Position seeds index into the live key
@@ -129,32 +149,53 @@ def test_incremental_equals_from_scratch_after_every_prefix(initial, ops):
         assert verdicts(live) == verdicts(fresh)
 
 
-@given(ops=st.lists(operations, min_size=1, max_size=4))
-@settings(max_examples=15, deadline=None)
-def test_chain_depth_tracks_delta_builds(ops):
-    """Chain depth only grows on delta builds and resets on full builds;
-    shrinking mutations (replace/remove) always reset it."""
+@given(
+    ops=st.lists(operations, min_size=1, max_size=4),
+    dropped_edge_live=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_chain_depth_tracks_delta_builds(ops, dropped_edge_live):
+    """Chain depth only grows on delta builds and resets on full builds.
+    A shrinking write (replace/remove) that retracts cleanly extends the
+    chain like an add; one the extraction state refuses — a surviving
+    document lists a cycle-dropped edge — re-extracts and resets it."""
     live = TossSystem(epsilon=1.0)
-    live.add_instance("dblp", [make_doc(AUTHORS[0], TITLES[0], 0)])
+    initial = [make_doc(AUTHORS[0], TITLES[0], 0), make_doc(AUTHORS[1], TITLES[1], 1)]
+    if dropped_edge_live:
+        initial.insert(0, MUTUAL_NESTING)  # key dblp-0: never a target below
+    live.add_instance("dblp", initial)
     live.build()
     depth = live.seo_chain_depths[Ontology.ISA]
     assert depth == 0
     for op in ops:
+        keys = [
+            key
+            for key, _ in live.database.get_collection("dblp").documents()
+            if not (dropped_edge_live and key == "dblp-0")
+        ]
         if op[0] == "add":
             receipt = live.add_documents("dblp", op[1])
-            assert receipt.incremental
+            shrinking = False
         elif op[0] == "replace":
-            keys = [k for k, _ in live.database.get_collection("dblp").documents()]
-            receipt = live.replace_documents(
-                "dblp", {keys[op[1] % len(keys)]: op[2]}
-            )
-            assert not receipt.incremental
+            receipt = live.replace_documents("dblp", {keys[op[1] % len(keys)]: op[2]})
+            shrinking = True
         else:
-            continue
+            if len(keys) == 1:
+                continue  # keep a document every other one shares its tags with
+            receipt = live.remove_documents("dblp", [keys[op[1] % len(keys)]])
+            shrinking = True
+        refused = shrinking and dropped_edge_live
+        assert receipt.incremental == (not refused)
+        assert receipt.fallback_reason == ("dropped-edge-live" if refused else None)
         live.build()
         new_depth = live.seo_chain_depths[Ontology.ISA]
-        if receipt.incremental:
-            assert new_depth in (depth, depth + 1)  # no-op reuse keeps depth
-        else:
+        (isa,) = [r for r in live.build_report.relations if r.relation == Ontology.ISA]
+        if refused:
             assert new_depth == 0
+            assert isa.rung in ("delta", "full")
+            assert isa.rung_reason == "dropped-edge-live"
+        else:
+            # A write whose delta nets out to nothing is a no-op reuse.
+            assert new_depth == (depth if isa.rung == "reuse" else depth + 1)
+            assert isa.rung in ("reuse", "patch"), isa.rung_reason
         depth = new_depth

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.parser import parse_query
 from repro.serving import QueryServer, RetryPolicy, SupervisedWorkerPool
 from repro.serving.snapshot import (
     PICKLE,
@@ -21,6 +22,7 @@ from repro.similarity.persistence import seo_to_dict
 from repro.xmldb.collection import CHANGELOG_CAPACITY
 from repro.xmldb.serializer import serialize
 
+from ..oracle import assert_matches_reference
 from .conftest import make_system
 
 NEW_DOC = (
@@ -50,6 +52,13 @@ FAST = RetryPolicy(
 
 def serial(system, query=QUERY):
     return [serialize(tree) for tree in system.query("papers", query).results]
+
+
+def reference(system, query=QUERY):
+    parsed = parse_query(query)
+    return system.reference_executor().selection(
+        "papers", parsed.pattern, parsed.roots
+    )
 
 
 def make_task(query=QUERY):
@@ -206,25 +215,98 @@ class TestSeoPatchDelta:
         apply_snapshot_delta(worker, delta)
         assert seo_dumps(worker) == seo_dumps(system)
 
+    def test_replace_and_remove_ship_patches_and_converge(self):
+        """Shrinking writes travel the patch form too: the worker replays
+        them, a second replay is a no-op, answers equal the oracle's."""
+        system = make_system(count=8)
+        snapshot = SystemSnapshot.capture(system, mode=PICKLE)
+        worker = snapshot.restore()
+        keys = list(system.database.get_collection("papers").keys())
+        system.add_documents("papers", NEW_TERM_DOC)
+        system.build()
+        apply_snapshot_delta(worker, snapshot.delta())
+        snapshot.advance(snapshot.delta())
+        # "Author 9" leaves with its only paper; "Author 8" arrives.
+        added_key = list(system.database.get_collection("papers").keys())[-1]
+        for write in (
+            lambda: system.replace_documents(
+                "papers", {added_key: SECOND_TERM_DOC}
+            ),
+            lambda: system.remove_documents("papers", [added_key]),
+            lambda: system.replace_documents(
+                "papers", {keys[1]: NEW_TERM_DOC.replace("p98", "p1")}
+            ),
+        ):
+            receipt = write()
+            assert receipt.incremental
+            assert receipt.terms_removed or receipt.terms_added
+            system.build()
+            assert {r.rung for r in system.build_report.relations} <= {
+                "reuse",
+                "patch",
+            }
+            delta = snapshot.delta()
+            assert delta.seos and all("patches" in e for e in delta.seos.values())
+            apply_snapshot_delta(worker, delta)
+            once = seo_dumps(worker)
+            apply_snapshot_delta(worker, delta)
+            assert seo_dumps(worker) == once == seo_dumps(system)
+            snapshot.advance(delta)
+            for query in (QUERY, 'paper(author ~ "Author 9")'):
+                assert serial(worker, query) == serial(system, query)
+                assert_matches_reference(
+                    system.query("papers", query), reference(system, query)
+                )
+
     def test_full_seo_ships_when_chain_broken(self):
-        """A mutation the incremental build cannot absorb (an in-place
-        replace) rebuilds from scratch — no patch provenance, so the
-        delta falls back to the full serialized SEO."""
+        """A mutation the incremental build cannot absorb (a known tag
+        nested under a new parent is not a leaf change) rebuilds from
+        scratch — no patch provenance, so the delta falls back to the
+        full serialized SEO."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
         worker = snapshot.restore()
         keys = list(system.database.get_collection("papers").keys())
         system.replace_documents(
             "papers",
-            {keys[0]: "<paper key='p0'><title>Rewritten</title>"
-                      "<author>Author 9</author><year>1990</year></paper>"},
+            {keys[0]: "<paper key='p0'><title>Rewritten</title><meta>"
+                      "<author>Author 9</author></meta><year>1990</year></paper>"},
         )
         system.build()
+        reasons = {r.relation: r.rung_reason for r in system.build_report.relations}
+        assert reasons["part-of"] == "added-term-exists"
         delta = snapshot.delta()
-        assert delta is not None and delta.seos
-        assert all("patches" not in e for e in delta.seos.values())
+        assert delta is not None
+        assert "patches" not in delta.seos["part-of"]
         apply_snapshot_delta(worker, delta)
         assert seo_dumps(worker) == seo_dumps(system)
+
+    def test_refresh_after_every_write_never_ships_a_full_seo(self):
+        """The chain cap counts links retained since the last refresh:
+        advancing drops them, so the ninth patched build still ships a
+        patch — while without refreshes the chain is cut at the cap."""
+        from repro.similarity.seo import MAX_PATCH_CHAIN
+
+        system = make_system(count=8)
+        snapshot = SystemSnapshot.capture(system)
+        for index in range(MAX_PATCH_CHAIN + 2):
+            system.add_documents(
+                "papers", NEW_TERM_DOC.replace("Author 9", f"Writer {index:02d}")
+            )
+            system.build()
+            delta = snapshot.delta()
+            assert all("patches" in e for e in delta.seos.values()), index
+            snapshot.advance(delta)
+            assert system.seo.patch is None and system.seo.patch_depth == 0
+
+        stale = SystemSnapshot.capture(system)
+        for index in range(MAX_PATCH_CHAIN + 1):
+            system.add_documents(
+                "papers", NEW_TERM_DOC.replace("Author 9", f"Editor {index:02d}")
+            )
+            system.build()
+            assert system.seo.patch_depth <= MAX_PATCH_CHAIN
+        assert "patches" not in stale.delta().seos["isa"]
 
 
 class TestPoolDeltaApply:

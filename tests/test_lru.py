@@ -31,10 +31,10 @@ class TestLruSemantics:
 
     def test_eviction_is_least_recently_used(self):
         cache = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        assert cache.put("a", 1) == 0
+        assert cache.put("b", 2) == 0
         cache.get("a")  # refresh a; b is now LRU
-        cache.put("c", 3)
+        assert cache.put("c", 3) == 1  # put reports what it evicted
         assert "a" in cache
         assert "b" not in cache
         assert "c" in cache

@@ -11,6 +11,8 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmldb.database import Database
 import zlib
@@ -139,6 +141,72 @@ class TestIncrementalMaintenance:
         index.add_document("a", collection.get_document("c"))
         assert "a" not in index.docs_with_term("J. Smith")
         assert index.docs_with_term("Paper One") == {"a", "c"}
+
+
+TAG_SETS = (None, frozenset({"author"}), frozenset({"title", "booktitle"}))
+
+
+class TestProbeMemoSurvivesWrites:
+    """A write patches the ``terms_with_tags`` memo instead of clearing it."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "replace", "remove"]),
+                st.integers(min_value=0, max_value=9),
+                st.sampled_from([DOC_A, DOC_B, DOC_C]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_patched_memo_equals_a_fresh_index(self, ops):
+        collection = Database().create_collection("dblp")
+        for key, text in (("a", DOC_A), ("b", DOC_B), ("c", DOC_C)):
+            collection.add_document(key, text)
+        index = collection.search_index()
+        serial = 0
+        for kind, position, text in ops:
+            # Warm every memo, and keep what was handed out.
+            handed = {tags: index.terms_with_tags(tags) for tags in TAG_SETS}
+            copies = {tags: dict(mapping) for tags, mapping in handed.items()}
+            keys = list(collection.keys())
+            if kind == "add" or not keys:
+                serial += 1
+                collection.add_document(f"n{serial}", text)
+            elif kind == "replace":
+                collection.replace_document(keys[position % len(keys)], text)
+            else:
+                collection.remove_document(keys[position % len(keys)])
+            fresh = CollectionSearchIndex()
+            for key, root in collection.documents():
+                fresh.add_document(key, root)
+            for tags in TAG_SETS:
+                # The surviving memo entry is what a fresh index computes...
+                assert ("terms", tags) in index._probe_cache
+                assert index.terms_with_tags(tags) == fresh.terms_with_tags(tags)
+                # ...and a mapping handed out before the write is untouched.
+                assert handed[tags] == copies[tags]
+            assert index.to_dict() == fresh.to_dict()
+            for value in ("J. Smith", "J. Smyth", "Paper One", ""):
+                assert index.docs_with_term(value) == fresh.docs_with_term(value)
+            assert index.docs_with_any_tag(["article"]) == fresh.docs_with_any_tag(
+                ["article"]
+            )
+
+    def test_write_touches_only_the_documents_values(self, collection):
+        index = collection.search_index()
+        before = index.terms_with_tags(frozenset({"author"}))
+        collection.add_document("d", DOC_B.replace("J. Smyth", "K. Jones"))
+        after = index.terms_with_tags(frozenset({"author"}))
+        assert after is not before
+        assert after["K. Jones"] == {"d"}
+        assert "K. Jones" not in before
+        # Untouched values keep sharing the very same document sets.
+        assert after["J. Smith"] is before["J. Smith"]
+        collection.remove_document("d")
+        assert index.terms_with_tags(frozenset({"author"})) == before
 
 
 class TestRoundTrip:
