@@ -1,6 +1,6 @@
 """Shared result emission for the standalone benchmark scripts.
 
-The standalone benches (``bench_seo_build``, ``bench_serving``, ...) all
+The standalone benches (``bench_seo_build``, ``bench_serving_faults``, ...) all
 write the same payload twice: the canonical machine-readable copy under
 ``benchmarks/results/`` and a trajectory copy at the repo root
 (``BENCH_<name>.json``).  This module is the single place that knows

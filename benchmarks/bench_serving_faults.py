@@ -2,10 +2,9 @@
 
 PR 6's tentpole claim is that serving survives worker failure without
 changing a single answer — a SIGKILLed worker's tasks retry onto live
-workers, the dead slot respawns with backoff, a hung worker is killed
-from the parent, and a permanently failing partition can (opt-in) degrade
-instead of failing the query.  This bench prices that machinery on the
-same sharded-DBLP workload as ``bench_serving.py``:
+workers, the dead slot respawns with backoff, and a hung worker is
+killed from the parent.  This bench prices that machinery on a batch of
+author + venue selections over sharded DBLP:
 
 * **fault-free baseline**: the batch through a
   :class:`~repro.serving.supervisor.SupervisedWorkerPool` with no
@@ -16,10 +15,7 @@ same sharded-DBLP workload as ``bench_serving.py``:
   fault-free run) and the measured respawn latencies;
 * **hang recovery**: one task hangs forever; the parent-side hard
   timeout kills the worker and the batch completes — the recovery
-  latency is the price of a hang vs a clean crash;
-* **degraded partition**: a partitioned query whose chunk fails
-  permanently, under ``on_chunk_failure="degrade"`` — how fast a partial
-  answer comes back, and what fraction of results it keeps.
+  latency is the price of a hang vs a clean crash.
 
 Results land in ``benchmarks/results/serving_faults.json`` plus the
 trajectory copy ``BENCH_serving_faults.json``.  Run standalone::
@@ -29,8 +25,7 @@ trajectory copy ``BENCH_serving_faults.json``.  Run standalone::
 
 or through pytest (``pytest benchmarks/ --benchmark-only``), which runs
 the smoke scale and checks the invariants (identical results under
-kills, bounded hang recovery, degraded report shape) without asserting
-on timings.
+kills, bounded hang recovery) without asserting on timings.
 """
 
 import argparse
@@ -42,11 +37,7 @@ from _emit import default_output_paths, emit_results
 from repro import faults
 from repro.data import generate_corpus, render_dblp
 from repro.experiments.workload import build_system
-from repro.serving import (
-    RetryPolicy,
-    SupervisedWorkerPool,
-    execute_partitioned,
-)
+from repro.serving import RetryPolicy, SupervisedWorkerPool
 from repro.serving.snapshot import SystemSnapshot
 from repro.xmldb.serializer import serialize
 
@@ -63,11 +54,6 @@ QUERY_TEMPLATE = (
     'inproceedings(author ~ "{author}", '
     'booktitle below "database conference")'
 )
-
-#: The degraded-partition scenario needs a broad selection whose answers
-#: spread across both chunks of the candidate scan, so losing one chunk
-#: keeps a measurable (but partial) answer.
-BROAD_QUERY = 'inproceedings(booktitle below "database conference", title)'
 
 #: Snappy recovery for benchmarking: the backoff caps, not the defaults,
 #: would otherwise dominate the measured recovery latency.
@@ -98,17 +84,12 @@ def _batch_queries(corpus, count):
     ]
 
 
-def _result_texts(report):
-    return [serialize(tree) for tree in report.results]
-
-
 def _make_task(query):
     return {
         "query": query,
         "collection": "dblp",
         "sl_variables": (),
         "right_collection": None,
-        "document_keys": None,
         "guard": None,
         "collect_metrics": False,
         "trace": False,
@@ -202,51 +183,6 @@ def _hang_recovery(snapshot, queries, serial_answers, baseline_seconds, verbose)
     return record
 
 
-def _degraded_partition(system, snapshot, query, verbose):
-    serial_started = time.perf_counter()
-    expected = _result_texts(system.query("dblp", query))
-    serial_seconds = time.perf_counter() - serial_started
-    plan = faults.FaultPlan(
-        rules=(faults.FaultRule(kind=faults.KILL, tasks=(0,), attempts=None),)
-    )
-    policy = RetryPolicy(
-        max_retries=1,
-        quarantine_after=100,
-        retry_backoff_base=0.02,
-        respawn_backoff_base=0.02,
-    )
-    with SupervisedWorkerPool(
-        snapshot, WORKERS, policy=policy, fault_plan=plan
-    ) as pool:
-        started = time.perf_counter()
-        merged = execute_partitioned(
-            system, pool, "dblp", query, jobs=2, on_chunk_failure="degrade"
-        )
-        seconds = time.perf_counter() - started
-    kept = _result_texts(merged)
-    record = {
-        "query": query,
-        "serial_seconds": round(serial_seconds, 4),
-        "degraded_seconds": round(seconds, 4),
-        "degraded": merged.degraded,
-        "failed_partitions": merged.failed_partitions,
-        "results_kept": len(kept),
-        "results_serial": len(expected),
-        "kept_fraction": round(len(kept) / len(expected), 3)
-        if expected
-        else None,
-        "kept_are_subset": set(kept) <= set(expected),
-    }
-    if verbose:
-        print(
-            f"  degraded        {record['degraded_seconds']:8.3f}s "
-            f"(kept {record['results_kept']}/{record['results_serial']} "
-            f"results, {len(merged.failed_partitions)} chunk(s) lost)",
-            flush=True,
-        )
-    return record
-
-
 def run_benchmark(
     papers=FULL_PAPERS,
     batch=FULL_BATCH,
@@ -283,7 +219,6 @@ def run_benchmark(
     hang_run = _hang_recovery(
         snapshot, queries, serial_answers, baseline_seconds, verbose
     )
-    degraded_run = _degraded_partition(system, snapshot, BROAD_QUERY, verbose)
 
     results = {
         "benchmark": "serving_faults",
@@ -296,7 +231,6 @@ def run_benchmark(
         "baseline_seconds": round(baseline_seconds, 4),
         "crash_recovery": crash_runs,
         "hang_recovery": hang_run,
-        "degraded_partition": degraded_run,
         "summary": {
             "identical_under_faults": baseline_identical
             and all(run["identical"] for run in crash_runs)
@@ -308,7 +242,6 @@ def run_benchmark(
                 ),
                 4,
             ),
-            "degraded_kept_fraction": degraded_run["kept_fraction"],
         },
     }
     emit_results(results, out_path=out_path, trajectory_path=trajectory_path)
@@ -333,10 +266,6 @@ def test_serving_faults_smoke(results_dir):
         "no injected kill ever fired; the recovery measurement is vacuous"
     )
     assert results["hang_recovery"]["hard_timeouts"] >= 1
-    degraded = results["degraded_partition"]
-    assert degraded["degraded"] and degraded["failed_partitions"]
-    assert degraded["kept_are_subset"]
-    assert 0 < degraded["results_kept"] < degraded["results_serial"]
 
 
 def main(argv=None):
@@ -377,8 +306,7 @@ def main(argv=None):
     summary = results["summary"]
     print(
         f"identical={summary['identical_under_faults']} "
-        f"worst-overhead={summary['worst_recovery_overhead_seconds']}s "
-        f"degraded-kept={summary['degraded_kept_fraction']}"
+        f"worst-overhead={summary['worst_recovery_overhead_seconds']}s"
     )
     return 0 if summary["identical_under_faults"] else 1
 

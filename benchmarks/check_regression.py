@@ -1,31 +1,26 @@
-"""Benchmark-regression gate over the committed BENCH_*.json files.
+"""Benchmark-regression gate over the committed BENCH_online_mutations.json.
 
-The full serving and online-mutation sweeps run on developer machines
-and their results are committed as ``BENCH_serving.json`` /
-``BENCH_online_mutations.json``.  CI cannot re-measure them (a shared
-runner's timings are noise), but it *can* hold the committed numbers to
-the floors the perf work established — so a change that fattens the
-serving transport back up, or loses the incremental write path, fails
-the build the moment its re-measured results are committed (and
-identity flags are checked unconditionally):
+The full online-mutation sweep runs on developer machines and its
+results are committed as ``BENCH_online_mutations.json``.  CI cannot
+re-measure it (a shared runner's timings are noise), but it *can* hold
+the committed numbers to the floors the perf work established — so a
+change that loses the incremental write path fails the build the moment
+its re-measured results are committed (and identity flags are checked
+unconditionally): incremental builds and delta refreshes must match
+their from-scratch paths and keep their speedups.
 
-* served execution must report identical results to serial execution,
-  and single-worker serving overhead must stay within the
-  skinny-transport budget;
-* incremental builds and delta refreshes must match their from-scratch
-  paths and keep their speedups.
-
-Query execution itself is measured absolutely, on the served guarded
-path, by the end-to-end benchmark (``BENCHMARK.json``: ``broad_select``
-and ``sim_join`` are the fig-16 workloads).
+Query execution and serving dispatch are measured absolutely, on the
+served guarded path, by the end-to-end benchmark (``BENCHMARK.json``:
+``broad_select`` and ``sim_join`` are the fig-16 workloads,
+``serving.dispatch_ms`` is the transport's price).
 
 Floors are deliberately set *below* the measured numbers (tolerance for
 machine-to-machine variance), so only a real regression trips them.
 
 Run::
 
-    python benchmarks/check_regression.py                    # repo-root files
-    python benchmarks/check_regression.py --serving F1 --online-mutations F2
+    python benchmarks/check_regression.py                    # repo-root file
+    python benchmarks/check_regression.py --online-mutations FILE
 """
 
 import argparse
@@ -34,12 +29,6 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-#: Ceiling for the serving dispatch tax: 1-worker batch wall-clock over
-#: the serial baseline — the skinny-transport budget itself (measured
-#: 1.08x; anything above 1.10x is an architecture regression, not
-#: machine variance).
-SINGLE_WORKER_OVERHEAD_CEILING = 1.10
 
 #: Floors for BENCH_online_mutations.json (PR 10 acceptance bars at
 #: 3000 papers): a single-document write through the incremental
@@ -61,22 +50,6 @@ def _load(path):
         sys.exit(f"regression check: missing benchmark file {path}")
     except json.JSONDecodeError as exc:
         sys.exit(f"regression check: {path} is not valid JSON: {exc}")
-
-
-def check_serving(results):
-    summary = results.get("summary", {})
-    failures = []
-    if not summary.get("identical_results"):
-        failures.append("served execution no longer matches serial execution")
-    overhead = summary.get("single_worker_overhead")
-    if overhead is None:
-        failures.append("summary key 'single_worker_overhead' is missing")
-    elif overhead > SINGLE_WORKER_OVERHEAD_CEILING:
-        failures.append(
-            f"single_worker_overhead = {overhead} exceeds the ceiling "
-            f"{SINGLE_WORKER_OVERHEAD_CEILING}"
-        )
-    return failures
 
 
 def check_online_mutations(results):
@@ -108,19 +81,13 @@ def check_online_mutations(results):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--serving",
-        default=str(REPO_ROOT / "BENCH_serving.json"),
-        help="path to the committed serving results",
-    )
-    parser.add_argument(
         "--online-mutations",
         default=str(REPO_ROOT / "BENCH_online_mutations.json"),
         help="path to the committed online-mutations results",
     )
     args = parser.parse_args(argv)
 
-    failures = check_serving(_load(args.serving))
-    failures += check_online_mutations(_load(args.online_mutations))
+    failures = check_online_mutations(_load(args.online_mutations))
     if failures:
         print("benchmark regression check FAILED:", file=sys.stderr)
         for failure in failures:

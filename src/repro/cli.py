@@ -121,11 +121,7 @@ def _report_summary_line(report) -> str:
     )
     if report.plan_cache_hit:
         line += ", plan cache hit"
-    if report.failed_partitions:
-        line += (
-            f"; DEGRADED: {len(report.failed_partitions)} partition(s) failed"
-        )
-    elif report.degraded:
+    if report.degraded:
         line += "; DEGRADED to exact matching"
     return line + ")"
 
@@ -136,26 +132,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     system, names = _load_query_system(args)
     collection = args.collection or names[0]
     right = names[1] if len(names) > 1 else None
-    jobs = getattr(args, "jobs", 1) or 1
     context = RequestContext.mint()
-    if jobs > 1:
-        from .serving import QueryRequest, QueryServer
-
-        with QueryServer(
-            system, workers=jobs, default_collection=collection
-        ) as server:
-            report = server.execute(
-                QueryRequest(
-                    query=args.query,
-                    collection=collection,
-                    right_collection=right,
-                    jobs=jobs,
-                    request_id=context.request_id,
-                )
-            )
-    else:
-        with activate(context):
-            report = system.query(collection, args.query, right_collection=right)
+    with activate(context):
+        report = system.query(collection, args.query, right_collection=right)
     system.observability.flush_metrics()
     if args.json:
         print(json.dumps(report.to_dict(include_results=True), indent=2))
@@ -236,7 +215,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_guard=None if spec.unlimited else spec,
             default_collection=collection,
             policy=RetryPolicy(**policy_kwargs),
-            degrade_partial=args.degrade_partial,
         ) as server:
             requests = [
                 QueryRequest(
@@ -607,7 +585,7 @@ def _render_request_timeline(args: argparse.Namespace) -> int:
             for key in (
                 "query", "tenant", "worker", "pid", "task", "attempt",
                 "attempts", "exitcode", "reason", "delay", "ok",
-                "worker_pid", "total_seconds", "results", "partitions",
+                "worker_pid", "total_seconds", "results",
             )
             if entry.get(key) is not None
         )
@@ -867,11 +845,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
                        help="print the full execution report as JSON")
     query.add_argument("--no-obs", action="store_true",
                        help="with --load: do not write to the store's obs/ sinks")
-    query.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="partition the candidate scan across N worker processes "
-             "(default: 1, no intra-query parallelism)",
-    )
     query.add_argument("query", help="query text, e.g. 'paper(author ~ \"X\")'")
     query.set_defaults(handler=_cmd_query)
 
@@ -920,12 +893,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="circuit-breaker threshold: shed load when the recent worker "
              "crash rate exceeds this fraction (default: 0.8; 1.0 in "
              "effect disables the breaker)",
-    )
-    serve.add_argument(
-        "--degrade-partial", action="store_true",
-        help="partitioned queries: return surviving chunks (report marked "
-             "degraded, failed chunks listed) instead of failing the query "
-             "when a chunk fails permanently",
     )
     serve.add_argument("--json", action="store_true",
                        help="print every outcome as one JSON array")

@@ -21,8 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Set
 
 from ..errors import ConditionError, IllTypedConditionError
-from ..lru import LruCache
-from ..obs.metrics import REGISTRY as METRICS
 from ..ontology.hierarchy import Ontology
 from ..similarity.seo import SimilarityEnhancedOntology
 from ..tax.compile import compile_term, register_condition_compiler
@@ -44,10 +42,6 @@ from ..tax.conditions import (
 )
 from ..xmldb.model import XmlNode
 from .types import STRING, TypeSystem, default_type_system
-
-#: Entries the ``subtype_of`` verdict memo keeps (keys carry
-#: query-supplied terms, so a long-lived worker must bound it).
-SUBTYPE_MEMO_SIZE = 4096
 
 #: t(o, attr): maps a data node and attribute kind ("tag"/"content") to a type.
 TypingFunction = Callable[[XmlNode, str], str]
@@ -97,11 +91,6 @@ class SeoConditionContext(ConditionContext):
         #: How often the ontology was consulted (Section 6 attributes the
         #: growing TOSS-TAX gap to "more accesses to the ontology").
         self.ontology_accesses = 0
-        #: Verdict memo for ``subtype_of`` pairs, least recently used
-        #: out.  Purely an evaluation cache: the access counter above
-        #: ticks before the memo is consulted, so observable behaviour
-        #: is unchanged.
-        self._subtype_memo = LruCache(SUBTYPE_MEMO_SIZE)
 
     def relation_seo(self, relation: str) -> SimilarityEnhancedOntology:
         try:
@@ -125,17 +114,7 @@ class SeoConditionContext(ConditionContext):
     def subtype_of(self, left: str, right: str) -> bool:
         """X subtype_of Y: X <= Y in the enhanced order (reflexive)."""
         self.ontology_accesses += 1
-        if left == right:
-            return True
-        memo = self._subtype_memo
-        key = (left, right)
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = left in self.seo.expand_below(right)
-            evicted = memo.put(key, verdict)
-            if evicted:
-                METRICS.counter("core.subtype_memo.evictions").inc(evicted)
-        return verdict
+        return left == right or left in self.seo.expand_below(right)
 
     def below(self, left: str, right: str) -> bool:
         """X below Y = X instance_of Y or X subtype_of Y (Section 5.1.1)."""

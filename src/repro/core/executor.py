@@ -37,7 +37,6 @@ from ..similarity.candidates import bipartite_index, similar_pairs
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.compile import compile_batch_steps, compile_condition
-from ..tax.tree import dedupe
 from ..tax.conditions import (
     And,
     Comparison,
@@ -152,12 +151,6 @@ class ExecutionReport:
     #: materialises every pair).
     pairs_probed: int = 0
     pairs_materialized: int = 0
-    #: Per-chunk failure detail when a partitioned query ran in degraded
-    #: mode (``on_chunk_failure="degrade"``): one dict per permanently
-    #: failed chunk — partition index, document count, error class,
-    #: message, attempts.  Empty for exact results; a non-empty list
-    #: always comes with ``degraded=True``.
-    failed_partitions: List[Dict[str, Any]] = field(default_factory=list)
     #: The serving request this execution belonged to (see
     #: :mod:`repro.obs.context`); None outside any request.  Makes
     #: ``query --json`` output joinable against event-log and
@@ -221,92 +214,8 @@ class ExecutionReport:
         "docs_verified",
         "pairs_probed",
         "pairs_materialized",
-        "failed_partitions",
         "request_id",
     )
-
-    #: How :meth:`merge` combines each scalar field across the partial
-    #: reports of one partitioned query.  Timings take ``max`` (the
-    #: partitions ran concurrently, and each re-derived the plan — a sum
-    #: would double-count ``planner_seconds`` et al.); per-partition work
-    #: counts (``candidates``, ``docs_scanned``, ``ontology_accesses``)
-    #: add up; ``docs_total`` is a property of the collection, not the
-    #: partition, so it takes ``max``.  Keys must cover every entry of
-    #: :attr:`_SCALAR_FIELDS` — :meth:`merge` refuses to run otherwise,
-    #: which is the same drift guard the serialization round-trip uses.
-    _MERGE_RULES = {
-        "rewrite_seconds": "max",
-        "xpath_seconds": "max",
-        "convert_seconds": "max",
-        "planner_seconds": "max",
-        "xpath_queries": "first",
-        "candidates": "sum",
-        "ontology_accesses": "sum",
-        "degraded": "any",
-        "docs_total": "max",
-        "docs_scanned": "sum",
-        "index_used": "any",
-        "plan_cache_hit": "all",
-        "docs_verified": "sum",
-        "pairs_probed": "sum",
-        "pairs_materialized": "sum",
-        "failed_partitions": "concat",
-        # identical across the chunks of one partitioned request
-        "request_id": "first",
-    }
-
-    @classmethod
-    def merge(cls, reports: Sequence["ExecutionReport"]) -> "ExecutionReport":
-        """Combine the partial reports of one query split across workers.
-
-        ``reports`` must be in partition order (the serving layer
-        partitions the candidate document set into contiguous chunks in
-        collection order); results are concatenated in that order and
-        re-deduplicated, which reproduces the serial result sequence
-        exactly — per-chunk execution can only dedupe within a chunk.
-
-        The merged report carries no trace: each partial ran in its own
-        process, and the caller re-attaches their span payloads to its
-        own tracer (see :func:`repro.serving.partition.execute_partitioned`).
-        """
-        reports = list(reports)
-        if not reports:
-            raise ValueError("merge() needs at least one report")
-        missing = set(cls._SCALAR_FIELDS) - set(cls._MERGE_RULES)
-        if missing:
-            raise TypeError(
-                "ExecutionReport.merge has no rule for scalar field(s) "
-                f"{sorted(missing)}; update _MERGE_RULES alongside "
-                "_SCALAR_FIELDS"
-            )
-        results: List[XmlNode] = []
-        for report in reports:
-            results.extend(report.results)
-        merged = cls(
-            results=dedupe(results),
-            rewrite_seconds=0.0,
-            xpath_seconds=0.0,
-            convert_seconds=0.0,
-        )
-        for field_name in cls._SCALAR_FIELDS:
-            rule = cls._MERGE_RULES[field_name]
-            values = [getattr(report, field_name) for report in reports]
-            if rule == "max":
-                value = max(values)
-            elif rule == "sum":
-                value = sum(values)
-            elif rule == "any":
-                value = any(values)
-            elif rule == "all":
-                value = all(values)
-            elif rule == "concat":
-                value = [item for sublist in values for item in sublist]
-            else:  # "first": identical across partitions by construction
-                value = values[0]
-            setattr(merged, field_name, value)
-        merged.xpath_queries = list(merged.xpath_queries)
-        merged.trace = None
-        return merged
 
     #: Default value per scalar field — what ``compact=True`` omits from
     #: the wire payload (``from_dict`` restores exactly these defaults
@@ -324,7 +233,6 @@ class ExecutionReport:
         "docs_verified": 0,
         "pairs_probed": 0,
         "pairs_materialized": 0,
-        "failed_partitions": [],
         "request_id": None,
     }
 
@@ -349,10 +257,6 @@ class ExecutionReport:
             payload[field_name] = value
         if "xpath_queries" in payload:
             payload["xpath_queries"] = list(self.xpath_queries)
-        if "failed_partitions" in payload:
-            payload["failed_partitions"] = [
-                dict(entry) for entry in self.failed_partitions
-            ]
         payload["result_count"] = self.result_count
         if not compact:
             payload["total_seconds"] = self.total_seconds
@@ -386,9 +290,6 @@ class ExecutionReport:
             if field_name in payload:
                 setattr(report, field_name, payload[field_name])
         report.xpath_queries = list(report.xpath_queries)
-        report.failed_partitions = [
-            dict(entry) for entry in report.failed_partitions
-        ]
         report.trace = payload.get("trace")
         return report
 
@@ -1040,15 +941,8 @@ class QueryExecutor:
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
         guard: Optional[ResourceGuard] = None,
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
-        """Execute a selection query: rewrite -> plan -> XPath -> verify.
-
-        ``document_keys`` restricts execution to a subset of the
-        collection's documents (intersected with index pruning) — the
-        serving layer's intra-query partitioning runs one selection per
-        contiguous chunk and merges the reports.
-        """
+        """Execute a selection query: rewrite -> plan -> XPath -> verify."""
         return self._pattern_query(
             "selection",
             collection_name,
@@ -1056,7 +950,6 @@ class QueryExecutor:
             tax_batch.selection_batched,
             list(sl_labels),
             guard,
-            document_keys,
         )
 
     def projection(
@@ -1065,7 +958,6 @@ class QueryExecutor:
         pattern: PatternTree,
         pl: Sequence[tax_algebra.ProjectionEntry],
         guard: Optional[ResourceGuard] = None,
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
         """Execute a projection query through the same pipeline."""
         return self._pattern_query(
@@ -1075,7 +967,6 @@ class QueryExecutor:
             tax_batch.projection_batched,
             pl,
             guard,
-            document_keys,
         )
 
     def _pattern_query(
@@ -1086,7 +977,6 @@ class QueryExecutor:
         verify,
         keep: Sequence,
         guard: Optional[ResourceGuard],
-        document_keys: Optional[Iterable[str]],
     ) -> ExecutionReport:
         """The one-collection pipeline selection and projection share.
 
@@ -1095,7 +985,6 @@ class QueryExecutor:
         index pruning, candidate fetch, guard accounting, report — is
         the same for both.
         """
-        restrict = None if document_keys is None else set(document_keys)
         guard = self._start_guard(guard)
         accesses_before = self._accesses()
         tracer = self.observability.tracer()
@@ -1111,7 +1000,7 @@ class QueryExecutor:
 
             with _stage(tracer, guard, "plan") as plan_stage:
                 doc_keys, docs_total, docs_scanned, index_used = self._prune(
-                    collection_name, spec, guard, restrict=restrict
+                    collection_name, spec, guard
                 )
                 tracer.annotate(
                     docs_total=docs_total,
@@ -1172,22 +1061,11 @@ class QueryExecutor:
         collection_name: str,
         spec: PlanSpec,
         guard: Optional[ResourceGuard],
-        restrict: Optional[Set[str]] = None,
     ) -> Tuple[Optional[Set[str]], int, int, bool]:
-        """(document keys or None, docs total, docs scanned, index used).
-
-        ``restrict`` further limits the scan to an externally chosen
-        document subset (the serving layer's intra-query partitions);
-        it intersects with whatever the index probes prune to, so a
-        partitioned query scans exactly its slice of the serial
-        candidate set.
-        """
+        """(document keys or None, docs total, docs scanned, index used)."""
         collection = self.database.get_collection(collection_name)
         docs_total = len(collection)
         if not spec.prunable:
-            if restrict is not None:
-                keys = {key for key in restrict if key in collection}
-                return keys, docs_total, len(keys), False
             return None, docs_total, docs_total, False
         index = collection.search_index()
         assert index is not None
@@ -1197,57 +1075,7 @@ class QueryExecutor:
             guard,
             self.context.seo if self.context is not None else None,
         )
-        if restrict is not None:
-            doc_keys &= restrict
         return doc_keys, docs_total, len(doc_keys), True
-
-    def candidate_documents(
-        self,
-        collection_name: str,
-        pattern: PatternTree,
-        guard: Optional[ResourceGuard] = None,
-    ) -> List[str]:
-        """The document keys a selection over ``pattern`` would scan.
-
-        Runs only the rewrite + planner phases (no XPath, no
-        verification) and returns the candidate keys in collection
-        insertion order — the order the scan visits them.  The serving
-        layer partitions this list into contiguous chunks; executing the
-        query per chunk and concatenating preserves the serial result
-        order.
-        """
-        plan, _ = self._selection_plan(pattern)
-        spec: PlanSpec = plan["spec"]  # type: ignore[assignment]
-        doc_keys, _total, _scanned, _used = self._prune(
-            collection_name, spec, guard
-        )
-        collection = self.database.get_collection(collection_name)
-        if doc_keys is None:
-            return list(collection.keys())
-        return [key for key in collection.keys() if key in doc_keys]
-
-    def join_candidate_documents(
-        self,
-        left_collection: str,
-        right_collection: str,
-        pattern: PatternTree,
-        guard: Optional[ResourceGuard] = None,
-    ) -> List[str]:
-        """The *left-side* document keys a join over ``pattern`` would scan.
-
-        The left side is the partitionable one (the product iterates it
-        in collection order, so contiguous left chunks concatenate to
-        the serial product order); keys are returned in collection
-        insertion order.
-        """
-        plan, _ = self._join_plan(pattern)
-        left_keys, _right, _total, _scanned, _used = self._prune_join(
-            left_collection, right_collection, plan, guard
-        )
-        collection = self.database.get_collection(left_collection)
-        if left_keys is None:
-            return list(collection.keys())
-        return [key for key in collection.keys() if key in left_keys]
 
     def join(
         self,
@@ -1256,7 +1084,6 @@ class QueryExecutor:
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
         guard: Optional[ResourceGuard] = None,
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
         """Execute a join: per-side XPath prefilter, then product+selection.
 
@@ -1265,13 +1092,7 @@ class QueryExecutor:
         matching the left collection (Example 13's Figure 14 shape).
         Cross-side conditions (e.g. ``title:1 ~ title:2``) are evaluated in
         the verification phase.
-
-        ``document_keys`` restricts the *left* collection's documents
-        (the side the serving layer partitions); the right side is
-        evaluated in full by every partition, since the product pairs
-        each left document with all right documents.
         """
-        restrict = None if document_keys is None else set(document_keys)
         guard = self._start_guard(guard)
         accesses_before = self._accesses()
         tracer = self.observability.tracer()
@@ -1288,13 +1109,7 @@ class QueryExecutor:
 
             with _stage(tracer, guard, "plan") as plan_stage:
                 left_keys, right_keys, docs_total, docs_scanned, index_used = (
-                    self._prune_join(
-                        left_collection,
-                        right_collection,
-                        plan,
-                        guard,
-                        left_restrict=restrict,
-                    )
+                    self._prune_join(left_collection, right_collection, plan, guard)
                 )
                 tracer.annotate(
                     docs_total=docs_total,
@@ -1411,21 +1226,12 @@ class QueryExecutor:
         right_collection: str,
         plan: Dict[str, object],
         guard: Optional[ResourceGuard],
-        left_restrict: Optional[Set[str]] = None,
     ) -> Tuple[Optional[Set[str]], Optional[Set[str]], int, int, bool]:
-        """Per-side + cross-side pruning for a join plan.
-
-        ``left_restrict`` limits the left (partitioned) side to an
-        externally chosen document subset; the right side is always
-        evaluated in full, since every left document joins against it.
-        """
+        """Per-side + cross-side pruning for a join plan."""
         left = self.database.get_collection(left_collection)
         right = self.database.get_collection(right_collection)
         docs_total = len(left) + len(right)
         if not plan["prunable"]:
-            if left_restrict is not None:
-                keys = {key for key in left_restrict if key in left}
-                return keys, None, docs_total, len(keys) + len(right), False
             return None, None, docs_total, docs_total, False
         sides = plan["sides"]  # type: ignore[assignment]
         seo = self.context.seo if self.context is not None else None
@@ -1466,11 +1272,6 @@ class QueryExecutor:
             )
 
         index_used = left_keys is not None or right_keys is not None
-        if left_restrict is not None:
-            if left_keys is None:
-                left_keys = {key for key in left_restrict if key in left}
-            else:
-                left_keys &= left_restrict
         docs_scanned = (len(left_keys) if left_keys is not None else len(left)) + (
             len(right_keys) if right_keys is not None else len(right)
         )

@@ -976,18 +976,10 @@ class TossSystem:
         collection: str,
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
-        """TOSS selection through the XPath-rewriting executor.
-
-        ``document_keys`` restricts the scan to a document subset (the
-        serving layer's intra-query partitions); results are the serial
-        results filtered to those documents, in the same order.
-        """
+        """TOSS selection through the XPath-rewriting executor."""
         executor, degraded = self._query_executor()
-        report = executor.selection(
-            collection, pattern, sl_labels, document_keys=document_keys
-        )
+        report = executor.selection(collection, pattern, sl_labels)
         report.degraded = degraded
         return report
 
@@ -1009,20 +1001,11 @@ class TossSystem:
         right_collection: str,
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
-        """TOSS join through the executor.
-
-        ``document_keys`` restricts the left collection's documents
-        (see :meth:`QueryExecutor.join`).
-        """
+        """TOSS join through the executor."""
         executor, degraded = self._query_executor()
         report = executor.join(
-            left_collection,
-            right_collection,
-            pattern,
-            sl_labels,
-            document_keys=document_keys,
+            left_collection, right_collection, pattern, sl_labels
         )
         report.degraded = degraded
         return report
@@ -1033,7 +1016,6 @@ class TossSystem:
         text: str,
         sl_variables: Iterable[str] = (),
         right_collection: Optional[str] = None,
-        document_keys: Optional[Iterable[str]] = None,
     ) -> ExecutionReport:
         """Run a query written in the textual query language.
 
@@ -1041,8 +1023,6 @@ class TossSystem:
         subtree is returned); two-element queries run as joins and need
         ``right_collection``.  ``sl_variables`` names additional
         ``$variables`` whose subtrees should be inflated.
-        ``document_keys`` restricts the (left) collection's scan — the
-        serving layer's partition parameter.
 
         >>> system.query("dblp", 'inproceedings(author ~ "J. Ullman")')
         ... # doctest: +SKIP
@@ -1054,20 +1034,14 @@ class TossSystem:
             parsed.label(variable) for variable in sl_variables
         ]
         if len(parsed.roots) == 1:
-            return self.select(
-                collection, parsed.pattern, sl_labels, document_keys=document_keys
-            )
+            return self.select(collection, parsed.pattern, sl_labels)
         if len(parsed.roots) == 2:
             if right_collection is None:
                 raise TossError(
                     "a two-element query is a join; pass right_collection="
                 )
             return self.join(
-                collection,
-                right_collection,
-                parsed.pattern,
-                sl_labels,
-                document_keys=document_keys,
+                collection, right_collection, parsed.pattern, sl_labels
             )
         raise TossError("queries must have one or two top-level elements")
 

@@ -21,7 +21,7 @@ everywhere the work goes.  Two transports cover every hop:
   must see the request the main thread is serving.
 * **wire form** — :meth:`RequestContext.to_wire` / ``from_wire`` is a
   plain dict that rides the existing task-dict transport into pool
-  workers and partition chunks; the worker re-activates it before
+  workers; the worker re-activates it before
   executing, so worker-side spans and reports carry the same id the
   parent minted.
 

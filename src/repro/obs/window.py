@@ -15,7 +15,7 @@ This module keeps one ring of per-second slots per query class:
   p50/p95/p99, QPS, error rate, and SLO burn over 1s/10s/60s windows;
 * snapshots are plain lists keyed by absolute epoch seconds, so
   :func:`merge_window_snapshots` is associative and order-independent
-  — worker and partition snapshots fold into the parent exactly like
+  — worker snapshots fold into the parent exactly like
   ``METRICS.absorb`` folds counter deltas.
 
 Latency buckets are powers of two from 0.5 ms to ~262 s (upper-bound

@@ -1,4 +1,4 @@
-"""Concurrent query serving: worker pools, batch execution, partitioning.
+"""Concurrent query serving: a supervised worker pool and batch execution.
 
 The ROADMAP's north star is a system that "serves heavy traffic" — yet
 the executor (like the paper's prototype) runs one query at a time in
@@ -27,23 +27,17 @@ unchanged execution pipeline:
     span/metrics merge into the parent's observability, and snapshot
     staleness checks on every submission.
 
-:func:`~repro.serving.partition.execute_partitioned`
-    Intra-query parallelism: one large selection or join is split over
-    the post-planner candidate document set into contiguous chunks, one
-    per worker, and the partial :class:`~repro.core.executor.ExecutionReport`
-    objects merge deterministically back into the serial result.
+A request is the unit of parallelism: one request is one task on one
+worker, and the pool's width is filled by concurrent requests
+(``docs/SERVING.md`` records why there is no intra-query parallelism).
 
-Everything here is result-preserving: batch and partitioned execution
-return bit-identical results, in identical order, to serial execution —
-the property suite in ``tests/property/test_serving_equivalence.py``
-holds the layer to that (and the chaos suite in ``tests/chaos/`` holds
-it under injected worker crashes).  The one opt-in exception is
-partial-result degradation for partitioned queries
-(``degrade_partial=True``), which trades exactness for availability and
-says so in the report (``degraded`` + ``failed_partitions``).
+Everything here is result-preserving: batch execution returns
+bit-identical results, in identical order, to serial execution — the
+property suite in ``tests/property/test_serving_equivalence.py`` holds
+the layer to that (and the chaos suite in ``tests/chaos/`` holds it
+under injected worker crashes).
 """
 
-from .partition import execute_partitioned, partition_document_keys
 from .server import (
     GuardSpec,
     QueryOutcome,
@@ -64,6 +58,4 @@ __all__ = [
     "SupervisedWorkerPool",
     "SystemSnapshot",
     "execute_many",
-    "execute_partitioned",
-    "partition_document_keys",
 ]

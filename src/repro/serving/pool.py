@@ -11,9 +11,8 @@ The cross-process discipline mirrors :mod:`repro.parallel`:
 * exceptions never cross the boundary raw — a worker returns a typed
   failure marker and the parent reconstructs the matching
   :class:`~repro.errors.ReproError` subclass deterministically;
-* guards are cooperative — each task carries the remaining
-  deadline/step/result budget and the parent re-ticks its own guard
-  with the steps the workers consumed;
+* guards are per task — each task carries its deadline/step/result
+  budget and the worker enforces it with a fresh guard;
 * observability is plain data — a worker returns its span tree and a
   metrics-registry snapshot (then resets its registry, so consecutive
   snapshots are deltas), and the parent re-attaches/absorbs them.
@@ -79,10 +78,9 @@ def _guard_from_task(task: Dict[str, Any]) -> Optional[ResourceGuard]:
 def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: execute one textual query from the snapshot.
 
-    Returns ``{"report": ..., "seconds": ..., "steps": ...,
-    "stage_steps": ..., "metrics": ...}`` on success or a failure marker
-    ``{"failure": (kind, ...), "seconds": ...}`` when the guard trips or
-    the query errors.
+    Returns ``{"report": ..., "seconds": ..., "metrics": ...}`` on
+    success or a failure marker ``{"failure": (kind, ...), "seconds":
+    ...}`` when the guard trips or the query errors.
     """
     system = _WORKER["system"]
     pid = os.getpid()
@@ -112,14 +110,11 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
                 task["query"],
                 sl_variables=tuple(task.get("sl_variables", ())),
                 right_collection=task.get("right_collection"),
-                document_keys=task.get("document_keys"),
             )
     except QueryTimeoutError as exc:
         return {
             "failure": ("timeout", task["query"], exc.deadline, exc.elapsed),
             "seconds": time.perf_counter() - started,
-            "steps": guard.steps if guard is not None else 0,
-            "stage_steps": guard.stage_steps if guard is not None else {},
             "worker_pid": pid,
             "request_id": request_id,
         }
@@ -127,8 +122,6 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "failure": ("exhausted", str(exc)),
             "seconds": time.perf_counter() - started,
-            "steps": guard.steps if guard is not None else 0,
-            "stage_steps": guard.stage_steps if guard is not None else {},
             "worker_pid": pid,
             "request_id": request_id,
         }
@@ -136,8 +129,6 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "failure": ("error", type(exc).__name__, str(exc)),
             "seconds": time.perf_counter() - started,
-            "steps": guard.steps if guard is not None else 0,
-            "stage_steps": guard.stage_steps if guard is not None else {},
             "worker_pid": pid,
             "request_id": request_id,
         }
@@ -149,8 +140,6 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
         # ``.results`` (the batch path never does).
         "report": report.to_dict(include_results=True, compact=True),
         "seconds": time.perf_counter() - started,
-        "steps": guard.steps if guard is not None else 0,
-        "stage_steps": guard.stage_steps if guard is not None else {},
         "worker_pid": pid,
         "request_id": request_id,
     }

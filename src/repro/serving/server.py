@@ -32,10 +32,9 @@ from ..core.executor import ExecutionReport
 from ..errors import ReproError, ServerOverloadedError, ServingError, SnapshotStaleError
 from ..faults import FaultPlan
 from ..guard import ResourceGuard
-from ..obs.context import RequestContext, activate, new_request_id
+from ..obs.context import RequestContext, new_request_id
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.window import WINDOWS
-from .partition import execute_partitioned
 from .pool import reconstruct_failure
 from .snapshot import SystemSnapshot
 from .supervisor import RetryPolicy, SupervisedWorkerPool
@@ -96,10 +95,6 @@ class QueryRequest:
     right_collection: Optional[str] = None
     #: Per-query budget; None inherits the server default.
     guard: Optional[GuardSpec] = None
-    #: Workers to partition this query's candidate scan across
-    #: (1 = no intra-query parallelism; only :meth:`QueryServer.execute`
-    #: honours values above 1).
-    jobs: int = 1
     #: Tenant label carried into the request context (budget accounting
     #: and log joining; None for single-tenant use).
     tenant: Optional[str] = None
@@ -155,11 +150,6 @@ class QueryServer:
         :class:`~repro.serving.supervisor.RetryPolicy` for the worker
         pool (retries, backoff, hard timeouts, quarantine, circuit
         breaker).
-    degrade_partial:
-        Opt-in partial-result degradation for partitioned queries
-        (``jobs > 1``): a chunk that fails permanently is recorded in
-        the merged report's ``failed_partitions`` instead of failing the
-        query.  Exact-by-default (``False``: chunk failure raises).
     fault_plan:
         :class:`~repro.faults.FaultPlan` handed to the worker pool —
         test/benchmark harness only.
@@ -174,7 +164,6 @@ class QueryServer:
         snapshot_mode: Optional[str] = None,
         default_collection: Optional[str] = None,
         policy: Optional[RetryPolicy] = None,
-        degrade_partial: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if max_pending < 1:
@@ -189,7 +178,6 @@ class QueryServer:
             else GuardSpec.from_guard(system.guard)
         )
         self.policy = policy
-        self.degrade_partial = degrade_partial
         self.fault_plan = fault_plan
         self._snapshot_mode = snapshot_mode
         self.snapshot = SystemSnapshot.capture(system, mode=snapshot_mode)
@@ -291,7 +279,6 @@ class QueryServer:
                 sl_variables=query.sl_variables,
                 right_collection=query.right_collection,
                 guard=query.guard,
-                jobs=query.jobs,
                 tenant=query.tenant,
                 request_id=query.request_id,
             )
@@ -320,7 +307,6 @@ class QueryServer:
             "collection": request.collection,
             "sl_variables": tuple(request.sl_variables),
             "right_collection": request.right_collection,
-            "document_keys": None,
             "guard": spec.as_tuple() if spec is not None else None,
             "collect_metrics": collect_metrics,
             "trace": bool(
@@ -457,34 +443,9 @@ class QueryServer:
         return outcomes
 
     def execute(self, query: Union[str, QueryRequest]) -> ExecutionReport:
-        """Execute one query and return its report (raising its error).
-
-        Requests with ``jobs > 1`` run with their candidate scan
-        partitioned across the pool
-        (:func:`~repro.serving.partition.execute_partitioned`);
-        otherwise the query runs whole on one worker.
-        """
-        self._ensure_open()
-        request = self._normalize(query)
-        if request.jobs > 1:
-            self._check_fresh()
-            spec = request.guard if request.guard is not None else self.default_guard
-            # Activate the request identity around the partitioned run so
-            # the chunk tasks, merged report and partition events all
-            # carry it (execute_partitioned reads the ambient context).
-            with activate(self._context(request)):
-                return execute_partitioned(
-                    self.system,
-                    self.pool,
-                    request.collection,
-                    request.query,
-                    sl_variables=request.sl_variables,
-                    right_collection=request.right_collection,
-                    jobs=request.jobs,
-                    guard=spec.build() if spec is not None else None,
-                    on_chunk_failure="degrade" if self.degrade_partial else "raise",
-                )
-        outcome = self.execute_many([request])[0]
+        """Execute one query and return its report (raising its error):
+        :meth:`execute_many` of one request."""
+        outcome = self.execute_many([query])[0]
         outcome.raise_for_error()
         return outcome.report
 

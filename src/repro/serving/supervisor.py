@@ -54,8 +54,8 @@ the worker main loop, so every path above is deterministically
 testable.
 
 The dispatch interface is ``run_batch(tasks) -> outcomes in task
-order``; :class:`~repro.serving.server.QueryServer` and
-:func:`~repro.serving.partition.execute_partitioned` drive it.
+order``; :class:`~repro.serving.server.QueryServer` drives it, one task
+per request.
 """
 
 from __future__ import annotations
@@ -1059,8 +1059,6 @@ class SupervisedWorkerPool:
             outcomes[index] = {
                 "failure": ("poison", query, crashes[index]),
                 "seconds": 0.0,
-                "steps": 0,
-                "stage_steps": {},
                 "attempts": attempts[index],
             }
             return 1
@@ -1068,8 +1066,6 @@ class SupervisedWorkerPool:
             outcomes[index] = {
                 "failure": ("crash", query, attempts[index], f"{reason}: {detail}"),
                 "seconds": 0.0,
-                "steps": 0,
-                "stage_steps": {},
                 "attempts": attempts[index],
             }
             return 1

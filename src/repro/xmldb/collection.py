@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import CollectionError, DocumentTooLargeError
+from ..errors import CollectionError, DocumentTooLargeError, XmlDbError
 from ..guard import CHECK_INTERVAL, ResourceGuard
 from .columnar import DocumentColumns
 from .index import CollectionSearchIndex
@@ -96,9 +96,24 @@ class Collection:
             root = parse_document(document)
         else:
             root = document.renumber()
+            # The XML reader refuses such names; a programmatic tree must
+            # be held to the same rule, because the search index keys tag
+            # paths by "/"-joined strings (it would mis-prune this
+            # document) and the serializer would write XML that cannot
+            # be loaded back.
+            for node in root.iter():
+                if "/" in node.tag:
+                    raise XmlDbError(
+                        f"document {key!r} has a tag containing '/': {node.tag!r}"
+                    )
         size = serialized_bytes if serialized_bytes is not None else document_bytes(root)
         if size > self.max_document_bytes:
             raise DocumentTooLargeError(size, self.max_document_bytes)
+        previous = self._documents.pop(key, None)
+        if previous is not None:
+            self._columns.pop(key, None)
+            if self._search_index is not None:
+                self._search_index.remove_document(key, previous)
         self._documents[key] = root
         self.generation += 1
         self._changelog.append((self.generation, op, key))
@@ -109,11 +124,6 @@ class Collection:
     def replace_document(self, key: str, document: "XmlNode | str") -> XmlNode:
         """Overwrite (or create) the document under ``key``."""
         if key in self._documents:
-            root = self._documents[key]
-            self._columns.pop(key, None)
-            if self._search_index is not None:
-                self._search_index.remove_document(key, root)
-            del self._documents[key]
             return self._store(key, document, "replace")
         return self.add_document(key, document)
 

@@ -96,7 +96,6 @@ def make_task(query):
         "collection": "papers",
         "sl_variables": (),
         "right_collection": None,
-        "document_keys": None,
         "guard": None,
         "collect_metrics": False,
         "trace": False,
@@ -142,32 +141,6 @@ class TestKilledWorkersStayExact:
             for query in queries
         ]
         assert batch_result_texts(outcomes) == expected
-
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        kill_chunks=st.sets(st.integers(min_value=0, max_value=2), max_size=2),
-        query=st.sampled_from(QUERIES),
-    )
-    def test_partitioned_identical_under_random_kills(self, kill_chunks, query):
-        from repro.serving import execute_partitioned
-
-        system = _system()
-        pool = _pool()
-        pool.fault_plan = FaultPlan(
-            rules=(FaultRule(kind=faults.KILL, tasks=tuple(kill_chunks)),)
-        )
-        try:
-            merged = execute_partitioned(system, pool, "papers", query, jobs=3)
-        finally:
-            pool.fault_plan = None
-        assert [
-            serialize(tree) for tree in merged.results
-        ] == _STATE["serial"][query]
-        assert merged.degraded is False and not merged.failed_partitions
 
 
 class TestExternalSigkill:

@@ -48,7 +48,6 @@ def make_task(query=QUERY):
         "collection": "papers",
         "sl_variables": (),
         "right_collection": None,
-        "document_keys": None,
         "guard": None,
         "collect_metrics": False,
         "trace": False,

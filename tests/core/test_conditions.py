@@ -242,33 +242,22 @@ class TestRewrite:
 
 class TestQueryKeyedMemosAreBounded:
     """A long-lived worker sees an endless stream of query constants; the
-    two verdict memos keyed by them hold a bounded number of entries."""
+    verdict memo keyed by them holds a bounded number of entries
+    (``subtype_of`` keeps none: it asks ``seo.expand_below`` directly)."""
 
     def test_never_repeating_terms_keep_the_memos_at_their_bound(self, context, seo):
-        from repro.core.conditions import SUBTYPE_MEMO_SIZE
         from repro.obs.metrics import REGISTRY as METRICS
         from repro.similarity.seo import SIMILAR_MEMO_SIZE
 
-        subtype_evictions = METRICS.counter("core.subtype_memo.evictions").value
         similar_evictions = METRICS.counter("seo.similar_memo.evictions").value
         overflow = 100
-        for serial in range(SUBTYPE_MEMO_SIZE + overflow):
-            assert not context.subtype_of(f"unseen term {serial}", "author")
         for serial in range(SIMILAR_MEMO_SIZE + overflow):
+            assert not context.subtype_of(f"unseen term {serial}", "author")
             assert not seo.similar(f"unseen term {serial}", "J. Smith")
-        assert len(context._subtype_memo) == SUBTYPE_MEMO_SIZE
         assert len(seo._similar_cache) == SIMILAR_MEMO_SIZE
-        assert (
-            METRICS.counter("core.subtype_memo.evictions").value
-            == subtype_evictions + overflow
-        )
         assert (
             METRICS.counter("seo.similar_memo.evictions").value
             == similar_evictions + overflow
         )
-        # Still a memo: a recent pair is answered without re-deriving it.
-        newest = f"unseen term {SUBTYPE_MEMO_SIZE + overflow - 1}"
-        assert (newest, "author") in context._subtype_memo
-        assert ("unseen term 0", "author") not in context._subtype_memo
         assert context.subtype_of("J. Smith", "person")
         assert context.subtype_of("J. Smith", "person")

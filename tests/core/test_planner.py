@@ -20,7 +20,7 @@ from repro.core.planner import (
     prune_candidates,
 )
 from repro.core.reference import ReferenceExecutor
-from repro.errors import ResourceExhaustedError
+from repro.errors import ConditionError, ResourceExhaustedError
 from repro.guard import ResourceGuard
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
@@ -251,7 +251,12 @@ class TestExecutorIntegration:
         # prune (the query must raise from verification, as a scan would).
         pattern = _author_pattern(SimilarTo(NodeContent(2), Constant("J. Smith")))
         executor = QueryExecutor(database, None)
-        assert executor.candidate_documents("dblp", pattern) == ["a", "b", "c"]
+        assert executor.explain(pattern).index_plan[0].startswith("full scan")
+        guard = ResourceGuard()
+        with pytest.raises(ConditionError):
+            executor.selection("dblp", pattern, sl_labels=[1], guard=guard)
+        # All three documents were fetched, one candidate row each.
+        assert guard.stage_steps == {"xpath evaluation": 6}
 
     def test_plan_cache_hits_on_repeat(self, database, context):
         pattern = _author_pattern(

@@ -1,10 +1,9 @@
 """Property: the serving layer is invisible in the results.
 
-Batch execution over the worker pool and intra-query partitioned
-execution must both be bit-identical to serial in-process execution —
-same result trees, same order, same degraded flag, and the same error
-type when a budget trips.  We fuzz over query shapes, worker counts and
-partition widths against one shared system and pool.
+Batch execution over the worker pool must be bit-identical to serial
+in-process execution — same result trees, same order, same degraded
+flag, and the same error type when a budget trips.  We fuzz over query
+shapes and worker counts against one shared system and pool.
 """
 
 import pytest
@@ -14,12 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError, ResourceExhaustedError
 from repro.guard import ResourceGuard
 from repro.core.system import TossSystem
-from repro.serving import (
-    GuardSpec,
-    QueryRequest,
-    QueryServer,
-    execute_partitioned,
-)
+from repro.serving import GuardSpec, QueryRequest, QueryServer
 from repro.xmldb.serializer import serialize
 
 AUTHORS = ["Ann Smith", "Bob Stone", "Cara Swan"]
@@ -89,17 +83,6 @@ def test_batch_execution_equals_serial(query, workers):
     assert outcome.report.degraded == serial.degraded
 
 
-@given(query=queries, jobs=st.sampled_from([2, 3, 4]))
-@settings(max_examples=12, deadline=None)
-def test_partitioned_execution_equals_serial(query, jobs):
-    system = _system()
-    serial = system.query("papers", query)
-    merged = execute_partitioned(
-        system, _server(2).pool, "papers", query, jobs=jobs
-    )
-    assert result_texts(merged) == result_texts(serial)
-
-
 @given(query=queries)
 @settings(max_examples=6, deadline=None)
 def test_batch_order_is_submission_order(query):
@@ -130,16 +113,6 @@ def test_step_budget_trips_the_same_error_type(budget):
     except ReproError as exc:
         serial_error = type(exc)
     assert serial_error is ResourceExhaustedError
-
-    with pytest.raises(ResourceExhaustedError):
-        execute_partitioned(
-            system,
-            _server(2).pool,
-            "papers",
-            query,
-            jobs=2,
-            guard=ResourceGuard(max_steps=budget),
-        )
 
     outcome = _server(2).execute_many(
         [

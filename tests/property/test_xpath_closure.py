@@ -36,6 +36,9 @@ from repro.xmldb.xpath import XPathQuery
 from tests.oracle import assert_matches_reference
 
 #: Constants that are not XPath names, or that XPath would read as syntax.
+#: ``a/b`` is absent because no document can carry it: the XML reader and
+#: ``Collection.add_document`` / ``replace_document`` both refuse a tag
+#: containing ``/`` (tests/xmldb/test_collection.py).
 HOSTILE = [
     "a b", "dc:title", "a|b", "a[1]", "it's", 'say "x"', "'\"", "1a",
     "self::a", "text()", "or", "and", "*", "..", "@id", "x=y",

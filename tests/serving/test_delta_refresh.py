@@ -67,7 +67,6 @@ def make_task(query=QUERY):
         "collection": "papers",
         "sl_variables": (),
         "right_collection": None,
-        "document_keys": None,
         "guard": None,
         "collect_metrics": False,
         "trace": False,

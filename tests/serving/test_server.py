@@ -1,7 +1,12 @@
 """The query server: batches, admission, budgets, staleness, refresh."""
 
+import inspect
+
 import pytest
 
+import repro.serving
+from repro.core.executor import ExecutionReport, QueryExecutor
+from repro.core.system import TossSystem
 from repro.errors import (
     ReproError,
     ResourceExhaustedError,
@@ -162,11 +167,41 @@ class TestExecute:
         with pytest.raises(ReproError):
             server.execute("paper(((")
 
-    def test_execute_partitions_with_jobs(self, system, server):
-        report = server.execute(QueryRequest(query=QUERY, jobs=2))
-        assert result_texts(report) == result_texts(
-            system.query("papers", QUERY)
+    def test_execute_is_execute_many_of_one(self, server):
+        request = QueryRequest(query=QUERY, request_id="one-of-one")
+        report = server.execute(request)
+        outcome = server.execute_many([request])[0]
+        assert report.result_texts() == outcome.report.result_texts()
+        assert report.request_id == outcome.report.request_id == "one-of-one"
+        assert outcome.request_id == "one-of-one"
+
+        tripping = QueryRequest(query=QUERY, guard=GuardSpec(max_steps=1))
+        captured = server.execute_many([tripping])[0].error
+        assert type(captured) is ResourceExhaustedError
+        with pytest.raises(ResourceExhaustedError) as raised:
+            server.execute(tripping)
+        assert type(raised.value) is type(captured)
+
+    def test_no_intra_query_parallelism_surface(self):
+        # A request is the unit of parallelism: none of the names the
+        # partitioned path threaded through the layers is accepted.
+        removed = {"jobs", "degrade_partial", "document_keys", "on_chunk_failure"}
+        surfaces = [
+            QueryRequest,
+            QueryServer.__init__,
+            QueryExecutor.selection,
+            QueryExecutor.projection,
+            QueryExecutor.join,
+            TossSystem.query,
+            TossSystem.select,
+            TossSystem.join,
+        ]
+        for surface in surfaces:
+            assert not removed & set(inspect.signature(surface).parameters), surface
+        assert not {"execute_partitioned", "partition_document_keys"} & set(
+            repro.serving.__all__
         )
+        assert not hasattr(ExecutionReport, "merge")
 
 
 class TestMetrics:

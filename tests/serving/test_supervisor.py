@@ -43,7 +43,6 @@ def make_task(query=QUERY, guard=None):
         "collection": "papers",
         "sl_variables": (),
         "right_collection": None,
-        "document_keys": None,
         "guard": guard,
         "collect_metrics": False,
         "trace": False,

@@ -1,4 +1,4 @@
-"""The ``serve`` subcommand and ``query --jobs`` intra-query parallelism."""
+"""The ``serve`` subcommand."""
 
 import io
 import json
@@ -154,17 +154,15 @@ class TestServeStats:
         assert "[10s]" in captured.err
 
 
-class TestQueryJobs:
-    def test_jobs_matches_serial_output(self, papers_file, capsys):
-        argv = [
-            "query",
-            "--source", f"papers={papers_file}",
-            "--epsilon", "2",
-            'paper(author ~ "Author 1")',
-        ]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main(argv[:1] + ["--jobs", "2"] + argv[1:]) == 0
-        partitioned = capsys.readouterr().out
-        # Identical result trees; the timing line differs.
-        assert serial.splitlines()[1:] == partitioned.splitlines()[1:]
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--jobs", "2", "--source", "papers=x.xml", "paper(title)"],
+            ["serve", "--degrade-partial", "--source", "papers=x.xml"],
+        ],
+    )
+    def test_intra_query_parallelism_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err

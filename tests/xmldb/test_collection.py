@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CollectionError, DocumentTooLargeError
+from repro.errors import CollectionError, DocumentTooLargeError, XmlDbError
 from repro.xmldb.collection import Collection
 from repro.xmldb.database import Database
 from repro.xmldb.model import XmlNode
@@ -54,6 +54,29 @@ class TestCollection:
             collection.add_document("big", DOC)
         assert info.value.limit == 20
         assert info.value.size > 20
+
+    def test_tag_containing_slash_is_refused_at_the_door(self):
+        # The search index keys tag paths by "/"-joined strings: stored,
+        # this tree would be pruned away by the planner and a selection
+        # for the tag ``a/b`` would answer with nothing (docs_scanned 0).
+        # The XML reader never lets such a name in; trees get the same rule.
+        collection = Collection("c")
+        root = XmlNode("book")
+        root.element("a/b", "x")
+        with pytest.raises(XmlDbError, match=r"'d1'.*'a/b'"):
+            collection.add_document("d1", root)
+        assert "d1" not in collection and collection.generation == 0
+
+    def test_refused_replacement_leaves_the_old_document(self):
+        collection = Collection("c")
+        collection.add_document("d1", DOC)
+        collection.search_index(build=True)
+        bad = XmlNode("a/b")
+        with pytest.raises(XmlDbError, match=r"'d1'.*'a/b'"):
+            collection.replace_document("d1", bad)
+        assert collection.get_document("d1").tag == "dblp"
+        assert collection.generation == 1
+        assert [hit.tag for hit in collection.xpath("//author")] == ["author"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(CollectionError):
