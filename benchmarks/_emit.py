@@ -1,15 +1,9 @@
 """Shared result emission for the standalone benchmark scripts.
 
-The standalone benches (``bench_seo_build``, ``bench_serving_faults``, ...) all
-write the same payload twice: the canonical machine-readable copy under
-``benchmarks/results/`` and a trajectory copy at the repo root
-(``BENCH_<name>.json``).  This module is the single place that knows
-the layout.
-
-It also owns :func:`stage_breakdown`, which flattens an observability
-span tree (:meth:`repro.obs.trace.Span.to_dict` shape) into the
-per-stage seconds map the benchmark records embed, so ``BENCH_*.json``
-shows where inside the pipeline the measured time went.
+The standalone bench (``bench_serving_faults``) writes its payload
+twice: the canonical machine-readable copy under ``benchmarks/results/``
+and a trajectory copy at the repo root (``BENCH_<name>.json``).  This
+module is the single place that knows the layout.
 """
 
 from __future__ import annotations
@@ -94,24 +88,3 @@ def emit_results(results, out_path=None, trajectory_path=None):
         written.append(path)
     return written
 
-
-def stage_breakdown(trace, precision=6):
-    """Per-stage seconds from one span tree's first level.
-
-    ``trace`` is a :meth:`repro.obs.trace.Span.to_dict` payload (or None,
-    when the run was not traced).  Returns ``{"total_seconds": ...,
-    "stages": {child span name: seconds}}``; repeated child names (e.g.
-    one span per relation) accumulate.
-    """
-    if not trace:
-        return None
-    stages = {}
-    for child in trace.get("children", ()):
-        name = child.get("name", "?")
-        stages[name] = round(
-            stages.get(name, 0.0) + float(child.get("seconds", 0.0)), precision
-        )
-    return {
-        "total_seconds": round(float(trace.get("seconds", 0.0)), precision),
-        "stages": stages,
-    }

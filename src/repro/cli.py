@@ -29,7 +29,7 @@ Subcommands:
     Build, inspect, integrity-check or repair a saved store::
 
         python -m repro.cli db build --source dblp=dblp.xml \\
-            --workers 4 --cache-dir ./seo-cache ./store
+            --cache-dir ./seo-cache ./store
         python -m repro.cli db stats ./store
         python -m repro.cli db verify ./store
         python -m repro.cli db recover ./store
@@ -72,7 +72,6 @@ def _build_system(args: argparse.Namespace) -> TossSystem:
     system = TossSystem(
         measure=args.measure,
         epsilon=args.epsilon,
-        workers=getattr(args, "workers", None),
         cache_dir=getattr(args, "cache_dir", None),
     )
     for name, path in _parse_sources(args.source):
@@ -830,8 +829,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
                          help="similarity measure name (default: levenshtein)")
         sub.add_argument("--epsilon", type=float, default=3.0,
                          help="similarity threshold (default: 3.0)")
-        sub.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="worker processes for the SEO build (default: 1)")
         sub.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent similarity-graph cache directory")
         sub.add_argument("--no-cache", action="store_true",
@@ -864,8 +861,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pool", dest="pool_workers", type=int, default=2, metavar="N",
-        help="worker processes in the serving pool (default: 2; distinct "
-             "from --workers, which parallelises the SEO build)",
+        help="worker processes in the serving pool (default: 2)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=128, metavar="N",

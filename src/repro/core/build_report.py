@@ -118,8 +118,6 @@ class BuildReport:
     measure: str = ""
     epsilon: float = 0.0
     mode: str = "order-safe"
-    workers: int = 1
-    candidate_filter: bool = True
     cache_used: bool = False
     build_seconds: float = 0.0
     degraded: bool = False
@@ -164,8 +162,6 @@ class BuildReport:
             "measure": self.measure,
             "epsilon": self.epsilon,
             "mode": self.mode,
-            "workers": self.workers,
-            "candidate_filter": self.candidate_filter,
             "cache_used": self.cache_used,
             "build_seconds": self.build_seconds,
             "degraded": self.degraded,
@@ -182,8 +178,6 @@ class BuildReport:
             measure=payload.get("measure", ""),
             epsilon=float(payload.get("epsilon", 0.0)),
             mode=payload.get("mode", "order-safe"),
-            workers=int(payload.get("workers", 1)),
-            candidate_filter=bool(payload.get("candidate_filter", True)),
             cache_used=bool(payload.get("cache_used", False)),
             build_seconds=float(payload.get("build_seconds", 0.0)),
             degraded=bool(payload.get("degraded", False)),
@@ -198,9 +192,7 @@ class BuildReport:
         """Human-readable multi-line rendering (used by the CLI)."""
         lines = [
             f"build: measure={self.measure} epsilon={self.epsilon} "
-            f"mode={self.mode} workers={self.workers} "
-            f"filter={'on' if self.candidate_filter else 'off'} "
-            f"cache={'on' if self.cache_used else 'off'}",
+            f"mode={self.mode} cache={'on' if self.cache_used else 'off'}",
             f"  total {self.build_seconds:.3f}s"
             + (f"  DEGRADED: {self.error}" if self.degraded else ""),
         ]
@@ -223,8 +215,7 @@ class BuildReport:
                     f" verified {r.sea.get('candidates', 0)})"
                     f", edges {r.sea.get('graph_edges', 0)}"
                     f", cliques {r.sea.get('cliques', 0)}"
+                    f", {'filtered' if r.sea.get('filter_used') else 'all-pairs'}"
                 )
-                if r.sea.get("parallel_used"):
-                    detail += f", parallel x{r.sea.get('workers', 1)}"
             lines.append(f"  {r.relation}: {detail}")
         return "\n".join(lines)

@@ -40,7 +40,6 @@ from ..ontology.fusion import extend_fusion, retract_fusion
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..ontology.lexicon import Lexicon
 from ..ontology.maker import CombinedExtraction, OntologyMaker, RelationDelta
-from ..parallel import BuildOptions
 from ..similarity.cache import SimilarityGraphCache
 from ..similarity.incremental import EpsilonGraphCache
 from ..similarity.measures import StringSimilarityMeasure, get_measure
@@ -127,7 +126,6 @@ class TossSystem:
         typing: TypingFunction = default_typing,
         max_document_bytes: Optional[int] = None,
         guard: Optional[ResourceGuard] = None,
-        workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         observability: Optional[Observability] = None,
     ) -> None:
@@ -152,8 +150,6 @@ class TossSystem:
         self.degraded: bool = False
         #: The exception that forced degradation, for diagnostics.
         self.build_error: Optional[ReproError] = None
-        #: Default worker count for the similarity-graph phase (None = 1).
-        self.workers = workers if workers is not None else 1
         #: Persistent similarity-graph cache (None = caching disabled).
         self.seo_cache: Optional[SimilarityGraphCache] = (
             SimilarityGraphCache(cache_dir) if cache_dir else None
@@ -590,9 +586,6 @@ class TossSystem:
         mode: str = "order-safe",
         guard: Optional[ResourceGuard] = None,
         on_failure: str = "raise",
-        workers: Optional[int] = None,
-        candidate_filter: Optional[bool] = None,
-        parallel_threshold: Optional[int] = None,
         use_cache: bool = True,
     ) -> Optional[SeoConditionContext]:
         """Fuse all instance ontologies and similarity-enhance them.
@@ -619,11 +612,9 @@ class TossSystem:
         :class:`~repro.core.executor.ExecutionReport` carries
         ``degraded=True``.  Returns None when degraded.
 
-        ``workers`` / ``candidate_filter`` override the system defaults
-        for the similarity-graph phase (see
-        :class:`~repro.parallel.BuildOptions`); ``use_cache=False``
-        bypasses the persistent similarity-graph cache for this build
-        only.  The full outcome lands in :attr:`build_report`.
+        ``use_cache=False`` bypasses the persistent similarity-graph
+        cache for this build only.  The full outcome lands in
+        :attr:`build_report`.
 
         **Incremental maintenance.**  After mutations whose receipts say
         ``incremental=True`` — adds, replacements and removals alike —
@@ -649,18 +640,11 @@ class TossSystem:
         if epsilon is not None:
             self.epsilon = epsilon
         guard = guard if guard is not None else self.guard
-        options = BuildOptions(workers=self.workers).with_overrides(
-            workers=workers,
-            candidate_filter=candidate_filter,
-            parallel_threshold=parallel_threshold,
-        )
         cache = self.seo_cache if use_cache else None
         report = BuildReport(
             measure=self.measure.name or type(self.measure).__name__,
             epsilon=self.epsilon,
             mode=mode,
-            workers=options.workers,
-            candidate_filter=options.candidate_filter,
             cache_used=cache is not None,
         )
         self.build_report = report
@@ -669,7 +653,7 @@ class TossSystem:
         seos: Dict[str, SimilarityEnhancedOntology] = {}
         previous_seos: Dict[str, SimilarityEnhancedOntology] = {}
         try:
-            with tracer.trace("build", mode=mode, workers=options.workers):
+            with tracer.trace("build", mode=mode):
                 if guard is not None:
                     guard.start()
                 for relation in relations:
@@ -689,7 +673,6 @@ class TossSystem:
                             constraints,
                             mode,
                             guard,
-                            options,
                             cache,
                             report,
                             tracer,
@@ -768,7 +751,6 @@ class TossSystem:
         constraints: List[InteroperationConstraint],
         mode: str,
         guard: Optional[ResourceGuard],
-        options: BuildOptions,
         cache: Optional[SimilarityGraphCache],
         report: BuildReport,
         tracer,
@@ -850,7 +832,6 @@ class TossSystem:
                     constraints,
                     mode=mode,
                     guard=guard,
-                    options=options,
                     cache=None,
                     fusion=followed,
                     graph_cache=prev.graph_cache,
@@ -871,7 +852,6 @@ class TossSystem:
             constraints,
             mode=mode,
             guard=guard,
-            options=options,
             cache=cache,
             graph_cache=graph_cache,
         )

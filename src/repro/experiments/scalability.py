@@ -9,9 +9,9 @@ read like the paper's x-axes.
 
 from __future__ import annotations
 
-import time
+import gc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.executor import ExecutionReport
 from ..core.reference import ReferenceExecutor
@@ -52,6 +52,23 @@ class EpsilonPoint:
     seconds: float
     build_seconds: float
     results: int
+
+
+def _timed_runs(
+    run: Callable[[], ExecutionReport], repeats: int
+) -> List[ExecutionReport]:
+    """``repeats`` reports of ``run()``, each started on a collected heap.
+
+    Building a system promotes most of what it allocates, so the cyclic
+    collector's full pass falls due soon after; collecting first keeps
+    that pause out of the timed query, which at the small sizes is often
+    shorter than the pause itself.
+    """
+    reports = []
+    for _ in range(repeats):
+        gc.collect()
+        reports.append(run())
+    return reports
 
 
 def _run_reports(
@@ -102,10 +119,10 @@ def selection_scalability(
             system = build_system(
                 corpus, [dblp], epsilon, max_content_terms=cap
             )
-            reports = [
-                system.select("dblp", toss_pattern, sl_labels=[1])
-                for _ in range(repeats)
-            ]
+            reports = _timed_runs(
+                lambda: system.select("dblp", toss_pattern, sl_labels=[1]),
+                repeats,
+            )
             total, rewrite, xpath, convert, accesses = _run_reports(reports)
             points.append(
                 ScalabilityPoint(
@@ -116,10 +133,10 @@ def selection_scalability(
                 )
             )
         tax_executor = system.tax_executor()
-        reports = [
-            tax_executor.selection("dblp", tax_pattern, sl_labels=[1])
-            for _ in range(repeats)
-        ]
+        reports = _timed_runs(
+            lambda: tax_executor.selection("dblp", tax_pattern, sl_labels=[1]),
+            repeats,
+        )
         total, rewrite, xpath, convert, accesses = _run_reports(reports)
         points.append(
             ScalabilityPoint(
@@ -162,10 +179,12 @@ def join_scalability(
             # join is measured against it in
             # benchmarks/bench_ablation_hash_join.py.
             reference = system.reference_executor()
-            reports = [
-                reference.join("dblp", "sigmod", toss_pattern, sl_labels=[2, 5])
-                for _ in range(repeats)
-            ]
+            reports = _timed_runs(
+                lambda: reference.join(
+                    "dblp", "sigmod", toss_pattern, sl_labels=[2, 5]
+                ),
+                repeats,
+            )
             total, rewrite, xpath, convert, accesses = _run_reports(reports)
             points.append(
                 ScalabilityPoint(
@@ -176,10 +195,12 @@ def join_scalability(
                 )
             )
         tax_reference = ReferenceExecutor(system.database, None)
-        reports = [
-            tax_reference.join("dblp", "sigmod", tax_pattern, sl_labels=[2, 5])
-            for _ in range(repeats)
-        ]
+        reports = _timed_runs(
+            lambda: tax_reference.join(
+                "dblp", "sigmod", tax_pattern, sl_labels=[2, 5]
+            ),
+            repeats,
+        )
         total, rewrite, xpath, convert, accesses = _run_reports(reports)
         points.append(
             ScalabilityPoint(
@@ -214,10 +235,10 @@ def epsilon_sweep(
     points: List[EpsilonPoint] = []
     for epsilon in epsilons:
         system = build_system(corpus, [dblp], epsilon)
-        reports = [
-            system.select("dblp", selection_pattern, sl_labels=[1])
-            for _ in range(repeats)
-        ]
+        reports = _timed_runs(
+            lambda: system.select("dblp", selection_pattern, sl_labels=[1]),
+            repeats,
+        )
         points.append(
             EpsilonPoint(
                 epsilon, "selection",
@@ -228,10 +249,12 @@ def epsilon_sweep(
         join_system = build_system(
             corpus, [join_dblp], epsilon, sigmod_documents=pages
         )
-        reports = [
-            join_system.join("dblp", "sigmod", join_pattern, sl_labels=[2, 5])
-            for _ in range(repeats)
-        ]
+        reports = _timed_runs(
+            lambda: join_system.join(
+                "dblp", "sigmod", join_pattern, sl_labels=[2, 5]
+            ),
+            repeats,
+        )
         points.append(
             EpsilonPoint(
                 epsilon, "join",

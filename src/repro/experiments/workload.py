@@ -59,9 +59,6 @@ def build_system(
     sigmod_documents: Optional[Sequence[XmlNode]] = None,
     max_content_terms: Optional[int] = None,
     mode: str = "order-safe",
-    workers: Optional[int] = None,
-    candidate_filter: Optional[bool] = None,
-    parallel_threshold: Optional[int] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     observability: Optional[Observability] = None,
@@ -70,10 +67,8 @@ def build_system(
 
     ``max_content_terms`` caps how many content values the Ontology Maker
     lifts, which is how the scalability experiments control ontology size.
-    ``workers`` / ``candidate_filter`` / ``cache_dir`` / ``use_cache``
-    pass through to the SEO build pipeline (see
-    :meth:`~repro.core.system.TossSystem.build`), which is how the build
-    benchmark sweeps its configurations.
+    ``cache_dir`` / ``use_cache`` pass through to the SEO build pipeline
+    (see :meth:`~repro.core.system.TossSystem.build`).
     """
     maker = OntologyMaker(
         lexicon=corpus_lexicon(),
@@ -90,13 +85,7 @@ def build_system(
     system.add_instance("dblp", list(documents))
     if sigmod_documents is not None:
         system.add_instance("sigmod", list(sigmod_documents))
-    system.build(
-        mode=mode,
-        workers=workers,
-        candidate_filter=candidate_filter,
-        parallel_threshold=parallel_threshold,
-        use_cache=use_cache,
-    )
+    system.build(mode=mode, use_cache=use_cache)
     return system
 
 

@@ -6,7 +6,7 @@ copy-on-write under fork, rebuilt from the payload under spawn) and
 reused for every query after that — the per-query cost is one small
 task dict and one report dict, never a re-load of the system.
 
-The cross-process discipline mirrors :mod:`repro.parallel`:
+The cross-process discipline:
 
 * exceptions never cross the boundary raw — a worker returns a typed
   failure marker and the parent reconstructs the matching

@@ -35,12 +35,8 @@ which removes the quadratic enumeration for realistic inputs.  One
 :class:`CandidateIndex` implements the stack for both shapes: the
 self-join (:func:`block_edges`) and the bipartite join
 (:func:`bipartite_index` + :func:`similar_pairs`).  The self-join
-walks strings in length-sorted order against the already-indexed ones,
-so the work decomposes into independent contiguous *blocks* of probe
-positions — exactly the unit the parallel build layer
-(:mod:`repro.parallel`) distributes across worker processes.  Serial and
-parallel builds run this same code over the same deterministic order, so
-their edge sets are bit-identical.
+walks strings in a deterministic length-sorted order against the
+already-indexed ones.
 
 For measures where the q-gram bound is unsound (anything other than
 plain :class:`~repro.similarity.measures.Levenshtein`), callers pass
@@ -108,7 +104,7 @@ def length_sorted_order(reps: Sequence[str]) -> List[int]:
 class BlockStats:
     """Counters for one :func:`block_edges` / :func:`similar_pairs` call."""
 
-    #: Probe positions processed (block width).
+    #: Strings probed.
     probes: int = 0
     #: Pairs that reached verification (the filters' output size).
     candidates: int = 0
@@ -214,7 +210,7 @@ class CandidateIndex:
             occ = bigram_occurrences(text)
         get = frequency.get
         # Rarest first, so prefixes are maximally selective; the gram text
-        # breaks ties deterministically (serial and parallel runs agree).
+        # breaks ties deterministically.
         ordered = sorted([(get(gram, 0), gram, k) for gram, k in occ])
         return (
             len(text),
@@ -272,24 +268,17 @@ class CandidateIndex:
 
 def block_edges(
     reps: Sequence[str],
-    order: Sequence[int],
     measure: StringSimilarityMeasure,
     epsilon: float,
-    lo: int,
-    hi: int,
     guard: Optional[ResourceGuard] = None,
     use_filter: bool = True,
     what: str = "SEA similarity graph",
 ) -> Tuple[List[Tuple[int, int]], BlockStats]:
-    """Similar pairs whose *later* element sits at probe positions [lo, hi).
+    """Every epsilon-similar pair of ``reps``: the self-join.
 
-    ``order`` must be :func:`length_sorted_order` of ``reps``; every pair
-    ``(a, b)`` of epsilon-similar representatives is reported exactly once,
-    in the block containing the larger of the two probe positions, as the
-    index pair ``(min(i, j), max(i, j))`` into ``reps``.  The union of the
-    edges over a partition of ``[0, n)`` into blocks is therefore exactly
-    the edge set of the epsilon-similarity graph — the invariant the
-    parallel layer relies on for its deterministic merge.
+    Strings are probed in :func:`length_sorted_order` against the ones
+    indexed before them, so each pair is reported exactly once, as the
+    index pair ``(min(i, j), max(i, j))`` into ``reps``.
 
     With ``use_filter`` (sound only when :func:`supports_filter` holds)
     candidates come from the prefix-filtered inverted occurrence index;
@@ -299,36 +288,30 @@ def block_edges(
     """
     stats = BlockStats()
     edges: List[Tuple[int, int]] = []
-    n = len(reps)
-    if hi > n or lo < 0 or lo > hi:
-        raise ValueError(f"block [{lo}, {hi}) out of range for {n} strings")
-    if n < 2 or lo == hi:
+    if len(reps) < 2:
         return edges, stats
 
-    # Global gram frequencies (over every representative, whatever the
-    # block) keep the prefix order identical across blocks and workers.
+    order = length_sorted_order(reps)
     occs = [bigram_occurrences(rep) for rep in reps] if use_filter else None
     index = CandidateIndex(epsilon, gram_frequencies(occs) if use_filter else None)
-    for p in range(hi):
-        j = order[p]
+    for j in order:
         rep_j = reps[j]
         profile = index.profile(rep_j, occs[j] if use_filter else None)
-        if p >= lo:
-            stats.probes += 1
+        stats.probes += 1
+        if guard is not None:
+            guard.tick(1, what=what)
+        for q in index.probe(profile):
+            i = order[q]
+            stats.candidates += 1
             if guard is not None:
                 guard.tick(1, what=what)
-            for q in index.probe(profile):
-                i = order[q]
-                stats.candidates += 1
-                if guard is not None:
-                    guard.tick(1, what=what)
-                rep_i = reps[i]
-                if (
-                    rep_i == rep_j
-                    or measure.bounded_distance(rep_i, rep_j, epsilon) <= epsilon
-                ):
-                    stats.edges += 1
-                    edges.append((i, j) if i <= j else (j, i))
+            rep_i = reps[i]
+            if (
+                rep_i == rep_j
+                or measure.bounded_distance(rep_i, rep_j, epsilon) <= epsilon
+            ):
+                stats.edges += 1
+                edges.append((i, j) if i <= j else (j, i))
         index.add(profile)
     return edges, stats
 

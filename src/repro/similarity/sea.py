@@ -48,20 +48,8 @@ from ..errors import DeltaRefused, SimilarityInconsistencyError
 from ..guard import ResourceGuard
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
-from ..parallel import (
-    SERIAL_OPTIONS,
-    BuildOptions,
-    parallel_group_edges,
-    should_parallelize,
-)
 from ..ontology.hierarchy import Hierarchy
-from .candidates import (
-    BlockStats,
-    block_edges,
-    length_sorted_order,
-    pair_count,
-    supports_filter,
-)
+from .candidates import BlockStats, block_edges, pair_count, supports_filter
 from .incremental import EpsilonGraphCache, delta_rep_edges
 from .measures import StringSimilarityMeasure
 
@@ -120,7 +108,7 @@ class NodeDistance:
             # Lemma 1: within a node all strings are distance 0 apart, and
             # the triangle inequality forces every cross pair to agree.
             # The representative is the lexicographic minimum so the choice
-            # is deterministic across interpreter runs and worker processes.
+            # is deterministic across interpreter runs.
             value = self.measure.distance(min(strings_a), min(strings_b))
         else:
             value = min(
@@ -272,7 +260,7 @@ class SeaStats:
 
     Exposed as :attr:`SimilarityEnhancement.stats` and rolled up into the
     system-level build report so operators can see what the candidate
-    filter pruned and whether the parallel path engaged.
+    filter pruned and whether the graph ran filtered or all-pairs.
     """
 
     mode: str = "strict"
@@ -288,9 +276,9 @@ class SeaStats:
     graph_edges: int = 0
     #: Maximal cliques (nodes of the enhanced hierarchy).
     cliques: int = 0
+    #: True when the q-gram filter stack generated the candidates; False
+    #: for all-pairs verification (see :func:`supports_filter`).
     filter_used: bool = False
-    parallel_used: bool = False
-    workers: int = 1
     graph_seconds: float = 0.0
     #: True when the graph was built by replaying a previous build's
     #: verdicts and verifying only the delta (see
@@ -314,8 +302,6 @@ class SeaStats:
             "graph_edges": self.graph_edges,
             "cliques": self.cliques,
             "filter_used": self.filter_used,
-            "parallel_used": self.parallel_used,
-            "workers": self.workers,
             "graph_seconds": self.graph_seconds,
             "incremental": self.incremental,
             "reused_pairs": self.reused_pairs,
@@ -368,7 +354,6 @@ def _similarity_cliques(
     epsilon: float,
     context_index: Optional[Dict[Node, OrderContext]] = None,
     guard: Optional[ResourceGuard] = None,
-    options: Optional[BuildOptions] = None,
     reuse: Optional[EpsilonGraphCache] = None,
 ) -> Tuple[
     List[FrozenSet[Node]], SeaStats, Optional[Dict[OrderContext, List[Node]]]
@@ -389,17 +374,14 @@ def _similarity_cliques(
     Strong measures compare one deterministic representative string per
     node (Lemma 1) and route through the candidate-generation layer
     (:mod:`repro.similarity.candidates`): a length + q-gram count filter
-    prunes almost every pair before the dynamic programme runs, and when
-    ``options`` asks for workers the blocks are fanned out across a
-    process pool (:mod:`repro.parallel`) with a deterministic merge.
-    Weak measures need the full string-set cross product per pair and
-    keep the serial loop.
+    prunes almost every pair before the dynamic programme runs.  Weak
+    measures need the full string-set cross product per pair and keep
+    the plain pair loop.
     """
-    options = SERIAL_OPTIONS if options is None else options
     measure = distance.measure
     strings_of = distance.strings_of
     adjacency: Dict[Node, Set[Node]] = {node: set() for node in nodes}
-    stats = SeaStats(workers=options.workers)
+    stats = SeaStats()
 
     # Bucket by order context in order-safe mode; one bucket otherwise.
     buckets: Optional[Dict[OrderContext, List[Node]]] = None
@@ -421,12 +403,12 @@ def _similarity_cliques(
 
     if measure.is_strong:
         # Lemma 1: one representative per node decides similarity; the
-        # lexicographic minimum makes the choice identical in every
-        # process, which the parallel path's bit-identity relies on.
+        # lexicographic minimum makes the choice deterministic, which the
+        # verdict cache's replay relies on.
         reps_by_group = [
             [min(strings_of(node)) for node in group] for group in groups
         ]
-        use_filter = options.candidate_filter and supports_filter(measure)
+        use_filter = supports_filter(measure)
         stats.filter_used = use_filter
         if reuse is not None and len(reuse) > 0:
             # Incremental path: replay cached rep-level verdicts, filter +
@@ -453,37 +435,15 @@ def _similarity_cliques(
             reuse.refresh(refreshed)
             stats.candidates = block_stats.candidates
         else:
-            if should_parallelize(options, measure.name, stats.total_pairs):
-                stats.parallel_used = True
-                edges_by_group, run_stats = parallel_group_edges(
-                    dict(enumerate(reps_by_group)),
-                    measure.name,
-                    epsilon,
-                    options,
-                    guard=guard,
-                    use_filter=use_filter,
+            block_stats = BlockStats()
+            edges_by_group = []
+            for group, reps in zip(groups, reps_by_group):
+                edges, group_stats = block_edges(
+                    reps, measure, epsilon, guard=guard, use_filter=use_filter
                 )
-                block_stats = run_stats.block_stats
-                for gid, group in enumerate(groups):
-                    connect(group, edges_by_group[gid])
-            else:
-                block_stats = BlockStats()
-                edges_by_group = {}
-                for gid, (group, reps) in enumerate(zip(groups, reps_by_group)):
-                    order = length_sorted_order(reps)
-                    edges, group_stats = block_edges(
-                        reps,
-                        order,
-                        measure,
-                        epsilon,
-                        0,
-                        len(reps),
-                        guard=guard,
-                        use_filter=use_filter,
-                    )
-                    block_stats.merge(group_stats)
-                    edges_by_group[gid] = edges
-                    connect(group, edges)
+                block_stats.merge(group_stats)
+                edges_by_group.append(edges)
+                connect(group, edges)
             stats.candidates = block_stats.candidates
             stats.graph_edges = block_stats.edges
             if reuse is not None:
@@ -491,9 +451,9 @@ def _similarity_cliques(
                 # take the delta path.  Same-rep pairs stay implicit (two
                 # nodes sharing a representative are always similar).
                 seeded: List[Tuple[Set[str], Set[Tuple[str, str]]]] = []
-                for gid, reps in enumerate(reps_by_group):
+                for edges, reps in zip(edges_by_group, reps_by_group):
                     rep_edges = set()
-                    for i, j in edges_by_group[gid]:
+                    for i, j in edges:
                         rep_i, rep_j = reps[i], reps[j]
                         if rep_i != rep_j:
                             rep_edges.add(
@@ -548,7 +508,6 @@ def sea(
     verify: bool = False,
     mode: str = STRICT,
     guard: Optional[ResourceGuard] = None,
-    options: Optional[BuildOptions] = None,
     reuse: Optional[EpsilonGraphCache] = None,
 ) -> SimilarityEnhancement:
     """Run the SEA algorithm of Figure 12.
@@ -576,13 +535,6 @@ def sea(
         over a pathological hierarchy is interrupted by
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.ResourceExhaustedError` instead of hanging.
-        Under a worker pool each worker runs with the guard's *remaining*
-        budget and the parent re-raises the first worker failure, so the
-        error contract is unchanged.
-    options:
-        :class:`~repro.parallel.BuildOptions` tuning the similarity-graph
-        phase (candidate filter, worker count); None means serial with
-        the filter enabled.
     reuse:
         Optional :class:`~repro.similarity.incremental.EpsilonGraphCache`
         carrying rep-level verdicts from a previous build under the same
@@ -616,14 +568,13 @@ def sea(
         reuse = None  # verdict purity (Lemma 1) only holds for strong measures
     with tracer.span("sea.similarity_graph", nodes=len(nodes)):
         cliques, stats, context_buckets = _similarity_cliques(
-            nodes, distance, epsilon, context_index, guard, options, reuse
+            nodes, distance, epsilon, context_index, guard, reuse
         )
         tracer.annotate(
             total_pairs=stats.total_pairs,
             candidates=stats.candidates,
             edges=stats.graph_edges,
             cliques=stats.cliques,
-            parallel=stats.parallel_used,
             incremental=stats.incremental,
         )
     METRICS.counter("sea.candidates").inc(stats.candidates)
@@ -739,7 +690,6 @@ def extend_enhancement(
     epsilon: float,
     mode: str = STRICT,
     guard: Optional[ResourceGuard] = None,
-    options: Optional[BuildOptions] = None,
     reuse: Optional[EpsilonGraphCache] = None,
 ) -> EnhancementPatch:
     """Patch ``previous`` for minimal terms that came and went, in place of SEA.
@@ -778,8 +728,7 @@ def extend_enhancement(
     in time proportional to the touched buckets, never the hierarchy;
     withdrawing a leaf runs no distance computation at all.  The output
     is value-identical to a from-scratch :func:`sea` run over
-    ``hierarchy`` — the property suite and the online-mutations
-    benchmark byte-compare the two.
+    ``hierarchy`` — the property suite byte-compares the two.
 
     Raises :class:`~repro.errors.DeltaRefused` naming the precondition
     whenever one fails (strict mode, changed epsilon, weak measure,
@@ -859,9 +808,8 @@ def extend_enhancement(
             _refuse("moved-context-collides")
         updated_buckets[context] = [ancestor]
 
-    options = SERIAL_OPTIONS if options is None else options
     strings_of = distance.strings_of
-    use_filter = options.candidate_filter and supports_filter(measure)
+    use_filter = supports_filter(measure)
     block_stats = BlockStats()
     reused_pairs = 0
     #: touched leaf bucket -> (withdrawn leaves, new leaves)

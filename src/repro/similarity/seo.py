@@ -40,7 +40,6 @@ from ..obs.trace import current_tracer
 from ..ontology.constraints import InteroperationConstraint
 from ..ontology.fusion import FusionResult, canonical_fusion
 from ..ontology.hierarchy import Hierarchy
-from ..parallel import BuildOptions
 from .incremental import EpsilonGraphCache
 from .measures import StringSimilarityMeasure
 from .sea import (
@@ -113,8 +112,8 @@ class SeoBuildStats:
 #: back to shipping the full SEO).
 MAX_PATCH_CHAIN = 8
 
-#: Entries the unknown-term ``similar`` memo keeps (keys carry
-#: query-supplied strings, so a long-lived worker must bound it).
+#: Entries the unknown-term ``similar`` / ``expand_similar`` memo keeps
+#: (keys carry query-supplied strings, so a long-lived worker must bound it).
 SIMILAR_MEMO_SIZE = 4096
 
 
@@ -152,10 +151,12 @@ class SimilarityEnhancedOntology:
         # The SEO is immutable after construction, so term expansions are
         # memoised: `below`-style conditions evaluate once per embedding
         # candidate and would otherwise recompute the closure every time.
+        # Only known terms are kept here, so the ontology bounds it.
         self._expansion_cache: Dict[Tuple[str, str], FrozenSet[str]] = {}
-        #: Verdicts for the unknown-term ``similar`` fallback (the
-        #: raw-measure comparison is the one similarity probe the
-        #: precomputed index cannot answer), least recently used out.
+        #: Results of the unknown-term fallbacks (the raw-measure
+        #: comparisons the precomputed index cannot answer), least recently
+        #: used out: ``similar`` verdicts keyed ``(x, y)`` and
+        #: ``expand_similar`` expansions keyed ``(term,)``.
         self._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
 
     # -- construction -------------------------------------------------------
@@ -169,7 +170,6 @@ class SimilarityEnhancedOntology:
         constraints: Iterable[InteroperationConstraint] = (),
         mode: str = "strict",
         guard: Optional[ResourceGuard] = None,
-        options: Optional[BuildOptions] = None,
         cache: "Optional[SimilarityGraphCache]" = None,
         fusion: Optional[FusionResult] = None,
         graph_cache: "Optional[EpsilonGraphCache]" = None,
@@ -178,8 +178,7 @@ class SimilarityEnhancedOntology:
         """Fuse ``hierarchies`` under ``constraints``, then enhance with SEA.
 
         ``guard`` bounds both phases (fusion and SEA) with a deadline /
-        step budget — see :class:`~repro.guard.ResourceGuard`.  ``options``
-        tunes the similarity-graph phase (candidate filter, workers); with
+        step budget — see :class:`~repro.guard.ResourceGuard`.  With
         a :class:`~repro.similarity.cache.SimilarityGraphCache` in
         ``cache``, a build whose inputs hash to a stored entry skips both
         phases and restores the SEO from disk, and a cold build stores its
@@ -238,7 +237,6 @@ class SimilarityEnhancedOntology:
                         epsilon,
                         mode=mode,
                         guard=guard,
-                        options=options,
                         reuse=graph_cache,
                     )
                 except DeltaRefused as refused:
@@ -253,7 +251,7 @@ class SimilarityEnhancedOntology:
             with tracer.span("seo.sea", mode=mode):
                 enhancement = sea(
                     fusion.hierarchy, measure, epsilon, mode=mode, guard=guard,
-                    options=options, reuse=graph_cache,
+                    reuse=graph_cache,
                 )
         stats.sea = enhancement.stats
         stats.incremental = stats.enhancement_patched or (
@@ -424,7 +422,11 @@ class SimilarityEnhancedOntology:
                 result.update(node.strings)
             result.add(term)
             expansion = frozenset(result)
-        else:
+            self._expansion_cache[("similar", term)] = expansion
+            return expansion
+        cache = self._similar_cache
+        expansion = cache.get((term,))
+        if expansion is None:
             matches = {
                 known
                 for known in self._nodes_by_string
@@ -433,7 +435,9 @@ class SimilarityEnhancedOntology:
             }
             matches.add(term)
             expansion = frozenset(matches)
-        self._expansion_cache[("similar", term)] = expansion
+            evicted = cache.put((term,), expansion)
+            if evicted:
+                METRICS.counter("seo.similar_memo.evictions").inc(evicted)
         return expansion
 
     def _closure(self, term: str, downward: bool) -> FrozenSet[str]:
@@ -443,19 +447,18 @@ class SimilarityEnhancedOntology:
             return cached
         nodes = self._nodes_by_string.get(term)
         if not nodes:
-            expansion = frozenset({term})
-        else:
-            result: Set[str] = set()
-            for node in nodes:
-                reach = (
-                    self.hierarchy.below(node)
-                    if downward
-                    else self.hierarchy.above(node)
-                )
-                for reached in reach:
-                    result.update(reached.strings)
-            result.add(term)
-            expansion = frozenset(result)
+            return frozenset({term})  # unknown: nothing worth memoising
+        result: Set[str] = set()
+        for node in nodes:
+            reach = (
+                self.hierarchy.below(node)
+                if downward
+                else self.hierarchy.above(node)
+            )
+            for reached in reach:
+                result.update(reached.strings)
+        result.add(term)
+        expansion = frozenset(result)
         self._expansion_cache[key] = expansion
         return expansion
 

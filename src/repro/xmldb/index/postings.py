@@ -25,8 +25,11 @@ Postings = Dict[str, Dict[str, Tuple[str, ...]]]
 
 
 def _node_tag(path: str) -> str:
-    """The carrying node's tag — the last segment of a node path."""
-    path = path.rsplit("/@", 1)[0]
+    """The carrying node's tag — the last segment of a term's node path.
+
+    Only term paths come here, so a trailing ``/@x`` segment is an
+    element tagged ``@x`` (a tree may carry one), not an attribute.
+    """
     return path.rsplit("/", 1)[-1]
 
 

@@ -242,8 +242,9 @@ class TestRewrite:
 
 class TestQueryKeyedMemosAreBounded:
     """A long-lived worker sees an endless stream of query constants; the
-    verdict memo keyed by them holds a bounded number of entries
-    (``subtype_of`` keeps none: it asks ``seo.expand_below`` directly)."""
+    memos keyed by them hold a bounded number of entries (``subtype_of``
+    keeps none: it asks ``seo.expand_below`` directly, and the expansion
+    memo keeps known terms only)."""
 
     def test_never_repeating_terms_keep_the_memos_at_their_bound(self, context, seo):
         from repro.obs.metrics import REGISTRY as METRICS
@@ -252,12 +253,19 @@ class TestQueryKeyedMemosAreBounded:
         similar_evictions = METRICS.counter("seo.similar_memo.evictions").value
         overflow = 100
         for serial in range(SIMILAR_MEMO_SIZE + overflow):
-            assert not context.subtype_of(f"unseen term {serial}", "author")
-            assert not seo.similar(f"unseen term {serial}", "J. Smith")
+            term = f"unseen term {serial}"
+            assert not context.subtype_of(term, "author")
+            assert not seo.similar(term, "J. Smith")
+            assert seo.expand_below(term) == seo.expand_above(term) == {term}
+            assert seo.expand_similar(term) == {term}
         assert len(seo._similar_cache) == SIMILAR_MEMO_SIZE
+        # Two unknown-term entries (a verdict, an expansion) per term.
         assert (
             METRICS.counter("seo.similar_memo.evictions").value
-            == similar_evictions + overflow
+            == similar_evictions + SIMILAR_MEMO_SIZE + 2 * overflow
         )
+        assert not any(term.startswith("unseen") for _, term in seo._expansion_cache)
+        assert seo.expand_similar("J. Smith") == {"J. Smith", "J. Smyth"}
+        assert ("similar", "J. Smith") in seo._expansion_cache
         assert context.subtype_of("J. Smith", "person")
         assert context.subtype_of("J. Smith", "person")

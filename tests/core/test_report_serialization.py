@@ -95,8 +95,6 @@ class TestBuildReportRoundTrip:
             measure="levenshtein",
             epsilon=2.0,
             mode="order-safe",
-            workers=2,
-            candidate_filter=True,
             cache_used=True,
             build_seconds=1.25,
             relations=[
@@ -130,3 +128,7 @@ class TestBuildReportRoundTrip:
         payload = report.to_dict()
         assert "trace" not in payload
         assert BuildReport.from_dict(payload).trace is None
+
+    def test_reports_written_with_build_route_keys_still_load(self):
+        payload = dict(self.sample().to_dict(), workers=2, candidate_filter=True)
+        assert BuildReport.from_dict(payload).to_dict() == self.sample().to_dict()

@@ -134,6 +134,27 @@ class TestBuild:
             system.build(mode="strict")
         system.build(mode="order-safe")  # succeeds
 
+    def test_no_option_selects_a_build_route(self):
+        import importlib
+        import inspect
+
+        from repro.experiments.workload import build_system
+        from repro.similarity.sea import extend_enhancement, sea
+        from repro.similarity.seo import SimilarityEnhancedOntology
+
+        removed = {"workers", "candidate_filter", "parallel_threshold", "options"}
+        for entry in (
+            TossSystem.__init__,
+            TossSystem.build,
+            sea,
+            extend_enhancement,
+            SimilarityEnhancedOntology.build,
+            build_system,
+        ):
+            assert not removed & set(inspect.signature(entry).parameters), entry
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")
+
 
 class TestQuerying:
     def test_select_and_report(self):

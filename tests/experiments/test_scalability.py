@@ -1,9 +1,12 @@
 """Integration tests for the scalability sweeps (small configurations)."""
 
+import gc
+
 import pytest
 
 from repro.experiments.reporting import epsilon_table, scalability_table
 from repro.experiments.scalability import (
+    _timed_runs,
     epsilon_sweep,
     join_scalability,
     selection_scalability,
@@ -69,6 +72,28 @@ class TestJoinScalability:
             key=lambda p: p.papers,
         )
         assert toss[-1].seconds >= toss[0].seconds * 0.5  # noise-tolerant
+
+
+class TestTimedRuns:
+    def test_every_run_starts_after_a_full_collection(self):
+        # A full collection that falls due inside a ~15 ms query can
+        # outlast it, which once made the 40-paper join time read longer
+        # than twice the 80-paper one.
+        events = []
+
+        def on_gc(phase, info):
+            if phase == "stop" and info["generation"] == 2:
+                events.append("collected")
+
+        gc.callbacks.append(on_gc)
+        try:
+            reports = _timed_runs(lambda: events.append("run") or len(events), 3)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(reports) == 3
+        runs = [i for i, event in enumerate(events) if event == "run"]
+        assert len(runs) == 3
+        assert all(i > 0 and events[i - 1] == "collected" for i in runs)
 
 
 class TestEpsilonSweep:

@@ -12,7 +12,7 @@ XPath keyword), the result must
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import Below, SeoConditionContext, SimilarTo
@@ -126,6 +126,16 @@ def _assert_closed(xpath):
     edge=st.sampled_from([PC, AD]),
     content=content_choice,
     sl=st.sampled_from([[1], [2], []]),
+)
+# An element tagged "@id" once had its term postings filed under its
+# parent's tag, so the index pruned the one document that answers.
+@example(
+    documents=[[("book", [("@id", "alpha")])]],
+    root_tags=["book"],
+    child_tags=["@id"],
+    edge=PC,
+    content=("equal", ["alpha"]),
+    sl=[1],
 )
 @settings(max_examples=150, deadline=None)
 def test_selection_xpath_is_closed_and_sound(

@@ -9,7 +9,6 @@ from repro.guard import ResourceGuard
 from repro.similarity.candidates import (
     bigram_occurrences,
     block_edges,
-    length_sorted_order,
     pair_count,
     supports_filter,
 )
@@ -31,11 +30,7 @@ def brute_force(reps, measure, epsilon):
 
 
 def full_run(reps, measure, epsilon, use_filter=True):
-    order = length_sorted_order(reps)
-    edges, stats = block_edges(
-        reps, order, measure, epsilon, 0, len(reps), use_filter=use_filter
-    )
-    return edges, stats
+    return block_edges(reps, measure, epsilon, use_filter=use_filter)
 
 
 class TestSupportsFilter:
@@ -77,22 +72,6 @@ class TestBlockEdges:
         # The filter must verify no more candidates than all-pairs does.
         assert fstats.candidates <= astats.candidates
 
-    def test_block_union_equals_full_run(self):
-        rng = random.Random(11)
-        reps = [
-            "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
-            for _ in range(50)
-        ]
-        measure = Levenshtein()
-        full, _ = full_run(reps, measure, 1.0)
-        order = length_sorted_order(reps)
-        union = []
-        for lo, hi in [(0, 13), (13, 14), (14, 40), (40, 50)]:
-            edges, _ = block_edges(reps, order, measure, 1.0, lo, hi)
-            union.extend(edges)
-        assert sorted(union) == sorted(full)
-        assert len(union) == len(set(union))  # no pair reported twice
-
     def test_duplicate_reps_always_connect(self):
         edges, _ = full_run(["same", "same", "other"], Levenshtein(), 0.0)
         assert (0, 1) in edges
@@ -103,14 +82,6 @@ class TestBlockEdges:
         assert full_run(["solo"], measure, 1.0)[0] == []
         edges, _ = full_run(["a", "b"], measure, 1.0)
         assert edges == [(0, 1)]
-
-    def test_out_of_range_block_raises(self):
-        reps = ["a", "b"]
-        order = length_sorted_order(reps)
-        with pytest.raises(ValueError):
-            block_edges(reps, order, Levenshtein(), 1.0, 0, 3)
-        with pytest.raises(ValueError):
-            block_edges(reps, order, Levenshtein(), 1.0, 2, 1)
 
     def test_fractional_epsilon(self):
         # epsilon 0.5 admits only exact matches for unit-cost edit distance.
@@ -126,10 +97,7 @@ class TestBlockEdges:
 
 
 def full_run_with_guard(reps, guard):
-    order = length_sorted_order(reps)
-    return block_edges(
-        reps, order, Levenshtein(), 2.0, 0, len(reps), guard=guard
-    )
+    return block_edges(reps, Levenshtein(), 2.0, guard=guard)
 
 
 def test_pair_count():

@@ -226,14 +226,23 @@ class TestDbBuildCommand:
         ) == 0
         assert "# 2 results" in capsys.readouterr().out
 
-    def test_build_with_workers_and_filter(self, dblp_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "measure, path", [("levenshtein", "filtered"), ("damerau", "all-pairs")]
+    )
+    def test_summary_names_the_path_that_ran(
+        self, dblp_file, tmp_path, capsys, measure, path
+    ):
+        # The q-gram filter is unsound for Damerau transpositions, so that
+        # build verifies all pairs; the summary reports what ran.
         root = str(tmp_path / "system")
-        status = main(
-            ["db", "build", "--source", f"dblp={dblp_file}",
-             "--epsilon", "1", "--workers", "2", root]
-        )
-        assert status == 0
-        assert "workers=2" in capsys.readouterr().out
+        assert main(
+            ["db", "build", "--source", f"dblp={dblp_file}", "--epsilon", "1",
+             "--measure", measure, root]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        relations = [line for line in lines if line.startswith("  isa:")]
+        assert relations and all(line.endswith(f", {path}") for line in relations)
+        assert not any("filter=" in line or "workers=" in line for line in lines)
 
     def test_build_cache_cold_then_warm(self, dblp_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "seo-cache")
@@ -297,3 +306,22 @@ class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--workers", "2", "--source", "dblp=x.xml", "paper(title)"],
+            ["seo", "--workers", "2", "--source", "dblp=x.xml"],
+            ["save", "--workers", "2", "--source", "dblp=x.xml", "--out", "x"],
+            ["serve", "--workers", "2", "--source", "dblp=x.xml"],
+            ["db", "build", "--workers", "2", "--source", "dblp=x.xml", "x"],
+        ],
+        ids=["query", "seo", "save", "serve", "db-build"],
+    )
+    def test_workers_flag_is_gone(self, argv, capsys):
+        # The SEO build has one route; no flag selects a process pool.
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err

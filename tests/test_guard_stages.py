@@ -2,12 +2,10 @@
 
 The guard's ``stage_steps`` breakdown feeds the trace tree and the
 slow-query log, so the invariant that the per-stage values sum exactly
-to ``steps`` must hold — including when steps are absorbed from a
-multiprocessing worker pool.
+to ``steps`` must hold.
 """
 
 from repro.guard import ResourceGuard
-from repro.parallel import BuildOptions, parallel_group_edges
 
 
 class TestStageAccounting:
@@ -38,32 +36,3 @@ class TestStageAccounting:
         snapshot["xpath"] = 999
         assert guard.stage_steps == {"xpath": 1}
 
-
-class TestWorkerPoolAccounting:
-    def test_pool_absorbed_steps_keep_stage_partition(self):
-        guard = ResourceGuard(max_steps=10**9).start()
-        options = BuildOptions(workers=2, parallel_threshold=0)
-        parallel_group_edges(
-            {0: ["paper", "papers", "pattern"]},
-            "levenshtein",
-            2.0,
-            options,
-            guard=guard,
-        )
-        assert guard.steps > 0
-        assert sum(guard.stage_steps.values()) == guard.steps
-
-    def test_serial_and_parallel_agree_on_totals(self):
-        groups = {0: ["paper", "papers", "pattern", "papyrus"]}
-        serial_guard = ResourceGuard(max_steps=10**9).start()
-        parallel_group_edges(
-            groups, "levenshtein", 2.0,
-            BuildOptions(workers=1), guard=serial_guard,
-        )
-        pool_guard = ResourceGuard(max_steps=10**9).start()
-        parallel_group_edges(
-            groups, "levenshtein", 2.0,
-            BuildOptions(workers=2, parallel_threshold=0), guard=pool_guard,
-        )
-        assert pool_guard.steps == serial_guard.steps
-        assert sum(pool_guard.stage_steps.values()) == pool_guard.steps
