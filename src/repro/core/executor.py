@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import re
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryExecutionError
 from ..guard import ResourceGuard
@@ -36,7 +36,6 @@ from ..obs.window import WINDOWS
 from ..similarity.candidates import bipartite_index, similar_pairs
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
-from ..tax.compile import compile_batch_steps, compile_condition
 from ..tax.conditions import (
     And,
     Comparison,
@@ -44,16 +43,16 @@ from ..tax.conditions import (
     Constant,
     Contains,
     NodeContent,
-    NodeTag,
     Or,
     TrueCondition,
     required_tags,
 )
-from ..tax.pattern import AD, PC, PatternTree
+from ..tax.pattern import AD, PatternTree
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
 from .conditions import SeoConditionContext, rewrite_condition
 from .planner import (
+    CrossProbe,
     PlanSpec,
     build_plan_spec,
     describe_verify_strategy,
@@ -69,7 +68,7 @@ from .planner import (
 #: do not change — the verification phase evaluates the full condition).
 MAX_OR_ALTERNATIVES = 32
 
-#: Default size of the executor's compiled-plan LRU cache.
+#: Size of the executor's compiled-plan LRU cache.
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 
@@ -193,49 +192,6 @@ class ExecutionReport:
             + self.convert_seconds
         )
 
-    #: Scalar fields serialized verbatim by :meth:`to_dict` (everything a
-    #: report carries except the result trees and the trace tree).  One
-    #: list, used by both directions, so a field added to the dataclass
-    #: without an entry here fails the round-trip tests immediately —
-    #: that is the serialization-drift guard.
-    _SCALAR_FIELDS = (
-        "rewrite_seconds",
-        "xpath_seconds",
-        "convert_seconds",
-        "xpath_queries",
-        "candidates",
-        "ontology_accesses",
-        "degraded",
-        "planner_seconds",
-        "docs_total",
-        "docs_scanned",
-        "index_used",
-        "plan_cache_hit",
-        "docs_verified",
-        "pairs_probed",
-        "pairs_materialized",
-        "request_id",
-    )
-
-    #: Default value per scalar field — what ``compact=True`` omits from
-    #: the wire payload (``from_dict`` restores exactly these defaults
-    #: for missing keys, so a compact round-trip is lossless).
-    _SCALAR_DEFAULTS = {
-        "xpath_queries": [],
-        "candidates": 0,
-        "ontology_accesses": 0,
-        "degraded": False,
-        "planner_seconds": 0.0,
-        "docs_total": 0,
-        "docs_scanned": 0,
-        "index_used": False,
-        "plan_cache_hit": False,
-        "docs_verified": 0,
-        "pairs_probed": 0,
-        "pairs_materialized": 0,
-        "request_id": None,
-    }
-
     def to_dict(
         self, include_results: bool = False, compact: bool = False
     ) -> Dict[str, Any]:
@@ -327,6 +283,23 @@ def _report_results_set(self: ExecutionReport, value: List[XmlNode]) -> None:
 # __init__'s ``self.results = results`` lands in the setter, and
 # from_dict can park serialized texts for lazy parsing.
 ExecutionReport.results = property(_report_results_get, _report_results_set)
+
+#: Scalar fields serialized verbatim by ``to_dict`` (every field except
+#: the result trees and the trace tree), in dataclass order, used by both
+#: directions — so a field added to the dataclass is serialized with it.
+ExecutionReport._SCALAR_FIELDS = tuple(
+    f.name for f in fields(ExecutionReport) if f.name not in ("results", "trace")
+)
+
+#: Default value per scalar field — what ``compact=True`` omits from the
+#: wire payload (``from_dict`` restores exactly these defaults for
+#: missing keys, so a compact round-trip is lossless).
+ExecutionReport._SCALAR_DEFAULTS = {
+    f.name: f.default if f.default is not MISSING else f.default_factory()
+    for f in fields(ExecutionReport)
+    if f.name in ExecutionReport._SCALAR_FIELDS
+    and (f.default is not MISSING or f.default_factory is not MISSING)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +540,32 @@ def join_side_patterns(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CompiledPlan:
+    """Everything about one query that does not depend on the documents.
+
+    Built once per pattern, operator shape and evaluation context by
+    :meth:`QueryExecutor._plan` and kept in the plan cache; every stage
+    of the pipeline, and :meth:`QueryExecutor.explain`, reads it.  A
+    selection or projection has one side, a join two (left, right).
+    """
+
+    #: The SEO-rewritten condition the XPath queries were compiled from.
+    condition: Condition
+    #: Per side: the candidate XPath and the index-probe spec.
+    xpaths: Tuple[str, ...]
+    specs: Tuple[PlanSpec, ...]
+    #: False when no side may be pruned: semantic atoms without an SEO
+    #: context must reach verification (and raise) on every document.
+    prunable: bool
+    #: The verify stage, compiled from the *original* condition.
+    program: tax_batch.VerifyProgram
+    #: Join only: the cross-side pre-join probe, and the ``~`` conjunct
+    #: the verify stage's hash join filters candidate pairs by.
+    cross: Optional[CrossProbe] = None
+    hash_atom: Optional[Condition] = None
+
+
 class QueryExecutor:
     """Runs TOSS (or plain TAX) pattern queries against the database."""
 
@@ -576,7 +575,6 @@ class QueryExecutor:
         context: Optional[SeoConditionContext] = None,
         guard: Optional[ResourceGuard] = None,
         exact_fallback: bool = False,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         observability: Optional[Observability] = None,
     ) -> None:
         self.database = database
@@ -588,14 +586,12 @@ class QueryExecutor:
         #: matches instead of raising (degraded mode; see
         #: :class:`~repro.core.conditions.ExactFallbackContext`).
         self.exact_fallback = exact_fallback
-        #: Bounded, thread-safe LRU over compiled plans (rewritten
-        #: condition + XPath + probe spec), keyed by pattern structure
-        #: and condition; 0 disables caching.  Hit/miss/eviction
-        #: counters are emitted as ``executor.plan_cache.*`` metrics by
-        #: the cache itself.
-        self.plan_cache_size = plan_cache_size
+        #: Bounded, thread-safe LRU over :class:`CompiledPlan` entries,
+        #: keyed by pattern structure, condition and evaluation context.
+        #: Hit/miss/eviction counters are emitted as
+        #: ``executor.plan_cache.*`` metrics by the cache itself.
         self._plan_cache = LruCache(
-            plan_cache_size, metric_prefix="executor.plan_cache"
+            DEFAULT_PLAN_CACHE_SIZE, metric_prefix="executor.plan_cache"
         )
         #: Bumped by :meth:`set_context` whenever the SEO changes; part of
         #: every plan-cache key, so plans compiled against a previous SEO
@@ -654,92 +650,97 @@ class QueryExecutor:
             self._cross_probe_cache.clear()
             self._join_index_cache.clear()
 
-    def _pattern_key(self, kind: str, pattern: PatternTree) -> Tuple:
+    def _plan(self, pattern: PatternTree, join: bool) -> Tuple[CompiledPlan, bool]:
+        """The compiled plan for ``pattern`` and whether the cache had it.
+
+        Rewrites the condition through the SEO, compiles one XPath and
+        one probe spec per side, and compiles the verify program — all
+        once per (pattern, evaluation context), then served from the
+        cache.  ``join`` splits the pattern into its two product sides.
+        """
+        context = self._evaluation_context()
         structure = tuple(
             (label, pattern.node(label).parent, pattern.node(label).edge)
             for label in pattern.labels()
         )
-        return (kind, structure, repr(pattern.condition), self._context_epoch)
-
-    def _plan_lookup(self, key: Tuple) -> Optional[Dict[str, object]]:
-        return self._plan_cache.get(key)
-
-    def _plan_store(self, key: Tuple, entry: Dict[str, object]) -> None:
-        self._plan_cache.put(key, entry)
-
-    def _selection_plan(self, pattern: PatternTree) -> Tuple[Dict[str, object], bool]:
-        """The compiled plan for a selection/projection pattern."""
-        key = self._pattern_key("pattern", pattern)
-        entry = self._plan_lookup(key)
-        if entry is not None:
-            return entry, True
-        if self.context is not None:
-            condition = rewrite_condition(pattern.condition, self.context)
-        else:
-            condition = pattern.condition
-        entry = {
-            "condition": condition,
-            "xpath": compile_pattern_to_xpath(pattern, condition),
-            "spec": build_plan_spec(
-                pattern, pattern.condition, self.context, self.exact_fallback
-            ),
-        }
-        self._plan_store(key, entry)
-        return entry, False
-
-    def _join_plan(self, pattern: PatternTree) -> Tuple[Dict[str, object], bool]:
-        """The compiled per-side plan for a join pattern."""
-        key = self._pattern_key("join", pattern)
-        entry = self._plan_lookup(key)
-        if entry is not None:
-            return entry, True
-        if self.context is not None:
-            condition = rewrite_condition(pattern.condition, self.context)
-        else:
-            condition = pattern.condition
-        sides = []
-        side_label_sets = []
-        for side_pattern in join_side_patterns(pattern, condition):
-            side_labels = set(side_pattern.labels())
-            side_label_sets.append(side_labels)
-            # The probe spec comes from the *original* side conjuncts —
-            # verification evaluates those, not the rewritten ones.
-            spec = build_plan_spec(
-                side_pattern,
-                _side_condition(pattern.condition, side_labels),
-                self.context,
-                self.exact_fallback,
-            )
-            sides.append(
-                {
-                    "xpath": compile_pattern_to_xpath(side_pattern),
-                    "spec": spec,
-                    "labels": side_labels,
-                }
-            )
-        prunable = not (
-            self.context is None
-            and not self.exact_fallback
-            and has_semantic_atom(pattern.condition)
+        key = (
+            "join" if join else "pattern",
+            structure,
+            repr(pattern.condition),
+            self._context_epoch,
+            context,
         )
-        entry = {
-            "condition": condition,
-            "sides": sides,
-            "prunable": prunable,
-            "cross": (
-                find_cross_probe(
-                    pattern.condition,
-                    side_label_sets[0],
-                    side_label_sets[1],
+        plan = self._plan_cache.get(key)
+        if plan is not None:
+            return plan, True
+        original = pattern.condition
+        if self.context is not None:
+            condition = rewrite_condition(original, self.context)
+        else:
+            condition = original
+        cross = hash_atom = None
+        if join:
+            sides = join_side_patterns(pattern, condition)
+            left_labels, right_labels = (set(side.labels()) for side in sides)
+            xpaths = tuple(compile_pattern_to_xpath(side) for side in sides)
+            # The probe specs come from the *original* side conjuncts —
+            # verification evaluates those, not the rewritten ones.
+            specs = tuple(
+                build_plan_spec(
+                    side,
+                    _side_condition(original, labels),
                     self.context,
                     self.exact_fallback,
                 )
-                if prunable
-                else None
-            ),
-        }
-        self._plan_store(key, entry)
-        return entry, False
+                for side, labels in zip(sides, (left_labels, right_labels))
+            )
+            prunable = not (
+                self.context is None
+                and not self.exact_fallback
+                and has_semantic_atom(original)
+            )
+            if prunable:
+                cross = find_cross_probe(
+                    original, left_labels, right_labels, self.context,
+                    self.exact_fallback,
+                )
+            if self.context is not None:
+                hash_atom = _cross_similarity_atom(original, left_labels, right_labels)
+        else:
+            xpaths = (compile_pattern_to_xpath(pattern, condition),)
+            specs = (
+                build_plan_spec(pattern, original, self.context, self.exact_fallback),
+            )
+            prunable = specs[0].prunable
+        # Verify with the original condition, not the rewritten one (they
+        # differ only under an SEO context): semantic atoms evaluate
+        # through the SEO index, which is cheaper than the expanded
+        # exact-match disjunction.  The copy keeps the cached program
+        # independent of the caller's (mutable) pattern object.
+        verified = PatternTree(original)
+        _copy_structure(pattern, verified)
+        plan = CompiledPlan(
+            condition,
+            xpaths,
+            specs,
+            prunable,
+            tax_batch.VerifyProgram.compile(verified, context),
+            cross,
+            hash_atom,
+        )
+        self._plan_cache.put(key, plan)
+        return plan, False
+
+    @staticmethod
+    def _side_lines(plan: CompiledPlan) -> List[str]:
+        """The plan's index probes, one per line (join sides prefixed)."""
+        if len(plan.specs) == 1:
+            return list(plan.specs[0].describe())
+        return [
+            f"{name}: {line}"
+            for name, spec in zip(("left", "right"), plan.specs)
+            for line in spec.describe()
+        ]
 
     def _evaluation_context(self):
         from ..tax.conditions import DEFAULT_CONTEXT
@@ -751,41 +752,6 @@ class QueryExecutor:
 
             return EXACT_FALLBACK_CONTEXT
         return DEFAULT_CONTEXT
-
-    def _verify_tools(self, plan: Dict[str, object], pattern: PatternTree):
-        """(verified pattern, compiled evaluator, restrictions, order, steps).
-
-        All five are per-plan constants, so they live on the cached plan
-        entry: the pattern skeleton is rebuilt once, ``required_tags``
-        runs once, the validated preorder and the batched-verify step
-        program are lowered once, and the verify condition compiles once
-        per evaluation context instead of being interpreted per
-        candidate binding (a construct nobody registered a compiler for
-        leaves the evaluator None and the operators interpret it).  The
-        entry is keyed by the context *object* so flipping
-        ``exact_fallback`` (or swapping the SEO) between queries
-        recompiles instead of reusing stale closures.
-        """
-        context = self._evaluation_context()
-        cached = plan.get("verify")
-        if cached is not None and cached[0] is context:
-            return cached[1:]
-        # Verify with the original condition, not the rewritten one
-        # (they differ only under an SEO context): semantic atoms evaluate
-        # through the SEO index, which is cheaper than the expanded
-        # exact-match disjunction.
-        verify_condition = pattern.condition
-        verified_pattern = PatternTree(verify_condition)
-        _copy_structure(pattern, verified_pattern)
-        verified_pattern.validate()
-        order = list(verified_pattern.preorder())
-        restrictions = required_tags(verify_condition)
-        steps = compile_batch_steps(verified_pattern, restrictions)
-        evaluator = compile_condition(verify_condition, context)
-        plan["verify"] = (
-            context, verified_pattern, evaluator, restrictions, order, steps
-        )
-        return plan["verify"][1:]
 
     def _start_guard(self, guard: Optional[ResourceGuard]) -> Optional[ResourceGuard]:
         """Resolve the effective guard for one query and restart its clock."""
@@ -891,47 +857,33 @@ class QueryExecutor:
 
         Useful for debugging recall problems: the plan shows exactly which
         exact-match disjuncts the SEO expanded each semantic atom into.
+        It is the cached plan the pipeline itself runs.
         """
         started = time.perf_counter()
         root_children = (
             pattern.children(pattern.root) if len(pattern) > 1 else []
         )
-        is_join = (
+        is_join = bool(
             len(root_children) == 2
             and pattern.condition.labels()
             and pattern.root not in pattern.condition.labels()
         )
-        index_plan: List[str] = []
-        if is_join:
-            plan, _ = self._join_plan(pattern)
-            condition = plan["condition"]
-            xpaths = [side["xpath"] for side in plan["sides"]]
-            if not plan["prunable"]:
-                index_plan.append(
-                    "full scan (semantic atoms require an SEO context)"
-                )
-            else:
-                for name, side in zip(("left", "right"), plan["sides"]):
-                    for line in side["spec"].describe():
-                        index_plan.append(f"{name}: {line}")
-                cross = plan["cross"]
-                if cross is not None:
-                    index_plan.append(
-                        f"cross: {cross.kind}(node[{cross.left_label}] "
-                        f"<-> node[{cross.right_label}])"
-                    )
+        plan, _ = self._plan(pattern, join=is_join)
+        if plan.prunable:
+            index_plan = self._side_lines(plan)
         else:
-            plan, _ = self._selection_plan(pattern)
-            condition = plan["condition"]
-            xpaths = [plan["xpath"]]
-            index_plan.extend(plan["spec"].describe())
+            index_plan = ["full scan (semantic atoms require an SEO context)"]
+        if plan.cross is not None:
+            index_plan.append(
+                f"cross: {plan.cross.kind}(node[{plan.cross.left_label}] "
+                f"<-> node[{plan.cross.right_label}])"
+            )
         index_plan.append(describe_verify_strategy(join=is_join))
-        rewrite_seconds = time.perf_counter() - started
         return QueryPlan(
             original=repr(pattern.condition),
-            rewritten=repr(condition),
-            xpath_queries=xpaths,
-            rewrite_seconds=rewrite_seconds,
+            rewritten=repr(plan.condition),
+            xpath_queries=list(plan.xpaths),
+            rewrite_seconds=time.perf_counter() - started,
             index_plan=index_plan,
         )
 
@@ -943,13 +895,17 @@ class QueryExecutor:
         guard: Optional[ResourceGuard] = None,
     ) -> ExecutionReport:
         """Execute a selection query: rewrite -> plan -> XPath -> verify."""
-        return self._pattern_query(
+        sl = list(sl_labels)
+        return self._run(
             "selection",
-            collection_name,
+            [collection_name],
             pattern,
-            tax_batch.selection_batched,
-            list(sl_labels),
             guard,
+            lambda plan, entries, guard, tracer: (
+                tax_batch.selection_batched(entries[0], plan.program, sl, guard),
+                {},
+            ),
+            {"collection": collection_name},
         )
 
     def projection(
@@ -960,122 +916,17 @@ class QueryExecutor:
         guard: Optional[ResourceGuard] = None,
     ) -> ExecutionReport:
         """Execute a projection query through the same pipeline."""
-        return self._pattern_query(
+        return self._run(
             "projection",
-            collection_name,
+            [collection_name],
             pattern,
-            tax_batch.projection_batched,
-            pl,
             guard,
-        )
-
-    def _pattern_query(
-        self,
-        kind: str,
-        collection_name: str,
-        pattern: PatternTree,
-        verify,
-        keep: Sequence,
-        guard: Optional[ResourceGuard],
-    ) -> ExecutionReport:
-        """The one-collection pipeline selection and projection share.
-
-        ``verify`` is the batched operator (:mod:`repro.tax.batch`) and
-        ``keep`` its SL / PL argument; everything else — plan cache,
-        index pruning, candidate fetch, guard accounting, report — is
-        the same for both.
-        """
-        guard = self._start_guard(guard)
-        accesses_before = self._accesses()
-        tracer = self.observability.tracer()
-
-        with tracer.trace(f"query.{kind}", collection=collection_name):
-            started = time.perf_counter()
-            with tracer.span("rewrite"):
-                plan, cache_hit = self._selection_plan(pattern)
-                tracer.annotate(plan_cache_hit=cache_hit)
-            xpath: str = plan["xpath"]  # type: ignore[assignment]
-            spec: PlanSpec = plan["spec"]  # type: ignore[assignment]
-            rewrite_seconds = time.perf_counter() - started
-
-            with _stage(tracer, guard, "plan") as plan_stage:
-                doc_keys, docs_total, docs_scanned, index_used = self._prune(
-                    collection_name, spec, guard
-                )
-                tracer.annotate(
-                    docs_total=docs_total,
-                    docs_scanned=docs_scanned,
-                    index_used=index_used,
-                )
-
-            with _stage(tracer, guard, "xpath", query=xpath) as xpath_stage:
-                entries = self._fetch(collection_name, xpath, guard, doc_keys)
-                tracer.annotate(candidates=len(entries))
-
-            with _stage(tracer, guard, "verify") as verify_stage:
-                verified_pattern, evaluator, restrictions, order, vsteps = (
-                    self._verify_tools(plan, pattern)
-                )
-                results = verify(
-                    entries,
-                    verified_pattern,
-                    keep,
-                    self._evaluation_context(),
-                    evaluator=evaluator,
-                    restrictions=restrictions,
-                    order=order,
-                    steps=vsteps,
-                    guard=guard,
-                )
-                tracer.annotate(results=len(results), batched=True)
-        report = ExecutionReport(
-            results,
-            rewrite_seconds,
-            xpath_stage.seconds,
-            verify_stage.seconds,
-            [xpath],
-            len(entries),
-            self._accesses() - accesses_before,
-            planner_seconds=plan_stage.seconds,
-            docs_total=docs_total,
-            docs_scanned=docs_scanned,
-            index_used=index_used,
-            plan_cache_hit=cache_hit,
-            docs_verified=len(entries),
-        )
-        return self._finish_query(
-            kind,
-            xpath,
-            tracer,
-            guard,
-            report,
-            plan_lines=(
-                list(spec.describe())
-                if self.observability.enabled and index_used
-                else None
+            lambda plan, entries, guard, tracer: (
+                tax_batch.projection_batched(entries[0], plan.program, pl, guard),
+                {},
             ),
+            {"collection": collection_name},
         )
-
-    def _prune(
-        self,
-        collection_name: str,
-        spec: PlanSpec,
-        guard: Optional[ResourceGuard],
-    ) -> Tuple[Optional[Set[str]], int, int, bool]:
-        """(document keys or None, docs total, docs scanned, index used)."""
-        collection = self.database.get_collection(collection_name)
-        docs_total = len(collection)
-        if not spec.prunable:
-            return None, docs_total, docs_total, False
-        index = collection.search_index()
-        assert index is not None
-        doc_keys = prune_candidates(
-            spec,
-            index,
-            guard,
-            self.context.seo if self.context is not None else None,
-        )
-        return doc_keys, docs_total, len(doc_keys), True
 
     def join(
         self,
@@ -1093,189 +944,193 @@ class QueryExecutor:
         Cross-side conditions (e.g. ``title:1 ~ title:2``) are evaluated in
         the verification phase.
         """
+        sl = list(sl_labels)
+        return self._run(
+            "join",
+            [left_collection, right_collection],
+            pattern,
+            guard,
+            lambda plan, entries, guard, tracer: self._join_verify(
+                plan, entries, sl, guard, tracer
+            ),
+            {"left": left_collection, "right": right_collection},
+        )
+
+    def _run(
+        self,
+        kind: str,
+        collections: Sequence[str],
+        pattern: PatternTree,
+        guard: Optional[ResourceGuard],
+        verify: Callable[..., Tuple[List[XmlNode], Dict[str, int]]],
+        attributes: Dict[str, str],
+    ) -> ExecutionReport:
+        """The one pipeline: rewrite -> plan -> xpath -> verify -> report.
+
+        ``collections`` names one collection per plan side.  ``verify``
+        is the operator's verify step: ``verify(plan, entries, guard,
+        tracer)`` gets every side's candidate entries and returns
+        ``(results, counts)``, where ``counts`` are extra report fields
+        (the join's pair counters), also recorded on the verify span.
+        """
         guard = self._start_guard(guard)
         accesses_before = self._accesses()
         tracer = self.observability.tracer()
 
-        with tracer.trace(
-            "query.join", left=left_collection, right=right_collection
-        ):
+        with tracer.trace(f"query.{kind}", **attributes):
             started = time.perf_counter()
             with tracer.span("rewrite"):
-                plan, cache_hit = self._join_plan(pattern)
+                plan, cache_hit = self._plan(pattern, join=kind == "join")
                 tracer.annotate(plan_cache_hit=cache_hit)
-            sides = plan["sides"]  # type: ignore[assignment]
             rewrite_seconds = time.perf_counter() - started
 
             with _stage(tracer, guard, "plan") as plan_stage:
-                left_keys, right_keys, docs_total, docs_scanned, index_used = (
-                    self._prune_join(left_collection, right_collection, plan, guard)
+                doc_keys, docs_total, docs_scanned = self._prune(
+                    collections, plan, guard
                 )
+                index_used = any(keys is not None for keys in doc_keys)
                 tracer.annotate(
                     docs_total=docs_total,
                     docs_scanned=docs_scanned,
                     index_used=index_used,
                 )
 
-            with _stage(tracer, guard, "xpath") as xpath_stage:
-                with tracer.span("xpath.left", query=sides[0]["xpath"]):
-                    left_entries = self._fetch(
-                        left_collection, sides[0]["xpath"], guard, left_keys
-                    )
-                    tracer.annotate(candidates=len(left_entries))
-                with tracer.span("xpath.right", query=sides[1]["xpath"]):
-                    right_entries = self._fetch(
-                        right_collection, sides[1]["xpath"], guard, right_keys
-                    )
-                    tracer.annotate(candidates=len(right_entries))
+            # One side fetches in the stage span itself; a join's two
+            # sides each get a child span.
+            single = len(collections) == 1
+            stage_attributes = {"query": plan.xpaths[0]} if single else {}
+            with _stage(tracer, guard, "xpath", **stage_attributes) as xpath_stage:
+                entries = []
+                for side, name, xpath, keys in zip(
+                    ("left", "right"), collections, plan.xpaths, doc_keys
+                ):
+                    with nullcontext() if single else tracer.span(
+                        f"xpath.{side}", query=xpath
+                    ):
+                        entries.append(self._fetch(name, xpath, guard, keys))
+                        tracer.annotate(candidates=len(entries[-1]))
 
             with _stage(tracer, guard, "verify") as verify_stage:
-                verified_pattern, evaluator, restrictions, order, vsteps = (
-                    self._verify_tools(plan, pattern)
-                )
-                sl = list(sl_labels)
-                pair_filter = None
-                if self.context is not None:
-                    atom = _cross_similarity_atom(
-                        pattern.condition, sides[0]["labels"], sides[1]["labels"]
-                    )
-                    if atom is not None:
-                        with tracer.span("verify.hash_join"):
-                            pair_filter = self._similarity_join_pairs(
-                                [cols.nodes[row] for cols, row in left_entries],
-                                [cols.nodes[row] for cols, row in right_entries],
-                                atom,
-                                pattern.condition,
-                                guard,
-                            )
-                            tracer.annotate(pairs=len(pair_filter))
-
-                # The product is charged before any of it exists: its
-                # size when unfiltered (the step budget rejects a blow-up
-                # before it is enumerated), else a step per pair kept.
-                if pair_filter is None:
-                    if guard is not None:
-                        guard.tick(
-                            len(left_entries) * len(right_entries),
-                            what="join product",
-                        )
-                    pairs = [
-                        (i, j)
-                        for i in range(len(left_entries))
-                        for j in range(len(right_entries))
-                    ]
-                else:
-                    pairs = sorted(pair_filter)
-                    if guard is not None and pairs:
-                        guard.tick_each(len(pairs), "join product")
-                pairs_probed = len(pairs)
-                results, pairs_materialized = tax_batch.join_pairs_batched(
-                    left_entries,
-                    right_entries,
-                    pairs,
-                    verified_pattern,
-                    sl,
-                    self._evaluation_context(),
-                    evaluator=evaluator,
-                    restrictions=restrictions,
-                    order=order,
-                    steps=vsteps,
-                    guard=guard,
-                )
-                tracer.annotate(
-                    results=len(results),
-                    batched=True,
-                    pairs_probed=pairs_probed,
-                    pairs_materialized=pairs_materialized,
-                )
+                results, counts = verify(plan, entries, guard, tracer)
+                tracer.annotate(results=len(results), batched=True, **counts)
+        candidates = sum(map(len, entries))
         report = ExecutionReport(
             results,
             rewrite_seconds,
             xpath_stage.seconds,
             verify_stage.seconds,
-            [sides[0]["xpath"], sides[1]["xpath"]],
-            len(left_entries) + len(right_entries),
+            list(plan.xpaths),
+            candidates,
             self._accesses() - accesses_before,
             planner_seconds=plan_stage.seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
             index_used=index_used,
             plan_cache_hit=cache_hit,
-            docs_verified=len(left_entries) + len(right_entries),
-            pairs_probed=pairs_probed,
-            pairs_materialized=pairs_materialized,
+            docs_verified=candidates,
+            **counts,
         )
-        plan_lines: Optional[List[str]] = None
-        if self.observability.enabled and index_used:
-            plan_lines = []
-            for name, side in zip(("left", "right"), sides):
-                for line in side["spec"].describe():
-                    plan_lines.append(f"{name}: {line}")
         return self._finish_query(
-            "join",
-            f"{sides[0]['xpath']} | {sides[1]['xpath']}",
+            kind,
+            " | ".join(plan.xpaths),
             tracer,
             guard,
             report,
-            plan_lines=plan_lines,
+            plan_lines=(
+                self._side_lines(plan)
+                if self.observability.enabled and index_used
+                else None
+            ),
         )
 
-    def _prune_join(
+    def _prune(
         self,
-        left_collection: str,
-        right_collection: str,
-        plan: Dict[str, object],
+        collections: Sequence[str],
+        plan: CompiledPlan,
         guard: Optional[ResourceGuard],
-    ) -> Tuple[Optional[Set[str]], Optional[Set[str]], int, int, bool]:
-        """Per-side + cross-side pruning for a join plan."""
-        left = self.database.get_collection(left_collection)
-        right = self.database.get_collection(right_collection)
-        docs_total = len(left) + len(right)
-        if not plan["prunable"]:
-            return None, None, docs_total, docs_total, False
-        sides = plan["sides"]  # type: ignore[assignment]
-        seo = self.context.seo if self.context is not None else None
-        left_index = left.search_index()
-        right_index = right.search_index()
-        assert left_index is not None and right_index is not None
+    ) -> Tuple[List[Optional[Set[str]]], int, int]:
+        """(per-side document keys, docs total, docs scanned).
 
-        left_keys: Optional[Set[str]] = None
-        right_keys: Optional[Set[str]] = None
-        if sides[0]["spec"].prunable:
-            left_keys = prune_candidates(sides[0]["spec"], left_index, guard, seo)
-        if sides[1]["spec"].prunable:
-            right_keys = prune_candidates(sides[1]["spec"], right_index, guard, seo)
-
-        cross = plan["cross"]
-        if cross is not None:
-            cross_left, cross_right = prune_join_docs(
-                left_index,
-                right_index,
-                cross,
-                seo,
-                guard,
-                memo=self._cross_probe_cache,
-                memo_key=(
-                    left_collection,
-                    left.generation,
-                    right_collection,
-                    right.generation,
-                    cross,
-                    id(seo),
-                ),
-            )
-            left_keys = (
-                cross_left if left_keys is None else left_keys & cross_left
-            )
-            right_keys = (
-                cross_right if right_keys is None else right_keys & cross_right
-            )
-
-        index_used = left_keys is not None or right_keys is not None
-        docs_scanned = (len(left_keys) if left_keys is not None else len(left)) + (
-            len(right_keys) if right_keys is not None else len(right)
+        A side's keys are None when it is scanned whole.  Each prunable
+        side intersects its own index probes; a join's cross probe then
+        narrows both sides.
+        """
+        targets = [self.database.get_collection(name) for name in collections]
+        doc_keys: List[Optional[Set[str]]] = [None] * len(targets)
+        if plan.prunable:
+            seo = self.context.seo if self.context is not None else None
+            indexes = [target.search_index() for target in targets]
+            for side, (spec, index) in enumerate(zip(plan.specs, indexes)):
+                if spec.prunable:
+                    doc_keys[side] = prune_candidates(spec, index, guard, seo)
+            if plan.cross is not None:
+                left, right = targets
+                cross_keys = prune_join_docs(
+                    indexes[0],
+                    indexes[1],
+                    plan.cross,
+                    seo,
+                    guard,
+                    memo=self._cross_probe_cache,
+                    memo_key=(
+                        collections[0],
+                        left.generation,
+                        collections[1],
+                        right.generation,
+                        plan.cross,
+                        id(seo),
+                    ),
+                )
+                doc_keys = [
+                    cross if keys is None else keys & cross
+                    for keys, cross in zip(doc_keys, cross_keys)
+                ]
+        docs_scanned = sum(
+            len(keys) if keys is not None else len(target)
+            for keys, target in zip(doc_keys, targets)
         )
-        return left_keys, right_keys, docs_total, docs_scanned, index_used
+        return doc_keys, sum(map(len, targets)), docs_scanned
+
+    def _join_verify(
+        self,
+        plan: CompiledPlan,
+        entries: Sequence[List[tax_batch.Entry]],
+        sl: List[int],
+        guard: Optional[ResourceGuard],
+        tracer,
+    ) -> Tuple[List[XmlNode], Dict[str, int]]:
+        """The join's verify step: candidate pairs, then their product.
+
+        With a cross-side ``~`` conjunct the hash join keeps only the
+        pairs that can satisfy it; otherwise every pair is probed.
+        """
+        left, right = entries
+        if plan.hash_atom is not None:
+            with tracer.span("verify.hash_join"):
+                pair_filter = self._similarity_join_pairs(
+                    [cols.nodes[row] for cols, row in left],
+                    [cols.nodes[row] for cols, row in right],
+                    plan.hash_atom,
+                    plan.program.pattern.condition,
+                    guard,
+                )
+                tracer.annotate(pairs=len(pair_filter))
+            pairs = sorted(pair_filter)
+            if guard is not None and pairs:
+                guard.tick_each(len(pairs), "join product")
+        else:
+            # The unfiltered product is charged before any of it exists:
+            # the step budget rejects a blow-up before it is enumerated.
+            if guard is not None:
+                guard.tick(len(left) * len(right), what="join product")
+            pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+        results, pairs_materialized = tax_batch.join_pairs_batched(
+            left, right, pairs, plan.program, sl, guard
+        )
+        return results, {
+            "pairs_probed": len(pairs),
+            "pairs_materialized": pairs_materialized,
+        }
 
     def _similarity_join_pairs(
         self,

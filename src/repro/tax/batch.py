@@ -23,20 +23,22 @@ one-candidate-at-a-time price (:class:`_Verification`); guarded and
 unguarded queries run the same code.
 
 An entry is ``(columns, row)``; ``columns.nodes[row]`` is the candidate
-node itself, so evaluators see the *original* document nodes.
+node itself, so evaluators see the *original* document nodes.  All three
+operators run one :class:`VerifyProgram`, compiled once per cached plan.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..guard import CHECK_INTERVAL, ResourceGuard
 from ..xmldb.columnar import DocumentColumns
 from ..xmldb.model import XmlNode
-from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator, TagRestrictions
-from .compile import BatchStep, compile_batch_steps
-from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT, required_tags
+from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator
+from .compile import BatchStep, compile_batch_steps, compile_condition
+from .conditions import ConditionContext, required_tags
 from .embedding import Embedding, witness_tree
 from .pattern import PC, PatternTree
 
@@ -125,37 +127,62 @@ class _Verification:
             self.guard.check_results(self.count, "query verification")
 
 
-def prepare(
-    pattern: PatternTree,
-    context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
-    order: Optional[List] = None,
-    steps: Optional[List[BatchStep]] = None,
-) -> Tuple[ConditionEvaluator, TagRestrictions, List, List[BatchStep]]:
-    """(evaluator, restrictions, preorder, steps) for a validated pattern.
+# ---------------------------------------------------------------------------
+# The verify program
+# ---------------------------------------------------------------------------
 
-    Fills whichever accelerations the caller did not supply, exactly the
-    way ``find_matches`` does — an interpreted-closure evaluator over
-    ``pattern.condition`` and freshly derived ``required_tags`` — and
-    lowers the pattern to the flat step program the batched scans
-    interpret.  Callers looping over many entries should call this once
-    and pass the results through.
+
+@dataclass(frozen=True)
+class VerifyProgram:
+    """A pattern lowered once for the batched operators.
+
+    Holds the validated pattern (witness assembly reads it), its flat
+    step program, the compiled condition evaluator and what the scans
+    derive from the steps.  Built by :meth:`compile` once per cached
+    query plan and evaluation context; the operators only read it.
     """
-    if restrictions is None:
-        restrictions = required_tags(pattern.condition)
-    if order is None:
+
+    pattern: PatternTree
+    steps: Tuple[BatchStep, ...]
+    evaluator: ConditionEvaluator
+    #: :func:`_root_prune` of the steps.
+    root_prune: Tuple
+    #: :func:`_is_star` of the steps: scans cross per-root child pools.
+    star: bool
+
+    @classmethod
+    def compile(
+        cls, pattern: PatternTree, context: ConditionContext
+    ) -> "VerifyProgram":
+        """Lower ``pattern`` and compile its condition against ``context``.
+
+        Raises :class:`~repro.errors.ConditionError` for a condition the
+        compiler does not know — there is no interpreted fallback.
+        """
         pattern.validate()
-        order = list(pattern.preorder())
-    if steps is None:
-        steps = compile_batch_steps(pattern, restrictions)
-    if evaluator is None:
-        condition, ctx = pattern.condition, context
+        steps = tuple(compile_batch_steps(pattern, required_tags(pattern.condition)))
+        return cls(
+            pattern,
+            steps,
+            compile_condition(pattern.condition, context),
+            _root_prune(steps),
+            _is_star(steps),
+        )
 
-        def evaluator(b: Binding, _c=condition, _ctx=ctx) -> bool:
-            return _c.evaluate(b, _ctx)
-
-    return evaluator, restrictions, order, steps
+    def scan(
+        self,
+        cols: DocumentColumns,
+        lo: int,
+        hi: int,
+        binding: Dict[int, XmlNode],
+        rows: Dict[int, int],
+        emit: Callable[[], None],
+    ) -> None:
+        """Call ``emit`` for every satisfying embedding in rows ``[lo, hi)``."""
+        if self.star:
+            _scan_star(self, cols, lo, hi, binding, rows, emit)
+        else:
+            _scan(self, cols, lo, hi, binding, rows, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +208,15 @@ def _root_prune(steps: Sequence[BatchStep]) -> Tuple:
         (tags_tuple, tags_set)
         for _label, parent, edge, tags_tuple, tags_set in steps[1:]
         if parent == root_label and edge == PC and tags_tuple is not None
+    )
+
+
+def _is_star(steps: Sequence[BatchStep]) -> bool:
+    """True when every non-root step is a pc child of the root."""
+    root_label = steps[0][0]
+    return all(
+        parent == root_label and edge == PC
+        for _label, parent, edge, _tt, _ts in steps[1:]
     )
 
 
@@ -217,70 +253,92 @@ def _pruned_rows(
     return out
 
 
+def _tagged_rows(
+    cols: DocumentColumns, lo: int, hi: int, tags_tuple: Tuple, tags_set: Set[str]
+) -> List[int]:
+    """Rows of ``[lo, hi)`` carrying one of the tags, in document order."""
+    if len(tags_tuple) == 1:
+        return cols.tag_rows_in(tags_tuple[0], lo, hi)
+    tags_col = cols.tags
+    return [x for x in range(lo, hi) if tags_col[x] in tags_set]
+
+
+def _root_pool(
+    program: VerifyProgram, cols: DocumentColumns, lo: int, hi: int
+) -> Iterable[int]:
+    """The root step's candidate rows in ``[lo, hi)``.
+
+    Per-tag row lists concatenated in restriction-set iteration order, or
+    the whole preorder interval when unrestricted, structurally pruned
+    through ``program.root_prune`` (see :func:`_root_prune`).
+    """
+    tags_tuple = program.steps[0][3]
+    if tags_tuple is None:
+        if program.root_prune:
+            return _pruned_rows(cols, lo, hi, program.root_prune)
+        return range(lo, hi)
+    if len(tags_tuple) == 1:
+        return cols.tag_rows_in(tags_tuple[0], lo, hi)
+    pool: List[int] = []
+    for tag in tags_tuple:
+        pool.extend(cols.tag_rows_in(tag, lo, hi))
+    return pool
+
+
 def _scan(
-    steps: Sequence[BatchStep],
-    idx: int,
+    program: VerifyProgram,
     cols: DocumentColumns,
     lo: int,
     hi: int,
     binding: Dict[int, XmlNode],
     rows: Dict[int, int],
-    evaluator: ConditionEvaluator,
     emit: Callable[[], None],
-    root_prune: Tuple = (),
 ) -> None:
     """Backtrack over the subtree rows ``[lo, hi)`` of one document.
 
-    Mirrors ``find_embeddings``'s candidate pools step for step: root
-    pools are per-tag row lists concatenated in restriction-set
-    iteration order (or the full preorder interval when unrestricted,
-    structurally pruned through ``root_prune`` — see
-    :func:`_root_prune`), pc pools are the anchor's child rows, ad
-    pools are the anchor's descendant interval — all in the same
-    sequence the tree walk produces, so the evaluator fires at
+    Mirrors ``find_embeddings``'s candidate pools step for step: the
+    root pool is :func:`_root_pool`, pc pools are the anchor's child
+    rows, ad pools are the anchor's descendant interval — all in the
+    same sequence the tree walk produces, so the evaluator fires at
     identical points.
     """
+    steps, evaluator = program.steps, program.evaluator
+    root_label = steps[0][0]
+    nodes = cols.nodes
+    for row in _root_pool(program, cols, lo, hi):
+        rows[root_label] = row
+        binding[root_label] = nodes[row]
+        _extend(steps, 1, cols, binding, rows, evaluator, emit)
+
+
+def _extend(
+    steps: Sequence[BatchStep],
+    idx: int,
+    cols: DocumentColumns,
+    binding: Dict[int, XmlNode],
+    rows: Dict[int, int],
+    evaluator: ConditionEvaluator,
+    emit: Callable[[], None],
+) -> None:
+    """:func:`_scan`'s backtracking below the root, from step ``idx``."""
     if idx == len(steps):
         if evaluator(binding):
             emit()
         return
     label, parent, edge, tags_tuple, tags_set = steps[idx]
     pool: Iterable[int]
-    if parent is None:
-        if tags_tuple is None:
-            pool = (
-                _pruned_rows(cols, lo, hi, root_prune)
-                if root_prune
-                else range(lo, hi)
-            )
-        elif len(tags_tuple) == 1:
-            pool = cols.tag_rows_in(tags_tuple[0], lo, hi)
+    anchor = rows[parent]
+    if edge == PC:
+        child_rows = cols.children[anchor]
+        if tags_set is None:
+            pool = child_rows
         else:
-            pool = []
-            for tag in tags_tuple:
-                pool.extend(cols.tag_rows_in(tag, lo, hi))
+            tags_col = cols.tags
+            pool = [c for c in child_rows if tags_col[c] in tags_set]
+    elif tags_tuple is None:
+        pool = range(anchor + 1, cols.end[anchor])
     else:
-        anchor = rows[parent]
-        if edge == PC:
-            child_rows = cols.children[anchor]
-            if tags_set is None:
-                pool = child_rows
-            else:
-                tags_col = cols.tags
-                pool = [c for c in child_rows if tags_col[c] in tags_set]
-        else:
-            end_anchor = cols.end[anchor]
-            if tags_tuple is None:
-                pool = range(anchor + 1, end_anchor)
-            elif len(tags_tuple) == 1:
-                pool = cols.tag_rows_in(tags_tuple[0], anchor + 1, end_anchor)
-            else:
-                tags_col = cols.tags
-                pool = [
-                    x
-                    for x in range(anchor + 1, end_anchor)
-                    if tags_col[x] in tags_set
-                ]
+        pool = _tagged_rows(cols, anchor + 1, cols.end[anchor], tags_tuple, tags_set)
     # No trailing unbind: every label is rebound before the evaluator or
     # emit can observe the binding (a complete match binds all labels),
     # so stale entries between iterations and entries are unobservable.
@@ -289,28 +347,17 @@ def _scan(
     for row in pool:
         rows[label] = row
         binding[label] = nodes[row]
-        _scan(steps, next_idx, cols, lo, hi, binding, rows, evaluator, emit)
-
-
-def _is_star(steps: Sequence[BatchStep]) -> bool:
-    """True when every non-root step is a pc child of the root."""
-    root_label = steps[0][0]
-    return all(
-        parent == root_label and edge == PC
-        for _label, parent, edge, _tt, _ts in steps[1:]
-    )
+        _extend(steps, next_idx, cols, binding, rows, evaluator, emit)
 
 
 def _scan_star(
-    steps: Sequence[BatchStep],
+    program: VerifyProgram,
     cols: DocumentColumns,
     lo: int,
     hi: int,
     binding: Dict[int, XmlNode],
     rows: Dict[int, int],
-    evaluator: ConditionEvaluator,
     emit: Callable[[], None],
-    root_prune: Tuple = (),
 ) -> None:
     """:func:`_scan` specialised for star patterns (root + pc children).
 
@@ -321,27 +368,15 @@ def _scan_star(
     points.  Saves the per-level recursion and the re-derivation of
     later siblings' pools for every earlier sibling candidate.
     """
-    _root_label, _p, _e, tags_tuple, _ts = steps[0]
-    root_pool: Iterable[int]
-    if tags_tuple is None:
-        root_pool = (
-            _pruned_rows(cols, lo, hi, root_prune)
-            if root_prune
-            else range(lo, hi)
-        )
-    elif len(tags_tuple) == 1:
-        root_pool = cols.tag_rows_in(tags_tuple[0], lo, hi)
-    else:
-        root_pool = []
-        for tag in tags_tuple:
-            root_pool.extend(cols.tag_rows_in(tag, lo, hi))
+    steps, evaluator = program.steps, program.evaluator
+    root_label = steps[0][0]
     child_steps = steps[1:]
     child_labels = [step[0] for step in child_steps]
     nodes = cols.nodes
     tags_col = cols.tags
     children = cols.children
     iproduct = itertools.product
-    for root_row in root_pool:
+    for root_row in _root_pool(program, cols, lo, hi):
         child_rows = children[root_row]
         pools: Optional[List[List[int]]] = []
         for _label, _parent, _edge, _tt, tags_set in child_steps:
@@ -356,29 +391,14 @@ def _scan_star(
             pools.append(pool)
         if pools is None:
             continue
-        rows[_root_label] = root_row
-        binding[_root_label] = nodes[root_row]
+        rows[root_label] = root_row
+        binding[root_label] = nodes[root_row]
         for combo in iproduct(*pools):
             for label, row in zip(child_labels, combo):
                 rows[label] = row
                 binding[label] = nodes[row]
             if evaluator(binding):
                 emit()
-
-
-def _scan_entry(
-    steps: Sequence[BatchStep],
-    cols: DocumentColumns,
-    lo: int,
-    hi: int,
-    binding: Dict[int, XmlNode],
-    rows: Dict[int, int],
-    evaluator: ConditionEvaluator,
-    emit: Callable[[], None],
-    root_prune: Tuple = (),
-) -> None:
-    """:func:`_scan` with :func:`_scan_star`'s entry-level signature."""
-    _scan(steps, 0, cols, lo, hi, binding, rows, evaluator, emit, root_prune)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +408,8 @@ def _scan_entry(
 
 def selection_batched(
     entries: Sequence[Entry],
-    pattern: PatternTree,
+    program: VerifyProgram,
     sl_labels: Iterable[int],
-    context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
-    order: Optional[List] = None,
-    steps: Optional[List[BatchStep]] = None,
     guard: Optional[ResourceGuard] = None,
 ) -> List[XmlNode]:
     """``tax.algebra.selection`` over batched-verify entries.
@@ -406,12 +421,9 @@ def selection_batched(
     (see :class:`_Verification`).
     """
     sl = list(sl_labels)
-    evaluator, restrictions, order, steps = prepare(
-        pattern, context, evaluator, restrictions, order, steps
-    )
+    pattern = program.pattern
     root_label = pattern.root
-    root_prune = _root_prune(steps)
-    scan = _scan_star if _is_star(steps) else _scan_entry
+    scan = program.scan
     results = _Verification(guard)
     # The binding/row dicts and the emit closures are shared across
     # entries — every label is rebound before an emit can observe them.
@@ -428,10 +440,7 @@ def selection_batched(
             found[rows[root_label]] = None
 
         for cols, item in results.candidates(entries):
-            scan(
-                steps, cols, item, cols.end[item], binding, rows,
-                evaluator, emit, root_prune,
-            )
+            scan(cols, item, cols.end[item], binding, rows, emit)
             results.candidate_done(
                 [(cols.subtree_key(row), (cols, row)) for row in found]
             )
@@ -443,10 +452,7 @@ def selection_batched(
         witnesses.append(witness_tree(Embedding(pattern, dict(binding)), sl))
 
     for cols, item in results.candidates(entries):
-        scan(
-            steps, cols, item, cols.end[item], binding, rows,
-            evaluator, emit_witness, root_prune,
-        )
+        scan(cols, item, cols.end[item], binding, rows, emit_witness)
         results.candidate_done([(w.canonical_key(), w) for w in witnesses])
         witnesses.clear()
     return results.out
@@ -454,13 +460,8 @@ def selection_batched(
 
 def projection_batched(
     entries: Sequence[Entry],
-    pattern: PatternTree,
+    program: VerifyProgram,
     pl: Sequence,
-    context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
-    order: Optional[List] = None,
-    steps: Optional[List[BatchStep]] = None,
     guard: Optional[ResourceGuard] = None,
 ) -> List[XmlNode]:
     """``tax.algebra.projection`` over batched-verify entries (``guard``
@@ -470,11 +471,7 @@ def projection_batched(
     pl_entries: List[Tuple[int, bool]] = [
         entry if isinstance(entry, tuple) else (entry, False) for entry in pl
     ]
-    evaluator, restrictions, order, steps = prepare(
-        pattern, context, evaluator, restrictions, order, steps
-    )
-    root_prune = _root_prune(steps)
-    scan = _scan_star if _is_star(steps) else _scan_entry
+    scan = program.scan
     results = _Verification(guard)
     rows: Dict[int, int] = {}
     binding: Dict[int, XmlNode] = {}
@@ -490,10 +487,7 @@ def projection_batched(
                 matched.update(image.descendants())
 
     for cols, item in results.candidates(entries):
-        scan(
-            steps, cols, item, cols.end[item], binding, rows,
-            evaluator, emit, root_prune,
-        )
+        scan(cols, item, cols.end[item], binding, rows, emit)
         forest = assemble_forest(matched) if matched else ()
         results.candidate_done([(tree.canonical_key(), tree) for tree in forest])
         matched.clear()
@@ -506,7 +500,7 @@ def projection_batched(
 
 
 def _product_scan(
-    steps: Sequence[BatchStep],
+    program: VerifyProgram,
     idx: int,
     lcols: DocumentColumns,
     l_lo: int,
@@ -516,10 +510,8 @@ def _product_scan(
     r_hi: int,
     binding: Dict[int, XmlNode],
     positions: Dict[int, Tuple[int, int]],
-    evaluator: ConditionEvaluator,
     emit: Callable[[], None],
-    root_prune: Tuple = (),
-    memo: Optional[Dict] = None,
+    memo: Dict,
 ) -> None:
     """Backtrack over the *virtual* product of two candidate subtrees.
 
@@ -536,55 +528,16 @@ def _product_scan(
     and the anchor, so entries repeated across many pairs build each
     pool once.  Pools are read-only; sharing the lists is safe.
     """
+    steps = program.steps
     if idx == len(steps):
-        if evaluator(binding):
+        if program.evaluator(binding):
             emit()
         return
     label, parent, edge, tags_tuple, tags_set = steps[idx]
     pool: Iterable[Tuple[int, int]]
     if parent is None:
-        if tags_tuple is None:
-            if root_prune:
-                # Structurally pruned root pool: the product root's
-                # children are exactly the two side roots, side rows
-                # prune through their per-tag parent lists.  Same
-                # subset-preserving order as the unpruned chain.
-                pruned: List[Tuple[int, int]] = []
-                left_tag = lcols.tags[l_lo]
-                right_tag = rcols.tags[r_lo]
-                if all(
-                    left_tag in tags_set or right_tag in tags_set
-                    for _tt, tags_set in root_prune
-                ):
-                    pruned.append((0, 0))
-                left_key = ("prune", 1, l_lo, id(lcols))
-                left_part = None if memo is None else memo.get(left_key)
-                if left_part is None:
-                    left_part = [
-                        (1, x)
-                        for x in _pruned_rows(lcols, l_lo, l_hi, root_prune)
-                    ]
-                    if memo is not None:
-                        memo[left_key] = left_part
-                right_key = ("prune", 2, r_lo, id(rcols))
-                right_part = None if memo is None else memo.get(right_key)
-                if right_part is None:
-                    right_part = [
-                        (2, y)
-                        for y in _pruned_rows(rcols, r_lo, r_hi, root_prune)
-                    ]
-                    if memo is not None:
-                        memo[right_key] = right_part
-                pruned.extend(left_part)
-                pruned.extend(right_part)
-                pool = pruned
-            else:
-                pool = itertools.chain(
-                    ((0, 0),),
-                    ((1, x) for x in range(l_lo, l_hi)),
-                    ((2, y) for y in range(r_lo, r_hi)),
-                )
-        else:
+        root_prune = program.root_prune
+        if tags_tuple is not None:
             pool = []
             for tag in tags_tuple:
                 if tag == PRODUCT_ROOT_TAG:
@@ -595,34 +548,40 @@ def _product_scan(
                 pool.extend(
                     (2, y) for y in rcols.tag_rows_in(tag, r_lo, r_hi)
                 )
+        elif root_prune:
+            # Structurally pruned root pool: the product root's children
+            # are exactly the two side roots, side rows prune through
+            # their per-tag parent lists.  Same subset-preserving order
+            # as the unpruned chain.
+            left_tag = lcols.tags[l_lo]
+            right_tag = rcols.tags[r_lo]
+            pool = (
+                [(0, 0)]
+                if all(
+                    left_tag in tags_set or right_tag in tags_set
+                    for _tt, tags_set in root_prune
+                )
+                else []
+            )
+            for part in _side_parts(
+                memo, "prune", (lcols, l_lo, l_hi, rcols, r_lo, r_hi),
+                _pruned_rows, root_prune,
+            ):
+                pool.extend(part)
+        else:
+            pool = itertools.chain(
+                ((0, 0),),
+                ((1, x) for x in range(l_lo, l_hi)),
+                ((2, y) for y in range(r_lo, r_hi)),
+            )
     else:
         rank, anchor = positions[parent]
-        if edge == PC:
-            if rank == 0:
-                pool = []
-                if tags_set is None or lcols.tags[l_lo] in tags_set:
-                    pool.append((1, l_lo))
-                if tags_set is None or rcols.tags[r_lo] in tags_set:
-                    pool.append((2, r_lo))
-            else:
-                side_cols = lcols if rank == 1 else rcols
-                key = (idx, rank, anchor, id(side_cols))
-                cached = None if memo is None else memo.get(key)
-                if cached is not None:
-                    pool = cached
-                else:
-                    child_rows = side_cols.children[anchor]
-                    if tags_set is None:
-                        pool = [(rank, c) for c in child_rows]
-                    else:
-                        tags_col = side_cols.tags
-                        pool = [
-                            (rank, c)
-                            for c in child_rows
-                            if tags_col[c] in tags_set
-                        ]
-                    if memo is not None:
-                        memo[key] = pool
+        if rank == 0 and edge == PC:
+            pool = []
+            if tags_set is None or lcols.tags[l_lo] in tags_set:
+                pool.append((1, l_lo))
+            if tags_set is None or rcols.tags[r_lo] in tags_set:
+                pool.append((2, r_lo))
         elif rank == 0:
             # Anchor is the product root: its descendants are both whole
             # sides, left first (document order of the product tree).
@@ -635,76 +594,33 @@ def _product_scan(
                 # Keyed apart from the side-anchored pools below: under
                 # the root a side's own root row is a descendant, under
                 # that row it is not.
-                left_key = ("root", idx, 1, l_lo, id(lcols))
-                left_part = None if memo is None else memo.get(left_key)
-                if left_part is None:
-                    if len(tags_tuple) == 1:
-                        left_part = [
-                            (1, x)
-                            for x in lcols.tag_rows_in(
-                                tags_tuple[0], l_lo, l_hi
-                            )
-                        ]
-                    else:
-                        left_part = [
-                            (1, x)
-                            for x in range(l_lo, l_hi)
-                            if lcols.tags[x] in tags_set
-                        ]
-                    if memo is not None:
-                        memo[left_key] = left_part
-                right_key = ("root", idx, 2, r_lo, id(rcols))
-                right_part = None if memo is None else memo.get(right_key)
-                if right_part is None:
-                    if len(tags_tuple) == 1:
-                        right_part = [
-                            (2, y)
-                            for y in rcols.tag_rows_in(
-                                tags_tuple[0], r_lo, r_hi
-                            )
-                        ]
-                    else:
-                        right_part = [
-                            (2, y)
-                            for y in range(r_lo, r_hi)
-                            if rcols.tags[y] in tags_set
-                        ]
-                    if memo is not None:
-                        memo[right_key] = right_part
-                if not right_part:
-                    pool = left_part
-                elif not left_part:
-                    pool = right_part
-                else:
+                left_part, right_part = _side_parts(
+                    memo, ("root", idx), (lcols, l_lo, l_hi, rcols, r_lo, r_hi),
+                    _tagged_rows, tags_tuple, tags_set,
+                )
+                if left_part and right_part:
                     pool = left_part + right_part
+                else:
+                    pool = left_part or right_part
         else:
             side_cols = lcols if rank == 1 else rcols
             key = (idx, rank, anchor, id(side_cols))
-            cached = None if memo is None else memo.get(key)
-            if cached is not None:
-                pool = cached
-            else:
-                end_anchor = side_cols.end[anchor]
-                if tags_tuple is None:
-                    pool = [
-                        (rank, x) for x in range(anchor + 1, end_anchor)
-                    ]
-                elif len(tags_tuple) == 1:
-                    pool = [
-                        (rank, x)
-                        for x in side_cols.tag_rows_in(
-                            tags_tuple[0], anchor + 1, end_anchor
-                        )
-                    ]
+            pool = memo.get(key)
+            if pool is None:
+                rows: Iterable[int]
+                if edge == PC:
+                    rows = side_cols.children[anchor]
+                    if tags_set is not None:
+                        tags_col = side_cols.tags
+                        rows = [c for c in rows if tags_col[c] in tags_set]
+                elif tags_tuple is None:
+                    rows = range(anchor + 1, side_cols.end[anchor])
                 else:
-                    tags_col = side_cols.tags
-                    pool = [
-                        (rank, x)
-                        for x in range(anchor + 1, end_anchor)
-                        if tags_col[x] in tags_set
-                    ]
-                if memo is not None:
-                    memo[key] = pool
+                    rows = _tagged_rows(
+                        side_cols, anchor + 1, side_cols.end[anchor],
+                        tags_tuple, tags_set,
+                    )
+                pool = memo[key] = [(rank, x) for x in rows]
     next_idx = idx + 1
     for position in pool:
         positions[label] = position
@@ -716,9 +632,27 @@ def _product_scan(
         else:
             binding[label] = rcols.nodes[row]
         _product_scan(
-            steps, next_idx, lcols, l_lo, l_hi, rcols, r_lo, r_hi,
-            binding, positions, evaluator, emit, root_prune, memo,
+            program, next_idx, lcols, l_lo, l_hi, rcols, r_lo, r_hi,
+            binding, positions, emit, memo,
         )
+
+
+def _side_parts(memo: Dict, key, sides: Tuple, rows_of: Callable, *args) -> List[List]:
+    """The left and the right ``(rank, row)`` part of one product pool.
+
+    ``rows_of(cols, lo, hi, *args)`` lists one side's rows.  A part
+    depends only on its own side's columns and interval, so each is
+    memoised per side entry and shared by every pair that repeats it.
+    """
+    lcols, l_lo, l_hi, rcols, r_lo, r_hi = sides
+    parts = []
+    for rank, cols, lo, hi in ((1, lcols, l_lo, l_hi), (2, rcols, r_lo, r_hi)):
+        side_key = (key, rank, lo, id(cols))
+        part = memo.get(side_key)
+        if part is None:
+            part = memo[side_key] = [(rank, x) for x in rows_of(cols, lo, hi, *args)]
+        parts.append(part)
+    return parts
 
 
 def _materialize_product(
@@ -846,13 +780,8 @@ def join_pairs_batched(
     left: Sequence[Entry],
     right: Sequence[Entry],
     pairs: Sequence[Tuple[int, int]],
-    pattern: PatternTree,
+    program: VerifyProgram,
     sl_labels: Iterable[int],
-    context: ConditionContext = DEFAULT_CONTEXT,
-    evaluator: Optional[ConditionEvaluator] = None,
-    restrictions: Optional[TagRestrictions] = None,
-    order: Optional[List] = None,
-    steps: Optional[List[BatchStep]] = None,
     guard: Optional[ResourceGuard] = None,
 ) -> Tuple[List[XmlNode], int]:
     """Late-materialised join over candidate pairs.
@@ -867,11 +796,7 @@ def join_pairs_batched(
     :class:`_Verification`).
     """
     sl = list(sl_labels)
-    root_label = pattern.root
-    evaluator, restrictions, order, steps = prepare(
-        pattern, context, evaluator, restrictions, order, steps
-    )
-    root_prune = _root_prune(steps)
+    root_label = program.pattern.root
     results = _Verification(guard)
     # The binding/position dicts, the pool memo and the emit closures
     # are shared across pairs — every label is rebound before an emit
@@ -900,10 +825,9 @@ def join_pairs_batched(
         lcols, l_row = left[i]
         rcols, r_row = right[j]
         _product_scan(
-            steps, 0, lcols, l_row, lcols.end[l_row],
+            program, 0, lcols, l_row, lcols.end[l_row],
             rcols, r_row, rcols.end[r_row],
-            binding, positions, evaluator,
-            emit if inflate_root else emit_witness, root_prune, memo,
+            binding, positions, emit if inflate_root else emit_witness, memo,
         )
         if inflate_root:
             # One entry per distinct top position — pair indices stand
@@ -940,7 +864,7 @@ def join_pairs_batched(
 
 __all__ = [
     "Entry",
-    "prepare",
+    "VerifyProgram",
     "selection_batched",
     "projection_batched",
     "join_pairs_batched",

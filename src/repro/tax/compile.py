@@ -20,9 +20,11 @@ Semantics are bit-for-bit those of the interpreter:
 
 Extension atoms (the TOSS semantic operators in
 :mod:`repro.core.conditions`) register themselves through
-:func:`register_condition_compiler`.  A condition class nobody has
-registered still works: it compiles to a closure that calls its own
-``evaluate`` — per-node interpreted fallback, never a hard failure.
+:func:`register_condition_compiler`.  There is no interpreted fallback:
+a condition class (or term class) nobody registered raises a
+:class:`~repro.errors.ConditionError` naming it when the plan is built,
+so production verification never walks ``Condition.evaluate`` — that
+interpreter runs only in the reference executor.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ ConditionEvaluator = Callable[[Binding], bool]
 #: A compiled term: binding -> string value.
 TermResolver = Callable[[Binding], str]
 
-#: Class-keyed extension compilers.  A compiler may return ``None`` to
-#: decline, which falls back to per-node interpretation.
+#: Class-keyed extension compilers.
 _Compiler = Callable[
     [Condition, ConditionContext, "Callable[[Condition, ConditionContext], ConditionEvaluator]"],
-    Optional[ConditionEvaluator],
+    ConditionEvaluator,
 ]
 _COMPILERS: Dict[Type[Condition], _Compiler] = {}
 
@@ -69,7 +70,7 @@ def register_condition_compiler(cls: Type[Condition], compiler: _Compiler) -> No
 
     Dispatch is on the *exact* class — a subclass that overrides
     ``evaluate`` is never silently compiled with its parent's semantics;
-    it takes the interpreted fallback until registered itself.
+    :func:`compile_condition` refuses it until it is registered itself.
     """
     _COMPILERS[cls] = compiler
 
@@ -114,8 +115,7 @@ def _compile_term(term: Term):
                 ) from None
 
         return content_of, _NOT_CONSTANT
-    # Unknown Term subclass: defer to its own resolve (interpreted).
-    return term.resolve, _NOT_CONSTANT
+    raise ConditionError(f"no compiler for term class {kind.__name__}")
 
 
 def _uses_base_compare(context: ConditionContext) -> bool:
@@ -211,9 +211,8 @@ def compile_condition(
 ) -> ConditionEvaluator:
     """Compile ``condition`` into a closure over ``context``.
 
-    Never raises for unsupported shapes: anything unknown degrades to a
-    closure around its own (interpreted) ``evaluate``, so a compiled
-    plan is always safe to run.
+    Raises :class:`~repro.errors.ConditionError` naming the class of any
+    condition or term nobody registered a compiler for.
     """
     kind = type(condition)
     if kind is TrueCondition:
@@ -270,16 +269,9 @@ def compile_condition(
 
         return negation
     extension = _COMPILERS.get(kind)
-    if extension is not None:
-        compiled = extension(condition, context, compile_condition)
-        if compiled is not None:
-            return compiled
-    # Unregistered condition class: per-node interpreted fallback.
-
-    def interpreted(binding: Binding, _c=condition, _ctx=context) -> bool:
-        return _c.evaluate(binding, _ctx)
-
-    return interpreted
+    if extension is None:
+        raise ConditionError(f"no compiler for condition class {kind.__name__}")
+    return extension(condition, context, compile_condition)
 
 
 def _always_true(binding: Binding) -> bool:

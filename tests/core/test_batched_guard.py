@@ -88,53 +88,39 @@ def _selection_by_candidate(system, guard):
     executor = system.executor
     pattern = build_scalability_pattern()
     guard.start()
-    plan, _ = executor._selection_plan(pattern)
-    doc_keys, *_ = executor._prune("dblp", plan["spec"], guard)
-    entries = executor._fetch("dblp", plan["xpath"], guard, doc_keys)
-    verified, evaluator, restrictions, order, steps = executor._verify_tools(
-        plan, pattern
-    )
+    plan, _ = executor._plan(pattern, join=False)
+    (doc_keys,), *_ = executor._prune(["dblp"], plan, guard)
+    entries = executor._fetch("dblp", plan.xpaths[0], guard, doc_keys)
 
     def run(candidates, inner_guard):
-        return tax_batch.selection_batched(
-            candidates, verified, [1], executor._evaluation_context(),
-            evaluator=evaluator, restrictions=restrictions, order=order,
-            steps=steps, guard=inner_guard,
-        )
+        return tax_batch.selection_batched(candidates, plan.program, [1], inner_guard)
 
     return _reference(run, entries, guard)
 
 
 def _join_by_pair(system, guard, pattern):
     """:func:`_join` (no hash join) with one verification call per pair."""
-    executor = system.executor
     guard.start()
-    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(
-        system, pattern, guard
-    )
+    left, right, program = _join_parts(system, pattern, guard)
     guard.tick(len(left) * len(right), what="join product")
     pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
 
     def run(some_pairs, inner_guard):
         return tax_batch.join_pairs_batched(
-            left, right, some_pairs, verified, [2, 5],
-            executor._evaluation_context(), evaluator=evaluator,
-            restrictions=restrictions, order=order, steps=steps,
-            guard=inner_guard,
+            left, right, some_pairs, program, [2, 5], inner_guard
         )[0]
 
     return _reference(run, pairs, guard)
 
 
 def _join_parts(system, pattern, guard=None):
-    """(left entries, right entries, verify tools) of a join, pre-verify."""
+    """(left entries, right entries, verify program) of a join, pre-verify."""
     executor = system.executor
-    plan, _ = executor._join_plan(pattern)
-    sides = plan["sides"]
-    left_keys, right_keys, *_ = executor._prune_join("dblp", "sigmod", plan, guard)
-    left = executor._fetch("dblp", sides[0]["xpath"], guard, left_keys)
-    right = executor._fetch("sigmod", sides[1]["xpath"], guard, right_keys)
-    return left, right, executor._verify_tools(plan, pattern)
+    plan, _ = executor._plan(pattern, join=True)
+    (left_keys, right_keys), *_ = executor._prune(["dblp", "sigmod"], plan, guard)
+    left = executor._fetch("dblp", plan.xpaths[0], guard, left_keys)
+    right = executor._fetch("sigmod", plan.xpaths[1], guard, right_keys)
+    return left, right, plan.program
 
 
 def _outcome(call, guard):
@@ -230,26 +216,17 @@ def wide():
     )
     executor = system.executor
     pattern = build_scalability_pattern(narrow_category="conference")
-    plan, _ = executor._selection_plan(pattern)
-    entries = executor._fetch("dblp", plan["xpath"], None, None)
+    plan, _ = executor._plan(pattern, join=False)
+    entries = executor._fetch("dblp", plan.xpaths[0], None, None)
     assert len(entries) > 2 * CHECK_INTERVAL
-    tools = dict(
-        zip(
-            ("pattern", "evaluator", "restrictions", "order", "steps"),
-            executor._verify_tools(plan, pattern),
-        )
-    )
-    return system, entries, tools
+    return system, entries, plan.program
 
 
 def _operator(wide, operator, keep):
-    _system, entries, tools = wide
-    verified = tools["pattern"]
-    rest = {k: v for k, v in tools.items() if k != "pattern"}
-    context = _system.executor._evaluation_context()
+    _system, entries, program = wide
 
     def run(candidates, guard):
-        return operator(candidates, verified, keep, context, guard=guard, **rest)
+        return operator(candidates, program, keep, guard)
 
     return run, entries
 
@@ -312,20 +289,13 @@ def test_deadline_rechecked_inside_verification(wide):
 @pytest.mark.parametrize("sl", [[0], [2, 5]], ids=["root", "witness"])
 def test_join_pairs_chunked_ticks_match_per_pair_accounting(wide, sl, budget):
     system = wide[0]
-    left, right, (verified, evaluator, restrictions, order, steps) = _join_parts(
-        system, _full_product_join_pattern()
-    )
+    left, right, program = _join_parts(system, _full_product_join_pattern())
     pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
     pairs = pairs[: 2 * CHECK_INTERVAL + 9]
     assert len(pairs) > 2 * CHECK_INTERVAL
-    context = system.executor._evaluation_context()
 
     def run(some_pairs, guard):
-        return tax_batch.join_pairs_batched(
-            left, right, some_pairs, verified, sl, context,
-            evaluator=evaluator, restrictions=restrictions, order=order,
-            steps=steps, guard=guard,
-        )[0]
+        return tax_batch.join_pairs_batched(left, right, some_pairs, program, sl, guard)[0]
 
     chunked = _outcome(lambda g: run(pairs, g), ResourceGuard(max_steps=budget))
     reference = _outcome(

@@ -8,6 +8,7 @@ from repro.core.conditions import (
     SimilarTo,
 )
 from repro.core.executor import (
+    DEFAULT_PLAN_CACHE_SIZE,
     MAX_OR_ALTERNATIVES,
     QueryExecutor,
     compile_pattern_to_xpath,
@@ -270,23 +271,24 @@ class TestExecutorIntegration:
         assert executor.plan_cache_hits == 1
 
     def test_plan_cache_evicts_least_recently_used(self, database, context):
-        p1 = _author_pattern(Comparison("=", NodeContent(2), Constant("x")))
-        p2 = _author_pattern(Comparison("=", NodeContent(2), Constant("y")))
-        executor = QueryExecutor(database, context, plan_cache_size=1)
-        for _ in range(2):
-            executor.selection("dblp", p1, sl_labels=[1])
-            executor.selection("dblp", p2, sl_labels=[1])
-        # Alternating two plans through a one-slot cache: every lookup
-        # after the first pair misses because the other plan evicted it.
-        assert executor.plan_cache_hits == 0
-        assert executor.plan_cache_misses == 4
+        patterns = [
+            _author_pattern(Comparison("=", NodeContent(2), Constant(f"v{i}")))
+            for i in range(DEFAULT_PLAN_CACHE_SIZE + 1)
+        ]
+        executor = QueryExecutor(database, context)
 
-    def test_zero_cache_size_disables_caching(self, database, context):
-        pattern = _author_pattern(Comparison("=", NodeContent(2), Constant("x")))
-        executor = QueryExecutor(database, context, plan_cache_size=0)
-        executor.selection("dblp", pattern, sl_labels=[1])
-        report = executor.selection("dblp", pattern, sl_labels=[1])
-        assert not report.plan_cache_hit
+        def hit(pattern):
+            return executor.selection("dblp", pattern, sl_labels=[1]).plan_cache_hit
+
+        assert not any(hit(pattern) for pattern in patterns[:-1])
+        assert hit(patterns[0])  # now the most recently used plan
+        # One pattern past capacity evicts the least recently used plan,
+        # the second one streamed, not the first.
+        assert not hit(patterns[-1])
+        assert hit(patterns[0])
+        assert not hit(patterns[1])
+        assert executor.plan_cache_hits == 2
+        assert executor.plan_cache_misses == DEFAULT_PLAN_CACHE_SIZE + 2
 
     def test_explain_shows_index_plan(self, database, context):
         pattern = _author_pattern(

@@ -3,23 +3,27 @@
 :mod:`repro.tax.compile` turns a condition tree into closures once per
 cached plan; its whole contract is invisibility.  For any condition tree
 — comparisons, Contains, And/Or/Not nesting, or-chains eligible for the
-membership fast path, and the TOSS semantic atoms (``~``, ``below``,
-``instance_of``, ``part_of``) — the compiled form must return the same
-truth value, raise the same :class:`~repro.errors.ConditionError` (same
-message) for unbound labels or missing relations, and drive the same
-number of ontology accesses through the context.
+membership fast path, typed comparisons and every TOSS semantic atom
+(``~``, ``instance_of``, ``subtype_of``, ``isa``, ``below``, ``above``,
+``part_of``) — the compiled form must return the same truth value, raise
+the same :class:`~repro.errors.ConditionError` (same message) for unbound
+labels or missing relations, and drive the same number of ontology
+accesses through the context.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import (
+    Above,
     Below,
     InstanceOf,
+    Isa,
     PartOf,
     SeoConditionContext,
     SimilarTo,
     SubtypeOf,
+    TypedComparison,
 )
 from repro.errors import ConditionError
 from repro.ontology import Hierarchy
@@ -83,12 +87,16 @@ terms = st.one_of(
     st.sampled_from(LABELS).map(NodeContent),
 )
 
-comparisons = st.builds(
-    Comparison, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), terms, terms
+ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+comparisons = st.one_of(
+    st.builds(Comparison, ops, terms, terms),
+    st.builds(TypedComparison, ops, terms, terms),
 )
 semantic_atoms = st.builds(
     lambda cls, left, right: cls(left, right),
-    st.sampled_from([SimilarTo, Below, InstanceOf, SubtypeOf, PartOf]),
+    st.sampled_from(
+        [SimilarTo, Below, Above, InstanceOf, SubtypeOf, Isa, PartOf]
+    ),
     terms,
     terms,
 )
@@ -120,12 +128,18 @@ conditions = st.recursive(
 )
 
 
+#: What either path may raise: ConditionError for unbound labels and
+#: missing relations, and — a typed comparison looks up an unbound
+#: label's node to type it before resolving it — KeyError.
+RAISED = (ConditionError, KeyError)
+
+
 def _evaluate(condition, binding, context):
     """(verdict, ontology-access delta) or ("raised", class, message)."""
     before = getattr(context, "ontology_accesses", 0)
     try:
         verdict = condition.evaluate(binding, context)
-    except ConditionError as exc:
+    except RAISED as exc:
         return ("raised", type(exc).__name__, str(exc))
     return (verdict, getattr(context, "ontology_accesses", 0) - before)
 
@@ -134,7 +148,7 @@ def _evaluate_compiled(condition, binding, context):
     before = getattr(context, "ontology_accesses", 0)
     try:
         verdict = compile_condition(condition, context)(binding)
-    except ConditionError as exc:
+    except RAISED as exc:
         return ("raised", type(exc).__name__, str(exc))
     return (verdict, getattr(context, "ontology_accesses", 0) - before)
 
