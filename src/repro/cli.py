@@ -396,6 +396,7 @@ def _cmd_db_build(args: argparse.Namespace) -> int:
 
 def _cmd_db_stats(args: argparse.Namespace) -> int:
     from .core.persistence import load_build_report, load_system
+    from .xmldb.database import DEFAULT_QUERY_CACHE_SIZE
 
     system = load_system(args.root)
     database = system.database
@@ -407,7 +408,7 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
     )
     stats = database.statistics
     print(
-        f"xpath query cache: size {database.query_cache_size}, "
+        f"xpath query cache: size {DEFAULT_QUERY_CACHE_SIZE}, "
         f"hits {stats.cache_hits}, misses {stats.cache_misses}"
     )
     signature = database.generation_signature()

@@ -33,8 +33,6 @@ from ..ontology.maker import OntologyMaker
 from ..similarity.persistence import dump_seo, read_seo
 from ..xmldb.storage import load_database, save_database
 from .build_report import BuildReport
-from .conditions import SeoConditionContext
-from .executor import QueryExecutor
 from .system import TossSystem
 
 _SYSTEM_FILE = "system.json"
@@ -176,19 +174,12 @@ def load_system(root_dir: str, on_corruption: str = "raise") -> TossSystem:
             relations=tuple(payload.get("relations", ())), on_failure="degrade"
         )
         return system
-    isa_seo = seos.get(Ontology.ISA)
-    if isa_seo is None:
+    if Ontology.ISA not in seos:
         if on_corruption == "quarantine":
             # nothing left to rebuild from (documents were quarantined
             # too): hand back an exact-match system rather than nothing
-            system.degraded = True
-            system.executor = QueryExecutor(
-                system.database, None, guard=system.guard, exact_fallback=True
-            )
+            system.degrade()
             return system
         raise TossError("saved system lacks an isa SEO")
-    system.context = SeoConditionContext(
-        isa_seo, seos=seos, type_system=system.type_system, typing=system.typing
-    )
-    system.executor = QueryExecutor(system.database, system.context)
+    system.install_seos(seos)
     return system

@@ -699,50 +699,74 @@ class TossSystem:
             self._finish_build(report, tracer, guard)
             if on_failure == "raise":
                 raise
-            self.context = None
-            self.degraded = True
-            self.build_error = exc
-            self.executor = QueryExecutor(
-                self.database,
-                None,
-                guard=self.guard,
-                exact_fallback=True,
-                observability=self.observability,
-            )
+            self.degrade(exc)
             return None
         self.build_seconds = time.perf_counter() - started
         report.build_seconds = self.build_seconds
         self._finish_build(report, tracer, guard)
-        self.degraded = False
-        self.build_error = None
-        seo_changed = any(
-            previous_seos.get(relation) is not seo for relation, seo in seos.items()
+        return self.install_seos(
+            seos,
+            seo_changed=any(
+                previous_seos.get(relation) is not seo
+                for relation, seo in seos.items()
+            ),
         )
-        if self.context is not None and not seo_changed:
-            # Every relation reused its previous SEO object: the existing
-            # context's memos (probe caches, subtype memo) stay warm.
-            context = self.context
-        else:
-            context = SeoConditionContext(
-                seos[Ontology.ISA],
+
+    def install_seos(
+        self,
+        seos: Dict[str, SimilarityEnhancedOntology],
+        seo_changed: bool = True,
+    ) -> SeoConditionContext:
+        """Serve ``seos``: the one place an SEO set becomes the query context.
+
+        A build, :func:`~repro.core.persistence.load_system` and a
+        worker replaying a :class:`~repro.serving.snapshot.SnapshotDelta`
+        all land here.  ``seo_changed=False`` (every relation kept its
+        previous SEO object) keeps the current context, so its memos
+        (probe caches, subtype memo) stay warm.  The executor is reused
+        copy-on-write — compiled plans, probe memos and the cross-probe
+        cache invalidate per context epoch instead of being discarded
+        wholesale — unless there is none yet or it is the exact-match
+        fallback.  Clears :attr:`degraded`.
+        """
+        if self.context is None or seo_changed:
+            isa_seo = seos.get(Ontology.ISA)
+            if isa_seo is None:
+                raise TossError("no isa SEO to serve")
+            self.context = SeoConditionContext(
+                isa_seo,
                 seos=seos,
                 type_system=self.type_system,
                 typing=self.typing,
             )
-        self.context = context
         if self.executor is not None and not self.executor.exact_fallback:
-            # Copy-on-write executor reuse: compiled plans, probe memos and
-            # the cross-probe cache invalidate per context epoch instead of
-            # being discarded wholesale with the executor.
-            self.executor.set_context(context, seo_changed=seo_changed)
+            self.executor.set_context(self.context, seo_changed=seo_changed)
         else:
             self.executor = QueryExecutor(
                 self.database,
-                context,
+                self.context,
                 guard=self.guard,
                 observability=self.observability,
             )
+        self.degraded = False
+        self.build_error = None
         return self.context
+
+    def degrade(self, error: Optional[ReproError] = None) -> None:
+        """Serve exact matches only: drop the context and wire the
+        exact-match fallback executor (queries keep working with plain
+        TAX semantics and report ``degraded=True``).  ``error`` is what
+        forced it, kept in :attr:`build_error`."""
+        self.context = None
+        self.degraded = True
+        self.build_error = error
+        self.executor = QueryExecutor(
+            self.database,
+            None,
+            guard=self.guard,
+            exact_fallback=True,
+            observability=self.observability,
+        )
 
     def _build_relation(
         self,

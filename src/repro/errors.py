@@ -246,10 +246,10 @@ class SnapshotStaleError(ServingError):
 
 
 class SnapshotTransportError(ServingError):
-    """The snapshot payload failed to reach or restore in a worker.
+    """The snapshot failed to reach or boot in a worker.
 
     A *transient* failure by definition — queries are read-only and the
-    payload itself is immutable — so the supervised pool respawns the
+    snapshot itself is immutable — so the supervised pool respawns the
     worker with backoff instead of failing the batch.
     """
 

@@ -7,9 +7,12 @@ unchanged execution pipeline:
 
 :class:`~repro.serving.snapshot.SystemSnapshot`
     An immutable capture of a built :class:`~repro.core.system.TossSystem`
-    for worker processes — shared copy-on-write under ``fork``, shipped
-    as a plain-data payload (documents + SEOs) on spawn-only platforms.
-    Snapshots know when they are stale (collection generation counters).
+    for worker processes — shared copy-on-write under ``fork``; on
+    spawn-only platforms a worker boots by replaying the snapshot's
+    genesis :class:`~repro.serving.snapshot.SnapshotDelta` (documents +
+    SEOs from an empty system), the one state format live workers also
+    receive on a refresh.  Snapshots know when they are stale
+    (collection generation counters).
 
 :class:`~repro.serving.supervisor.SupervisedWorkerPool`
     The pool of long-lived worker processes, each holding the snapshot

@@ -2,9 +2,11 @@
 
 A worker process (see :mod:`repro.serving.supervisor`, which owns the
 processes) is initialized once with the system snapshot (inherited
-copy-on-write under fork, rebuilt from the payload under spawn) and
-reused for every query after that — the per-query cost is one small
-task dict and one report dict, never a re-load of the system.
+copy-on-write under fork, else booted by replaying the snapshot's
+genesis :class:`~repro.serving.snapshot.SnapshotDelta` — the same
+replay a live worker runs on a refresh) and reused for every query
+after that — the per-query cost is one small task dict and one report
+dict, never a re-load of the system.
 
 The cross-process discipline:
 
@@ -38,9 +40,9 @@ from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import RequestContext, activate
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.window import WINDOWS
-from .snapshot import FORK, restore_payload
+from .snapshot import SnapshotDelta, boot
 
-#: Worker-process state: the restored/inherited system, set by the
+#: Worker-process state: the booted/inherited system, set by the
 #: pool initializer (one system per worker process).
 _WORKER: Dict[str, Any] = {"system": None}
 
@@ -49,12 +51,11 @@ _WORKER: Dict[str, Any] = {"system": None}
 _FORK_SYSTEM: Any = None
 
 
-def _initialize_worker(mode: str, payload: Optional[Dict[str, Any]]) -> None:
-    """Worker initializer: install the snapshot system in this process."""
-    if mode == FORK:
-        system = _FORK_SYSTEM
-    else:
-        system = restore_payload(payload)
+def _initialize_worker(genesis: Optional[SnapshotDelta]) -> None:
+    """Worker initializer: install the snapshot system in this process —
+    the parent's, inherited at fork (``genesis`` None), or one booted
+    from the snapshot's genesis delta."""
+    system = _FORK_SYSTEM if genesis is None else boot(genesis)
     # Workers never write sink files and start from a clean registry:
     # their metrics travel back to the parent as snapshot deltas.
     system.set_observability(NULL_OBSERVABILITY)

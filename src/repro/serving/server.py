@@ -141,8 +141,6 @@ class QueryServer:
     default_guard:
         Budget applied to requests that carry none; defaults to the
         system's own guard configuration.
-    snapshot_mode:
-        ``"fork"`` / ``"pickle"`` override (default: platform best).
     default_collection:
         Collection for requests that name none (e.g. plain-string
         queries).
@@ -161,7 +159,6 @@ class QueryServer:
         workers: int = 1,
         max_pending: int = DEFAULT_MAX_PENDING,
         default_guard: Optional[GuardSpec] = None,
-        snapshot_mode: Optional[str] = None,
         default_collection: Optional[str] = None,
         policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -179,8 +176,7 @@ class QueryServer:
         )
         self.policy = policy
         self.fault_plan = fault_plan
-        self._snapshot_mode = snapshot_mode
-        self.snapshot = SystemSnapshot.capture(system, mode=snapshot_mode)
+        self.snapshot = SystemSnapshot.capture(system)
         self.pool = self._make_pool()
         self._closed = False
 
@@ -194,7 +190,7 @@ class QueryServer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def refresh(self, incremental: bool = True) -> str:
+    def refresh(self) -> str:
         """Re-sync the pool with the (possibly mutated) system.
 
         Three outcomes, cheapest first — the returned string names which
@@ -207,20 +203,19 @@ class QueryServer:
           documents + changed SEOs only) to the live workers, which
           converge in place; no respawn, no full re-serialization.
         * ``"full"`` — re-capture and a fresh pool: the changelog was
-          truncated, the system is mid-mutation (not yet rebuilt), or
-          ``incremental=False`` forced it.
+          truncated, a collection vanished, or the system is
+          mid-mutation (not yet rebuilt).
         """
         self._ensure_open()
         if not self.snapshot.stale(self.system):
             return "noop"
-        if incremental:
-            delta = self.snapshot.delta(self.system)
-            if delta is not None:
-                self.pool.apply_delta(delta)
-                METRICS.counter("serving.delta_refreshes").inc()
-                return "delta"
+        delta = self.snapshot.delta(self.system)
+        if delta is not None:
+            self.pool.apply_delta(delta)
+            METRICS.counter("serving.delta_refreshes").inc()
+            return "delta"
         old_pool = self.pool
-        self.snapshot = SystemSnapshot.capture(self.system, mode=self._snapshot_mode)
+        self.snapshot = SystemSnapshot.capture(self.system)
         self.pool = self._make_pool()
         old_pool.close()
         METRICS.counter("serving.full_refreshes").inc()

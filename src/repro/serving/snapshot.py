@@ -1,6 +1,7 @@
 """Snapshots of a built TossSystem for worker processes.
 
-Two transports, chosen by platform capability:
+One state format, two ways for a worker to boot, chosen by platform
+capability:
 
 ``fork`` (the default wherever available)
     The worker pool forks, so every worker shares the parent's built
@@ -10,13 +11,15 @@ Two transports, chosen by platform capability:
 
 ``pickle`` (spawn-only platforms, or forced for tests)
     A :class:`TossSystem` is not picklable (its type system carries
-    closures), so the snapshot serializes what a *query* needs — the
-    documents as XML text and the SEOs in their persisted-dict form
-    (:func:`repro.similarity.persistence.seo_to_dict`) — and each
-    worker rebuilds a bare queryable system from that payload, exactly
-    the way :func:`repro.core.persistence.load_system` restores one
-    from disk (ontology re-extraction skipped: the SEOs carry the
-    queried state).
+    closures), so a worker boots from the snapshot's **genesis**
+    (:meth:`SystemSnapshot.genesis`): the :class:`SnapshotDelta` from an
+    empty system to the live one — every collection shipped whole in
+    scan order, every SEO in its persisted-dict form
+    (:func:`repro.similarity.persistence.seo_to_dict`), plus the measure
+    name and the degraded flag a bare system lacks.  :func:`boot`
+    replays it into a bare system with the same
+    :func:`apply_snapshot_delta` a live worker runs on a refresh
+    (ontology re-extraction skipped: the SEOs carry the queried state).
 
 Either way the snapshot records the database's **generation signature**
 (per-collection mutation counters) at capture time; the serving layer
@@ -36,7 +39,7 @@ either the chain of *enhancement patches* the patched builds recorded
 :func:`~repro.similarity.sea.extend_enhancement` path, whether terms
 came or went — the payload is then sized to the writes, not the
 ontology) or the full serialized SEO as the fallback.  :func:`apply_snapshot_delta` replays a delta inside
-a live worker, converging its inherited/restored system to the target
+a live worker, converging its inherited/booted system to the target
 generation signature bit-for-bit; the supervised pool broadcasts it
 between batches instead of respawning the fleet.  A truncated
 changelog, a vanished collection or an unbuilt system makes ``delta``
@@ -55,7 +58,6 @@ from typing import Any, Dict, List, Optional, Tuple
 _DOC_SEPARATOR = "\x00"
 
 from ..errors import ServingError
-from ..ontology.hierarchy import Ontology
 
 #: Transport modes a snapshot can use.
 FORK = "fork"
@@ -71,17 +73,21 @@ def default_mode() -> str:
 class SnapshotDelta:
     """The compact difference between a snapshot and the live system.
 
-    Plain picklable data, shipped to live workers over their request
-    queues.  ``collections`` maps each mutated collection to its ordered
-    op list (``(op, key)`` pairs replayed exactly as the changelog
-    recorded them, so worker-side scan order matches the parent's), the
-    surviving upserted keys, and one compressed segment holding those
-    keys' final texts.  ``seos`` carries one entry per relation whose
-    SEO changed since capture: ``{"patches": [...]}`` with the ordered
+    Plain picklable data, shipped to workers over their request queues
+    (or, as a genesis, as a spawn argument).  ``collections`` maps each
+    mutated collection to its ordered op list (``(op, key)`` pairs
+    replayed exactly as the changelog recorded them, so worker-side scan
+    order matches the parent's), the surviving upserted keys, and one
+    compressed segment holding those keys' final texts.  ``seos`` carries
+    one entry per relation whose SEO changed since capture:
+    ``{"patches": [...]}`` with the ordered
     :func:`~repro.similarity.persistence.seo_patch_to_dict` chain when
     every build in between patched its predecessor (workers replay them
     in place, preserving all unaffected structure), else the relation's
-    full persisted-dict form.
+    full persisted-dict form.  ``measure`` names the system's registry
+    measure (None for a custom one) and ``degraded`` says the system
+    serves exact matches only — what :func:`boot` needs beyond the
+    documents and SEOs.
     """
 
     base_signature: Tuple[Tuple[str, int], ...]
@@ -89,6 +95,8 @@ class SnapshotDelta:
     collections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     seos: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     epsilon: float = 0.0
+    measure: Optional[str] = None
+    degraded: bool = False
 
     @property
     def documents_shipped(self) -> int:
@@ -107,13 +115,14 @@ class SystemSnapshot:
     system: Any
     #: Database generation signature at capture time.
     signature: Tuple[Tuple[str, int], ...]
-    #: Plain-data payload for spawn workers (None under fork).
-    payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
     #: The SEO objects the snapshot served at capture time, per relation.
     #: Deltas compare object identity against the live context: the
     #: system's no-op build path returns the same objects, so an
     #: unchanged relation ships nothing.
-    seo_refs: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    seo_refs: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: The genesis delta pickle-mode workers boot from, built on first
+    #: use and dropped by :meth:`advance`.
+    _genesis: Optional[SnapshotDelta] = field(default=None, init=False, repr=False)
 
     @classmethod
     def capture(cls, system, mode: Optional[str] = None) -> "SystemSnapshot":
@@ -129,61 +138,14 @@ class SystemSnapshot:
             raise ServingError(f"unknown snapshot mode {mode!r}")
         if mode == FORK and FORK not in multiprocessing.get_all_start_methods():
             raise ServingError("fork snapshots are unavailable on this platform")
-        payload = cls._build_payload(system) if mode == PICKLE else None
         return cls(
             mode=mode,
             system=system,
             signature=system.database.generation_signature(),
-            payload=payload,
             seo_refs=(
-                dict(system.context.seos) if system.context is not None else None
+                dict(system.context.seos) if system.context is not None else {}
             ),
         )
-
-    @staticmethod
-    def _build_payload(system) -> Dict[str, Any]:
-        from ..similarity.persistence import seo_to_dict
-        from ..xmldb.serializer import serialize
-
-        if not system.measure.name:
-            raise ServingError(
-                "only registry measures can be pickle-snapshotted; register "
-                "the custom measure with repro.similarity.register_measure "
-                "or serve with fork snapshots"
-            )
-        collections: Dict[str, Any] = {}
-        for collection in system.database.collections():
-            keys: List[str] = []
-            texts: List[str] = []
-            for key, root in collection.documents():
-                keys.append(key)
-                texts.append(serialize(root))
-            # One compressed segment per collection instead of a list of
-            # (key, text) pairs: XML text compresses ~10x, and the whole
-            # payload crosses the process boundary on every spawn-mode
-            # worker start (and on every refresh()).
-            collections[collection.name] = {
-                "keys": keys,
-                "docs_z": zlib.compress(
-                    _DOC_SEPARATOR.join(texts).encode("utf-8"), 6
-                ),
-                # The live generation counter, restored worker-side so a
-                # later SnapshotDelta's base generations line up.
-                "generation": collection.generation,
-            }
-        seos = None
-        if system.context is not None:
-            seos = {
-                relation: seo_to_dict(seo)
-                for relation, seo in system.context.seos.items()
-            }
-        return {
-            "measure": system.measure.name,
-            "epsilon": system.epsilon,
-            "degraded": system.degraded,
-            "collections": collections,
-            "seos": seos,
-        }
 
     def stale(self, system=None) -> bool:
         """Whether the (given or captured) system changed since capture."""
@@ -196,88 +158,22 @@ class SystemSnapshot:
 
         None means: the system is not queryable (mutated but not yet
         rebuilt), a collection's changelog no longer reaches back to the
-        snapshot generation, a collection disappeared, or (pickle mode)
-        the measure left the registry.  A non-stale system yields an
-        empty-but-valid delta.
+        snapshot generation, or a collection disappeared.  A non-stale
+        system yields an empty-but-valid delta.
         """
-        from ..similarity.persistence import seo_patch_to_dict, seo_to_dict
-        from ..xmldb.serializer import serialize
-
         system = system if system is not None else self.system
-        if system.executor is None or system.context is None:
+        if system.context is None:
             return None
-        if self.mode == PICKLE and not system.measure.name:
-            return None
-        base = dict(self.signature)
-        collections: Dict[str, Dict[str, Any]] = {}
-        for collection in system.database.collections():
-            base_generation = base.pop(collection.name, None)
-            if base_generation == collection.generation:
-                continue
-            if base_generation is None:
-                # A collection born after capture ships whole, in scan
-                # order (its changelog may already have wrapped).
-                ops = [("add", key) for key in collection.keys()]
-            else:
-                changes = collection.changes_since(base_generation)
-                if changes is None:
-                    return None  # changelog truncated or foreign
-                ops = [(op, key) for op, key in changes]
-            upsert_keys: List[str] = []
-            seen = set()
-            for op, key in ops:
-                if op != "remove" and key in collection and key not in seen:
-                    seen.add(key)
-                    upsert_keys.append(key)
-            texts = [
-                serialize(collection.get_document(key)) for key in upsert_keys
-            ]
-            collections[collection.name] = {
-                "ops": ops,
-                "upsert_keys": upsert_keys,
-                "texts_z": zlib.compress(
-                    _DOC_SEPARATOR.join(texts).encode("utf-8"), 6
-                ),
-                "generation": collection.generation,
-            }
-        if base:
-            return None  # a captured collection no longer exists
-        seos: Dict[str, Dict[str, Any]] = {}
-        refs = self.seo_refs if self.seo_refs is not None else {}
-        for relation, seo in system.context.seos.items():
-            base = refs.get(relation)
-            if base is seo:
-                continue
-            chain = _seo_patch_chain(seo, base)
-            if chain is not None:
-                # Every build since capture patched its predecessor, and
-                # the chain bottoms out at the SEO this snapshot served:
-                # ship the patches (sized to the writes) instead of the
-                # whole SEO, and let workers replay them in place.
-                seos[relation] = {
-                    "patches": [
-                        seo_patch_to_dict(previous, current, removed, added)
-                        for previous, current, removed, added in chain
-                    ]
-                }
-            else:
-                seos[relation] = seo_to_dict(seo)
-        return SnapshotDelta(
-            base_signature=self.signature,
-            target_signature=system.database.generation_signature(),
-            collections=collections,
-            seos=seos,
-            epsilon=system.epsilon,
-        )
+        return _diff(system, self.signature, self.seo_refs)
 
     def advance(self, delta: SnapshotDelta) -> None:
         """Move this snapshot's bookkeeping to the delta's target state.
 
         Called by the pool once a delta is being applied: the signature
         jumps to the target (so freshness checks pass), the SEO identity
-        refs re-anchor on the live context, and any pickle payload is
-        dropped — :meth:`ensure_payload` rebuilds it lazily on the next
-        respawn, keeping the delta path free of full re-serialization.
+        refs re-anchor on the live context, and any genesis is dropped —
+        :meth:`genesis` rebuilds it lazily on the next respawn, keeping
+        the delta path free of full re-serialization.
         The SEOs now anchored on forget their patch provenance: the
         links behind them have been shipped, so dropping them frees the
         superseded SEOs and restarts the :data:`~repro.similarity.seo
@@ -290,33 +186,103 @@ class SystemSnapshot:
             for seo in self.seo_refs.values():
                 seo.patch = None
                 seo.patch_depth = 0
-        if self.payload is not None:
-            self.payload = None
+        self._genesis = None
 
-    def ensure_payload(self) -> Optional[Dict[str, Any]]:
-        """The spawn payload, rebuilding it if :meth:`advance` dropped it.
+    def genesis(self) -> Optional[SnapshotDelta]:
+        """The delta from an empty system to the live one, which a
+        pickle-mode worker boots from (see :func:`boot`); rebuilt if
+        :meth:`advance` dropped it.
 
-        Fork snapshots have no payload (returns None); respawned fork
+        Fork snapshots have no genesis (returns None); respawned fork
         workers inherit the live parent and are current by construction.
         """
         if self.mode != PICKLE:
             return None
-        if self.payload is None:
-            self.payload = self._build_payload(self.system)
-        return self.payload
+        if self._genesis is None:
+            if not self.system.measure.name:
+                raise ServingError(
+                    "only registry measures can be pickle-snapshotted; "
+                    "register the custom measure with "
+                    "repro.similarity.register_measure or serve with fork "
+                    "snapshots"
+                )
+            # From an empty signature no changelog is consulted and no
+            # collection can vanish, so the diff always exists.
+            self._genesis = _diff(self.system, (), {})
+        return self._genesis
 
-    def restore(self):
-        """Rebuild a bare queryable system from a pickle payload.
 
-        Runs inside spawn workers.  The restored system answers queries
-        identically to the original: same documents in the same
-        collection order, same SEOs, same executor configuration —
-        ontology re-extraction is skipped because queries never consult
-        the raw per-instance ontologies, only the SEOs.
-        """
-        if self.payload is None:
-            raise ServingError("fork snapshots restore by inheritance, not payload")
-        return restore_payload(self.payload)
+def _diff(
+    system,
+    signature: Tuple[Tuple[str, int], ...],
+    seo_refs: Dict[str, Any],
+) -> Optional[SnapshotDelta]:
+    """The :class:`SnapshotDelta` taking a worker at ``signature``
+    serving ``seo_refs`` to ``system``'s state, or None when a
+    collection's changelog no longer reaches back or a captured
+    collection no longer exists."""
+    from ..similarity.persistence import seo_patch_to_dict, seo_to_dict
+    from ..xmldb.serializer import serialize
+
+    base = dict(signature)
+    collections: Dict[str, Dict[str, Any]] = {}
+    for collection in system.database.collections():
+        base_generation = base.pop(collection.name, None)
+        if base_generation == collection.generation:
+            continue
+        if base_generation is None:
+            # A collection the worker lacks ships whole, in scan order
+            # (its changelog may already have wrapped).
+            ops = [("add", key) for key in collection.keys()]
+        else:
+            changes = collection.changes_since(base_generation)
+            if changes is None:
+                return None  # changelog truncated or foreign
+            ops = [(op, key) for op, key in changes]
+        upsert_keys: List[str] = []
+        seen = set()
+        for op, key in ops:
+            if op != "remove" and key in collection and key not in seen:
+                seen.add(key)
+                upsert_keys.append(key)
+        texts = [serialize(collection.get_document(key)) for key in upsert_keys]
+        collections[collection.name] = {
+            "ops": ops,
+            "upsert_keys": upsert_keys,
+            "texts_z": zlib.compress(_DOC_SEPARATOR.join(texts).encode("utf-8"), 6),
+            "generation": collection.generation,
+        }
+    if base:
+        return None  # a captured collection no longer exists
+    seos: Dict[str, Dict[str, Any]] = {}
+    live = system.context.seos if system.context is not None else {}
+    for relation, seo in live.items():
+        served = seo_refs.get(relation)
+        if served is seo:
+            continue
+        chain = _seo_patch_chain(seo, served)
+        if chain is not None:
+            # Every build since capture patched its predecessor, and
+            # the chain bottoms out at the SEO this snapshot served:
+            # ship the patches (sized to the writes) instead of the
+            # whole SEO, and let workers replay them in place.
+            seos[relation] = {
+                "patches": [
+                    seo_patch_to_dict(previous, current, removed, added)
+                    for previous, current, removed, added in chain
+                ]
+            }
+        else:
+            seos[relation] = seo_to_dict(seo)
+    return SnapshotDelta(
+        base_signature=tuple(signature),
+        target_signature=system.database.generation_signature(),
+        collections=collections,
+        seos=seos,
+        epsilon=system.epsilon,
+        measure=system.measure.name,
+        degraded=system.degraded,
+    )
 
 
 def _seo_patch_chain(seo, base):
@@ -346,59 +312,18 @@ def _seo_patch_chain(seo, base):
     return links
 
 
-def _collection_documents(segment: Dict[str, Any]) -> List[Tuple[str, str]]:
-    """(key, xml-text) pairs of one compressed collection segment (see
-    :meth:`SystemSnapshot._build_payload`)."""
-    blob = zlib.decompress(segment["docs_z"]).decode("utf-8")
-    keys = segment["keys"]
-    texts = blob.split(_DOC_SEPARATOR) if keys else []
-    if len(texts) != len(keys):
-        raise ServingError(
-            f"snapshot segment corrupt: {len(keys)} keys for "
-            f"{len(texts)} documents"
-        )
-    return list(zip(keys, texts))
+def boot(genesis: SnapshotDelta):
+    """A bare queryable :class:`~repro.core.system.TossSystem` replaying
+    a :meth:`SystemSnapshot.genesis` delta (the pickle-mode worker boot).
 
-
-def restore_payload(payload: Dict[str, Any]):
-    """Rebuild a queryable :class:`~repro.core.system.TossSystem` from a
-    :meth:`SystemSnapshot.capture` pickle payload (worker-side)."""
-    from ..core.conditions import SeoConditionContext
-    from ..core.executor import QueryExecutor
+    The booted system answers queries identically to the original: same
+    documents in the same collection order and generations, same SEOs,
+    same epsilon and measure, same degraded flag.
+    """
     from ..core.system import TossSystem
-    from ..similarity.persistence import seo_from_dict
 
-    system = TossSystem(
-        measure=payload["measure"],
-        epsilon=float(payload["epsilon"]),
-    )
-    for name, segment in payload["collections"].items():
-        collection = system.database.create_collection(name)
-        for key, text in _collection_documents(segment):
-            collection.add_document(key, text)
-        # Adopt the live generation counter so delta refreshes line up
-        # against the same base the parent computes from.
-        collection.generation = segment["generation"]
-    if payload["seos"] is not None:
-        seos = {
-            relation: seo_from_dict(entry)
-            for relation, entry in payload["seos"].items()
-        }
-        isa_seo = seos.get(Ontology.ISA)
-        if isa_seo is None:
-            raise ServingError("snapshot payload lacks an isa SEO")
-        system.context = SeoConditionContext(
-            isa_seo,
-            seos=seos,
-            type_system=system.type_system,
-            typing=system.typing,
-        )
-        system.executor = QueryExecutor(system.database, system.context)
-    else:
-        system.degraded = bool(payload.get("degraded", True))
-        system.executor = QueryExecutor(
-            system.database, None, exact_fallback=True
-        )
+    system = TossSystem(measure=genesis.measure)
+    apply_snapshot_delta(system, genesis)
     return system
 
 
@@ -406,21 +331,21 @@ def apply_snapshot_delta(system, delta: SnapshotDelta):
     """Replay ``delta`` onto a worker's system; returns the resulting
     generation signature (the caller's ack compares it to the target).
 
-    Runs inside a live worker, against either the fork-inherited system
-    copy or a payload-restored one.  Document ops replay in changelog
-    order — an upsert applies the key's *final* text at each occurrence
-    (the last occurrence fixes its scan position, matching the parent's
-    replace-moves-to-end semantics), and ops on keys that did not
-    survive to the target state are skipped, which cannot perturb the
-    relative order of surviving documents.  Changed SEOs converge by
-    replaying their shipped enhancement-patch chain against the live SEO
-    (copy-on-write, delta-sized work) or, for full-form entries, by
-    deserializing the replacement; either way the result swaps in via a
-    fresh condition context, and the executor keeps its compiled plans
-    and invalidates them per context epoch.
+    Runs inside a worker, against the fork-inherited system copy, a
+    genesis-booted one, or (from :func:`boot`) a bare one.  Document
+    ops replay in changelog order — an upsert applies the key's *final*
+    text at each occurrence (the last occurrence fixes its scan
+    position, matching the parent's replace-moves-to-end semantics),
+    and ops on keys that did not survive to the target state are
+    skipped, which cannot perturb the relative order of surviving
+    documents.  Changed SEOs converge by replaying their shipped
+    enhancement-patch chain against the live SEO (copy-on-write,
+    delta-sized work) or, for full-form entries, by deserializing the
+    replacement; either way the result is installed through
+    :meth:`~repro.core.system.TossSystem.install_seos`, whose executor
+    keeps its compiled plans and invalidates them per context epoch.  A
+    delta with no SEOs from a degraded system degrades the worker too.
     """
-    from ..core.conditions import SeoConditionContext
-    from ..core.executor import QueryExecutor
     from ..similarity.persistence import apply_seo_patch, seo_from_dict
 
     database = system.database
@@ -468,19 +393,7 @@ def apply_snapshot_delta(system, delta: SnapshotDelta):
                 seos[relation] = seo
             else:
                 seos[relation] = seo_from_dict(entry)
-        isa_seo = seos.get(Ontology.ISA)
-        if isa_seo is None:
-            raise ServingError("snapshot delta lacks an isa SEO")
-        context = SeoConditionContext(
-            isa_seo,
-            seos=seos,
-            type_system=system.type_system,
-            typing=system.typing,
-        )
-        system.context = context
-        if system.executor is not None and not system.executor.exact_fallback:
-            system.executor.set_context(context, seo_changed=True)
-        else:
-            system.executor = QueryExecutor(system.database, context)
-        system.degraded = False
+        system.install_seos(seos)
+    elif delta.degraded:
+        system.degrade()
     return database.generation_signature()

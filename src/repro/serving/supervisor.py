@@ -271,8 +271,7 @@ class CircuitBreaker:
 def _supervised_worker_main(
     worker_id: int,
     spawn: int,
-    mode: str,
-    payload: Optional[Dict[str, Any]],
+    genesis: Optional[SnapshotDelta],
     requests,
     responses,
 ) -> None:
@@ -299,7 +298,7 @@ def _supervised_worker_main(
     plan = _faults.plan_from_env()
     try:
         _faults.apply_spawn_faults(plan, worker_id, spawn)
-        _pool._initialize_worker(mode, payload)
+        _pool._initialize_worker(genesis)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
         _send(
             (
@@ -482,34 +481,27 @@ class SupervisedWorkerPool:
         self._discard_transport(worker)
         worker.requests = self._context.Queue()
         worker.reader, writer = self._context.Pipe(duplex=False)
-        # ensure_payload: a delta-advanced snapshot dropped its payload;
-        # respawns rebuild it from the live system so every new worker
-        # comes up at the current generation.
-        payload = (
-            None if self.snapshot.mode == FORK else self.snapshot.ensure_payload()
-        )
+        # A delta-advanced snapshot dropped its genesis; respawns rebuild
+        # it from the live system so every new worker comes up at the
+        # current generation.
         worker.process = self._context.Process(
             target=_supervised_worker_main,
             args=(
                 worker.worker_id,
                 worker.spawn_count,
-                self.snapshot.mode,
-                payload,
+                self.snapshot.genesis(),
                 worker.requests,
                 writer,
             ),
             daemon=True,
         )
-        if self.snapshot.mode == FORK:
-            # Copy-on-write handoff: the child reads the live system
-            # from the module global it inherits at fork.
-            _pool._FORK_SYSTEM = self.snapshot.system
-            try:
-                worker.process.start()
-            finally:
-                _pool._FORK_SYSTEM = None
-        else:
+        # Copy-on-write handoff: a worker without a genesis reads the
+        # live system from the module global it inherits at fork.
+        _pool._FORK_SYSTEM = self.snapshot.system
+        try:
             worker.process.start()
+        finally:
+            _pool._FORK_SYSTEM = None
         # Drop the parent's copy of the write end: the worker must be
         # the pipe's ONLY writer, so its death (even SIGKILL mid-send)
         # reads as EOF here instead of an indefinite block.
@@ -668,7 +660,7 @@ class SupervisedWorkerPool:
         mismatch, or exceeds :data:`DELTA_APPLY_TIMEOUT` — is killed and
         scheduled for respawn, and respawns initialize from the advanced
         snapshot (a fresh fork of the live parent, or a lazily rebuilt
-        payload), so every incarnation converges to the target
+        genesis), so every incarnation converges to the target
         generation no matter how the apply went.  Dead or backing-off
         slots are skipped for the same reason.
 
@@ -687,7 +679,7 @@ class SupervisedWorkerPool:
         awaiting: Dict[int, _Worker] = {}
         for worker in self._workers:
             # Not just ``dispatchable``: a worker still inside its spawn
-            # handshake was forked/restored from the *pre-advance* state,
+            # handshake was forked/booted from the *pre-advance* state,
             # so it needs the delta too — its queue already exists and its
             # ack simply arrives after the "ready" message.  Replay is
             # idempotent, so a worker that happens to be current converges

@@ -9,12 +9,12 @@ existence predicates, exactly the shape
 :func:`repro.core.executor.compile_pattern_to_xpath` emits — into
 closures over those arrays.
 
-Equivalence contract: for a supported expression, the matcher returns
-the very same node list (same objects, same order) as
-``XPathQuery.select``.  Anything outside the subset makes
-:func:`compile_columnar` return None and the caller falls back to the
-AST engine, so coverage gaps cost speed, never correctness.  The
-matchers themselves never tick a resource guard; the collection scan
+Equivalence contract: for a supported expression, the compiled scan's
+rows index the very same node list (same objects, same order) as
+``XPathQuery.select`` returns.  Anything outside the subset makes
+:func:`compile_columnar_rows` return None and the caller falls back to
+the AST engine, so coverage gaps cost speed, never correctness.  The
+scans themselves never tick a resource guard; the collection scan
 that drives them charges it per document scanned and per row produced
 (:meth:`repro.xmldb.collection.Collection.xpath_rows`).
 """
@@ -33,10 +33,8 @@ from .xpath.engine import _compare_atomic
 RowPredicate = Callable[["DocumentColumns", int], bool]
 #: A compiled relative path: rows reachable from ``row``, ascending.
 RowsFunction = Callable[["DocumentColumns", int], List[int]]
-#: A compiled query: all matching nodes of a document, document order.
-ColumnarMatcher = Callable[["DocumentColumns"], List[XmlNode]]
-#: A compiled query returning matching *rows* instead of nodes — the
-#: executor's batched verifier consumes these directly.
+#: A compiled query: the matching rows of a document, document order —
+#: the executor's batched verifier consumes these directly.
 ColumnarRows = Callable[["DocumentColumns"], List[int]]
 
 
@@ -585,8 +583,11 @@ def _compile_predicate(expr: ast.Expr) -> Optional[RowPredicate]:
 def compile_columnar_rows(expression: ast.Expr) -> Optional[ColumnarRows]:
     """Compile an XPath AST into a row-returning columnar scan, or None.
 
-    Same supported subset as :func:`compile_columnar`, but the result is
-    the matching *row* list — the executor's batched verifier feeds
+    Supported: absolute location paths whose steps are child-axis name
+    tests (with ``//`` joins) carrying value/existence predicates — the
+    shape the executor's pattern-to-XPath compiler emits.  Everything
+    else returns None and must run on the AST engine.  The result is the
+    matching *row* list — the executor's batched verifier feeds
     ``(columns, row)`` pairs straight into set-oriented verification
     without materialising candidate node lists first.
     """
@@ -604,22 +605,3 @@ def compile_columnar_rows(expression: ast.Expr) -> Optional[ColumnarRows]:
         return apply(cols, [])
 
     return rows
-
-
-def compile_columnar(expression: ast.Expr) -> Optional[ColumnarMatcher]:
-    """Compile an XPath AST into a columnar matcher, or None.
-
-    Supported: absolute location paths whose steps are child-axis name
-    tests (with ``//`` joins) carrying value/existence predicates — the
-    shape the executor's pattern-to-XPath compiler emits.  Everything
-    else returns None and must run on the AST engine.
-    """
-    rows = compile_columnar_rows(expression)
-    if rows is None:
-        return None
-
-    def matcher(cols: DocumentColumns) -> List[XmlNode]:
-        nodes = cols.nodes
-        return [nodes[row] for row in rows(cols)]
-
-    return matcher

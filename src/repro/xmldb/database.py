@@ -22,7 +22,7 @@ from .collection import XINDICE_DOCUMENT_LIMIT, Collection
 from .xpath import XPathQuery
 from .xpath.engine import ResultNode
 
-#: Default size of the compiled-XPath LRU cache.
+#: Size of the compiled-XPath LRU cache.
 DEFAULT_QUERY_CACHE_SIZE = 256
 
 
@@ -53,17 +53,12 @@ class QueryStatistics:
 class Database:
     """A set of named collections with an XPath query service."""
 
-    def __init__(
-        self,
-        max_document_bytes: int = XINDICE_DOCUMENT_LIMIT,
-        query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, max_document_bytes: int = XINDICE_DOCUMENT_LIMIT) -> None:
         self.max_document_bytes = max_document_bytes
-        self.query_cache_size = query_cache_size
         self._collections: Dict[str, Collection] = {}
         self.statistics = QueryStatistics()
         self._query_cache = LruCache(
-            query_cache_size, metric_prefix="xpath.query_cache"
+            DEFAULT_QUERY_CACHE_SIZE, metric_prefix="xpath.query_cache"
         )
         #: Set by :func:`repro.xmldb.storage.load_database` when the
         #: database was salvaged from a damaged directory.
@@ -109,11 +104,11 @@ class Database:
         """Parse an XPath query, caching compiled forms in a bounded LRU.
 
         The cache is a thread-safe :class:`~repro.lru.LruCache` holding
-        at most :attr:`query_cache_size` entries (the least recently
-        used is evicted first); it emits ``xpath.query_cache.hits`` /
-        ``.misses`` / ``.evictions`` through :mod:`repro.obs.metrics`
-        and mirrors hit/miss counts onto :attr:`statistics`.  A size of
-        0 disables caching.
+        at most :data:`DEFAULT_QUERY_CACHE_SIZE` entries (the least
+        recently used is evicted first); it emits
+        ``xpath.query_cache.hits`` / ``.misses`` / ``.evictions`` through
+        :mod:`repro.obs.metrics` and mirrors hit/miss counts onto
+        :attr:`statistics`.
         """
         compiled = self._query_cache.get(query)
         if compiled is not None:
@@ -177,8 +172,7 @@ class Database:
         """Columnar ``(columns, row)`` pairs for a query, or None.
 
         The batched-verification fetch: when the compiled query is
-        inside the columnar subset (and the collection has columnar
-        scans enabled), the matching candidates come back as
+        inside the columnar subset, the matching candidates come back as
         ``(DocumentColumns, row)`` pairs covering the exact node
         sequence :meth:`xpath` would return, at the same guard charges.
         None means the caller must fall back to :meth:`xpath`.

@@ -17,6 +17,7 @@ from repro.serving.snapshot import (
     PICKLE,
     SystemSnapshot,
     apply_snapshot_delta,
+    boot,
 )
 from repro.similarity.persistence import seo_to_dict
 from repro.xmldb.collection import CHANGELOG_CAPACITY
@@ -125,11 +126,11 @@ class TestSnapshotDelta:
         assert snapshot.delta() is None
 
     def test_pickle_worker_converges_on_replay(self):
-        """A payload-restored worker replaying a delta matches the live
+        """A genesis-booted worker replaying a delta matches the live
         system document-for-document and verdict-for-verdict."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         keys = list(system.database.get_collection("papers").keys())
         system.add_documents("papers", NEW_DOC)
         system.replace_documents(
@@ -168,7 +169,7 @@ class TestSeoPatchDelta:
     def test_patched_build_ships_patches_and_converges(self):
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         receipt = system.add_documents("papers", NEW_TERM_DOC)
         assert "Author 9" in receipt.terms_added
         system.build()
@@ -189,7 +190,7 @@ class TestSeoPatchDelta:
         broadcast can legitimately reach an already-current worker."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         system.add_documents("papers", NEW_TERM_DOC)
         system.build()
         delta = snapshot.delta()
@@ -203,7 +204,7 @@ class TestSeoPatchDelta:
         and the worker replays them in order."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         system.add_documents("papers", NEW_TERM_DOC)
         system.build()
         system.add_documents("papers", SECOND_TERM_DOC)
@@ -219,7 +220,7 @@ class TestSeoPatchDelta:
         them, a second replay is a no-op, answers equal the oracle's."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         keys = list(system.database.get_collection("papers").keys())
         system.add_documents("papers", NEW_TERM_DOC)
         system.build()
@@ -264,7 +265,7 @@ class TestSeoPatchDelta:
         full serialized SEO."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        worker = snapshot.restore()
+        worker = boot(snapshot.genesis())
         keys = list(system.database.get_collection("papers").keys())
         system.replace_documents(
             "papers",
@@ -353,7 +354,7 @@ class TestPoolDeltaApply:
             system.add_documents("papers", NEW_DOC)
             system.build()
             assert pool.apply_delta(snapshot.delta())["applied"] == 1
-            # Kill the only worker; the respawn rebuilds the payload from
+            # Kill the only worker; the respawn rebuilds the genesis from
             # the live (already-advanced) system.
             for pid in pool.worker_pids():
                 if pid is not None:
@@ -387,17 +388,6 @@ class TestServerRefresh:
             system, workers=2, default_collection="papers", policy=FAST
         ) as server:
             assert server.wait_ready() == 2
-
-    def test_refresh_full_when_forced(self):
-        system = make_system(count=6)
-        with QueryServer(
-            system, workers=2, default_collection="papers", policy=FAST
-        ) as server:
-            system.add_documents("papers", NEW_DOC)
-            system.build()
-            pool_before = server.pool
-            assert server.refresh(incremental=False) == "full"
-            assert server.pool is not pool_before
 
     def test_refresh_full_when_changelog_truncated(self):
         system = make_system(count=6)

@@ -1,14 +1,16 @@
-"""System snapshots: capture, staleness, and the pickle round trip."""
+"""System snapshots: capture, staleness, and the genesis boot."""
 
 import pytest
 
 from repro.errors import ServingError
 from repro.core.system import TossSystem
+from repro.guard import ResourceGuard
 from repro.serving import SystemSnapshot
-from repro.serving.snapshot import FORK, PICKLE, default_mode
+from repro.serving.snapshot import FORK, PICKLE, boot, default_mode
+from repro.similarity.persistence import dump_seo
 from repro.xmldb.serializer import serialize
 
-from .conftest import make_system
+from .conftest import make_documents, make_system
 
 QUERY = 'paper(author ~ "Author 1")'
 
@@ -35,14 +37,17 @@ class TestCapture:
 
     def test_fork_capture_has_no_payload(self, system):
         snapshot = SystemSnapshot.capture(system, mode=FORK)
-        assert snapshot.payload is None
+        assert snapshot.genesis() is None
         assert snapshot.system is system
 
     def test_pickle_capture_builds_payload(self, system):
-        snapshot = SystemSnapshot.capture(system, mode=PICKLE)
-        assert snapshot.payload is not None
-        assert set(snapshot.payload["collections"]) == {"papers"}
-        assert snapshot.payload["measure"] == system.measure.name
+        genesis = SystemSnapshot.capture(system, mode=PICKLE).genesis()
+        assert genesis is not None
+        assert genesis.base_signature == ()
+        assert genesis.target_signature == system.database.generation_signature()
+        assert set(genesis.collections) == {"papers"}
+        assert set(genesis.seos) == set(system.context.seos)
+        assert genesis.measure == system.measure.name
 
 
 class TestStaleness:
@@ -74,25 +79,69 @@ class TestStaleness:
 
 
 class TestRestore:
-    def test_fork_snapshot_does_not_restore(self, system):
+    def test_fork_snapshot_does_not_restore(self):
+        # Respawned fork workers inherit the live parent, so even an
+        # advanced fork snapshot builds no genesis.
+        system = make_system(count=4)
         snapshot = SystemSnapshot.capture(system, mode=FORK)
-        with pytest.raises(ServingError, match="inheritance"):
-            snapshot.restore()
+        system.add_documents("papers", "<paper><title>New</title></paper>")
+        system.build()
+        snapshot.advance(snapshot.delta())
+        assert snapshot.genesis() is None
 
     def test_pickle_restore_answers_identically(self, system):
         serial = system.query("papers", QUERY)
-        restored = SystemSnapshot.capture(system, mode=PICKLE).restore()
+        restored = boot(SystemSnapshot.capture(system, mode=PICKLE).genesis())
         report = restored.query("papers", QUERY)
         assert result_texts(report) == result_texts(serial)
         assert report.degraded == serial.degraded
 
     def test_restored_system_preserves_document_order(self, system):
-        restored = SystemSnapshot.capture(system, mode=PICKLE).restore()
+        restored = boot(SystemSnapshot.capture(system, mode=PICKLE).genesis())
         original = system.database.get_collection("papers")
         copy = restored.database.get_collection("papers")
         assert list(copy.keys()) == list(original.keys())
 
     def test_restored_system_preserves_configuration(self, system):
-        restored = SystemSnapshot.capture(system, mode=PICKLE).restore()
+        restored = boot(SystemSnapshot.capture(system, mode=PICKLE).genesis())
         assert restored.epsilon == system.epsilon
         assert restored.measure.name == system.measure.name
+
+    def test_degraded_system_boots_to_exact_fallback(self):
+        system = TossSystem(epsilon=2.0)
+        system.add_instance("papers", make_documents(6))
+        system.build(guard=ResourceGuard(deadline_seconds=0.0), on_failure="degrade")
+        assert system.degraded and system.context is None
+        genesis = SystemSnapshot.capture(system, mode=PICKLE).genesis()
+        assert genesis.degraded and genesis.seos == {}
+        restored = boot(genesis)
+        assert restored.degraded and restored.context is None
+        assert restored.executor.exact_fallback
+        assert (
+            restored.database.generation_signature()
+            == system.database.generation_signature()
+        )
+        serial = system.query("papers", QUERY)
+        report = restored.query("papers", QUERY)
+        assert report.degraded and serial.degraded
+        assert result_texts(report) == result_texts(serial)
+
+    def test_two_collection_system_boots_whole(self):
+        system = make_system(count=5)
+        system.add_instance("more", make_documents(4)[::-1])
+        system.remove_documents("papers", ["papers-1"])
+        system.build()
+        restored = boot(SystemSnapshot.capture(system, mode=PICKLE).genesis())
+        assert (
+            restored.database.generation_signature()
+            == system.database.generation_signature()
+        )
+        for name in ("papers", "more"):
+            assert list(restored.database.get_collection(name).keys()) == list(
+                system.database.get_collection(name).keys()
+            )
+            serial = system.query(name, QUERY)
+            assert result_texts(restored.query(name, QUERY)) == result_texts(serial)
+        assert {
+            relation: dump_seo(seo) for relation, seo in restored.context.seos.items()
+        } == {relation: dump_seo(seo) for relation, seo in system.context.seos.items()}

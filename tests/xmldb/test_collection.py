@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CollectionError, DocumentTooLargeError, XmlDbError
 from repro.xmldb.collection import Collection
-from repro.xmldb.database import Database
+from repro.xmldb.database import DEFAULT_QUERY_CACHE_SIZE, Database
 from repro.xmldb.model import XmlNode
 from repro.xmldb.parser import parse_document
 
@@ -203,28 +203,24 @@ class TestDatabase:
         assert database.statistics.cache_misses == 0
 
     def test_query_cache_evicts_least_recently_used(self):
-        database = Database(query_cache_size=2)
+        database = Database()
         first = database.compile("//a")
         database.compile("//b")
+        for i in range(DEFAULT_QUERY_CACHE_SIZE - 2):
+            database.compile(f"//tag{i}")
         database.compile("//a")  # refresh //a: //b is now the LRU entry
         database.compile("//c")  # evicts //b
         assert database.compile("//a") is first
+        misses = database.statistics.cache_misses
         stale = database.compile("//b")  # recompiled after eviction
-        assert stale is not None
+        assert database.statistics.cache_misses == misses + 1
         assert database.compile("//b") is stale
 
     def test_query_cache_bounded_size(self):
-        database = Database(query_cache_size=3)
-        for i in range(10):
+        database = Database()
+        for i in range(DEFAULT_QUERY_CACHE_SIZE + 1):
             database.compile(f"//tag{i}")
-        assert len(database._query_cache) == 3
-
-    def test_query_cache_disabled_with_zero_size(self):
-        database = Database(query_cache_size=0)
-        a1 = database.compile("//a")
-        a2 = database.compile("//a")
-        assert a1 is not a2
-        assert len(database._query_cache) == 0
+        assert len(database._query_cache) == DEFAULT_QUERY_CACHE_SIZE
 
     def test_document_size_limit_propagates(self):
         database = Database(max_document_bytes=10)

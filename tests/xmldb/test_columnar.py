@@ -1,15 +1,15 @@
 """Columnar document scans: same nodes as the AST engine, or None.
 
 :mod:`repro.xmldb.columnar` compiles the XPath subset the executor's
-pattern-to-XPath compiler emits into flat-array scans.  Its contract is
-the engine's own answer, node for node and in the same order — and a
-clean ``None`` for everything outside the subset, so the collection
-falls back to :meth:`XPathQuery.select` transparently.
+pattern-to-XPath compiler emits into flat-array row scans.  Its contract
+is the engine's own answer — the rows index the same nodes, in the same
+order — and a clean ``None`` for everything outside the subset, so the
+collection falls back to :meth:`XPathQuery.select` transparently.
 """
 
 import pytest
 
-from repro.xmldb.columnar import DocumentColumns, compile_columnar
+from repro.xmldb.columnar import DocumentColumns, compile_columnar_rows
 from repro.xmldb.parser import parse_document
 from repro.xmldb.xpath import XPathQuery
 
@@ -93,22 +93,22 @@ def columns(root):
 @pytest.mark.parametrize("source", SUPPORTED)
 def test_matcher_equals_engine(source, root, columns):
     query = XPathQuery(source)
-    matcher = compile_columnar(query.expression)
-    assert matcher is not None, f"{source!r} fell out of the columnar subset"
-    assert matcher(columns) == query.select(root)
+    rows = compile_columnar_rows(query.expression)
+    assert rows is not None, f"{source!r} fell out of the columnar subset"
+    assert [columns.nodes[row] for row in rows(columns)] == query.select(root)
 
 
 @pytest.mark.parametrize("source", UNSUPPORTED)
 def test_unsupported_shapes_decline(source):
     query = XPathQuery(source)
-    assert compile_columnar(query.expression) is None
+    assert compile_columnar_rows(query.expression) is None
 
 
 def test_matcher_is_cached_on_the_query(root):
     query = XPathQuery("//title")
-    first = query.columnar_matcher()
+    first = query.columnar_rows()
     assert first is not None
-    assert query.columnar_matcher() is first
+    assert query.columnar_rows() is first
 
 
 def test_columns_reflect_document_order(root, columns):
