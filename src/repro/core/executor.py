@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryExecutionError
 from ..guard import ResourceGuard
@@ -605,6 +605,11 @@ class QueryExecutor:
         self._cross_probe_cache = LruCache(
             32, metric_prefix="planner.cross_probe.memo"
         )
+        #: Memoised off-ontology residues of ``~`` probes (the indexed
+        #: terms under a tag set that the SEO does not hold), keyed by
+        #: the collection's index and generation, the SEO and the tags;
+        #: stale generations simply miss.
+        self._residue_cache = LruCache(32, metric_prefix="planner.residue")
         #: Filter indexes over a hash join's right-side values (see
         #: :func:`~repro.similarity.candidates.bipartite_index`), keyed
         #: by SEO + the value set itself.
@@ -640,14 +645,15 @@ class QueryExecutor:
         mutations.  ``seo_changed=False`` (the no-op rebuild: nothing in
         any SEO moved) keeps every cache entry live; otherwise the
         context epoch advances — plans rewritten against the old SEO
-        miss and recompile, and memoised cross probes (keyed partly by
-        ``id(seo)``, which a recycled object id could collide with) are
-        dropped outright.
+        miss and recompile, and memoised cross probes and residues (keyed
+        partly by ``id(seo)``, which a recycled object id could collide
+        with) are dropped outright.
         """
         self.context = context
         if seo_changed:
             self._context_epoch += 1
             self._cross_probe_cache.clear()
+            self._residue_cache.clear()
             self._join_index_cache.clear()
 
     def _plan(self, pattern: PatternTree, join: bool) -> Tuple[CompiledPlan, bool]:
@@ -765,7 +771,7 @@ class QueryExecutor:
         collection_name: str,
         xpath: str,
         guard: Optional[ResourceGuard],
-        doc_keys: Optional[Set[str]],
+        doc_keys: Optional[AbstractSet[str]],
     ) -> List[tax_batch.Entry]:
         """The XPath prefilter's candidates, as ``(columns, row)`` entries.
 
@@ -1048,7 +1054,7 @@ class QueryExecutor:
         collections: Sequence[str],
         plan: CompiledPlan,
         guard: Optional[ResourceGuard],
-    ) -> Tuple[List[Optional[Set[str]]], int, int]:
+    ) -> Tuple[List[Optional[AbstractSet[str]]], int, int]:
         """(per-side document keys, docs total, docs scanned).
 
         A side's keys are None when it is scanned whole.  Each prunable
@@ -1056,13 +1062,23 @@ class QueryExecutor:
         narrows both sides.
         """
         targets = [self.database.get_collection(name) for name in collections]
-        doc_keys: List[Optional[Set[str]]] = [None] * len(targets)
+        doc_keys: List[Optional[AbstractSet[str]]] = [None] * len(targets)
         if plan.prunable:
             seo = self.context.seo if self.context is not None else None
             indexes = [target.search_index() for target in targets]
             for side, (spec, index) in enumerate(zip(plan.specs, indexes)):
                 if spec.prunable:
-                    doc_keys[side] = prune_candidates(spec, index, guard, seo)
+                    doc_keys[side] = prune_candidates(
+                        spec,
+                        index,
+                        guard,
+                        seo,
+                        memo=self._residue_cache,
+                        # The index, not the collection's name: a dropped
+                        # and re-created collection restarts its
+                        # generation count.
+                        memo_key=(index, targets[side].generation, id(seo)),
+                    )
             if plan.cross is not None:
                 left, right = targets
                 cross_keys = prune_join_docs(

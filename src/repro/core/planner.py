@@ -36,7 +36,7 @@ to the full scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConditionError
 from ..guard import ResourceGuard, TickRecorder, replay_ticks
@@ -321,45 +321,36 @@ def prune_candidates(
     index: CollectionSearchIndex,
     guard: Optional[ResourceGuard] = None,
     seo: Optional[SimilarityEnhancedOntology] = None,
-) -> Set[str]:
+    memo: Optional[LruCache] = None,
+    memo_key: Hashable = None,
+) -> AbstractSet[str]:
     """Intersect the spec's probes over the index into a document set.
 
     Every postings entry decoded counts against the guard's step budget
     (``what="index probe"``), so guarded queries stay bounded on the fast
     path too.  ``seo`` enables the ``~`` distance augmentation; without
     it, ``similar_to`` probes use only their expansion values.
+
+    Two memos keep a repeated probe from walking the collection.  The
+    structural intersection lives in the index (:func:`_structure`),
+    and with ``memo`` the off-ontology residue a ``~`` probe scans is
+    kept under ``memo_key`` plus the probe's tags (:func:`_residue`).
+    Both charge the guard exactly what the walk they replace charged.
+    The returned set may be shared with a memo: treat it as read-only.
     """
-    docs: Set[str] = set(index.documents)
     tracer = current_tracer()
-    probes_run = 0
 
     def tick(steps: int) -> None:
         if guard is not None:
             guard.tick(steps, what="index probe")
 
-    with tracer.span("planner.prune", docs_in=len(docs)):
-        for tag_set in spec.tag_probes:
-            if not docs:
-                break
-            matched = index.docs_with_any_tag(tag_set)
-            tick(1 + len(tag_set))
-            probes_run += 1
-            METRICS.counter("planner.probes.tag").inc()
-            docs &= matched
-        for pairs in spec.pc_probes:
-            if not docs:
-                break
-            tick(1 + len(pairs))
-            probes_run += 1
-            METRICS.counter("planner.probes.pc").inc()
-            docs &= index.docs_with_pc_pair(pairs)
-        for pairs in spec.ad_probes:
-            if not docs:
-                break
-            tick(1 + len(pairs))
-            probes_run += 1
-            METRICS.counter("planner.probes.ad").inc()
-            docs &= index.docs_with_ad_pair(pairs)
+    with tracer.span("planner.prune", docs_in=len(index)):
+        docs, charges, structure_hit = _structure(spec, index)
+        for kind, steps in charges:
+            tick(steps)
+            METRICS.counter(f"planner.probes.{kind}").inc()
+        probes_run = len(charges)
+        residue_terms = 0
 
         for probe in spec.value_probes:
             if not docs:
@@ -375,21 +366,90 @@ def prune_candidates(
                 # The SEO's similarity falls back to bounded edit distance
                 # when either operand is outside the ontology, so terms the
                 # expansion cannot enumerate may still verify: scan every
-                # indexed term not already covered and not in the ontology.
+                # indexed term outside the ontology not already covered.
                 METRICS.counter("planner.probes.distance_scan").inc()
                 constant = probe.similar_to
                 epsilon = seo.epsilon
                 measure = seo.measure
-                for term, term_docs in index.terms_with_tags(probe.tags).items():
-                    if term in probe.values or term in seo:
+                for term, term_docs in _residue(index, probe.tags, seo, memo, memo_key):
+                    if term in probe.values:
                         continue
                     tick(1)
+                    residue_terms += 1
                     if measure.bounded_distance(term, constant, epsilon) <= epsilon:
                         matched |= term_docs
-            docs &= matched
-        tracer.annotate(docs_out=len(docs), probes=probes_run)
+            docs = docs & matched
+        tracer.annotate(
+            docs_out=len(docs),
+            probes=probes_run,
+            residue_terms=residue_terms,
+            structure_memo_hit=structure_hit,
+        )
 
     return docs
+
+
+def _structure(
+    spec: PlanSpec, index: CollectionSearchIndex
+) -> Tuple[FrozenSet[str], Tuple[Tuple[str, int], ...], bool]:
+    """(documents, charges, memo hit) of the spec's structural probes.
+
+    The tag, then pc, then ad probes intersect from every indexed
+    document, stopping at the first empty intersection; ``charges`` is
+    the ``(kind, steps)`` guard charge of each probe that ran, in order.
+    The result is a pure function of the index, so it is memoised there
+    under the probes themselves; a mutation drops it.
+    """
+    key = (
+        "structure",
+        tuple(spec.tag_probes),
+        tuple(spec.pc_probes),
+        tuple(spec.ad_probes),
+    )
+    cached = index.memo_get(key)
+    if cached is not None:
+        return (*cached, True)
+    docs = index.documents
+    charges: List[Tuple[str, int]] = []
+    for kind, probes, lookup in (
+        ("tag", spec.tag_probes, index.docs_with_any_tag),
+        ("pc", spec.pc_probes, index.docs_with_pc_pair),
+        ("ad", spec.ad_probes, index.docs_with_ad_pair),
+    ):
+        for entries in probes:
+            if not docs:
+                break
+            charges.append((kind, 1 + len(entries)))
+            docs = docs & lookup(entries)
+    result = (docs, tuple(charges))
+    index.memo_put(key, result)
+    return (*result, False)
+
+
+def _residue(
+    index: CollectionSearchIndex,
+    tags: Optional[FrozenSet[str]],
+    seo: SimilarityEnhancedOntology,
+    memo: Optional[LruCache],
+    memo_key: Hashable,
+) -> Sequence[Tuple[str, FrozenSet[str]]]:
+    """The indexed ``(term, documents)`` pairs under ``tags`` outside the
+    SEO, in index order: what a ``~`` probe's distance scan examines.
+
+    Memoised in ``memo`` under ``(memo_key, tags)`` when given; the
+    caller's ``memo_key`` names everything else the residue depends on.
+    """
+    key = (memo_key, tags)
+    residue = memo.get(key) if memo is not None else None
+    if residue is None:
+        residue = tuple(
+            (term, docs)
+            for term, docs in index.terms_with_tags(tags).items()
+            if term not in seo
+        )
+        if memo is not None:
+            memo.put(key, residue)
+    return residue
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,19 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     fsync_directory(directory)
 
 
+def file_holds(path: str, sha256: str) -> bool:
+    """True when ``path`` is a readable file whose bytes hash to ``sha256``.
+
+    Lets a content-named writer skip a file that already holds exactly
+    its bytes; a file under the name with any other content is no match.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return sha256_bytes(handle.read()) == sha256
+    except OSError:
+        return False
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """:func:`atomic_write_bytes` of ``text`` encoded as UTF-8."""
     atomic_write_bytes(path, text.encode("utf-8"))

@@ -60,6 +60,8 @@ class CollectionSearchIndex:
         # single-lookup entries and patches the ``("terms", tags)``
         # mappings — the one probe that walks every term — for just the
         # values the document carries (:meth:`_patch_probe_cache`).
+        # Callers keep results derived from the index alone here too
+        # (:meth:`memo_put`: the planner's structural intersection).
         # Cached values are shared with callers and must stay read-only.
         self._probe_cache: Dict[Tuple, object] = {}
 
@@ -202,6 +204,10 @@ class CollectionSearchIndex:
     def documents(self) -> FrozenSet[str]:
         return frozenset(self._documents)
 
+    def __len__(self) -> int:
+        """The number of indexed documents."""
+        return len(self._documents)
+
     def term_postings(self, value: str) -> Mapping[str, Tuple[str, ...]]:
         """``{doc key -> node paths}`` for an exact text value (may be empty)."""
         return self._terms.get(value, {})
@@ -217,6 +223,19 @@ class CollectionSearchIndex:
         if len(self._probe_cache) < self._PROBE_CACHE_LIMIT:
             self._probe_cache[key] = result
         return result
+
+    def memo_get(self, key: Tuple):
+        """What a caller memoised under ``key`` (:meth:`memo_put`), or None."""
+        return self._probe_cache.get(key)
+
+    def memo_put(self, key: Tuple, result) -> None:
+        """Memoise a caller's result derived from this index alone.
+
+        It lives beside the index's own probe memo and, like every entry
+        but the ``("terms", tags)`` mappings, is dropped by the next
+        document mutation.  ``key[0]`` must not be ``"terms"``.
+        """
+        self._memo(key, result)
 
     def docs_with_term(
         self, value: str, tags: Optional[FrozenSet[str]] = None

@@ -29,7 +29,7 @@ import os
 import zlib
 from typing import Dict
 
-from ...ioutils import atomic_write_bytes, sha256_text
+from ...ioutils import atomic_write_bytes, file_holds, sha256_bytes, sha256_text
 from .postings import CollectionSearchIndex
 
 #: Directory under the database root holding one index file per segment.
@@ -68,7 +68,10 @@ def save_collection_index(
     segment_sha256: str,
     index: CollectionSearchIndex,
 ) -> str:
-    """Atomically write the index of one segment; returns its path."""
+    """Atomically write the index of one segment; returns its path.
+
+    A file already there holding exactly these bytes is left alone.
+    """
     payload = index.to_dict()
     entry = {
         "format": STORE_FORMAT,
@@ -79,7 +82,9 @@ def save_collection_index(
     }
     path = index_path(root_dir, segment)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    atomic_write_bytes(path, zlib.compress(_canonical(entry).encode("utf-8")))
+    data = zlib.compress(_canonical(entry).encode("utf-8"))
+    if not file_holds(path, sha256_bytes(data)):
+        atomic_write_bytes(path, data)
     return path
 
 

@@ -47,6 +47,7 @@ from ..errors import StorageCorruptionError, XmlDbError
 from ..ioutils import (
     atomic_write_bytes,
     atomic_write_text,
+    file_holds,
     fsync_directory,
     sha256_bytes,
     sha256_text,
@@ -130,7 +131,9 @@ def save_database(
     indexes the new manifest no longer names are unlinked after it is
     durable.  So the store always has a manifest describing fully-written
     files, no matter where a crash lands, and foreign files are left
-    alone.
+    alone.  A segment or index file already present under its content
+    name is kept, not rewritten, when its bytes hash to what this save
+    would write; so re-saving an unchanged collection costs no fsync.
 
     ``write_indexes`` controls search-index persistence: ``None``
     (default) persists whatever indexes are already built in memory,
@@ -158,7 +161,9 @@ def save_database(
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         digest = sha256_bytes(data)
         segment = f"{_stem(collection.name)}.{digest[:12]}.seg"
-        atomic_write_bytes(os.path.join(root_dir, segment), data)
+        path = os.path.join(root_dir, segment)
+        if not file_holds(path, digest):
+            atomic_write_bytes(path, data)
         live.update((segment, os.path.basename(index_path(root_dir, segment))))
         documents_written += len(lines)
         collections[collection.name] = {

@@ -344,6 +344,42 @@ class TestFormatV3:
         # segment, index and manifest: a file and a directory flush each
         assert costs == {10: 6, 1000: 6}
 
+    def test_unchanged_resave_pays_only_the_manifest(self, database, tmp_path):
+        fsyncs = REGISTRY.counter("storage.fsyncs")
+        root = tmp_path / "s"
+        save_database(database, str(root), write_indexes=True)
+        files = {p: p.stat().st_mtime_ns for p in root.rglob("*.*") if p.is_file()}
+        before = fsyncs.value
+        save_database(database, str(root), write_indexes=True)
+        # the manifest file and its directory flush; segments and indexes
+        # already hold their bytes under their content names
+        assert fsyncs.value - before == 2
+        assert {
+            p: p.stat().st_mtime_ns for p in files if p.name != "manifest.json"
+        } == {p: t for p, t in files.items() if p.name != "manifest.json"}
+        # a changed collection rewrites only its own segment and index
+        database.get_collection("dblp").add_document("doc-c", DOC_B)
+        before = fsyncs.value
+        save_database(database, str(root), write_indexes=True)
+        assert fsyncs.value - before == 6
+        assert len(load_database(str(root)).get_collection("dblp")) == 2
+
+    def test_resave_rewrites_a_file_whose_bytes_differ(self, database, tmp_path):
+        fsyncs = REGISTRY.counter("storage.fsyncs")
+        root = tmp_path / "s"
+        save_database(database, str(root), write_indexes=True)
+        segment = _segment(root, "dblp")
+        index = root / ".indexes" / (segment.stem + ".idx")
+        good_segment, good_index = segment.read_bytes(), index.read_bytes()
+        # same names, other bytes: torn, flipped, or any other damage
+        segment.write_bytes(good_segment[:-3] + b"}}\n")
+        index.write_bytes(good_index[:10])
+        before = fsyncs.value
+        save_database(database, str(root), write_indexes=True)
+        assert fsyncs.value - before == 6  # both rewritten, then the manifest
+        assert (segment.read_bytes(), index.read_bytes()) == (good_segment, good_index)
+        assert verify_database(str(root)).ok
+
     def test_save_and_load_spans_carry_the_write_bill(self, database, tmp_path):
         from repro.obs.trace import Tracer
 
