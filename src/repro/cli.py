@@ -110,7 +110,7 @@ def _load_query_system(args: argparse.Namespace) -> tuple:
 
 def _report_summary_line(report) -> str:
     line = (
-        f"# {len(report.results)} results in {report.total_seconds:.4f}s "
+        f"# {report.result_count} results in {report.total_seconds:.4f}s "
         f"(rewrite {report.rewrite_seconds:.4f}s, "
         f"plan {report.planner_seconds:.4f}s, "
         f"xpath {report.xpath_seconds:.4f}s, "

@@ -111,12 +111,15 @@ class ExecutionReport:
     """A query's results plus the paper's three timing components.
 
     ``results`` is a lazy property (attached below the class body so the
-    dataclass machinery still records it as a field): a report rebuilt
-    from a wire payload holds the serialized XML texts and re-parses
-    them only on first access.  The serving layer's batch path never
-    touches ``.results`` parent-side, so transport + bookkeeping cost no
-    parse at all; :meth:`result_texts` exposes the wire form directly
-    for identity checks and re-serialization.
+    dataclass machinery still records it as a field).  A selection or
+    join answer arrives as a :class:`~repro.tax.batch.ResultRows` of row
+    references: :attr:`result_count` and :meth:`result_texts` read it
+    without building a tree, and the first ``.results`` access
+    materialises the trees.  A report rebuilt from a wire payload holds
+    the serialized XML texts and re-parses them only on first access.
+    The served path — worker encode, parent transport and bookkeeping —
+    never touches ``.results``, so it builds no result tree and parses
+    nothing; :meth:`result_texts` is the wire form.
     """
 
     results: List[XmlNode]
@@ -161,7 +164,7 @@ class ExecutionReport:
 
     @property
     def result_count(self) -> int:
-        """Number of results, without forcing a lazy parse."""
+        """Number of results, without forcing a parse or a materialisation."""
         if self._results is not None:
             return len(self._results)
         return len(self._result_texts or ())
@@ -171,12 +174,17 @@ class ExecutionReport:
 
         For a report rebuilt from a wire payload this is the payload's
         own text list — byte-identical to what the worker serialized —
-        and costs no parse; otherwise the trees are serialized once.
+        and costs no parse; row references read their columns' text
+        memo; any other trees are serialized once.
         """
         if self._result_texts is None:
-            from ..xmldb.serializer import serialize
+            results = self._results
+            if isinstance(results, tax_batch.ResultRows):
+                self._result_texts = results.texts()
+            else:
+                from ..xmldb.serializer import serialize
 
-            self._result_texts = [serialize(node) for node in self._results]
+                self._result_texts = [serialize(node) for node in results]
         return self._result_texts
 
     @property
@@ -264,13 +272,16 @@ _SENTINEL = object()
 
 
 def _report_results_get(self: ExecutionReport) -> List[XmlNode]:
-    if self._results is None:
+    results = self._results
+    if results is None:
         from ..xmldb.parser import parse_fragment
 
-        self._results = [
+        results = self._results = [
             parse_fragment(text) for text in (self._result_texts or ())
         ]
-    return self._results
+    if isinstance(results, tax_batch.ResultRows):
+        return results.trees()
+    return results
 
 
 def _report_results_set(self: ExecutionReport, value: List[XmlNode]) -> None:
@@ -599,9 +610,9 @@ class QueryExecutor:
         #: replayed with stale term expansions.
         self._context_epoch = 0
         #: Memoised cross-side join probes (document-key sets plus the
-        #: cold probe's guard ticks, replayed on a hit), keyed by
-        #: collection generations + probe spec + SEO; stale generations
-        #: simply miss.  Guarded and unguarded joins share it.
+        #: cold probe's guard ticks, replayed on a hit), keyed by both
+        #: sides' indexes and generations + probe spec + SEO; stale
+        #: generations simply miss.  Guarded and unguarded joins share it.
         self._cross_probe_cache = LruCache(
             32, metric_prefix="planner.cross_probe.memo"
         )
@@ -814,7 +825,7 @@ class QueryExecutor:
             if guard is not None:
                 attributes["guard_steps"] = guard.steps
                 attributes["guard_stages"] = guard.stage_steps
-            attributes["results"] = len(report.results)
+            attributes["results"] = report.result_count
             attributes["candidates"] = report.candidates
             attributes["plan_cache_hit"] = report.plan_cache_hit
             attributes["index_used"] = report.index_used
@@ -848,7 +859,7 @@ class QueryExecutor:
             trace=report.trace,
             plan_lines=plan_lines,
             extra={
-                "results": len(report.results),
+                "results": report.result_count,
                 "candidates": report.candidates,
                 "docs_scanned": report.docs_scanned,
                 "docs_total": report.docs_total,
@@ -968,7 +979,7 @@ class QueryExecutor:
         collections: Sequence[str],
         pattern: PatternTree,
         guard: Optional[ResourceGuard],
-        verify: Callable[..., Tuple[List[XmlNode], Dict[str, int]]],
+        verify: Callable[..., Tuple[Sequence[XmlNode], Dict[str, int]]],
         attributes: Dict[str, str],
     ) -> ExecutionReport:
         """The one pipeline: rewrite -> plan -> xpath -> verify -> report.
@@ -1018,7 +1029,15 @@ class QueryExecutor:
 
             with _stage(tracer, guard, "verify") as verify_stage:
                 results, counts = verify(plan, entries, guard, tracer)
-                tracer.annotate(results=len(results), batched=True, **counts)
+                # Result trees the stage built: 0 while answers stay rows.
+                built = (
+                    results.built
+                    if isinstance(results, tax_batch.ResultRows)
+                    else len(results)
+                )
+                tracer.annotate(
+                    results=len(results), materialized=built, batched=True, **counts
+                )
         candidates = sum(map(len, entries))
         report = ExecutionReport(
             results,
@@ -1088,10 +1107,12 @@ class QueryExecutor:
                     seo,
                     guard,
                     memo=self._cross_probe_cache,
+                    # The indexes, not the names: a dropped and re-created
+                    # collection restarts its generation count.
                     memo_key=(
-                        collections[0],
+                        indexes[0],
                         left.generation,
-                        collections[1],
+                        indexes[1],
                         right.generation,
                         plan.cross,
                         id(seo),
@@ -1114,7 +1135,7 @@ class QueryExecutor:
         sl: List[int],
         guard: Optional[ResourceGuard],
         tracer,
-    ) -> Tuple[List[XmlNode], Dict[str, int]]:
+    ) -> Tuple[Sequence[XmlNode], Dict[str, int]]:
         """The join's verify step: candidate pairs, then their product.
 
         With a cross-side ``~`` conjunct the hash join keeps only the

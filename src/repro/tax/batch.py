@@ -8,9 +8,11 @@ search over a collection's cached
 :class:`~repro.xmldb.columnar.DocumentColumns` instead: candidate pools
 become interval lookups on prebuilt per-tag row lists, set-semantics
 dedupe runs on cached subtree keys *before* any output tree exists, and
-join verification decides candidate pairs over the two sides' columns —
-``copy_numbered``-style product materialisation happens only for pairs
-that produced a witness (late materialisation).
+join verification decides candidate pairs over the two sides' columns
+without building product trees.  An answer that is a source subtree (or
+the product of two) stays a row reference in a :class:`ResultRows`
+until a caller reads it: its text comes from the columns' per-row text
+memo, and a tree is materialised only when one is asked for.
 
 Equivalence contract (the property suite pins it): for every entry, the
 batched enumeration visits candidate rows in exactly the order
@@ -31,11 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..guard import CHECK_INTERVAL, ResourceGuard
+from ..obs.metrics import REGISTRY as METRICS
 from ..xmldb.columnar import DocumentColumns
 from ..xmldb.model import XmlNode
+from ..xmldb.serializer import serialize
 from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator
 from .compile import BatchStep, compile_batch_steps, compile_condition
 from .conditions import ConditionContext, required_tags
@@ -50,6 +54,84 @@ Entry = Tuple[DocumentColumns, int]
 #: nodes, and a freshly built product root always has tag
 #: ``tax_prod_root`` and empty content — one instance serves every pair.
 _VIRTUAL_ROOT = XmlNode(PRODUCT_ROOT_TAG)
+
+#: One answer of a verify stage: ``(columns, row)`` is a source subtree,
+#: ``(lcols, l_row, rcols, r_row)`` the product of two, and an
+#: :class:`XmlNode` a witness tree the stage had to build.
+ResultRef = Union[
+    Tuple[DocumentColumns, int],
+    Tuple[DocumentColumns, int, DocumentColumns, int],
+    XmlNode,
+]
+
+_PRODUCT_OPEN = f"<{PRODUCT_ROOT_TAG}>"
+_PRODUCT_CLOSE = f"</{PRODUCT_ROOT_TAG}>"
+
+
+class ResultRows(Sequence[XmlNode]):
+    """A verify stage's answers, kept as row references until read.
+
+    :meth:`texts` is the wire form: every answer's compact serialisation,
+    read from the columns' per-row text memo without building a tree (a
+    product's text is its root's tags around the two sides' texts).  The
+    first index or iteration materialises every answer once — numbered
+    exactly as an eager copy (a subtree from pre 0; a product root over
+    both subtrees) — and keeps the trees, bumping
+    ``tax.results.materialized`` by the number it built.
+    """
+
+    __slots__ = ("_refs", "_trees", "built")
+
+    def __init__(self, refs: List[ResultRef], built: int = 0) -> None:
+        self._refs = refs
+        self._trees: Optional[List[XmlNode]] = None
+        #: How many answers exist as trees: the witnesses the verify
+        #: stage built, or all of them once materialised.
+        self.built = built
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, index):
+        return self.trees()[index]
+
+    def __iter__(self) -> Iterator[XmlNode]:
+        return iter(self.trees())
+
+    def texts(self) -> List[str]:
+        """Every answer's compact serialisation; materialises nothing."""
+        texts: List[str] = []
+        append = texts.append
+        for ref in self._refs:
+            if type(ref) is not tuple:
+                append(serialize(ref))
+            elif len(ref) == 2:
+                append(ref[0].subtree_text(ref[1]))
+            else:
+                lcols, l_row, rcols, r_row = ref
+                append(
+                    _PRODUCT_OPEN
+                    + lcols.subtree_text(l_row)
+                    + rcols.subtree_text(r_row)
+                    + _PRODUCT_CLOSE
+                )
+        return texts
+
+    def trees(self) -> List[XmlNode]:
+        """The answers as trees, materialised on the first call."""
+        if self._trees is None:
+            trees: List[XmlNode] = []
+            for ref in self._refs:
+                if type(ref) is not tuple:
+                    trees.append(ref)
+                elif len(ref) == 2:
+                    trees.append(ref[0].materialize(ref[1]))
+                else:
+                    trees.append(_materialize_product(*ref))
+            self._trees = trees
+            METRICS.counter("tax.results.materialized").inc(len(trees) - self.built)
+            self.built = len(trees)
+        return self._trees
 
 
 class _Verification:
@@ -411,14 +493,16 @@ def selection_batched(
     program: VerifyProgram,
     sl_labels: Iterable[int],
     guard: Optional[ResourceGuard] = None,
-) -> List[XmlNode]:
+) -> Sequence[XmlNode]:
     """``tax.algebra.selection`` over batched-verify entries.
 
     Produces the identical result sequence ``selection([nodes...])``
-    would, but enumerates embeddings over columns and — on the
-    root-inflating fast path — dedupes on cached subtree keys
-    before materialising any witness.  ``guard`` is charged per entry
-    (see :class:`_Verification`).
+    would, but enumerates embeddings over columns.  On the
+    root-inflating fast path every answer is a source subtree: it is
+    deduped on cached subtree keys and returned as a row reference
+    (:class:`ResultRows`) — no witness is copied unless a caller reads
+    the trees.  ``guard`` is charged per entry (see
+    :class:`_Verification`).
     """
     sl = list(sl_labels)
     pattern = program.pattern
@@ -431,9 +515,9 @@ def selection_batched(
     binding: Dict[int, XmlNode] = {}
     if root_label in sl:
         # Root-inflating fast path (the paper's Figure 16 shape): one
-        # witness per distinct root image, deduped by subtree key before
-        # the copy is ever made (a copy's canonical key equals its
-        # source's, so pre-copy dedupe is exact).
+        # witness per distinct root image — the image's whole subtree —
+        # deduped by subtree key (a copy's canonical key equals its
+        # source's, so dedupe without the copy is exact).
         found: Dict[int, None] = {}
 
         def emit() -> None:
@@ -445,7 +529,7 @@ def selection_batched(
                 [(cols.subtree_key(row), (cols, row)) for row in found]
             )
             found.clear()
-        return [cols.materialize(top) for cols, top in results.out]
+        return ResultRows(results.out)
     witnesses: List[XmlNode] = []
 
     def emit_witness() -> None:
@@ -678,19 +762,11 @@ def _materialize_product(
     return root
 
 
-def _product_top_key(
-    lcols: DocumentColumns,
-    l_row: int,
-    rcols: DocumentColumns,
-    r_row: int,
-    rank: int,
-    row: int,
-) -> Tuple:
-    """Canonical key of the witness a top position would materialise."""
-    if rank == 1:
-        return lcols.subtree_key(row)
-    if rank == 2:
-        return rcols.subtree_key(row)
+def _ref_key(ref: Tuple) -> Tuple:
+    """Canonical key of the tree a subtree or product reference stands for."""
+    if len(ref) == 2:
+        return ref[0].subtree_key(ref[1])
+    lcols, l_row, rcols, r_row = ref
     return (
         PRODUCT_ROOT_TAG,
         "",
@@ -699,19 +775,34 @@ def _product_top_key(
     )
 
 
-def _materialize_top(
+def _top_ref(
     lcols: DocumentColumns,
     l_row: int,
     rcols: DocumentColumns,
     r_row: int,
     rank: int,
     row: int,
-) -> XmlNode:
+) -> Tuple:
+    """The reference a top position's witness (its whole subtree) is."""
     if rank == 1:
-        return lcols.materialize(row)
+        return (lcols, row)
     if rank == 2:
-        return rcols.materialize(row)
-    return _materialize_product(lcols, l_row, rcols, r_row)
+        return (rcols, row)
+    return (lcols, l_row, rcols, r_row)
+
+
+def _side_roots(pattern: PatternTree, sl: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The labels under the pattern root, when there are two and both are
+    in ``sl`` (the textual join's shape), else None.
+
+    An embedding binding them to the pair's two entry rows (the root
+    then binds the product root: the only common ancestor) selects every
+    product node, so its witness is the whole product tree.
+    """
+    children = pattern.children(pattern.root)
+    if len(children) == 2 and all(child.label in sl for child in children):
+        return children[0].label, children[1].label
+    return None
 
 
 def _assemble_product_witness(
@@ -783,20 +874,23 @@ def join_pairs_batched(
     program: VerifyProgram,
     sl_labels: Iterable[int],
     guard: Optional[ResourceGuard] = None,
-) -> Tuple[List[XmlNode], int]:
+) -> Tuple[ResultRows, int]:
     """Late-materialised join over candidate pairs.
 
     Equivalent to building the product tree of every pair (in the given
     pair order) and running ``selection`` over all of them at once —
-    but no product tree is ever built: with the root in SL a product is
-    materialised only for pairs whose witness survives dedupe, and
-    otherwise each passing embedding's witness is assembled directly
-    from its virtual positions.  Returns ``(results,
-    pairs_materialized)``.  ``guard`` is charged per pair (see
-    :class:`_Verification`).
+    but no product tree is ever built.  A witness that is a whole
+    subtree or a whole product — the root in SL, or both side roots
+    bound to the pair's entries with both in SL — is deduped by key and
+    returned as a reference (:class:`ResultRows`); any other witness is
+    assembled directly from its virtual positions.  Returns ``(results,
+    pairs_materialized)``: the pairs a surviving answer came from (root
+    in SL), else the pairs with at least one witness.  ``guard`` is
+    charged per pair (see :class:`_Verification`).
     """
     sl = list(sl_labels)
     root_label = program.pattern.root
+    side_roots = _side_roots(program.pattern, sl)
     results = _Verification(guard)
     # The binding/position dicts, the pool memo and the emit closures
     # are shared across pairs — every label is rebound before an emit
@@ -805,9 +899,10 @@ def join_pairs_batched(
     positions: Dict[int, Tuple[int, int]] = {}
     memo: Dict = {}
     inflate_root = root_label in sl
-    #: Per pair: distinct top positions (root in SL), else the witnesses.
+    #: Per pair: distinct top positions (root in SL), else the
+    #: ``(canonical key, witness)`` of every embedding.
     found: Dict[Tuple[int, int], None] = {}
-    witnesses: List[XmlNode] = []
+    witnesses: List[Tuple[Tuple, ResultRef]] = []
     contributing = 0
     lcols = rcols = None
     l_row = r_row = 0
@@ -817,9 +912,17 @@ def join_pairs_batched(
 
     def emit_witness() -> None:
         # Reads the current pair's sides from the enclosing loop.
-        witnesses.append(
-            _assemble_product_witness(lcols, l_row, rcols, r_row, positions, sl)
-        )
+        if side_roots is not None:
+            first, second = positions[side_roots[0]], positions[side_roots[1]]
+            left_top, right_top = (1, l_row), (2, r_row)
+            if (first == left_top and second == right_top) or (
+                first == right_top and second == left_top
+            ):
+                product = (lcols, l_row, rcols, r_row)
+                witnesses.append((_ref_key(product), product))
+                return
+        witness = _assemble_product_witness(lcols, l_row, rcols, r_row, positions, sl)
+        witnesses.append((witness.canonical_key(), witness))
 
     for i, j in results.candidates(pairs):
         lcols, l_row = left[i]
@@ -830,40 +933,27 @@ def join_pairs_batched(
             binding, positions, emit if inflate_root else emit_witness, memo,
         )
         if inflate_root:
-            # One entry per distinct top position — pair indices stand
-            # in for the distinct object identities fresh product
-            # copies would have had.
-            results.candidate_done(
-                [
-                    (
-                        _product_top_key(lcols, l_row, rcols, r_row, rank, row),
-                        (i, j, rank, row),
-                    )
-                    for rank, row in found
-                ]
-            )
+            # One entry per distinct top position, tagged with its pair.
+            tops = [_top_ref(lcols, l_row, rcols, r_row, *top) for top in found]
+            results.candidate_done([(_ref_key(ref), (i, j, ref)) for ref in tops])
             found.clear()
         else:
-            # General witnesses (e.g. the paper's Figure 16(b) join
-            # keeps only the two title subtrees): one per embedding,
-            # assembled from positions.
+            # One witness per embedding: the whole product for the
+            # textual join, else (e.g. the paper's Figure 16(b) join
+            # keeps only the two title subtrees) assembled from positions.
             contributing += bool(witnesses)
-            results.candidate_done([(w.canonical_key(), w) for w in witnesses])
+            results.candidate_done(witnesses)
             witnesses.clear()
     if not inflate_root:
-        return results.out, contributing
-    out: List[XmlNode] = []
-    materialized_pairs: Set[Tuple[int, int]] = set()
-    for i, j, rank, row in results.out:
-        lcols, l_row = left[i]
-        rcols, r_row = right[j]
-        materialized_pairs.add((i, j))
-        out.append(_materialize_top(lcols, l_row, rcols, r_row, rank, row))
-    return out, len(materialized_pairs)
+        built = sum(1 for ref in results.out if type(ref) is not tuple)
+        return ResultRows(results.out, built), contributing
+    answered_pairs = {(i, j) for i, j, _ref in results.out}
+    return ResultRows([ref for _i, _j, ref in results.out]), len(answered_pairs)
 
 
 __all__ = [
     "Entry",
+    "ResultRows",
     "VerifyProgram",
     "selection_batched",
     "projection_batched",

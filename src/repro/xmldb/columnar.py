@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .model import XmlNode, _object_ids
+from .serializer import serialize
 from .xpath import ast
 from .xpath.engine import _compare_atomic
 
@@ -62,6 +63,7 @@ class DocumentColumns:
         "depth",
         "tag_rows",
         "_subtree_keys",
+        "_subtree_texts",
         "_parent_rows",
     )
 
@@ -107,6 +109,8 @@ class DocumentColumns:
         #: Canonical subtree keys, cached per row (repeated queries over
         #: a cached column set dedupe without re-walking the sources).
         self._subtree_keys: Dict[int, Tuple] = {}
+        #: Compact serialisations of answered subtrees, cached per row.
+        self._subtree_texts: Dict[int, str] = {}
         #: Per-tag sorted parent rows (rows with >=1 child of the tag),
         #: built on first use — the batched verifier's structural prune.
         self._parent_rows: Dict[str, List[int]] = {}
@@ -157,6 +161,21 @@ class DocumentColumns:
             key = self.nodes[row].canonical_key()
             self._subtree_keys[row] = key
         return key
+
+    def subtree_text(self, row: int) -> str:
+        """Compact :func:`~repro.xmldb.serializer.serialize` of the subtree
+        at ``row``, cached.
+
+        The rule :meth:`subtree_key` relies on holds for text too: a
+        copy serialises to its source's bytes.  So a result that is a
+        source subtree goes on the wire without ever being copied, and a
+        repeated answer costs one dictionary lookup.  The memo lives and
+        dies with these columns (a mutation replaces them).
+        """
+        text = self._subtree_texts.get(row)
+        if text is None:
+            text = self._subtree_texts[row] = serialize(self.nodes[row])
+        return text
 
     def materialize(
         self,

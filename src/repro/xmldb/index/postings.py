@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ...obs.metrics import REGISTRY as METRICS
 from ..model import XmlNode
 
 #: Serialisation format of :meth:`CollectionSearchIndex.to_dict`.
@@ -215,13 +216,18 @@ class CollectionSearchIndex:
     def attribute_postings(self, value: str) -> Mapping[str, Tuple[str, ...]]:
         return self._attributes.get(value, {})
 
-    #: Probe-memo entries beyond this are dropped (workloads with more
-    #: distinct probes than this gain little from memoisation anyway).
+    #: Probe-memo capacity: storing past it evicts the oldest entry
+    #: (counted as ``index.probe_memo.evictions``), so a long-lived
+    #: worker's newest probes — its structural intersection after a
+    #: write, say — are always memoised.
     _PROBE_CACHE_LIMIT = 1024
 
     def _memo(self, key: Tuple, result):
-        if len(self._probe_cache) < self._PROBE_CACHE_LIMIT:
-            self._probe_cache[key] = result
+        cache = self._probe_cache
+        if key not in cache and len(cache) >= self._PROBE_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+            METRICS.counter("index.probe_memo.evictions").inc()
+        cache[key] = result
         return result
 
     def memo_get(self, key: Tuple):

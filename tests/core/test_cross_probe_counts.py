@@ -13,6 +13,7 @@ the papers).
 
 import pytest
 
+from repro.core.parser import parse_query
 from repro.core.system import TossSystem
 from repro.data import generate_corpus, render_dblp, render_sigmod_pages
 from repro.data.lexicon_rules import corpus_lexicon
@@ -20,6 +21,8 @@ from repro.guard import ResourceGuard
 from repro.obs import Observability
 from repro.obs.metrics import REGISTRY
 from repro.ontology.maker import OntologyMaker
+
+from tests.oracle import assert_matches_reference
 
 SEED = 7
 JOIN = "inproceedings(title $a), //article(title $b) where $a ~ $b"
@@ -73,6 +76,45 @@ def test_cold_probe_verifies_survivors_and_the_next_request_nothing(
     assert _probe_span(warm.trace)["attributes"] == {
         "kind": "similar", "memo_hit": True, "pairs": 0, "verified": 0,
     }
+
+
+def test_a_recreated_collection_never_replays_the_old_probe():
+    """A dropped and re-created collection restarts its generation count,
+    so a memo keyed by collection name would hand the new collection the
+    old one's probe; keyed by the search index it misses instead."""
+    corpus = generate_corpus(200, seed=SEED)
+    sigmod_keys = [paper.key for paper in corpus.papers if paper.venue_key == "sigmod"]
+    half = len(sigmod_keys) // 2
+    assert half >= 5
+
+    def pages(keys):
+        return [render_sigmod_pages(corpus, seed=SEED, paper_keys=[key])[0] for key in keys]
+
+    system = TossSystem(epsilon=3.0, maker=OntologyMaker(lexicon=corpus_lexicon()))
+    system.add_instance(
+        "dblp",
+        [render_dblp(corpus, seed=SEED, paper_keys=[key]) for key in corpus.paper_keys()],
+    )
+    system.add_instance("sigmod", pages(sigmod_keys[:half]))
+    system.build()
+    first = system.query("dblp", JOIN, right_collection="sigmod")
+    assert first.result_count > 0
+    generation = system.database.get_collection("sigmod").generation
+
+    # Same name, same number of writes, other titles.
+    system.database.drop_collection("sigmod")
+    recreated = system.database.create_collection("sigmod")
+    for index, page in enumerate(pages(sigmod_keys[half : 2 * half])):
+        recreated.add_document(f"sigmod-{index}", page)
+    assert recreated.generation == generation
+
+    report = system.query("dblp", JOIN, right_collection="sigmod")
+    parsed = parse_query(JOIN)
+    oracle = system.reference_executor().join(
+        "dblp", "sigmod", parsed.pattern, parsed.roots
+    )
+    assert oracle.result_count > 0
+    assert_matches_reference(report, oracle, accesses=False)
 
 
 def _probe_span(span):

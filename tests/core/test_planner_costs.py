@@ -17,6 +17,7 @@ from repro.data import generate_corpus, render_dblp
 from repro.data.lexicon_rules import corpus_lexicon
 from repro.guard import ResourceGuard
 from repro.obs import Observability
+from repro.obs.metrics import REGISTRY as METRICS
 from repro.ontology.maker import OntologyMaker
 from repro.xmldb.index import CollectionSearchIndex
 
@@ -126,6 +127,35 @@ def test_a_warm_point_query_walks_nothing_the_collection_holds(counted):
     again, guard, _ = run(system, point(authors[0]))
     assert again.result_texts() == cold.result_texts()
     assert (guard.steps, guard.stage_steps) == (cold_guard.steps, cold_guard.stage_steps)
+
+
+def test_a_full_probe_memo_still_memoises_the_structure_after_a_write(counted):
+    """``("terms", tags)`` entries survive writes: once a long-lived
+    worker has memoised more distinct ones than the memo holds, a write
+    leaves it full of them — and the next structural intersection must
+    still be memoised, by evicting the oldest entry."""
+    system, _walks, _lookups = counted
+    index = system.database.get_collection("dblp").search_index()
+    limit = CollectionSearchIndex._PROBE_CACHE_LIMIT
+    evictions = METRICS.counter("index.probe_memo.evictions")
+    evicted = evictions.value
+    for i in range(limit + 1):
+        index.terms_with_tags(frozenset({f"probe-{i}"}))
+    assert len(index._probe_cache) == limit
+    assert evictions.value > evicted
+
+    system.add_documents(
+        "dblp",
+        '<dblp><inproceedings key="m1"><author>Memo Kalipe</author>'
+        "<title>Memo Pressure Study</title><booktitle>VLDB</booktitle>"
+        "</inproceedings></dblp>",
+    )
+    system.build()
+    authors = sorted(system.instances["dblp"].isa.descendants("author"))
+    run(system, point(authors[0]))
+    warm, _guard, _visited = run(system, point(authors[1]))
+    assert prune_span(warm.trace)["structure_memo_hit"] is True
+    assert len(index._probe_cache) <= limit
 
 
 def test_a_write_and_a_build_rewalk_each_residue_once(counted):
