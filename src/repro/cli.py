@@ -396,7 +396,6 @@ def _cmd_db_build(args: argparse.Namespace) -> int:
 
 def _cmd_db_stats(args: argparse.Namespace) -> int:
     from .core.persistence import load_build_report, load_system
-    from .xmldb.database import DEFAULT_QUERY_CACHE_SIZE
 
     system = load_system(args.root)
     database = system.database
@@ -405,11 +404,6 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
         f"collections: {len(database.collection_names())}, "
         f"documents: {sum(len(database.get_collection(n)) for n in database.collection_names())}, "
         f"bytes: {database.total_bytes()}"
-    )
-    stats = database.statistics
-    print(
-        f"xpath query cache: size {DEFAULT_QUERY_CACHE_SIZE}, "
-        f"hits {stats.cache_hits}, misses {stats.cache_misses}"
     )
     signature = database.generation_signature()
     print(

@@ -437,7 +437,9 @@ def _expansion_for(atom: _SemanticAtom, context: SeoConditionContext) -> Optiona
 
 
 def rewrite_condition(
-    condition: Condition, context: SeoConditionContext
+    condition: Condition,
+    context: SeoConditionContext,
+    expand_similar: bool = True,
 ) -> Condition:
     """Expand semantic atoms into exact-match disjunctions via the SEO.
 
@@ -445,10 +447,21 @@ def rewrite_condition(
     ``Or(left = t1, left = t2, ...)`` over the SEO expansion of the
     constant; all other nodes are rebuilt unchanged.  The result is a
     plain TAX condition (evaluable without an ontology and compilable to
-    XPath), semantically equal to the original under ``context`` for
-    constant-sided atoms.
+    XPath).
+
+    For ``below`` / ``above`` / ``isa`` / ``instance_of`` / ``part_of``
+    the expansion is exactly the set of values the evaluator accepts, so
+    the rewrite means what the atom means.  A ``~`` expansion is
+    narrower: :meth:`SimilarityEnhancedOntology.similar
+    <repro.similarity.seo.SimilarityEnhancedOntology.similar>` compares a
+    value outside the SEO by raw distance, and no finite disjunction over
+    SEO terms says that.  The evaluator decides ``~``; with
+    ``expand_similar=False`` constant-sided ``~`` atoms are kept as they
+    are (the form a sound XPath prefilter is compiled from).
     """
     if isinstance(condition, _SemanticAtom):
+        if not expand_similar and isinstance(condition, SimilarTo):
+            return condition
         expansion = _expansion_for(condition, context)
         if expansion is None:
             return condition  # node-to-node semantic atom: leave for runtime
@@ -462,9 +475,13 @@ def rewrite_condition(
             return atoms[0]
         return Or(*atoms)
     if isinstance(condition, And):
-        return And(*[rewrite_condition(op, context) for op in condition.operands])
+        return And(
+            *[rewrite_condition(op, context, expand_similar) for op in condition.operands]
+        )
     if isinstance(condition, Or):
-        return Or(*[rewrite_condition(op, context) for op in condition.operands])
+        return Or(
+            *[rewrite_condition(op, context, expand_similar) for op in condition.operands]
+        )
     if isinstance(condition, Not):
-        return Not(rewrite_condition(condition.operand, context))
+        return Not(rewrite_condition(condition.operand, context, expand_similar))
     return condition

@@ -10,11 +10,15 @@ phases all experiments report:
 (iii) **parse the results** returned and convert them to the form defined
       by TAX (witness trees), verifying the full condition.
 
-Phase (ii) is a sound prefilter: it finds candidate subtree roots whose
-tag/content constraints can be pushed into XPath.  Phase (iii) then runs
-the real TAX/TOSS embedding machinery over just those candidates, so
-conditions that XPath cannot express (cross-node similarity, typed
-comparisons, negation) are still answered exactly.
+The generated XPath is a sound prefilter — every fragment it pushes is
+implied by the condition, so it never drops a true answer — and the
+paper-faithful :class:`~repro.core.reference.ReferenceExecutor` runs it
+on the tree engine.  This executor keeps the text (``explain``, the
+report's ``xpath_queries``) but does not run it: phase (ii) fetches the
+pattern root's candidate rows from the index-kept documents' columns,
+and the compiled verify program alone decides every answer in phase
+(iii), so conditions XPath cannot express (cross-node similarity, typed
+comparisons, negation) are answered exactly.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ from ..tax.conditions import (
     Comparison,
     Condition,
     Constant,
-    Contains,
     NodeContent,
     Or,
     TrueCondition,
     required_tags,
 )
 from ..tax.pattern import AD, PatternTree
+from ..xmldb.columnar import DocumentColumns
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
 from .conditions import SeoConditionContext, rewrite_condition
@@ -64,8 +68,8 @@ from .planner import (
 
 #: Largest ``or``-alternative chain pushed into an XPath predicate.  SEO
 #: expansions can produce hundreds of alternatives; past this cap the
-#: disjunction stays out of the XPath prefilter (candidates grow, results
-#: do not change — the verification phase evaluates the full condition).
+#: disjunction stays out of the XPath text.  The prefilter only narrows
+#: candidates, so the cap never changes an answer.
 MAX_OR_ALTERNATIVES = 32
 
 #: Size of the executor's compiled-plan LRU cache.
@@ -136,15 +140,15 @@ class ExecutionReport:
     degraded: bool = False
     #: Time spent deriving and intersecting index probes (0 on scans).
     planner_seconds: float = 0.0
-    #: Documents in the queried collection(s) / actually run through XPath.
+    #: Documents in the queried collection(s) / actually fetched from.
     docs_total: int = 0
     docs_scanned: int = 0
-    #: True when index pruning restricted the XPath scan.
+    #: True when index pruning restricted the fetch.
     index_used: bool = False
     #: True when the compiled plan came from the executor's plan cache.
     plan_cache_hit: bool = False
-    #: Candidate documents run through embedding verification (every
-    #: XPath candidate; for joins, both sides' counts).
+    #: Candidates run through embedding verification (every fetched
+    #: row; for joins, both sides' counts).
     docs_verified: int = 0
     #: Join verification work: candidate pairs whose virtual product
     #: was verified, and product trees actually constructed — only for
@@ -334,75 +338,48 @@ def _xpath_literal(value: str) -> Optional[str]:
 def _content_predicates(condition: Condition) -> Dict[int, List[str]]:
     """Per-label XPath predicate fragments implied by the condition.
 
-    Collects, from the positive conjunctive structure, content equalities
-    (including disjunctions over one label), ``contains`` atoms and numeric
-    content comparisons.  Sound, not complete — anything unrecognised is
-    simply not pushed down.
+    Pushes, from the positive conjunctive structure, content equalities
+    with a non-empty constant, alone or as a one-label disjunction, as
+    ``text() = 'x'``: it holds exactly when the node's own text (TAX's
+    ``content``) is ``x``.  ``. = 'x'`` would compare the whole
+    subtree's text, and ``text()`` selects nothing on an empty element.
+    Nothing else is pushed: ordering comparisons (TAX compares
+    non-numbers as strings, XPath's ``number()`` gives NaN), ``contains``
+    (case-insensitive in TAX) and semantic atoms stay with verification.
+    Sound, not complete — the XPath never drops a true answer.
     """
     predicates: Dict[int, List[str]] = {}
 
-    def add(label: int, fragment: str) -> None:
-        predicates.setdefault(label, []).append(fragment)
-
-    def equality_fragment(atom: Comparison) -> Optional[Tuple[int, str]]:
+    def equality_fragment(atom: Condition) -> Optional[Tuple[int, str]]:
+        if not isinstance(atom, Comparison) or atom.op != "=":
+            return None
         left, right = atom.left, atom.right
-        if isinstance(left, NodeContent) and isinstance(right, Constant):
-            literal = _xpath_literal(right.value)
-            if literal is not None:
-                return (left.label, f". = {literal}")
-        if isinstance(right, NodeContent) and isinstance(left, Constant):
-            literal = _xpath_literal(left.value)
-            if literal is not None:
-                return (right.label, f". = {literal}")
-        return None
+        if isinstance(left, Constant):
+            left, right = right, left
+        if not (isinstance(left, NodeContent) and isinstance(right, Constant)):
+            return None
+        literal = _xpath_literal(right.value) if right.value else None
+        return None if literal is None else (left.label, f"text() = {literal}")
 
     def visit(node: Condition) -> None:
         if isinstance(node, And):
             for operand in node.operands:
                 visit(operand)
-            return
-        if isinstance(node, Comparison):
-            if node.op == "=":
-                pair = equality_fragment(node)
-                if pair is not None:
-                    add(pair[0], pair[1])
-                return
-            if node.op in ("<", "<=", ">", ">="):
-                left, right = node.left, node.right
-                if isinstance(left, NodeContent) and isinstance(right, Constant):
-                    try:
-                        number = float(right.value)
-                    except ValueError:
-                        return
-                    add(left.label, f"number(.) {node.op} {number:g}")
-                return
-            return
-        if isinstance(node, Contains):
-            # Contains is case-insensitive while XPath contains() is not,
-            # so pushing it down would be unsound (the prefilter could
-            # drop true matches); it is evaluated in the verify phase.
-            return
-        if isinstance(node, Or):
-            # Cap the pushed disjunction: SEO expansions can run to
-            # hundreds of alternatives, and a giant or-chain costs more
-            # to evaluate per node than the scan it saves.  Past the cap
-            # the disjunct set stays out of the prefilter and the
-            # verification phase decides (results unchanged).
+        elif isinstance(node, Or):
             if len(node.operands) > MAX_OR_ALTERNATIVES:
                 return
-            fragments: List[Tuple[int, str]] = []
-            for operand in node.operands:
-                if not isinstance(operand, Comparison) or operand.op != "=":
-                    return
-                pair = equality_fragment(operand)
-                if pair is None:
-                    return
-                fragments.append(pair)
+            fragments = [equality_fragment(operand) for operand in node.operands]
+            if None in fragments:
+                return
             labels = {label for label, _ in fragments}
             if len(labels) == 1:
-                label = labels.pop()
-                add(label, "(" + " or ".join(f for _, f in fragments) + ")")
-            return
+                predicates.setdefault(labels.pop(), []).append(
+                    "(" + " or ".join(f for _, f in fragments) + ")"
+                )
+        else:
+            pair = equality_fragment(node)
+            if pair is not None:
+                predicates.setdefault(pair[0], []).append(pair[1])
 
     visit(condition)
     return predicates
@@ -416,7 +393,9 @@ def compile_pattern_to_xpath(
     The query selects candidate images of the pattern *root*; structure
     below the root becomes nested existence predicates (`pc` -> child
     path, `ad` -> ``.//`` path) and per-node content constraints become
-    value predicates.
+    value predicates (:func:`_content_predicates`).  The condition is
+    the one :func:`~repro.core.conditions.rewrite_condition` gives with
+    ``expand_similar=False``: a ``~`` expansion is narrower than ``~``.
     """
     if condition is None:
         condition = pattern.condition
@@ -529,9 +508,10 @@ def join_side_patterns(
     """The two per-side patterns of a join pattern, left then right.
 
     Each is the subtree under one child of the product root, carrying the
-    conjuncts of ``condition`` (already rewritten) that mention only that
-    side — what :func:`compile_pattern_to_xpath` turns into the side's
-    candidate query.
+    conjuncts of ``condition`` that mention only that side.  A side's
+    candidates are the rows its pattern embeds at, root bound to the
+    row; :func:`compile_pattern_to_xpath` turns the side (with the
+    rewritten conjuncts) into its prefilter text.
     """
     root_children = pattern.children(pattern.root)
     if len(root_children) != 2:
@@ -561,11 +541,14 @@ class CompiledPlan:
     selection or projection has one side, a join two (left, right).
     """
 
-    #: The SEO-rewritten condition the XPath queries were compiled from.
+    #: The SEO-rewritten condition (``explain`` shows it).
     condition: Condition
-    #: Per side: the candidate XPath and the index-probe spec.
+    #: Per side: the prefilter XPath text and the index-probe spec.
     xpaths: Tuple[str, ...]
     specs: Tuple[PlanSpec, ...]
+    #: Per side: the fetch's candidate rows of one document's columns —
+    #: the root rows of a selection, the anchored rows of a join side.
+    fetchers: Tuple[Callable[[DocumentColumns], Sequence[int]], ...]
     #: False when no side may be pruned: semantic atoms without an SEO
     #: context must reach verification (and raise) on every document.
     prunable: bool
@@ -670,10 +653,11 @@ class QueryExecutor:
     def _plan(self, pattern: PatternTree, join: bool) -> Tuple[CompiledPlan, bool]:
         """The compiled plan for ``pattern`` and whether the cache had it.
 
-        Rewrites the condition through the SEO, compiles one XPath and
-        one probe spec per side, and compiles the verify program — all
-        once per (pattern, evaluation context), then served from the
-        cache.  ``join`` splits the pattern into its two product sides.
+        Rewrites the condition through the SEO, compiles the verify
+        program, and per side one prefilter XPath, one probe spec and
+        one fetcher — all once per (pattern, evaluation context), then
+        served from the cache.  ``join`` splits the pattern into its two
+        product sides.
         """
         context = self._evaluation_context()
         structure = tuple(
@@ -693,23 +677,33 @@ class QueryExecutor:
         original = pattern.condition
         if self.context is not None:
             condition = rewrite_condition(original, self.context)
+            prefilter = rewrite_condition(original, self.context, expand_similar=False)
         else:
-            condition = original
+            condition = prefilter = original
+        # Verify with the original condition, not the rewritten one (they
+        # differ only under an SEO context): the evaluator decides every
+        # semantic atom.  The copy keeps the cached program independent
+        # of the caller's (mutable) pattern object.
+        verified = PatternTree(original)
+        _copy_structure(pattern, verified)
+        program = tax_batch.VerifyProgram.compile(verified, context)
         cross = hash_atom = None
         if join:
-            sides = join_side_patterns(pattern, condition)
+            sides = join_side_patterns(pattern, original)
             left_labels, right_labels = (set(side.labels()) for side in sides)
-            xpaths = tuple(compile_pattern_to_xpath(side) for side in sides)
-            # The probe specs come from the *original* side conjuncts —
-            # verification evaluates those, not the rewritten ones.
+            xpaths = tuple(
+                compile_pattern_to_xpath(side)
+                for side in join_side_patterns(pattern, prefilter)
+            )
+            # The probe specs and the side fetch come from the *original*
+            # side conjuncts: verification evaluates those.
             specs = tuple(
-                build_plan_spec(
-                    side,
-                    _side_condition(original, labels),
-                    self.context,
-                    self.exact_fallback,
-                )
-                for side, labels in zip(sides, (left_labels, right_labels))
+                build_plan_spec(side, side.condition, self.context, self.exact_fallback)
+                for side in sides
+            )
+            fetchers = tuple(
+                tax_batch.VerifyProgram.compile(side, context).anchored_rows
+                for side in sides
             )
             prunable = not (
                 self.context is None
@@ -724,24 +718,19 @@ class QueryExecutor:
             if self.context is not None:
                 hash_atom = _cross_similarity_atom(original, left_labels, right_labels)
         else:
-            xpaths = (compile_pattern_to_xpath(pattern, condition),)
+            xpaths = (compile_pattern_to_xpath(pattern, prefilter),)
             specs = (
                 build_plan_spec(pattern, original, self.context, self.exact_fallback),
             )
+            fetchers = (program.root_rows,)
             prunable = specs[0].prunable
-        # Verify with the original condition, not the rewritten one (they
-        # differ only under an SEO context): semantic atoms evaluate
-        # through the SEO index, which is cheaper than the expanded
-        # exact-match disjunction.  The copy keeps the cached program
-        # independent of the caller's (mutable) pattern object.
-        verified = PatternTree(original)
-        _copy_structure(pattern, verified)
         plan = CompiledPlan(
             condition,
             xpaths,
             specs,
+            fetchers,
             prunable,
-            tax_batch.VerifyProgram.compile(verified, context),
+            program,
             cross,
             hash_atom,
         )
@@ -776,28 +765,6 @@ class QueryExecutor:
         if guard is not None:
             guard.start()
         return guard
-
-    def _fetch(
-        self,
-        collection_name: str,
-        xpath: str,
-        guard: Optional[ResourceGuard],
-        doc_keys: Optional[AbstractSet[str]],
-    ) -> List[tax_batch.Entry]:
-        """The XPath prefilter's candidates, as ``(columns, row)`` entries.
-
-        Every query :func:`compile_pattern_to_xpath` generates lies in
-        the columnar subset; one that does not is a compiler bug, and
-        raises rather than silently running somewhere slower.
-        """
-        entries = self.database.xpath_rows(
-            collection_name, xpath, guard=guard, document_keys=doc_keys
-        )
-        if entries is None:
-            raise QueryExecutionError(
-                f"generated XPath {xpath!r} is outside the columnar subset"
-            )
-        return entries
 
     def _accesses(self) -> int:
         return self.context.ontology_accesses if self.context is not None else 0
@@ -1012,19 +979,25 @@ class QueryExecutor:
                     index_used=index_used,
                 )
 
-            # One side fetches in the stage span itself; a join's two
-            # sides each get a child span.
+            # The fetch.  The stage keeps the paper's name and carries the
+            # prefilter text it stands for, but runs no XPath.  One side
+            # fetches in the stage span itself; a join's two sides each
+            # get a child span.
             single = len(collections) == 1
             stage_attributes = {"query": plan.xpaths[0]} if single else {}
             with _stage(tracer, guard, "xpath", **stage_attributes) as xpath_stage:
                 entries = []
-                for side, name, xpath, keys in zip(
-                    ("left", "right"), collections, plan.xpaths, doc_keys
+                for side, name, xpath, rows_of, keys in zip(
+                    ("left", "right"), collections, plan.xpaths, plan.fetchers, doc_keys
                 ):
                     with nullcontext() if single else tracer.span(
                         f"xpath.{side}", query=xpath
                     ):
-                        entries.append(self._fetch(name, xpath, guard, keys))
+                        entries.append(
+                            self.database.get_collection(name).fetch(
+                                rows_of, guard, keys
+                            )
+                        )
                         tracer.annotate(candidates=len(entries[-1]))
 
             with _stage(tracer, guard, "verify") as verify_stage:

@@ -1,7 +1,7 @@
 """Index-aware candidate pruning for the Query Executor.
 
-The scan pipeline runs the compiled XPath prefilter over *every* document
-and hands the matches to TAX verification.  This module derives, from the
+Without pruning, the executor's fetch hands the pattern root's rows of
+*every* document to TAX verification.  This module derives, from the
 pattern tree and its **original** condition, a set of index probes whose
 conjunction is a *necessary* condition for a document to contribute a
 verified result:
@@ -16,15 +16,13 @@ verified result:
   expanded through the SEO *against the index*) requires the document to
   contain one of the admissible values under the admissible tags.
 
-Soundness is argued against *verified* results, not XPath candidates: a
-verified embedding satisfies every top-level conjunct through exact
-``node.text``/``node.tag`` facts (or, for ``~``, the SEO's similarity
-including its edit-distance fallback), and the postings record exactly
-those facts.  A probed document set therefore contains every document
-any verified result comes from, and running the same XPath restricted to
-it — in collection order — returns results identical to the full scan.
-The XPath *candidate count* may legally shrink: XPath's ``. = 'v'``
-compares subtree string-values, which verification does not.
+Soundness is argued against *verified* results: a verified embedding
+satisfies every top-level conjunct through exact ``node.text``/
+``node.tag`` facts (or, for ``~``, the SEO's similarity including its
+edit-distance fallback), and the postings record exactly those facts.
+A probed document set therefore contains every document any verified
+result comes from, and fetching only it — in collection order — returns
+results identical to the full scan.
 
 Whenever an atom is not indexable it is simply skipped (the probe set
 gets weaker, never wrong); when the whole condition cannot be pruned
@@ -511,9 +509,9 @@ def prune_join_docs(
     """Documents on each side that can participate in the cross conjunct.
 
     Works over *distinct terms* rather than candidate pairs, at index
-    granularity, before any XPath runs.  A document survives iff one of
-    its indexed values (under the probe's tags) has a partner on the
-    other side; the semantics mirror ``seo.similar`` exactly (shared
+    granularity, before any candidate is fetched.  A document survives
+    iff one of its indexed values (under the probe's tags) has a partner
+    on the other side; the semantics mirror ``seo.similar`` exactly (shared
     node for known pairs, bounded edit distance otherwise), so every
     verifiable pair's documents survive.  Terms outside the ontology go
     through :func:`~repro.similarity.candidates.similar_pairs`, so the

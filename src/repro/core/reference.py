@@ -7,6 +7,15 @@ the candidates to the TAX algebra (for joins: product, then selection).
 No index, no columns, no compiled conditions, no caches, no guard, no
 options.
 
+The XPath is a sound prefilter: it pushes only what the condition
+implies (content equalities as ``text() = 'x'``, tag tests, structure)
+and never a ``~`` expansion, which is narrower than ``~`` itself.  So
+the algebra — with the evaluator deciding every semantic atom — sees
+every true answer, and production, which runs no XPath at all, must
+agree with it.  A join side's candidates are the XPath's nodes at which
+the side pattern embeds with its root bound to the node: which subtrees
+hang off the product root decides what the product selection returns.
+
 It shares with :class:`~repro.core.executor.QueryExecutor` only the
 paper's own algorithm (the SEO rewrite and the pattern -> XPath
 compilation) and must never import the machinery it is the oracle for:
@@ -24,6 +33,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..tax import algebra as tax_algebra
 from ..tax.conditions import DEFAULT_CONTEXT, Condition, ConditionContext
+from ..tax.embedding import find_embeddings
 from ..tax.pattern import PatternTree
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
@@ -51,9 +61,12 @@ class ReferenceExecutor:
         self.database = database
         self.context = context if context is not None else DEFAULT_CONTEXT
 
-    def _rewritten(self, pattern: PatternTree) -> Condition:
+    def _prefilter(self, pattern: PatternTree) -> Condition:
+        """The condition the XPath is compiled from (``~`` unexpanded)."""
         if isinstance(self.context, SeoConditionContext):
-            return rewrite_condition(pattern.condition, self.context)
+            return rewrite_condition(
+                pattern.condition, self.context, expand_similar=False
+            )
         return pattern.condition
 
     def _accesses(self) -> int:
@@ -102,7 +115,7 @@ class ReferenceExecutor:
     ) -> ExecutionReport:
         return self._run(
             [collection_name],
-            lambda: [compile_pattern_to_xpath(pattern, self._rewritten(pattern))],
+            lambda: [compile_pattern_to_xpath(pattern, self._prefilter(pattern))],
             lambda candidates: operator(candidates, pattern, keep, self.context),
         )
 
@@ -130,20 +143,35 @@ class ReferenceExecutor:
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
     ) -> ExecutionReport:
-        """Per-side XPath candidates, their full product, then selection.
+        """Per-side anchored candidates, their full product, then selection.
 
         The pattern's root is the product root with the left collection's
         subtree first (Example 13's Figure 14 shape); cross-side
         conditions are decided by the selection over the product.
         """
         sl = list(sl_labels)
+        sides = join_side_patterns(pattern, pattern.condition)
+
+        def anchored(side: PatternTree, candidates: List[XmlNode]) -> List[XmlNode]:
+            return [
+                node
+                for node in candidates
+                if any(
+                    embedding.image(side.root) is node
+                    for embedding in find_embeddings(side, node, self.context)
+                )
+            ]
+
         return self._run(
             [left_collection, right_collection],
             lambda: [
                 compile_pattern_to_xpath(side)
-                for side in join_side_patterns(pattern, self._rewritten(pattern))
+                for side in join_side_patterns(pattern, self._prefilter(pattern))
             ],
             lambda left, right: tax_algebra.selection(
-                tax_algebra.product(left, right), pattern, sl, self.context
+                tax_algebra.product(anchored(sides[0], left), anchored(sides[1], right)),
+                pattern,
+                sl,
+                self.context,
             ),
         )

@@ -981,7 +981,7 @@ class TossSystem:
         pattern: PatternTree,
         sl_labels: Iterable[int] = (),
     ) -> ExecutionReport:
-        """TOSS selection through the XPath-rewriting executor."""
+        """TOSS selection through the query executor."""
         executor, degraded = self._query_executor()
         report = executor.selection(collection, pattern, sl_labels)
         report.degraded = degraded

@@ -26,7 +26,9 @@ unguarded queries run the same code.
 
 An entry is ``(columns, row)``; ``columns.nodes[row]`` is the candidate
 node itself, so evaluators see the *original* document nodes.  All three
-operators run one :class:`VerifyProgram`, compiled once per cached plan.
+operators run one :class:`VerifyProgram`, compiled once per cached plan;
+the same program picks the executor's candidate rows
+(:meth:`VerifyProgram.root_rows`, :meth:`VerifyProgram.anchored_rows`).
 """
 
 from __future__ import annotations
@@ -265,6 +267,30 @@ class VerifyProgram:
             _scan_star(self, cols, lo, hi, binding, rows, emit)
         else:
             _scan(self, cols, lo, hi, binding, rows, emit)
+
+    def root_rows(self, cols: DocumentColumns) -> Sequence[int]:
+        """The document's rows the pattern root may bind to, ascending.
+
+        The selection fetch: the rows of the root's tag restriction, or,
+        for an unrestricted root, the rows :func:`_root_pool`'s child-tag
+        prune keeps.  Every embedding's root image is one of them.
+        """
+        rows = _root_pool(self, cols, 0, len(cols.nodes))
+        tags = self.steps[0][3]
+        return sorted(rows) if tags is not None and len(tags) > 1 else rows
+
+    def anchored_rows(self, cols: DocumentColumns) -> List[int]:
+        """The rows at which the pattern embeds with its root bound to
+        the row, ascending — a join side's exact fetch."""
+        root_label = self.steps[0][0]
+        rows: Dict[int, int] = {}
+        found: Dict[int, None] = {}
+
+        def emit() -> None:
+            found[rows[root_label]] = None
+
+        self.scan(cols, 0, len(cols.nodes), {}, rows, emit)
+        return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ configurable), and runs XPath queries over all or one of its documents.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CollectionError, DocumentTooLargeError, XmlDbError
 from ..guard import CHECK_INTERVAL, ResourceGuard
@@ -258,35 +258,33 @@ class Collection:
             for key in sorted(wanted & ordinals.keys(), key=ordinals.__getitem__)
         ]
 
-    def _rows(
+    def fetch(
         self,
-        compiled: XPathQuery,
-        documents: "Iterable[Tuple[str, XmlNode]]",
-        guard: Optional[ResourceGuard],
-    ) -> Optional[List[Tuple[DocumentColumns, int]]]:
-        """The candidate fetch: ``(columns, row)`` per match, or None.
+        rows_of: Callable[[DocumentColumns], Sequence[int]],
+        guard: Optional[ResourceGuard] = None,
+        document_keys: Optional["Iterable[str]"] = None,
+    ) -> List[Tuple[DocumentColumns, int]]:
+        """The query executor's candidate fetch: ``(columns, row)`` pairs.
 
-        None means the query is outside the columnar subset: the
-        tree engine runs it, metering its own steps.  Inside the
-        subset a guard is charged ``"xpath evaluation"`` one step per
-        document scanned plus one per row produced, a chunk per call,
-        and its result cap is checked as rows accumulate.
+        ``rows_of`` picks a document's candidate rows (ascending) from
+        its cached columns; the pairs come per selected document, in
+        collection insertion order (see :meth:`_selected`).  A guard is
+        charged ``"xpath evaluation"`` one step per document plus one
+        per row, a chunk per call, and its result cap is checked as rows
+        accumulate.
         """
-        rows_fn = compiled.columnar_rows()
-        if rows_fn is None:
-            return None
         pairs: List[Tuple[DocumentColumns, int]] = []
         append = pairs.append
         column_cache = self._columns
         cap = guard.max_results if guard is not None else None
         pending = 0
-        for key, root in documents:
+        for key, root in self._selected(document_keys):
             entry = column_cache.get(key)
             if entry is not None and entry[0] is root:
                 cols = entry[1]
             else:
                 cols = self.columns_for(key, root)
-            rows = rows_fn(cols)
+            rows = rows_of(cols)
             if rows:
                 if len(rows) == 1:
                     append((cols, rows[0]))
@@ -309,9 +307,6 @@ class Collection:
         documents: "Iterable[Tuple[str, XmlNode]]",
         guard: Optional[ResourceGuard],
     ) -> List[ResultNode]:
-        pairs = self._rows(compiled, documents, guard)
-        if pairs is not None:
-            return [cols.nodes[row] for cols, row in pairs]
         results: List[ResultNode] = []
         for _key, root in documents:
             results.extend(compiled.select(root, guard=guard))
@@ -332,30 +327,13 @@ class Collection:
         insertion order so a restricted run returns results in the same
         order as a full scan filtered to those documents.
 
-        A :class:`~repro.guard.ResourceGuard` bounds the evaluation: its
-        deadline and step budget are charged as the scan proceeds (see
-        :meth:`_rows`) and its result cap is checked as results
-        accumulate across documents.
+        A :class:`~repro.guard.ResourceGuard` bounds the evaluation: the
+        tree engine charges its deadline and step budget per evaluation
+        step, and its result cap is checked as results accumulate across
+        documents.
         """
         compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
         return self._evaluate(compiled, self._selected(document_keys), guard)
-
-    def xpath_rows(
-        self,
-        query: "str | XPathQuery",
-        guard: Optional[ResourceGuard] = None,
-        document_keys: Optional["Iterable[str]"] = None,
-    ) -> Optional[List[Tuple[DocumentColumns, int]]]:
-        """Columnar ``(columns, row)`` results of a query, or None.
-
-        Returns None when the query falls outside the columnar subset —
-        the caller must then run :meth:`xpath` and resolve nodes itself.
-        When supported, the returned pairs cover exactly the node
-        sequence :meth:`xpath` yields (same documents, same order, same
-        guard charges): ``columns.nodes[row]`` is that node.
-        """
-        compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        return self._rows(compiled, self._selected(document_keys), guard)
 
     def xpath_document(
         self,

@@ -594,10 +594,6 @@ class _Evaluator:
         return test.name == "*" or test.name == node.tag
 
 
-#: Tri-state marker for XPathQuery's lazily compiled columnar scan.
-_COLUMNAR_UNTRIED = object()
-
-
 class XPathQuery:
     """A parsed XPath expression, reusable across documents.
 
@@ -609,28 +605,6 @@ class XPathQuery:
         self.source = query
         self.expression = parse_xpath(query)
         self._evaluator = _Evaluator()
-        self._columnar_rows: object = _COLUMNAR_UNTRIED
-
-    def columnar_rows(self):
-        """A compiled columnar scan returning matching *rows*, or None.
-
-        Compiles at most once (the result, including "unsupported", is
-        cached on the query).  The compiled function maps a
-        :class:`~repro.xmldb.columnar.DocumentColumns` to the row indexes
-        of the very nodes :meth:`select` would return, without walking
-        the AST per node — see :mod:`repro.xmldb.columnar` for the
-        supported subset.  The executor's batched verification path
-        consumes ``(columns, row)`` pairs directly and never materialises
-        the intermediate node list.  Callers must fall back to
-        :meth:`select` when this returns None; the scan does not tick a
-        resource guard — a guarded caller charges it per document and
-        row itself, as :class:`~repro.xmldb.collection.Collection` does.
-        """
-        if self._columnar_rows is _COLUMNAR_UNTRIED:
-            from ..columnar import compile_columnar_rows  # deferred: avoids a cycle
-
-            self._columnar_rows = compile_columnar_rows(self.expression)
-        return self._columnar_rows
 
     def evaluate(
         self, root: XmlNode, guard: Optional[ResourceGuard] = None

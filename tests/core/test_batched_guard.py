@@ -90,7 +90,9 @@ def _selection_by_candidate(system, guard):
     guard.start()
     plan, _ = executor._plan(pattern, join=False)
     (doc_keys,), *_ = executor._prune(["dblp"], plan, guard)
-    entries = executor._fetch("dblp", plan.xpaths[0], guard, doc_keys)
+    entries = system.database.get_collection("dblp").fetch(
+        plan.fetchers[0], guard, doc_keys
+    )
 
     def run(candidates, inner_guard):
         return tax_batch.selection_batched(candidates, plan.program, [1], inner_guard)
@@ -118,8 +120,9 @@ def _join_parts(system, pattern, guard=None):
     executor = system.executor
     plan, _ = executor._plan(pattern, join=True)
     (left_keys, right_keys), *_ = executor._prune(["dblp", "sigmod"], plan, guard)
-    left = executor._fetch("dblp", plan.xpaths[0], guard, left_keys)
-    right = executor._fetch("sigmod", plan.xpaths[1], guard, right_keys)
+    database = system.database
+    left = database.get_collection("dblp").fetch(plan.fetchers[0], guard, left_keys)
+    right = database.get_collection("sigmod").fetch(plan.fetchers[1], guard, right_keys)
     return left, right, plan.program
 
 
@@ -217,7 +220,7 @@ def wide():
     executor = system.executor
     pattern = build_scalability_pattern(narrow_category="conference")
     plan, _ = executor._plan(pattern, join=False)
-    entries = executor._fetch("dblp", plan.xpaths[0], None, None)
+    entries = system.database.get_collection("dblp").fetch(plan.fetchers[0])
     assert len(entries) > 2 * CHECK_INTERVAL
     return system, entries, plan.program
 
@@ -334,23 +337,35 @@ def test_executor_join_trips_inside_a_verification_chunk(wide, hash_join):
 
 
 # ---------------------------------------------------------------------------
-# The fetch stage: one tick per document scanned plus one per row produced
+# The fetch stage: one tick per kept document plus one per root row
 # ---------------------------------------------------------------------------
 
 
 class TestFetchAccounting:
-    QUERY = "//inproceedings[booktitle]"
+    """The fetch hands verify the pattern root's tag rows; it runs no XPath."""
+
+    @staticmethod
+    def _fetcher(wide):
+        plan, _ = wide[0].executor._plan(build_scalability_pattern(), join=False)
+        return plan
 
     def test_stage_attribution(self, wide):
-        collection = wide[0].database.get_collection("dblp")
+        system = wide[0]
+        collection = system.database.get_collection("dblp")
         guard = ResourceGuard(max_steps=10**6)
-        rows = collection.xpath_rows(self.QUERY, guard=guard)
-        assert guard.stage_steps == {"xpath evaluation": len(collection) + len(rows)}
+        rows = collection.fetch(self._fetcher(wide).fetchers[0], guard=guard)
+        root_rows = sum(
+            len(collection.columns_for(key, root).tag_rows.get("inproceedings", ()))
+            for key, root in collection.documents()
+        )
+        assert len(rows) == root_rows > 0
+        assert guard.stage_steps == {"xpath evaluation": len(collection) + root_rows}
 
     def test_step_budget_trips_on_the_exact_step(self, wide):
         collection = wide[0].database.get_collection("dblp")
+        rows_of = self._fetcher(wide).fetchers[0]
         guard = ResourceGuard(max_steps=CHECK_INTERVAL + 7)
-        outcome = _outcome(lambda g: collection.xpath(self.QUERY, guard=g), guard)
+        outcome = _outcome(lambda g: collection.fetch(rows_of, guard=g), guard)
         assert outcome[0] == (
             "ResourceExhaustedError",
             f"xpath evaluation exceeded its evaluation budget of "
@@ -360,22 +375,24 @@ class TestFetchAccounting:
 
     def test_deadline_and_result_cap(self, wide):
         collection = wide[0].database.get_collection("dblp")
+        rows_of = self._fetcher(wide).fetchers[0]
         with pytest.raises(QueryTimeoutError, match="xpath evaluation"):
-            collection.xpath_rows(self.QUERY, guard=ResourceGuard(deadline_seconds=0.0))
+            collection.fetch(rows_of, guard=ResourceGuard(deadline_seconds=0.0))
         with pytest.raises(ResourceExhaustedError, match="query over 'dblp'"):
-            collection.xpath_rows(self.QUERY, guard=ResourceGuard(max_results=5))
+            collection.fetch(rows_of, guard=ResourceGuard(max_results=5))
 
     def test_never_more_than_the_tree_engine_charges(self, wide):
         from repro.xmldb.xpath import XPathQuery
 
         collection = wide[0].database.get_collection("dblp")
-        columnar = ResourceGuard()
-        collection.xpath_rows(self.QUERY, guard=columnar)
+        plan = self._fetcher(wide)
+        fetched = ResourceGuard()
+        collection.fetch(plan.fetchers[0], guard=fetched)
         tree = ResourceGuard()
-        compiled = XPathQuery(self.QUERY)
+        compiled = XPathQuery(plan.xpaths[0])
         for _key, root in collection.documents():
             compiled.select(root, guard=tree)
-        assert 0 < columnar.steps <= tree.steps
+        assert 0 < fetched.steps <= tree.steps
 
 
 # ---------------------------------------------------------------------------

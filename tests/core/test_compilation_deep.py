@@ -32,12 +32,12 @@ class TestDeepCompilation:
     def test_three_level_pattern(self):
         parsed = parse_query('shelf(section(book(title = "Data Systems")))')
         xpath = compile_pattern_to_xpath(parsed.pattern)
-        assert xpath == "//shelf[section[book[title[. = 'Data Systems']]]]"
+        assert xpath == "//shelf[section[book[title[text() = 'Data Systems']]]]"
 
     def test_mixed_pc_ad_edges(self):
         parsed = parse_query('library(//book(year = "1999"))')
         xpath = compile_pattern_to_xpath(parsed.pattern)
-        assert xpath == "//library[.//book[year[. = '1999']]]"
+        assert xpath == "//library[.//book[year[text() = '1999']]]"
 
     def test_executor_agrees_with_algebra_on_nested(self, database):
         parsed = parse_query('shelf(section(book(title = "Data Systems")))')

@@ -239,7 +239,10 @@ class TestExecutorIntegration:
         scan = ReferenceExecutor(database, context).selection(
             "dblp", pattern, sl_labels=[1]
         )
-        assert_matches_reference(report, scan)
+        # Results only: the oracle's XPath does not push the ~ expansion,
+        # so it also asks the SEO about p3's author in document "c",
+        # which the index prunes before production fetches it.
+        assert_matches_reference(report, scan, accesses=False)
         assert report.results
 
         assert report.index_used
@@ -314,11 +317,11 @@ class TestOrAlternativeCap:
 
     def test_narrow_or_compiles_value_predicates(self):
         pattern = self._wide_pattern(2)
-        assert ". = 'J. Smith'" in compile_pattern_to_xpath(pattern)
+        assert "text() = 'J. Smith'" in compile_pattern_to_xpath(pattern)
 
     def test_wide_or_is_capped_out_of_the_xpath(self):
         pattern = self._wide_pattern(MAX_OR_ALTERNATIVES + 1)
-        assert ". = " not in compile_pattern_to_xpath(pattern)
+        assert "text() = " not in compile_pattern_to_xpath(pattern)
 
     def test_capped_or_still_answers_correctly(self, database, context):
         pattern = self._wide_pattern(MAX_OR_ALTERNATIVES + 1)

@@ -122,11 +122,15 @@ def test_parsed_query_equivalence(seed, epsilon, author_index):
         f'inproceedings(author ~ "{author.canonical}", '
         f'booktitle below "conference")'
     )
+    # Results only: the oracle's XPath does not push the ~ expansion, so
+    # it asks the SEO about the authors of papers in every document; the
+    # index keeps production to the documents holding a similar author.
     _check(
         system,
         lambda executor, **guard: executor.selection(
             "dblp", parsed.pattern, parsed.roots, **guard
         ),
+        accesses=False,
     )
 
 

@@ -123,11 +123,19 @@ def test_selection_with_seo_context(store, kind, title, category, epsilon):
     indexed = QueryExecutor(database, context)
     scan = ReferenceExecutor(database, context)
     left = indexed.selection("lib", pattern, sl_labels=[1])
-    assert_matches_reference(left, scan.selection("lib", pattern, sl_labels=[1]))
+    # Ontology accesses only where no semantic atom is asked: the oracle's
+    # XPath leaves a ~ to the algebra, which then asks the SEO about books
+    # in documents the index prunes; production fetches every book of a
+    # kept document, where the oracle's XPath drops those whose venue is
+    # not in the below expansion.
+    plain = kind in ("equal", "or")
+    assert_matches_reference(
+        left, scan.selection("lib", pattern, sl_labels=[1]), accesses=plain
+    )
     assert left.docs_scanned <= left.docs_total
     projected = indexed.projection("lib", pattern, [2, (3, True)])
     assert_matches_reference(
-        projected, scan.projection("lib", pattern, [2, (3, True)])
+        projected, scan.projection("lib", pattern, [2, (3, True)]), accesses=plain
     )
 
 

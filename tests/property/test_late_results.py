@@ -11,7 +11,7 @@ and of the reference executor's answer, for selections, joins with the
 product root in SL and textual joins (both side roots in SL).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import QueryExecutor
@@ -101,12 +101,30 @@ def test_selection_texts_before_trees(docs, text):
     _check(production, oracle)
 
 
+def _nested_papers():
+    inner = XmlNode("paper")
+    inner.append(XmlNode("x"))
+    outer = XmlNode("paper")
+    outer.append(inner)
+    return outer
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     left=documents,
     right=documents,
     text=st.sampled_from(JOINS),
     product_root_in_sl=st.booleans(),
+)
+# A side's candidates are the rows its pattern embeds at: the outer paper
+# has no x child, so it must not hang off the product root, where the
+# ad edge would bind paper(x) to the inner paper and answer the product
+# of the whole outer subtree.
+@example(
+    left=[XmlNode("paper"), XmlNode("x")],
+    right=[_nested_papers()],
+    text="x, paper(x)",
+    product_root_in_sl=False,
 )
 def test_join_texts_before_trees(left, right, text, product_root_in_sl):
     database = _database(left, right)

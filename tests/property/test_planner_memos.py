@@ -99,6 +99,9 @@ def check_prunes(system):
 
 
 def check_answers(system):
+    # Results only: every query is a ~ selection, which the oracle's XPath
+    # does not narrow, so it asks the SEO about the documents the index
+    # prunes before production fetches them.
     for text in QUERIES:
         parsed = parse_query(text)
         assert_matches_reference(
@@ -106,6 +109,7 @@ def check_answers(system):
             system.reference_executor().selection(
                 "dblp", parsed.pattern, parsed.roots
             ),
+            accesses=False,
         )
 
 

@@ -74,11 +74,15 @@ def assert_answers_match(worker, live):
     for query in QUERIES:
         parsed = parse_query(query)
         for name in live.instances:
+            # A ~ selection's oracle XPath does not narrow the candidates,
+            # so it asks the SEO about documents the index prunes before
+            # production fetches them: results only for those.
             assert_matches_reference(
                 worker.select(name, parsed.pattern, parsed.roots),
                 live.reference_executor().selection(
                     name, parsed.pattern, parsed.roots
                 ),
+                accesses="~" not in query,
             )
 
 

@@ -1,14 +1,21 @@
-"""Property: every generated XPath parses, is columnar, and prefilters soundly.
+"""Property: every generated XPath parses and prefilters soundly.
 
 ``compile_pattern_to_xpath`` splices query constants — tags and contents
 the user chose — into an XPath string.  Whatever those constants hold
 (spaces, ``:``, ``|``, ``[``, either quote or both, a leading digit, an
 XPath keyword), the result must
 
-* parse,
-* lie inside the columnar subset (the production executor has no other
-  fetch route and raises on a query outside it), and
-* select a superset of the true answers, so that executor == reference.
+* parse, and
+* select a superset of the true answers: the reference executor runs it
+  on the tree engine, production runs no XPath at all, and the two must
+  agree — with each other and with the TAX algebra over whole documents
+  (``tax.algebra.selection(collection.roots(), ...)``).
+
+The soundness suite draws what the XPath and TAX read differently:
+mixed-content elements (TAX ``content`` is the node's own text, XPath's
+string-value the subtree's), ordering comparisons against non-numeric
+and long-number constants, and ``~`` over values outside the SEO, with
+SEO expansions on both sides of ``MAX_OR_ALTERNATIVES``.
 """
 
 import pytest
@@ -17,12 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core.conditions import Below, SeoConditionContext, SimilarTo
 from repro.core.executor import (
+    MAX_OR_ALTERNATIVES,
     QueryExecutor,
     compile_pattern_to_xpath,
     join_side_patterns,
 )
 from repro.core.reference import ReferenceExecutor
-from repro.errors import QueryExecutionError
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology
@@ -31,9 +38,10 @@ from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag
 from repro.tax.pattern import AD, PC, pattern_of
 from repro.xmldb.database import Database
 from repro.xmldb.model import XmlNode
+from repro.xmldb.serializer import serialize
 from repro.xmldb.xpath import XPathQuery
 
-from tests.oracle import assert_matches_reference
+from tests.oracle import answer, assert_matches_reference
 
 #: Constants that are not XPath names, or that XPath would read as syntax.
 #: ``a/b`` is absent because no document can carry it: the XML reader and
@@ -114,9 +122,8 @@ content_choice = st.tuples(
 )
 
 
-def _assert_closed(xpath):
-    query = XPathQuery(xpath)  # parses
-    assert query.columnar_rows() is not None, xpath
+def _assert_parses(xpath):
+    XPathQuery(xpath)
 
 
 @given(
@@ -151,7 +158,7 @@ def test_selection_xpath_is_closed_and_sound(
     )
     executor = QueryExecutor(database, _CONTEXT)
     for xpath in executor.explain(pattern).xpath_queries:
-        _assert_closed(xpath)
+        _assert_parses(xpath)
     reference = ReferenceExecutor(database, _CONTEXT)
     # Results only: where a disjunction holds an unquotable alternative
     # the XPath leaves it to verification, while the index still prunes
@@ -204,7 +211,7 @@ def test_join_xpaths_are_closed_and_sound(
         else Comparison("=", NodeContent(2), NodeContent(4)),
     )
     for side in join_side_patterns(pattern, pattern.condition):
-        _assert_closed(compile_pattern_to_xpath(side))
+        _assert_parses(compile_pattern_to_xpath(side))
     assert_matches_reference(
         QueryExecutor(database, _CONTEXT).join("left", "right", pattern, [2, 4]),
         ReferenceExecutor(database, _CONTEXT).join("left", "right", pattern, [2, 4]),
@@ -248,10 +255,102 @@ def test_unquotable_tag_alternative_drops_the_whole_name_predicate():
     assert compile_pattern_to_xpath(_single_node("'\"")) == "//*"
 
 
-def test_fetch_outside_the_columnar_subset_raises_naming_the_xpath():
+# ---------------------------------------------------------------------------
+# Soundness: what XPath and TAX read differently
+# ---------------------------------------------------------------------------
+
+#: Field texts: a number, a long number, a non-number, the empty string,
+#: values near "tx" that the SEO holds ("ta") and does not ("tz").
+FIELD_TEXTS = ["X", "", "n/a", "1999", "2004", "99999999", "tz", "ta", "abc"]
+EQUAL_CONSTANTS = ["X", "", "n/a", "1999", "tz"]
+ORDER_CONSTANTS = ["1999", "1234567", "n/a", "abc", "2004.5"]
+SIMILAR_CONSTANTS = ["tx", "tz", "X"]
+
+
+def _near_terms(count):
+    """``count`` strings one edit from "tx", none of them "tz"."""
+    letters = "abcdefghijklmnopqrstuvwy"
+    terms = [f"t{c}" for c in letters] + [f"{c}x" for c in letters if c != "t"]
+    return terms[:count]
+
+
+#: SEO expansions of "tx" under and over the or-chain cap: a pushed ~
+#: expansion once made the answer depend on which side it fell.
+_NEAR_CONTEXTS = {
+    near: SeoConditionContext(
+        SimilarityEnhancedOntology.for_hierarchy(
+            Hierarchy([(term, "name") for term in _near_terms(near)]),
+            Levenshtein(),
+            1.0,
+        )
+    )
+    for near in (10, MAX_OR_ALTERNATIVES + 6)
+}
+
+
+@st.composite
+def mixed_records(draw):
+    """A ``rec`` of 1-3 fields, some in mixed content (``text<i>sub</i>``)."""
+    record = XmlNode("rec")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        field_node = record.append(
+            XmlNode(
+                draw(st.sampled_from(["title", "year", "author"])),
+                draw(st.sampled_from(FIELD_TEXTS)),
+            )
+        )
+        if draw(st.booleans()):
+            field_node.append(XmlNode("i", "sub"))
+    return record
+
+
+mixed_stores = st.lists(
+    st.lists(mixed_records(), min_size=1, max_size=3), min_size=1, max_size=3
+)
+
+content_atoms = st.one_of(
+    st.tuples(st.just("="), st.sampled_from(EQUAL_CONSTANTS)),
+    st.tuples(st.sampled_from(["<", "<=", ">", ">="]), st.sampled_from(ORDER_CONSTANTS)),
+    st.tuples(st.just("~"), st.sampled_from(SIMILAR_CONSTANTS)),
+)
+
+
+@given(
+    store=mixed_stores,
+    field_tag=st.sampled_from(["title", "year", "author"]),
+    edge=st.sampled_from([PC, AD]),
+    atom=content_atoms,
+    near=st.sampled_from(sorted(_NEAR_CONTEXTS)),
+    sl=st.sampled_from([[1], [2], []]),
+)
+@settings(max_examples=150, deadline=None)
+def test_prefilter_is_sound_against_the_algebra(store, field_tag, edge, atom, near, sl):
     database = Database()
-    database.create_collection("c").add_document("d", "<r><a/><a/></r>")
-    xpath = "//a[position() = 2]"
-    assert XPathQuery(xpath).columnar_rows() is None
-    with pytest.raises(QueryExecutionError, match="position"):
-        QueryExecutor(database)._fetch("c", xpath, None, None)
+    collection = database.create_collection("lib")
+    for number, records in enumerate(store):
+        root = XmlNode("lib")
+        for record in records:
+            root.append(record.copy())
+        collection.add_document(f"d{number}", root)
+    op, constant = atom
+    pattern = pattern_of([(1, None, PC), (2, 1, edge)])
+    pattern.condition = And(
+        Comparison("=", NodeTag(1), Constant("rec")),
+        Comparison("=", NodeTag(2), Constant(field_tag)),
+        SimilarTo(NodeContent(2), Constant(constant))
+        if op == "~"
+        else Comparison(op, NodeContent(2), Constant(constant)),
+    )
+    context = _NEAR_CONTEXTS[near]
+    production = QueryExecutor(database, context).selection("lib", pattern, sl)
+    oracle = ReferenceExecutor(database, context).selection("lib", pattern, sl)
+    for xpath in oracle.xpath_queries:
+        _assert_parses(xpath)
+    # A ~ is left to the algebra: the oracle asks the SEO about documents
+    # the index prunes before production fetches them.
+    assert_matches_reference(production, oracle, accesses=op != "~")
+    expected = algebra.selection(collection.roots(), pattern, sl, context)
+    assert answer(production) == (
+        [tree.canonical_key() for tree in expected],
+        [serialize(tree).encode("utf-8") for tree in expected],
+    )

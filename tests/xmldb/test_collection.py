@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CollectionError, DocumentTooLargeError, XmlDbError
 from repro.xmldb.collection import Collection
-from repro.xmldb.database import DEFAULT_QUERY_CACHE_SIZE, Database
+from repro.xmldb.database import Database
 from repro.xmldb.model import XmlNode
 from repro.xmldb.parser import parse_document
 
@@ -186,41 +186,6 @@ class TestDatabase:
         assert database.statistics.total_seconds >= 0
         database.statistics.reset()
         assert database.statistics.queries_run == 0
-
-    def test_query_cache_reuses_compiled(self):
-        database = Database()
-        assert database.compile("//a") is database.compile("//a")
-
-    def test_query_cache_counts_hits_and_misses(self):
-        database = Database()
-        database.compile("//a")
-        database.compile("//a")
-        database.compile("//b")
-        assert database.statistics.cache_misses == 2
-        assert database.statistics.cache_hits == 1
-        database.statistics.reset()
-        assert database.statistics.cache_hits == 0
-        assert database.statistics.cache_misses == 0
-
-    def test_query_cache_evicts_least_recently_used(self):
-        database = Database()
-        first = database.compile("//a")
-        database.compile("//b")
-        for i in range(DEFAULT_QUERY_CACHE_SIZE - 2):
-            database.compile(f"//tag{i}")
-        database.compile("//a")  # refresh //a: //b is now the LRU entry
-        database.compile("//c")  # evicts //b
-        assert database.compile("//a") is first
-        misses = database.statistics.cache_misses
-        stale = database.compile("//b")  # recompiled after eviction
-        assert database.statistics.cache_misses == misses + 1
-        assert database.compile("//b") is stale
-
-    def test_query_cache_bounded_size(self):
-        database = Database()
-        for i in range(DEFAULT_QUERY_CACHE_SIZE + 1):
-            database.compile(f"//tag{i}")
-        assert len(database._query_cache) == DEFAULT_QUERY_CACHE_SIZE
 
     def test_document_size_limit_propagates(self):
         database = Database(max_document_bytes=10)
