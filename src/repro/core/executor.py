@@ -18,7 +18,10 @@ report's ``xpath_queries``) but does not run it: phase (ii) fetches the
 pattern root's candidate rows from the index-kept documents' columns,
 and the compiled verify program alone decides every answer in phase
 (iii), so conditions XPath cannot express (cross-node similarity, typed
-comparisons, negation) are answered exactly.
+comparisons, negation) are answered exactly.  When the index probes
+decide every conjunct of a selection (:func:`~repro.core.planner.
+exact_tags`), a candidate whose document holds one row of each pattern
+tag is booked without a scan: the probes already decided it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .planner import (
     PlanSpec,
     build_plan_spec,
     describe_verify_strategy,
+    exact_tags,
     find_cross_probe,
     has_semantic_atom,
     prune_candidates,
@@ -148,7 +152,8 @@ class ExecutionReport:
     #: True when the compiled plan came from the executor's plan cache.
     plan_cache_hit: bool = False
     #: Candidates run through embedding verification (every fetched
-    #: row; for joins, both sides' counts).
+    #: row but those an index-exact selection booked unscanned; for
+    #: joins, both sides' counts).
     docs_verified: int = 0
     #: Join verification work: candidate pairs whose virtual product
     #: was verified, and product trees actually constructed — only for
@@ -558,6 +563,10 @@ class CompiledPlan:
     #: the verify stage's hash join filters candidate pairs by.
     cross: Optional[CrossProbe] = None
     hash_atom: Optional[Condition] = None
+    #: Index-exact plans only (:func:`~repro.core.planner.exact_tags`):
+    #: the pattern's tags, root first.  A selection books the root row
+    #: of a document holding one row of each without scanning it.
+    exact_tags: Optional[Tuple[str, ...]] = None
 
 
 class QueryExecutor:
@@ -687,7 +696,7 @@ class QueryExecutor:
         verified = PatternTree(original)
         _copy_structure(pattern, verified)
         program = tax_batch.VerifyProgram.compile(verified, context)
-        cross = hash_atom = None
+        cross = hash_atom = exact = None
         if join:
             sides = join_side_patterns(pattern, original)
             left_labels, right_labels = (set(side.labels()) for side in sides)
@@ -724,6 +733,7 @@ class QueryExecutor:
             )
             fetchers = (program.root_rows,)
             prunable = specs[0].prunable
+            exact = exact_tags(pattern, original, specs[0], self.context)
         plan = CompiledPlan(
             condition,
             xpaths,
@@ -733,6 +743,7 @@ class QueryExecutor:
             program,
             cross,
             hash_atom,
+            exact,
         )
         self._plan_cache.put(key, plan)
         return plan, False
@@ -862,7 +873,7 @@ class QueryExecutor:
                 f"cross: {plan.cross.kind}(node[{plan.cross.left_label}] "
                 f"<-> node[{plan.cross.right_label}])"
             )
-        index_plan.append(describe_verify_strategy(join=is_join))
+        index_plan.append(describe_verify_strategy(is_join, plan.exact_tags))
         return QueryPlan(
             original=repr(pattern.condition),
             rewritten=repr(plan.condition),
@@ -886,7 +897,9 @@ class QueryExecutor:
             pattern,
             guard,
             lambda plan, entries, guard, tracer: (
-                tax_batch.selection_batched(entries[0], plan.program, sl, guard),
+                tax_batch.selection_batched(
+                    entries[0], plan.program, sl, guard, plan.exact_tags
+                ),
                 {},
             ),
             {"collection": collection_name},
@@ -1002,14 +1015,18 @@ class QueryExecutor:
 
             with _stage(tracer, guard, "verify") as verify_stage:
                 results, counts = verify(plan, entries, guard, tracer)
-                # Result trees the stage built: 0 while answers stay rows.
-                built = (
-                    results.built
-                    if isinstance(results, tax_batch.ResultRows)
-                    else len(results)
-                )
+                # Result trees the stage built (0 while answers stay rows)
+                # and candidates an index-exact plan booked without a scan.
+                if isinstance(results, tax_batch.ResultRows):
+                    built, booked = results.built, results.booked
+                else:
+                    built, booked = len(results), 0
                 tracer.annotate(
-                    results=len(results), materialized=built, batched=True, **counts
+                    results=len(results),
+                    materialized=built,
+                    exact=booked,
+                    batched=True,
+                    **counts,
                 )
         candidates = sum(map(len, entries))
         report = ExecutionReport(
@@ -1025,7 +1042,7 @@ class QueryExecutor:
             docs_scanned=docs_scanned,
             index_used=index_used,
             plan_cache_hit=cache_hit,
-            docs_verified=candidates,
+            docs_verified=candidates - booked,
             **counts,
         )
         return self._finish_query(

@@ -29,6 +29,11 @@ gets weaker, never wrong); when the whole condition cannot be pruned
 safely — notably semantic atoms with no SEO context, where the scan path
 must raise — :func:`build_plan_spec` refuses and the executor falls back
 to the full scan.
+
+Sometimes the probes are also *sufficient*: :func:`exact_tags` proves,
+once per plan, that a selection's probes decide every conjunct, so a
+kept document holding one row of each pattern tag answers through its
+root row without verification.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from ..tax.conditions import (
     NodeContent,
     Not,
     Or,
+    _tag_equality,
     required_tags,
 )
 from ..tax.pattern import AD, PatternTree
@@ -137,13 +143,22 @@ class PlanSpec:
         return lines
 
 
-def describe_verify_strategy(join: bool = False) -> str:
+def describe_verify_strategy(
+    join: bool = False, exact: Optional[Tuple[str, ...]] = None
+) -> str:
     """One ``explain`` line naming the verification strategy: the
-    set-oriented columnar scan and, for joins, late product
-    materialisation.  A resource guard never changes it, only what is
-    charged."""
+    set-oriented columnar scan, for joins late product materialisation,
+    and for an index-exact selection (:func:`exact_tags`) the booking of
+    a witnessed document's root row.  A resource guard never changes it,
+    only what is charged."""
     if join:
         return "verify: set-oriented batch over columns, late-materialized products"
+    if exact is not None:
+        return (
+            f"verify: index-exact, a document with one row per tag in "
+            f"{{{', '.join(exact)}}} books its root row unscanned; "
+            f"any other candidate runs the set-oriented batch over columnar rows"
+        )
     return "verify: set-oriented batch over columnar rows"
 
 
@@ -312,6 +327,83 @@ def _or_equality_probe(
         return None
     label = labels.pop()
     return ValuesProbe(label, _tags_of(tags, label), frozenset(values))
+
+
+def exact_tags(
+    pattern: PatternTree,
+    condition: Condition,
+    spec: PlanSpec,
+    context: Optional[SeoConditionContext],
+) -> Optional[Tuple[str, ...]]:
+    """The pattern's tags, root first, when ``spec`` decides a selection.
+
+    Holds when every label is restricted to exactly one tag, the tags are
+    pairwise distinct, every ``pc`` / ``ad`` edge has its pair probe, and
+    every top-level conjunct is a tag equality, a content equality (or a
+    one-label or-chain of them) or a constant-sided ``below`` /
+    ``subtype_of`` / ``instance_of`` / ``above`` / ``part_of`` under an
+    SEO context — each has a value probe whose term set is exactly what
+    the evaluator accepts.  Anything else (``~``, whose probe adds a
+    distance scan, ``Not``, ordering, typed and ``contains`` atoms,
+    cross-label atoms) returns None.
+
+    What it proves: in a kept document holding *one* row of each tag,
+    the facts the probes intersected are facts about those rows, so they
+    form the only embedding and its root row is the answer.  The
+    document-level witness is the caller's (:func:`repro.tax.batch.
+    selection_batched`): a document with two root-tag rows passes the
+    probes through one of them and may not be answered through the other.
+    """
+    if not spec.prunable:
+        return None
+    restrictions = required_tags(condition)
+    tags: Dict[int, str] = {}
+    # Root first: labels are in insertion order, which is parent-first.
+    for label in pattern.labels():
+        restriction = restrictions.get(label)
+        if restriction is None or len(restriction) != 1:
+            return None
+        (tags[label],) = restriction
+        node = pattern.node(label)
+        if node.parent is None:
+            continue
+        pair = frozenset({(tags[node.parent], tags[label])})
+        if pair not in (spec.ad_probes if node.edge == AD else spec.pc_probes):
+            return None
+    if len(set(tags.values())) != len(tags):
+        return None
+    if not condition.labels() <= tags.keys():
+        return None  # verify raises on a label the pattern does not bind
+    for conjunct in _conjuncts(condition):
+        if not _probe_decides(conjunct, restrictions, context):
+            return None
+    return tuple(tags.values())
+
+
+def _probe_decides(
+    conjunct: Condition,
+    tags: Dict[int, Set[str]],
+    context: Optional[SeoConditionContext],
+) -> bool:
+    """True when a value or tag probe accepts exactly what ``conjunct`` does."""
+    if isinstance(conjunct, Comparison):
+        return conjunct.op == "=" and (
+            _tag_equality(conjunct) is not None
+            or _content_equality(conjunct) is not None
+        )
+    if isinstance(conjunct, Or):
+        return _or_equality_probe(conjunct, tags) is not None
+    if (
+        context is None
+        or not isinstance(conjunct, _SemanticAtom)
+        or isinstance(conjunct, SimilarTo)
+        or not isinstance(conjunct.left, NodeContent)
+    ):
+        return False
+    try:
+        return _expansion_for(conjunct, context) is not None
+    except ConditionError:
+        return False  # e.g. part_of with no attached SEO: never probed
 
 
 def prune_candidates(

@@ -19,10 +19,13 @@ batched enumeration visits candidate rows in exactly the order
 ``find_embeddings`` visits the corresponding nodes and calls the
 condition evaluator at exactly the same points — so verdicts, result
 sequences and ontology-access counts are bit-identical to the
-per-candidate path.  A resource guard is charged by these operators
-themselves, a chunk of candidates per call, at exactly the
-one-candidate-at-a-time price (:class:`_Verification`); guarded and
-unguarded queries run the same code.
+per-candidate path.  The one exception: an entry an index-exact
+selection books (:func:`selection_batched`'s ``exact_tags``) is not
+enumerated, so it calls no evaluator and asks the ontology nothing.  A
+resource guard is charged by these operators themselves, a chunk of
+candidates per call, at exactly the one-candidate-at-a-time price
+(:class:`_Verification`); guarded and unguarded queries run the same
+code.
 
 An entry is ``(columns, row)``; ``columns.nodes[row]`` is the candidate
 node itself, so evaluators see the *original* document nodes.  All three
@@ -82,14 +85,16 @@ class ResultRows(Sequence[XmlNode]):
     ``tax.results.materialized`` by the number it built.
     """
 
-    __slots__ = ("_refs", "_trees", "built")
+    __slots__ = ("_refs", "_trees", "built", "booked")
 
-    def __init__(self, refs: List[ResultRef], built: int = 0) -> None:
+    def __init__(self, refs: List[ResultRef], built: int = 0, booked: int = 0) -> None:
         self._refs = refs
         self._trees: Optional[List[XmlNode]] = None
         #: How many answers exist as trees: the witnesses the verify
         #: stage built, or all of them once materialised.
         self.built = built
+        #: Candidates an index-exact selection booked without a scan.
+        self.booked = booked
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -191,21 +196,32 @@ class _Verification:
 
     def candidate_done(self, keyed: Sequence[Tuple[Tuple, object]]) -> None:
         """Book one candidate's ``(canonical key, result)`` pairs."""
-        seen, out = self.seen, self.out
         if len(keyed) == 1:
-            key, result = keyed[0]
+            self.book(*keyed[0])
+            return
+        seen, out = self.seen, self.out
+        own: Set[Tuple] = set()
+        for key, result in keyed:
+            own.add(key)
             if key not in seen:
                 seen.add(key)
                 out.append(result)
-            self.count += 1
-        else:
-            own: Set[Tuple] = set()
-            for key, result in keyed:
-                own.add(key)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(result)
-            self.count += len(own)
+        self.count += len(own)
+        if self.cap is not None and self.count > self.cap:
+            self._charge()
+            self.guard.check_results(self.count, "query verification")
+
+    def book(self, key: Tuple, result: object) -> None:
+        """Book a candidate whose one result is ``result``:
+        ``candidate_done([(key, result)])``."""
+        seen = self.seen
+        size = len(seen)
+        # One hash, not two: a canonical subtree key is a deep tuple,
+        # and a tuple does not cache its hash.
+        seen.add(key)
+        if len(seen) != size:
+            self.out.append(result)
+        self.count += 1
         if self.cap is not None and self.count > self.cap:
             self._charge()
             self.guard.check_results(self.count, "query verification")
@@ -519,6 +535,7 @@ def selection_batched(
     program: VerifyProgram,
     sl_labels: Iterable[int],
     guard: Optional[ResourceGuard] = None,
+    exact_tags: Optional[Sequence[str]] = None,
 ) -> Sequence[XmlNode]:
     """``tax.algebra.selection`` over batched-verify entries.
 
@@ -529,6 +546,14 @@ def selection_batched(
     (:class:`ResultRows`) — no witness is copied unless a caller reads
     the trees.  ``guard`` is charged per entry (see
     :class:`_Verification`).
+
+    ``exact_tags`` is an index-exact plan's tags (see
+    :func:`repro.core.planner.exact_tags`; the entries must come from
+    the documents its probes kept).  On the fast path a candidate whose
+    document holds exactly one row of each is booked as the answer
+    without a scan — charged, capped and deduped like a scanned one;
+    every other candidate is scanned.  ``ResultRows.booked`` counts the
+    booked ones.
     """
     sl = list(sl_labels)
     pattern = program.pattern
@@ -545,17 +570,23 @@ def selection_batched(
         # deduped by subtree key (a copy's canonical key equals its
         # source's, so dedupe without the copy is exact).
         found: Dict[int, None] = {}
+        booked = 0
 
         def emit() -> None:
             found[rows[root_label]] = None
 
         for cols, item in results.candidates(entries):
+            if exact_tags is not None and _one_row_each(cols, exact_tags):
+                booked += 1
+                results.book(cols.subtree_key(item), (cols, item))
+                continue
             scan(cols, item, cols.end[item], binding, rows, emit)
             results.candidate_done(
                 [(cols.subtree_key(row), (cols, row)) for row in found]
             )
             found.clear()
-        return ResultRows(results.out)
+        _count_exact(exact_tags, len(entries), booked)
+        return ResultRows(results.out, booked=booked)
     witnesses: List[XmlNode] = []
 
     def emit_witness() -> None:
@@ -565,7 +596,25 @@ def selection_batched(
         scan(cols, item, cols.end[item], binding, rows, emit_witness)
         results.candidate_done([(w.canonical_key(), w) for w in witnesses])
         witnesses.clear()
+    _count_exact(exact_tags, len(entries), 0)
     return results.out
+
+
+def _one_row_each(cols: DocumentColumns, tags: Sequence[str]) -> bool:
+    """The index-exact witness: the document holds one row of each tag."""
+    tag_rows = cols.tag_rows
+    for tag in tags:
+        if len(tag_rows.get(tag, ())) != 1:
+            return False
+    return True
+
+
+def _count_exact(exact_tags: Optional[Sequence[str]], candidates: int, booked: int) -> None:
+    """An index-exact plan's candidates, booked and scanned: the scanned
+    ones fell off the bookkeeping (witness failed, or root not in SL)."""
+    if exact_tags is not None:
+        METRICS.counter("tax.verify.exact").inc(booked)
+        METRICS.counter("tax.verify.exact_scanned").inc(candidates - booked)
 
 
 def projection_batched(

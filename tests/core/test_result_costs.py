@@ -95,7 +95,9 @@ def test_a_broad_selection_on_the_wire_copies_no_subtree(system, counted):
     assert counted["materialize"] == report.result_count == len(trees)
     assert materialized() == before + report.result_count
     assert report.results is trees and counted["materialize"] == len(trees)
-    assert_matches_reference(report, oracle)
+    # An index-exact plan over one paper per document: no SEO access.
+    assert_matches_reference(report, oracle, accesses=False)
+    assert report.ontology_accesses == 0
 
 
 def test_the_textual_join_assembles_no_witness(system, counted):
@@ -138,6 +140,8 @@ def test_a_write_after_the_query_leaves_its_report_alone(system):
     assert [serialize(tree) for tree in old.results] == old_texts
 
     new = system.query("dblp", BROAD)
-    assert_matches_reference(new, reference(system, BROAD))
+    # An index-exact plan over one paper per document: no SEO access.
+    assert_matches_reference(new, reference(system, BROAD), accesses=False)
+    assert new.ontology_accesses == 0
     assert any("Rewritten After The Query" in text for text in new.result_texts())
     assert not any("Rewritten After The Query" in text for text in old_texts)

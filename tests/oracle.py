@@ -19,8 +19,12 @@ def answer(report):
 
 def assert_matches_reference(report, oracle, accesses=True):
     """Same trees, same order, same bytes — and, unless the production
-    path legitimately skips work the oracle does (a hash-joined or
-    index-pruned join), the same number of ontology accesses."""
+    path legitimately skips work the oracle does, the same number of
+    ontology accesses.  Callers pass ``accesses=False`` for a hash-joined
+    or index-pruned join, and for an index-exact selection
+    (:func:`repro.core.planner.exact_tags`): it books a witnessed
+    document's root row without asking the SEO, so it reports 0 accesses
+    — such callers assert that 0 themselves."""
     assert answer(report) == answer(oracle)
     assert report.xpath_queries == oracle.xpath_queries
     if accesses:
