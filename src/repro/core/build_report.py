@@ -47,6 +47,9 @@ class RelationBuild:
     #: Off the two cheap rungs, the precondition that failed: the write's
     #: ``fallback_reason``, a changed parameter, or the fusion /
     #: enhancement-patch step's :class:`~repro.errors.DeltaRefused` reason.
+    #: The first build after a load leads with what became of the
+    #: restored SEO: ``restored`` (adopted; alone on the cheap rungs) or
+    #: ``restore-refused:<reason>`` (in place of ``first-build``).
     rung_reason: Optional[str] = None
 
     @classmethod

@@ -13,10 +13,14 @@ one directory:
 A loaded system is immediately queryable (its SEOs are restored verbatim,
 not rebuilt) and writable (its Ontology Maker — lexicon, content tags,
 DBA rules — is restored from ``system.json``; each instance's ontology is
-extracted with it on first use).  Calling
-:meth:`~repro.core.system.TossSystem.build` on it recomputes everything
-from the restored documents, which is also how constraint edits are
-applied after loading.
+extracted with it on first use).  Loading derives no build state.  The
+first write or :meth:`~repro.core.system.TossSystem.build` afterwards
+adopts the restored SEOs as the build ladder's state once it has proven
+them the build of the restored documents under the saved maker,
+constraints, epsilon and measure (order-safe mode), so that build is a
+``patch`` or ``reuse`` like any other; otherwise it names why it refused
+and recomputes from the restored documents — which is also how
+constraint edits are applied after loading.
 """
 
 from __future__ import annotations
@@ -181,5 +185,5 @@ def load_system(root_dir: str, on_corruption: str = "raise") -> TossSystem:
             system.degrade()
             return system
         raise TossError("saved system lacks an isa SEO")
-    system.install_seos(seos)
+    system.install_restored(seos)
     return system

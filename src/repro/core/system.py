@@ -36,13 +36,14 @@ from ..ontology.constraints import (
     ScopedTerm,
     parse_constraint,
 )
-from ..ontology.fusion import extend_fusion, retract_fusion
+from ..ontology.fusion import canonical_fusion, extend_fusion, retract_fusion
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..ontology.lexicon import Lexicon
 from ..ontology.maker import CombinedExtraction, OntologyMaker, RelationDelta
 from ..similarity.cache import SimilarityGraphCache
 from ..similarity.incremental import EpsilonGraphCache
 from ..similarity.measures import StringSimilarityMeasure, get_measure
+from ..similarity.sea import ORDER_SAFE, restore_patch_state
 from ..similarity.seo import SeoBuildStats, SimilarityEnhancedOntology
 from .build_report import BuildReport, RelationBuild
 from ..tax import algebra as tax_algebra
@@ -114,6 +115,18 @@ class _RelationState:
     chain_depth: int = 0
 
 
+@dataclass
+class _Restored:
+    """What :func:`~repro.core.persistence.load_system` served, and what
+    it was saved under, until the first write or build adopts or refuses
+    it (:meth:`TossSystem._resume_restored`)."""
+
+    seos: Dict[str, SimilarityEnhancedOntology]
+    maker: OntologyMaker
+    constraints: Dict[str, List[InteroperationConstraint]]
+    chain_depths: Dict[str, int]
+
+
 class TossSystem:
     """End-to-end TOSS: database + ontologies + SEO + query execution."""
 
@@ -178,6 +191,11 @@ class TossSystem:
         self._poisoned: Dict[str, str] = {}
         #: Per-relation state of the last successful build.
         self._relation_state: Dict[str, _RelationState] = {}
+        #: SEOs a load served that no write or build has yet adopted.
+        self._restored: Optional[_Restored] = None
+        #: Per relation, the rung-reason note the next build reports:
+        #: ``"restored"`` or ``"restore-refused:<reason>"``.
+        self._restore_notes: Dict[str, str] = {}
 
     # -- administration ---------------------------------------------------------
 
@@ -258,6 +276,7 @@ class TossSystem:
         """
         if name in self.instances:
             raise TossError(f"instance {name!r} is already registered")
+        self._resume_restored()
         if isinstance(documents, (str, XmlNode)):
             documents = [documents]
         collection = self.database.create_collection(name)
@@ -311,7 +330,9 @@ class TossSystem:
         The instance's ontology is extracted on first use — the next
         :meth:`build` or write — with the :attr:`maker` then in place,
         into the same replayable extraction state :meth:`add_instance`
-        keeps, so the first write after a load is a delta like any other.
+        keeps, so the first write after a load is a delta like any other
+        (and, once :meth:`_resume_restored` proves the served SEOs
+        current, so is the first build).
         """
         roots = self.database.get_collection(name).roots()
 
@@ -370,6 +391,7 @@ class TossSystem:
         """
         if name not in self.instances:
             raise TossError(f"no instance named {name!r}; use add_instance")
+        self._resume_restored()  # against the hierarchies before the write
         collection = self.database.get_collection(name)
         generation_before = collection.generation
         state, fallback_reason = self._source_state(name)
@@ -654,16 +676,12 @@ class TossSystem:
         previous_seos: Dict[str, SimilarityEnhancedOntology] = {}
         try:
             with tracer.trace("build", mode=mode):
+                self._resume_restored()
                 if guard is not None:
                     guard.start()
                 for relation in relations:
                     with tracer.span(f"relation.{relation}"):
-                        hierarchies = {
-                            name: instance.ontology[relation]
-                            for name, instance in self.instances.items()
-                        }
-                        constraints = self._auto_constraints(relation, hierarchies)
-                        constraints.extend(self._constraints.get(relation, ()))
+                        hierarchies, constraints = self._relation_inputs(relation)
                         previous = self._relation_state.get(relation)
                         if previous is not None:
                             previous_seos[relation] = previous.seo
@@ -711,6 +729,109 @@ class TossSystem:
                 for relation, seo in seos.items()
             ),
         )
+
+    def _relation_inputs(
+        self, relation: str
+    ) -> Tuple[Dict[str, Hierarchy], List[InteroperationConstraint]]:
+        """One relation's instance hierarchies and its full constraint set
+        (auto-derived, then the DBA's) — what its SEO is built from."""
+        hierarchies = {
+            name: instance.ontology[relation]
+            for name, instance in self.instances.items()
+        }
+        constraints = self._auto_constraints(relation, hierarchies)
+        constraints.extend(self._constraints.get(relation, ()))
+        return hierarchies, constraints
+
+    def install_restored(
+        self, seos: Dict[str, SimilarityEnhancedOntology]
+    ) -> SeoConditionContext:
+        """Serve SEOs read from a saved store (the load path).
+
+        Records what they were saved under and derives nothing: the
+        first write or build afterwards decides whether they become the
+        build ladder's state (:meth:`_resume_restored`).
+        """
+        context = self.install_seos(seos)
+        self._restored = _Restored(
+            seos=dict(seos),
+            maker=self.maker,
+            constraints={
+                relation: list(items) for relation, items in self._constraints.items()
+            },
+            chain_depths=self.seo_chain_depths,
+        )
+        return context
+
+    def _resume_restored(self) -> None:
+        """Make the SEOs a load served the build ladder's state, or refuse.
+
+        Runs once, on the first write or build after
+        :meth:`install_restored`, before that write lands.  A restored
+        SEO is adopted only when it provably is the build of the current
+        instance hierarchies: saved in order-safe mode under the current
+        epsilon, measure, maker and DBA constraints, and its fusion equal
+        to a fresh canonical fusion of those hierarchies (the enhancement
+        is a function of the fusion, epsilon, measure and mode —
+        Theorem 1).  Its order-context buckets and verdict cache are then
+        re-derived from it (:func:`~repro.similarity.sea
+        .restore_patch_state`), so the next build starts on the patch or
+        reuse rung instead of ``first-build``.  Each outcome is counted
+        (``system.restore.adopted`` / ``system.restore.refused.<reason>``)
+        and noted on the next build's rung reason.
+        """
+        restored, self._restored = self._restored, None
+        if restored is None:
+            return
+        for relation, seo in restored.seos.items():
+            reason = self._restore_refusal(restored, relation, seo)
+            if reason is None:
+                hierarchies, constraints = self._relation_inputs(relation)
+                try:
+                    fusion = canonical_fusion(hierarchies, constraints)
+                except ReproError:
+                    fusion = None
+                if (
+                    fusion is None
+                    or fusion.hierarchy != seo.fusion.hierarchy
+                    or fusion.witness != seo.fusion.witness
+                ):
+                    reason = "seo-stale"
+            if reason is not None:
+                METRICS.counter(f"system.restore.refused.{reason}").inc()
+                self._restore_notes[relation] = f"restore-refused:{reason}"
+                continue
+            METRICS.counter("system.restore.adopted").inc()
+            self._restore_notes[relation] = "restored"
+            self._relation_state[relation] = _RelationState(
+                epsilon=self.epsilon,
+                mode=ORDER_SAFE,
+                constraints=constraints,
+                seo=seo,
+                graph_cache=restore_patch_state(
+                    seo.enhancement, seo.fusion.hierarchy
+                ),
+                chain_depth=restored.chain_depths.get(relation, 0),
+            )
+
+    def _restore_refusal(
+        self, restored: _Restored, relation: str, seo: SimilarityEnhancedOntology
+    ) -> Optional[str]:
+        """Why ``seo`` cannot be the current build, short of fusing; None
+        when only the fusion comparison is left to decide."""
+        if seo.enhancement.mode != ORDER_SAFE:
+            return "strict-mode"  # no buckets: the patch rung never runs
+        if seo.epsilon != self.epsilon:
+            return "epsilon-changed"
+        if seo.measure.name != self.measure.name:
+            return "measure-changed"
+        if self.maker is not restored.maker and (
+            self.maker.to_dict() != restored.maker.to_dict()
+        ):
+            return "maker-changed"
+        if self._constraints.get(relation, []) != restored.constraints.get(relation, []):
+            return "constraints-changed"
+        return None
 
     def install_seos(
         self,
@@ -802,10 +923,18 @@ class TossSystem:
            the followed fusion when just the enhancement patch was
            refused, else over a from-scratch fusion.
         4. **full** — everything else (no verdicts to replay).
+
+        After a load, the previous build is the restored SEO once
+        :meth:`_resume_restored` has proven it current; the first build
+        then reports ``restored`` (or, for a refused one,
+        ``restore-refused:<reason>`` where ``first-build`` would be).
         """
         prev = self._relation_state.get(relation)
+        note = self._restore_notes.pop(relation, None)
         if prev is None:
-            reason: Optional[str] = "first-build"
+            # A load whose SEO was refused says why, not "first-build".
+            reason: Optional[str] = note or "first-build"
+            note = None
         elif relation in self._poisoned:
             reason = self._poisoned[relation]
         elif prev.epsilon != self.epsilon:
@@ -830,9 +959,10 @@ class TossSystem:
                         fusion_incremental=True,
                         chain_depth=prev.chain_depth,
                         rung="reuse",
+                        rung_reason=note,
                     )
                 )
-                tracer.annotate(rung="reuse")
+                tracer.annotate(rung="reuse", rung_reason=note)
                 return prev.seo, prev.graph_cache, prev.chain_depth
             try:
                 followed = extend_fusion(
@@ -862,7 +992,9 @@ class TossSystem:
                     previous=prev.seo,
                 )
                 built.build_stats.chain_depth = chain_depth
-                self._report_relation(relation, built.build_stats, None, report, tracer)
+                self._report_relation(
+                    relation, built.build_stats, None, report, tracer, note
+                )
                 return built, prev.graph_cache, chain_depth
         graph_cache = (
             prev.graph_cache
@@ -879,7 +1011,9 @@ class TossSystem:
             cache=cache,
             graph_cache=graph_cache,
         )
-        self._report_relation(relation, built.build_stats, reason, report, tracer)
+        self._report_relation(
+            relation, built.build_stats, reason, report, tracer, note
+        )
         return built, graph_cache, 0
 
     @staticmethod
@@ -889,9 +1023,15 @@ class TossSystem:
         reason: Optional[str],
         report: BuildReport,
         tracer,
+        note: Optional[str] = None,
     ) -> None:
-        """Book one relation's build on the report and its trace span."""
+        """Book one relation's build on the report and its trace span;
+        ``note`` (an adopted load) leads the rung reason."""
         entry = RelationBuild.from_stats(relation, stats, reason)
+        if note is not None:
+            entry.rung_reason = (
+                f"{note}; {entry.rung_reason}" if entry.rung_reason else note
+            )
         report.relations.append(entry)
         tracer.annotate(
             rung=entry.rung, rung_reason=entry.rung_reason, cache_hit=stats.cache_hit
@@ -960,11 +1100,18 @@ class TossSystem:
 
     @property
     def seo_chain_depths(self) -> Dict[str, int]:
-        """Per-relation incremental chain depth (0 = last build was full)."""
-        return {
-            relation: state.chain_depth
-            for relation, state in self._relation_state.items()
-        }
+        """Per served SEO, the incremental builds since its relation's
+        last full build (0 = a full build), as the build report that
+        produced it says — the last build's, or the one a loaded store
+        was saved with."""
+        if self.context is None:
+            return {}
+        reported = (
+            {entry.relation: entry.chain_depth for entry in self.build_report.relations}
+            if self.build_report is not None
+            else {}
+        )
+        return {relation: reported.get(relation, 0) for relation in self.context.seos}
 
     def collection_generations(self) -> Dict[str, int]:
         """Per-collection write generation (monotone mutation counter)."""

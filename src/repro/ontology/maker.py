@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import graphutils
 from ..errors import DeltaRefused
@@ -41,6 +41,7 @@ from .lexicon import Lexicon, bibliography_lexicon
 DEFAULT_CONTENT_TAGS = frozenset({"author", "booktitle", "conference", "editor"})
 
 Rule = Tuple[str, str, str]  # (relation, lower_term, upper_term)
+Edge = Tuple[str, str]  # (lower_term, upper_term)
 
 
 def _strings(values, count: Optional[int] = None) -> List[str]:
@@ -120,22 +121,7 @@ class OntologyMaker:
 
     def make(self, root: XmlNode) -> Ontology:
         """Build the ontology of one semistructured instance."""
-        isa_edges = self._isa_edges(root)
-        part_of_edges = self._part_of_edges(root)
-        for relation, lower, upper in self.rules:
-            if relation == Ontology.ISA:
-                isa_edges.append((lower, upper))
-            elif relation == Ontology.PART_OF:
-                part_of_edges.append((lower, upper))
-            else:
-                raise ValueError(f"unknown rule relation {relation!r}")
-        tags = self._document_tags(root)
-        return Ontology(
-            {
-                Ontology.ISA: _acyclic_hierarchy(isa_edges, nodes=tags),
-                Ontology.PART_OF: _acyclic_hierarchy(part_of_edges, nodes=tags),
-            }
-        )
+        return self.make_combined([root])
 
     def make_many(self, roots: Iterable[XmlNode]) -> List[Ontology]:
         """One ontology per instance (Figure 8 runs the maker per I in SDB)."""
@@ -148,13 +134,15 @@ class OntologyMaker:
         sharing one schema; their extracted edges are unioned before the
         Hasse normalisation.
         """
-        isa_edges: List[Tuple[str, str]] = []
-        part_of_edges: List[Tuple[str, str]] = []
+        isa_edges: List[Edge] = []
+        part_of_edges: List[Edge] = []
         tags: Set[str] = set()
+        lookups = LexiconLookups(self.lexicon)
         for root in roots:
-            isa_edges.extend(self._isa_edges(root))
-            part_of_edges.extend(self._part_of_edges(root))
-            tags.update(self._document_tags(root))
+            listing = self._walk(root, lookups)
+            isa_edges.extend(listing.isa)
+            part_of_edges.extend(listing.part_of)
+            tags.update(listing.tags)
         for relation, lower, upper in self.rules:
             if relation == Ontology.ISA:
                 isa_edges.append((lower, upper))
@@ -171,53 +159,130 @@ class OntologyMaker:
 
     # -- extraction ---------------------------------------------------------------
 
-    def _document_tags(self, root: XmlNode) -> Set[str]:
-        return {node.tag for node in root.iter()}
+    def _walk(self, root: XmlNode, lookups: "LexiconLookups") -> "DocumentListing":
+        """Everything one document contributes, from a single preorder walk.
 
-    def _part_of_edges(self, root: XmlNode) -> List[Tuple[str, str]]:
-        edges: Set[Tuple[str, str]] = set()
-        for node in root.iter():
-            for child in node.children:
-                if child.tag != node.tag:
-                    edges.add((child.tag, node.tag))
-            if node.tag in self.content_tags and node.text:
-                for whole in self.lexicon.holonyms(node.text):
-                    edges.add((node.text, whole))
-        for tag in self._document_tags(root):
-            for whole in self.lexicon.holonyms(tag):
-                edges.add((tag, whole))
-        return sorted(edges)
+        * tags: every element name;
+        * part-of: each child tag under a differently named parent, plus
+          the holonyms of every tag and of every content value;
+        * isa: each content value below its tag (the first
+          ``max_content_terms`` values that differ from their tag; content
+          after the cap seeds nothing), plus the hypernym chains followed
+          transitively from every tag and seeded value, so a venue's
+          category reaches "conference", "event", etc.
 
-    def _isa_edges(self, root: XmlNode) -> List[Tuple[str, str]]:
-        edges: Set[Tuple[str, str]] = set()
-
-        # Seed terms: the schema vocabulary plus lifted content values.
-        seeds: List[str] = list(self._document_tags(root))
+        Both edge lists are sorted, which fixes the order the greedy
+        cycle-dropping pass consumes them in.
+        """
+        tags: Set[str] = set()
+        seeds: Set[str] = set()
+        isa: Set[Edge] = set()
+        part_of: Set[Edge] = set()
+        content_tags = self.content_tags
+        cap = self.max_content_terms
         lifted = 0
-        for node in root.iter():
-            if node.tag in self.content_tags and node.text:
-                if (
-                    self.max_content_terms is not None
-                    and lifted >= self.max_content_terms
-                ):
-                    break
-                if node.text != node.tag:
-                    edges.add((node.text, node.tag))
-                    lifted += 1
-                seeds.append(node.text)
+        capped = False
+        stack = [root]
+        while stack:  # preorder, as XmlNode.iter: the content cap counts in it
+            node = stack.pop()
+            tag = node.tag
+            tags.add(tag)
+            children = node.children
+            if children:
+                for child in children:
+                    if child.tag != tag:
+                        part_of.add((child.tag, tag))
+                stack.extend(reversed(children))
+            text = node.text
+            if not text or tag not in content_tags:
+                continue
+            part_of.update(lookups.holonym_edges(text))
+            if capped or (cap is not None and lifted >= cap):
+                capped = True
+                continue
+            if text != tag:
+                isa.add((text, tag))
+                lifted += 1
+            seeds.add(text)
+        schema_isa, schema_part_of = lookups.schema_edges(frozenset(tags))
+        isa |= schema_isa
+        part_of |= schema_part_of
+        for seed in seeds:
+            isa.update(lookups.hypernym_edges(seed))
+        return DocumentListing(tags, sorted(isa), sorted(part_of))
 
-        # Hypernym chains followed transitively from every seed, so a
-        # venue's category reaches "conference", "event", etc.
-        frontier = list(seeds)
-        seen: Set[str] = set(frontier)
-        while frontier:
-            term = frontier.pop()
-            for hypernym in self.lexicon.hypernyms(term):
-                edges.add((term, hypernym))
-                if hypernym not in seen:
-                    seen.add(hypernym)
-                    frontier.append(hypernym)
-        return sorted(edges)
+
+class LexiconLookups:
+    """The lexicon edges one extraction run needs, each looked up once.
+
+    Thousands of documents share a handful of tags and venues, so the
+    hypernym chain of a term is walked the first time the term seeds a
+    document and replayed from here afterwards.  A memo lives for one
+    extraction call: the maker's lexicon may change between calls.
+    """
+
+    __slots__ = ("lexicon", "_hypernym_edges", "_holonym_edges", "_schema_edges")
+
+    def __init__(self, lexicon: Lexicon) -> None:
+        self.lexicon = lexicon
+        self._hypernym_edges: Dict[str, FrozenSet[Edge]] = {}
+        self._holonym_edges: Dict[str, FrozenSet[Edge]] = {}
+        self._schema_edges: Dict[
+            FrozenSet[str], Tuple[FrozenSet[Edge], FrozenSet[Edge]]
+        ] = {}
+
+    def schema_edges(
+        self, tags: FrozenSet[str]
+    ) -> Tuple[FrozenSet[Edge], FrozenSet[Edge]]:
+        """The isa (hypernym) and part-of (holonym) edges of a tag set —
+        documents of one schema share it."""
+        edges = self._schema_edges.get(tags)
+        if edges is None:
+            isa: Set[Edge] = set()
+            part_of: Set[Edge] = set()
+            for tag in tags:
+                isa |= self.hypernym_edges(tag)
+                part_of |= self.holonym_edges(tag)
+            edges = self._schema_edges[tags] = (frozenset(isa), frozenset(part_of))
+        return edges
+
+    def hypernym_edges(self, term: str) -> FrozenSet[Edge]:
+        """Every ``(t, hypernym)`` edge on the chains reachable from ``term``."""
+        edges = self._hypernym_edges.get(term)
+        if edges is None:
+            found: Set[Edge] = set()
+            frontier = [term]
+            seen = {term}
+            while frontier:
+                current = frontier.pop()
+                for hypernym in self.lexicon.hypernyms(current):
+                    found.add((current, hypernym))
+                    if hypernym not in seen:
+                        seen.add(hypernym)
+                        frontier.append(hypernym)
+            edges = self._hypernym_edges[term] = frozenset(found)
+        return edges
+
+    def holonym_edges(self, term: str) -> FrozenSet[Edge]:
+        """The ``(term, whole)`` edges of ``term``'s direct holonyms."""
+        edges = self._holonym_edges.get(term)
+        if edges is None:
+            edges = self._holonym_edges[term] = frozenset(
+                (term, whole) for whole in self.lexicon.holonyms(term)
+            )
+        return edges
+
+
+@dataclass(frozen=True)
+class DocumentListing:
+    """One document's tags and sorted edge listings (:meth:`OntologyMaker._walk`)."""
+
+    tags: Set[str]
+    isa: List[Edge]
+    part_of: List[Edge]
+
+    def edges(self, relation: str) -> List[Edge]:
+        return self.isa if relation == Ontology.ISA else self.part_of
 
 
 def _acyclic_hierarchy(
@@ -347,17 +412,22 @@ class CombinedExtraction:
     def ontology(self) -> Ontology:
         return Ontology(dict(self._hierarchies))
 
-    def _listed(self, relation: str, roots: Sequence[XmlNode]):
-        """Every non-reflexive edge listing of ``roots``, document by document."""
-        extract = (
-            self.maker._isa_edges
-            if relation == Ontology.ISA
-            else self.maker._part_of_edges
-        )
-        for root in roots:
-            for edge in extract(root):
-                if edge[0] != edge[1]:
-                    yield edge
+    def _listings(self, roots: Sequence[XmlNode]) -> List[DocumentListing]:
+        """One walk per document, sharing the lexicon lookups of the batch."""
+        lookups = LexiconLookups(self.maker.lexicon)
+        return [self.maker._walk(root, lookups) for root in roots]
+
+    @staticmethod
+    def _edge_counts(
+        relation: str, listings: Sequence[DocumentListing]
+    ) -> "Counter[Edge]":
+        """Documents listing each non-reflexive edge, in first-listing order."""
+        counts: "Counter[Edge]" = Counter()
+        for listing in listings:
+            counts.update(listing.edges(relation))
+        for edge in [edge for edge in counts if edge[0] == edge[1]]:
+            del counts[edge]
+        return counts
 
     def extend(self, roots: Sequence[XmlNode]) -> Dict[str, RelationDelta]:
         """Fold a batch of documents into the combined ontology.
@@ -370,13 +440,13 @@ class CombinedExtraction:
             raise ValueError(
                 "CombinedExtraction cannot replay DBA rules; use make_combined"
             )
-        new_tags: List[str] = []
-        for root in roots:
-            for tag in self.maker._document_tags(root):
-                count = self._tags.get(tag, 0)
-                if not count:
-                    new_tags.append(tag)
-                self._tags[tag] = count + 1
+        listings = self._listings(roots)
+        tag_counts: "Counter[str]" = Counter()
+        for listing in listings:
+            tag_counts.update(listing.tags)
+        new_tags = [tag for tag in tag_counts if tag not in self._tags]
+        for tag, count in tag_counts.items():
+            self._tags[tag] = self._tags.get(tag, 0) + count
 
         deltas: Dict[str, RelationDelta] = {}
         for relation in self._RELATIONS:
@@ -384,16 +454,19 @@ class CombinedExtraction:
             dropped = self._dropped[relation]
             degree = self._degree[relation]
             added: List[Tuple[str, str]] = []
-            for edge in self._listed(relation, roots):
+            # The accepted graph only grows here, so every later listing of
+            # an edge meets the verdict its first listing got: decide each
+            # distinct edge once, in first-listing order, and count the rest.
+            for edge, count in self._edge_counts(relation, listings).items():
                 lower, upper = edge
                 targets = accepted.get(lower)
                 if targets is not None and upper in targets:
-                    targets[upper] += 1  # duplicate of an accepted edge
+                    targets[upper] += count  # duplicate of an accepted edge
                 elif graphutils.has_path(accepted, upper, lower):
                     # would close a cycle — dropped, as in the full pass
-                    dropped[edge] = dropped.get(edge, 0) + 1
+                    dropped[edge] = dropped.get(edge, 0) + count
                 else:
-                    accepted.setdefault(lower, {})[upper] = 1
+                    accepted.setdefault(lower, {})[upper] = count
                     degree[lower] = degree.get(lower, 0) + 1
                     degree[upper] = degree.get(upper, 0) + 1
                     added.append(edge)
@@ -403,12 +476,16 @@ class CombinedExtraction:
             added_terms.update(
                 term for edge in added for term in edge if term not in previous
             )
-            extended = previous.extended_with_lower_terms(added, new_nodes=isolated)
+            extended = (
+                previous.extended_with_lower_terms(added, new_nodes=isolated)
+                if len(previous)
+                else None
+            )
             if extended is None:
-                # Some new edge attaches below an existing term (e.g. a
-                # known tag nested under a new parent): rebuild this
-                # relation from the accepted graph.  Still exact — the
-                # graph is the full greedy outcome.
+                # A first batch, or some new edge attaches below an
+                # existing term (e.g. a known tag nested under a new
+                # parent): build this relation from the accepted graph.
+                # Still exact — the graph is the full greedy outcome.
                 extended = Hierarchy(accepted, nodes=self._tags)
             self._hierarchies[relation] = extended
             deltas[relation] = RelationDelta(
@@ -430,16 +507,17 @@ class CombinedExtraction:
         :class:`~repro.errors.DeltaRefused` (``"dropped-edge-live"``) is
         raised — callers re-extract.
         """
+        listings = self._listings(roots)
         listed: Dict[str, Counter] = {}
         for relation in self._RELATIONS:
-            counts = listed[relation] = Counter(self._listed(relation, roots))
+            counts = listed[relation] = self._edge_counts(relation, listings)
             dropped = self._dropped[relation]
             if any(live > counts[edge] for edge, live in dropped.items()):
                 raise DeltaRefused("dropped-edge-live")
 
         gone_tags: List[str] = []
-        for root in roots:
-            for tag in self.maker._document_tags(root):
+        for listing in listings:
+            for tag in listing.tags:
                 self._tags[tag] -= 1
                 if not self._tags[tag]:
                     del self._tags[tag]

@@ -27,7 +27,7 @@ changed threshold or measure starts from an empty cache.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..guard import ResourceGuard
 from .candidates import BlockStats, Occurrence, bigram_occurrences, filter_survivors
@@ -152,6 +152,39 @@ class EpsilonGraphCache:
             bucket.edges = {edge for edge in bucket.edges if rep not in edge}
             self._occ_sets.pop(rep, None)
         self.generation += 1
+
+
+def clique_rep_buckets(
+    groups: Iterable[List[Hashable]],
+    cliques: Iterable[FrozenSet[Hashable]],
+    rep_of: Callable[[Hashable], str],
+) -> List[Tuple[Set[str], Set[RepEdge]]]:
+    """Rep-level buckets of a finished build, read off its maximal cliques.
+
+    ``groups`` are the build's comparison buckets and ``cliques`` its
+    maximal cliques, each inside one bucket.  Co-membership in a clique
+    is adjacency, so a bucket's rep edges are the distinct-rep pairs some
+    clique holds — the :meth:`EpsilonGraphCache.refresh` input a build
+    seeding the cache would have produced.
+    """
+    bucket_of: Dict[Hashable, int] = {}
+    reps: Dict[Hashable, str] = {}
+    buckets: List[Tuple[Set[str], Set[RepEdge]]] = []
+    for index, group in enumerate(groups):
+        for node in group:
+            bucket_of[node] = index
+            reps[node] = rep_of(node)
+        buckets.append(({reps[node] for node in group}, set()))
+    for members in cliques:
+        index = bucket_of.get(next(iter(members)))
+        if index is None:
+            continue  # a singleton bucket's clique has no pairs
+        clique_reps = sorted({reps[member] for member in members})
+        edges = buckets[index][1]
+        for position, rep_a in enumerate(clique_reps):
+            for rep_b in clique_reps[position + 1 :]:
+                edges.add((rep_a, rep_b))
+    return buckets
 
 
 def delta_rep_edges(

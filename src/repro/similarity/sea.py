@@ -50,7 +50,7 @@ from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
 from ..ontology.hierarchy import Hierarchy
 from .candidates import BlockStats, block_edges, pair_count, supports_filter
-from .incremental import EpsilonGraphCache, delta_rep_edges
+from .incremental import EpsilonGraphCache, clique_rep_buckets, delta_rep_edges
 from .measures import StringSimilarityMeasure
 
 Node = Hashable
@@ -216,7 +216,8 @@ class SimilarityEnhancement:
         #: enhancement-patch path (:func:`extend_enhancement`) needs them
         #: to find the one bucket a changed leaf touches without
         #: re-bucketing the whole hierarchy; None when
-        #: built in strict mode or restored from disk.
+        #: built in strict mode, or restored from disk until
+        #: :func:`restore_patch_state` re-derives them.
         self.context_buckets: Optional[Dict[OrderContext, List[Node]]] = None
 
     def mu_inverse(self, enhanced: EnhancedNode) -> FrozenSet[Node]:
@@ -320,6 +321,48 @@ def _order_context_index(
     }
 
 
+def order_context_buckets(
+    nodes: Iterable[Node], context_index: Mapping[Node, OrderContext]
+) -> Dict[OrderContext, List[Node]]:
+    """Order-safe mode's comparison buckets: context -> every node carrying it."""
+    buckets: Dict[OrderContext, List[Node]] = {}
+    for node in nodes:
+        buckets.setdefault(context_index[node], []).append(node)
+    return buckets
+
+
+def restore_patch_state(
+    enhancement: SimilarityEnhancement, hierarchy: Hierarchy
+) -> EpsilonGraphCache:
+    """Re-derive what the patch rung needs of an enhancement read from disk.
+
+    A restored order-safe ``enhancement`` of ``hierarchy`` (the fused H
+    it was built over) carries neither the build's order-context buckets
+    nor a verdict cache; both are functions of what it does carry.  The
+    buckets are the order contexts of H, set on ``enhancement``.  The
+    returned :class:`~repro.similarity.incremental.EpsilonGraphCache`
+    holds, per bucket of two or more nodes, every representative and
+    the representative pairs that share a clique: two same-context nodes
+    are similar exactly when some maximal clique holds both, and Lemma 1
+    makes that verdict a function of their representatives (so a weak
+    measure, which SEA never replays, gets an empty cache).
+    """
+    nodes = list(hierarchy.terms)
+    buckets = order_context_buckets(nodes, _order_context_index(hierarchy, nodes))
+    enhancement.context_buckets = buckets
+    cache = EpsilonGraphCache()
+    if enhancement.distance.measure.is_strong:
+        strings_of = enhancement.distance.strings_of
+        cache.refresh(
+            clique_rep_buckets(
+                [group for group in buckets.values() if len(group) >= 2],
+                (clique.members for clique in enhancement.hierarchy.terms),
+                lambda node: min(strings_of(node)),
+            )
+        )
+    return cache
+
+
 def _connect_rep_level(
     adjacency: Dict[Node, Set[Node]],
     nodes_by_rep: Dict[str, List[Node]],
@@ -386,9 +429,7 @@ def _similarity_cliques(
     # Bucket by order context in order-safe mode; one bucket otherwise.
     buckets: Optional[Dict[OrderContext, List[Node]]] = None
     if context_index is not None:
-        buckets = {}
-        for node in nodes:
-            buckets.setdefault(context_index[node], []).append(node)
+        buckets = order_context_buckets(nodes, context_index)
         groups = [group for group in buckets.values() if len(group) >= 2]
     else:
         groups = [nodes] if len(nodes) >= 2 else []

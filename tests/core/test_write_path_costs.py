@@ -37,12 +37,12 @@ def counted(monkeypatch):
     distance-kernel calls."""
     walks = []
     compared = []
-    extract_isa = OntologyMaker._isa_edges
+    walk = OntologyMaker._walk
     bounded = Levenshtein.bounded_distance
 
-    def counting_isa(self, root):
+    def counting_walk(self, root, lookups):
         walks.append(root)
-        return extract_isa(self, root)
+        return walk(self, root, lookups)
 
     def counting_bounded(self, x, y, bound):
         compared.append((x, y))
@@ -60,7 +60,7 @@ def counted(monkeypatch):
         "dblp", [paper("w1", "Zubodo Kalipe"), paper("w2", "Gimora Tesavu")]
     )
     system.build()
-    monkeypatch.setattr(OntologyMaker, "_isa_edges", counting_isa)
+    monkeypatch.setattr(OntologyMaker, "_walk", counting_walk)
     monkeypatch.setattr(Levenshtein, "bounded_distance", counting_bounded)
     return system, receipt.documents_added, walks, compared
 

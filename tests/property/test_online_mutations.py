@@ -9,15 +9,18 @@ query verdicts, and a monotonically advancing generation.
 """
 
 import json
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.parser import parse_query
+from repro.core.persistence import load_system, save_system
 from repro.core.system import TossSystem
 from repro.ontology import Ontology
-from repro.similarity.persistence import seo_to_dict
+from repro.similarity.persistence import dump_seo, seo_to_dict
 from repro.xmldb.serializer import serialize
+from tests.oracle import assert_matches_reference
 
 AUTHORS = ["J. Smith", "J. Smyth", "A. Stone", "A. Stane", "B. Swan"]
 TITLES = ["Indexing", "Querying", "Fusion"]
@@ -199,3 +202,83 @@ def test_chain_depth_tracks_delta_builds(ops, dropped_edge_live):
             assert new_depth == (depth if isa.rung == "reuse" else depth + 1)
             assert isa.rung in ("reuse", "patch"), isa.rung_reason
         depth = new_depth
+
+
+@given(
+    initial=st.lists(documents, min_size=1, max_size=3),
+    ops=st.lists(operations, min_size=1, max_size=5),
+    load_at=st.integers(min_value=0, max_value=5),
+    build_on_load=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_save_and_load_between_writes_changes_no_build(
+    initial, ops, load_at, build_on_load
+):
+    """The same writes with and without a save/load at a drawn point build
+    byte-identical SEOs, and the first build after the load starts from
+    the restored SEOs (patch / reuse, never first-build)."""
+    twin = TossSystem(epsilon=1.0)
+    live = TossSystem(epsilon=1.0)
+    for system in (twin, live):
+        system.add_instance("dblp", initial)
+        system.build()
+    keys = sorted(twin.database.get_collection("dblp").keys())
+    #: One entry per live document: its key in the twin and in ``live``
+    #: (a loaded store may issue a different key to the next add).
+    shadow = [(key, key) for key in keys]
+    load_at = min(load_at, len(ops))
+    first_after_load = False
+
+    def check_build():
+        twin.build()
+        live.build()
+        for relation in (Ontology.ISA, Ontology.PART_OF):
+            assert dump_seo(live.context.seos[relation]) == dump_seo(
+                twin.context.seos[relation]
+            )
+        parsed = parse_query(QUERY)
+        assert_matches_reference(
+            live.select("dblp", parsed.pattern, parsed.roots),
+            live.reference_executor().selection("dblp", parsed.pattern, parsed.roots),
+            accesses=False,
+        )
+        return {entry.relation: entry for entry in live.build_report.relations}
+
+    with tempfile.TemporaryDirectory() as root:
+        for index in range(len(ops) + 1):
+            if index == load_at:
+                save_system(live, root)
+                live = load_system(root)
+                assert live._relation_state == {}
+                first_after_load = True
+                if build_on_load:
+                    entries = check_build()
+                    assert {e.rung for e in entries.values()} == {"reuse"}
+                    assert {e.rung_reason for e in entries.values()} == {"restored"}
+                    first_after_load = False
+            if index == len(ops):
+                break
+            op = ops[index]
+            if op[0] == "add":
+                (twin_key,) = twin.add_documents("dblp", op[1]).documents_added
+                (live_key,) = live.add_documents("dblp", op[1]).documents_added
+                shadow.append((twin_key, live_key))
+            elif op[0] == "replace":
+                twin_key, live_key = shadow.pop(op[1] % len(shadow))
+                twin.replace_documents("dblp", {twin_key: op[2]})
+                live.replace_documents("dblp", {live_key: op[2]})
+                shadow.append((twin_key, live_key))
+            else:
+                if len(shadow) == 1:
+                    continue  # keep the instance non-empty
+                twin_key, live_key = shadow.pop(op[1] % len(shadow))
+                twin.remove_documents("dblp", (twin_key,))
+                live.remove_documents("dblp", (live_key,))
+            entries = check_build()
+            if first_after_load:
+                for entry in entries.values():
+                    assert entry.rung in ("patch", "reuse"), entry.rung_reason
+                    assert entry.rung_reason == "restored"
+                first_after_load = False
+            twin_rungs = {e.relation: e.rung for e in twin.build_report.relations}
+            assert {r: e.rung for r, e in entries.items()} == twin_rungs

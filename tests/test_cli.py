@@ -285,6 +285,20 @@ class TestDbStatsCommand:
         assert "seo cache outcome:" in out
         assert "pairs pruned" in out
 
+    def test_stats_reports_the_saved_seos_chain_depth(self, dblp_file, tmp_path, capsys):
+        # A load has no build state of its own: the lines describe the
+        # served SEOs, as the build report saved with them says.
+        root = str(tmp_path / "system")
+        assert main(
+            ["db", "build", "--source", f"dblp={dblp_file}",
+             "--epsilon", "1", root]
+        ) == 0
+        capsys.readouterr()
+        assert main(["db", "stats", root]) == 0
+        out = capsys.readouterr().out
+        assert "seo [isa]: delta chain depth 0 (full build)" in out
+        assert "seo [part-of]: delta chain depth 0 (full build)" in out
+
     def test_stats_without_build_report(self, dblp_file, tmp_path, capsys):
         # `save` predates the build report; stats must degrade gracefully.
         root = str(tmp_path / "system")
