@@ -15,16 +15,18 @@ The cross-process discipline:
   :class:`~repro.errors.ReproError` subclass deterministically;
 * guards are per task — each task carries its deadline/step/result
   budget and the worker enforces it with a fresh guard;
-* observability is plain data — a worker returns its span tree and a
-  metrics-registry snapshot (then resets its registry, so consecutive
-  snapshots are deltas), and the parent re-attaches/absorbs them.
+* observability is plain data — a worker returns its span tree with
+  each report, and ships its metric and rolling-window deltas
+  (:func:`take_metric_delta`: snapshot, then reset, so consecutive
+  shipments never overlap) at most once per second and once more at
+  shutdown; the supervisor absorbs them into the parent's registries.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .. import errors as _errors
 from ..errors import (
@@ -79,9 +81,9 @@ def _guard_from_task(task: Dict[str, Any]) -> Optional[ResourceGuard]:
 def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: execute one textual query from the snapshot.
 
-    Returns ``{"report": ..., "seconds": ..., "metrics": ...}`` on
-    success or a failure marker ``{"failure": (kind, ...), "seconds":
-    ...}`` when the guard trips or the query errors.
+    Returns ``{"report": ..., "seconds": ...}`` on success or a failure
+    marker ``{"failure": (kind, ...), "seconds": ...}`` when the guard
+    trips or the query errors.
     """
     system = _WORKER["system"]
     pid = os.getpid()
@@ -144,13 +146,22 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
         "worker_pid": pid,
         "request_id": request_id,
     }
-    if task.get("collect_metrics"):
-        outcome["metrics"] = METRICS.snapshot()
-        METRICS.reset()
-        # Rolling-window slots travel the same delta discipline: ship
-        # and clear, so the parent's absorb sees each second once.
-        outcome["windows"] = WINDOWS.snapshot(reset=True)
     return outcome
+
+
+def take_metric_delta() -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    """This worker's ``(metrics, windows)`` recorded since the previous
+    call, or None when nothing was.
+
+    Both registries are cleared as they are read, so the parent's absorb
+    sees every increment and every window slot exactly once.
+    """
+    metrics = METRICS.snapshot()
+    METRICS.reset()
+    windows = WINDOWS.snapshot(reset=True)
+    if not metrics and not windows["classes"]:
+        return None
+    return metrics, windows
 
 
 def _attach_context(

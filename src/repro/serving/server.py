@@ -384,10 +384,6 @@ class QueryServer:
                         request_id=context.request_id,
                     )
                 outcomes.append(outcome)
-                metrics = entry.get("metrics")
-                if metrics:
-                    METRICS.absorb(metrics)
-                WINDOWS.absorb(entry.get("windows"))
                 trace_payload = (
                     entry["report"].get("trace") if failure is None else None
                 )

@@ -73,7 +73,7 @@ def default_mode() -> str:
 class SnapshotDelta:
     """The compact difference between a snapshot and the live system.
 
-    Plain picklable data, shipped to workers over their request queues
+    Plain picklable data, shipped to workers over their request pipes
     (or, as a genesis, as a spawn argument).  ``collections`` maps each
     mutated collection to its ordered op list (``(op, key)`` pairs
     replayed exactly as the changelog recorded them, so worker-side scan

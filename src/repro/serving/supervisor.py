@@ -8,17 +8,30 @@ are only enforced *inside* the worker, and one dead process takes every
 queued task down with it.
 
 :class:`SupervisedWorkerPool` is the serving tier's one pool, built
-on per-worker ``Process`` + request-queue + response-pipe triples so
-each worker's fate is independent and observable.  Responses
-deliberately do **not** share a queue: a shared
-``multiprocessing.Queue`` serialises writers through a shared lock held
-by each worker's feeder thread, so a worker SIGKILLed mid-flush leaves
-the lock held and a frame half-written — wedging every other worker
-and, eventually, the parent's reader.  With one single-writer pipe per
-worker incarnation, ``send`` is synchronous (nothing is buffered behind
-the worker's death), a kill mid-send surfaces to the parent as a clean
-``EOFError`` on that pipe alone, and no lock outlives its holder.  The
-supervisor provides:
+on per-worker ``Process`` + request-pipe + response-pipe triples so
+each worker's fate is independent and observable.  Nothing is a
+``multiprocessing.Queue``: a queue serialises writers through a lock
+held by a feeder thread, so a worker SIGKILLed mid-flush leaves the
+lock held and a frame half-written — wedging every other worker and,
+eventually, the parent's reader — and even a private request queue
+costs the parent a feeder thread and a lock per request.  Each pipe of
+an incarnation has one writer and one reader, so ``send`` is
+synchronous (nothing is buffered behind a death), a worker killed
+mid-send surfaces as a clean ``EOFError`` on its response pipe alone, a
+request sent to a dead worker raises at once and is booked as its
+crash, and no lock outlives its holder.  The one hazard of a
+synchronous send — it blocks once a reader that is not reading lets
+the 64 KiB buffer fill — is avoided by sending only to a worker that is
+reading: tasks to idle ready workers, a snapshot delta to a booting
+worker only after its ``ready`` arrives.
+
+Worker metrics stay off the per-request path: a worker keeps
+accumulating its metric and rolling-window deltas and ships them inside
+an answer only when its previous shipment is :data:`METRIC_DELTA_INTERVAL`
+old, and once more in answer to the shutdown sentinel, which
+:meth:`SupervisedWorkerPool.close` drains — so the parent's totals are
+exact after ``close()``, and a SIGKILLed worker loses at most what it
+recorded since its last shipment.  The supervisor provides:
 
 * **crash detection & respawn** — the supervisor watches every worker's
   liveness (readiness handshake, ``is_alive`` checks while busy) and
@@ -71,14 +84,21 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from .. import faults as _faults
 from ..errors import CircuitOpenError, ServingError
 from ..obs.metrics import REGISTRY as METRICS
+from ..obs.window import WINDOWS
 from . import pool as _pool
-from .pool import run_query_task
+from .pool import run_query_task, take_metric_delta
 from .snapshot import FORK, SnapshotDelta, SystemSnapshot, apply_snapshot_delta
 
 #: Scheduler wait granularity, seconds.  Responses wake the scheduler
 #: immediately; this only bounds how late a liveness/deadline check or a
 #: backoff expiry can be noticed.
 POLL_INTERVAL = 0.05
+
+#: Least seconds between two metric-delta shipments from one worker
+#: incarnation — the refresh period of ``serve --stats``.  A task asks for
+#: the worker's delta only when that worker last shipped this long ago;
+#: in between the worker keeps accumulating.
+METRIC_DELTA_INTERVAL = 1.0
 
 #: Fault-injection sequence number stamped on snapshot-delta broadcasts,
 #: distinct from any task index, so chaos plans can target "kill the
@@ -313,8 +333,16 @@ def _supervised_worker_main(
     if not _send(("ready", worker_id, spawn, os.getpid())):
         return
     while True:
-        task = requests.get()
+        try:
+            task = requests.recv()
+        except (EOFError, OSError):
+            return  # the parent retired this incarnation's request pipe
         if task is None:
+            # Shutdown: ship the unshipped tail, so the parent's totals
+            # are exact once close() has drained this pipe.
+            delta = take_metric_delta()
+            if delta is not None:
+                _send(("metrics", worker_id, spawn, delta))
             return
         seq = task.get("_fault_seq", 0)
         attempt = task.get("_fault_attempt", 0)
@@ -346,7 +374,10 @@ def _supervised_worker_main(
         outcome = run_query_task(task)
         if corrupt:
             outcome = _faults.corrupt_response()
-        if not _send(("done", worker_id, spawn, task["_index"], outcome)):
+        # The metric delta rides in the answer's own message: it counts
+        # exactly when the answer does, never for an attempt that died.
+        delta = take_metric_delta() if task.get("collect_metrics") else None
+        if not _send(("done", worker_id, spawn, task["_index"], outcome, delta)):
             return
 
 
@@ -369,11 +400,13 @@ class _Worker:
         "respawn_at",
         "abandoned",
         "last_request_id",
+        "shipped_at",
     )
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process = None
+        #: Parent end of this incarnation's single-writer request pipe.
         self.requests = None
         #: Parent end of this incarnation's single-writer response pipe.
         self.reader = None
@@ -394,6 +427,9 @@ class _Worker:
         #: died — stamped onto the respawn event, so a respawn joins the
         #: timeline of the request whose crash caused it.
         self.last_request_id: Optional[str] = None
+        #: When this incarnation was last asked for its metric delta
+        #: (None: never, so its first task asks).
+        self.shipped_at: Optional[float] = None
 
     @property
     def alive(self) -> bool:
@@ -478,8 +514,9 @@ class SupervisedWorkerPool:
         worker.kill_at = None
         worker.respawn_at = None
         worker.spawn_started = time.monotonic()
+        worker.shipped_at = None
         self._discard_transport(worker)
-        worker.requests = self._context.Queue()
+        tasks, worker.requests = self._context.Pipe(duplex=False)
         worker.reader, writer = self._context.Pipe(duplex=False)
         # A delta-advanced snapshot dropped its genesis; respawns rebuild
         # it from the live system so every new worker comes up at the
@@ -490,7 +527,7 @@ class SupervisedWorkerPool:
                 worker.worker_id,
                 worker.spawn_count,
                 self.snapshot.genesis(),
-                worker.requests,
+                tasks,
                 writer,
             ),
             daemon=True,
@@ -504,28 +541,25 @@ class SupervisedWorkerPool:
             _pool._FORK_SYSTEM = None
         # Drop the parent's copy of the write end: the worker must be
         # the pipe's ONLY writer, so its death (even SIGKILL mid-send)
-        # reads as EOF here instead of an indefinite block.
+        # reads as EOF here instead of an indefinite block.  Likewise the
+        # worker is the request pipe's only reader, so a send to a dead
+        # worker raises instead of filling a buffer nobody drains.
         writer.close()
+        tasks.close()
         if worker.spawn_count > 0:
             self._stats["respawns"] += 1
             METRICS.counter("serving.worker_respawns").inc()
 
     def _discard_transport(self, worker: _Worker) -> None:
-        """Retire a previous incarnation's request queue and response
-        pipe; their contents died with the worker."""
-        if worker.reader is not None:
-            try:
-                worker.reader.close()
-            except OSError:
-                pass
-            worker.reader = None
-        if worker.requests is not None:
-            worker.requests.cancel_join_thread()
-            try:
-                worker.requests.close()
-            except (ValueError, OSError):
-                pass
-            worker.requests = None
+        """Retire a previous incarnation's request and response pipes;
+        their contents died with the worker."""
+        for conn in (worker.reader, worker.requests):
+            if conn is not None:
+                try:
+                    conn.close()
+                except OSError:
+                    pass
+        worker.reader = worker.requests = None
 
     def _kill_worker(self, worker: _Worker) -> None:
         if worker.process is None:
@@ -574,18 +608,30 @@ class SupervisedWorkerPool:
         return stats
 
     def close(self, timeout: float = 5.0) -> None:
-        """Shut every worker down (idempotent): sentinel, bounded join,
-        then terminate/kill whatever has not exited."""
+        """Shut every worker down (idempotent): sentinel, drain, bounded
+        join, then terminate/kill whatever has not exited.
+
+        A worker answers the sentinel with its unshipped metric delta and
+        exits, so reading every response pipe to EOF leaves the parent's
+        metric and window totals exactly what the workers recorded.  The
+        drain and the joins share one ``timeout``: a hung worker's tail is
+        given up, never waited for past it.
+        """
         if self._closed:
             return
         self._closed = True
         for worker in self._workers:
             if worker.alive and worker.requests is not None:
                 try:
-                    worker.requests.put_nowait(None)
-                except (ValueError, OSError):
+                    worker.requests.send(None)
+                except OSError:
                     pass
         deadline = time.monotonic() + max(0.0, timeout)
+        while time.monotonic() < deadline and any(
+            worker.reader is not None and not worker.reader.closed
+            for worker in self._workers
+        ):
+            self._next_response()
         for worker in self._workers:
             if worker.process is not None:
                 worker.process.join(max(0.0, deadline - time.monotonic()))
@@ -676,17 +722,29 @@ class SupervisedWorkerPool:
         }
         if self.fault_plan is not None:
             task["faults"] = self.fault_plan.to_spec()
+
+        def send(worker: _Worker) -> None:
+            try:
+                worker.requests.send(task)
+            except OSError:
+                pass  # died: the liveness check below books it
+
         awaiting: Dict[int, _Worker] = {}
+        # A delta can be far larger than a pipe's 64 KiB buffer, and a
+        # send blocks until the reader drains it, so only a worker that is
+        # reading gets one: an idle ready worker now, a worker still in
+        # its spawn handshake once its "ready" arrives.  That one was
+        # forked/booted from the *pre-advance* state, so it needs the
+        # delta too; replay is idempotent, so a worker that happens to be
+        # current converges to the same state.
+        booting = set()
         for worker in self._workers:
-            # Not just ``dispatchable``: a worker still inside its spawn
-            # handshake was forked/booted from the *pre-advance* state,
-            # so it needs the delta too — its queue already exists and its
-            # ack simply arrives after the "ready" message.  Replay is
-            # idempotent, so a worker that happens to be current converges
-            # to the same state.
             if not worker.abandoned and worker.busy_index is None and worker.alive:
-                worker.requests.put(task)
                 awaiting[worker.worker_id] = worker
+                if worker.ready:
+                    send(worker)
+                else:
+                    booting.add(worker.worker_id)
         applied = 0
         failures: List[Dict[str, Any]] = []
         deadline = time.monotonic() + DELTA_APPLY_TIMEOUT
@@ -696,8 +754,6 @@ class SupervisedWorkerPool:
             if message is not None:
                 kind = message[0]
                 worker = self._workers[message[1]]
-                if message[2] != worker.spawn_count:
-                    continue  # an earlier incarnation's message: drop it
                 if kind == "delta_applied" and worker.worker_id in awaiting:
                     ok, detail = message[3], message[4]
                     del awaiting[worker.worker_id]
@@ -714,6 +770,9 @@ class SupervisedWorkerPool:
                     worker.ready = True
                     worker.pid = message[3]
                     worker.spawn_failures = 0
+                    if worker.worker_id in booting:
+                        booting.discard(worker.worker_id)
+                        send(worker)
             for worker_id in list(awaiting):
                 worker = awaiting[worker_id]
                 if not worker.alive:
@@ -802,9 +861,23 @@ class SupervisedWorkerPool:
             task["_index"] = index
             task["_fault_seq"] = index
             task["_fault_attempt"] = attempts[index]
+            if task.get("collect_metrics"):
+                if (
+                    worker.shipped_at is not None
+                    and now - worker.shipped_at < METRIC_DELTA_INTERVAL
+                ):
+                    task["collect_metrics"] = False
+                else:
+                    worker.shipped_at = now
             if self.fault_plan is not None:
                 task["faults"] = self.fault_plan.to_spec()
-            worker.requests.put(task)
+            try:
+                worker.requests.send(task)
+            except OSError:
+                # The worker's end is gone: it died after the liveness
+                # check.  The task stays booked on it, so the next check
+                # charges the crash to it and reschedules.
+                pass
             worker.busy_index = index
             timeout = self.policy.task_hard_timeout(tasks[index])
             worker.kill_at = now + timeout if timeout is not None else None
@@ -834,11 +907,8 @@ class SupervisedWorkerPool:
             message = self._next_response()
             if message is None:
                 continue
-            kind = message[0]
-            worker = self._workers[message[1]]
-            if message[2] != worker.spawn_count:
-                continue  # an earlier incarnation's message: drop it
-            if kind == "ready":
+            if message[0] == "ready":
+                worker = self._workers[message[1]]
                 worker.ready = True
                 worker.pid = message[3]
                 worker.spawn_failures = 0
@@ -847,6 +917,9 @@ class SupervisedWorkerPool:
         )
 
     def _next_response(self):
+        """The next message of a current worker incarnation, or None
+        after one poll interval.  Messages of retired incarnations are
+        dropped; a shutdown metric delta is absorbed, not returned."""
         readers = [
             worker.reader
             for worker in self._workers
@@ -857,13 +930,29 @@ class SupervisedWorkerPool:
             return None
         for conn in _connection_wait(readers, timeout=POLL_INTERVAL):
             try:
-                return conn.recv()
+                message = conn.recv()
             except (EOFError, OSError):
                 # The worker died (possibly mid-send).  Close the pipe so
                 # it stops polling as ready; the liveness check finalizes
                 # the worker itself.
                 conn.close()
+                continue
+            worker = self._workers[message[1]]
+            if message[2] != worker.spawn_count:
+                continue  # an earlier incarnation's message: drop it
+            if message[0] != "metrics":
+                return message
+            self._absorb(message[3])  # a worker's shutdown tail
         return None
+
+    @staticmethod
+    def _absorb(delta) -> None:
+        """Fold one worker's ``(metrics, windows)`` delta into the
+        parent's registries."""
+        metrics, windows = delta
+        METRICS.absorb(metrics)
+        WINDOWS.absorb(windows)
+        METRICS.counter("serving.metric_deltas").inc()
 
     def _handle_message(
         self, message, tasks, outcomes, attempts, crashes, ready_at,
@@ -871,11 +960,6 @@ class SupervisedWorkerPool:
     ) -> int:
         kind = message[0]
         worker = self._workers[message[1]]
-        spawn = message[2]
-        if spawn != worker.spawn_count:
-            # A message from an earlier incarnation of this slot (we
-            # already presumed it dead and moved on): drop it.
-            return 0
         now = time.monotonic()
         if kind == "ready":
             pid = message[3]
@@ -913,8 +997,11 @@ class SupervisedWorkerPool:
         if kind == "done":
             index, outcome = message[3], message[4]
             if worker.busy_index != index or outcomes[index] is not None:
-                # A late response for a task already finalized elsewhere.
+                # A late response for a task already finalized elsewhere;
+                # its delta goes with it, as its retry counts the work.
                 return 0
+            if message[5] is not None:
+                self._absorb(message[5])
             worker.busy_index = None
             worker.kill_at = None
             worker.consecutive_failures = 0

@@ -7,12 +7,19 @@ it through :meth:`SupervisedWorkerPool.apply_delta`, and the
 ``noop``/``delta``/``full`` decision in :meth:`QueryServer.refresh`.
 """
 
+import base64
+import hashlib
 import json
+import pickle
+import time
 
 import pytest
 
+from repro import faults
 from repro.core.parser import parse_query
+from repro.faults import FaultPlan, FaultRule
 from repro.serving import QueryServer, RetryPolicy, SupervisedWorkerPool
+from repro.serving import supervisor
 from repro.serving.snapshot import (
     PICKLE,
     SystemSnapshot,
@@ -329,7 +336,7 @@ class TestPoolDeltaApply:
             assert any("p99" in text for text in after[0])
 
     def test_pool_broadcasts_seo_patches(self):
-        """The patch form travels the real queue transport and converges
+        """The patch form travels the real pipe transport and converges
         a full fleet (wait_ready keeps spawn tails out of the picture)."""
         system = make_system(count=8)
         snapshot = SystemSnapshot.capture(system, mode=PICKLE)
@@ -364,6 +371,61 @@ class TestPoolDeltaApply:
                     os.kill(pid, signal.SIGKILL)
             after = batch_texts(pool.run_batch([make_task()]))
             assert after == [serial(system)]
+
+
+    def test_large_delta_does_not_block_on_a_booting_worker(self, monkeypatch):
+        """A delta larger than a pipe buffer is sent only to a worker
+        that is reading: a slot stuck in its spawn handshake times out
+        and respawns from the advanced snapshot instead of stalling the
+        broadcast until its handshake ends."""
+        monkeypatch.setattr(supervisor, "DELTA_APPLY_TIMEOUT", 1.0)
+        system = make_system(count=8)
+        slow = FaultPlan(
+            rules=(
+                FaultRule(
+                    kind=faults.SLOW_START, tasks=(1,), attempts=(0,),
+                    seconds=60.0,
+                ),
+            )
+        )
+        with faults.inject(slow):
+            pool = SupervisedWorkerPool(
+                SystemSnapshot.capture(system), 2, policy=FAST
+            )
+        try:
+            system.add_documents("papers", [big_paper(i) for i in range(24)])
+            system.build()
+            delta = pool.snapshot.delta()
+            assert len(pickle.dumps(delta)) >= 128 * 1024
+            started = time.monotonic()
+            stats = pool.apply_delta(delta)
+            assert time.monotonic() - started < 10.0
+            assert stats == {"applied": 1, "respawning": 1}
+            served_by_respawn = False
+            deadline = time.monotonic() + 20.0
+            while not served_by_respawn and time.monotonic() < deadline:
+                outcomes = pool.run_batch([make_task() for _ in range(4)])
+                assert batch_texts(outcomes) == [serial(system)] * 4
+                respawned = pool.worker_pids()[1]
+                served_by_respawn = respawned is not None and any(
+                    outcome["worker_pid"] == respawned for outcome in outcomes
+                )
+            assert served_by_respawn
+        finally:
+            pool.close()
+
+
+def big_paper(index):
+    """An author-0 paper with an 8 KiB incompressible attribute."""
+    blob = b"".join(
+        hashlib.sha256(f"{index}-{block}".encode()).digest()
+        for block in range(192)
+    )
+    return (
+        f"<paper key='big{index}' blob='{base64.b64encode(blob).decode()}'>"
+        f"<title>Big {index}</title><author>Author 0</author>"
+        "<year>2000</year></paper>"
+    )
 
 
 class TestServerRefresh:

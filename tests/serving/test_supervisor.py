@@ -312,7 +312,7 @@ class TestSupervisedPool:
                 pool._handle_message(
                     message, [task], [None], [0], [0], [0.0], [], []
                 )
-        worker.requests.put(task)
+        worker.requests.send(task)
         started = time.monotonic()
         pool.close(timeout=1.0)
         assert time.monotonic() - started < 10.0
