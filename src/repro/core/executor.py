@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
-from typing import AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryExecutionError
 from ..guard import ResourceGuard
@@ -40,7 +40,6 @@ from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import current_request
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, REGISTRY as METRICS
 from ..obs.window import WINDOWS
-from ..similarity.candidates import bipartite_index, similar_pairs
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.conditions import (
@@ -59,12 +58,13 @@ from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
 from .conditions import SeoConditionContext, rewrite_condition
 from .planner import (
+    CrossMatch,
     CrossProbe,
     PlanSpec,
     build_plan_spec,
     describe_verify_strategy,
     exact_tags,
-    find_cross_probe,
+    find_cross_probes,
     has_semantic_atom,
     prune_candidates,
     prune_join_docs,
@@ -559,10 +559,11 @@ class CompiledPlan:
     prunable: bool
     #: The verify stage, compiled from the *original* condition.
     program: tax_batch.VerifyProgram
-    #: Join only: the cross-side pre-join probe, and the ``~`` conjunct
-    #: the verify stage's hash join filters candidate pairs by.
+    #: Join only: the cross-side pre-join probe (the first cross
+    #: conjunct), and the first ``~`` cross conjunct's probe, whose term
+    #: pairs filter the verify stage's candidate pairs (often the same).
     cross: Optional[CrossProbe] = None
-    hash_atom: Optional[Condition] = None
+    similar: Optional[CrossProbe] = None
     #: Index-exact plans only (:func:`~repro.core.planner.exact_tags`):
     #: the pattern's tags, root first.  A selection books the root row
     #: of a document holding one row of each without scanning it.
@@ -601,10 +602,11 @@ class QueryExecutor:
         #: become unreachable (and age out of the LRU) instead of being
         #: replayed with stale term expansions.
         self._context_epoch = 0
-        #: Memoised cross-side join probes (document-key sets plus the
-        #: cold probe's guard ticks, replayed on a hit), keyed by both
-        #: sides' indexes and generations + probe spec + SEO; stale
-        #: generations simply miss.  Guarded and unguarded joins share it.
+        #: Memoised cross-side join probes (document-key sets and matched
+        #: term pairs, plus the cold probe's guard ticks, replayed on a
+        #: hit), keyed by both sides' indexes and generations + probe spec
+        #: + SEO; stale generations simply miss.  Guarded and unguarded
+        #: joins share it.
         self._cross_probe_cache = LruCache(
             32, metric_prefix="planner.cross_probe.memo"
         )
@@ -613,12 +615,6 @@ class QueryExecutor:
         #: the collection's index and generation, the SEO and the tags;
         #: stale generations simply miss.
         self._residue_cache = LruCache(32, metric_prefix="planner.residue")
-        #: Filter indexes over a hash join's right-side values (see
-        #: :func:`~repro.similarity.candidates.bipartite_index`), keyed
-        #: by SEO + the value set itself.
-        self._join_index_cache = LruCache(
-            32, metric_prefix="planner.cross_probe.index"
-        )
         #: Tracing + sink configuration; the shared no-op instance by
         #: default, so an uninstrumented executor allocates no spans and
         #: writes no files.
@@ -657,7 +653,6 @@ class QueryExecutor:
             self._context_epoch += 1
             self._cross_probe_cache.clear()
             self._residue_cache.clear()
-            self._join_index_cache.clear()
 
     def _plan(self, pattern: PatternTree, join: bool) -> Tuple[CompiledPlan, bool]:
         """The compiled plan for ``pattern`` and whether the cache had it.
@@ -696,7 +691,7 @@ class QueryExecutor:
         verified = PatternTree(original)
         _copy_structure(pattern, verified)
         program = tax_batch.VerifyProgram.compile(verified, context)
-        cross = hash_atom = exact = None
+        cross = similar = exact = None
         if join:
             sides = join_side_patterns(pattern, original)
             left_labels, right_labels = (set(side.labels()) for side in sides)
@@ -720,12 +715,12 @@ class QueryExecutor:
                 and has_semantic_atom(original)
             )
             if prunable:
-                cross = find_cross_probe(
+                probes = find_cross_probes(
                     original, left_labels, right_labels, self.context,
                     self.exact_fallback,
                 )
-            if self.context is not None:
-                hash_atom = _cross_similarity_atom(original, left_labels, right_labels)
+                cross = probes[0] if probes else None
+                similar = next((p for p in probes if p.kind == "similar"), None)
         else:
             xpaths = (compile_pattern_to_xpath(pattern, prefilter),)
             specs = (
@@ -742,7 +737,7 @@ class QueryExecutor:
             prunable,
             program,
             cross,
-            hash_atom,
+            similar,
             exact,
         )
         self._plan_cache.put(key, plan)
@@ -896,7 +891,7 @@ class QueryExecutor:
             [collection_name],
             pattern,
             guard,
-            lambda plan, entries, guard, tracer: (
+            lambda plan, entries, guard, tracer, _pairs: (
                 tax_batch.selection_batched(
                     entries[0], plan.program, sl, guard, plan.exact_tags
                 ),
@@ -918,7 +913,7 @@ class QueryExecutor:
             [collection_name],
             pattern,
             guard,
-            lambda plan, entries, guard, tracer: (
+            lambda plan, entries, guard, tracer, _pairs: (
                 tax_batch.projection_batched(entries[0], plan.program, pl, guard),
                 {},
             ),
@@ -947,8 +942,8 @@ class QueryExecutor:
             [left_collection, right_collection],
             pattern,
             guard,
-            lambda plan, entries, guard, tracer: self._join_verify(
-                plan, entries, sl, guard, tracer
+            lambda plan, entries, guard, tracer, term_pairs: self._join_verify(
+                plan, entries, term_pairs, sl, guard, tracer
             ),
             {"left": left_collection, "right": right_collection},
         )
@@ -966,7 +961,8 @@ class QueryExecutor:
 
         ``collections`` names one collection per plan side.  ``verify``
         is the operator's verify step: ``verify(plan, entries, guard,
-        tracer)`` gets every side's candidate entries and returns
+        tracer, term_pairs)`` gets every side's candidate entries and the
+        plan stage's term pairs (see :meth:`_prune`) and returns
         ``(results, counts)``, where ``counts`` are extra report fields
         (the join's pair counters), also recorded on the verify span.
         """
@@ -982,7 +978,7 @@ class QueryExecutor:
             rewrite_seconds = time.perf_counter() - started
 
             with _stage(tracer, guard, "plan") as plan_stage:
-                doc_keys, docs_total, docs_scanned = self._prune(
+                doc_keys, docs_total, docs_scanned, term_pairs = self._prune(
                     collections, plan, guard
                 )
                 index_used = any(keys is not None for keys in doc_keys)
@@ -1014,7 +1010,7 @@ class QueryExecutor:
                         tracer.annotate(candidates=len(entries[-1]))
 
             with _stage(tracer, guard, "verify") as verify_stage:
-                results, counts = verify(plan, entries, guard, tracer)
+                results, counts = verify(plan, entries, guard, tracer, term_pairs)
                 # Result trees the stage built (0 while answers stay rows)
                 # and candidates an index-exact plan booked without a scan.
                 if isinstance(results, tax_batch.ResultRows):
@@ -1063,15 +1059,26 @@ class QueryExecutor:
         collections: Sequence[str],
         plan: CompiledPlan,
         guard: Optional[ResourceGuard],
-    ) -> Tuple[List[Optional[AbstractSet[str]]], int, int]:
-        """(per-side document keys, docs total, docs scanned).
+    ) -> Tuple[
+        List[Optional[AbstractSet[str]]],
+        int,
+        int,
+        Optional[Mapping[str, AbstractSet[str]]],
+    ]:
+        """(per-side document keys, docs total, docs scanned, term pairs).
 
         A side's keys are None when it is scanned whole.  Each prunable
         side intersects its own index probes; a join's cross probe then
-        narrows both sides.
+        narrows both sides.  The term pairs (left term -> right terms,
+        None without a ``~`` cross conjunct) are what the plan's
+        ``similar`` probe matched: the join's pair filter.  When an
+        ``=`` cross conjunct came first, the ``~`` conjunct's probe runs
+        as well, memoised and charged like the first, and narrows
+        nothing.
         """
         targets = [self.database.get_collection(name) for name in collections]
         doc_keys: List[Optional[AbstractSet[str]]] = [None] * len(targets)
+        term_pairs = None
         if plan.prunable:
             seo = self.context.seo if self.context is not None else None
             indexes = [target.search_index() for target in targets]
@@ -1088,12 +1095,15 @@ class QueryExecutor:
                         # generation count.
                         memo_key=(index, targets[side].generation, id(seo)),
                     )
-            if plan.cross is not None:
+            matches: Dict[CrossProbe, CrossMatch] = {}
+            for probe in (plan.cross, plan.similar):
+                if probe is None or probe in matches:
+                    continue
                 left, right = targets
-                cross_keys = prune_join_docs(
+                matches[probe] = prune_join_docs(
                     indexes[0],
                     indexes[1],
-                    plan.cross,
+                    probe,
                     seo,
                     guard,
                     memo=self._cross_probe_cache,
@@ -1104,24 +1114,29 @@ class QueryExecutor:
                         left.generation,
                         indexes[1],
                         right.generation,
-                        plan.cross,
+                        probe,
                         id(seo),
                     ),
                 )
+            if plan.cross is not None:
+                match = matches[plan.cross]
                 doc_keys = [
-                    cross if keys is None else keys & cross
-                    for keys, cross in zip(doc_keys, cross_keys)
+                    docs if keys is None else keys & docs
+                    for keys, docs in zip(doc_keys, (match.left_docs, match.right_docs))
                 ]
+            if plan.similar is not None:
+                term_pairs = matches[plan.similar].pairs
         docs_scanned = sum(
             len(keys) if keys is not None else len(target)
             for keys, target in zip(doc_keys, targets)
         )
-        return doc_keys, sum(map(len, targets)), docs_scanned
+        return doc_keys, sum(map(len, targets)), docs_scanned, term_pairs
 
     def _join_verify(
         self,
         plan: CompiledPlan,
         entries: Sequence[List[tax_batch.Entry]],
+        term_pairs: Optional[Mapping[str, AbstractSet[str]]],
         sl: List[int],
         guard: Optional[ResourceGuard],
         tracer,
@@ -1129,20 +1144,16 @@ class QueryExecutor:
         """The join's verify step: candidate pairs, then their product.
 
         With a cross-side ``~`` conjunct the hash join keeps only the
-        pairs that can satisfy it; otherwise every pair is probed.
+        pairs its probe's term pairs admit; otherwise every pair is
+        probed.
         """
         left, right = entries
-        if plan.hash_atom is not None:
+        if plan.similar is not None:
             with tracer.span("verify.hash_join"):
-                pair_filter = self._similarity_join_pairs(
-                    [cols.nodes[row] for cols, row in left],
-                    [cols.nodes[row] for cols, row in right],
-                    plan.hash_atom,
-                    plan.program.pattern.condition,
-                    guard,
+                pairs = sorted(
+                    _similar_candidate_pairs(left, right, plan.similar, term_pairs, guard)
                 )
-                tracer.annotate(pairs=len(pair_filter))
-            pairs = sorted(pair_filter)
+                tracer.annotate(pairs=len(pairs))
             if guard is not None and pairs:
                 guard.tick_each(len(pairs), "join product")
         else:
@@ -1159,113 +1170,46 @@ class QueryExecutor:
             "pairs_materialized": pairs_materialized,
         }
 
-    def _similarity_join_pairs(
-        self,
-        left_candidates: Sequence[XmlNode],
-        right_candidates: Sequence[XmlNode],
-        atom,
-        condition: Condition,
-        guard: Optional[ResourceGuard] = None,
-    ) -> Set[Tuple[int, int]]:
-        """Candidate pairs that can satisfy a cross-side ``~`` conjunct.
 
-        Values known to the SEO go through ``seo.similar`` directly
-        (fused terms may be "similar" at arbitrary string distance, so
-        no distance filter may prune them); values outside it are joined
-        by :func:`~repro.similarity.candidates.similar_pairs` — length
-        and bigram-count filters first, the measure on the survivors.
-        Sound: a pair is dropped only when *no* value pair can satisfy
-        the atom.
-        """
-        assert self.context is not None
-        seo = self.context.seo
-        tags = required_tags(condition)
+def _similar_candidate_pairs(
+    left: Sequence[tax_batch.Entry],
+    right: Sequence[tax_batch.Entry],
+    probe: CrossProbe,
+    term_pairs: Mapping[str, AbstractSet[str]],
+    guard: Optional[ResourceGuard],
+) -> Set[Tuple[int, int]]:
+    """Candidate pairs that can satisfy the cross-side ``~`` conjunct.
 
-        def values_of(candidate: XmlNode, label: int) -> List[str]:
-            restriction = tags.get(label)
-            return [
-                node.text
-                for node in candidate.iter()
-                if restriction is None or node.tag in restriction
-            ]
-
-        left_label = next(iter(atom.left.labels()))
-        right_label = next(iter(atom.right.labels()))
-
-        #: value -> candidate indices holding it, per side and SEO status.
-        known_right: Dict[str, List[int]] = {}
-        unknown_right: Dict[str, List[int]] = {}
-        for j, candidate in enumerate(right_candidates):
-            for value in values_of(candidate, right_label):
-                side = known_right if value in seo else unknown_right
-                side.setdefault(value, []).append(j)
-
-        pairs: Set[Tuple[int, int]] = set()
-        unknown_left: Dict[str, List[int]] = {}
-        for i, candidate in enumerate(left_candidates):
-            if guard is not None:
-                guard.tick(what="similarity hash join")
-            for value in values_of(candidate, left_label):
-                partners = [known_right]
-                if value in seo:
-                    partners.append(unknown_right)
-                else:
-                    unknown_left.setdefault(value, []).append(i)
-                for side in partners:
-                    for other, holders in side.items():
-                        if seo.similar(value, other):
-                            pairs.update((i, j) for j in holders)
-        # The right side of a join is the same value set request after
-        # request (filters usually sit on the left), and its index is a
-        # pure function of that set: keep it, keyed by content.
-        index_key = (id(seo), frozenset(unknown_right))
-        index = self._join_index_cache.get(index_key)
-        if index is None:
-            index = bipartite_index(list(unknown_right), seo.measure, seo.epsilon)
-            self._join_index_cache.put(index_key, index)
-        matches, _stats = similar_pairs(
-            unknown_left, index, seo.measure, guard, what="similarity hash join"
-        )
-        for value, other in matches:
-            pairs.update(
-                (i, j) for i in unknown_left[value] for j in unknown_right[other]
-            )
-        return pairs
-
-
-def _cross_similarity_atom(
-    condition: Condition, left_labels: Set[int], right_labels: Set[int]
-):
-    """The first top-level ``~`` conjunct relating content across sides.
-
-    Returns None when the condition has no such conjunct (then the join
-    must fall back to the full product).  Both operands must be single
-    node-content terms, one per side; the atom orientation is normalised
-    so its left term references the left side.
+    A candidate's values are the texts of its subtree's rows under the
+    probe's tags (all rows when the label has no tag restriction), so
+    they are indexed terms of its document.  The probe matched every
+    such left term to every right term ``seo.similar`` accepts, so a pair
+    is dropped only when *no* value pair can satisfy the atom.  The
+    measure ran, and was charged, in the probe: the guard is charged one
+    ``similarity hash join`` step per left candidate.
     """
-    from .conditions import SimilarTo
 
-    def conjuncts(node: Condition):
-        if isinstance(node, And):
-            for operand in node.operands:
-                yield from conjuncts(operand)
-        else:
-            yield node
+    def values_of(entry: tax_batch.Entry, tags: Optional[AbstractSet[str]]) -> Set[str]:
+        cols, row = entry
+        texts, row_tags = cols.texts, cols.tags
+        return {
+            texts[r]
+            for r in range(row, cols.end[row])
+            if tags is None or row_tags[r] in tags
+        }
 
-    for atom in conjuncts(condition):
-        if not isinstance(atom, SimilarTo):
-            continue
-        if not isinstance(atom.left, NodeContent) or not isinstance(
-            atom.right, NodeContent
-        ):
-            continue
-        left_side = atom.left.labels()
-        right_side = atom.right.labels()
-        if left_side <= left_labels and right_side <= right_labels:
-            return atom
-        if left_side <= right_labels and right_side <= left_labels:
-            return SimilarTo(atom.right, atom.left)
-    return None
+    holders: Dict[str, List[int]] = {}
+    for j, entry in enumerate(right):
+        for value in values_of(entry, probe.right_tags):
+            holders.setdefault(value, []).append(j)
+    pairs: Set[Tuple[int, int]] = set()
+    for i, entry in enumerate(left):
+        if guard is not None:
+            guard.tick(what="similarity hash join")
+        for value in values_of(entry, probe.left_tags):
+            for other in term_pairs.get(value, ()):
+                pairs.update((i, j) for j in holders.get(other, ()))
+    return pairs
 
 
 def _copy_structure(source: PatternTree, target: PatternTree) -> None:

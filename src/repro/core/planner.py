@@ -39,7 +39,19 @@ root row without verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import ConditionError
 from ..guard import ResourceGuard, TickRecorder, replay_ticks
@@ -97,6 +109,19 @@ class CrossProbe:
     right_label: int
     left_tags: Optional[FrozenSet[str]]
     right_tags: Optional[FrozenSet[str]]
+
+
+class CrossMatch(NamedTuple):
+    """What a cross probe found: each side's documents and the term pairs.
+
+    ``pairs`` maps every left term (under the probe's left tags) that has
+    a partner to the right terms it matches.  All three may be shared
+    with the memo: treat them as read-only.
+    """
+
+    left_docs: FrozenSet[str]
+    right_docs: FrozenSet[str]
+    pairs: Mapping[str, FrozenSet[str]]
 
 
 @dataclass
@@ -547,21 +572,22 @@ def _residue(
 # ---------------------------------------------------------------------------
 
 
-def find_cross_probe(
+def find_cross_probes(
     condition: Condition,
     left_labels: Set[int],
     right_labels: Set[int],
     context: Optional[SeoConditionContext],
     exact_fallback: bool,
-) -> Optional[CrossProbe]:
-    """The first top-level cross-side content conjunct, as a probe.
+) -> Tuple[CrossProbe, ...]:
+    """Every top-level cross-side content conjunct, as a probe, in order.
 
     ``~`` needs an SEO to probe (under exact fallback it degrades to
     equality, matching the degraded verification); plain ``=`` works in
-    any mode.  Returns None when no such conjunct exists — per-side
-    pruning still applies, only the cross-side step is skipped.
+    any mode.  Empty when no such conjunct exists — per-side pruning
+    still applies, only the cross-side step is skipped.
     """
     tags = required_tags(condition)
+    probes: List[CrossProbe] = []
     for atom in _conjuncts(condition):
         is_similar = isinstance(atom, SimilarTo)
         is_equal = isinstance(atom, Comparison) and atom.op == "="
@@ -579,14 +605,16 @@ def find_cross_probe(
             left_label, right_label = right_label, left_label
         if left_label not in left_labels or right_label not in right_labels:
             continue
-        return CrossProbe(
-            kind=kind,
-            left_label=left_label,
-            right_label=right_label,
-            left_tags=_tags_of(tags, left_label),
-            right_tags=_tags_of(tags, right_label),
+        probes.append(
+            CrossProbe(
+                kind=kind,
+                left_label=left_label,
+                right_label=right_label,
+                left_tags=_tags_of(tags, left_label),
+                right_tags=_tags_of(tags, right_label),
+            )
         )
-    return None
+    return tuple(probes)
 
 
 def prune_join_docs(
@@ -597,18 +625,20 @@ def prune_join_docs(
     guard: Optional[ResourceGuard] = None,
     memo: Optional[LruCache] = None,
     memo_key: Optional[Hashable] = None,
-) -> Tuple[Set[str], Set[str]]:
-    """Documents on each side that can participate in the cross conjunct.
+) -> CrossMatch:
+    """Documents on each side that can participate in the cross conjunct,
+    and the matched term pairs behind them.
 
     Works over *distinct terms* rather than candidate pairs, at index
     granularity, before any candidate is fetched.  A document survives
     iff one of its indexed values (under the probe's tags) has a partner
     on the other side; the semantics mirror ``seo.similar`` exactly (shared
     node for known pairs, bounded edit distance otherwise), so every
-    verifiable pair's documents survive.  Terms outside the ontology go
-    through :func:`~repro.similarity.candidates.similar_pairs`, so the
-    measure runs on the pairs that survive the length and bigram-count
-    filters, not on every length-compatible pair.
+    verifiable pair's documents survive, and every term pair ``seo.similar``
+    accepts is in ``pairs`` — the join's pair filter reads it.  Terms
+    outside the ontology go through :func:`~repro.similarity.candidates.
+    similar_pairs`, so the measure runs on the pairs that survive the
+    length and bigram-count filters, not on every length-compatible pair.
 
     The probe is a pure function of the two indexes, the probe spec and
     the SEO, so with ``memo`` the result is kept under ``memo_key``
@@ -621,17 +651,15 @@ def prune_join_docs(
     with tracer.span("planner.cross_probe", kind=probe.kind):
         cached = memo.get(memo_key) if memo is not None else None
         if cached is not None:
-            left_docs, right_docs, runs = cached
+            match, runs = cached
             if guard is not None:
                 replay_ticks(guard, runs)
             stats = BlockStats()
         else:
             ticks = TickRecorder(guard)
-            left_docs, right_docs, stats = _cross_probe(
-                left_index, right_index, probe, seo, ticks
-            )
+            match, stats = _cross_probe(left_index, right_index, probe, seo, ticks)
             if memo is not None:
-                memo.put(memo_key, (left_docs, right_docs, ticks.runs))
+                memo.put(memo_key, (match, ticks.runs))
         METRICS.counter("planner.cross_probe.pairs").inc(stats.length_compatible)
         METRICS.counter("planner.cross_probe.verified").inc(stats.candidates)
         tracer.annotate(
@@ -639,8 +667,7 @@ def prune_join_docs(
             pairs=stats.length_compatible,
             verified=stats.candidates,
         )
-    # Copies: callers intersect the sets in place.
-    return set(left_docs), set(right_docs)
+    return match
 
 
 def _cross_probe(
@@ -649,26 +676,41 @@ def _cross_probe(
     probe: CrossProbe,
     seo: Optional[SimilarityEnhancedOntology],
     ticks: TickRecorder,
-) -> Tuple[Set[str], Set[str], BlockStats]:
-    """The cold cross probe: (left documents, right documents, counts)."""
+) -> Tuple[CrossMatch, BlockStats]:
+    """The cold cross probe: (what it matched, counts)."""
     left_terms = left_index.terms_with_tags(probe.left_tags)
     right_terms = right_index.terms_with_tags(probe.right_tags)
-    tick = ticks.tick
-    tick(len(left_terms) + len(right_terms), "index probe")
-
+    ticks.tick(len(left_terms) + len(right_terms), "index probe")
+    pairs, stats = _term_pairs(left_terms, right_terms, probe, seo, ticks)
     left_docs: Set[str] = set()
+    for term in pairs:
+        left_docs |= left_terms[term]
     right_docs: Set[str] = set()
+    for other in set().union(*pairs.values()):
+        right_docs |= right_terms[other]
+    frozen = {term: frozenset(others) for term, others in pairs.items()}
+    return CrossMatch(frozenset(left_docs), frozenset(right_docs), frozen), stats
 
-    def keep(term: str, other: str) -> None:
-        left_docs.update(left_terms[term])
-        right_docs.update(right_terms[other])
 
+def _term_pairs(
+    left_terms: Mapping[str, FrozenSet[str]],
+    right_terms: Mapping[str, FrozenSet[str]],
+    probe: CrossProbe,
+    seo: Optional[SimilarityEnhancedOntology],
+    ticks: TickRecorder,
+) -> Tuple[Dict[str, Set[str]], BlockStats]:
+    """Each left term with a partner -> the right terms it matches."""
+    tick = ticks.tick
+    pairs: Dict[str, Set[str]] = {}
     if probe.kind == "equal":
         for term in left_terms:
             tick(1, "index probe")
             if term in right_terms:
-                keep(term, term)
-        return left_docs, right_docs, BlockStats()
+                pairs[term] = {term}
+        return pairs, BlockStats()
+
+    def keep(term: str, other: str) -> None:
+        pairs.setdefault(term, set()).add(other)
 
     assert seo is not None
     known_right = [term for term in right_terms if term in seo]
@@ -697,4 +739,4 @@ def _cross_probe(
     )
     for term, other in matches:
         keep(term, other)
-    return left_docs, right_docs, stats
+    return pairs, stats

@@ -80,9 +80,11 @@ def fig15b_series(results: PrecisionRecallResults) -> str:
     index = {
         (o.dataset, o.query_id, o.system_name): o for o in results.outcomes
     }
+    # Ties on recall fall back to the (dataset, query) key: sorting the
+    # set by recall alone left tied rows in string-hash order.
     keys = sorted(
         {(o.dataset, o.query_id) for o in results.outcomes},
-        key=lambda key: index[(key[0], key[1], "TAX")].recall,
+        key=lambda key: (index[(key[0], key[1], "TAX")].recall, key),
     )
     rows: List[List[object]] = []
     for dataset, query_id in keys:

@@ -319,12 +319,7 @@ def block_edges(
 def bipartite_index(
     right: Sequence[str], measure: StringSimilarityMeasure, epsilon: float
 ) -> CandidateIndex:
-    """``right`` (distinct strings) indexed for :func:`similar_pairs`.
-
-    A pure function of its arguments, so callers that probe the same
-    right side again and again (a join's right candidates across
-    requests) may keep the index.
-    """
+    """``right`` (distinct strings) indexed for :func:`similar_pairs`."""
     filtered = supports_filter(measure)
     occs = [bigram_occurrences(text) if filtered else None for text in right]
     index = CandidateIndex(epsilon, gram_frequencies(occs) if filtered else None)

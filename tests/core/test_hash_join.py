@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.conditions import SeoConditionContext, SimilarTo
-from repro.core.executor import QueryExecutor, _cross_similarity_atom
+from repro.core.executor import QueryExecutor
 from repro.core.reference import ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
@@ -65,27 +65,34 @@ def context():
     return SeoConditionContext(seo)
 
 
-class TestCrossAtomDetection:
-    def test_finds_cross_atom(self):
-        pattern = join_pattern()
-        atom = _cross_similarity_atom(pattern.condition, {1, 2}, {3, 4})
-        assert atom is not None
-        assert atom.left.labels() == {2}
-        assert atom.right.labels() == {4}
+def similar_probe(database, context, pattern):
+    """The plan's ``~`` cross probe: the conjunct the hash join filters by."""
+    plan, _ = QueryExecutor(database, context)._plan(pattern, join=True)
+    return plan.similar
 
-    def test_normalises_orientation(self):
+
+class TestCrossAtomDetection:
+    def test_finds_cross_atom(self, database, context):
+        probe = similar_probe(database, context, join_pattern())
+        assert probe is not None and probe.kind == "similar"
+        assert (probe.left_label, probe.right_label) == (2, 4)
+        assert probe.left_tags == probe.right_tags == {"title"}
+
+    def test_normalises_orientation(self, database, context):
         pattern = pattern_of([(0, None, "pc"), (1, 0, "pc"), (2, 0, "pc")])
         pattern.condition = SimilarTo(NodeContent(2), NodeContent(1))
-        atom = _cross_similarity_atom(pattern.condition, {1}, {2})
-        assert atom.left.labels() == {1}
+        probe = similar_probe(database, context, pattern)
+        assert (probe.left_label, probe.right_label) == (1, 2)
 
-    def test_same_side_atom_ignored(self):
-        condition = SimilarTo(NodeContent(1), NodeContent(2))
-        assert _cross_similarity_atom(condition, {1, 2}, {3}) is None
+    def test_same_side_atom_ignored(self, database, context):
+        pattern = pattern_of([(0, None, "pc"), (1, 0, "pc"), (2, 1, "pc"), (3, 0, "pc")])
+        pattern.condition = SimilarTo(NodeContent(1), NodeContent(2))
+        assert similar_probe(database, context, pattern) is None
 
-    def test_constant_atom_ignored(self):
-        condition = SimilarTo(NodeContent(1), Constant("x"))
-        assert _cross_similarity_atom(condition, {1}, {2}) is None
+    def test_constant_atom_ignored(self, database, context):
+        pattern = pattern_of([(0, None, "pc"), (1, 0, "pc"), (2, 0, "pc")])
+        pattern.condition = SimilarTo(NodeContent(1), Constant("x"))
+        assert similar_probe(database, context, pattern) is None
 
 
 class TestHashJoinEquivalence:

@@ -16,7 +16,7 @@ from repro.core.executor import (
 from repro.core.planner import (
     ValuesProbe,
     build_plan_spec,
-    find_cross_probe,
+    find_cross_probes,
     has_semantic_atom,
     prune_candidates,
 )
@@ -213,19 +213,18 @@ class TestCrossProbe:
             Comparison("=", NodeTag(5), Constant("title")),
             SimilarTo(NodeContent(2), NodeContent(5)),
         )
-        probe = find_cross_probe(condition, {1, 2}, {4, 5}, context, False)
-        assert probe is not None
+        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context, False)
         assert probe.kind == "similar"
         assert (probe.left_label, probe.right_label) == (2, 5)
 
     def test_orientation_is_normalised(self, context):
         condition = SimilarTo(NodeContent(5), NodeContent(2))
-        probe = find_cross_probe(condition, {1, 2}, {4, 5}, context, False)
+        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context, False)
         assert (probe.left_label, probe.right_label) == (2, 5)
 
     def test_no_context_no_fallback_gives_no_similarity_probe(self):
         condition = SimilarTo(NodeContent(2), NodeContent(5))
-        assert find_cross_probe(condition, {1, 2}, {4, 5}, None, False) is None
+        assert find_cross_probes(condition, {1, 2}, {4, 5}, None, False) == ()
 
 
 class TestExecutorIntegration:

@@ -12,7 +12,12 @@ from repro.experiments.reporting import (
     format_table,
     scalability_table,
 )
-from repro.experiments.runner import QueryOutcome, returned_paper_keys
+from repro.core.quality import QualityReport
+from repro.experiments.runner import (
+    PrecisionRecallResults,
+    QueryOutcome,
+    returned_paper_keys,
+)
 from repro.xmldb.parser import parse_document
 
 
@@ -100,6 +105,23 @@ class TestReporting:
     def test_fig15b_series_sorted_by_tax_recall(self, results):
         series = fig15b_series(results)
         assert "sqrt(TAX recall)" in series
+
+    def test_fig15b_ties_come_out_in_key_order(self):
+        # Twelve (dataset, query) keys tie on TAX recall 0 and two on 1.
+        keys = [(dataset, f"Q{q:02d}") for dataset in (2, 0, 1) for q in (4, 1, 3, 2)]
+        recalls = {key: 0.0 for key in keys}
+        recalls[(0, "Q03")] = recalls[(2, "Q01")] = 1.0
+        outcomes = [
+            QueryOutcome(
+                dataset, query_id, system, QualityReport(1.0, recall, 1, 1, 1), 0.0
+            )
+            for (dataset, query_id), recall in recalls.items()
+            for system in ("TAX", "TOSS(e=3)")
+        ]
+        rows = fig15b_series(PrecisionRecallResults(outcomes)).splitlines()[2:]
+        order = [(int(row.split()[1]), row.split()[2]) for row in rows]
+        tied = sorted(key for key in keys if recalls[key] == 0.0)
+        assert order == tied + [(0, "Q03"), (2, "Q01")]
 
     def test_fig15c_series(self, results):
         series = fig15c_series(results)

@@ -92,7 +92,7 @@ def check_prunes(system):
         expected = prune_candidates(plan.specs[0], fresh, guard, executor.context.seo)
         for _pass in ("cold", "warm"):
             memoised = ResourceGuard()
-            (docs,), total, scanned = executor._prune(["dblp"], plan, memoised)
+            (docs,), total, scanned, _pairs = executor._prune(["dblp"], plan, memoised)
             assert set(docs) == set(expected)
             assert (total, scanned) == (len(collection), len(expected))
             assert probe_charges(memoised) == probe_charges(guard)

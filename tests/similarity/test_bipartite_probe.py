@@ -2,9 +2,9 @@
 
 ``similar_pairs`` must report every epsilon-similar pair across two string
 sets and nothing else, whatever the filters skip; and the planner's cross
-probe built on it must keep exactly the documents an all-pairs
-``seo.similar`` sweep keeps — SEO-known terms (similar at any distance
-through a shared node) included.
+probe built on it must keep exactly the documents and the term pairs an
+all-pairs ``seo.similar`` sweep keeps — SEO-known terms (similar at any
+distance through a shared node) included, cold and from its memo.
 """
 
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.planner import CrossProbe, prune_join_docs
 from repro.guard import ResourceGuard
+from repro.lru import LruCache
 from repro.ontology import Hierarchy
 from repro.similarity.candidates import bipartite_index, similar_pairs
 from repro.similarity.measures import DamerauLevenshtein, Levenshtein
@@ -86,18 +87,26 @@ def test_cross_probe_keeps_the_documents_all_pairs_keeps(left, right, known, eps
     hierarchy = Hierarchy([(term, "root") for term in known] or [("x", "root")])
     seo = SimilarityEnhancedOntology.for_hierarchy(hierarchy, Levenshtein(), epsilon)
     database = Database()
+    # known[2] sits on both sides, and so does the first unknown left term.
     left_index = _collection(database, "l", left + known[:3])
-    right_index = _collection(database, "r", right + known[2:])
+    right_index = _collection(database, "r", right + left[:1] + known[2:])
     probe = CrossProbe("similar", 1, 2, frozenset({"t"}), frozenset({"t"}))
 
     left_terms = left_index.terms_with_tags(probe.left_tags)
     right_terms = right_index.terms_with_tags(probe.right_tags)
-    want_left, want_right = set(), set()
+    want_left, want_right, want_pairs = set(), set(), {}
     for x, x_docs in left_terms.items():
         for y, y_docs in right_terms.items():
             if seo.similar(x, y):
                 want_left |= x_docs
                 want_right |= y_docs
+                want_pairs.setdefault(x, set()).add(y)
 
-    got = prune_join_docs(left_index, right_index, probe, seo, ResourceGuard())
-    assert got == (want_left, want_right)
+    memo = LruCache(4)
+    for _request in ("cold", "memo hit"):
+        left_docs, right_docs, pairs = prune_join_docs(
+            left_index, right_index, probe, seo, ResourceGuard(), memo, "key"
+        )
+        assert (left_docs, right_docs) == (want_left, want_right)
+        assert pairs == want_pairs
+    assert memo.hits == 1
