@@ -14,11 +14,17 @@ from repro.experiments.reporting import epsilon_table
 from repro.experiments.workload import build_scalability_pattern, build_system
 
 EPSILONS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+#: Rounds per built system (``epsilon_sweep`` times each point on
+#: ``BUILDS_PER_POINT`` builds); each point is the median of its runs.
+#: The first run of a freshly built system pays cold costs that do not
+#: grow with epsilon (at 500 papers up to twice a warm selection), and a
+#: mean of two runs on one build let them flip the selection series' trend.
+REPEATS = 5
 
 
 def test_fig16c_epsilon(benchmark, results_dir):
     points = epsilon_sweep(
-        epsilons=EPSILONS, papers=500, join_papers=200, repeats=2, seed=0
+        epsilons=EPSILONS, papers=500, join_papers=200, repeats=REPEATS, seed=0
     )
     persist(results_dir, "fig16c_epsilon.txt", epsilon_table(points))
 

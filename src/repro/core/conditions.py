@@ -18,7 +18,7 @@ takes ontological information into account").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ConditionError, IllTypedConditionError
 from ..ontology.hierarchy import Ontology
@@ -440,6 +440,7 @@ def rewrite_condition(
     condition: Condition,
     context: SeoConditionContext,
     expand_similar: bool = True,
+    reads: Optional[List[Optional[FrozenSet[str]]]] = None,
 ) -> Condition:
     """Expand semantic atoms into exact-match disjunctions via the SEO.
 
@@ -458,11 +459,17 @@ def rewrite_condition(
     SEO terms says that.  The evaluator decides ``~``; with
     ``expand_similar=False`` constant-sided ``~`` atoms are kept as they
     are (the form a sound XPath prefilter is compiled from).
+
+    ``reads``, when given, collects every expansion the rewrite looked
+    up, in visit order: with ``expand_similar`` that is
+    :func:`expansions_read` of ``condition``.
     """
     if isinstance(condition, _SemanticAtom):
         if not expand_similar and isinstance(condition, SimilarTo):
             return condition
         expansion = _expansion_for(condition, context)
+        if reads is not None:
+            reads.append(expansion)
         if expansion is None:
             return condition  # node-to-node semantic atom: leave for runtime
         atoms = [
@@ -476,12 +483,46 @@ def rewrite_condition(
         return Or(*atoms)
     if isinstance(condition, And):
         return And(
-            *[rewrite_condition(op, context, expand_similar) for op in condition.operands]
+            *[
+                rewrite_condition(op, context, expand_similar, reads)
+                for op in condition.operands
+            ]
         )
     if isinstance(condition, Or):
         return Or(
-            *[rewrite_condition(op, context, expand_similar) for op in condition.operands]
+            *[
+                rewrite_condition(op, context, expand_similar, reads)
+                for op in condition.operands
+            ]
         )
     if isinstance(condition, Not):
-        return Not(rewrite_condition(condition.operand, context, expand_similar))
+        return Not(rewrite_condition(condition.operand, context, expand_similar, reads))
     return condition
+
+
+def expansions_read(
+    condition: Condition, context: SeoConditionContext
+) -> Tuple[Optional[FrozenSet[str]], ...]:
+    """What a plan compiled from ``condition`` read of the SEO.
+
+    The expansion of every semantic atom, in the order
+    :func:`rewrite_condition` visits them (None for a node-to-node atom),
+    as its ``reads`` collects them.  The rewrite, the index probes and
+    the exactness proof see the SEO only through these sets, so under
+    another SEO a plan whose reads are equal is the plan a fresh compile
+    would build.  Raises :class:`~repro.errors.ConditionError` where the
+    rewrite would.
+    """
+    reads: List[Optional[FrozenSet[str]]] = []
+
+    def visit(node: Condition) -> None:
+        if isinstance(node, _SemanticAtom):
+            reads.append(_expansion_for(node, context))
+        elif isinstance(node, (And, Or)):
+            for operand in node.operands:
+                visit(operand)
+        elif isinstance(node, Not):
+            visit(node.operand)
+
+    visit(condition)
+    return tuple(reads)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import QueryExecutionError
+from ..errors import ConditionError, QueryExecutionError
 from ..guard import ResourceGuard
 from ..lru import LruCache
 from ..obs import NULL_OBSERVABILITY, Observability
@@ -56,7 +56,7 @@ from ..tax.pattern import AD, PatternTree
 from ..xmldb.columnar import DocumentColumns
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
-from .conditions import SeoConditionContext, rewrite_condition
+from .conditions import SeoConditionContext, expansions_read, rewrite_condition
 from .planner import (
     CrossMatch,
     CrossProbe,
@@ -540,10 +540,12 @@ def join_side_patterns(
 class CompiledPlan:
     """Everything about one query that does not depend on the documents.
 
-    Built once per pattern, operator shape and evaluation context by
+    Built once per pattern, operator shape and evaluation mode by
     :meth:`QueryExecutor._plan` and kept in the plan cache; every stage
     of the pipeline, and :meth:`QueryExecutor.explain`, reads it.  A
     selection or projection has one side, a join two (left, right).
+    The verify program and the fetchers bind the live context; the rest
+    holds only strings and conditions.
     """
 
     #: The SEO-rewritten condition (``explain`` shows it).
@@ -570,6 +572,25 @@ class CompiledPlan:
     exact_tags: Optional[Tuple[str, ...]] = None
 
 
+@dataclass(eq=False)
+class _PlanEntry:
+    """A plan-cache entry: the plan as no context binds it, and what it read.
+
+    ``plan`` carries no verify program and no fetchers; ``verified`` and
+    ``sides`` are the patterns they are compiled from, and ``reads`` the
+    SEO expansions the compile consumed (:func:`~repro.core.conditions.
+    expansions_read`; empty without an SEO).  ``bound`` is the plan
+    compiled for the executor's context of the time, with that context:
+    :meth:`QueryExecutor.set_context` clears it.
+    """
+
+    plan: CompiledPlan
+    verified: PatternTree
+    sides: Tuple[PatternTree, ...]
+    reads: Tuple[Optional[AbstractSet[str]], ...]
+    bound: Optional[Tuple[Optional[SeoConditionContext], CompiledPlan]] = None
+
+
 class QueryExecutor:
     """Runs TOSS (or plain TAX) pattern queries against the database."""
 
@@ -590,18 +611,15 @@ class QueryExecutor:
         #: matches instead of raising (degraded mode; see
         #: :class:`~repro.core.conditions.ExactFallbackContext`).
         self.exact_fallback = exact_fallback
-        #: Bounded, thread-safe LRU over :class:`CompiledPlan` entries,
-        #: keyed by pattern structure, condition and evaluation context.
-        #: Hit/miss/eviction counters are emitted as
-        #: ``executor.plan_cache.*`` metrics by the cache itself.
+        #: Bounded, thread-safe LRU over :class:`_PlanEntry` objects,
+        #: keyed by operator, pattern structure, condition and evaluation
+        #: mode — not by the context: an entry outlives SEO swaps while
+        #: its reads stay equal (:meth:`_plan`).  Hit/miss/eviction
+        #: counters are emitted as ``executor.plan_cache.*`` metrics by
+        #: the cache itself.
         self._plan_cache = LruCache(
             DEFAULT_PLAN_CACHE_SIZE, metric_prefix="executor.plan_cache"
         )
-        #: Bumped by :meth:`set_context` whenever the SEO changes; part of
-        #: every plan-cache key, so plans compiled against a previous SEO
-        #: become unreachable (and age out of the LRU) instead of being
-        #: replayed with stale term expansions.
-        self._context_epoch = 0
         #: Memoised cross-side join probes (document-key sets and matched
         #: term pairs, plus the cold probe's guard ticks, replayed on a
         #: hit), keyed by both sides' indexes and generations + probe spec
@@ -640,17 +658,22 @@ class QueryExecutor:
         """Swap the SEO context in place, keeping the executor warm.
 
         The system's incremental build path reuses one executor across
-        builds so the compiled-plan and cross-probe caches survive
-        mutations.  ``seo_changed=False`` (the no-op rebuild: nothing in
-        any SEO moved) keeps every cache entry live; otherwise the
-        context epoch advances — plans rewritten against the old SEO
-        miss and recompile, and memoised cross probes and residues (keyed
-        partly by ``id(seo)``, which a recycled object id could collide
-        with) are dropped outright.
+        builds, so the plan cache survives writes: a plan is keyed by
+        what the query is, and a lookup under a new SEO reuses it when
+        the expansions it read are unchanged (:meth:`_plan`).  What binds
+        a context — each plan's verify program and fetchers — is dropped
+        here when the context object changes, so no cached plan keeps a
+        superseded SEO alive; the first hit after the swap recompiles
+        it.  ``seo_changed=False`` (the no-op rebuild: nothing in any SEO
+        moved) keeps the cross-probe and residue memos; otherwise they
+        are dropped outright (they are keyed partly by ``id(seo)``,
+        which a recycled object id could collide with).
         """
+        if context is not self.context:
+            for entry in self._plan_cache.values():
+                entry.bound = None
         self.context = context
         if seo_changed:
-            self._context_epoch += 1
             self._cross_probe_cache.clear()
             self._residue_cache.clear()
 
@@ -659,28 +682,47 @@ class QueryExecutor:
 
         Rewrites the condition through the SEO, compiles the verify
         program, and per side one prefilter XPath, one probe spec and
-        one fetcher — all once per (pattern, evaluation context), then
+        one fetcher — once per (operator, pattern, evaluation mode), then
         served from the cache.  ``join`` splits the pattern into its two
         product sides.
+
+        A cached plan not yet bound to the current context is checked
+        first: its SEO reads are recomputed (memo lookups on a carried
+        SEO) and, when equal, only the verify program and fetchers are
+        compiled for the context (``executor.plan_cache.revalidated``).
+        Reads that moved recompile the whole plan
+        (``executor.plan_cache.stale``; not reported as a hit).
         """
-        context = self._evaluation_context()
+        if self.context is not None:
+            mode = "seo"
+        else:
+            mode = "exact" if self.exact_fallback else "none"
         structure = tuple(
             (label, pattern.node(label).parent, pattern.node(label).edge)
             for label in pattern.labels()
         )
-        key = (
-            "join" if join else "pattern",
-            structure,
-            repr(pattern.condition),
-            self._context_epoch,
-            context,
-        )
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            return plan, True
+        key = ("join" if join else "pattern", structure, repr(pattern.condition), mode)
         original = pattern.condition
+        entry = self._plan_cache.get(key)
+        if entry is not None:
+            bound = entry.bound
+            if bound is not None and bound[0] is self.context:
+                return bound[1], True
+            try:
+                current = (
+                    expansions_read(original, self.context)
+                    if self.context is not None
+                    else ()
+                )
+            except ConditionError:
+                current = None
+            if current == entry.reads:
+                METRICS.counter("executor.plan_cache.revalidated").inc()
+                return self._bind(entry), True
+            METRICS.counter("executor.plan_cache.stale").inc()
+        collected: List[Optional[AbstractSet[str]]] = []
         if self.context is not None:
-            condition = rewrite_condition(original, self.context)
+            condition = rewrite_condition(original, self.context, reads=collected)
             prefilter = rewrite_condition(original, self.context, expand_similar=False)
         else:
             condition = prefilter = original
@@ -690,10 +732,10 @@ class QueryExecutor:
         # of the caller's (mutable) pattern object.
         verified = PatternTree(original)
         _copy_structure(pattern, verified)
-        program = tax_batch.VerifyProgram.compile(verified, context)
         cross = similar = exact = None
+        sides: Tuple[PatternTree, ...] = ()
         if join:
-            sides = join_side_patterns(pattern, original)
+            sides = tuple(join_side_patterns(pattern, original))
             left_labels, right_labels = (set(side.labels()) for side in sides)
             xpaths = tuple(
                 compile_pattern_to_xpath(side)
@@ -703,10 +745,6 @@ class QueryExecutor:
             # side conjuncts: verification evaluates those.
             specs = tuple(
                 build_plan_spec(side, side.condition, self.context, self.exact_fallback)
-                for side in sides
-            )
-            fetchers = tuple(
-                tax_batch.VerifyProgram.compile(side, context).anchored_rows
                 for side in sides
             )
             prunable = not (
@@ -726,22 +764,41 @@ class QueryExecutor:
             specs = (
                 build_plan_spec(pattern, original, self.context, self.exact_fallback),
             )
-            fetchers = (program.root_rows,)
             prunable = specs[0].prunable
             exact = exact_tags(pattern, original, specs[0], self.context)
-        plan = CompiledPlan(
+        unbound = CompiledPlan(
             condition,
             xpaths,
             specs,
-            fetchers,
+            (),
             prunable,
-            program,
+            None,  # type: ignore[arg-type]  # bound per context by _bind
             cross,
             similar,
             exact,
         )
-        self._plan_cache.put(key, plan)
+        entry = _PlanEntry(unbound, verified, sides, tuple(collected))
+        plan = self._bind(entry)
+        self._plan_cache.put(key, entry)
         return plan, False
+
+    def _bind(self, entry: _PlanEntry) -> CompiledPlan:
+        """``entry``'s plan with its verify program and fetchers compiled
+        against the current evaluation context (and kept on the entry
+        until the next :meth:`set_context`)."""
+        owner = self.context
+        context = self._evaluation_context()
+        program = tax_batch.VerifyProgram.compile(entry.verified, context)
+        if entry.sides:
+            fetchers = tuple(
+                tax_batch.VerifyProgram.compile(side, context).anchored_rows
+                for side in entry.sides
+            )
+        else:
+            fetchers = (program.root_rows,)
+        plan = replace(entry.plan, program=program, fetchers=fetchers)
+        entry.bound = (owner, plan)
+        return plan
 
     @staticmethod
     def _side_lines(plan: CompiledPlan) -> List[str]:

@@ -39,6 +39,7 @@ root row without verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     AbstractSet,
     Dict,
@@ -134,6 +135,16 @@ class PlanSpec:
     pc_probes: List[FrozenSet[Tuple[str, str]]] = field(default_factory=list)
     ad_probes: List[FrozenSet[Tuple[str, str]]] = field(default_factory=list)
     value_probes: List[ValuesProbe] = field(default_factory=list)
+
+    @cached_property
+    def structure(self) -> Tuple[Tuple[str, FrozenSet], ...]:
+        """The structural probes in intersection order: tag, then pc,
+        then ad (:meth:`~repro.xmldb.index.CollectionSearchIndex.structure`)."""
+        return (
+            tuple(("tag", entries) for entries in self.tag_probes)
+            + tuple(("pc", entries) for entries in self.pc_probes)
+            + tuple(("ad", entries) for entries in self.ad_probes)
+        )
 
     def describe(self) -> List[str]:
         """Human-readable probe summary for ``explain``."""
@@ -447,9 +458,12 @@ def prune_candidates(
     it, ``similar_to`` probes use only their expansion values.
 
     Two memos keep a repeated probe from walking the collection.  The
-    structural intersection lives in the index (:func:`_structure`),
-    and with ``memo`` the off-ontology residue a ``~`` probe scans is
-    kept under ``memo_key`` plus the probe's tags (:func:`_residue`).
+    structural intersection lives in the index (:meth:`~repro.xmldb.
+    index.CollectionSearchIndex.structure`: the tag, then pc, then ad
+    probes intersect from every indexed document, stopping at the
+    first empty intersection), and with ``memo`` the off-ontology
+    residue a ``~`` probe scans is kept under ``memo_key`` plus the
+    probe's tags (:func:`_residue`).
     Both charge the guard exactly what the walk they replace charged.
     The returned set may be shared with a memo: treat it as read-only.
     """
@@ -460,11 +474,10 @@ def prune_candidates(
             guard.tick(steps, what="index probe")
 
     with tracer.span("planner.prune", docs_in=len(index)):
-        docs, charges, structure_hit = _structure(spec, index)
-        for kind, steps in charges:
-            tick(steps)
+        docs, probes_run, structure_hit = index.structure(spec.structure)
+        for kind, entries in spec.structure[:probes_run]:
+            tick(1 + len(entries))
             METRICS.counter(f"planner.probes.{kind}").inc()
-        probes_run = len(charges)
         residue_terms = 0
 
         for probe in spec.value_probes:
@@ -502,43 +515,6 @@ def prune_candidates(
         )
 
     return docs
-
-
-def _structure(
-    spec: PlanSpec, index: CollectionSearchIndex
-) -> Tuple[FrozenSet[str], Tuple[Tuple[str, int], ...], bool]:
-    """(documents, charges, memo hit) of the spec's structural probes.
-
-    The tag, then pc, then ad probes intersect from every indexed
-    document, stopping at the first empty intersection; ``charges`` is
-    the ``(kind, steps)`` guard charge of each probe that ran, in order.
-    The result is a pure function of the index, so it is memoised there
-    under the probes themselves; a mutation drops it.
-    """
-    key = (
-        "structure",
-        tuple(spec.tag_probes),
-        tuple(spec.pc_probes),
-        tuple(spec.ad_probes),
-    )
-    cached = index.memo_get(key)
-    if cached is not None:
-        return (*cached, True)
-    docs = index.documents
-    charges: List[Tuple[str, int]] = []
-    for kind, probes, lookup in (
-        ("tag", spec.tag_probes, index.docs_with_any_tag),
-        ("pc", spec.pc_probes, index.docs_with_pc_pair),
-        ("ad", spec.ad_probes, index.docs_with_ad_pair),
-    ):
-        for entries in probes:
-            if not docs:
-                break
-            charges.append((kind, 1 + len(entries)))
-            docs = docs & lookup(entries)
-    result = (docs, tuple(charges))
-    index.memo_put(key, result)
-    return (*result, False)
 
 
 def _residue(

@@ -843,12 +843,15 @@ class TossSystem:
         A build, :func:`~repro.core.persistence.load_system` and a
         worker replaying a :class:`~repro.serving.snapshot.SnapshotDelta`
         all land here.  ``seo_changed=False`` (every relation kept its
-        previous SEO object) keeps the current context, so its memos
-        (probe caches, subtype memo) stay warm.  The executor is reused
-        copy-on-write — compiled plans, probe memos and the cross-probe
-        cache invalidate per context epoch instead of being discarded
-        wholesale — unless there is none yet or it is the exact-match
-        fallback.  Clears :attr:`degraded`.
+        previous SEO object) keeps the current context object, so the
+        executor's plans stay bound to it.  The executor is reused
+        unless there is none yet or it is the exact-match fallback:
+        :meth:`~repro.core.executor.QueryExecutor.set_context` keeps its
+        compiled plans (each is reused while the expansions it read are
+        unchanged) and drops only what binds the old context.  The SEO
+        and search-index memos live on those objects and were already
+        carried across the write that patched them.  Clears
+        :attr:`degraded`.
         """
         if self.context is None or seo_changed:
             isa_seo = seos.get(Ontology.ISA)

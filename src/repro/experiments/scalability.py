@@ -10,11 +10,13 @@ read like the paper's x-axes.
 from __future__ import annotations
 
 import gc
+import statistics
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.executor import ExecutionReport
 from ..core.reference import ReferenceExecutor
+from ..core.system import TossSystem
 from ..data.dblp import render_dblp
 from ..data.ground_truth import Corpus, generate_corpus
 from ..data.sigmod import render_sigmod_pages
@@ -43,9 +45,15 @@ class ScalabilityPoint:
     ontology_accesses: int = 0
 
 
+#: Independently built systems each Figure 16(c) point is timed on
+#: (:func:`epsilon_sweep`).
+BUILDS_PER_POINT = 5
+
+
 @dataclass
 class EpsilonPoint:
-    """One epsilon timing measurement (Figure 16(c))."""
+    """One epsilon timing measurement (Figure 16(c)); ``seconds`` and
+    ``build_seconds`` are medians over the sweep's runs and builds."""
 
     epsilon: float
     operation: str
@@ -219,7 +227,19 @@ def epsilon_sweep(
     repeats: int = 2,
     seed: int = 0,
 ) -> List[EpsilonPoint]:
-    """Figure 16(c): TOSS selection and join time against epsilon."""
+    """Figure 16(c): TOSS selection and join time against epsilon.
+
+    Each (epsilon, operation) point is timed on :data:`BUILDS_PER_POINT`
+    independently built systems.  Each time, every epsilon's two systems
+    are built first, then each of ``repeats`` rounds runs every query
+    once; a point's seconds is the median of all its runs.  Interleaving
+    spreads a stretch of host load over all epsilons alike instead of
+    one; the median leaves out each system's first run, which pays cold
+    costs that do not depend on epsilon (plan compile, index and columns
+    built on first use); and pooling several builds evens out how fast
+    one built system happens to run (identically built systems differ by
+    up to 30 % in one process).
+    """
     corpus = generate_corpus(papers, seed=seed)
     dblp = render_dblp(corpus, seed=seed)
     join_keys = corpus.paper_keys()[:join_papers]
@@ -232,34 +252,42 @@ def epsilon_sweep(
     selection_pattern = build_epsilon_selection_pattern(corpus)
     join_pattern = build_join_pattern()
 
-    points: List[EpsilonPoint] = []
-    for epsilon in epsilons:
-        system = build_system(corpus, [dblp], epsilon)
-        reports = _timed_runs(
-            lambda: system.select("dblp", selection_pattern, sl_labels=[1]),
-            repeats,
-        )
-        points.append(
-            EpsilonPoint(
-                epsilon, "selection",
-                sum(r.total_seconds for r in reports) / repeats,
-                system.build_seconds, len(reports[0].results),
+    def built() -> List[Tuple[TossSystem, Callable[[], ExecutionReport]]]:
+        """Every point's (system, query), in output order."""
+        queries = []
+        for epsilon in epsilons:
+            system = build_system(corpus, [dblp], epsilon)
+            queries.append((
+                system,
+                lambda s=system: s.select("dblp", selection_pattern, sl_labels=[1]),
+            ))
+            join_system = build_system(
+                corpus, [join_dblp], epsilon, sigmod_documents=pages
             )
+            queries.append((
+                join_system,
+                lambda s=join_system: s.join(
+                    "dblp", "sigmod", join_pattern, sl_labels=[2, 5]
+                ),
+            ))
+        return queries
+
+    keys = [(epsilon, operation) for epsilon in epsilons for operation in ("selection", "join")]
+    reports: List[List[ExecutionReport]] = [[] for _ in keys]
+    build_seconds: List[List[float]] = [[] for _ in keys]
+    for _ in range(BUILDS_PER_POINT):
+        queries = built()
+        for seconds, (system, _run) in zip(build_seconds, queries):
+            seconds.append(system.build_seconds)
+        for _ in range(repeats):
+            for runs, (_system, run) in zip(reports, queries):
+                runs.extend(_timed_runs(run, 1))
+    points: List[EpsilonPoint] = [
+        EpsilonPoint(
+            epsilon, operation,
+            statistics.median(r.total_seconds for r in runs),
+            statistics.median(seconds), len(runs[0].results),
         )
-        join_system = build_system(
-            corpus, [join_dblp], epsilon, sigmod_documents=pages
-        )
-        reports = _timed_runs(
-            lambda: join_system.join(
-                "dblp", "sigmod", join_pattern, sl_labels=[2, 5]
-            ),
-            repeats,
-        )
-        points.append(
-            EpsilonPoint(
-                epsilon, "join",
-                sum(r.total_seconds for r in reports) / repeats,
-                join_system.build_seconds, len(reports[0].results),
-            )
-        )
+        for (epsilon, operation), runs, seconds in zip(keys, reports, build_seconds)
+    ]
     return points

@@ -119,6 +119,11 @@ class LruCache:
         with self._lock:
             return list(self._entries)
 
+    def values(self) -> List[Any]:
+        """Current values, least recently used first (a snapshot)."""
+        with self._lock:
+            return list(self._entries.values())
+
     def __contains__(self, key: Hashable) -> bool:
         """Membership without touching recency or the counters."""
         with self._lock:

@@ -343,7 +343,8 @@ def apply_snapshot_delta(system, delta: SnapshotDelta):
     delta-sized work) or, for full-form entries, by deserializing the
     replacement; either way the result is installed through
     :meth:`~repro.core.system.TossSystem.install_seos`, whose executor
-    keeps its compiled plans and invalidates them per context epoch.  A
+    keeps every compiled plan whose SEO reads the patches left unchanged
+    (a patched SEO carries its memos, so checking costs lookups).  A
     delta with no SEOs from a degraded system degrades the worker too.
     """
     from ..similarity.persistence import apply_seo_patch, seo_from_dict

@@ -18,14 +18,17 @@ and the query executor need:
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Deque,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
+    List,
     Mapping,
     Optional,
     Set,
@@ -116,6 +119,46 @@ MAX_PATCH_CHAIN = 8
 #: (keys carry query-supplied strings, so a long-lived worker must bound it).
 SIMILAR_MEMO_SIZE = 4096
 
+#: Patches an unknown-term expansion can be carried across (:class:`_Lineage`
+#: keeps the strings each of that many patches removed and added); an
+#: expansion computed further back is recomputed by a full scan.
+LINEAGE_WINDOW = 256
+
+
+class _Lineage:
+    """The string changes along one chain of patched SEOs.
+
+    Every SEO of the chain shares this object and the unknown-term memo.
+    An SEO's ``_generation`` counts the patches since the chain's full
+    build; ``diffs`` holds, for the newest :data:`LINEAGE_WINDOW` of them,
+    the strings the patch removed from the SEO and the strings it added.
+    Strings only: the lineage never keeps a superseded SEO alive.
+    """
+
+    __slots__ = ("head", "diffs")
+
+    def __init__(self) -> None:
+        self.head = 0
+        self.diffs: Deque[Tuple[FrozenSet[str], FrozenSet[str]]] = deque(
+            maxlen=LINEAGE_WINDOW
+        )
+
+    def advance(self, left: FrozenSet[str], joined: FrozenSet[str]) -> int:
+        """Record one patch; returns the patched SEO's generation."""
+        self.diffs.append((left, joined))
+        self.head += 1
+        return self.head
+
+    def between(
+        self, start: int, end: int
+    ) -> Optional[List[Tuple[FrozenSet[str], FrozenSet[str]]]]:
+        """The patches that lead from generation ``start`` to ``end``, or
+        None when ``start`` is newer than ``end`` or older than the window."""
+        first = self.head - len(self.diffs)
+        if start > end or start < first:
+            return None
+        return [self.diffs[i] for i in range(start - first, end - first)]
+
 
 class SimilarityEnhancedOntology:
     """Fusion + similarity enhancement with string-level lookups."""
@@ -156,8 +199,12 @@ class SimilarityEnhancedOntology:
         #: Results of the unknown-term fallbacks (the raw-measure
         #: comparisons the precomputed index cannot answer), least recently
         #: used out: ``similar`` verdicts keyed ``(x, y)`` and
-        #: ``expand_similar`` expansions keyed ``(term,)``.
+        #: ``expand_similar`` expansions keyed ``(term,)``, the latter
+        #: stamped ``(generation, expansion)``.  Shared along a patch
+        #: chain with :attr:`_lineage` (see :meth:`_patched`).
         self._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
+        self._lineage = _Lineage()
+        self._generation = 0
 
     # -- construction -------------------------------------------------------
 
@@ -292,15 +339,33 @@ class SimilarityEnhancedOntology:
         removed: Iterable[EnhancedNode],
         added: Iterable[EnhancedNode],
     ) -> "SimilarityEnhancedOntology":
-        """Construct from an enhancement patch without re-indexing.
+        """Construct from an enhancement patch, carrying what it left alone.
 
         ``__init__`` walks every enhanced node to build the
         string-to-nodes index — an O(ontology) pass that would dominate a
         delta build.  The patch names exactly which enhanced nodes came
         and went, so the previous SEO's index is copied and only the
         affected strings' entries are replaced (fresh sets — the shared
-        unaffected sets are never mutated after construction).  The memo
-        caches start empty: expansions may legitimately change.
+        unaffected sets are never mutated after construction).
+
+        The memos are carried the same way, at the cost of the patch
+        (a patch keeps the measure and epsilon):
+
+        * a known term's ``~`` expansion survives unless the term is one
+          of the removed or added nodes' strings;
+        * a ``below`` / ``above`` closure survives unless a removed or
+          added node lies in its reach: the nodes above (below) those
+          nodes, in the hierarchy that holds them, name every term whose
+          ``below`` (``above``) closure can change;
+        * the unknown-term memo is shared along the chain (:class:`_Lineage`):
+          a pair verdict is a pure function of the two strings, the
+          measure and epsilon, and an expansion stamped with an older
+          generation is patched on its next read — the strings that left
+          the SEO are dropped, and only the newly known strings are
+          compared with the constant.
+
+        A previous SEO that is not the newest of its chain (a second
+        patch from the same base) starts a new chain with empty memos.
         """
         seo = cls.__new__(cls)
         seo.fusion = fusion
@@ -314,7 +379,8 @@ class SimilarityEnhancedOntology:
         else:
             seo.patch = None
             seo.patch_depth = 0
-        index: Dict[str, Set[EnhancedNode]] = dict(previous._nodes_by_string)
+        known = previous._nodes_by_string
+        index: Dict[str, Set[EnhancedNode]] = dict(known)
         affected: Set[str] = set()
         for node in removed:
             affected.update(node.strings)
@@ -333,8 +399,30 @@ class SimilarityEnhancedOntology:
             if not index[string]:
                 del index[string]
         seo._nodes_by_string = index
-        seo._expansion_cache = {}
-        seo._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
+
+        expansions = dict(previous._expansion_cache)
+        old, new = previous.hierarchy, enhancement.hierarchy
+        for kind, upward in (("below", True), ("above", False)):
+            reach = _cone(old, removed, upward) | _cone(new, added, upward)
+            for node in reach:
+                for string in node.strings:
+                    expansions.pop((kind, string), None)
+        for string in affected:
+            expansions.pop(("similar", string), None)
+        seo._expansion_cache = expansions
+
+        lineage = previous._lineage
+        if previous._generation == lineage.head:
+            seo._similar_cache = previous._similar_cache
+            seo._lineage = lineage
+            seo._generation = lineage.advance(
+                frozenset(s for s in affected if s not in index),
+                frozenset(s for s in affected if s in index and s not in known),
+            )
+        else:
+            seo._similar_cache = LruCache(SIMILAR_MEMO_SIZE)
+            seo._lineage = _Lineage()
+            seo._generation = 0
         return seo
 
     @classmethod
@@ -425,20 +513,46 @@ class SimilarityEnhancedOntology:
             self._expansion_cache[("similar", term)] = expansion
             return expansion
         cache = self._similar_cache
-        expansion = cache.get((term,))
-        if expansion is None:
-            matches = {
-                known
-                for known in self._nodes_by_string
-                if self.measure.bounded_distance(term, known, self.epsilon)
-                <= self.epsilon
-            }
-            matches.add(term)
-            expansion = frozenset(matches)
-            evicted = cache.put((term,), expansion)
-            if evicted:
-                METRICS.counter("seo.similar_memo.evictions").inc(evicted)
+        entry = cache.get((term,))
+        if entry is not None:
+            generation, expansion = entry
+            if generation == self._generation:
+                return expansion
+            patches = self._lineage.between(generation, self._generation)
+            if patches is not None:
+                expansion = self._carry(term, expansion, patches)
+                cache.put((term,), (self._generation, expansion))
+                return expansion
+        matches = {
+            known
+            for known in self._nodes_by_string
+            if self.measure.bounded_distance(term, known, self.epsilon)
+            <= self.epsilon
+        }
+        matches.add(term)
+        expansion = frozenset(matches)
+        evicted = cache.put((term,), (self._generation, expansion))
+        if evicted:
+            METRICS.counter("seo.similar_memo.evictions").inc(evicted)
         return expansion
+
+    def _carry(
+        self,
+        term: str,
+        expansion: FrozenSet[str],
+        patches: List[Tuple[FrozenSet[str], FrozenSet[str]]],
+    ) -> FrozenSet[str]:
+        """An unknown term's expansion moved across ``patches``: the
+        strings that left the SEO go, and of the strings that joined it
+        those within epsilon of ``term`` come in."""
+        measure, epsilon = self.measure, self.epsilon
+        for left, joined in patches:
+            expansion = expansion.difference(left).union(
+                known
+                for known in joined
+                if measure.bounded_distance(term, known, epsilon) <= epsilon
+            )
+        return expansion | {term}
 
     def _closure(self, term: str, downward: bool) -> FrozenSet[str]:
         key = ("below" if downward else "above", term)
@@ -498,3 +612,19 @@ class SimilarityEnhancedOntology:
             f"SimilarityEnhancedOntology({self.term_count()} terms, "
             f"{len(self.hierarchy)} enhanced nodes, epsilon={self.epsilon})"
         )
+
+
+def _cone(
+    hierarchy: Hierarchy, nodes: Iterable[EnhancedNode], upward: bool
+) -> Set[EnhancedNode]:
+    """``nodes`` and every node above (``upward``) or below them, walked
+    cover by cover: work proportional to the cone, never the hierarchy."""
+    step = hierarchy.parents if upward else hierarchy.children
+    reached: Set[EnhancedNode] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.add(node)
+            stack.extend(step(node))
+    return reached

@@ -13,7 +13,20 @@ node's tag, which is what the planner's tag-restricted probes filter on.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from collections import deque
+from typing import (
+    Deque,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ...obs.metrics import REGISTRY as METRICS
 from ..model import XmlNode
@@ -23,6 +36,34 @@ INDEX_FORMAT = 1
 
 PathSet = Set[str]
 Postings = Dict[str, Dict[str, Tuple[str, ...]]]
+#: One structural probe: ``(kind, entries)`` with kind ``"tag"``, ``"pc"``
+#: or ``"ad"`` — a document passes when it carries any of the entries.
+StructureProbe = Tuple[str, FrozenSet]
+
+#: The probe-memo atom every write touches (entries any document changes).
+_EVERY_WRITE = ("*",)
+#: The atom every structural intersection also depends on: a write that
+#: empties the index, or fills an empty one, changes them all.
+_STRUCTURES = ("structure",)
+#: Writes the probe memo remembers; an entry last read before the oldest
+#: of them is recomputed on its next read instead of patched.
+WRITE_LOG_SIZE = 64
+
+
+class _Write(NamedTuple):
+    """One document's arrival or departure, as the probe memo replays it."""
+
+    version: int
+    key: str
+    added: bool
+    #: The document's text values -> node paths carrying them.
+    term_paths: Dict[str, "PathSet"]
+    #: ``"tag"`` / ``"pc"`` / ``"ad"`` -> the tags and pairs it carries.
+    carried: Dict[str, Set]
+    #: Every memo atom the document carries (see :func:`_memo_atoms`).
+    atoms: FrozenSet[Hashable]
+    #: A removal that left the index with no documents.
+    emptied: bool
 
 
 def _node_tag(path: str) -> str:
@@ -57,14 +98,14 @@ class CollectionSearchIndex:
         self._pc_docs: Dict[Tuple[str, str], Set[str]] = {}
         self._ad_docs: Dict[Tuple[str, str], Set[str]] = {}
         # Memo for repeated probes (the plan-cache workload re-runs the
-        # same lookups every query).  A document mutation drops the
-        # single-lookup entries and patches the ``("terms", tags)``
-        # mappings — the one probe that walks every term — for just the
-        # values the document carries (:meth:`_patch_probe_cache`).
-        # Callers keep results derived from the index alone here too
-        # (:meth:`memo_put`: the planner's structural intersection).
-        # Cached values are shared with callers and must stay read-only.
-        self._probe_cache: Dict[Tuple, object] = {}
+        # same lookups every query): key -> (version, result).  A write
+        # bumps ``_version`` and is logged in ``_writes``; an entry read
+        # at an older version replays the logged writes that touch it
+        # (:meth:`_cached`).  Cached results are shared with callers and
+        # must stay read-only.
+        self._probe_cache: Dict[Tuple, Tuple[int, object]] = {}
+        self._version = 0
+        self._writes: Deque[_Write] = deque(maxlen=WRITE_LOG_SIZE)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -95,6 +136,20 @@ class CollectionSearchIndex:
         ]
         return tags, pc, ad
 
+    def _carried(self, leaf_paths: Iterable[str]) -> Dict[str, Set]:
+        """``"tag"`` / ``"pc"`` / ``"ad"`` -> the tags, parent-child and
+        ancestor-descendant tag pairs along ``leaf_paths``."""
+        carried: Dict[str, Set] = {"tag": set(), "pc": set(), "ad": set()}
+        for path in leaf_paths:
+            tags, pc, ad = self._derived_entries(path)
+            carried["tag"].update(tags)
+            carried["pc"].update(pc)
+            carried["ad"].update(ad)
+        return carried
+
+    def _occurrences(self) -> Dict[str, Dict]:
+        return {"tag": self._tag_docs, "pc": self._pc_docs, "ad": self._ad_docs}
+
     def add_document(self, key: str, root: XmlNode) -> None:
         if key in self._documents:
             self.remove_document_by_key(key)
@@ -105,15 +160,13 @@ class CollectionSearchIndex:
             self._attributes.setdefault(value, {})[key] = tuple(sorted(paths))
         for path in leaf_paths:
             self._paths.setdefault(path, set()).add(key)
-            tags, pc, ad = self._derived_entries(path)
-            for tag in tags:
-                self._tag_docs.setdefault(tag, set()).add(key)
-            for pair in pc:
-                self._pc_docs.setdefault(pair, set()).add(key)
-            for pair in ad:
-                self._ad_docs.setdefault(pair, set()).add(key)
+        carried = self._carried(leaf_paths)
+        occurrences = self._occurrences()
+        for kind, entries in carried.items():
+            for entry in entries:
+                occurrences[kind].setdefault(entry, set()).add(key)
         self._documents.add(key)
-        self._patch_probe_cache(key, term_paths, added=True)
+        self._patch_probe_cache(key, term_paths, carried, added=True)
 
     def remove_document(self, key: str, root: XmlNode) -> None:
         """Remove ``key``'s contributions, recomputed from its stored tree."""
@@ -126,49 +179,75 @@ class CollectionSearchIndex:
             self._drop_posting(self._attributes, value, key)
         for path in leaf_paths:
             self._discard(self._paths, path, key)
-            tags, pc, ad = self._derived_entries(path)
-            for tag in tags:
-                self._discard(self._tag_docs, tag, key)
-            for pair in pc:
-                self._discard(self._pc_docs, pair, key)
-            for pair in ad:
-                self._discard(self._ad_docs, pair, key)
+        carried = self._carried(leaf_paths)
+        occurrences = self._occurrences()
+        for kind, entries in carried.items():
+            for entry in entries:
+                self._discard(occurrences[kind], entry, key)
         self._documents.discard(key)
-        self._patch_probe_cache(key, term_paths, added=False)
+        self._patch_probe_cache(key, term_paths, carried, added=False)
 
     def _patch_probe_cache(
-        self, key: str, term_paths: Dict[str, PathSet], added: bool
+        self,
+        key: str,
+        term_paths: Dict[str, PathSet],
+        carried: Dict[str, Set],
+        added: bool,
     ) -> None:
         """Carry the probe memo across one document's arrival or departure.
 
-        Only :meth:`terms_with_tags` mappings survive: one the document
-        touches is replaced by a copy in which just the document's own
-        values gained or lost ``key`` (work proportional to the
-        document's terms times the cached tag sets), so a mapping handed
-        out earlier keeps describing the index as it was.  Every other
-        entry is a single dictionary lookup to recompute and is dropped.
+        Nothing is recomputed here: the write is logged, and each memo
+        entry is patched on its next read (:meth:`_cached`), so a write
+        costs the document's terms and paths, and an entry nobody reads
+        again costs nothing.  With an empty memo there is nothing to
+        patch and nothing is logged.
         """
-        patched: Dict[Tuple, object] = {}
-        for cache_key, mapping in self._probe_cache.items():
-            if cache_key[0] != "terms":
+        self._version += 1
+        if not self._probe_cache:
+            return
+        atoms: Set[Hashable] = {_EVERY_WRITE}
+        if len(self._documents) == (1 if added else 0):
+            atoms.add(_STRUCTURES)
+        atoms.update(("value", value) for value in term_paths)
+        for kind, entries in carried.items():
+            atoms.update((kind, entry) for entry in entries)
+        self._writes.append(
+            _Write(
+                self._version, key, added, term_paths, carried,
+                frozenset(atoms), not self._documents,
+            )
+        )
+
+    def _cached(self, key: Tuple):
+        """The memoised result under ``key``, brought up to date, or None.
+
+        An entry changes only when a write's document carries its value,
+        one of its tags or tag pairs (:func:`_memo_atoms`), so only those
+        logged writes are replayed on it (:func:`_patched_entry`), each
+        giving a new object: a result handed out earlier keeps describing
+        the index as it was.  An entry older than the log, or one a
+        replay cannot patch, is dropped and recomputed by the caller.
+        """
+        entry = self._probe_cache.get(key)
+        if entry is None:
+            return None
+        version, result = entry
+        if version == self._version:
+            return result
+        writes = self._writes
+        if not writes or writes[0].version > version + 1:
+            del self._probe_cache[key]
+            return None
+        atoms = _memo_atoms(key)
+        for write in writes:
+            if write.version <= version or write.atoms.isdisjoint(atoms):
                 continue
-            tags = cache_key[1]
-            carried = [
-                value
-                for value, paths in term_paths.items()
-                if tags is None or any(_node_tag(path) in tags for path in paths)
-            ]
-            if carried:
-                mapping = dict(mapping)  # type: ignore[call-overload]
-                for value in carried:
-                    docs = mapping.get(value, frozenset())
-                    docs = docs | {key} if added else docs - {key}
-                    if docs:
-                        mapping[value] = docs
-                    else:
-                        mapping.pop(value, None)
-            patched[cache_key] = mapping
-        self._probe_cache = patched
+            result = _patched_entry(key, result, write)
+            if result is None:
+                del self._probe_cache[key]
+                return None
+        self._probe_cache[key] = (self._version, result)
+        return result
 
     def remove_document_by_key(self, key: str) -> None:
         """Remove ``key`` everywhere (full sweep; used on re-add only)."""
@@ -179,7 +258,7 @@ class CollectionSearchIndex:
             for entry_key in [k for k, docs in mapping.items() if key in docs]:
                 self._discard(mapping, entry_key, key)
         self._documents.discard(key)
-        self._probe_cache.clear()
+        self._clear_memo()
 
     @staticmethod
     def _drop_posting(postings: Postings, value: str, key: str) -> None:
@@ -227,21 +306,12 @@ class CollectionSearchIndex:
         if key not in cache and len(cache) >= self._PROBE_CACHE_LIMIT:
             del cache[next(iter(cache))]
             METRICS.counter("index.probe_memo.evictions").inc()
-        cache[key] = result
+        cache[key] = (self._version, result)
         return result
 
-    def memo_get(self, key: Tuple):
-        """What a caller memoised under ``key`` (:meth:`memo_put`), or None."""
-        return self._probe_cache.get(key)
-
-    def memo_put(self, key: Tuple, result) -> None:
-        """Memoise a caller's result derived from this index alone.
-
-        It lives beside the index's own probe memo and, like every entry
-        but the ``("terms", tags)`` mappings, is dropped by the next
-        document mutation.  ``key[0]`` must not be ``"terms"``.
-        """
-        self._memo(key, result)
+    def _clear_memo(self) -> None:
+        self._probe_cache.clear()
+        self._writes.clear()
 
     def docs_with_term(
         self, value: str, tags: Optional[FrozenSet[str]] = None
@@ -251,7 +321,7 @@ class CollectionSearchIndex:
         The returned set is memoised and shared — treat it as read-only.
         """
         key = ("term", value, tags)
-        cached = self._probe_cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         entry = self._terms.get(value)
@@ -282,13 +352,42 @@ class CollectionSearchIndex:
 
     def _union_probe(self, kind: str, mapping: Dict, entries: FrozenSet):
         key = (kind, entries)
-        cached = self._probe_cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return cached
         docs: Set[str] = set()
         for entry in entries:
             docs |= mapping.get(entry, set())
         return self._memo(key, frozenset(docs))
+
+    def structure(
+        self, probes: Tuple[StructureProbe, ...]
+    ) -> Tuple[FrozenSet[str], int, bool]:
+        """(documents, probes run, memo hit) of a structural intersection.
+
+        Every indexed document, intersected with each probe's union in
+        turn; the walk stops at the first empty intersection, so fewer
+        probes than given may run.  Memoised under the probes and patched
+        by writes like the unions it is made of.
+        """
+        key = ("structure", probes)
+        cached = self._cached(key)
+        if cached is not None:
+            return (*cached, True)  # type: ignore[misc]
+        lookups = {
+            "tag": self.docs_with_any_tag,
+            "pc": self.docs_with_pc_pair,
+            "ad": self.docs_with_ad_pair,
+        }
+        docs = self.documents
+        ran = 0
+        for kind, entries in probes:
+            if not docs:
+                break
+            ran += 1
+            docs = docs & lookups[kind](entries)
+        self._memo(key, (docs, ran))
+        return docs, ran, False
 
     def terms_with_tags(
         self, tags: Optional[FrozenSet[str]] = None
@@ -301,7 +400,7 @@ class CollectionSearchIndex:
         is memoised and shared — treat it as read-only.
         """
         key = ("terms", tags)
-        cached = self._probe_cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         result: Dict[str, FrozenSet[str]] = {}
@@ -383,3 +482,83 @@ class CollectionSearchIndex:
             f"CollectionSearchIndex({stats['documents']} documents, "
             f"{stats['terms']} terms, {stats['paths']} paths)"
         )
+
+
+def _patched_entry(cache_key: Tuple, value: object, write: _Write) -> object:
+    """One probe-memo entry after ``write`` (None: recompute it instead)."""
+    key, added = write.key, write.added
+
+    def moved(docs: FrozenSet[str]) -> FrozenSet[str]:
+        return docs | {key} if added else docs - {key}
+
+    def holds(tags: Optional[FrozenSet[str]], paths: PathSet) -> bool:
+        return tags is None or any(_node_tag(path) in tags for path in paths)
+
+    kind = cache_key[0]
+    if kind == "term":
+        paths = write.term_paths.get(cache_key[1])
+        return moved(value) if paths and holds(cache_key[2], paths) else value  # type: ignore[arg-type]
+    if kind == "terms":
+        tags = cache_key[1]
+        mapping = dict(value)  # type: ignore[call-overload]
+        for term, paths in write.term_paths.items():
+            if holds(tags, paths):
+                docs = moved(mapping.get(term, frozenset()))
+                if docs:
+                    mapping[term] = docs
+                else:
+                    mapping.pop(term, None)
+        return mapping
+    if kind == "structure":
+        probes = cache_key[1]
+        docs, ran = value  # type: ignore[misc]
+        passes = [
+            not entries.isdisjoint(write.carried[probe]) for probe, entries in probes
+        ]
+        if not added:
+            if write.emptied:
+                return (frozenset(), 0)
+            if passes and not passes[0]:
+                return value  # in no intersection: only the start set shrank
+            if key in docs and len(docs) > 1:
+                return (docs - {key}, ran)
+            return None  # the intersection it left may now stop earlier
+        if ran == len(probes):
+            return (docs | {key}, ran) if all(passes) else value
+        if not all(passes[:ran]):
+            return value
+        # It stopped on an empty intersection the new document now
+        # passes: carry on with that document alone.
+        while ran < len(probes) and passes[ran]:
+            ran += 1
+        if ran < len(probes):
+            return (frozenset(), ran + 1)
+        return (frozenset({key}), ran)
+    # A tag / pc / ad union: the write carries one of its entries.
+    return moved(value)  # type: ignore[arg-type]
+
+
+def _memo_atoms(key: Tuple) -> List[Hashable]:
+    """What a document must carry for a write to change memo entry ``key``.
+
+    A term entry its value; a union one of its entries; a ``("terms",
+    tags)`` mapping a node under one of the tags (every node carries a
+    text, possibly empty); a structural intersection one entry of its
+    first probe, since a document failing that probe is in none of the
+    intersections (or a write that empties or fills the index:
+    ``_STRUCTURES``).  An entry with no tags or no probes is changed by
+    every write.
+    """
+    kind = key[0]
+    if kind == "term":
+        return [("value", key[1])]
+    if kind == "terms":
+        tags = key[1]
+        return [_EVERY_WRITE] if tags is None else [("tag", tag) for tag in tags]
+    if kind == "structure":
+        probes = key[1]
+        if not probes:
+            return [_STRUCTURES, _EVERY_WRITE]
+        first, entries = probes[0]
+        return [_STRUCTURES] + [(first, entry) for entry in entries]
+    return [(kind, entry) for entry in key[1]]

@@ -5,7 +5,8 @@ add/replace/remove sequence, a system maintained incrementally (pending
 deltas consumed by :meth:`TossSystem.build`) is indistinguishable from a
 system built from scratch over the same final documents in the same scan
 order — same serialized SEO (graph edges and cliques included), same
-query verdicts, and a monotonically advancing generation.
+query verdicts, the same answer from every memo a write carried over
+(SEO expansions, index probes), and a monotonically advancing generation.
 """
 
 import json
@@ -26,6 +27,87 @@ AUTHORS = ["J. Smith", "J. Smyth", "A. Stone", "A. Stane", "B. Swan"]
 TITLES = ["Indexing", "Querying", "Fusion"]
 
 QUERY = 'inproceedings(author ~ "J. Smith")'
+
+#: Outside every document, each within epsilon (1.0) of names later
+#: writes may bring ("J. Smith5", "A. Stone", "B. Swan", "J. Smyth0").
+UNKNOWN = ["J. Smith55", "A. Stonx", "B. Swa", "J. Smyth0x"]
+CATEGORIES = ["author", "person", "entity", "inproceedings", "title"]
+STRUCTURES = [
+    (("tag", frozenset({"inproceedings"})), ("tag", frozenset({"author"})),
+     ("pc", frozenset({("inproceedings", "author")}))),
+    (("tag", frozenset({"article"})), ("tag", frozenset({"author"}))),
+    (("tag", frozenset({"author"})), ("tag", frozenset({"article"})),
+     ("tag", frozenset({"title"}))),
+    (),
+]
+
+
+def _seo(system, relation=Ontology.ISA):
+    return system.context.seos[relation]
+
+
+def _index(system):
+    return system.database.get_collection("dblp").search_index()
+
+
+#: Every memo a write carries instead of dropping, as (label, probe): the
+#: carried answer must be what a from-scratch system answers.
+SEO_CARRIED = (
+    [(f"~ {term}", lambda s, t=term: _seo(s).expand_similar(t)) for term in AUTHORS + UNKNOWN]
+    + [(f"below {term}", lambda s, t=term: _seo(s).expand_below(t)) for term in CATEGORIES]
+    + [(f"above {term}", lambda s, t=term: _seo(s).expand_above(t)) for term in AUTHORS + ["author"]]
+    + [
+        ("part-of below dblp", lambda s: _seo(s, Ontology.PART_OF).expand_below("dblp")),
+        ("part-of above author", lambda s: _seo(s, Ontology.PART_OF).expand_above("author")),
+    ]
+)
+#: The same for the search index's probes, which answer document keys.
+INDEX_CARRIED = (
+    [
+        (f"term {value}", lambda s, v=value: _index(s).docs_with_term(v, frozenset({"author"})))
+        for value in AUTHORS + ["J. Smith5"]
+    ]
+    + [
+        (f"term {value}", lambda s, v=value: _index(s).docs_with_term(v, frozenset({"title"})))
+        for value in TITLES
+    ]
+    + [
+        ("term any", lambda s: _index(s).docs_with_term("J. Smith")),
+        ("tag author", lambda s: _index(s).docs_with_any_tag(["author"])),
+        ("tag article", lambda s: _index(s).docs_with_any_tag(["article"])),
+        ("tag title|author", lambda s: _index(s).docs_with_any_tag(["title", "author"])),
+        ("pc", lambda s: _index(s).docs_with_pc_pair([("inproceedings", "author")])),
+        ("ad", lambda s: _index(s).docs_with_ad_pair([("dblp", "title")])),
+        (
+            "terms author",
+            lambda s: sorted(_index(s).terms_with_tags(frozenset({"author"})).items()),
+        ),
+    ]
+    + [
+        (f"structure {probes}", lambda s, p=probes: _index(s).structure(p)[:2])
+        for probes in STRUCTURES
+    ]
+)
+
+
+def in_scan_order(system, answer):
+    """An index probe's answer with each document key replaced by the
+    document's position in the scan order (the systems key differently)."""
+    position = {
+        key: index
+        for index, (key, _root) in enumerate(system.database.get_collection("dblp").documents())
+    }
+
+    def translate(value):
+        if isinstance(value, str):
+            return position.get(value, value)
+        if isinstance(value, (frozenset, set)):
+            return frozenset(translate(item) for item in value)
+        if isinstance(value, (tuple, list)):
+            return type(value)(translate(item) for item in value)
+        return value
+
+    return translate(answer)
 
 
 def make_doc(author: str, title: str, serial: int) -> str:
@@ -105,6 +187,8 @@ def test_incremental_equals_from_scratch_after_every_prefix(initial, ops):
     generation = live.database.get_collection("dblp").generation
 
     for op in ops:
+        for _label, probe in SEO_CARRIED + INDEX_CARRIED:
+            probe(live)  # warm the memos the write must carry
         kind = op[0]
         if kind == "add":
             receipt = live.add_documents("dblp", op[1])
@@ -148,6 +232,11 @@ def test_incremental_equals_from_scratch_after_every_prefix(initial, ops):
         # ...same serialized SEO for every relation (edges AND cliques)...
         for relation in (Ontology.ISA, Ontology.PART_OF):
             assert seo_bytes(live, relation) == seo_bytes(fresh, relation)
+        # ...same carried memo answers...
+        for label, probe in SEO_CARRIED:
+            assert probe(live) == probe(fresh), label
+        for label, probe in INDEX_CARRIED:
+            assert in_scan_order(live, probe(live)) == in_scan_order(fresh, probe(fresh)), label
         # ...and same query verdicts.
         assert verdicts(live) == verdicts(fresh)
 

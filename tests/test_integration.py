@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.parser import parse_query
 from repro.core.quality import QualityReport
-from repro.core.scoring import ranked_selection
 from repro.data import generate_corpus, render_dblp, render_sigmod_pages
 from repro.experiments.runner import returned_paper_keys
 from repro.experiments.workload import build_selection_workload, build_system
@@ -89,26 +88,6 @@ class TestPersistenceEndToEnd:
             executor.selection("dblp", query.toss_pattern, query.sl_labels).results
         )
         assert original == reloaded
-
-
-class TestRankedAgainstOracle:
-    def test_top_ranked_results_are_relevant(self, world):
-        corpus, dblp, pages, system = world
-        queries = build_selection_workload(corpus, 4, seed=21)
-        for query in queries:
-            ranked = ranked_selection(
-                system.instances["dblp"].trees,
-                query.toss_pattern,
-                system.context,
-                sl_labels=query.sl_labels,
-            )
-            if not ranked:
-                continue
-            # Precision@1: a zero-distance match must be semantically correct.
-            best = ranked[0]
-            if best.score == 0.0:
-                keys = returned_paper_keys([best.tree])
-                assert keys <= query.relevant
 
 
 class TestCrossSourceJoin:
