@@ -71,7 +71,7 @@ def _build(papers):
         render_dblp(corpus, seed=SEED, paper_keys=[key])
         for key in corpus.paper_keys()
     ]
-    system = build_system(corpus, documents, EPSILON, use_cache=False)
+    system = build_system(corpus, documents, EPSILON)
     system.database.get_collection("dblp").search_index(build=True)
     return corpus, system
 

@@ -28,8 +28,7 @@ Subcommands:
 ``repro-toss db``
     Build, inspect, integrity-check or repair a saved store::
 
-        python -m repro.cli db build --source dblp=dblp.xml \\
-            --cache-dir ./seo-cache ./store
+        python -m repro.cli db build --source dblp=dblp.xml ./store
         python -m repro.cli db stats ./store
         python -m repro.cli db verify ./store
         python -m repro.cli db recover ./store
@@ -69,17 +68,13 @@ def _parse_sources(specs: Sequence[str]) -> List[tuple]:
 
 
 def _build_system(args: argparse.Namespace) -> TossSystem:
-    system = TossSystem(
-        measure=args.measure,
-        epsilon=args.epsilon,
-        cache_dir=getattr(args, "cache_dir", None),
-    )
+    system = TossSystem(measure=args.measure, epsilon=args.epsilon)
     for name, path in _parse_sources(args.source):
         with open(path, "r", encoding="utf-8") as handle:
             system.add_instance(name, handle.read())
     for constraint in args.constraint or ():
         system.add_constraint(constraint)
-    system.build(use_cache=not getattr(args, "no_cache", False))
+    system.build()
     return system
 
 
@@ -384,12 +379,6 @@ def _cmd_db_build(args: argparse.Namespace) -> int:
     save_system(system, args.root)
     assert system.build_report is not None
     print(system.build_report.summary())
-    if system.seo_cache is not None:
-        cache = system.seo_cache.stats()
-        print(
-            f"# seo cache: {cache['hits']} hits, {cache['misses']} misses, "
-            f"{cache['stores']} stored ({system.seo_cache.directory})"
-        )
     print(f"# saved {len(system.instances)} instances to {args.root}")
     return 0
 
@@ -425,11 +414,7 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
         print("build report: none persisted")
     else:
         print(report.summary())
-        print(
-            f"seo cache outcome: {report.cache_hits} hits, "
-            f"{report.cache_misses} misses; "
-            f"pairs pruned {report.pairs_pruned} of {report.total_pairs}"
-        )
+        print(f"pairs pruned {report.pairs_pruned} of {report.total_pairs}")
     return 0
 
 
@@ -824,10 +809,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
                          help="similarity measure name (default: levenshtein)")
         sub.add_argument("--epsilon", type=float, default=3.0,
                          help="similarity threshold (default: 3.0)")
-        sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persistent similarity-graph cache directory")
-        sub.add_argument("--no-cache", action="store_true",
-                         help="bypass the similarity-graph cache for this build")
 
     query = subparsers.add_parser("query", help="run a TOSS query")
     add_system_options(query, source_required=False)

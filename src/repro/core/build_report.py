@@ -2,11 +2,11 @@
 
 The build is the system's dominant cost, so operators need to see where
 the time went and what the optimisation layers did: per relation, the
-fusion/SEA split, whether the persistent similarity-graph cache hit, and
-how many of the all-pairs comparisons the candidate filter pruned.  The
-report is JSON-round-trippable so :func:`repro.core.persistence.save_system`
-can persist it next to the saved system and ``db stats`` can show it
-later without rebuilding anything.
+fusion/SEA split, the ladder rung that ran and why, and how many of the
+all-pairs comparisons the candidate filter pruned.  The report is
+JSON-round-trippable so :func:`repro.core.persistence.save_system` can
+persist it next to the saved system and ``db stats`` can show it later
+without rebuilding anything.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ class RelationBuild:
     """One relation's slice of the build (isa, part-of, ...)."""
 
     relation: str
-    cache_hit: bool = False
-    cache_key: Optional[str] = None
     fusion_seconds: float = 0.0
     sea_seconds: float = 0.0
     total_seconds: float = 0.0
     #: :meth:`~repro.similarity.sea.SeaStats.to_dict` of the graph phase;
-    #: None on a cache hit (nothing was computed).
+    #: None on the reuse rung (nothing was computed).
     sea: Optional[Dict[str, Any]] = None
     #: The similarity graph was delta-maintained from the previous build.
     incremental: bool = False
@@ -64,8 +62,6 @@ class RelationBuild:
             reason = reason or stats.patch_refused
         return cls(
             relation=relation,
-            cache_hit=stats.cache_hit,
-            cache_key=stats.cache_key,
             fusion_seconds=stats.fusion_seconds,
             sea_seconds=stats.sea_seconds,
             total_seconds=stats.total_seconds,
@@ -81,8 +77,6 @@ class RelationBuild:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "relation": self.relation,
-            "cache_hit": self.cache_hit,
-            "cache_key": self.cache_key,
             "fusion_seconds": self.fusion_seconds,
             "sea_seconds": self.sea_seconds,
             "total_seconds": self.total_seconds,
@@ -99,8 +93,6 @@ class RelationBuild:
     def from_dict(cls, payload: Dict[str, Any]) -> "RelationBuild":
         return cls(
             relation=payload["relation"],
-            cache_hit=bool(payload.get("cache_hit", False)),
-            cache_key=payload.get("cache_key"),
             fusion_seconds=float(payload.get("fusion_seconds", 0.0)),
             sea_seconds=float(payload.get("sea_seconds", 0.0)),
             total_seconds=float(payload.get("total_seconds", 0.0)),
@@ -121,7 +113,6 @@ class BuildReport:
     measure: str = ""
     epsilon: float = 0.0
     mode: str = "order-safe"
-    cache_used: bool = False
     build_seconds: float = 0.0
     degraded: bool = False
     error: Optional[str] = None
@@ -131,14 +122,6 @@ class BuildReport:
     trace: Optional[Dict[str, Any]] = None
 
     # -- aggregates ---------------------------------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.relations if r.cache_hit)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(1 for r in self.relations if not r.cache_hit)
 
     def _sea_total(self, key: str) -> int:
         return sum(
@@ -165,7 +148,6 @@ class BuildReport:
             "measure": self.measure,
             "epsilon": self.epsilon,
             "mode": self.mode,
-            "cache_used": self.cache_used,
             "build_seconds": self.build_seconds,
             "degraded": self.degraded,
             "error": self.error,
@@ -181,7 +163,6 @@ class BuildReport:
             measure=payload.get("measure", ""),
             epsilon=float(payload.get("epsilon", 0.0)),
             mode=payload.get("mode", "order-safe"),
-            cache_used=bool(payload.get("cache_used", False)),
             build_seconds=float(payload.get("build_seconds", 0.0)),
             degraded=bool(payload.get("degraded", False)),
             error=payload.get("error"),
@@ -195,16 +176,11 @@ class BuildReport:
         """Human-readable multi-line rendering (used by the CLI)."""
         lines = [
             f"build: measure={self.measure} epsilon={self.epsilon} "
-            f"mode={self.mode} cache={'on' if self.cache_used else 'off'}",
+            f"mode={self.mode}",
             f"  total {self.build_seconds:.3f}s"
             + (f"  DEGRADED: {self.error}" if self.degraded else ""),
         ]
         for r in self.relations:
-            if r.cache_hit:
-                lines.append(
-                    f"  {r.relation}: cache hit ({r.total_seconds:.3f}s)"
-                )
-                continue
             detail = f"rung {r.rung}"
             if r.rung_reason:
                 detail += f" ({r.rung_reason})"

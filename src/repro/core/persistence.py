@@ -172,7 +172,7 @@ def load_system(root_dir: str, on_corruption: str = "raise") -> TossSystem:
                 ) from exc
             damaged.append(relation)
     if damaged and system.instances:
-        # The SEO cache is expensive but recomputable: rebuild all
+        # The saved SEOs are expensive but recomputable: rebuild all
         # relations from the restored documents instead of failing.
         system.build(
             relations=tuple(payload.get("relations", ())), on_failure="degrade"

@@ -40,7 +40,6 @@ from ..ontology.fusion import canonical_fusion, extend_fusion, retract_fusion
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..ontology.lexicon import Lexicon
 from ..ontology.maker import CombinedExtraction, OntologyMaker, RelationDelta
-from ..similarity.cache import SimilarityGraphCache
 from ..similarity.incremental import EpsilonGraphCache
 from ..similarity.measures import StringSimilarityMeasure, get_measure
 from ..similarity.sea import ORDER_SAFE, restore_patch_state
@@ -139,7 +138,6 @@ class TossSystem:
         typing: TypingFunction = default_typing,
         max_document_bytes: Optional[int] = None,
         guard: Optional[ResourceGuard] = None,
-        cache_dir: Optional[str] = None,
         observability: Optional[Observability] = None,
     ) -> None:
         self.measure = get_measure(measure) if isinstance(measure, str) else measure
@@ -163,10 +161,6 @@ class TossSystem:
         self.degraded: bool = False
         #: The exception that forced degradation, for diagnostics.
         self.build_error: Optional[ReproError] = None
-        #: Persistent similarity-graph cache (None = caching disabled).
-        self.seo_cache: Optional[SimilarityGraphCache] = (
-            SimilarityGraphCache(cache_dir) if cache_dir else None
-        )
         #: :class:`~repro.core.build_report.BuildReport` of the last build.
         self.build_report: Optional[BuildReport] = None
         #: Tracing + sink configuration, threaded into every executor this
@@ -608,7 +602,7 @@ class TossSystem:
         mode: str = "order-safe",
         guard: Optional[ResourceGuard] = None,
         on_failure: str = "raise",
-        use_cache: bool = True,
+        use_cache: bool = False,
     ) -> Optional[SeoConditionContext]:
         """Fuse all instance ontologies and similarity-enhance them.
 
@@ -634,9 +628,11 @@ class TossSystem:
         :class:`~repro.core.executor.ExecutionReport` carries
         ``degraded=True``.  Returns None when degraded.
 
-        ``use_cache=False`` bypasses the persistent similarity-graph
-        cache for this build only.  The full outcome lands in
-        :attr:`build_report`.
+        The full outcome lands in :attr:`build_report`.  A built SEO
+        outlives the process only through
+        :func:`~repro.core.persistence.save_system` /
+        :func:`~repro.core.persistence.load_system`; ``use_cache`` is
+        accepted only as ``False`` and ``True`` raises :class:`TypeError`.
 
         **Incremental maintenance.**  After mutations whose receipts say
         ``incremental=True`` — adds, replacements and removals alike —
@@ -653,6 +649,10 @@ class TossSystem:
         :class:`~repro.core.build_report.RelationBuild` records which
         rung ran and why (``rung``/``rung_reason``/``chain_depth``).
         """
+        if use_cache:
+            raise TypeError(
+                "build() has no SEO cache: save_system / load_system persist SEOs"
+            )
         if on_failure not in ("raise", "degrade"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'degrade', got {on_failure!r}"
@@ -662,12 +662,10 @@ class TossSystem:
         if epsilon is not None:
             self.epsilon = epsilon
         guard = guard if guard is not None else self.guard
-        cache = self.seo_cache if use_cache else None
         report = BuildReport(
             measure=self.measure.name or type(self.measure).__name__,
             epsilon=self.epsilon,
             mode=mode,
-            cache_used=cache is not None,
         )
         self.build_report = report
         tracer = self.observability.tracer()
@@ -691,7 +689,6 @@ class TossSystem:
                             constraints,
                             mode,
                             guard,
-                            cache,
                             report,
                             tracer,
                         )
@@ -899,7 +896,6 @@ class TossSystem:
         constraints: List[InteroperationConstraint],
         mode: str,
         guard: Optional[ResourceGuard],
-        cache: Optional[SimilarityGraphCache],
         report: BuildReport,
         tracer,
     ) -> Tuple[SimilarityEnhancedOntology, EpsilonGraphCache, int]:
@@ -919,8 +915,6 @@ class TossSystem:
            :func:`~repro.ontology.fusion.extend_fusion`, no condensation)
            and the previous enhancement is patched in place
            (:func:`~repro.similarity.sea.extend_enhancement`).
-           The persistent on-disk cache is bypassed (content keys would
-           miss anyway, and storing every generation would bloat it).
         3. **delta** — SEA runs, replaying the rep-level verdict cache
            and verifying only pairs involving new representatives: over
            the followed fusion when just the enhancement patch was
@@ -989,7 +983,6 @@ class TossSystem:
                     constraints,
                     mode=mode,
                     guard=guard,
-                    cache=None,
                     fusion=followed,
                     graph_cache=prev.graph_cache,
                     previous=prev.seo,
@@ -1011,7 +1004,6 @@ class TossSystem:
             constraints,
             mode=mode,
             guard=guard,
-            cache=cache,
             graph_cache=graph_cache,
         )
         self._report_relation(
@@ -1036,9 +1028,7 @@ class TossSystem:
                 f"{note}; {entry.rung_reason}" if entry.rung_reason else note
             )
         report.relations.append(entry)
-        tracer.annotate(
-            rung=entry.rung, rung_reason=entry.rung_reason, cache_hit=stats.cache_hit
-        )
+        tracer.annotate(rung=entry.rung, rung_reason=entry.rung_reason)
 
     def _finish_build(
         self,
@@ -1066,7 +1056,6 @@ class TossSystem:
                 "epsilon": report.epsilon,
                 "mode": report.mode,
                 "degraded": report.degraded,
-                "cache_hits": report.cache_hits,
             },
         )
 

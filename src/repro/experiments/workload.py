@@ -59,16 +59,12 @@ def build_system(
     sigmod_documents: Optional[Sequence[XmlNode]] = None,
     max_content_terms: Optional[int] = None,
     mode: str = "order-safe",
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     observability: Optional[Observability] = None,
 ) -> TossSystem:
     """A TossSystem over rendered corpus documents, built and ready.
 
     ``max_content_terms`` caps how many content values the Ontology Maker
     lifts, which is how the scalability experiments control ontology size.
-    ``cache_dir`` / ``use_cache`` pass through to the SEO build pipeline
-    (see :meth:`~repro.core.system.TossSystem.build`).
     """
     maker = OntologyMaker(
         lexicon=corpus_lexicon(),
@@ -79,13 +75,12 @@ def build_system(
         measure=measure,
         epsilon=epsilon,
         maker=maker,
-        cache_dir=cache_dir,
         observability=observability,
     )
     system.add_instance("dblp", list(documents))
     if sigmod_documents is not None:
         system.add_instance("sigmod", list(sigmod_documents))
-    system.build(mode=mode, use_cache=use_cache)
+    system.build(mode=mode)
     return system
 
 

@@ -76,43 +76,7 @@ class Hierarchy:
         self._parents: Dict[Term, FrozenSet[Term]] = {
             node: frozenset(targets) for node, targets in reduced.items()
         }
-        self._finish()
-
-    @classmethod
-    def from_hasse(
-        cls,
-        edges: "Iterable[Tuple[Term, Term]]" = (),
-        nodes: Iterable[Term] = (),
-    ) -> "Hierarchy":
-        """Construct from an edge set already in Hasse form.
-
-        Skips the transitive-reduction pass — the dominant cost of
-        ``__init__`` on large hierarchies — for callers restoring a
-        hierarchy that was *serialised from an existing* ``Hierarchy``,
-        whose edges are transitively reduced by construction.  The
-        reachability closures are derived lazily from whatever edges were
-        given (closure computation terminates on any acyclic input), so
-        feeding non-Hasse edges yields a non-canonical order rather than
-        a hang; callers must authenticate the payload (e.g. with a
-        checksum) before taking this fast path.
-        """
-        hierarchy = cls.__new__(cls)
-        graph: Dict[Term, Set[Term]] = {}
-        for u, v in edges:
-            if u == v:
-                continue
-            graph.setdefault(u, set()).add(v)
-            graph.setdefault(v, set())
-        for node in nodes:
-            graph.setdefault(node, set())
-        hierarchy._parents = {
-            node: frozenset(targets) for node, targets in graph.items()
-        }
-        hierarchy._finish()
-        return hierarchy
-
-    def _finish(self) -> None:
-        """Derive the children map from ``_parents``; closures stay lazy."""
+        # The children map comes from ``_parents``; closures stay lazy.
         children: Dict[Term, Set[Term]] = {node: set() for node in self._parents}
         for node, targets in self._parents.items():
             for target in targets:
@@ -128,7 +92,7 @@ class Hierarchy:
     def _up_closure(self) -> Dict[Term, FrozenSet[Term]]:
         """Reachability closure over ``_parents``, computed on first use.
 
-        Laziness matters for restored hierarchies (cache hits, loads):
+        Laziness matters for restored hierarchies (loads):
         the closure is the dominant construction cost and a process that
         only serialises or compares the hierarchy never needs it.
         """

@@ -91,27 +91,16 @@ def seo_to_dict(seo: SimilarityEnhancedOntology) -> Dict[str, Any]:
     }
 
 
-def seo_from_dict(
-    payload: Dict[str, Any], trusted: bool = False
-) -> SimilarityEnhancedOntology:
-    """Rebuild an SEO from :func:`seo_to_dict` output.
-
-    ``trusted`` restores the hierarchies via
-    :meth:`~repro.ontology.hierarchy.Hierarchy.from_hasse`, skipping the
-    transitive-reduction normalisation — sound because serialised edges
-    come from a ``Hierarchy`` and are already Hasse.  Only pass it for
-    payloads whose integrity was verified (e.g. a checksummed cache
-    entry); untrusted files keep the full normalising constructor.
-    """
+def seo_from_dict(payload: Dict[str, Any]) -> SimilarityEnhancedOntology:
+    """Rebuild an SEO from :func:`seo_to_dict` output."""
     version = payload.get("format")
     if version != FORMAT_VERSION:
         raise SimilarityError(f"unsupported SEO format version {version!r}")
     measure = get_measure(payload["measure"])
     epsilon = float(payload["epsilon"])
-    make_hierarchy = Hierarchy.from_hasse if trusted else Hierarchy
 
     fused_nodes = [_fused_from_json(node) for node in payload["fusion"]["nodes"]]
-    fused_hierarchy = make_hierarchy(
+    fused_hierarchy = Hierarchy(
         [
             (fused_nodes[lower], fused_nodes[upper])
             for lower, upper in payload["fusion"]["edges"]
@@ -128,7 +117,7 @@ def seo_from_dict(
         EnhancedNode(frozenset(fused_nodes[i] for i in members))
         for members in payload["enhancement"]["nodes"]
     ]
-    enhanced_hierarchy = make_hierarchy(
+    enhanced_hierarchy = Hierarchy(
         [
             (enhanced_nodes[lower], enhanced_nodes[upper])
             for lower, upper in payload["enhancement"]["edges"]
@@ -358,8 +347,8 @@ def save_seo(seo: SimilarityEnhancedOntology, path: str) -> None:
     """Write an SEO to a JSON file (atomically: temp + fsync + replace).
 
     SEOs are the dominant precomputation cost (taxonomic similarity over
-    the fused hierarchy), so their on-disk cache must never be left torn
-    by a crash mid-write.
+    the fused hierarchy), so their file must never be left torn by a
+    crash mid-write.
     """
     atomic_write_text(path, dump_seo(seo, indent=2))
 

@@ -21,7 +21,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Deque,
     Dict,
@@ -54,22 +53,15 @@ from .sea import (
     sea,
 )
 
-if TYPE_CHECKING:  # import cycle: cache.py deserialises through this module
-    from .cache import SimilarityGraphCache
-
 
 @dataclass
 class SeoBuildStats:
-    """Timings and cache outcome of one :meth:`SimilarityEnhancedOntology.build`."""
+    """Timings and route of one :meth:`SimilarityEnhancedOntology.build`."""
 
-    cache_hit: bool = False
-    #: Content key of this build's inputs; None when uncacheable or no
-    #: cache was supplied.
-    cache_key: Optional[str] = None
     fusion_seconds: float = 0.0
     sea_seconds: float = 0.0
     total_seconds: float = 0.0
-    #: Similarity-graph counters (None on a cache hit — nothing was built).
+    #: Similarity-graph counters.
     sea: Optional[SeaStats] = None
     #: True when the similarity graph was delta-maintained from a previous
     #: build instead of recomputed (see repro.similarity.incremental).
@@ -91,8 +83,6 @@ class SeoBuildStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "cache_hit": self.cache_hit,
-            "cache_key": self.cache_key,
             "fusion_seconds": self.fusion_seconds,
             "sea_seconds": self.sea_seconds,
             "total_seconds": self.total_seconds,
@@ -217,7 +207,6 @@ class SimilarityEnhancedOntology:
         constraints: Iterable[InteroperationConstraint] = (),
         mode: str = "strict",
         guard: Optional[ResourceGuard] = None,
-        cache: "Optional[SimilarityGraphCache]" = None,
         fusion: Optional[FusionResult] = None,
         graph_cache: "Optional[EpsilonGraphCache]" = None,
         previous: "Optional[SimilarityEnhancedOntology]" = None,
@@ -225,12 +214,11 @@ class SimilarityEnhancedOntology:
         """Fuse ``hierarchies`` under ``constraints``, then enhance with SEA.
 
         ``guard`` bounds both phases (fusion and SEA) with a deadline /
-        step budget — see :class:`~repro.guard.ResourceGuard`.  With
-        a :class:`~repro.similarity.cache.SimilarityGraphCache` in
-        ``cache``, a build whose inputs hash to a stored entry skips both
-        phases and restores the SEO from disk, and a cold build stores its
-        result for next time.  Either way :attr:`build_stats` records what
-        happened.
+        step budget — see :class:`~repro.guard.ResourceGuard`.
+        :attr:`build_stats` records what happened.  A built SEO outlives
+        its process only through the saved system
+        (:func:`~repro.core.persistence.save_system` /
+        :func:`~repro.core.persistence.load_system`).
 
         The incremental-maintenance path (``TossSystem.build`` after a
         mutation) passes ``fusion`` — a :class:`FusionResult` already
@@ -250,25 +238,6 @@ class SimilarityEnhancedOntology:
         stats.fusion_incremental = fusion is not None
         tracer = current_tracer()
         started = time.perf_counter()
-        if cache is not None:
-            with tracer.span("seo.cache_lookup"):
-                stats.cache_key = cache.key(
-                    hierarchies, measure, epsilon, constraints, mode
-                )
-                cached = (
-                    cache.load(stats.cache_key)
-                    if stats.cache_key is not None
-                    else None
-                )
-                tracer.annotate(hit=cached is not None)
-            if cached is not None:
-                METRICS.counter("seo.cache.hits").inc()
-                stats.cache_hit = True
-                stats.total_seconds = time.perf_counter() - started
-                cached.build_stats = stats
-                return cached
-            METRICS.counter("seo.cache.misses").inc()
-
         if fusion is None:
             with tracer.span("seo.fusion", hierarchies=len(hierarchies)):
                 fusion = canonical_fusion(hierarchies, constraints, guard=guard)
@@ -313,16 +282,6 @@ class SimilarityEnhancedOntology:
             )
         else:
             seo = cls(fusion, enhancement)
-        if cache is not None and stats.cache_key is not None:
-            with tracer.span("seo.cache_store"):
-                cache.store(
-                    stats.cache_key,
-                    seo,
-                    meta={
-                        "fusion_seconds": stats.fusion_seconds,
-                        "sea_seconds": stats.sea_seconds,
-                    },
-                )
         stats.total_seconds = time.perf_counter() - started
         METRICS.histogram("seo.fusion_seconds").observe(stats.fusion_seconds)
         METRICS.histogram("seo.sea_seconds").observe(stats.sea_seconds)

@@ -3,8 +3,7 @@
 An index file can always be thrown away — it is derived data.  The
 danger is *trusting* one that no longer matches the documents (stale) or
 whose bytes were damaged (corrupt): either would silently prune the
-wrong candidates.  So, following the SEO cache design, every file
-records
+wrong candidates.  So every file records
 
 * a **content key**: SHA-256 over the collection name and the digest of
   the collection's segment file (:mod:`repro.xmldb.storage`) — any

@@ -55,7 +55,7 @@ def system():
     documents = _sharded(corpus, keys)
     pages = render_sigmod_pages(corpus, seed=SEED, paper_keys=keys)
     return build_system(
-        corpus, documents, EPSILON, sigmod_documents=pages, use_cache=False
+        corpus, documents, EPSILON, sigmod_documents=pages
     )
 
 
@@ -215,7 +215,7 @@ def wide():
     pages = render_sigmod_pages(corpus, seed=SEED, paper_keys=keys)
     system = build_system(
         corpus, _sharded(corpus, keys), EPSILON,
-        sigmod_documents=pages, use_cache=False,
+        sigmod_documents=pages,
     )
     executor = system.executor
     pattern = build_scalability_pattern(narrow_category="conference")

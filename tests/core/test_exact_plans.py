@@ -44,7 +44,6 @@ def _build():
         [render_dblp(corpus, seed=SEED, paper_keys=[key]) for key in keys],
         3.0,
         sigmod_documents=render_sigmod_pages(corpus, seed=SEED, paper_keys=keys),
-        use_cache=False,
         observability=Observability(enabled=True),
     )
     return corpus, system

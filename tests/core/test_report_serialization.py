@@ -95,12 +95,10 @@ class TestBuildReportRoundTrip:
             measure="levenshtein",
             epsilon=2.0,
             mode="order-safe",
-            cache_used=True,
             build_seconds=1.25,
             relations=[
                 RelationBuild(
                     relation="isa",
-                    cache_hit=False,
                     fusion_seconds=0.5,
                     sea_seconds=0.7,
                     total_seconds=1.2,
@@ -130,5 +128,17 @@ class TestBuildReportRoundTrip:
         assert BuildReport.from_dict(payload).trace is None
 
     def test_reports_written_with_build_route_keys_still_load(self):
-        payload = dict(self.sample().to_dict(), workers=2, candidate_filter=True)
-        assert BuildReport.from_dict(payload).to_dict() == self.sample().to_dict()
+        expected = self.sample().to_dict()
+        route_keys = dict(expected, workers=2, candidate_filter=True)
+        # Stores saved while a content-keyed SEO cache existed carry its
+        # outcome on the report and on every relation.
+        cache_keys = dict(
+            expected,
+            cache_used=True,
+            relations=[
+                dict(relation, cache_hit=True, cache_key="0" * 64)
+                for relation in expected["relations"]
+            ],
+        )
+        for payload in (route_keys, cache_keys):
+            assert BuildReport.from_dict(payload).to_dict() == expected

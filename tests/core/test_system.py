@@ -143,6 +143,12 @@ class TestBuild:
         from repro.similarity.seo import SimilarityEnhancedOntology
 
         removed = {"workers", "candidate_filter", "parallel_threshold", "options"}
+        # One SEO store: save_system / load_system, no content-keyed cache.
+        store_options = {
+            TossSystem.__init__: {"cache_dir"},
+            SimilarityEnhancedOntology.build: {"cache"},
+            build_system: {"cache_dir", "use_cache"},
+        }
         for entry in (
             TossSystem.__init__,
             TossSystem.build,
@@ -151,9 +157,15 @@ class TestBuild:
             SimilarityEnhancedOntology.build,
             build_system,
         ):
-            assert not removed & set(inspect.signature(entry).parameters), entry
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.parallel")
+            gone = removed | store_options.get(entry, set())
+            assert not gone & set(inspect.signature(entry).parameters), entry
+        for module in ("repro.parallel", "repro.similarity.cache"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        system = TossSystem(epsilon=1.0)
+        system.add_instance("dblp", DBLP)
+        with pytest.raises(TypeError, match="save_system / load_system"):
+            system.build(use_cache=True)
 
 
 class TestQuerying:

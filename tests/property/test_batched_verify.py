@@ -51,7 +51,7 @@ def _system(seed, epsilon):
         pages = render_sigmod_pages(corpus, seed=seed, paper_keys=keys)
         system = build_system(
             corpus, documents, epsilon,
-            sigmod_documents=pages, use_cache=False,
+            sigmod_documents=pages,
         )
         _SYSTEMS[key] = (corpus, system)
     return _SYSTEMS[key]

@@ -42,7 +42,7 @@ def _context():
         documents = [
             render_dblp(corpus, seed=3, paper_keys=[key]) for key in corpus.paper_keys()
         ]
-        system = build_system(corpus, documents, 1.0, use_cache=False)
+        system = build_system(corpus, documents, 1.0)
         _CONTEXT.append(system.executor.context)
     return _CONTEXT[0]
 

@@ -244,30 +244,6 @@ class TestDbBuildCommand:
         assert relations and all(line.endswith(f", {path}") for line in relations)
         assert not any("filter=" in line or "workers=" in line for line in lines)
 
-    def test_build_cache_cold_then_warm(self, dblp_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "seo-cache")
-        for attempt, expect in [("cold", "0 hits"), ("warm", "hits")]:
-            root = str(tmp_path / f"system-{attempt}")
-            assert main(
-                ["db", "build", "--source", f"dblp={dblp_file}",
-                 "--epsilon", "1", "--cache-dir", cache_dir, root]
-            ) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" in out  # the warm build's relations hit
-
-    def test_build_no_cache_bypasses(self, dblp_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "seo-cache")
-        root = str(tmp_path / "system")
-        assert main(
-            ["db", "build", "--source", f"dblp={dblp_file}", "--epsilon", "1",
-             "--cache-dir", cache_dir, "--no-cache", root]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cache=off" in out
-        import pathlib
-
-        assert not list(pathlib.Path(cache_dir).glob("*.json"))
-
 
 class TestDbStatsCommand:
     def test_stats_after_build(self, dblp_file, tmp_path, capsys):
@@ -282,7 +258,7 @@ class TestDbStatsCommand:
         assert "collections: 1" in out
         assert "xpath query cache" not in out
         assert "build: measure=levenshtein" in out
-        assert "seo cache outcome:" in out
+        assert "seo cache" not in out
         assert "pairs pruned" in out
 
     def test_stats_reports_the_saved_seos_chain_depth(self, dblp_file, tmp_path, capsys):
@@ -339,3 +315,24 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit):
             main(argv)
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--cache-dir", "DIR"], ["--no-cache"]],
+                             ids=["cache-dir", "no-cache"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--source", "dblp=x.xml", "paper(title)"],
+            ["serve", "--source", "dblp=x.xml"],
+            ["explain", "--source", "dblp=x.xml", "paper(title)"],
+            ["seo", "--source", "dblp=x.xml"],
+            ["save", "--source", "dblp=x.xml", "--out", "x"],
+            ["db", "build", "--source", "dblp=x.xml", "x"],
+        ],
+        ids=["query", "serve", "explain", "seo", "save", "db-build"],
+    )
+    def test_seo_cache_flags_are_gone(self, argv, flag, capsys):
+        # save_system / load_system is the one SEO store; no flag reaches
+        # a second one.
+        with pytest.raises(SystemExit):
+            main(argv + flag)
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
