@@ -155,10 +155,12 @@ class ExecutionReport:
     #: row but those an index-exact selection booked unscanned; for
     #: joins, both sides' counts).
     docs_verified: int = 0
-    #: Join verification work: candidate pairs whose virtual product
-    #: was verified, and product trees actually constructed — only for
-    #: pairs that produced a surviving witness.  Both stay 0 for
-    #: selections/projections (and on the reference executor, which
+    #: Join verification work: candidate pairs verified over their
+    #: factored virtual product (a pair crosses its two side entries'
+    #: root-child match lists, each listed once per join; no product
+    #: tree is built), and the pairs a surviving answer came from (with
+    #: the root outside SL, those with any witness).  Both stay 0
+    #: for selections/projections (and on the reference executor, which
     #: materialises every pair).
     pairs_probed: int = 0
     pairs_materialized: int = 0
@@ -1219,9 +1221,12 @@ class QueryExecutor:
             if guard is not None:
                 guard.tick(len(left) * len(right), what="join product")
             pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
-        results, pairs_materialized = tax_batch.join_pairs_batched(
+        results, pairs_materialized, side_scans = tax_batch.join_pairs_batched(
             left, right, pairs, plan.program, sl, guard
         )
+        # Pairs whose side entries could hold a whole match were scanned
+        # per side as well: 0 when every match heads at the product root.
+        tracer.annotate(side_scans=side_scans)
         return results, {
             "pairs_probed": len(pairs),
             "pairs_materialized": pairs_materialized,

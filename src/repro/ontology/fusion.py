@@ -325,8 +325,8 @@ def retract_fusion(
     edge whose lower term stays (``"removed-edge-between-survivors"``),
     a term some constraint names (``"removed-term-constrained"`` — the
     full fusion must reject that constraint), one fused with other terms
-    or unknown (``"removed-term-fused"``), or one with terms below it
-    (``"removed-term-has-children"``).
+    or unknown (``"removed-term-fused"``), or one with a term below it
+    that stays (``"removed-term-has-children"``).
     """
     doomed: Dict[ScopedTerm, FusedNode] = {}
     for source, edges in removed_edges.items():
@@ -345,9 +345,17 @@ def retract_fusion(
     for constraint in constraints:
         if constraint.left in doomed or constraint.right in doomed:
             raise DeltaRefused("removed-term-constrained")
-    hierarchy = prev.hierarchy.without_leaves(doomed.values())
-    if hierarchy is None:
-        raise DeltaRefused("removed-term-has-children")
+    # Peel the withdrawn nodes minimal-first: a fresh hypernym chain
+    # (what extend_fusion accepts) leaves together with its top.
+    hierarchy = prev.hierarchy
+    remaining = set(doomed.values())
+    while remaining:
+        minimal = [node for node in remaining if not hierarchy.children(node)]
+        shrunk = hierarchy.without_leaves(minimal) if minimal else None
+        if shrunk is None:
+            raise DeltaRefused("removed-term-has-children")
+        hierarchy = shrunk
+        remaining.difference_update(minimal)
     witness = {
         scoped: node for scoped, node in prev.witness.items() if scoped not in doomed
     }

@@ -46,7 +46,7 @@ from ..xmldb.columnar import DocumentColumns
 from ..xmldb.model import XmlNode
 from ..xmldb.serializer import serialize
 from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator
-from .compile import BatchStep, compile_batch_steps, compile_condition
+from .compile import BatchStep, _always_true, compile_batch_steps, compile_condition
 from .conditions import ConditionContext, required_tags
 from .embedding import Embedding, witness_tree
 from .pattern import PC, PatternTree
@@ -249,6 +249,8 @@ class VerifyProgram:
     root_prune: Tuple
     #: :func:`_is_star` of the steps: scans cross per-root child pools.
     star: bool
+    #: :func:`_root_groups` of the steps: the join's factored product.
+    groups: Tuple[Tuple[BatchStep, ...], ...]
 
     @classmethod
     def compile(
@@ -267,6 +269,7 @@ class VerifyProgram:
             compile_condition(pattern.condition, context),
             _root_prune(steps),
             _is_star(steps),
+            _root_groups(steps),
         )
 
     def scan(
@@ -282,7 +285,7 @@ class VerifyProgram:
         if self.star:
             _scan_star(self, cols, lo, hi, binding, rows, emit)
         else:
-            _scan(self, cols, lo, hi, binding, rows, emit)
+            _scan(self, cols, _root_pool(self, cols, lo, hi), binding, rows, emit)
 
     def root_rows(self, cols: DocumentColumns) -> Sequence[int]:
         """The document's rows the pattern root may bind to, ascending.
@@ -342,6 +345,19 @@ def _is_star(steps: Sequence[BatchStep]) -> bool:
         parent == root_label and edge == PC
         for _label, parent, edge, _tt, _ts in steps[1:]
     )
+
+
+def _root_groups(steps: Sequence[BatchStep]) -> Tuple[Tuple[BatchStep, ...], ...]:
+    """The root's child subtrees, each the contiguous run of steps it
+    owns in preorder (its head, a child step of the root, first)."""
+    root_label = steps[0][0]
+    groups: List[List[BatchStep]] = []
+    for step in steps[1:]:
+        if step[1] == root_label:
+            groups.append([step])
+        else:
+            groups[-1].append(step)
+    return tuple(map(tuple, groups))
 
 
 def _pruned_rows(
@@ -412,24 +428,23 @@ def _root_pool(
 def _scan(
     program: VerifyProgram,
     cols: DocumentColumns,
-    lo: int,
-    hi: int,
+    pool: Iterable[int],
     binding: Dict[int, XmlNode],
     rows: Dict[int, int],
     emit: Callable[[], None],
 ) -> None:
-    """Backtrack over the subtree rows ``[lo, hi)`` of one document.
+    """Backtrack over one document with the root at each row of ``pool``.
 
     Mirrors ``find_embeddings``'s candidate pools step for step: the
-    root pool is :func:`_root_pool`, pc pools are the anchor's child
-    rows, ad pools are the anchor's descendant interval — all in the
-    same sequence the tree walk produces, so the evaluator fires at
-    identical points.
+    root pool is :func:`_root_pool` (or one tag's share of it), pc pools
+    are the anchor's child rows, ad pools are the anchor's descendant
+    interval — all in the same sequence the tree walk produces, so the
+    evaluator fires at identical points.
     """
     steps, evaluator = program.steps, program.evaluator
     root_label = steps[0][0]
     nodes = cols.nodes
-    for row in _root_pool(program, cols, lo, hi):
+    for row in pool:
         rows[root_label] = row
         binding[root_label] = nodes[row]
         _extend(steps, 1, cols, binding, rows, evaluator, emit)
@@ -658,160 +673,76 @@ def projection_batched(
 # ---------------------------------------------------------------------------
 
 
-def _product_scan(
-    program: VerifyProgram,
-    idx: int,
-    lcols: DocumentColumns,
-    l_lo: int,
-    l_hi: int,
-    rcols: DocumentColumns,
-    r_lo: int,
-    r_hi: int,
-    binding: Dict[int, XmlNode],
-    positions: Dict[int, Tuple[int, int]],
-    emit: Callable[[], None],
-    memo: Dict,
-) -> None:
-    """Backtrack over the *virtual* product of two candidate subtrees.
+#: One root-child group's match inside a side entry: its steps'
+#: ``(label, node)`` bindings and ``(label, (rank, row))`` positions.
+#: A position on a virtual product is rank 0 for its root (bound to
+#: :data:`_VIRTUAL_ROOT`), 1 for a left row, 2 for a right row, so
+#: positions sort in the product tree's preorder.
+_GroupMatch = Tuple[Tuple[Tuple[int, XmlNode], ...], Tuple[Tuple[int, Tuple[int, int]], ...]]
 
-    A product tree's preorder is: synthetic root, then the left subtree,
-    then the right subtree.  Positions are ``(rank, row)`` pairs — rank
-    0 is the synthetic root (bound to the shared stand-in node), rank 1
-    a left-side row, rank 2 a right-side row — and every candidate pool
-    below reproduces, in order, exactly the node sequence
-    ``find_embeddings`` would walk on a materialised product tree.  No
-    tree is built; the evaluator reads the two sides' original nodes.
 
-    ``memo`` (shared across a join's pairs) caches side-local pools:
-    a pool anchored at a side row depends only on that side's columns
-    and the anchor, so entries repeated across many pairs build each
-    pool once.  Pools are read-only; sharing the lists is safe.
+def _group_lists(
+    program: VerifyProgram, cols: DocumentColumns, row: int, rank: int
+) -> List[List[_GroupMatch]]:
+    """Every root-child group's structural matches inside one side entry.
+
+    With the pattern root on the product root, a group binds wholly
+    inside one side: a ``pc`` head binds the side's entry row, an ``ad``
+    head any row of the entry's interval carrying the head's tags, and
+    the rest of the group backtracks below its head.  Each list is the
+    side's share of the group's candidates in backtracking order — the
+    lexicographic order of their ``(rank, row)`` positions — and
+    depends on the entry alone, so a join builds it once per side entry.
     """
-    steps = program.steps
-    if idx == len(steps):
-        if program.evaluator(binding):
-            emit()
-        return
-    label, parent, edge, tags_tuple, tags_set = steps[idx]
-    pool: Iterable[Tuple[int, int]]
-    if parent is None:
-        root_prune = program.root_prune
-        if tags_tuple is not None:
-            pool = []
-            for tag in tags_tuple:
-                if tag == PRODUCT_ROOT_TAG:
-                    pool.append((0, 0))
-                pool.extend(
-                    (1, x) for x in lcols.tag_rows_in(tag, l_lo, l_hi)
-                )
-                pool.extend(
-                    (2, y) for y in rcols.tag_rows_in(tag, r_lo, r_hi)
-                )
-        elif root_prune:
-            # Structurally pruned root pool: the product root's children
-            # are exactly the two side roots, side rows prune through
-            # their per-tag parent lists.  Same subset-preserving order
-            # as the unpruned chain.
-            left_tag = lcols.tags[l_lo]
-            right_tag = rcols.tags[r_lo]
-            pool = (
-                [(0, 0)]
-                if all(
-                    left_tag in tags_set or right_tag in tags_set
-                    for _tt, tags_set in root_prune
-                )
-                else []
-            )
-            for part in _side_parts(
-                memo, "prune", (lcols, l_lo, l_hi, rcols, r_lo, r_hi),
-                _pruned_rows, root_prune,
-            ):
-                pool.extend(part)
+    nodes, tags_col = cols.nodes, cols.tags
+    end = cols.end[row]
+    rows: Dict[int, int] = {}
+    binding: Dict[int, XmlNode] = {}
+    lists: List[List[_GroupMatch]] = []
+
+    def collect() -> None:
+        matches.append((
+            tuple([(label, binding[label]) for label in labels]),
+            tuple([(label, (rank, rows[label])) for label in labels]),
+        ))
+
+    for group in program.groups:
+        head_label, _parent, edge, tags_tuple, tags_set = group[0]
+        heads: Sequence[int]
+        if edge == PC:
+            heads = [row] if tags_set is None or tags_col[row] in tags_set else ()
+        elif tags_tuple is None:
+            heads = range(row, end)
         else:
-            pool = itertools.chain(
-                ((0, 0),),
-                ((1, x) for x in range(l_lo, l_hi)),
-                ((2, y) for y in range(r_lo, r_hi)),
-            )
-    else:
-        rank, anchor = positions[parent]
-        if rank == 0 and edge == PC:
-            pool = []
-            if tags_set is None or lcols.tags[l_lo] in tags_set:
-                pool.append((1, l_lo))
-            if tags_set is None or rcols.tags[r_lo] in tags_set:
-                pool.append((2, r_lo))
-        elif rank == 0:
-            # Anchor is the product root: its descendants are both whole
-            # sides, left first (document order of the product tree).
-            if tags_tuple is None:
-                pool = itertools.chain(
-                    ((1, x) for x in range(l_lo, l_hi)),
-                    ((2, y) for y in range(r_lo, r_hi)),
-                )
-            else:
-                # Keyed apart from the side-anchored pools below: under
-                # the root a side's own root row is a descendant, under
-                # that row it is not.
-                left_part, right_part = _side_parts(
-                    memo, ("root", idx), (lcols, l_lo, l_hi, rcols, r_lo, r_hi),
-                    _tagged_rows, tags_tuple, tags_set,
-                )
-                if left_part and right_part:
-                    pool = left_part + right_part
-                else:
-                    pool = left_part or right_part
-        else:
-            side_cols = lcols if rank == 1 else rcols
-            key = (idx, rank, anchor, id(side_cols))
-            pool = memo.get(key)
-            if pool is None:
-                rows: Iterable[int]
-                if edge == PC:
-                    rows = side_cols.children[anchor]
-                    if tags_set is not None:
-                        tags_col = side_cols.tags
-                        rows = [c for c in rows if tags_col[c] in tags_set]
-                elif tags_tuple is None:
-                    rows = range(anchor + 1, side_cols.end[anchor])
-                else:
-                    rows = _tagged_rows(
-                        side_cols, anchor + 1, side_cols.end[anchor],
-                        tags_tuple, tags_set,
-                    )
-                pool = memo[key] = [(rank, x) for x in rows]
-    next_idx = idx + 1
-    for position in pool:
-        positions[label] = position
-        rank, row = position
-        if rank == 0:
-            binding[label] = _VIRTUAL_ROOT
-        elif rank == 1:
-            binding[label] = lcols.nodes[row]
-        else:
-            binding[label] = rcols.nodes[row]
-        _product_scan(
-            program, next_idx, lcols, l_lo, l_hi, rcols, r_lo, r_hi,
-            binding, positions, emit, memo,
-        )
+            heads = _tagged_rows(cols, row, end, tags_tuple, tags_set)
+        matches: List[_GroupMatch] = []
+        if heads:
+            labels = [step[0] for step in group]
+            for head in heads:
+                rows[head_label] = head
+                binding[head_label] = nodes[head]
+                _extend(group, 1, cols, binding, rows, _always_true, collect)
+        lists.append(matches)
+    return lists
 
 
-def _side_parts(memo: Dict, key, sides: Tuple, rows_of: Callable, *args) -> List[List]:
-    """The left and the right ``(rank, row)`` part of one product pool.
+def _side_rooted(program: VerifyProgram, cols: DocumentColumns, row: int) -> bool:
+    """Whether a match may lie wholly inside one side entry.
 
-    ``rows_of(cols, lo, hi, *args)`` lists one side's rows.  A part
-    depends only on its own side's columns and interval, so each is
-    memoised per side entry and shared by every pair that repeats it.
+    Its root binds a row of the entry and every root-child group's head
+    a row strictly below that, so each head's tags must occur strictly
+    inside the entry's interval.  False proves a scan of the entry would
+    call no evaluator.
     """
-    lcols, l_lo, l_hi, rcols, r_lo, r_hi = sides
-    parts = []
-    for rank, cols, lo, hi in ((1, lcols, l_lo, l_hi), (2, rcols, r_lo, r_hi)):
-        side_key = (key, rank, lo, id(cols))
-        part = memo.get(side_key)
-        if part is None:
-            part = memo[side_key] = [(rank, x) for x in rows_of(cols, lo, hi, *args)]
-        parts.append(part)
-    return parts
+    end = cols.end[row]
+    for group in program.groups:
+        tags_tuple = group[0][3]
+        if tags_tuple is None:
+            if end - row < 2:
+                return False
+        elif not any(cols.tag_rows_in(tag, row + 1, end) for tag in tags_tuple):
+            return False
+    return True
 
 
 def _materialize_product(
@@ -949,38 +880,69 @@ def join_pairs_batched(
     program: VerifyProgram,
     sl_labels: Iterable[int],
     guard: Optional[ResourceGuard] = None,
-) -> Tuple[ResultRows, int]:
+) -> Tuple[ResultRows, int, int]:
     """Late-materialised join over candidate pairs.
 
     Equivalent to building the product tree of every pair (in the given
     pair order) and running ``selection`` over all of them at once —
-    but no product tree is ever built.  A witness that is a whole
-    subtree or a whole product — the root in SL, or both side roots
-    bound to the pair's entries with both in SL — is deduped by key and
-    returned as a reference (:class:`ResultRows`); any other witness is
-    assembled directly from its virtual positions.  Returns ``(results,
-    pairs_materialized)``: the pairs a surviving answer came from (root
-    in SL), else the pairs with at least one witness.  ``guard`` is
-    charged per pair (see :class:`_Verification`).
+    but no product tree is ever built.  The product is factored.  With
+    the pattern root on the product root, a pair crosses its two
+    entries' :func:`_group_lists` (each built once per side entry); with
+    the root on a side row the match is that side's own, found by
+    :func:`_scan` over the entry where :func:`_side_rooted` allows one.
+    Both run in the root pool's order (per tag of a multi-tag root: the
+    product root, left rows, right rows), so the evaluator sees exactly
+    the bindings, in exactly the order, a materialised product shows it.
+
+    A witness that is a whole subtree or a whole product — the root in
+    SL, or both side roots bound to the pair's entries with both in SL —
+    is deduped by key and returned as a reference (:class:`ResultRows`);
+    any other witness is assembled directly from its virtual positions.
+    Returns ``(results, pairs_materialized, side_scans)``: the pairs a
+    surviving answer came from (root in SL), else the pairs with at
+    least one witness; and the (pair, side entry) couples a side-rooted
+    scan ran on.  ``guard`` is charged per pair (see
+    :class:`_Verification`).
     """
     sl = list(sl_labels)
     root_label = program.pattern.root
     side_roots = _side_roots(program.pattern, sl)
+    evaluator = program.evaluator
     results = _Verification(guard)
-    # The binding/position dicts, the pool memo and the emit closures
-    # are shared across pairs — every label is rebound before an emit
-    # can observe the dicts.
+    root_tags = program.steps[0][3]
+    # The root pool as (rank, tag) runs, rank 0 being the product root.
+    order = [
+        (rank, tag)
+        for tag in ((None,) if root_tags is None else root_tags)
+        for rank in ((0, 1, 2) if tag in (None, PRODUCT_ROOT_TAG) else (1, 2))
+    ]
+    factored = any(rank == 0 for rank, _tag in order)
+    #: Per side, entry index -> (group lists, side-rooted check).
+    memos: Tuple[Dict[int, Tuple], Dict[int, Tuple]] = ({}, {})
+    # The binding/position/row dicts and the emit closures are shared
+    # across pairs — every label is rebound before an emit can observe
+    # the dicts.
     binding: Dict[int, XmlNode] = {}
     positions: Dict[int, Tuple[int, int]] = {}
-    memo: Dict = {}
+    rows: Dict[int, int] = {}
     inflate_root = root_label in sl
     #: Per pair: distinct top positions (root in SL), else the
     #: ``(canonical key, witness)`` of every embedding.
     found: Dict[Tuple[int, int], None] = {}
     witnesses: List[Tuple[Tuple, ResultRef]] = []
-    contributing = 0
+    contributing = side_scans = 0
     lcols = rcols = None
     l_row = r_row = 0
+
+    def side(rank: int, index: int, cols: DocumentColumns, row: int) -> Tuple:
+        memo = memos[rank - 1]
+        known = memo.get(index)
+        if known is None:
+            known = memo[index] = (
+                _group_lists(program, cols, row, rank) if factored else None,
+                _side_rooted(program, cols, row),
+            )
+        return known
 
     def emit() -> None:
         found[positions[root_label]] = None
@@ -999,14 +961,41 @@ def join_pairs_batched(
         witness = _assemble_product_witness(lcols, l_row, rcols, r_row, positions, sl)
         witnesses.append((witness.canonical_key(), witness))
 
+    target = emit if inflate_root else emit_witness
+
+    def side_emit() -> None:
+        # A side-rooted match: its rows are positions on the current side.
+        for label, row in rows.items():
+            positions[label] = (rank, row)
+        target()
+
+    iproduct = itertools.product
     for i, j in results.candidates(pairs):
         lcols, l_row = left[i]
         rcols, r_row = right[j]
-        _product_scan(
-            program, 0, lcols, l_row, lcols.end[l_row],
-            rcols, r_row, rcols.end[r_row],
-            binding, positions, emit if inflate_root else emit_witness, memo,
-        )
+        l_lists, l_rooted = side(1, i, lcols, l_row)
+        r_lists, r_rooted = side(2, j, rcols, r_row)
+        side_scans += l_rooted + r_rooted
+        for rank, tag in order:
+            if rank == 0:
+                binding[root_label] = _VIRTUAL_ROOT
+                positions[root_label] = (0, 0)
+                for combo in iproduct(*[a + b for a, b in zip(l_lists, r_lists)]):
+                    for binds, _places in combo:
+                        binding.update(binds)
+                    if evaluator(binding):
+                        for _binds, places in combo:
+                            positions.update(places)
+                        target()
+            elif l_rooted if rank == 1 else r_rooted:
+                cols, row = (lcols, l_row) if rank == 1 else (rcols, r_row)
+                end = cols.end[row]
+                pool = (
+                    _root_pool(program, cols, row, end)
+                    if tag is None
+                    else cols.tag_rows_in(tag, row, end)
+                )
+                _scan(program, cols, pool, binding, rows, side_emit)
         if inflate_root:
             # One entry per distinct top position, tagged with its pair.
             tops = [_top_ref(lcols, l_row, rcols, r_row, *top) for top in found]
@@ -1021,9 +1010,9 @@ def join_pairs_batched(
             witnesses.clear()
     if not inflate_root:
         built = sum(1 for ref in results.out if type(ref) is not tuple)
-        return ResultRows(results.out, built), contributing
+        return ResultRows(results.out, built), contributing, side_scans
     answered_pairs = {(i, j) for i, j, _ref in results.out}
-    return ResultRows([ref for _i, _j, ref in results.out]), len(answered_pairs)
+    return ResultRows([ref for _i, _j, ref in results.out]), len(answered_pairs), side_scans
 
 
 __all__ = [
