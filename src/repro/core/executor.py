@@ -1061,12 +1061,19 @@ class QueryExecutor:
                     with nullcontext() if single else tracer.span(
                         f"xpath.{side}", query=xpath
                     ):
+                        walks = tax_batch.match_memo_misses()
                         entries.append(
                             self.database.get_collection(name).fetch(
                                 rows_of, guard, keys
                             )
                         )
                         tracer.annotate(candidates=len(entries[-1]))
+                        if not single:
+                            # Documents whose side embeddings were walked
+                            # here rather than read from the columns' memo.
+                            tracer.annotate(
+                                match_memo_misses=tax_batch.match_memo_misses() - walks
+                            )
 
             with _stage(tracer, guard, "verify") as verify_stage:
                 results, counts = verify(plan, entries, guard, tracer, term_pairs)
@@ -1221,12 +1228,18 @@ class QueryExecutor:
             if guard is not None:
                 guard.tick(len(left) * len(right), what="join product")
             pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+        walks = tax_batch.match_memo_misses()
         results, pairs_materialized, side_scans = tax_batch.join_pairs_batched(
             left, right, pairs, plan.program, sl, guard
         )
         # Pairs whose side entries could hold a whole match were scanned
         # per side as well: 0 when every match heads at the product root.
-        tracer.annotate(side_scans=side_scans)
+        # Side entries whose group lists were built here, not read from
+        # the columns' memo: 0 on a repeated join.
+        tracer.annotate(
+            side_scans=side_scans,
+            match_memo_misses=tax_batch.match_memo_misses() - walks,
+        )
         return results, {
             "pairs_probed": len(pairs),
             "pairs_materialized": pairs_materialized,

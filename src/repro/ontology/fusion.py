@@ -310,14 +310,15 @@ def retract_fusion(
     removed_edges: Mapping[Hashable, Iterable[Tuple[Hashable, Hashable]]],
     constraints: Iterable[InteroperationConstraint] = (),
 ) -> FusionResult:
-    """Withdraw per-source *leaf* terms from a fusion — :func:`extend_fusion`'s dual.
+    """Withdraw per-source *lower* terms from a fusion — :func:`extend_fusion`'s dual.
 
     ``removed_terms[source]`` lists the terms that left that source's
     hierarchy and ``removed_edges[source]`` the Hasse pairs that left
-    with them.  A term that condensed to a singleton :class:`FusedNode`
-    with nothing below it has no incoming edge in the hierarchy graph,
-    so deleting it (and its outgoing edges) changes no other component
-    and no other path: the fused diagram shrinks via
+    with them.  Terms that condensed to singleton fused nodes
+    with nothing staying below them (leaves, or a fresh hypernym chain
+    leaving with its top) have no incoming edge from a surviving node,
+    so deleting them (and their edges) changes no other component and
+    no other path: the fused diagram shrinks via
     :meth:`Hierarchy.without_leaves` to exactly what
     ``canonical_fusion`` would build on the shrunk inputs.
 
@@ -345,17 +346,11 @@ def retract_fusion(
     for constraint in constraints:
         if constraint.left in doomed or constraint.right in doomed:
             raise DeltaRefused("removed-term-constrained")
-    # Peel the withdrawn nodes minimal-first: a fresh hypernym chain
-    # (what extend_fusion accepts) leaves together with its top.
-    hierarchy = prev.hierarchy
-    remaining = set(doomed.values())
-    while remaining:
-        minimal = [node for node in remaining if not hierarchy.children(node)]
-        shrunk = hierarchy.without_leaves(minimal) if minimal else None
-        if shrunk is None:
-            raise DeltaRefused("removed-term-has-children")
-        hierarchy = shrunk
-        remaining.difference_update(minimal)
+    # A fresh hypernym chain (what extend_fusion accepts) leaves together
+    # with its top: the withdrawn set is downward-closed.
+    hierarchy = prev.hierarchy.without_leaves(doomed.values())
+    if hierarchy is None:
+        raise DeltaRefused("removed-term-has-children")
     witness = {
         scoped: node for scoped, node in prev.witness.items() if scoped not in doomed
     }

@@ -391,24 +391,28 @@ class Hierarchy:
         return extended
 
     def without_leaves(self, terms: Iterable[Term]) -> Optional["Hierarchy"]:
-        """Incremental removal of *minimal* terms (terms with no children).
+        """Incremental removal of a *downward-closed* set of terms.
 
-        The inverse fast path of :meth:`extended_with_lower_terms`: a
-        minimal term sits below nothing, so deleting it cannot reconnect
-        or reorder the remaining terms — its covers lose one child, the
-        down-closures of its ancestors lose one entry, and everything
-        else (including every other up-closure) is untouched.  The result
+        The inverse fast path of :meth:`extended_with_lower_terms`.  A
+        set is downward-closed when every child of a removed term is
+        removed too — a set of minimal terms, or a fresh hypernym chain
+        leaving with its top.  No path between two survivors can pass
+        through such a set (a term below a removed one is removed), so
+        removing it cannot reconnect or reorder the remaining terms: the
+        survivors' covers lose their removed children, the down-closures
+        of their ancestors lose the removed terms, and everything else
+        (including every surviving up-closure) is untouched.  The result
         is value-identical to rebuilding from the surviving edges.
 
-        Returns None when a term is absent or has children (its removal
-        would change reachability between survivors); callers fall back
-        to full construction.
+        Returns None when a term is absent or a surviving term sits below
+        a removed one (its removal would change reachability between
+        survivors); callers fall back to full construction.
         """
         doomed = set(terms)
         if not doomed:
             return self
         for term in doomed:
-            if term not in self._parents or self._children[term]:
+            if term not in self._parents or not self._children[term] <= doomed:
                 return None
         removed = Hierarchy.__new__(Hierarchy)
         parents = {
@@ -420,7 +424,8 @@ class Hierarchy:
         children = dict(self._children)
         for term in doomed:
             for upper in self._parents[term]:
-                children[upper] = children[upper] - doomed
+                if upper not in doomed:
+                    children[upper] = children[upper] - doomed
             del children[term]
         removed._children = children
         if self._up is not None:
@@ -437,8 +442,8 @@ class Hierarchy:
                 for term in doomed:
                     ancestors.update(self._up[term])
             else:
-                # Walk covers upward; doomed terms are minimal, so this
-                # touches only their (small) ancestor cones.
+                # Walk covers upward: this touches only the doomed
+                # terms' (small) ancestor cones.
                 stack = [
                     upper for term in doomed for upper in self._parents[term]
                 ]

@@ -21,7 +21,12 @@ condition evaluator at exactly the same points — so verdicts, result
 sequences and ontology-access counts are bit-identical to the
 per-candidate path.  The one exception: an entry an index-exact
 selection books (:func:`selection_batched`'s ``exact_tags``) is not
-enumerated, so it calls no evaluator and asks the ontology nothing.  A
+enumerated, so it calls no evaluator and asks the ontology nothing.  The
+structural walks a join repeats — a side's embeddings in a document, a
+side entry's group lists — are memoised on the document's columns per
+pattern shape (:func:`_structural_matches`), and the evaluator replays
+over them at the same points, in the same order; it leaves out the tag
+atoms the candidate pools already enforce, which can only pass.  A
 resource guard is charged by these operators themselves, a chunk of
 candidates per call, at exactly the one-candidate-at-a-time price
 (:class:`_Verification`); guarded and unguarded queries run the same
@@ -37,7 +42,7 @@ the same program picks the executor's candidate rows
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..guard import CHECK_INTERVAL, ResourceGuard
@@ -46,7 +51,14 @@ from ..xmldb.columnar import DocumentColumns
 from ..xmldb.model import XmlNode
 from ..xmldb.serializer import serialize
 from .algebra import PRODUCT_ROOT_TAG, ConditionEvaluator
-from .compile import BatchStep, _always_true, compile_batch_steps, compile_condition
+from .compile import (
+    BatchStep,
+    _always_true,
+    _uses_base_compare,
+    compile_batch_steps,
+    compile_condition,
+    without_pool_tags,
+)
 from .conditions import ConditionContext, required_tags
 from .embedding import Embedding, witness_tree
 from .pattern import PC, PatternTree
@@ -251,6 +263,9 @@ class VerifyProgram:
     star: bool
     #: :func:`_root_groups` of the steps: the join's factored product.
     groups: Tuple[Tuple[BatchStep, ...], ...]
+    #: Each step's ``(label, parent, edge, tags_tuple)``: everything the
+    #: structural walks read, so the key of the columns' match memo.
+    shape: Tuple[Tuple, ...]
 
     @classmethod
     def compile(
@@ -259,17 +274,24 @@ class VerifyProgram:
         """Lower ``pattern`` and compile its condition against ``context``.
 
         Raises :class:`~repro.errors.ConditionError` for a condition the
-        compiler does not know — there is no interpreted fallback.
+        compiler does not know — there is no interpreted fallback.  Under
+        the base ``compare`` the evaluator leaves out the tag atoms the
+        steps' pools enforce (:func:`~repro.tax.compile.without_pool_tags`):
+        every binding a scan produces passes them.
         """
         pattern.validate()
         steps = tuple(compile_batch_steps(pattern, required_tags(pattern.condition)))
+        condition = pattern.condition
+        if _uses_base_compare(context):
+            condition = without_pool_tags(condition, set(pattern.labels()))
         return cls(
             pattern,
             steps,
-            compile_condition(pattern.condition, context),
+            compile_condition(condition, context),
             _root_prune(steps),
             _is_star(steps),
             _root_groups(steps),
+            tuple(step[:4] for step in steps),
         )
 
     def scan(
@@ -300,15 +322,27 @@ class VerifyProgram:
 
     def anchored_rows(self, cols: DocumentColumns) -> List[int]:
         """The rows at which the pattern embeds with its root bound to
-        the row, ascending — a join side's exact fetch."""
-        root_label = self.steps[0][0]
-        rows: Dict[int, int] = {}
-        found: Dict[int, None] = {}
+        the row, ascending — a join side's exact fetch.
 
-        def emit() -> None:
-            found[rows[root_label]] = None
-
-        self.scan(cols, 0, len(cols.nodes), {}, rows, emit)
+        The document's structural embeddings are walked once per pattern
+        shape (:func:`_structural_matches`); the evaluator replays over
+        them in the scan's order, so it fires at exactly the bindings,
+        in exactly the order, a scan of the document fires it.
+        """
+        matches = _structural_matches(self, cols, None)
+        evaluator = self.evaluator
+        if evaluator is _always_true:
+            return sorted([root for root, _embeddings in matches])
+        binding: Dict[int, XmlNode] = {}
+        found: List[int] = []
+        for root, embeddings in matches:
+            hit = False
+            for binds in embeddings:
+                binding.update(binds)
+                if evaluator(binding):
+                    hit = True
+            if hit:
+                found.append(root)
         return sorted(found)
 
 
@@ -541,6 +575,70 @@ def _scan_star(
 
 
 # ---------------------------------------------------------------------------
+# Structural matches, walked once per document version and pattern shape
+# ---------------------------------------------------------------------------
+
+#: Structural walks (match-memo misses) this process has run.
+_walks = 0
+
+
+def match_memo_misses() -> int:
+    """How many structural walks this process has run so far; a stage's
+    span reports the difference across it (``match_memo_misses``)."""
+    return _walks
+
+
+def _structural_matches(
+    program: VerifyProgram, cols: DocumentColumns, key: Optional[Tuple[int, int]]
+):
+    """The one accessor of the columns' structural-match memo.
+
+    A structural match depends on the document and the steps' shape
+    alone, never on the evaluator or the request, so it is kept on the
+    columns (:meth:`~repro.xmldb.columnar.DocumentColumns.match_memo`)
+    under ``program.shape``; a replaced document gets new columns, so
+    nothing is invalidated.  ``key`` None asks for the document's
+    embeddings — ``[(root row, [binds, ...]), ...]`` in scan order, each
+    ``binds`` the embedding's ``(label, node)`` pairs, roots without one
+    left out — walked with the evaluator always true.  ``(rank, row)``
+    asks for a side entry's join lists: its :func:`_group_lists` (None
+    when the root pool has no product root) and :func:`_side_rooted`.
+    Each miss is one walk (:func:`match_memo_misses`).
+    """
+    global _walks
+    memo = cols.match_memo(program.shape)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    _walks += 1
+    if key is None:
+        labels = [step[0] for step in program.steps]
+        root_label = labels[0]
+        rows: Dict[int, int] = {}
+        binding: Dict[int, XmlNode] = {}
+        grouped: Dict[int, List[Tuple]] = {}
+
+        def collect() -> None:
+            grouped.setdefault(rows[root_label], []).append(
+                tuple([(label, binding[label]) for label in labels])
+            )
+
+        structure = replace(program, evaluator=_always_true)
+        structure.scan(cols, 0, len(cols.nodes), binding, rows, collect)
+        found = list(grouped.items())
+    else:
+        rank, row = key
+        root_tags = program.steps[0][3]
+        factored = root_tags is None or PRODUCT_ROOT_TAG in root_tags
+        found = (
+            _group_lists(program, cols, row, rank) if factored else None,
+            _side_rooted(program, cols, row),
+        )
+    memo[key] = found
+    return found
+
+
+# ---------------------------------------------------------------------------
 # Batched selection / projection
 # ---------------------------------------------------------------------------
 
@@ -692,7 +790,9 @@ def _group_lists(
     the rest of the group backtracks below its head.  Each list is the
     side's share of the group's candidates in backtracking order — the
     lexicographic order of their ``(rank, row)`` positions — and
-    depends on the entry alone, so a join builds it once per side entry.
+    depends on the entry and the steps' shape alone, so it is built once
+    per document version and shape (:func:`_structural_matches`), not
+    once per join.
     """
     nodes, tags_col = cols.nodes, cols.tags
     end = cols.end[row]
@@ -887,9 +987,10 @@ def join_pairs_batched(
     pair order) and running ``selection`` over all of them at once —
     but no product tree is ever built.  The product is factored.  With
     the pattern root on the product root, a pair crosses its two
-    entries' :func:`_group_lists` (each built once per side entry); with
-    the root on a side row the match is that side's own, found by
-    :func:`_scan` over the entry where :func:`_side_rooted` allows one.
+    entries' :func:`_group_lists` (read from the columns' match memo,
+    :func:`_structural_matches`); with the root on a side row the match
+    is that side's own, found by :func:`_scan` over the entry where
+    :func:`_side_rooted` allows one.
     Both run in the root pool's order (per tag of a multi-tag root: the
     product root, left rows, right rows), so the evaluator sees exactly
     the bindings, in exactly the order, a materialised product shows it.
@@ -916,9 +1017,6 @@ def join_pairs_batched(
         for tag in ((None,) if root_tags is None else root_tags)
         for rank in ((0, 1, 2) if tag in (None, PRODUCT_ROOT_TAG) else (1, 2))
     ]
-    factored = any(rank == 0 for rank, _tag in order)
-    #: Per side, entry index -> (group lists, side-rooted check).
-    memos: Tuple[Dict[int, Tuple], Dict[int, Tuple]] = ({}, {})
     # The binding/position/row dicts and the emit closures are shared
     # across pairs — every label is rebound before an emit can observe
     # the dicts.
@@ -933,16 +1031,6 @@ def join_pairs_batched(
     contributing = side_scans = 0
     lcols = rcols = None
     l_row = r_row = 0
-
-    def side(rank: int, index: int, cols: DocumentColumns, row: int) -> Tuple:
-        memo = memos[rank - 1]
-        known = memo.get(index)
-        if known is None:
-            known = memo[index] = (
-                _group_lists(program, cols, row, rank) if factored else None,
-                _side_rooted(program, cols, row),
-            )
-        return known
 
     def emit() -> None:
         found[positions[root_label]] = None
@@ -973,8 +1061,8 @@ def join_pairs_batched(
     for i, j in results.candidates(pairs):
         lcols, l_row = left[i]
         rcols, r_row = right[j]
-        l_lists, l_rooted = side(1, i, lcols, l_row)
-        r_lists, r_rooted = side(2, j, rcols, r_row)
+        l_lists, l_rooted = _structural_matches(program, lcols, (1, l_row))
+        r_lists, r_rooted = _structural_matches(program, rcols, (2, r_row))
         side_scans += l_rooted + r_rooted
         for rank, tag in order:
             if rank == 0:
@@ -1022,4 +1110,5 @@ __all__ = [
     "selection_batched",
     "projection_batched",
     "join_pairs_batched",
+    "match_memo_misses",
 ]

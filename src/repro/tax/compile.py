@@ -29,7 +29,7 @@ interpreter runs only in the reference executor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from typing import AbstractSet, Callable, Dict, Optional, Type
 
 from ..errors import ConditionError
 from .conditions import (
@@ -276,6 +276,63 @@ def compile_condition(
 
 def _always_true(binding: Binding) -> bool:
     return True
+
+
+def without_pool_tags(condition: Condition, labels: AbstractSet[int]) -> Condition:
+    """``condition`` less the top-level tag atoms the step pools enforce.
+
+    :func:`~repro.tax.conditions.required_tags` turns each top-level
+    conjunct ``#n.tag = 'x'`` (or a one-label or-chain of them) into the
+    tag restriction of label ``n``'s candidate pool, so every complete
+    binding the batched scans produce satisfies it: under the base
+    ``compare`` such an atom can only return True, and compiling it
+    re-tests the pool on every binding.  Such conjuncts on a label in
+    ``labels`` (the pattern's) are dropped; an atom on any other label
+    stays, so its :class:`~repro.errors.ConditionError` still fires.
+    Only exact ``And`` / ``Or`` / ``Comparison`` / ``NodeTag`` /
+    ``Constant`` nodes qualify — a subclass keeps its own semantics.
+    The caller checks the context keeps the base ``compare``.
+    """
+    conjuncts = list(_conjuncts(condition))
+    kept = [part for part in conjuncts if _pool_tag_label(part) not in labels]
+    if len(kept) == len(conjuncts):
+        return condition
+    if not kept:
+        return TrueCondition()
+    return kept[0] if len(kept) == 1 else And(*kept)
+
+
+def _conjuncts(condition: Condition):
+    """The operands of ``condition``'s top-level (nested) exact ``And``."""
+    if type(condition) is And:
+        for operand in condition.operands:
+            yield from _conjuncts(operand)
+    else:
+        yield condition
+
+
+def _pool_tag_label(condition: Condition) -> Optional[int]:
+    """The label a conjunct restricts to a tag set, if it only does that:
+    ``#n.tag = 'x'``, or an or-chain of such atoms on one label."""
+    kind = type(condition)
+    if kind is Comparison:
+        return _tag_atom_label(condition)
+    if kind is Or and condition.operands:
+        found = {_tag_atom_label(operand) for operand in condition.operands}
+        if len(found) == 1:
+            return found.pop()
+    return None
+
+
+def _tag_atom_label(atom: Condition) -> Optional[int]:
+    if type(atom) is not Comparison or atom.op != "=":
+        return None
+    left, right = type(atom.left), type(atom.right)
+    if left is NodeTag and right is Constant:
+        return atom.left.label
+    if right is NodeTag and left is Constant:
+        return atom.right.label
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ from typing import Dict, List, Optional, Tuple
 from .model import XmlNode, _object_ids
 from .serializer import serialize
 
+#: How many pattern shapes' structural matches one document's columns
+#: keep (:meth:`DocumentColumns.match_memo`); the oldest shape is dropped
+#: first.  A served workload's join texts share a handful of shapes.
+MATCH_MEMO_SHAPES = 8
+
 
 class DocumentColumns:
     """Flat preorder arrays for one document tree.
@@ -42,6 +47,7 @@ class DocumentColumns:
         "_subtree_keys",
         "_subtree_texts",
         "_parent_rows",
+        "_matches",
     )
 
     def __init__(self, root: XmlNode) -> None:
@@ -86,6 +92,9 @@ class DocumentColumns:
         #: Per-tag sorted parent rows (rows with >=1 child of the tag),
         #: built on first use — the batched verifier's structural prune.
         self._parent_rows: Dict[str, List[int]] = {}
+        #: Per pattern shape, the structural matches the batched verifier
+        #: found in this document (see :meth:`match_memo`).
+        self._matches: Dict[Tuple, Dict] = {}
 
     def tag_rows_in(self, tag: str, lo: int, hi: int) -> List[int]:
         """Rows with ``tag`` in the half-open row interval ``[lo, hi)``.
@@ -119,6 +128,25 @@ class DocumentColumns:
         start = bisect_left(rows, lo)
         stop = bisect_left(rows, hi, start)
         return rows[start:stop]
+
+    def match_memo(self, shape: Tuple) -> Dict:
+        """The structural-match memo of one pattern shape, created empty
+        on first use.
+
+        :mod:`repro.tax.batch` keeps there what it walked of this
+        document for the shape (a join side's embeddings, a side entry's
+        group lists), so a repeated join walks nothing.  At most
+        :data:`MATCH_MEMO_SHAPES` shapes are kept, the oldest dropped
+        first.  The memo lives and dies with these columns (a mutation
+        replaces them).
+        """
+        matches = self._matches
+        memo = matches.get(shape)
+        if memo is None:
+            if len(matches) >= MATCH_MEMO_SHAPES:
+                del matches[next(iter(matches))]
+            memo = matches[shape] = {}
+        return memo
 
     def subtree_key(self, row: int) -> Tuple:
         """:meth:`XmlNode.canonical_key` of the subtree at ``row``, cached.
