@@ -578,6 +578,7 @@ def _render_request_timeline(args: argparse.Namespace) -> int:
 def _cmd_db_trace(args: argparse.Namespace) -> int:
     from .core.persistence import load_system
     from .obs import DEFAULT_SLOW_QUERY_SECONDS, for_root, render_span_dict
+    from .obs import trace as obs_trace
     from .obs.context import RequestContext, activate
 
     if args.request:
@@ -634,9 +635,10 @@ def _cmd_db_trace(args: argparse.Namespace) -> int:
     dropped = report.trace.get("attributes", {}).get("dropped_spans")
     if dropped:
         print(
-            f"# {dropped} span(s) dropped at the tree bound "
-            "(see the trace.spans_dropped counter; raise max_spans/"
-            "max_depth to keep them)"
+            f"# {dropped} span(s) dropped at the tree bound (see the "
+            "trace.spans_dropped counter; the bounds are fixed: "
+            f"repro.obs.trace.DEFAULT_MAX_SPANS = {obs_trace.DEFAULT_MAX_SPANS}, "
+            f"DEFAULT_MAX_DEPTH = {obs_trace.DEFAULT_MAX_DEPTH})"
         )
     if profiler is not None:
         exemplar = profiler.take_exemplar()

@@ -10,7 +10,7 @@ are tree collections viewed under the same shared SEO.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from ..tax import algebra as tax_algebra
 from ..tax.pattern import PatternTree

@@ -32,7 +32,6 @@ from ..tax.conditions import (
     Condition,
     ConditionContext,
     Constant,
-    Contains,
     NodeContent,
     NodeTag,
     Not,

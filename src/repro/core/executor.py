@@ -644,14 +644,6 @@ class QueryExecutor:
 
     # -- plan cache ---------------------------------------------------------
 
-    @property
-    def plan_cache_hits(self) -> int:
-        return self._plan_cache.hits
-
-    @property
-    def plan_cache_misses(self) -> int:
-        return self._plan_cache.misses
-
     def set_context(
         self,
         context: Optional[SeoConditionContext],

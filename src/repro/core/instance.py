@@ -15,14 +15,13 @@ well-named unit of administration.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..similarity.seo import SimilarityEnhancedOntology
 from ..xmldb.model import XmlNode
 from ..xmldb.serializer import document_bytes
 from .conditions import TypingFunction, default_typing
-from .types import STRING
 
 
 class SemistructuredInstance:
@@ -44,9 +43,6 @@ class SemistructuredInstance:
 
     def total_bytes(self) -> int:
         return sum(document_bytes(tree) for tree in self.trees)
-
-    def total_nodes(self) -> int:
-        return sum(tree.size() for tree in self.trees)
 
     def tags(self) -> "set[str]":
         found: "set[str]" = set()

@@ -29,7 +29,7 @@ import json
 import os
 from typing import Dict, List
 
-from ..errors import ReproError, SimilarityError, TossError
+from ..errors import SimilarityError, TossError
 from ..ioutils import atomic_write_text
 from ..ontology.constraints import parse_constraint
 from ..ontology.hierarchy import Ontology

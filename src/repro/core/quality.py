@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Set, Tuple
+from typing import Collection, Hashable, Set, Tuple
 
 
 def precision_recall(

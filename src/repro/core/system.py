@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import DeltaRefused, ReproError, TossError
 from ..guard import ResourceGuard
@@ -96,10 +96,6 @@ class MutationReceipt:
     fallback_reason: Optional[str] = None
     #: The updated instance (new object; previous snapshots are unchanged).
     instance: "OntologyExtendedInstance" = None  # type: ignore[assignment]
-
-    @property
-    def generations_advanced(self) -> int:
-        return self.generation_after - self.generation_before
 
 
 @dataclass

@@ -21,7 +21,7 @@ the "well-typed" machinery of Section 5.1.1.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConversionError, TypeSystemError
 from ..ontology.hierarchy import Hierarchy

@@ -10,7 +10,7 @@ profile injecting the spelling noise the similarity machinery targets.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..xmldb.model import XmlNode
 from .ground_truth import Corpus

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 #: First names; several confusable clusters are adjacent.
 FIRST_NAMES: Tuple[str, ...] = (

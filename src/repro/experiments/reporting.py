@@ -7,7 +7,7 @@ these helpers keep the formatting consistent and dependency-free.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from .runner import PrecisionRecallResults
 from .scalability import EpsilonPoint, ScalabilityPoint

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from ..core.executor import ExecutionReport
 from ..core.quality import QualityReport
 from ..data.dblp import render_dblp
-from ..data.ground_truth import Corpus, generate_corpus
+from ..data.ground_truth import generate_corpus
 from ..xmldb.model import XmlNode
-from .workload import SelectionQuery, build_selection_workload, build_system
+from .workload import build_selection_workload, build_system
 
 
 def returned_paper_keys(results: Iterable[XmlNode]) -> FrozenSet[str]:

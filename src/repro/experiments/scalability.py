@@ -18,7 +18,7 @@ from ..core.executor import ExecutionReport
 from ..core.reference import ReferenceExecutor
 from ..core.system import TossSystem
 from ..data.dblp import render_dblp
-from ..data.ground_truth import Corpus, generate_corpus
+from ..data.ground_truth import generate_corpus
 from ..data.sigmod import render_sigmod_pages
 from ..xmldb.serializer import document_bytes
 from .workload import (

@@ -58,8 +58,8 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .errors import ServingError, SnapshotTransportError
 

@@ -24,7 +24,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -155,11 +154,6 @@ def find_cycle(graph: Graph) -> Optional[List[Node]]:
                 colour[node] = BLACK
                 stack.pop()
     return None
-
-
-def is_acyclic(graph: Graph) -> bool:
-    """True iff the directed graph contains no cycle."""
-    return find_cycle(graph) is None
 
 
 def ensure_acyclic(graph: Graph) -> None:
@@ -308,18 +302,6 @@ def transitive_reduction(graph: Graph) -> Dict[Node, Set[Node]]:
     return reduced
 
 
-def undirected_adjacency(edges: Iterable[Tuple[Node, Node]]) -> Dict[Node, Set[Node]]:
-    """Build a symmetric adjacency map from an iterable of edges."""
-    adjacency: Dict[Node, Set[Node]] = {}
-    for left, right in edges:
-        adjacency.setdefault(left, set())
-        adjacency.setdefault(right, set())
-        if left != right:
-            adjacency[left].add(right)
-            adjacency[right].add(left)
-    return adjacency
-
-
 def maximal_cliques(adjacency: Mapping[Node, Set[Node]]) -> List[FrozenSet[Node]]:
     """Bron-Kerbosch with pivoting over an undirected adjacency map.
 
@@ -346,26 +328,3 @@ def maximal_cliques(adjacency: Mapping[Node, Set[Node]]) -> List[FrozenSet[Node]
 
     expand(set(), set(adjacency), set())
     return cliques
-
-
-def connected_components_undirected(
-    adjacency: Mapping[Node, Set[Node]]
-) -> List[Set[Node]]:
-    """Connected components of an undirected adjacency map."""
-    seen: Set[Node] = set()
-    components: List[Set[Node]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        component: Set[Node] = set()
-        frontier = deque([start])
-        seen.add(start)
-        while frontier:
-            node = frontier.popleft()
-            component.add(node)
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        components.append(component)
-    return components

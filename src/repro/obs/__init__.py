@@ -78,20 +78,11 @@ class Observability:
         self,
         enabled: bool = True,
         directory: Optional[Union[str, Path]] = None,
-        trace_enabled: bool = True,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        max_spans: int = DEFAULT_MAX_SPANS,
         slow_query_seconds: float = DEFAULT_SLOW_QUERY_SECONDS,
-        registry: Optional[MetricsRegistry] = None,
-        event_log_max_bytes: Optional[int] = None,
     ) -> None:
         self.enabled = enabled
         self.directory = Path(directory) if directory is not None else None
-        self.trace_enabled = trace_enabled
-        self.max_depth = max_depth
-        self.max_spans = max_spans
         self.slow_query_seconds = slow_query_seconds
-        self.registry = registry if registry is not None else REGISTRY
         self.event_log: Optional[JsonLinesSink] = None
         self.slow_log: Optional[SlowQueryLog] = None
         self.metrics_path: Optional[Path] = None
@@ -100,18 +91,10 @@ class Observability:
         #: slow-query entry drains it into a flame-style exemplar.
         self.profiler: Optional[Any] = None
         if self.enabled and self.directory is not None:
-            sink_kwargs = (
-                {"max_bytes": event_log_max_bytes}
-                if event_log_max_bytes is not None
-                else {}
-            )
-            self.event_log = JsonLinesSink(
-                self.directory / EVENTS_FILENAME, **sink_kwargs
-            )
+            self.event_log = JsonLinesSink(self.directory / EVENTS_FILENAME)
             self.slow_log = SlowQueryLog(
                 self.directory / SLOW_QUERIES_FILENAME,
                 threshold_seconds=slow_query_seconds,
-                **sink_kwargs,
             )
             self.metrics_path = self.directory / METRICS_FILENAME
 
@@ -120,9 +103,9 @@ class Observability:
     def tracer(self) -> Tracer:
         """A fresh single-use tracer (the shared :data:`NULL_TRACER` when
         tracing is off, so disabled mode allocates nothing per query)."""
-        if not (self.enabled and self.trace_enabled):
+        if not self.enabled:
             return NULL_TRACER
-        return Tracer(max_depth=self.max_depth, max_spans=self.max_spans)
+        return Tracer()
 
     # -- event routing ------------------------------------------------------
 
@@ -200,7 +183,7 @@ class Observability:
         setup has no metrics file)."""
         if not self.enabled or self.metrics_path is None:
             return None
-        return write_metrics_snapshot(self.metrics_path, self.registry)
+        return write_metrics_snapshot(self.metrics_path, REGISTRY)
 
 
 #: Shared disabled configuration — the default everywhere.
@@ -215,13 +198,10 @@ def obs_directory(root: Union[str, Path]) -> Path:
 def for_root(
     root: Union[str, Path],
     slow_query_seconds: float = DEFAULT_SLOW_QUERY_SECONDS,
-    trace_enabled: bool = True,
 ) -> Observability:
     """An :class:`Observability` anchored at ``<root>/obs``."""
     return Observability(
-        directory=obs_directory(root),
-        slow_query_seconds=slow_query_seconds,
-        trace_enabled=trace_enabled,
+        directory=obs_directory(root), slow_query_seconds=slow_query_seconds
     )
 
 

@@ -77,18 +77,8 @@ class RequestContext:
     deadline_seconds: Optional[float] = None
 
     @classmethod
-    def mint(
-        cls,
-        tenant: Optional[str] = None,
-        query_class: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> "RequestContext":
-        return cls(
-            request_id=new_request_id(),
-            tenant=tenant,
-            query_class=query_class,
-            deadline_seconds=deadline_seconds,
-        )
+    def mint(cls) -> "RequestContext":
+        return cls(request_id=new_request_id())
 
     # -- wire form (task-dict transport) -----------------------------------
 

@@ -7,7 +7,7 @@ fleet can consume:
   0.0.4): counters get the ``_total`` suffix, histograms expand to
   cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``, and
   rolling-window statistics become labelled gauges
-  (``{namespace}_window_qps{class="selection",window="10s"}``).  Metric
+  (``toss_window_qps{class="selection",window="10s"}``).  Metric
   names are sanitised (``executor.query_seconds`` →
   ``toss_executor_query_seconds``) since Prometheus forbids dots.
 * :func:`render_json` — the same payload as one canonical JSON object,
@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
-
-from .window import STANDARD_WINDOWS
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "DEFAULT_NAMESPACE",
@@ -77,7 +75,6 @@ def _number(value: Any) -> str:
 def render_prometheus(
     metrics_snapshot: Mapping[str, Mapping[str, Any]],
     window_stats: Optional[Mapping[str, Mapping[int, Mapping[str, Any]]]] = None,
-    namespace: str = DEFAULT_NAMESPACE,
 ) -> str:
     """Prometheus text exposition of a metrics snapshot (the
     :meth:`repro.obs.metrics.MetricsRegistry.snapshot` shape) plus,
@@ -88,15 +85,15 @@ def render_prometheus(
         entry = metrics_snapshot[name]
         kind = entry.get("type")
         if kind == "counter":
-            flat = metric_name(name, namespace) + "_total"
+            flat = metric_name(name) + "_total"
             lines.append(f"# TYPE {flat} counter")
             lines.append(f"{flat} {_number(entry.get('value', 0))}")
         elif kind == "gauge":
-            flat = metric_name(name, namespace)
+            flat = metric_name(name)
             lines.append(f"# TYPE {flat} gauge")
             lines.append(f"{flat} {_number(entry.get('value', 0))}")
         elif kind == "histogram":
-            flat = metric_name(name, namespace)
+            flat = metric_name(name)
             lines.append(f"# TYPE {flat} histogram")
             bounds = list(entry.get("bounds", ()))
             counts = list(entry.get("counts", ()))
@@ -111,7 +108,7 @@ def render_prometheus(
             lines.append(f"{flat}_sum {_number(entry.get('sum', 0.0))}")
             lines.append(f"{flat}_count {_number(entry.get('count', 0))}")
     if window_stats:
-        lines.extend(_render_window_gauges(window_stats, namespace))
+        lines.extend(_render_window_gauges(window_stats))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -129,11 +126,10 @@ _WINDOW_FIELDS = (
 
 def _render_window_gauges(
     window_stats: Mapping[str, Mapping[int, Mapping[str, Any]]],
-    namespace: str,
 ) -> List[str]:
     lines: List[str] = []
     for suffix, field in _WINDOW_FIELDS:
-        flat = metric_name(f"window.{suffix}", namespace)
+        flat = metric_name(f"window.{suffix}")
         series: List[str] = []
         for query_class in sorted(window_stats):
             per_window = window_stats[query_class]
@@ -225,7 +221,6 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, Any]]:
 def format_status_line(
     window_stats: Mapping[str, Mapping[int, Mapping[str, Any]]],
     window: int = 10,
-    windows: Iterable[int] = STANDARD_WINDOWS,
 ) -> str:
     """One terminal status line from :meth:`multi_stats` output.
 

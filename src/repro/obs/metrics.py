@@ -39,8 +39,6 @@ DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 100000,
 )
 
-_INF = "+Inf"
-
 
 class Counter:
     """Monotonically increasing count."""
@@ -79,9 +77,6 @@ class Gauge:
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self.value -= amount
-
     def to_dict(self) -> Dict[str, Any]:
         return {"type": self.kind, "value": self.value}
 
@@ -115,11 +110,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def bucket_counts(self) -> Dict[str, int]:
-        """Bucket label -> count (non-cumulative), including ``+Inf``."""
-        labels = [f"{bound:g}" for bound in self.bounds] + [_INF]
-        return dict(zip(labels, self.counts))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": self.kind,
@@ -136,9 +126,6 @@ class _NullInstrument:
     __slots__ = ()
 
     def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
         pass
 
     def set(self, value: Union[int, float]) -> None:
@@ -214,10 +201,6 @@ class MetricsRegistry:
                 name: self._instruments[name].to_dict()
                 for name in sorted(self._instruments)
             }
-
-    def render_text(self) -> str:
-        """Human-readable one-line-per-metric rendering (for the CLI)."""
-        return render_snapshot_text(self.snapshot())
 
     def absorb(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
         """Accumulate a :meth:`snapshot`-shaped payload into the live
@@ -335,8 +318,3 @@ def merge_snapshots(
 
 #: The process-wide registry every subsystem publishes into.
 REGISTRY = MetricsRegistry()
-
-
-def set_enabled(enabled: bool) -> None:
-    """Flip the process-wide registry on or off."""
-    REGISTRY.enabled = enabled

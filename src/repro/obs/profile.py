@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import trace as _trace
@@ -32,6 +31,9 @@ from . import trace as _trace
 __all__ = ["SamplingProfiler", "DEFAULT_HZ"]
 
 DEFAULT_HZ = 97.0
+
+#: Frames kept per sample, innermost first.
+MAX_STACK_DEPTH = 32
 
 IDLE_PHASE = "(untraced)"
 
@@ -73,32 +75,24 @@ class SamplingProfiler:
         profiler = SamplingProfiler(hz=97)
         with profiler:
             run_workload()
-        for row in profiler.aggregate(top=10):
-            print(row["phase"], row["stack"], row["fraction"])
+        for row in profiler.take_exemplar(top=10)["hotspots"]:
+            print(row["phase"], row["stack"], row["samples"])
 
-    ``target_thread_id`` defaults to the thread that calls
-    :meth:`start` — normally the request-serving thread.
+    It samples the thread that calls :meth:`start` — normally the
+    request-serving thread — at most :data:`MAX_STACK_DEPTH` frames deep.
     """
 
-    def __init__(
-        self,
-        hz: float = DEFAULT_HZ,
-        max_depth: int = 32,
-        target_thread_id: Optional[int] = None,
-    ) -> None:
+    def __init__(self, hz: float = DEFAULT_HZ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz}")
         self.hz = float(hz)
         self.interval = 1.0 / self.hz
-        self.max_depth = max_depth
-        self._target_thread_id = target_thread_id
+        self._target_thread_id: Optional[int] = None
         self._samples: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self._total = 0
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._started_at: Optional[float] = None
-        self._elapsed = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -112,7 +106,6 @@ class SamplingProfiler:
         if self._target_thread_id is None:
             self._target_thread_id = threading.get_ident()
         self._stop.clear()
-        self._started_at = time.perf_counter()
         self._thread = threading.Thread(
             target=self._run, name="repro-obs-sampler", daemon=True
         )
@@ -126,9 +119,6 @@ class SamplingProfiler:
         self._stop.set()
         thread.join(timeout=2.0)
         self._thread = None
-        if self._started_at is not None:
-            self._elapsed += time.perf_counter() - self._started_at
-            self._started_at = None
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()
@@ -147,7 +137,7 @@ class SamplingProfiler:
                 continue
             stack: List[str] = []
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < MAX_STACK_DEPTH:
                 stack.append(_format_frame(frame))
                 frame = frame.f_back
                 depth += 1
@@ -158,49 +148,6 @@ class SamplingProfiler:
                 self._total += 1
 
     # -- reads -------------------------------------------------------------
-
-    @property
-    def total_samples(self) -> int:
-        with self._lock:
-            return self._total
-
-    def elapsed_seconds(self) -> float:
-        elapsed = self._elapsed
-        if self._started_at is not None:
-            elapsed += time.perf_counter() - self._started_at
-        return elapsed
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """Estimated wall seconds per phase: samples × sampling interval."""
-        with self._lock:
-            totals: Dict[str, int] = {}
-            for (phase, _stack), count in self._samples.items():
-                totals[phase] = totals.get(phase, 0) + count
-        return {
-            phase: round(count * self.interval, 6)
-            for phase, count in sorted(totals.items(), key=lambda kv: -kv[1])
-        }
-
-    def aggregate(self, top: Optional[int] = 20) -> List[Dict[str, Any]]:
-        """Flame-style rows sorted by sample count.
-
-        Each row: ``{"phase", "stack" (";"-joined root→leaf),
-        "samples", "fraction"}``.
-        """
-        with self._lock:
-            items = sorted(self._samples.items(), key=lambda kv: -kv[1])
-            total = self._total
-        if top is not None:
-            items = items[:top]
-        return [
-            {
-                "phase": phase,
-                "stack": ";".join(stack),
-                "samples": count,
-                "fraction": round(count / total, 4) if total else 0.0,
-            }
-            for (phase, stack), count in items
-        ]
 
     def take_exemplar(self, top: int = 10) -> Dict[str, Any]:
         """Aggregate-and-drain: the profile accumulated since the last

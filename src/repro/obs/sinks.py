@@ -112,9 +112,8 @@ class SlowQueryLog(JsonLinesSink):
         path: Union[str, Path],
         threshold_seconds: float = 0.5,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        backups: int = 1,
     ) -> None:
-        super().__init__(path, max_bytes=max_bytes, backups=backups)
+        super().__init__(path, max_bytes=max_bytes)
         self.threshold_seconds = threshold_seconds
 
     def record(self, payload: Dict[str, Any]) -> bool:

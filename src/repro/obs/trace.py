@@ -60,10 +60,6 @@ class Span:
             payload["children"] = [child.to_dict() for child in self.children]
         return payload
 
-    def render(self, indent: int = 0) -> str:
-        """Human-readable span tree (one span per line)."""
-        return "\n".join(render_span_dict(self.to_dict()))
-
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.seconds:.6f}s, {len(self.children)} children)"
 

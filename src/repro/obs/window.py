@@ -53,7 +53,7 @@ LATENCY_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
 #: second without evicting the oldest full one.
 DEFAULT_HORIZON_SECONDS = 60
 
-#: The window sizes ``stats`` reports by default.
+#: The window sizes ``WindowRegistry.multi_stats`` reports.
 STANDARD_WINDOWS: Tuple[int, ...] = (1, 10, 60)
 
 #: Snapshot schema version (bump on layout change).
@@ -115,15 +115,11 @@ class RollingWindow:
     optional ``now`` (epoch seconds) so tests are deterministic.
     """
 
-    def __init__(
-        self,
-        horizon: int = DEFAULT_HORIZON_SECONDS,
-        bounds: Tuple[float, ...] = LATENCY_BUCKET_BOUNDS,
-    ) -> None:
+    def __init__(self, horizon: int = DEFAULT_HORIZON_SECONDS) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.horizon = horizon
-        self.bounds = tuple(bounds)
+        self.bounds = LATENCY_BUCKET_BOUNDS
         self._capacity = horizon + 1
         self._bucket_count = len(self.bounds) + 1
         self._slots = [_Slot(self._bucket_count) for _ in range(self._capacity)]
@@ -297,8 +293,7 @@ class WindowRegistry:
     worker-delta folding, ``reset`` for forked workers.
     """
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON_SECONDS, enabled: bool = True):
-        self.horizon = horizon
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._windows: Dict[str, RollingWindow] = {}
         self._slo: Dict[str, SloPolicy] = {}
@@ -308,7 +303,7 @@ class WindowRegistry:
         with self._lock:
             window = self._windows.get(query_class)
             if window is None:
-                window = self._windows[query_class] = RollingWindow(self.horizon)
+                window = self._windows[query_class] = RollingWindow()
             return window
 
     def set_slo(self, query_class: str, policy: SloPolicy) -> None:
@@ -341,7 +336,7 @@ class WindowRegistry:
                 classes[name] = rows
         return {
             "format": SNAPSHOT_FORMAT,
-            "horizon": self.horizon,
+            "horizon": DEFAULT_HORIZON_SECONDS,
             "classes": classes,
         }
 
@@ -369,14 +364,12 @@ class WindowRegistry:
         }
 
     def multi_stats(
-        self,
-        windows: Iterable[int] = STANDARD_WINDOWS,
-        now: Optional[float] = None,
+        self, now: Optional[float] = None
     ) -> Dict[str, Dict[int, Dict[str, Any]]]:
         """``{query class: {window size: stats}}`` — the 1s/10s/60s view."""
         anchored = now if now is not None else time.time()
         result: Dict[str, Dict[int, Dict[str, Any]]] = {}
-        for size in windows:
+        for size in STANDARD_WINDOWS:
             for name, stats in self.stats(window=size, now=anchored).items():
                 result.setdefault(name, {})[size] = stats
         return result

@@ -355,12 +355,3 @@ def retract_fusion(
         scoped: node for scoped, node in prev.witness.items() if scoped not in doomed
     }
     return FusionResult(hierarchy, witness)
-
-
-def fuse_single(hierarchy: Hierarchy, source: Hashable = 1) -> FusionResult:
-    """Wrap one hierarchy as a (trivial) fusion of itself.
-
-    Convenient when a database has a single instance: the TOSS algebra is
-    defined over a fusion, so single-instance setups go through here.
-    """
-    return canonical_fusion({source: hierarchy})

@@ -192,10 +192,6 @@ class Hierarchy:
         """Maximal terms (no strict ancestors)."""
         return frozenset(node for node in self._parents if not self._parents[node])
 
-    def leaves(self) -> FrozenSet[Term]:
-        """Minimal terms (no strict descendants)."""
-        return frozenset(node for node in self._children if not self._children[node])
-
     def least_upper_bound(self, left: Term, right: Term) -> Optional[Term]:
         """The least common upper bound of two terms, or None.
 
@@ -213,10 +209,6 @@ class Hierarchy:
         if len(minimal) == 1:
             return minimal[0]
         return None
-
-    def comparable(self, left: Term, right: Term) -> bool:
-        """True iff the two terms are ordered one way or the other."""
-        return self.leq(left, right) or self.leq(right, left)
 
     # -- derivation ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ examples rely on ("US Census Bureau" part-of "US government", "Google" isa
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 
 class Lexicon:
@@ -147,20 +147,6 @@ class Lexicon:
 
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def merged_with(self, other: "Lexicon") -> "Lexicon":
-        """A new lexicon containing both knowledge bases' entries."""
-        merged = Lexicon()
-        for source in (self, other):
-            for term, parents in source._hypernyms.items():
-                for parent in parents:
-                    merged.add_hypernym(term, parent)
-            for term, wholes in source._holonyms.items():
-                for whole in wholes:
-                    merged.add_holonym(term, whole)
-            for term, others in source._synonyms.items():
-                merged.add_synonyms(term, *others)
-        return merged
 
 
 def bibliography_lexicon() -> Lexicon:

@@ -304,10 +304,7 @@ class QueryServer:
             "right_collection": request.right_collection,
             "guard": spec.as_tuple() if spec is not None else None,
             "collect_metrics": collect_metrics,
-            "trace": bool(
-                self.system.observability.enabled
-                and self.system.observability.trace_enabled
-            ),
+            "trace": self.system.observability.enabled,
             "request": context.to_wire() if context is not None else None,
         }
 

@@ -272,7 +272,6 @@ def block_edges(
     epsilon: float,
     guard: Optional[ResourceGuard] = None,
     use_filter: bool = True,
-    what: str = "SEA similarity graph",
 ) -> Tuple[List[Tuple[int, int]], BlockStats]:
     """Every epsilon-similar pair of ``reps``: the self-join.
 
@@ -299,12 +298,12 @@ def block_edges(
         profile = index.profile(rep_j, occs[j] if use_filter else None)
         stats.probes += 1
         if guard is not None:
-            guard.tick(1, what=what)
+            guard.tick(1, what="SEA similarity graph")
         for q in index.probe(profile):
             i = order[q]
             stats.candidates += 1
             if guard is not None:
-                guard.tick(1, what=what)
+                guard.tick(1, what="SEA similarity graph")
             rep_i = reps[i]
             if (
                 rep_i == rep_j

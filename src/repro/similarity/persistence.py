@@ -22,7 +22,7 @@ from ..ioutils import atomic_write_text
 from ..ontology.constraints import ScopedTerm
 from ..ontology.fusion import FusedNode, FusionResult
 from ..ontology.hierarchy import Hierarchy
-from .measures import StringSimilarityMeasure, get_measure
+from .measures import get_measure
 from .sea import EnhancedNode, NodeDistance, SimilarityEnhancement
 from .seo import SimilarityEnhancedOntology
 

@@ -224,10 +224,6 @@ class SimilarityEnhancement:
         """``mu^{-1}``: the original nodes mapped into ``enhanced``."""
         return enhanced.members
 
-    def nodes_containing(self, original: Node) -> FrozenSet[EnhancedNode]:
-        """All enhanced nodes whose member set includes ``original``."""
-        return self.mu.get(original, frozenset())
-
     def cohabiting(self, a: Node, b: Node) -> bool:
         """Definition 8's similarity test: do a and b share an H' node?
 

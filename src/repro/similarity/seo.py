@@ -46,7 +46,6 @@ from .incremental import EpsilonGraphCache
 from .measures import StringSimilarityMeasure
 from .sea import (
     EnhancedNode,
-    NodeDistance,
     SeaStats,
     SimilarityEnhancement,
     extend_enhancement,

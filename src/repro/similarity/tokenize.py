@@ -74,10 +74,6 @@ class CorpusStatistics:
         self._doc_freq.update(word_set(document))
         self._dirty = True
 
-    @property
-    def document_count(self) -> int:
-        return self._doc_count
-
     def idf(self, token: str) -> float:
         """Smoothed inverse document frequency of ``token``.
 

@@ -9,7 +9,7 @@ the same code runs plain TAX (default context) and TOSS (SEO context).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..xmldb.model import XmlNode
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT
@@ -17,12 +17,11 @@ from .embedding import assemble_forest, find_embeddings, find_matches, witness_t
 from .pattern import PatternTree
 from .tree import Collection, dedupe
 
-#: A compiled pattern condition (see :mod:`repro.tax.compile`) and the
-#: tag restrictions derived from it — the batched operators'
-#: accelerations (:mod:`repro.tax.batch`), exactly equivalent to
-#: interpreting ``pattern.condition`` the way the operators here do.
+#: A compiled pattern condition (see :mod:`repro.tax.compile`) — the
+#: batched operators' acceleration (:mod:`repro.tax.batch`), exactly
+#: equivalent to interpreting ``pattern.condition`` the way the
+#: operators here do.
 ConditionEvaluator = Callable[[Binding], bool]
-TagRestrictions = Mapping[int, Set[str]]
 
 #: The synthetic root tag used by the product operator (Figure 7).
 PRODUCT_ROOT_TAG = "tax_prod_root"

@@ -14,7 +14,7 @@ rejects semantic operators, exactly TAX's behaviour).
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Dict, Mapping, Optional, Set, Union
 
 from ..errors import ConditionError
 from ..xmldb.model import XmlNode

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from ..xmldb.model import XmlNode, ancestor_of
 from .conditions import Binding, ConditionContext, DEFAULT_CONTEXT, required_tags
-from .pattern import AD, PC, PatternNode, PatternTree
+from .pattern import PC, PatternNode, PatternTree
 
 
 @dataclass(slots=True)
@@ -136,16 +136,6 @@ def find_matches(
         binding.pop(pattern_node.label, None)
 
     yield from backtrack(0)
-
-
-def find_embeddings_in_collection(
-    pattern: PatternTree,
-    trees: Sequence[XmlNode],
-    context: ConditionContext = DEFAULT_CONTEXT,
-) -> Iterator[Embedding]:
-    """Embeddings across a collection; each embedding stays within one tree."""
-    for tree in trees:
-        yield from find_embeddings(pattern, tree, context)
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,6 @@ class Collection:
         """Sum of compact-serialised document sizes (paper's data size)."""
         return sum(document_bytes(root) for root in self._documents.values())
 
-    def total_nodes(self) -> int:
-        return sum(root.size() for root in self._documents.values())
-
     # -- querying ----------------------------------------------------------------
 
     def columns_for(self, key: str, root: XmlNode) -> DocumentColumns:
@@ -301,31 +298,13 @@ class Collection:
             guard.tick_each(pending, "xpath evaluation")
         return pairs
 
-    def _evaluate(
-        self,
-        compiled: XPathQuery,
-        documents: "Iterable[Tuple[str, XmlNode]]",
-        guard: Optional[ResourceGuard],
-    ) -> List[ResultNode]:
-        results: List[ResultNode] = []
-        for _key, root in documents:
-            results.extend(compiled.select(root, guard=guard))
-            if guard is not None:
-                guard.check_results(len(results), f"query over {self.name!r}")
-        return results
-
     def xpath(
         self,
         query: "str | XPathQuery",
         guard: Optional[ResourceGuard] = None,
-        document_keys: Optional["Iterable[str]"] = None,
     ) -> List[ResultNode]:
-        """Run an XPath query over every document, concatenating results.
-
-        ``document_keys`` restricts evaluation to a subset of documents
-        (unknown keys are ignored); iteration stays in collection
-        insertion order so a restricted run returns results in the same
-        order as a full scan filtered to those documents.
+        """Run an XPath query over every document, concatenating results
+        in collection insertion order.
 
         A :class:`~repro.guard.ResourceGuard` bounds the evaluation: the
         tree engine charges its deadline and step budget per evaluation
@@ -333,17 +312,12 @@ class Collection:
         documents.
         """
         compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        return self._evaluate(compiled, self._selected(document_keys), guard)
-
-    def xpath_document(
-        self,
-        key: str,
-        query: "str | XPathQuery",
-        guard: Optional[ResourceGuard] = None,
-    ) -> List[ResultNode]:
-        """Run an XPath query over a single document."""
-        compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        return self._evaluate(compiled, [(key, self.get_document(key))], guard)
+        results: List[ResultNode] = []
+        for root in self._documents.values():
+            results.extend(compiled.select(root, guard=guard))
+            if guard is not None:
+                guard.check_results(len(results), f"query over {self.name!r}")
+        return results
 
     def __repr__(self) -> str:
         return f"Collection({self.name!r}, {len(self)} documents)"

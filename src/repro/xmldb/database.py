@@ -1,10 +1,10 @@
 """The database facade: named collections + query statistics.
 
 Plays the role Apache Xindice plays in the paper's architecture (Figure 8):
-:meth:`Database.xpath` takes an XPath string and returns a node-set — the
-route the reference executor runs (the paper's Section 6 pipeline).  The
-production executor fetches candidate rows from each
-:class:`~repro.xmldb.collection.Collection` directly
+:meth:`Database.xpath` takes an XPath string and returns a node-set over
+the tree engine, as the reference executor's candidate scan does (the
+paper's Section 6 pipeline).  The production executor fetches candidate
+rows from each :class:`~repro.xmldb.collection.Collection` directly
 (:meth:`~repro.xmldb.collection.Collection.fetch`).  The
 :class:`QueryStatistics` counter records how many XPath queries ran, how
 long they took and how many nodes they returned.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CollectionError
 from ..guard import ResourceGuard
@@ -106,14 +106,9 @@ class Database:
         self,
         collection_name: str,
         query: str,
-        document_key: Optional[str] = None,
         guard: Optional[ResourceGuard] = None,
-        document_keys: Optional[Iterable[str]] = None,
     ) -> List[ResultNode]:
-        """Run an XPath query against a collection (or one document of it).
-
-        ``document_keys`` restricts a collection-wide query to a subset
-        of documents, preserving collection order.
+        """Run an XPath query against every document of a collection.
 
         Timing and result counts are accumulated in :attr:`statistics`.
         With a :class:`~repro.guard.ResourceGuard`, evaluation honours its
@@ -121,10 +116,7 @@ class Database:
         """
         collection = self.get_collection(collection_name)
         started = time.perf_counter()
-        if document_key is None:
-            results = collection.xpath(query, guard=guard, document_keys=document_keys)
-        else:
-            results = collection.xpath_document(document_key, query, guard=guard)
+        results = collection.xpath(query, guard=guard)
         seconds = time.perf_counter() - started
         self.statistics.record(seconds, len(results))
         METRICS.counter("xpath.queries").inc()

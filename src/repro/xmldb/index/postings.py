@@ -288,13 +288,6 @@ class CollectionSearchIndex:
         """The number of indexed documents."""
         return len(self._documents)
 
-    def term_postings(self, value: str) -> Mapping[str, Tuple[str, ...]]:
-        """``{doc key -> node paths}`` for an exact text value (may be empty)."""
-        return self._terms.get(value, {})
-
-    def attribute_postings(self, value: str) -> Mapping[str, Tuple[str, ...]]:
-        return self._attributes.get(value, {})
-
     #: Probe-memo capacity: storing past it evicts the oldest entry
     #: (counted as ``index.probe_memo.evictions``), so a long-lived
     #: worker's newest probes — its structural intersection after a

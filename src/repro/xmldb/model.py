@@ -14,7 +14,7 @@ O(1): ``u`` is an ancestor of ``v`` iff ``u.pre < v.pre and u.post > v.post``.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 _object_ids = itertools.count(1)
 
@@ -256,19 +256,6 @@ class XmlNode:
             attach.append(sub)
         clone.post = next(post_counter)
         return clone
-
-    def map_copy(self) -> Tuple["XmlNode", Dict[int, "XmlNode"]]:
-        """Deep copy plus a mapping from original object_id to the clone."""
-        mapping: Dict[int, XmlNode] = {}
-
-        def clone_node(node: "XmlNode") -> "XmlNode":
-            clone = XmlNode(node.tag, node.text, node.attributes)
-            mapping[node.object_id] = clone
-            for child in node.children:
-                clone.append(clone_node(child))
-            return clone
-
-        return clone_node(self), mapping
 
     # -- comparison ----------------------------------------------------------
 

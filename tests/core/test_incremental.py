@@ -69,7 +69,7 @@ class TestMutationReceipts:
         assert receipt.source == "dblp"
         assert receipt.operation == "add_instance"
         assert receipt.generation_before == 0
-        assert receipt.generations_advanced == 1
+        assert receipt.generation_after - receipt.generation_before == 1
         assert len(receipt.documents_added) == 1
         assert "author" in receipt.terms_added
 
@@ -79,7 +79,7 @@ class TestMutationReceipts:
         receipt = system.add_documents("dblp", SECOND)
         assert receipt.operation == "add_documents"
         assert receipt.incremental
-        assert receipt.generations_advanced == 1
+        assert receipt.generation_after - receipt.generation_before == 1
         assert receipt.instance is system.instances["dblp"]
 
     def test_replace_receipt_reports_keys_and_is_a_delta(self):

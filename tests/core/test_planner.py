@@ -270,7 +270,7 @@ class TestExecutorIntegration:
         second = executor.selection("dblp", pattern, sl_labels=[1])
         assert not first.plan_cache_hit
         assert second.plan_cache_hit
-        assert executor.plan_cache_hits == 1
+        assert executor._plan_cache.hits == 1
 
     def test_plan_cache_evicts_least_recently_used(self, database, context):
         patterns = [
@@ -289,8 +289,8 @@ class TestExecutorIntegration:
         assert not hit(patterns[-1])
         assert hit(patterns[0])
         assert not hit(patterns[1])
-        assert executor.plan_cache_hits == 2
-        assert executor.plan_cache_misses == DEFAULT_PLAN_CACHE_SIZE + 2
+        assert executor._plan_cache.hits == 2
+        assert executor._plan_cache.misses == DEFAULT_PLAN_CACHE_SIZE + 2
 
     def test_explain_shows_index_plan(self, database, context):
         pattern = _author_pattern(

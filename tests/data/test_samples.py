@@ -59,13 +59,3 @@ class TestLexiconPersistence:
         )
         assert lexicon.hypernyms("corgi") == frozenset({"dog"})
         assert lexicon.synonyms("canine") == frozenset({"dog"})
-
-    def test_merged_with(self):
-        base = bibliography_lexicon()
-        extra = Lexicon()
-        extra.add_hypernym("sosp", "systems conference")
-        merged = base.merged_with(extra)
-        assert "systems conference" in merged.hypernyms("sosp")
-        assert "person" in merged.hypernyms("author")
-        # originals untouched
-        assert not base.hypernyms("sosp")

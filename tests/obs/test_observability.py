@@ -11,6 +11,7 @@ from repro.guard import ResourceGuard
 from repro.obs import (
     DEFAULT_SLOW_QUERY_SECONDS,
     NULL_OBSERVABILITY,
+    REGISTRY,
     Observability,
     for_root,
     obs_directory,
@@ -98,12 +99,12 @@ class TestObservabilityConfig:
 
     def test_flush_metrics_merges_to_disk(self, tmp_path):
         obs = for_root(tmp_path)
-        obs.registry.counter("test.flush").inc(2)
+        REGISTRY.counter("test.flush").inc(2)
         try:
             snapshot = obs.flush_metrics()
             assert snapshot["test.flush"]["value"] >= 2
         finally:
-            obs.registry._instruments.pop("test.flush", None)
+            REGISTRY._instruments.pop("test.flush", None)
 
 
 class TestExecutorIntegration:

@@ -7,7 +7,6 @@ from repro.ontology.constraints import ScopedTerm, parse_constraint
 from repro.ontology.fusion import (
     FusedNode,
     canonical_fusion,
-    fuse_single,
     hierarchy_graph,
 )
 from repro.ontology.hierarchy import Hierarchy
@@ -191,7 +190,7 @@ class TestFusionResultLookups:
         assert fusion.node_of("title", 1) != fusion.node_of("title", 2)
 
     def test_node_of_unknown_term(self):
-        fusion = fuse_single(Hierarchy(nodes=["x"]))
+        fusion = canonical_fusion({1: Hierarchy(nodes=["x"])})
         with pytest.raises(ConstraintError):
             fusion.node_of("martian")
 
@@ -203,6 +202,6 @@ class TestFusionResultLookups:
 
     def test_fuse_single_is_isomorphic(self):
         hierarchy = Hierarchy([("a", "b"), ("c", "b")])
-        fusion = fuse_single(hierarchy)
+        fusion = canonical_fusion({1: hierarchy})
         assert len(fusion.hierarchy) == 3
         assert fusion.hierarchy.leq(fusion.node_of("a"), fusion.node_of("b"))

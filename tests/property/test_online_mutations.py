@@ -211,7 +211,7 @@ def test_incremental_equals_from_scratch_after_every_prefix(initial, ops):
         # Generations only move forward, and by what the receipt claims.
         after = live.database.get_collection("dblp").generation
         assert receipt.generation_after == after
-        assert receipt.generations_advanced >= 1
+        assert receipt.generation_after > receipt.generation_before
         assert after > generation
         generation = after
 

@@ -6,7 +6,6 @@ from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag
 from repro.tax.embedding import (
     assemble_forest,
     find_embeddings,
-    find_embeddings_in_collection,
     witness_tree,
 )
 from repro.tax.pattern import AD, PC, PatternTree, pattern_of
@@ -93,7 +92,7 @@ class TestFindEmbeddings:
         other = parse_document(DOC)
         pattern = pattern_of([(1, None, PC)])
         pattern.condition = Comparison("=", NodeTag(1), Constant("title"))
-        embeddings = list(find_embeddings_in_collection(pattern, [doc, other]))
+        embeddings = [e for tree in (doc, other) for e in find_embeddings(pattern, tree)]
         assert len(embeddings) == 4
 
 

@@ -70,6 +70,22 @@ class TestDbTraceCommand:
         assert "# stages account for" in out
         assert "wall" in out
 
+    def test_trace_names_the_fixed_bounds_when_spans_drop(
+        self, store, capsys, monkeypatch
+    ):
+        from repro.obs import Observability, Tracer
+
+        # A tracer bounded below the query's span count, so spans drop.
+        monkeypatch.setattr(Observability, "tracer", lambda self: Tracer(max_spans=3))
+        assert main(["db", "trace", store, QUERY]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "span(s) dropped at the tree bound (see the trace.spans_dropped "
+            "counter; the bounds are fixed: repro.obs.trace.DEFAULT_MAX_SPANS "
+            "= 2048, DEFAULT_MAX_DEPTH = 16)"
+        ) in out
+        assert "raise max_spans" not in out
+
     def test_trace_stage_seconds_sum_to_wall_time(self, store, capsys):
         assert main(["db", "trace", store, "--json", QUERY]) == 0
         payload = json.loads(capsys.readouterr().out)

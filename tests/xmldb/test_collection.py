@@ -89,18 +89,10 @@ class TestCollection:
         years = collection.xpath("//year")
         assert sorted(node.text for node in years) == ["1999", "2000"]
 
-    def test_xpath_single_document(self):
-        collection = Collection("dblp")
-        collection.add_document("d1", DOC)
-        collection.add_document("d2", DOC.replace("1999", "2000"))
-        years = collection.xpath_document("d2", "//year")
-        assert [node.text for node in years] == ["2000"]
-
     def test_statistics(self):
         collection = Collection("dblp")
         collection.add_document("d1", DOC)
         assert collection.total_bytes() > 0
-        assert collection.total_nodes() == 4
 
 
 class TestChangelog:

@@ -142,11 +142,6 @@ class TestCopying:
         clones = {node.object_id for node in clone.iter()}
         assert originals.isdisjoint(clones)
 
-    def test_map_copy_mapping(self, tree):
-        clone, mapping = tree.map_copy()
-        for original in tree.iter():
-            assert mapping[original.object_id].tag == original.tag
-
 
 class TestEquality:
     def test_structural_equality(self, tree):

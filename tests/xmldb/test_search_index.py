@@ -86,10 +86,9 @@ class TestPostings:
         assert index.docs_with_term("paper one") == set()
 
     def test_attribute_values_are_indexed(self, collection):
-        index = collection.search_index()
-        assert set(index.attribute_postings("p2")) == {"b"}
-        paths = index.attribute_postings("p2")["b"]
-        assert all(path.endswith("/@key") for path in paths)
+        attributes = collection.search_index().to_dict()["attributes"]
+        assert set(attributes["p2"]) == {"b"}
+        assert all(path.endswith("/@key") for path in attributes["p2"]["b"])
 
     def test_empty_text_is_a_term(self, collection):
         # <note></note> in DOC_C: the planner must be able to probe for
