@@ -59,13 +59,6 @@ class QualityReport:
     def quality(self) -> float:
         return quality(self.precision, self.recall)
 
-    @property
-    def f1(self) -> float:
-        """Harmonic-mean F1, reported alongside for modern comparability."""
-        if self.precision + self.recall == 0:
-            return 0.0
-        return 2 * self.precision * self.recall / (self.precision + self.recall)
-
     def __str__(self) -> str:
         return (
             f"P={self.precision:.3f} R={self.recall:.3f} "

@@ -96,9 +96,6 @@ class Corpus:
         self.authors[author_id].surfaces.add(surface)
         self._variant_index.setdefault(surface, set()).add(author_id)
 
-    def paper(self, key: str) -> PaperRecord:
-        return self._papers_by_key[key]
-
     def paper_keys(self) -> List[str]:
         return [paper.key for paper in self.papers]
 

@@ -55,28 +55,6 @@ def successors_map(graph: Graph) -> Dict[Node, Set[Node]]:
     return result
 
 
-def reverse_graph(graph: Graph) -> Dict[Node, Set[Node]]:
-    """The graph with every edge reversed."""
-    result: Dict[Node, Set[Node]] = {node: set() for node in all_nodes(graph)}
-    for node, targets in graph.items():
-        for target in targets:
-            result[target].add(node)
-    return result
-
-
-def reachable_from(graph: Graph, start: Node) -> Set[Node]:
-    """All nodes reachable from ``start`` (including ``start`` itself)."""
-    seen: Set[Node] = {start}
-    frontier = deque([start])
-    while frontier:
-        node = frontier.popleft()
-        for nxt in _successors(graph, node):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
 def has_path(graph: Graph, source: Node, target: Node) -> bool:
     """True iff a directed path of length >= 0 exists from source to target."""
     if source == target:

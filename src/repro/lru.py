@@ -108,12 +108,6 @@ class LruCache:
         with self._lock:
             self._entries.clear()
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     def keys(self) -> List[Hashable]:
         """Current keys, least recently used first (a snapshot)."""
         with self._lock:

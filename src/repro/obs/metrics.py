@@ -1,12 +1,12 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
-Every layer of the pipeline — the executor, the planner, the XPath
-engine, SEA/fusion, the worker pool, the storage layer and the LRU
-caches — publishes into one module-level :data:`REGISTRY` by fetching
-its instrument at the point of use::
+Every layer of the pipeline — the executor, the planner, SEA/fusion,
+the worker pool, the storage layer and the LRU caches — publishes into
+one module-level :data:`REGISTRY` by fetching its instrument at the
+point of use::
 
     from repro.obs import metrics
-    metrics.REGISTRY.counter("xpath.queries").inc()
+    metrics.REGISTRY.counter("executor.queries").inc()
     metrics.REGISTRY.histogram("executor.seconds").observe(report.total_seconds)
 
 Instruments are fetched, not cached, so flipping the registry off
@@ -106,10 +106,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": self.kind,
@@ -183,9 +179,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Any]:
         """The instrument registered under ``name``, or None."""
         return self._instruments.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
 
     def reset(self) -> None:
         """Drop every instrument (used by tests and ``db obs metrics --reset``)."""

@@ -296,7 +296,6 @@ class WindowRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._windows: Dict[str, RollingWindow] = {}
-        self._slo: Dict[str, SloPolicy] = {}
         self._lock = threading.Lock()
 
     def window(self, query_class: str) -> RollingWindow:
@@ -305,9 +304,6 @@ class WindowRegistry:
             if window is None:
                 window = self._windows[query_class] = RollingWindow()
             return window
-
-    def set_slo(self, query_class: str, policy: SloPolicy) -> None:
-        self._slo[query_class] = policy
 
     def observe(
         self,
@@ -357,9 +353,7 @@ class WindowRegistry:
         with self._lock:
             windows = dict(self._windows)
         return {
-            name: ring.stats(
-                window=window, now=now, slo=self._slo.get(name, DEFAULT_SLO)
-            )
+            name: ring.stats(window=window, now=now)
             for name, ring in sorted(windows.items())
         }
 

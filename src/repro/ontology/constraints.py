@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Mapping, Tuple
+from typing import Hashable, Mapping, Tuple
 
 from ..errors import ConstraintError
 from .hierarchy import Hierarchy
@@ -130,8 +130,3 @@ def parse_constraint(text: str) -> InteroperationConstraint:
     left = ScopedTerm(match.group("lterm").strip(), source(match.group("lsrc")))
     right = ScopedTerm(match.group("rterm").strip(), source(match.group("rsrc")))
     return _OP_CLASSES[match.group("op")](left, right)
-
-
-def parse_constraints(texts: Iterable[str]) -> List[InteroperationConstraint]:
-    """Parse many constraints; convenience for DBA configuration files."""
-    return [parse_constraint(text) for text in texts]

@@ -74,10 +74,6 @@ class FusedNode:
         """Deterministic representative string for display and sorting."""
         return min(self.strings)
 
-    def contains_term(self, term: Hashable) -> bool:
-        """True iff some scoped member has exactly this (unscoped) term."""
-        return any(member.term == term for member in self.members)
-
     def __str__(self) -> str:
         if len(self.strings) == 1:
             return self.label
@@ -134,10 +130,6 @@ class FusionResult:
                 f"term {term!r} is ambiguous across sources; pass source= explicitly"
             )
         return next(iter(nodes))
-
-    def nodes_of_term(self, term: Hashable) -> FrozenSet[FusedNode]:
-        """All fused nodes containing the (unscoped) term."""
-        return frozenset(self._by_term.get(term, frozenset()))
 
     def psi(self, source: Hashable) -> Dict[Hashable, FusedNode]:
         """The witness mapping ``psi_source`` restricted to one input."""

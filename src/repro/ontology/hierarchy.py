@@ -29,7 +29,7 @@ from typing import (
 )
 
 from .. import graphutils
-from ..errors import OntologyError, UnknownTermError
+from ..errors import UnknownTermError
 
 Term = Hashable
 
@@ -211,28 +211,6 @@ class Hierarchy:
         return None
 
     # -- derivation ----------------------------------------------------------
-
-    def restrict(self, keep: Iterable[Term]) -> "Hierarchy":
-        """Sub-hierarchy induced on ``keep``, preserving reachability.
-
-        If a dropped term lies between two kept terms, the kept terms stay
-        ordered (the restriction is of the partial order, not the diagram).
-        """
-        kept = set(keep)
-        missing = kept - set(self._parents)
-        if missing:
-            raise UnknownTermError(f"terms not in hierarchy: {sorted(map(repr, missing))}")
-        edges = [
-            (lower, upper)
-            for lower in kept
-            for upper in self._up_closure[lower]
-            if upper in kept
-        ]
-        return Hierarchy(edges, nodes=kept)
-
-    def with_edges(self, extra_edges: Iterable[Tuple[Term, Term]]) -> "Hierarchy":
-        """A new hierarchy with additional ``u <= v`` pairs added."""
-        return Hierarchy(list(self.edges()) + list(extra_edges), nodes=self.terms)
 
     def extended_with_lower_terms(
         self,
@@ -459,23 +437,6 @@ class Hierarchy:
         """A new hierarchy with additional isolated terms added."""
         return Hierarchy(self.edges(), nodes=set(self.terms) | set(extra_terms))
 
-    def relabel(self, mapping: Mapping[Term, Term]) -> "Hierarchy":
-        """Apply a node renaming; unmapped terms keep their identity.
-
-        The mapping must be injective on the node set (a partial order
-        cannot merge nodes without re-checking antisymmetry — use the
-        fusion machinery for that).
-        """
-        def rename(term: Term) -> Term:
-            return mapping.get(term, term)
-
-        new_nodes = [rename(term) for term in self._parents]
-        if len(set(new_nodes)) != len(new_nodes):
-            raise OntologyError("relabel mapping must be injective on the node set")
-        return Hierarchy(
-            [(rename(u), rename(v)) for u, v in self.edges()], nodes=new_nodes
-        )
-
     # -- value semantics ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -506,25 +467,6 @@ class Hierarchy:
 
         for root in sorted(self.roots(), key=str):
             visit(root, 0)
-        return "\n".join(lines)
-
-    def to_dot(self, name: str = "hierarchy", rankdir: str = "BT") -> str:
-        """Graphviz DOT rendering (edges point lower -> upper).
-
-        Handy for DBAs inspecting extracted, fused or similarity-enhanced
-        ontologies: ``dot -Tsvg`` the output.  ``rankdir=BT`` draws broader
-        concepts on top, the way the paper's Figures 9-11 are drawn.
-        """
-        def quote(term: Term) -> str:
-            escaped = str(term).replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-
-        lines = [f"digraph {name} {{", f"  rankdir={rankdir};"]
-        for term in sorted(self._parents, key=str):
-            lines.append(f"  {quote(term)};")
-        for lower, upper in sorted(self.edges(), key=lambda e: (str(e[0]), str(e[1]))):
-            lines.append(f"  {quote(lower)} -> {quote(upper)};")
-        lines.append("}")
         return "\n".join(lines)
 
 
@@ -572,12 +514,6 @@ class Ontology:
 
     def relations(self) -> FrozenSet[str]:
         return frozenset(self._hierarchies)
-
-    def with_hierarchy(self, relation: str, hierarchy: Hierarchy) -> "Ontology":
-        """A new ontology with ``relation`` (re)bound to ``hierarchy``."""
-        updated = dict(self._hierarchies)
-        updated[relation] = hierarchy
-        return Ontology(updated)
 
     def term_count(self) -> int:
         """Total number of terms across hierarchies (paper's ontology size)."""

@@ -54,18 +54,6 @@ class Lexicon:
         """Direct hypernyms (isa parents) of a term."""
         return frozenset(self._hypernyms.get(self._key(term), frozenset()))
 
-    def hypernym_closure(self, term: str) -> FrozenSet[str]:
-        """All hypernyms, transitively."""
-        seen: Set[str] = set()
-        frontier = [self._key(term)]
-        while frontier:
-            current = frontier.pop()
-            for parent in self._hypernyms.get(current, ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return frozenset(seen)
-
     def holonyms(self, term: str) -> FrozenSet[str]:
         """Direct holonyms (part-of parents) of a term."""
         return frozenset(self._holonyms.get(self._key(term), frozenset()))
@@ -73,10 +61,6 @@ class Lexicon:
     def synonyms(self, term: str) -> FrozenSet[str]:
         """Terms recorded as equivalent to this one (excluding itself)."""
         return frozenset(self._synonyms.get(self._key(term), frozenset()))
-
-    def knows(self, term: str) -> bool:
-        key = self._key(term)
-        return key in self._hypernyms or key in self._holonyms or key in self._synonyms
 
     def terms(self) -> FrozenSet[str]:
         known: Set[str] = set(self._hypernyms) | set(self._holonyms) | set(self._synonyms)
@@ -132,21 +116,6 @@ class Lexicon:
         for group in payload.get("synonyms", []):
             lexicon.add_synonyms(*group)
         return lexicon
-
-    def save(self, path: str) -> None:
-        """Write the lexicon as an indented JSON knowledge file."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "Lexicon":
-        """Read a JSON knowledge file written by :meth:`save` (or by hand)."""
-        import json
-
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def bibliography_lexicon() -> Lexicon:

@@ -123,10 +123,6 @@ class OntologyMaker:
         """Build the ontology of one semistructured instance."""
         return self.make_combined([root])
 
-    def make_many(self, roots: Iterable[XmlNode]) -> List[Ontology]:
-        """One ontology per instance (Figure 8 runs the maker per I in SDB)."""
-        return [self.make(root) for root in roots]
-
     def make_combined(self, roots: Iterable[XmlNode]) -> Ontology:
         """One ontology covering several documents of the same source.
 

@@ -119,32 +119,6 @@ class NodeDistance:
         self._cache[key] = value
         return value
 
-    def within(self, a: Node, b: Node, epsilon: float) -> bool:
-        """``d(a, b) <= epsilon`` using the measure's bounded fast path.
-
-        Avoids computing exact distances for far-apart pairs — the
-        dominant cost when building the epsilon-similarity graph over a
-        large fused ontology.
-        """
-        if a == b:
-            return True
-        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached <= epsilon
-        strings_a = self.strings_of(a)
-        strings_b = self.strings_of(b)
-        if self.measure.is_strong:
-            return (
-                self.measure.bounded_distance(min(strings_a), min(strings_b), epsilon)
-                <= epsilon
-            )
-        return any(
-            self.measure.bounded_distance(x, y, epsilon) <= epsilon
-            for x in strings_a
-            for y in strings_b
-        )
-
 
 @dataclass(frozen=True)
 class EnhancedNode:
@@ -235,14 +209,6 @@ class SimilarityEnhancement:
             {node for node in self.mu.get(a, frozenset())}
             & {node for node in self.mu.get(b, frozenset())}
         )
-
-    def similar_nodes(self, original: Node) -> FrozenSet[Node]:
-        """All original nodes sharing at least one enhanced node with this one."""
-        result: Set[Node] = set()
-        for enhanced in self.mu.get(original, frozenset()):
-            result.update(enhanced.members)
-        result.discard(original)
-        return frozenset(result)
 
     def __repr__(self) -> str:
         return (

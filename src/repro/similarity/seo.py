@@ -422,10 +422,6 @@ class SimilarityEnhancedOntology:
 
     # -- string-level queries ---------------------------------------------------
 
-    def nodes_of(self, term: str) -> FrozenSet[EnhancedNode]:
-        """Enhanced nodes whose string set contains ``term`` (may be empty)."""
-        return frozenset(self._nodes_by_string.get(term, frozenset()))
-
     def similar(self, x: str, y: str) -> bool:
         """The ``~`` operator: x and y share an enhanced node.
 

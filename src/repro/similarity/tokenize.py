@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -111,8 +111,3 @@ def cosine_of_vectors(u: Dict[str, float], v: Dict[str, float]) -> float:
     if len(u) > len(v):
         u, v = v, u
     return sum(weight * v.get(token, 0.0) for token, weight in u.items())
-
-
-def sorted_token_pair(a: str, b: str) -> Tuple[str, str]:
-    """Canonical ordering of a string pair (for symmetric caches)."""
-    return (a, b) if a <= b else (b, a)

@@ -36,13 +36,3 @@ def dedupe(collection: Iterable[XmlNode]) -> List[XmlNode]:
             seen[key] = tree
             result.append(tree)
     return result
-
-
-def collection_nodes(collection: Collection) -> int:
-    """Total node count across a collection."""
-    return sum(tree.size() for tree in collection)
-
-
-def copy_collection(collection: Collection) -> List[XmlNode]:
-    """Deep-copy every tree (renumbered)."""
-    return [tree.copy().renumber() for tree in collection]

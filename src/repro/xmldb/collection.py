@@ -3,7 +3,8 @@
 A collection stores documents under string keys, enforces a per-document
 size cap (Xindice's "5MB maximum data size limitation" shapes the paper's
 Section 6 experiments — we default to the same 5 MB and make it
-configurable), and runs XPath queries over all or one of its documents.
+configurable), and hands the query executor the candidate rows of its
+documents (:meth:`Collection.fetch`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .index import CollectionSearchIndex
 from .model import XmlNode
 from .parser import parse_document
 from .serializer import document_bytes
-from .xpath import XPathQuery
-from .xpath.engine import ResultNode
 
 #: Apache Xindice's practical per-document limit, bytes.
 XINDICE_DOCUMENT_LIMIT = 5 * 1024 * 1024
@@ -297,27 +296,6 @@ class Collection:
         if pending:
             guard.tick_each(pending, "xpath evaluation")
         return pairs
-
-    def xpath(
-        self,
-        query: "str | XPathQuery",
-        guard: Optional[ResourceGuard] = None,
-    ) -> List[ResultNode]:
-        """Run an XPath query over every document, concatenating results
-        in collection insertion order.
-
-        A :class:`~repro.guard.ResourceGuard` bounds the evaluation: the
-        tree engine charges its deadline and step budget per evaluation
-        step, and its result cap is checked as results accumulate across
-        documents.
-        """
-        compiled = query if isinstance(query, XPathQuery) else XPathQuery(query)
-        results: List[ResultNode] = []
-        for root in self._documents.values():
-            results.extend(compiled.select(root, guard=guard))
-            if guard is not None:
-                guard.check_results(len(results), f"query over {self.name!r}")
-        return results
 
     def __repr__(self) -> str:
         return f"Collection({self.name!r}, {len(self)} documents)"

@@ -3,7 +3,7 @@
 Two content-addressed structures back index-driven candidate pruning in
 the query executor (see :mod:`repro.core.planner`):
 
-* an **inverted term index** mapping text and attribute values to
+* an **inverted term index** mapping text values to
   ``(document, node-path)`` postings, and
 * a **structural tag-path index** mapping root-to-leaf tag paths to the
   documents containing them (with derived tag / parent-child /

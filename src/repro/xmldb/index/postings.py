@@ -6,9 +6,9 @@ any normalisation here would let the planner prune a document the
 verifier would have accepted.  Ingest-time whitespace stripping (the
 parser stores stripped character data) is the only normalisation.
 
-Node paths are root-to-node tag sequences joined with ``/``; attribute
-postings append ``/@name``.  The last path segment is the carrying
-node's tag, which is what the planner's tag-restricted probes filter on.
+Node paths are root-to-node tag sequences joined with ``/``.  The last
+path segment is the carrying node's tag, which is what the planner's
+tag-restricted probes filter on.
 """
 
 from __future__ import annotations
@@ -67,11 +67,9 @@ class _Write(NamedTuple):
 
 
 def _node_tag(path: str) -> str:
-    """The carrying node's tag — the last segment of a term's node path.
-
-    Only term paths come here, so a trailing ``/@x`` segment is an
-    element tagged ``@x`` (a tree may carry one), not an attribute.
-    """
+    """The carrying node's tag — the last segment of a term's node path
+    (a trailing ``/@x`` segment is an element tagged ``@x``: XML
+    attributes are not indexed)."""
     return path.rsplit("/", 1)[-1]
 
 
@@ -88,8 +86,6 @@ class CollectionSearchIndex:
     def __init__(self) -> None:
         #: text value -> {doc key -> sorted node paths of carrying nodes}
         self._terms: Postings = {}
-        #: attribute value -> {doc key -> sorted "path/@name" postings}
-        self._attributes: Postings = {}
         #: root-to-leaf tag path -> doc keys containing it
         self._paths: Dict[str, Set[str]] = {}
         self._documents: Set[str] = set()
@@ -112,19 +108,16 @@ class CollectionSearchIndex:
     @staticmethod
     def _contributions(
         root: XmlNode,
-    ) -> Tuple[Dict[str, PathSet], Dict[str, PathSet], Set[str]]:
-        """(term -> paths, attribute value -> paths, root-to-leaf paths)."""
+    ) -> Tuple[Dict[str, PathSet], Set[str]]:
+        """(term -> paths, root-to-leaf paths)."""
         term_paths: Dict[str, PathSet] = {}
-        attr_paths: Dict[str, PathSet] = {}
         leaf_paths: Set[str] = set()
         for node, path in root.iter_with_paths():
             joined = "/".join(path)
             term_paths.setdefault(node.text, set()).add(joined)
-            for name, value in node.attributes.items():
-                attr_paths.setdefault(value, set()).add(f"{joined}/@{name}")
             if not node.children:
                 leaf_paths.add(joined)
-        return term_paths, attr_paths, leaf_paths
+        return term_paths, leaf_paths
 
     def _derived_entries(self, path: str) -> Tuple[List[str], List[Tuple[str, str]], List[Tuple[str, str]]]:
         tags = path.split("/")
@@ -153,11 +146,9 @@ class CollectionSearchIndex:
     def add_document(self, key: str, root: XmlNode) -> None:
         if key in self._documents:
             self.remove_document_by_key(key)
-        term_paths, attr_paths, leaf_paths = self._contributions(root)
+        term_paths, leaf_paths = self._contributions(root)
         for value, paths in term_paths.items():
             self._terms.setdefault(value, {})[key] = tuple(sorted(paths))
-        for value, paths in attr_paths.items():
-            self._attributes.setdefault(value, {})[key] = tuple(sorted(paths))
         for path in leaf_paths:
             self._paths.setdefault(path, set()).add(key)
         carried = self._carried(leaf_paths)
@@ -172,11 +163,9 @@ class CollectionSearchIndex:
         """Remove ``key``'s contributions, recomputed from its stored tree."""
         if key not in self._documents:
             return
-        term_paths, attr_paths, leaf_paths = self._contributions(root)
+        term_paths, leaf_paths = self._contributions(root)
         for value in term_paths:
             self._drop_posting(self._terms, value, key)
-        for value in attr_paths:
-            self._drop_posting(self._attributes, value, key)
         for path in leaf_paths:
             self._discard(self._paths, path, key)
         carried = self._carried(leaf_paths)
@@ -251,9 +240,8 @@ class CollectionSearchIndex:
 
     def remove_document_by_key(self, key: str) -> None:
         """Remove ``key`` everywhere (full sweep; used on re-add only)."""
-        for postings in (self._terms, self._attributes):
-            for value in [v for v, entry in postings.items() if key in entry]:
-                self._drop_posting(postings, value, key)
+        for value in [v for v, entry in self._terms.items() if key in entry]:
+            self._drop_posting(self._terms, value, key)
         for mapping in (self._paths, self._tag_docs, self._pc_docs, self._ad_docs):
             for entry_key in [k for k, docs in mapping.items() if key in docs]:
                 self._discard(mapping, entry_key, key)
@@ -416,9 +404,7 @@ class CollectionSearchIndex:
         return {
             "documents": len(self._documents),
             "terms": len(self._terms),
-            "attribute_terms": len(self._attributes),
-            "postings": sum(len(entry) for entry in self._terms.values())
-            + sum(len(entry) for entry in self._attributes.values()),
+            "postings": sum(len(entry) for entry in self._terms.values()),
             "paths": len(self._paths),
         }
 
@@ -433,10 +419,6 @@ class CollectionSearchIndex:
                 value: {doc: list(paths) for doc, paths in sorted(entry.items())}
                 for value, entry in sorted(self._terms.items())
             },
-            "attributes": {
-                value: {doc: list(paths) for doc, paths in sorted(entry.items())}
-                for value, entry in sorted(self._attributes.items())
-            },
             "paths": {
                 path: sorted(docs) for path, docs in sorted(self._paths.items())
             },
@@ -448,14 +430,11 @@ class CollectionSearchIndex:
             raise ValueError(f"unsupported index format {payload.get('format')!r}")
         index = cls()
         index._documents = set(payload.get("documents", ()))  # type: ignore[arg-type]
-        for attr, field in (("_terms", "terms"), ("_attributes", "attributes")):
-            postings: Postings = {}
-            for value, entry in dict(payload.get(field, {})).items():  # type: ignore[arg-type]
-                postings[str(value)] = {
-                    str(doc): tuple(str(p) for p in paths)
-                    for doc, paths in dict(entry).items()
-                }
-            setattr(index, attr, postings)
+        for value, entry in dict(payload.get("terms", {})).items():  # type: ignore[arg-type]
+            index._terms[str(value)] = {
+                str(doc): tuple(str(p) for p in paths)
+                for doc, paths in dict(entry).items()
+            }
         for path, docs in dict(payload.get("paths", {})).items():  # type: ignore[arg-type]
             doc_set = {str(doc) for doc in docs}
             index._paths[str(path)] = doc_set

@@ -86,13 +86,6 @@ class XmlNode:
         """Create-and-append a child element; returns the new child."""
         return self.append(XmlNode(tag, text, attributes))
 
-    def detach(self) -> "XmlNode":
-        """Remove this node from its parent (if any); returns self."""
-        if self.parent is not None:
-            self.parent.children.remove(self)
-            self.parent = None
-        return self
-
     def renumber(self) -> "XmlNode":
         """(Re)assign pre/post/depth over the subtree rooted here.
 
@@ -188,33 +181,11 @@ class XmlNode:
                 return child
         return None
 
-    def leaves(self) -> Iterator["XmlNode"]:
-        """All leaf nodes of the subtree, in document order."""
-        for node in self.iter():
-            if not node.children:
-                yield node
-
     # -- structure queries ------------------------------------------------------
 
     def size(self) -> int:
         """Number of nodes in the subtree including self."""
         return sum(1 for _ in self.iter())
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def sibling_index(self) -> int:
-        """Zero-based position among the parent's children (0 for roots)."""
-        if self.parent is None:
-            return 0
-        return self.parent.children.index(self)
-
-    def path_tags(self) -> Tuple[str, ...]:
-        """Tags from the root down to this node."""
-        tags = [self.tag]
-        for ancestor in self.ancestors():
-            tags.append(ancestor.tag)
-        return tuple(reversed(tags))
 
     # -- copying -------------------------------------------------------------
 

@@ -99,9 +99,3 @@ def parse_fragment(xml_text: str) -> XmlNode:
     except XmlParseError:
         wrapped = f"<fragment>{xml_text}</fragment>"
         return parse_document(wrapped)
-
-
-def parse_file(path: str) -> XmlNode:
-    """Parse an XML file from disk."""
-    with open(path, "rb") as handle:
-        return parse_document(handle.read())

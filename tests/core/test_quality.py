@@ -47,14 +47,6 @@ class TestQualityReport:
         assert report.recall == pytest.approx(2 / 3)
         assert report.quality == pytest.approx(2 / 3)
 
-    def test_f1(self):
-        report = QualityReport.evaluate({"a"}, {"a", "b"})
-        assert report.f1 == pytest.approx(2 * 1.0 * 0.5 / 1.5)
-
-    def test_f1_degenerate(self):
-        report = QualityReport(0.0, 0.0, 0, 0, 0)
-        assert report.f1 == 0.0
-
     def test_str_renders_metrics(self):
         text = str(QualityReport.evaluate({"a"}, {"a"}))
         assert "P=1.000" in text and "R=1.000" in text

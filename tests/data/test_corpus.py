@@ -85,9 +85,8 @@ class TestOracle:
             venue_key=paper.venue_key, year=paper.year
         )
         assert paper.key in relevant
-        assert all(
-            corpus.paper(key).venue_key == paper.venue_key for key in relevant
-        )
+        venues = {p.key: p.venue_key for p in corpus.papers}
+        assert all(venues[key] == paper.venue_key for key in relevant)
 
     def test_year_range(self, corpus):
         relevant = corpus.relevant_papers(year_range=(1994, 2003))

@@ -1,5 +1,7 @@
 """Unit tests for the canned paper samples and lexicon persistence."""
 
+import json
+
 import pytest
 
 from repro.data import samples
@@ -34,11 +36,10 @@ class TestSamples:
 
 
 class TestLexiconPersistence:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
+        # A lexicon persists inside the maker's ``to_dict`` in system.json.
         original = bibliography_lexicon()
-        path = tmp_path / "lexicon.json"
-        original.save(str(path))
-        loaded = Lexicon.load(str(path))
+        loaded = Lexicon.from_dict(json.loads(json.dumps(original.to_dict())))
         assert loaded.hypernyms("google") == original.hypernyms("google")
         assert loaded.holonyms("us army") == original.holonyms("us army")
         assert loaded.synonyms("booktitle") == original.synonyms("booktitle")

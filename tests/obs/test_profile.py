@@ -58,7 +58,7 @@ class TestSampling:
         assert "verify" in phases
         assert phases["verify"] > 0
 
-    def test_aggregate_fractions_sum_to_one(self):
+    def test_hotspot_samples_sum_to_total(self):
         with SamplingProfiler(hz=500) as profiler:
             _spin(0.2)
         exemplar = profiler.take_exemplar(top=10**6)

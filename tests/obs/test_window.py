@@ -179,14 +179,6 @@ class TestWindowRegistry:
         assert set(multi["selection"]) == {1, 10, 60}
         assert multi["selection"][60]["count"] == 1
 
-    def test_per_class_slo_policy_applies(self):
-        registry = WindowRegistry()
-        registry.set_slo("selection", SloPolicy(latency_seconds=0.001,
-                                                error_budget=1.0))
-        registry.observe("selection", 0.5, now=NOW)  # slow under this SLO
-        stats = registry.stats(window=10, now=NOW)
-        assert stats["selection"]["slo_burn"] == pytest.approx(1.0)
-
     def test_concurrent_observe_and_absorb_lose_nothing(self):
         # The serving parent absorbs worker snapshots while its own
         # thread keeps observing; every observation must survive.

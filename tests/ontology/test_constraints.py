@@ -9,7 +9,6 @@ from repro.ontology.constraints import (
     ScopedTerm,
     SubsumptionConstraint,
     parse_constraint,
-    parse_constraints,
 )
 from repro.ontology.hierarchy import Hierarchy
 
@@ -89,7 +88,3 @@ class TestParsing:
     def test_parse_garbage_raises(self):
         with pytest.raises(ConstraintError):
             parse_constraint("this is not a constraint")
-
-    def test_parse_many(self):
-        constraints = parse_constraints(["a:1 = b:2", "c:1 <= d:2"])
-        assert len(constraints) == 2

@@ -57,11 +57,6 @@ class TestFusedNode:
         node = FusedNode(frozenset({ScopedTerm("only", 1)}))
         assert str(node) == "only"
 
-    def test_contains_term(self):
-        node = FusedNode(frozenset({ScopedTerm("a", 1)}))
-        assert node.contains_term("a")
-        assert not node.contains_term("b")
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             FusedNode(frozenset())
@@ -193,12 +188,6 @@ class TestFusionResultLookups:
         fusion = canonical_fusion({1: Hierarchy(nodes=["x"])})
         with pytest.raises(ConstraintError):
             fusion.node_of("martian")
-
-    def test_nodes_of_term(self):
-        fusion = canonical_fusion(
-            {1: Hierarchy(nodes=["title"]), 2: Hierarchy(nodes=["title"])}
-        )
-        assert len(fusion.nodes_of_term("title")) == 2
 
     def test_fuse_single_is_isomorphic(self):
         hierarchy = Hierarchy([("a", "b"), ("c", "b")])

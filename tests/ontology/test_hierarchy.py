@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import HierarchyCycleError, OntologyError, UnknownTermError
+from repro.errors import HierarchyCycleError, UnknownTermError
 from repro.ontology.hierarchy import Hierarchy, Ontology
 
 
@@ -113,34 +113,9 @@ class TestLeastUpperBound:
 
 
 class TestDerivation:
-    def test_restrict_preserves_reachability(self):
-        hierarchy = Hierarchy([("a", "b"), ("b", "c")])
-        restricted = hierarchy.restrict(["a", "c"])
-        assert restricted.leq("a", "c")
-        assert "b" not in restricted
-
-    def test_restrict_unknown_raises(self, diamond):
-        with pytest.raises(UnknownTermError):
-            diamond.restrict(["bottom", "nope"])
-
-    def test_with_edges(self, diamond):
-        extended = diamond.with_edges([("left", "right")])
-        assert extended.leq("left", "right")
-        assert not diamond.leq("left", "right")  # original untouched
-
     def test_with_terms(self, diamond):
         extended = diamond.with_terms(["extra"])
         assert "extra" in extended
-
-    def test_relabel(self):
-        hierarchy = Hierarchy([("a", "b")])
-        renamed = hierarchy.relabel({"a": "x"})
-        assert renamed.leq("x", "b")
-
-    def test_relabel_must_be_injective(self):
-        hierarchy = Hierarchy([("a", "b")])
-        with pytest.raises(OntologyError):
-            hierarchy.relabel({"a": "b"})
 
 
 class TestValueSemantics:
@@ -160,17 +135,6 @@ class TestValueSemantics:
         assert text.splitlines()[0] == "top"
         assert "  left" in text
 
-    def test_to_dot(self, diamond):
-        dot = diamond.to_dot(name="g")
-        assert dot.startswith("digraph g {")
-        assert '"bottom" -> "left";' in dot
-        assert dot.rstrip().endswith("}")
-
-    def test_to_dot_escapes_quotes(self):
-        hierarchy = Hierarchy([('say "hi"', "top")])
-        dot = hierarchy.to_dot()
-        assert '\\"hi\\"' in dot
-
 
 class TestOntology:
     def test_distinguished_hierarchies_always_defined(self):
@@ -181,12 +145,6 @@ class TestOntology:
     def test_getitem_unknown(self):
         with pytest.raises(KeyError):
             Ontology()["color-of"]
-
-    def test_with_hierarchy_is_persistent(self):
-        base = Ontology()
-        extended = base.with_hierarchy("isa", Hierarchy([("a", "b")]))
-        assert len(base.isa) == 0
-        assert extended.isa.leq("a", "b")
 
     def test_term_count_sums_hierarchies(self):
         ontology = Ontology(

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeltaRefused
-from repro.ontology.hierarchy import Ontology
 from repro.ontology.lexicon import Lexicon
 from repro.ontology.maker import CombinedExtraction, OntologyMaker
 from repro.xmldb import parse_document
@@ -119,12 +118,6 @@ class TestCombined:
         ontology = OntologyMaker().make_combined(docs)
         assert ontology.isa.leq("A One", "author")
         assert ontology.isa.leq("B Two", "author")
-
-    def test_make_many_returns_one_per_document(self):
-        docs = [parse_document("<a/>"), parse_document("<b/>")]
-        ontologies = OntologyMaker().make_many(docs)
-        assert len(ontologies) == 2
-        assert all(isinstance(o, Ontology) for o in ontologies)
 
 
 # ---------------------------------------------------------------------------

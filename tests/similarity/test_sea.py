@@ -65,11 +65,6 @@ class TestNodeDistance:
         d = distance(TwoStrings(), "models")
         assert d == pytest.approx(jaro.distance("model", "models"))
 
-    def test_within_uses_bound(self):
-        distance = NodeDistance(Levenshtein())
-        assert distance.within("model", "models", 1)
-        assert not distance.within("model", "relational", 2)
-
     def test_caches_symmetrically(self):
         distance = NodeDistance(Levenshtein())
         a, b = "alpha", "alphas"
@@ -126,13 +121,6 @@ class TestSemantics:
         assert enhancement.cohabiting("model", "models")
         assert not enhancement.cohabiting("model", "far-away")
         assert enhancement.cohabiting("model", "model")
-
-    def test_similar_nodes(self):
-        hierarchy = Hierarchy(nodes=["model", "models", "modelss"])
-        enhancement = sea(hierarchy, Levenshtein(), 1.0)
-        assert enhancement.similar_nodes("models") == frozenset(
-            {"model", "modelss"}
-        )
 
     def test_overlapping_cliques_paper_example(self):
         """The A/B/C discussion under Definition 8: overlapping nodes."""

@@ -103,9 +103,3 @@ class TestOrder:
     def test_leq_unknown_raises(self, seo):
         with pytest.raises(UnknownTermError):
             seo.leq("martian", "person")
-
-    def test_nodes_of(self, seo):
-        nodes = seo.nodes_of("J. Smith")
-        assert len(nodes) == 1
-        assert next(iter(nodes)).strings == frozenset({"J. Smith", "J. Smyth"})
-        assert seo.nodes_of("unknown") == frozenset()

@@ -68,7 +68,3 @@ class TestCorpusStatistics:
         u = {"a": 1.0}
         v = {"a": 0.6, "b": 0.8}
         assert tokenize.cosine_of_vectors(u, v) == pytest.approx(0.6)
-
-    def test_sorted_token_pair(self):
-        assert tokenize.sorted_token_pair("b", "a") == ("a", "b")
-        assert tokenize.sorted_token_pair("a", "b") == ("a", "b")

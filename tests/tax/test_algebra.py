@@ -14,7 +14,7 @@ from repro.tax.algebra import (
 )
 from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag
 from repro.tax.pattern import AD, PC, pattern_of
-from repro.tax.tree import canonical_keys, collection_nodes, copy_collection, dedupe, trees_equal
+from repro.tax.tree import canonical_keys, dedupe, trees_equal
 from repro.xmldb.parser import parse_document
 
 DBLP = """
@@ -204,11 +204,3 @@ class TestTreeHelpers:
     def test_canonical_keys_align(self, dblp):
         keys = canonical_keys([dblp, dblp.copy().renumber()])
         assert keys[0] == keys[1]
-
-    def test_collection_nodes(self, dblp):
-        assert collection_nodes([dblp]) == dblp.size()
-
-    def test_copy_collection(self, dblp):
-        copies = copy_collection([dblp])
-        assert copies[0] is not dblp
-        assert trees_equal(copies[0], dblp)

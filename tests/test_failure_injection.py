@@ -25,6 +25,8 @@ from repro.errors import (
     XmlDbError,
     XmlParseError,
 )
+from repro.core.executor import QueryExecutor
+from repro.core.parser import parse_query
 from repro.core.system import TossSystem
 from repro.guard import ResourceGuard
 from repro.ontology import Hierarchy, parse_constraint
@@ -207,6 +209,12 @@ class TestDegenerateInputs:
         assert doc.text == ""
 
 
+def _select(db, text, guard=None):
+    """Run a one-element query over ``bib`` through the production executor."""
+    parsed = parse_query(text)
+    return QueryExecutor(db).selection("bib", parsed.pattern, parsed.roots, guard=guard)
+
+
 def _small_database(papers=4):
     db = Database()
     coll = db.create_collection("bib")
@@ -267,7 +275,7 @@ class TestCrashRecovery:
         (lost,) = report.quarantined
         assert lost.key == "doc3" and lost.reason.startswith("unreadable record")
         # the survivors still answer queries
-        assert len(db.xpath("bib", "//title")) == 3
+        assert len(_select(db, "paper(title $t)").results) == 3
 
     def test_checksum_flip_detected_even_when_well_formed(self, tmp_path):
         root = str(tmp_path / "s")
@@ -531,46 +539,45 @@ class TestResourceGuard:
     def test_deadline_raises_query_timeout(self):
         db = self._big_database()
         guard = ResourceGuard(deadline_seconds=0.0)
-        guard.start()
         with pytest.raises(QueryTimeoutError) as info:
-            db.xpath("bib", "//paper[title]", guard=guard)
+            _select(db, "paper(title $t)", guard)
         assert info.value.deadline == 0.0
         assert info.value.elapsed >= 0.0
 
     def test_deadline_enforced_within_twice_the_deadline(self):
+        # The executor restarts a query's guard, so the tree engine's own
+        # metering keeps one clock running across repeated evaluations.
         import time
 
-        db = self._big_database(400)
+        root = self._big_database(400).get_collection("bib").get_document("d")
+        query = XPathQuery("//paper[contains(title, 'number')]")
         deadline = 0.02
         guard = ResourceGuard(deadline_seconds=deadline)
         guard.start()
         began = time.monotonic()
         with pytest.raises(QueryTimeoutError):
             for _ in range(1000):  # keep issuing work until the guard trips
-                db.xpath("bib", "//paper[contains(title, 'number')]", guard=guard)
+                query.select(root, guard=guard)
         waited = time.monotonic() - began
         assert waited < 10 * deadline + 0.5  # generous CI bound; typical ~1x
 
     def test_step_budget_raises_resource_exhausted(self):
         db = self._big_database()
         guard = ResourceGuard(max_steps=50)
-        guard.start()
         with pytest.raises(ResourceExhaustedError, match="evaluation budget"):
-            db.xpath("bib", "//paper/title", guard=guard)
+            _select(db, "paper(title $t)", guard)
 
     def test_result_cap_raises_resource_exhausted(self):
         db = self._big_database()
         guard = ResourceGuard(max_results=10)
-        guard.start()
         with pytest.raises(ResourceExhaustedError):
-            db.xpath("bib", "//title", guard=guard)
+            _select(db, "title", guard)
 
     def test_unlimited_guard_is_a_no_op(self):
         db = self._big_database(20)
         guard = ResourceGuard()
-        guard.start()
-        results = db.xpath("bib", "//title", guard=guard)
-        assert len(results) == 20
+        report = _select(db, "title", guard)
+        assert len(report.results) == 20
         assert guard.steps > 0
 
     def test_guarded_system_query_times_out(self):

@@ -14,15 +14,6 @@ class TestBasics:
         graph = gu.successors_map({"a": ["b", "b"], "b": ["c"]})
         assert graph == {"a": {"b"}, "b": {"c"}, "c": set()}
 
-    def test_reverse_graph(self):
-        reversed_ = gu.reverse_graph({"a": ["b"], "b": ["c"]})
-        assert reversed_ == {"a": set(), "b": {"a"}, "c": {"b"}}
-
-    def test_reachable_from_includes_start(self):
-        graph = {"a": ["b"], "b": ["c"], "d": []}
-        assert gu.reachable_from(graph, "a") == {"a", "b", "c"}
-        assert gu.reachable_from(graph, "d") == {"d"}
-
     def test_has_path_reflexive(self):
         assert gu.has_path({}, "x", "x")
 

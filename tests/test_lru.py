@@ -89,15 +89,6 @@ class TestLruCounters:
         assert cache.hits == 1
         assert cache.evictions == 1
 
-    def test_reset_counters_keeps_entries(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("x")
-        cache.reset_counters()
-        assert cache.hits == 0 and cache.misses == 0 and cache.evictions == 0
-        assert cache.get("a") == 1
-
     def test_metrics_emitted_under_prefix(self):
         cache = LruCache(1, metric_prefix="test.cache")
         cache.get("a")

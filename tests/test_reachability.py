@@ -2,20 +2,26 @@
 what it does not use.
 
 A definition (a module-level function, class or constant, or a method
-or class nested in a class) is *reached* when its name is referenced outside its
-own body anywhere under ``src/``, ``examples/`` or ``benchmarks/``: as a
+or class nested in a class) is *reached* when it is referenced outside
+its own body anywhere under ``src/``, ``examples/`` or ``benchmarks/``.
+A module-level definition is referenced by any mention of its name: a
 ``Name``, an ``Attribute``, an imported name, or a string constant equal
-to the name (which covers ``getattr`` hooks such as
-``HOOK = "instance_of"``).  References from ``tests/`` do not count, so a
-definition only tests call is unreached.  Dunder methods are called by
-the interpreter and are never reported.
+to the name.  A class member is referenced only by an attribute access
+(``x.name``) or a dynamic lookup: the name argument of ``getattr`` /
+``hasattr`` / ``setattr``, a ``HOOK = "..."`` constant (such as
+``HOOK = "instance_of"``) or an ``__all__`` entry.  A local variable,
+an import or a string that merely shares a member's name does not reach
+it.  References from ``tests/`` do not count, so a definition only
+tests call is unreached.  Dunder methods are called by the interpreter
+and are never reported.
 
 A module-level import in a non-``__init__`` module is *unused* when the
 module never names it (a string annotation counts) and no module
 anywhere imports that name from it (a deliberate re-export).
 
 A definition nothing reaches either goes, or is listed in ``KEEP`` with
-the reason it stays (a paper operator, an entry point, a test oracle).
+the reason it stays (a paper operator, an entry point, a test oracle or
+seam).
 ``KEEP`` cannot go stale: an entry that no longer exists, or that is now
 reached, fails the check too.
 
@@ -39,11 +45,18 @@ READERS = ("src", "examples", "benchmarks")
 DEFINER = "src/repro"
 # Trees whose ``from module import name`` makes an import a re-export.
 IMPORTERS = ("src", "examples", "benchmarks", "tests")
+# Builtins whose second argument names the attribute they look up.
+DYNAMIC_LOOKUPS = ("getattr", "hasattr", "setattr")
 
+# An unreached definition stays only as a paper operator or definition,
+# an entry point, or a test oracle or seam (a helper that tests of other,
+# kept behaviour call).  Having a unit test of its own is no reason to
+# stay: such a definition goes, and so does every test that pins only it.
 KEEP: Dict[str, str] = {
     # The paper's operators and definitions.
     "repro.core.system.TossSystem.project": "the TOSS projection operator (Sec. 5)",
     "repro.core.algebra.TossAlgebra.lift": "[EI]_F, the base case of the TOSS algebra (Sec. 5)",
+    "repro.ontology.maker.OntologyMaker.make": "the ontology maker on one instance (Fig. 8); tests' seam",
     "repro.core.instance.SemistructuredInstance.type_of": "t(o, attr), the instance typing (Sec. 3)",
     "repro.core.types.TypeSystem.in_domain": "dom(tau), a type's domain (Sec. 3)",
     "repro.core.types.TypeSystem.subtype": "the subtype order of the type system (Sec. 3)",
@@ -62,39 +75,7 @@ KEEP: Dict[str, str] = {
     "repro.faults.inject": "tests' seam: arm one fault plan in-process",
     "repro.serving.supervisor.SupervisedWorkerPool.worker_pids": "tests' seam: the chaos suite kills workers by pid",
     "repro.xmldb.database.Database.drop_collection": "tests' seam: a dropped collection must miss every memo",
-    # Unreached, and the subject of a unit test of its own: deleting one
-    # deletes that test too.  A change may delete only a few existing
-    # tests, so these wait for a deletion that budgets their ~35 tests
-    # (ROADMAP item 10); that change removes each entry with its code.
-    "repro.core.quality.QualityReport.f1": "pinned by tests/core/test_quality.py",
-    "repro.data.venues.venue_by_key": "pinned by tests/data/test_corpus.py",
-    "repro.graphutils.reverse_graph": "pinned by tests/test_graphutils.py",
-    "repro.graphutils.reachable_from": "pinned by tests/test_graphutils.py",
-    "repro.lru.LruCache.reset_counters": "pinned by tests/test_lru.py",
-    "repro.obs.window.WindowRegistry.set_slo": "pinned by tests/obs/test_window.py",
-    "repro.ontology.constraints.parse_constraints": "pinned by tests/ontology/test_constraints.py",
-    "repro.ontology.fusion.FusedNode.contains_term": "pinned by tests/ontology/test_fusion.py",
-    "repro.ontology.fusion.FusionResult.nodes_of_term": "pinned by tests/ontology/test_fusion.py",
-    "repro.ontology.hierarchy.Hierarchy.restrict": "pinned by tests/ontology/test_hierarchy.py",
-    "repro.ontology.hierarchy.Hierarchy.with_edges": "pinned by tests/ontology/test_hierarchy.py",
-    "repro.ontology.hierarchy.Hierarchy.relabel": "pinned by tests/ontology/test_hierarchy.py",
-    "repro.ontology.hierarchy.Hierarchy.to_dot": "pinned by tests/ontology/test_hierarchy.py",
-    "repro.ontology.hierarchy.Ontology.with_hierarchy": "pinned by tests/ontology/test_hierarchy.py",
-    "repro.ontology.lexicon.Lexicon.hypernym_closure": "pinned by tests/ontology/test_lexicon.py",
-    "repro.ontology.lexicon.Lexicon.knows": "pinned by tests/ontology/test_lexicon.py",
-    "repro.ontology.maker.OntologyMaker.make_many": "pinned by tests/ontology/test_maker.py",
-    "repro.similarity.sea.SimilarityEnhancement.similar_nodes": "pinned by tests/similarity/test_sea.py",
-    "repro.similarity.seo.SimilarityEnhancedOntology.nodes_of": "pinned by tests/similarity/test_seo.py",
-    "repro.similarity.tokenize.sorted_token_pair": "pinned by tests/similarity/test_tokenize.py",
-    "repro.tax.tree.collection_nodes": "pinned by tests/tax/test_algebra.py",
-    "repro.tax.tree.copy_collection": "pinned by tests/tax/test_algebra.py",
-    "repro.xmldb.database.Database.get_or_create_collection": "pinned by tests/xmldb/test_collection.py",
-    "repro.xmldb.model.XmlNode.detach": "pinned by tests/xmldb/test_model.py",
-    "repro.xmldb.model.XmlNode.leaves": "pinned by tests/xmldb/test_model.py",
-    "repro.xmldb.model.XmlNode.is_leaf": "pinned by tests/xmldb/test_model.py",
-    "repro.xmldb.model.XmlNode.sibling_index": "pinned by tests/xmldb/test_model.py",
-    "repro.xmldb.model.XmlNode.path_tags": "pinned by tests/xmldb/test_model.py",
-    "repro.xmldb.parser.parse_file": "pinned by tests/xmldb/test_parser.py",
+    "repro.data.venues.venue_by_key": "tests' seam: the corpus tests read a paper's venue through it",
 }
 
 
@@ -143,6 +124,34 @@ def references(node: ast.AST) -> Counter:
     return found
 
 
+def member_references(node: ast.AST) -> Counter:
+    """Every name ``node`` reaches a class member by, with its count: an
+    attribute access, or a dynamic lookup (the name argument of
+    ``getattr`` / ``hasattr`` / ``setattr``, a ``HOOK = "..."`` constant
+    or an ``__all__`` entry)."""
+    found: Counter = Counter()
+
+    def constant(value: ast.AST) -> None:
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            found[value.value] += 1
+
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name) and sub.func.id in DYNAMIC_LOOKUPS and len(sub.args) > 1:
+                constant(sub.args[1])
+        elif isinstance(sub, (ast.Assign, ast.AnnAssign)) and sub.value is not None:
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "HOOK" in names:
+                constant(sub.value)
+            if "__all__" in names and isinstance(sub.value, (ast.List, ast.Tuple)):
+                for element in sub.value.elts:
+                    constant(element)
+    return found
+
+
 def definitions(module: ast.Module, prefix: str, path: Path) -> Iterator[Tuple[Definition, ast.AST]]:
     """Each module-level function, class and constant, and each method
     or class nested in a class, with its node."""
@@ -174,18 +183,26 @@ def is_dunder(name: str) -> bool:
 
 def scan(root: Path = ROOT) -> Tuple[Dict[str, Definition], List[Definition]]:
     """Every definition under ``DEFINER`` by qualified name, and those
-    that nothing outside their own body names."""
+    that nothing outside their own body reaches: a module-level
+    definition by any mention of its name, a class member only by
+    ``member_references``."""
     seen: Counter = Counter()
+    seen_members: Counter = Counter()
     for path in python_files(root, READERS):
-        seen.update(references(parse(path)))
+        module = parse(path)
+        seen.update(references(module))
+        seen_members.update(member_references(module))
     defined: Dict[str, Definition] = {}
     unreached: List[Definition] = []
     for path in python_files(root, (DEFINER,)):
-        for definition, node in definitions(parse(path), module_name(root, path), path):
+        prefix = module_name(root, path)
+        for definition, node in definitions(parse(path), prefix, path):
             defined[definition.qualname] = definition
             if is_dunder(definition.name):
                 continue
-            if seen[definition.name] - references(node)[definition.name] <= 0:
+            member = definition.qualname.count(".") > prefix.count(".") + 1
+            count, own = (seen_members, member_references) if member else (seen, references)
+            if count[definition.name] - own(node)[definition.name] <= 0:
                 unreached.append(definition)
     return defined, unreached
 
@@ -313,10 +330,16 @@ _SYNTHETIC = {
         "        return 'Thing'\n"
         "    def unused_method(self):\n"
         "        return 1\n"
+        "    def shadowed(self):\n"
+        "        return 2\n"
+        "    def looked_up(self):\n"
+        "        return 3\n"
     ),
     "examples/demo.py": (
         "from repro.lib import used, HOOK, Thing\n"
         "print(used([1]), getattr(object(), HOOK, None), Thing())\n"
+        "shadowed = 'shadowed'\n"
+        "print(shadowed, getattr(Thing(), 'looked_up')())\n"
     ),
     "tests/test_lib.py": (
         "from repro.lib import planted\n"
@@ -328,8 +351,10 @@ _SYNTHETIC = {
 
 def self_check() -> None:
     """The scanner flags a planted unreached function (called only by
-    itself and by tests), an unreached constant and method, and an unused
-    import, and leaves a ``getattr``-hooked function and a dunder alone."""
+    itself and by tests), an unreached constant and method, a method that
+    only a same-named local and a same-named string mention, and an
+    unused import, and leaves a ``getattr``-hooked function and method
+    and a dunder alone."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         for relative, text in _SYNTHETIC.items():
@@ -337,7 +362,8 @@ def self_check() -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
         flagged = {d.qualname for d in scan(root)[1]}
-        expected = {"repro.lib.planted", "repro.lib.UNUSED", "repro.lib.Thing.unused_method"}
+        expected = {"repro.lib.planted", "repro.lib.UNUSED", "repro.lib.Thing.unused_method",
+                    "repro.lib.Thing.shadowed"}
         assert flagged == expected, f"scanner flagged {sorted(flagged)}, expected {sorted(expected)}"
         imports = unused_imports(root)
         assert imports == ["src/repro/lib.py:1: os"], f"unused imports: {imports}"

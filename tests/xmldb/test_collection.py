@@ -7,6 +7,7 @@ from repro.xmldb.collection import Collection
 from repro.xmldb.database import Database
 from repro.xmldb.model import XmlNode
 from repro.xmldb.parser import parse_document
+from repro.xmldb.xpath import XPathQuery
 
 DOC = "<dblp><inproceedings><author>A</author><year>1999</year></inproceedings></dblp>"
 
@@ -76,18 +77,12 @@ class TestCollection:
             collection.replace_document("d1", bad)
         assert collection.get_document("d1").tag == "dblp"
         assert collection.generation == 1
-        assert [hit.tag for hit in collection.xpath("//author")] == ["author"]
+        authors = XPathQuery("//author").select(collection.get_document("d1"))
+        assert [hit.tag for hit in authors] == ["author"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(CollectionError):
             Collection("")
-
-    def test_xpath_over_all_documents(self):
-        collection = Collection("dblp")
-        collection.add_document("d1", DOC)
-        collection.add_document("d2", DOC.replace("1999", "2000"))
-        years = collection.xpath("//year")
-        assert sorted(node.text for node in years) == ["1999", "2000"]
 
     def test_statistics(self):
         collection = Collection("dblp")
@@ -159,25 +154,9 @@ class TestDatabase:
         with pytest.raises(CollectionError):
             database.create_collection("dblp")
 
-    def test_get_or_create(self):
-        database = Database()
-        first = database.get_or_create_collection("x")
-        assert database.get_or_create_collection("x") is first
-
     def test_unknown_collection(self):
         with pytest.raises(CollectionError):
             Database().get_collection("nope")
-
-    def test_xpath_records_statistics(self):
-        database = Database()
-        database.create_collection("dblp").add_document("d1", DOC)
-        results = database.xpath("dblp", "//author")
-        assert len(results) == 1
-        assert database.statistics.queries_run == 1
-        assert database.statistics.results_returned == 1
-        assert database.statistics.total_seconds >= 0
-        database.statistics.reset()
-        assert database.statistics.queries_run == 0
 
     def test_document_size_limit_propagates(self):
         database = Database(max_document_bytes=10)

@@ -30,12 +30,6 @@ class TestConstruction:
         assert tree.attributes == {"outer": "1"}
         assert tree.children[0].text == "inner"
 
-    def test_detach(self, tree):
-        paper = tree.children[0]
-        paper.detach()
-        assert paper.parent is None
-        assert len(tree.children) == 1
-
     def test_object_ids_unique(self):
         assert XmlNode("a").object_id != XmlNode("a").object_id
 
@@ -104,20 +98,8 @@ class TestTraversal:
         assert paper.child_by_tag("title").text == "A Survey"
         assert paper.child_by_tag("zzz") is None
 
-    def test_leaves(self, tree):
-        assert all(node.is_leaf() for node in tree.leaves())
-        assert sum(1 for _ in tree.leaves()) == 3
-
     def test_size(self, tree):
         assert tree.size() == 6
-
-    def test_path_tags(self, tree):
-        author = tree.children[0].children[0]
-        assert author.path_tags() == ("dblp", "inproceedings", "author")
-
-    def test_sibling_index(self, tree):
-        assert tree.children[1].sibling_index() == 1
-        assert tree.sibling_index() == 0
 
 
 class TestContent:

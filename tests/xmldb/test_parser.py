@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import XmlParseError
 from repro.xmldb.model import XmlNode
-from repro.xmldb.parser import parse_document, parse_file, parse_fragment
+from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import (
     document_bytes,
     escape_attribute,
@@ -59,11 +59,6 @@ class TestParse:
 
     def test_fragment_passthrough_single_root(self):
         assert parse_fragment("<only/>").tag == "only"
-
-    def test_parse_file(self, tmp_path):
-        path = tmp_path / "doc.xml"
-        path.write_text("<a><b>x</b></a>")
-        assert parse_file(str(path)).children[0].text == "x"
 
 
 class TestSerialize:

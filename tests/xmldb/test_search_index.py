@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ioutils import sha256_text
 from repro.xmldb.database import Database
 import zlib
 
@@ -84,11 +85,6 @@ class TestPostings:
         assert index.docs_with_term("J. Smith", tags=frozenset({"author"})) == {"a"}
         # No normalisation: a closely related value is a different term.
         assert index.docs_with_term("paper one") == set()
-
-    def test_attribute_values_are_indexed(self, collection):
-        attributes = collection.search_index().to_dict()["attributes"]
-        assert set(attributes["p2"]) == {"b"}
-        assert all(path.endswith("/@key") for path in attributes["p2"]["b"])
 
     def test_empty_text_is_a_term(self, collection):
         # <note></note> in DOC_C: the planner must be able to probe for
@@ -352,6 +348,40 @@ class TestStorageIntegration:
         col = load_database(root, on_corruption="quarantine").get_collection("dblp")
         assert list(col.keys()) == ["a"]
         assert col.search_index(build=False) is None
+
+    def test_index_with_attribute_postings_is_adopted(self, tmp_path):
+        # An index written before XML attributes stopped being indexed
+        # carries an "attributes" map; it loads, and answers every probe
+        # as an index built from the same documents does.
+        root = _store(tmp_path)
+        envelope = _envelope(_index_file(root))
+        envelope["index"]["attributes"] = {
+            "p1": {"a": ["dblp/inproceedings/@key"]},
+            "p2": {"b": ["dblp/inproceedings/@key"]},
+        }
+        envelope["checksum"] = sha256_text(
+            json.dumps(envelope["index"], sort_keys=True, separators=(",", ":"))
+        )
+        _write_envelope(_index_file(root), envelope)
+        assert index_status(root)["dblp"]["status"] == "ok"
+        col = load_database(root).get_collection("dblp")
+        adopted = col.search_index(build=False)
+        assert adopted is not None
+        fresh = CollectionSearchIndex()
+        for key, document in col.documents():
+            fresh.add_document(key, document)
+        assert adopted.to_dict() == fresh.to_dict()
+        assert adopted.stats() == fresh.stats()
+        for index in (adopted, fresh):
+            assert index.docs_with_term("p1") == set()
+        for probe, argument in (
+            ("docs_with_term", "J. Smith"),
+            ("terms_with_tags", frozenset({"author", "title"})),
+            ("docs_with_any_tag", ["booktitle"]),
+            ("docs_with_pc_pair", [("inproceedings", "booktitle")]),
+            ("docs_with_ad_pair", [("dblp", "author")]),
+        ):
+            assert getattr(adopted, probe)(argument) == getattr(fresh, probe)(argument)
 
     def test_build_indexes_repairs_stale_and_corrupt(self, tmp_path):
         root = _store(tmp_path)

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro.core.executor import QueryExecutor
+from repro.core.parser import parse_query
 from repro.errors import StorageCorruptionError, XmlDbError
 from repro.ioutils import sha256_text
 from repro.obs.metrics import REGISTRY
@@ -79,8 +81,9 @@ class TestRoundTrip:
     def test_queries_survive(self, database, tmp_path):
         save_database(database, str(tmp_path / "store"))
         loaded = load_database(str(tmp_path / "store"))
-        titles = [n.text for n in loaded.xpath("dblp", "//title")]
-        assert titles == ["One"]
+        parsed = parse_query("title")
+        report = QueryExecutor(loaded).selection("dblp", parsed.pattern, parsed.roots)
+        assert [n.text for n in report.results] == ["One"]
 
     def test_segments_are_greppable_json_lines(self, database, tmp_path):
         root = tmp_path / "store"
