@@ -288,7 +288,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     system, _ = _load_query_system(args)
     executor, _degraded = system._query_executor()
-    plan = executor.explain(parse_query(args.query).pattern)
+    parsed = parse_query(args.query)
+    plan = executor.explain(parsed.pattern, join=len(parsed.roots) == 2)
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2))
     else:

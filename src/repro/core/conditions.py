@@ -439,7 +439,6 @@ def rewrite_condition(
     condition: Condition,
     context: SeoConditionContext,
     expand_similar: bool = True,
-    reads: Optional[List[Optional[FrozenSet[str]]]] = None,
 ) -> Condition:
     """Expand semantic atoms into exact-match disjunctions via the SEO.
 
@@ -458,17 +457,11 @@ def rewrite_condition(
     SEO terms says that.  The evaluator decides ``~``; with
     ``expand_similar=False`` constant-sided ``~`` atoms are kept as they
     are (the form a sound XPath prefilter is compiled from).
-
-    ``reads``, when given, collects every expansion the rewrite looked
-    up, in visit order: with ``expand_similar`` that is
-    :func:`expansions_read` of ``condition``.
     """
     if isinstance(condition, _SemanticAtom):
         if not expand_similar and isinstance(condition, SimilarTo):
             return condition
         expansion = _expansion_for(condition, context)
-        if reads is not None:
-            reads.append(expansion)
         if expansion is None:
             return condition  # node-to-node semantic atom: leave for runtime
         atoms = [
@@ -483,19 +476,19 @@ def rewrite_condition(
     if isinstance(condition, And):
         return And(
             *[
-                rewrite_condition(op, context, expand_similar, reads)
+                rewrite_condition(op, context, expand_similar)
                 for op in condition.operands
             ]
         )
     if isinstance(condition, Or):
         return Or(
             *[
-                rewrite_condition(op, context, expand_similar, reads)
+                rewrite_condition(op, context, expand_similar)
                 for op in condition.operands
             ]
         )
     if isinstance(condition, Not):
-        return Not(rewrite_condition(condition.operand, context, expand_similar, reads))
+        return Not(rewrite_condition(condition.operand, context, expand_similar))
     return condition
 
 
@@ -505,12 +498,11 @@ def expansions_read(
     """What a plan compiled from ``condition`` read of the SEO.
 
     The expansion of every semantic atom, in the order
-    :func:`rewrite_condition` visits them (None for a node-to-node atom),
-    as its ``reads`` collects them.  The rewrite, the index probes and
-    the exactness proof see the SEO only through these sets, so under
-    another SEO a plan whose reads are equal is the plan a fresh compile
-    would build.  Raises :class:`~repro.errors.ConditionError` where the
-    rewrite would.
+    :func:`rewrite_condition` visits them (None for a node-to-node atom).
+    The index probes and the exactness proof see the SEO only through
+    these sets, so under another SEO a plan whose reads are equal is the
+    plan a fresh compile would build.  Raises
+    :class:`~repro.errors.ConditionError` where the rewrite would.
     """
     reads: List[Optional[FrozenSet[str]]] = []
 

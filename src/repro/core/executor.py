@@ -10,18 +10,21 @@ phases all experiments report:
 (iii) **parse the results** returned and convert them to the form defined
       by TAX (witness trees), verifying the full condition.
 
-The generated XPath is a sound prefilter — every fragment it pushes is
+The paper's XPath is a sound prefilter — every fragment it pushes is
 implied by the condition, so it never drops a true answer — and the
 paper-faithful :class:`~repro.core.reference.ReferenceExecutor` runs it
-on the tree engine.  This executor keeps the text (``explain``, the
-report's ``xpath_queries``) but does not run it: phase (ii) fetches the
-pattern root's candidate rows from the index-kept documents' columns,
-and the compiled verify program alone decides every answer in phase
-(iii), so conditions XPath cannot express (cross-node similarity, typed
-comparisons, negation) are answered exactly.  When the index probes
-decide every conjunct of a selection (:func:`~repro.core.planner.
-exact_tags`), a candidate whose document holds one row of each pattern
-tag is booked without a scan: the probes already decided it.
+on the tree engine.  This executor's pipeline neither runs nor writes
+it (:meth:`QueryExecutor.explain` writes it, through
+:func:`prefilter_xpaths`): phase (i) compiles the verify program and the
+index probes from the original condition and records the SEO expansions
+they read; phase (ii) fetches the pattern root's candidate rows from the
+index-kept documents' columns, and the compiled verify program alone
+decides every answer in phase (iii), so conditions XPath cannot express
+(cross-node similarity, typed comparisons, negation) are answered
+exactly.  When the index probes decide every conjunct of a selection
+(:func:`~repro.core.planner.exact_tags`), a candidate whose document
+holds one row of each pattern tag is booked without a scan: the probes
+already decided it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import AbstractSet, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import ConditionError, QueryExecutionError
+from ..errors import QueryExecutionError
 from ..guard import ResourceGuard
 from ..lru import LruCache
 from ..obs import NULL_OBSERVABILITY, Observability
@@ -46,6 +49,7 @@ from ..tax.conditions import (
     And,
     Comparison,
     Condition,
+    ConditionContext,
     Constant,
     NodeContent,
     Or,
@@ -134,6 +138,8 @@ class ExecutionReport:
     rewrite_seconds: float
     xpath_seconds: float
     convert_seconds: float
+    #: The XPath the execution ran, one per side: the reference
+    #: executor's; production runs and writes none.
     xpath_queries: List[str] = field(default_factory=list)
     candidates: int = 0
     #: semantic-hook invocations during this query (Section 6's "accesses
@@ -517,8 +523,8 @@ def join_side_patterns(
     Each is the subtree under one child of the product root, carrying the
     conjuncts of ``condition`` that mention only that side.  A side's
     candidates are the rows its pattern embeds at, root bound to the
-    row; :func:`compile_pattern_to_xpath` turns the side (with the
-    rewritten conjuncts) into its prefilter text.
+    row; :func:`prefilter_xpaths` turns the side (with the rewritten
+    conjuncts) into its prefilter text.
     """
     root_children = pattern.children(pattern.root)
     if len(root_children) != 2:
@@ -531,6 +537,29 @@ def join_side_patterns(
         side.condition = _side_condition(condition, set(side.labels()))
         sides.append(side)
     return sides
+
+
+def prefilter_xpaths(
+    pattern: PatternTree, context: Optional[ConditionContext], join: bool
+) -> List[str]:
+    """The paper's prefilter XPath per side: one for a selection or a
+    projection, left then right for a join.
+
+    Under an SEO context the condition is rewritten first, with ``~``
+    left unexpanded (:func:`compile_pattern_to_xpath` says why); any
+    other context evaluates semantic atoms itself and rewrites nothing.
+    ``explain`` shows these texts and the reference executor runs them;
+    the production pipeline does neither.
+    """
+    condition = pattern.condition
+    if isinstance(context, SeoConditionContext):
+        condition = rewrite_condition(condition, context, expand_similar=False)
+    if join:
+        return [
+            compile_pattern_to_xpath(side)
+            for side in join_side_patterns(pattern, condition)
+        ]
+    return [compile_pattern_to_xpath(pattern, condition)]
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +575,12 @@ class CompiledPlan:
     :meth:`QueryExecutor._plan` and kept in the plan cache; every stage
     of the pipeline, and :meth:`QueryExecutor.explain`, reads it.  A
     selection or projection has one side, a join two (left, right).
-    The verify program and the fetchers bind the live context; the rest
-    holds only strings and conditions.
+    The verify program and the fetchers bind the live context.  It holds
+    no rewritten condition and no XPath text: no stage reads them
+    (``explain`` writes both on demand).
     """
 
-    #: The SEO-rewritten condition (``explain`` shows it).
-    condition: Condition
-    #: Per side: the prefilter XPath text and the index-probe spec.
-    xpaths: Tuple[str, ...]
+    #: Per side: the index-probe spec.
     specs: Tuple[PlanSpec, ...]
     #: Per side: the fetch's candidate rows of one document's columns —
     #: the root rows of a selection, the anchored rows of a join side.
@@ -674,11 +701,10 @@ class QueryExecutor:
     def _plan(self, pattern: PatternTree, join: bool) -> Tuple[CompiledPlan, bool]:
         """The compiled plan for ``pattern`` and whether the cache had it.
 
-        Rewrites the condition through the SEO, compiles the verify
-        program, and per side one prefilter XPath, one probe spec and
-        one fetcher — once per (operator, pattern, evaluation mode), then
-        served from the cache.  ``join`` splits the pattern into its two
-        product sides.
+        Compiles the verify program and per side one probe spec and one
+        fetcher, and records the SEO expansions they read — once per
+        (operator, pattern, evaluation mode), then served from the
+        cache.  ``join`` splits the pattern into its two product sides.
 
         A cached plan not yet bound to the current context is checked
         first: its SEO reads are recomputed (memo lookups on a carried
@@ -698,30 +724,20 @@ class QueryExecutor:
         key = ("join" if join else "pattern", structure, repr(pattern.condition), mode)
         original = pattern.condition
         entry = self._plan_cache.get(key)
+        bound = entry.bound if entry is not None else None
+        if bound is not None and bound[0] is self.context:
+            return bound[1], True
+        # What a plan compiled now reads of the SEO; raises ConditionError
+        # where the compile would.
+        reads = (
+            expansions_read(original, self.context) if self.context is not None else ()
+        )
         if entry is not None:
-            bound = entry.bound
-            if bound is not None and bound[0] is self.context:
-                return bound[1], True
-            try:
-                current = (
-                    expansions_read(original, self.context)
-                    if self.context is not None
-                    else ()
-                )
-            except ConditionError:
-                current = None
-            if current == entry.reads:
+            if reads == entry.reads:
                 METRICS.counter("executor.plan_cache.revalidated").inc()
                 return self._bind(entry), True
             METRICS.counter("executor.plan_cache.stale").inc()
-        collected: List[Optional[AbstractSet[str]]] = []
-        if self.context is not None:
-            condition = rewrite_condition(original, self.context, reads=collected)
-            prefilter = rewrite_condition(original, self.context, expand_similar=False)
-        else:
-            condition = prefilter = original
-        # Verify with the original condition, not the rewritten one (they
-        # differ only under an SEO context): the evaluator decides every
+        # Verify with the original condition: the evaluator decides every
         # semantic atom.  The copy keeps the cached program independent
         # of the caller's (mutable) pattern object.
         verified = PatternTree(original)
@@ -731,10 +747,6 @@ class QueryExecutor:
         if join:
             sides = tuple(join_side_patterns(pattern, original))
             left_labels, right_labels = (set(side.labels()) for side in sides)
-            xpaths = tuple(
-                compile_pattern_to_xpath(side)
-                for side in join_side_patterns(pattern, prefilter)
-            )
             # The probe specs and the side fetch come from the *original*
             # side conjuncts: verification evaluates those.
             specs = tuple(
@@ -754,15 +766,12 @@ class QueryExecutor:
                 cross = probes[0] if probes else None
                 similar = next((p for p in probes if p.kind == "similar"), None)
         else:
-            xpaths = (compile_pattern_to_xpath(pattern, prefilter),)
             specs = (
                 build_plan_spec(pattern, original, self.context, self.exact_fallback),
             )
             prunable = specs[0].prunable
             exact = exact_tags(pattern, original, specs[0], self.context)
         unbound = CompiledPlan(
-            condition,
-            xpaths,
             specs,
             (),
             prunable,
@@ -771,7 +780,7 @@ class QueryExecutor:
             similar,
             exact,
         )
-        entry = _PlanEntry(unbound, verified, sides, tuple(collected))
+        entry = _PlanEntry(unbound, verified, sides, reads)
         plan = self._bind(entry)
         self._plan_cache.put(key, entry)
         return plan, False
@@ -829,7 +838,7 @@ class QueryExecutor:
     def _finish_query(
         self,
         kind: str,
-        query: str,
+        query: Optional[str],
         tracer,
         guard: Optional[ResourceGuard],
         report: ExecutionReport,
@@ -893,23 +902,18 @@ class QueryExecutor:
             METRICS.counter("executor.slow_queries").inc()
         return report
 
-    def explain(self, pattern: PatternTree) -> "QueryPlan":
-        """The query plan without executing it: rewrite + compiled XPath.
+    def explain(self, pattern: PatternTree, join: bool) -> "QueryPlan":
+        """The query plan without executing it: rewrite + prefilter XPath.
 
         Useful for debugging recall problems: the plan shows exactly which
         exact-match disjuncts the SEO expanded each semantic atom into.
-        It is the cached plan the pipeline itself runs.
+        ``join`` is the operator, as for :meth:`_plan`: a join plans its
+        two product sides.  The index lines describe the cached plan the
+        pipeline itself runs; the rewrite and the XPath text (the
+        reference executor's prefilter) are written here, on demand.
         """
         started = time.perf_counter()
-        root_children = (
-            pattern.children(pattern.root) if len(pattern) > 1 else []
-        )
-        is_join = bool(
-            len(root_children) == 2
-            and pattern.condition.labels()
-            and pattern.root not in pattern.condition.labels()
-        )
-        plan, _ = self._plan(pattern, join=is_join)
+        plan, _ = self._plan(pattern, join)
         if plan.prunable:
             index_plan = self._side_lines(plan)
         else:
@@ -919,11 +923,17 @@ class QueryExecutor:
                 f"cross: {plan.cross.kind}(node[{plan.cross.left_label}] "
                 f"<-> node[{plan.cross.right_label}])"
             )
-        index_plan.append(describe_verify_strategy(is_join, plan.exact_tags))
+        index_plan.append(describe_verify_strategy(join, plan.exact_tags))
+        original = pattern.condition
+        rewritten = (
+            rewrite_condition(original, self.context)
+            if self.context is not None
+            else original
+        )
         return QueryPlan(
-            original=repr(pattern.condition),
-            rewritten=repr(plan.condition),
-            xpath_queries=list(plan.xpaths),
+            original=repr(original),
+            rewritten=repr(rewritten),
+            xpath_queries=prefilter_xpaths(pattern, self.context, join),
             rewrite_seconds=time.perf_counter() - started,
             index_plan=index_plan,
         )
@@ -979,7 +989,7 @@ class QueryExecutor:
         sl_labels: Iterable[int] = (),
         guard: Optional[ResourceGuard] = None,
     ) -> ExecutionReport:
-        """Execute a join: per-side XPath prefilter, then product+selection.
+        """Execute a join: per-side candidate fetch, then product+selection.
 
         The pattern's root must be the product root (tag
         ``tax_prod_root``) with exactly two child subtrees, the left one
@@ -1039,20 +1049,16 @@ class QueryExecutor:
                     index_used=index_used,
                 )
 
-            # The fetch.  The stage keeps the paper's name and carries the
-            # prefilter text it stands for, but runs no XPath.  One side
-            # fetches in the stage span itself; a join's two sides each
-            # get a child span.
+            # The fetch.  The stage keeps the paper's name but runs no
+            # XPath.  One side fetches in the stage span itself; a join's
+            # two sides each get a child span.
             single = len(collections) == 1
-            stage_attributes = {"query": plan.xpaths[0]} if single else {}
-            with _stage(tracer, guard, "xpath", **stage_attributes) as xpath_stage:
+            with _stage(tracer, guard, "xpath") as xpath_stage:
                 entries = []
-                for side, name, xpath, rows_of, keys in zip(
-                    ("left", "right"), collections, plan.xpaths, plan.fetchers, doc_keys
+                for side, name, rows_of, keys in zip(
+                    ("left", "right"), collections, plan.fetchers, doc_keys
                 ):
-                    with nullcontext() if single else tracer.span(
-                        f"xpath.{side}", query=xpath
-                    ):
+                    with nullcontext() if single else tracer.span(f"xpath.{side}"):
                         walks = tax_batch.match_memo_misses()
                         entries.append(
                             self.database.get_collection(name).fetch(
@@ -1088,9 +1094,8 @@ class QueryExecutor:
             rewrite_seconds,
             xpath_stage.seconds,
             verify_stage.seconds,
-            list(plan.xpaths),
-            candidates,
-            self._accesses() - accesses_before,
+            candidates=candidates,
+            ontology_accesses=self._accesses() - accesses_before,
             planner_seconds=plan_stage.seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
@@ -1101,7 +1106,7 @@ class QueryExecutor:
         )
         return self._finish_query(
             kind,
-            " | ".join(plan.xpaths),
+            repr(pattern.condition) if self.observability.enabled else None,
             tracer,
             guard,
             report,

@@ -18,7 +18,9 @@ hang off the product root decides what the product selection returns.
 
 It shares with :class:`~repro.core.executor.QueryExecutor` only the
 paper's own algorithm (the SEO rewrite and the pattern -> XPath
-compilation) and must never import the machinery it is the oracle for:
+compilation: :func:`~repro.core.executor.prefilter_xpaths`, whose text
+``explain`` shows) and must never import the machinery it is the oracle
+for:
 ``tax.batch``, ``tax.compile``, ``xmldb.columnar``, ``core.planner`` and
 ``similarity.candidates`` (a lint step greps this file's imports).  The
 property suites require production == reference on result sequence and
@@ -32,14 +34,13 @@ import time
 from typing import Iterable, List, Optional, Sequence
 
 from ..tax import algebra as tax_algebra
-from ..tax.conditions import DEFAULT_CONTEXT, Condition, ConditionContext
+from ..tax.conditions import DEFAULT_CONTEXT, ConditionContext
 from ..tax.embedding import find_embeddings
 from ..tax.pattern import PatternTree
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
 from ..xmldb.xpath import XPathQuery
-from .conditions import SeoConditionContext, rewrite_condition
-from .executor import ExecutionReport, compile_pattern_to_xpath, join_side_patterns
+from .executor import ExecutionReport, join_side_patterns, prefilter_xpaths
 
 
 class ReferenceExecutor:
@@ -61,14 +62,6 @@ class ReferenceExecutor:
         self.database = database
         self.context = context if context is not None else DEFAULT_CONTEXT
 
-    def _prefilter(self, pattern: PatternTree) -> Condition:
-        """The condition the XPath is compiled from (``~`` unexpanded)."""
-        if isinstance(self.context, SeoConditionContext):
-            return rewrite_condition(
-                pattern.condition, self.context, expand_similar=False
-            )
-        return pattern.condition
-
     def _accesses(self) -> int:
         return getattr(self.context, "ontology_accesses", 0)
 
@@ -80,15 +73,15 @@ class ReferenceExecutor:
             candidates.extend(query.select_elements(root))
         return candidates
 
-    def _run(self, collections, compile_xpaths, convert) -> ExecutionReport:
+    def _run(self, collections, pattern, join, convert) -> ExecutionReport:
         """The three timed phases: rewrite + compile, XPath scan, algebra.
 
-        ``compile_xpaths()`` returns one XPath per collection;
-        ``convert`` gets each collection's candidates.
+        One XPath per collection (:func:`~repro.core.executor.
+        prefilter_xpaths`); ``convert`` gets each collection's candidates.
         """
         accesses_before = self._accesses()
         started = time.perf_counter()
-        xpaths = compile_xpaths()
+        xpaths = prefilter_xpaths(pattern, self.context, join)
         rewrite_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -115,7 +108,8 @@ class ReferenceExecutor:
     ) -> ExecutionReport:
         return self._run(
             [collection_name],
-            lambda: [compile_pattern_to_xpath(pattern, self._prefilter(pattern))],
+            pattern,
+            False,
             lambda candidates: operator(candidates, pattern, keep, self.context),
         )
 
@@ -164,10 +158,8 @@ class ReferenceExecutor:
 
         return self._run(
             [left_collection, right_collection],
-            lambda: [
-                compile_pattern_to_xpath(side)
-                for side in join_side_patterns(pattern, self._prefilter(pattern))
-            ],
+            pattern,
+            True,
             lambda left, right: tax_algebra.selection(
                 tax_algebra.product(anchored(sides[0], left), anchored(sides[1], right)),
                 pattern,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...errors import XPathEvaluationError
-from ...guard import ResourceGuard
 from ..model import XmlNode
 from . import ast
 from .parser import parse_xpath
@@ -175,9 +174,6 @@ class _Context:
 
 class _Evaluator:
     def __init__(self) -> None:
-        #: Optional per-evaluation resource guard; set by XPathQuery before
-        #: each evaluation (evaluation is single-threaded and non-reentrant).
-        self._guard: Optional[ResourceGuard] = None
         self._functions: Dict[str, Callable[[_Context, List[Value]], Value]] = {
             "position": self._fn_position,
             "last": self._fn_last,
@@ -207,8 +203,6 @@ class _Evaluator:
     # -- entry ---------------------------------------------------------------
 
     def evaluate(self, expression: ast.Expr, context: _Context) -> Value:
-        if self._guard is not None:
-            self._guard.tick(what="xpath evaluation")
         if isinstance(expression, ast.Literal):
             return expression.value
         if isinstance(expression, ast.Number):
@@ -479,10 +473,6 @@ class _Evaluator:
 
     def _apply_step(self, step: ast.Step, source: ContextNode) -> List[ResultNode]:
         candidates = self._axis_candidates(step.axis, step.test, source)
-        if self._guard is not None:
-            # Predicate-free steps never re-enter evaluate(), so account
-            # for the axis traversal here (one step per candidate node).
-            self._guard.tick(1 + len(candidates), what="xpath evaluation")
         for predicate in step.predicates:
             filtered: List[ResultNode] = []
             size = len(candidates)
@@ -606,28 +596,15 @@ class XPathQuery:
         self.expression = parse_xpath(query)
         self._evaluator = _Evaluator()
 
-    def evaluate(
-        self, root: XmlNode, guard: Optional[ResourceGuard] = None
-    ) -> Value:
-        """Evaluate against a document root; returns any XPath value.
+    def evaluate(self, root: XmlNode) -> Value:
+        """Evaluate against a document root; returns any XPath value."""
+        return self._evaluator.evaluate(
+            self.expression, _Context(_DocumentPoint(root), 1, 1)
+        )
 
-        With ``guard``, every evaluation step ticks the guard, so a
-        pathological query is interrupted mid-flight by
-        :class:`~repro.errors.QueryTimeoutError` /
-        :class:`~repro.errors.ResourceExhaustedError`.
-        """
-        context = _Context(_DocumentPoint(root), 1, 1)
-        self._evaluator._guard = guard
-        try:
-            return self._evaluator.evaluate(self.expression, context)
-        finally:
-            self._evaluator._guard = None
-
-    def select(
-        self, root: XmlNode, guard: Optional[ResourceGuard] = None
-    ) -> List[ResultNode]:
+    def select(self, root: XmlNode) -> List[ResultNode]:
         """Evaluate and require a node-set result."""
-        value = self.evaluate(root, guard=guard)
+        value = self.evaluate(root)
         if not isinstance(value, list):
             raise XPathEvaluationError(
                 f"query {self.source!r} returned {type(value).__name__}, "

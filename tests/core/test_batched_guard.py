@@ -381,19 +381,6 @@ class TestFetchAccounting:
         with pytest.raises(ResourceExhaustedError, match="query over 'dblp'"):
             collection.fetch(rows_of, guard=ResourceGuard(max_results=5))
 
-    def test_never_more_than_the_tree_engine_charges(self, wide):
-        from repro.xmldb.xpath import XPathQuery
-
-        collection = wide[0].database.get_collection("dblp")
-        plan = self._fetcher(wide)
-        fetched = ResourceGuard()
-        collection.fetch(plan.fetchers[0], guard=fetched)
-        tree = ResourceGuard()
-        compiled = XPathQuery(plan.xpaths[0])
-        for _key, root in collection.documents():
-            compiled.select(root, guard=tree)
-        assert 0 < fetched.steps <= tree.steps
-
 
 # ---------------------------------------------------------------------------
 # One route: a guard changes what is charged, never what runs

@@ -195,11 +195,12 @@ def test_a_broad_selection_books_every_candidate(store):
 
 def test_explain_names_the_strategy_the_plan_uses(store):
     _corpus, system = store
-    exact = system.executor.explain(parse_query(BROAD).pattern)
+    exact = system.executor.explain(parse_query(BROAD).pattern, join=False)
     assert "index-exact" in exact.index_plan[-1]
     assert "{inproceedings, booktitle, title}" in exact.index_plan[-1]
     point = system.executor.explain(
-        parse_query('inproceedings(author ~ "Jeffrey D. Ullman", title)').pattern
+        parse_query('inproceedings(author ~ "Jeffrey D. Ullman", title)').pattern,
+        join=False,
     )
     assert point.index_plan[-1] == "verify: set-oriented batch over columnar rows"
 

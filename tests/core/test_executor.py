@@ -193,12 +193,14 @@ class TestSelectionExecution:
             Comparison("=", NodeTag(2), Constant("author")),
             SimilarTo(NodeContent(2), Constant("J. Smith")),
         )
-        report = QueryExecutor(database, context).selection("dblp", pattern, [1])
+        executor = QueryExecutor(database, context)
+        report = executor.selection("dblp", pattern, [1])
         keys = {t.attributes["key"] for t in report.results}
         assert keys == {"p1", "p2"}
         assert report.total_seconds >= 0
         assert report.candidates >= 2
-        assert len(report.xpath_queries) == 1
+        assert report.xpath_queries == []
+        assert len(executor.explain(pattern, join=False).xpath_queries) == 1
 
     def test_tax_executor_exact_only(self, database):
         pattern = pattern_of([(1, None, PC), (2, 1, PC)])
@@ -264,13 +266,14 @@ class TestJoinExecution:
         return pattern
 
     def test_similarity_join(self, database, context):
-        report = QueryExecutor(database, context).join(
-            "dblp", "sigmod", self.make_join_pattern(), sl_labels=[2, 4]
-        )
+        executor = QueryExecutor(database, context)
+        pattern = self.make_join_pattern()
+        report = executor.join("dblp", "sigmod", pattern, sl_labels=[2, 4])
         assert len(report.results) == 1
         titles = [n.text for n in report.results[0].find_all("title")]
         assert titles == ["Paper One", "Paper One."]
-        assert len(report.xpath_queries) == 2
+        assert report.xpath_queries == []
+        assert len(executor.explain(pattern, join=True).xpath_queries) == 2
 
     def test_join_requires_two_subtrees(self, database, context):
         bad = pattern_of([(0, None, PC), (1, 0, PC)])

@@ -26,7 +26,7 @@ def executor():
 class TestExplain:
     def test_selection_plan_shows_expansion(self, executor):
         parsed = parse_query('inproceedings(author ~ "J. Smith")')
-        plan = executor.explain(parsed.pattern)
+        plan = executor.explain(parsed.pattern, join=False)
         assert "~" in plan.original
         assert "J. Smyth" in plan.rewritten  # the SEO expansion is visible
         assert len(plan.xpath_queries) == 1
@@ -36,19 +36,19 @@ class TestExplain:
         parsed = parse_query(
             "inproceedings(title $a), article(title $b) where $a ~ $b"
         )
-        plan = executor.explain(parsed.pattern)
+        plan = executor.explain(parsed.pattern, join=True)
         assert len(plan.xpath_queries) == 2
 
     def test_str_rendering(self, executor):
         parsed = parse_query('inproceedings(author ~ "J. Smith")')
-        text = str(executor.explain(parsed.pattern))
+        text = str(executor.explain(parsed.pattern, join=False))
         assert "original" in text and "rewritten" in text and "xpath[0]" in text
 
     def test_tax_plan_is_identity(self):
         database = Database()
         tax = QueryExecutor(database, context=None)
         parsed = parse_query('inproceedings(author = "X")')
-        plan = tax.explain(parsed.pattern)
+        plan = tax.explain(parsed.pattern, join=False)
         assert plan.original == plan.rewritten
 
 

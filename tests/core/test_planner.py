@@ -254,7 +254,7 @@ class TestExecutorIntegration:
         # prune (the query must raise from verification, as a scan would).
         pattern = _author_pattern(SimilarTo(NodeContent(2), Constant("J. Smith")))
         executor = QueryExecutor(database, None)
-        assert executor.explain(pattern).index_plan[0].startswith("full scan")
+        assert executor.explain(pattern, join=False).index_plan[0].startswith("full scan")
         guard = ResourceGuard()
         with pytest.raises(ConditionError):
             executor.selection("dblp", pattern, sl_labels=[1], guard=guard)
@@ -296,7 +296,7 @@ class TestExecutorIntegration:
         pattern = _author_pattern(
             SimilarTo(NodeContent(2), Constant("J. Smith"))
         )
-        plan = str(QueryExecutor(database, context).explain(pattern))
+        plan = str(QueryExecutor(database, context).explain(pattern, join=False))
         assert "index    : tag in {inproceedings}" in plan
         assert "pc pair in {inproceedings/author}" in plan
         assert "terms within epsilon of 'J. Smith'" in plan

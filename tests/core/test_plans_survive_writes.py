@@ -67,32 +67,33 @@ def write(system, author, serial):
 
 
 @pytest.fixture
-def rewrites(monkeypatch):
-    """Every ``rewrite_condition`` call the executor makes, by condition."""
+def compiles(monkeypatch):
+    """Every probe spec the executor compiles (one per plan side), by
+    condition: a plan miss compiles them, a revalidated plan does not."""
     calls = []
-    real = executor_module.rewrite_condition
+    real = executor_module.build_plan_spec
 
-    def counting(condition, context, *args, **kwargs):
+    def counting(pattern, condition, *args, **kwargs):
         calls.append(repr(condition))
-        return real(condition, context, *args, **kwargs)
+        return real(pattern, condition, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "rewrite_condition", counting)
+    monkeypatch.setattr(executor_module, "build_plan_spec", counting)
     return calls
 
 
-def test_an_unrelated_write_keeps_the_plan(system, rewrites):
+def test_an_unrelated_write_keeps_the_plan(system, compiles):
     text = 'inproceedings(author ~ "J. Smith")'
     cold = checked(system, text)
-    assert not cold.plan_cache_hit and rewrites
+    assert not cold.plan_cache_hit and compiles
     revalidated = METRICS.counter("executor.plan_cache.revalidated").value
     seo = system.context.seo
 
     write(system, "Zyx Qwerty", 10)
     assert system.context.seo is not seo  # a new, patched SEO
-    del rewrites[:]
+    del compiles[:]
     warm = checked(system, text)
     assert warm.plan_cache_hit
-    assert rewrites == []
+    assert compiles == []
     assert METRICS.counter("executor.plan_cache.revalidated").value == revalidated + 1
     assert warm.result_texts() == cold.result_texts()
 

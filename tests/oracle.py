@@ -26,6 +26,7 @@ def assert_matches_reference(report, oracle, accesses=True):
     document's root row without asking the SEO, so it reports 0 accesses
     — such callers assert that 0 themselves."""
     assert answer(report) == answer(oracle)
-    assert report.xpath_queries == oracle.xpath_queries
+    # Production writes no XPath; ``explain`` shows the oracle's.
+    assert report.xpath_queries == []
     if accesses:
         assert report.ontology_accesses == oracle.ontology_accesses

@@ -157,7 +157,7 @@ def test_selection_xpath_is_closed_and_sound(
         _content_condition(2, *content),
     )
     executor = QueryExecutor(database, _CONTEXT)
-    for xpath in executor.explain(pattern).xpath_queries:
+    for xpath in executor.explain(pattern, join=False).xpath_queries:
         _assert_parses(xpath)
     reference = ReferenceExecutor(database, _CONTEXT)
     # Results only: where a disjunction holds an unquotable alternative
@@ -212,11 +212,13 @@ def test_join_xpaths_are_closed_and_sound(
     )
     for side in join_side_patterns(pattern, pattern.condition):
         _assert_parses(compile_pattern_to_xpath(side))
+    executor = QueryExecutor(database, _CONTEXT)
+    oracle = ReferenceExecutor(database, _CONTEXT).join("left", "right", pattern, [2, 4])
     assert_matches_reference(
-        QueryExecutor(database, _CONTEXT).join("left", "right", pattern, [2, 4]),
-        ReferenceExecutor(database, _CONTEXT).join("left", "right", pattern, [2, 4]),
-        accesses=False,
+        executor.join("left", "right", pattern, [2, 4]), oracle, accesses=False
     )
+    # explain writes the XPath the oracle ran, side by side.
+    assert executor.explain(pattern, join=True).xpath_queries == oracle.xpath_queries
 
 
 def _single_node(tag):
@@ -342,10 +344,13 @@ def test_prefilter_is_sound_against_the_algebra(store, field_tag, edge, atom, ne
         else Comparison(op, NodeContent(2), Constant(constant)),
     )
     context = _NEAR_CONTEXTS[near]
-    production = QueryExecutor(database, context).selection("lib", pattern, sl)
+    executor = QueryExecutor(database, context)
+    production = executor.selection("lib", pattern, sl)
     oracle = ReferenceExecutor(database, context).selection("lib", pattern, sl)
     for xpath in oracle.xpath_queries:
         _assert_parses(xpath)
+    # explain writes the XPath the oracle ran; production writes none.
+    assert executor.explain(pattern, join=False).xpath_queries == oracle.xpath_queries
     # A ~ is left to the algebra: the oracle asks the SEO about documents
     # the index prunes before production fetches them.
     assert_matches_reference(production, oracle, accesses=op != "~")

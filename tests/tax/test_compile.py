@@ -140,7 +140,7 @@ def test_executor_refuses_an_unregistered_condition_at_plan_time():
     pattern.add_node(1)
     executor = QueryExecutor(database)
     with pytest.raises(ConditionError, match="Wildcard"):
-        executor.explain(pattern)
+        executor.explain(pattern, join=False)
     guard = ResourceGuard()
     with pytest.raises(ConditionError, match="Wildcard"):
         executor.selection("c", pattern, [1], guard=guard)
