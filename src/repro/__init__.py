@@ -3,11 +3,12 @@
 A from-scratch Python reproduction of "TOSS: An Extension of TAX with
 Ontologies and Similarity Queries" (Hung, Deng, Subrahmanian, SIGMOD
 2004), including every substrate the paper builds on: an in-memory XML
-database with an XPath engine (:mod:`repro.xmldb`, replacing Apache
-Xindice), the TAX pattern-tree algebra (:mod:`repro.tax`), graph-based
-ontologies with canonical fusion (:mod:`repro.ontology`), string
-similarity measures and the SEA enhancement algorithm
-(:mod:`repro.similarity`), and the TOSS core itself (:mod:`repro.core`).
+database (:mod:`repro.xmldb`, replacing Apache Xindice; its XPath engine
+runs only the XPath the paper's rewrite generates), the TAX pattern-tree
+algebra (:mod:`repro.tax`), graph-based ontologies with canonical fusion
+(:mod:`repro.ontology`), string similarity measures and the SEA
+enhancement algorithm (:mod:`repro.similarity`), and the TOSS core
+itself (:mod:`repro.core`).
 
 Quickstart::
 

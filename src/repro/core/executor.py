@@ -1144,7 +1144,7 @@ class QueryExecutor:
         term_pairs = None
         if plan.prunable:
             seo = self.context.seo if self.context is not None else None
-            indexes = [target.search_index() for target in targets]
+            indexes = [target.search_index(guard=guard) for target in targets]
             for side, (spec, index) in enumerate(zip(plan.specs, indexes)):
                 if spec.prunable:
                     doc_keys[side] = prune_candidates(

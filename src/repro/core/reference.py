@@ -70,7 +70,7 @@ class ReferenceExecutor:
         query = XPathQuery(xpath)
         candidates: List[XmlNode] = []
         for _key, root in self.database.get_collection(collection_name).documents():
-            candidates.extend(query.select_elements(root))
+            candidates.extend(query.select(root))
         return candidates
 
     def _run(self, collections, pattern, join, convert) -> ExecutionReport:

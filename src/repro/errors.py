@@ -36,10 +36,6 @@ class XPathSyntaxError(XmlDbError):
         self.position = position
 
 
-class XPathEvaluationError(XmlDbError):
-    """A syntactically valid XPath query failed during evaluation."""
-
-
 class StorageCorruptionError(XmlDbError):
     """A persisted file is truncated, unreadable or fails its checksum.
 

@@ -4,16 +4,16 @@ Apache Xindice — and every production XML store — bounds what a single
 request may consume; the paper's experiments implicitly rely on that (the
 5 MB document cap of Section 6 is one such bound).  A
 :class:`ResourceGuard` makes the same discipline explicit for this
-reproduction: one guard instance watches one operation (an XPath query, a
-TOSS selection, an SEA build) and raises
+reproduction: one guard instance watches one operation (a TOSS
+selection or join, an SEA build) and raises
 :class:`~repro.errors.QueryTimeoutError` /
 :class:`~repro.errors.ResourceExhaustedError` when the operation exceeds
 its wall-clock deadline, its evaluation-step budget or its result-count
 cap.
 
 Guards are cheap to consult: callers ``tick()`` at fine-grained points
-(once per XPath evaluation step, once per verified candidate, once per
-compared node pair) and the guard amortises the actual clock reads —
+(once per fetched row, once per verified candidate, once per compared
+node pair) and the guard amortises the actual clock reads —
 the deadline is re-checked every :data:`CHECK_INTERVAL` steps, so a
 query that exceeds its deadline is interrupted well within 2x the
 configured budget even when individual steps are microseconds.
@@ -22,12 +22,18 @@ configured budget even when individual steps are microseconds.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from collections.abc import Sized
+from typing import Dict, Iterable, Iterator, List, Optional, TypeVar
 
 from .errors import QueryTimeoutError, ResourceExhaustedError
 
 #: Steps between wall-clock reads in :meth:`ResourceGuard.tick`.
 CHECK_INTERVAL = 64
+
+#: Items a lazy build walks between two deadline checks (:func:`paced`).
+PACE_INTERVAL = 2048
+
+T = TypeVar("T")
 
 
 class ResourceGuard:
@@ -198,3 +204,31 @@ def replay_ticks(guard: ResourceGuard, runs: List[List]) -> None:
         else:
             for _ in range(repeats):
                 guard.tick(steps, what)
+
+
+def paced(items: Iterable[T], guard: Optional[ResourceGuard], what: str) -> Iterable[T]:
+    """``items``, checking ``guard``'s deadline at the first item and
+    every :data:`PACE_INTERVAL` items after it.
+
+    For the lazy builds a guarded query waits on (a document's columns,
+    a collection's search index): the build stops at the deadline but
+    charges no steps, so the guard's step accounting stays the query's
+    own.  Without a guard or a deadline, ``items`` comes back unwrapped,
+    and so does a sized collection of at most :data:`PACE_INTERVAL`
+    items (a small document's later passes, which its walk, checked at
+    its first node, just preceded).
+    """
+    if (
+        guard is None
+        or guard.deadline_seconds is None
+        or (isinstance(items, Sized) and len(items) <= PACE_INTERVAL)
+    ):
+        return items
+    return _paced(items, guard, what)
+
+
+def _paced(items: Iterable[T], guard: ResourceGuard, what: str) -> Iterator[T]:
+    for count, item in enumerate(items):
+        if not count % PACE_INTERVAL:
+            guard.check_deadline(what)
+        yield item

@@ -10,8 +10,8 @@ of timed :class:`Span` objects.  The design goals, in order:
 * **bounded when enabled** — ``max_depth`` and ``max_spans`` cap the
   tree so tracing can stay on in production against pathological inputs
   (spans past the caps are counted in ``dropped_spans``, never recorded);
-* **ambient access** — deep layers (the planner, the XPath engine, SEA,
-  the worker-pool merge) call :func:`current_tracer` instead of
+* **ambient access** — deep layers (the planner, SEA and the SEO build,
+  the storage layer) call :func:`current_tracer` instead of
   threading a tracer argument through every signature.  Outside an
   active trace that returns the :data:`NULL_TRACER`, which costs one
   list lookup and allocates nothing.

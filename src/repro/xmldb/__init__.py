@@ -5,8 +5,10 @@ collections and are queried with XPath.  This package reproduces that
 substrate in Python: an ordered labelled tree model with preorder/postorder
 numbering (:mod:`model`), an XML reader/writer (:mod:`parser`,
 :mod:`serializer`), named collections with Xindice's per-document size cap
-(:mod:`collection`), an XPath-subset engine (:mod:`xpath`), and the
-:class:`Database` facade tying them together.
+(:mod:`collection`) and the :class:`Database` facade tying them together.
+The query executor fetches candidates from the collections' columns and
+runs no XPath; :mod:`xpath` runs the paper's generated XPath for the
+reference executor alone, so it is not re-exported here.
 """
 
 from .collection import Collection
@@ -14,16 +16,13 @@ from .database import Database
 from .model import XmlNode, ancestor_of, document_order
 from .parser import parse_document, parse_fragment
 from .serializer import serialize
-from .xpath import XPathQuery, evaluate_xpath
 
 __all__ = [
     "Collection",
     "Database",
-    "XPathQuery",
     "XmlNode",
     "ancestor_of",
     "document_order",
-    "evaluate_xpath",
     "parse_document",
     "parse_fragment",
     "serialize",

@@ -202,25 +202,33 @@ class Collection:
 
     # -- querying ----------------------------------------------------------------
 
-    def columns_for(self, key: str, root: XmlNode) -> DocumentColumns:
-        """Columnar arrays for a stored document (built lazily, cached)."""
+    def columns_for(
+        self, key: str, root: XmlNode, guard: Optional[ResourceGuard] = None
+    ) -> DocumentColumns:
+        """Columnar arrays for a stored document (built lazily, cached).
+
+        A build past ``guard``'s deadline raises and caches nothing.
+        """
         entry = self._columns.get(key)
         if entry is not None and entry[0] is root:
             return entry[1]
-        columns = DocumentColumns(root)
+        columns = DocumentColumns(root, guard)
         self._columns[key] = (root, columns)
         return columns
 
-    def search_index(self, build: bool = True) -> Optional[CollectionSearchIndex]:
+    def search_index(
+        self, build: bool = True, guard: Optional[ResourceGuard] = None
+    ) -> Optional[CollectionSearchIndex]:
         """The collection-wide search index, built on first request.
 
         With ``build=False``, returns whatever is already in memory
-        (possibly None) without paying for construction.
+        (possibly None) without paying for construction.  A build past
+        ``guard``'s deadline raises and keeps no index.
         """
         if self._search_index is None and build:
             index = CollectionSearchIndex()
             for key, root in self._documents.items():
-                index.add_document(key, root)
+                index.add_document(key, root, guard)
             self._search_index = index
         return self._search_index
 
@@ -279,7 +287,7 @@ class Collection:
             if entry is not None and entry[0] is root:
                 cols = entry[1]
             else:
-                cols = self.columns_for(key, root)
+                cols = self.columns_for(key, root, guard)
             rows = rows_of(cols)
             if rows:
                 if len(rows) == 1:

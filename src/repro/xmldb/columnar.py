@@ -14,6 +14,7 @@ import sys
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
+from ..guard import ResourceGuard, paced
 from .model import XmlNode, _object_ids
 from .serializer import serialize
 
@@ -50,15 +51,18 @@ class DocumentColumns:
         "_matches",
     )
 
-    def __init__(self, root: XmlNode) -> None:
+    def __init__(self, root: XmlNode, guard: Optional[ResourceGuard] = None) -> None:
+        # The walks check ``guard``'s deadline every few thousand nodes
+        # (:func:`~repro.guard.paced`): a guarded query waits on the build.
         intern = sys.intern
-        nodes: List[XmlNode] = list(root.iter())
+        nodes: List[XmlNode] = list(paced(root.iter(), guard, "column build"))
         count = len(nodes)
         row_of: Dict[int, int] = {id(node): row for row, node in enumerate(nodes)}
         tags: List[str] = [intern(node.tag) for node in nodes]
         texts: List[str] = [node.text for node in nodes]
         children: List[List[int]] = [
-            [row_of[id(child)] for child in node.children] for node in nodes
+            [row_of[id(child)] for child in node.children]
+            for node in paced(nodes, guard, "column build")
         ]
         end: List[int] = [0] * count
         for row in range(count - 1, -1, -1):
@@ -66,7 +70,7 @@ class DocumentColumns:
             end[row] = end[child_rows[-1]] if child_rows else row + 1
         depth: List[int] = [0] * count
         parents: List[int] = [-1] * count
-        for row in range(count):
+        for row in paced(range(count), guard, "column build"):
             row_depth = depth[row] + 1
             for child in children[row]:
                 depth[child] = row_depth

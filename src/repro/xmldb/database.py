@@ -4,10 +4,9 @@ Plays the role Apache Xindice plays in the paper's architecture (Figure 8).
 The production executor fetches candidate rows from each
 :class:`~repro.xmldb.collection.Collection` directly
 (:meth:`~repro.xmldb.collection.Collection.fetch`); the reference
-executor, the paper's Section 6 pipeline, runs its XPath with
-:class:`~repro.xmldb.xpath.XPathQuery` over ``collection.documents()``,
-which is also how a user runs their own XPath
-(``XPathQuery(query).select(root)``).
+executor, the paper's Section 6 pipeline, runs its generated XPath
+with :class:`~repro.xmldb.xpath.XPathQuery` over
+``collection.documents()``; the engine reads only that grammar.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from typing import (
     Tuple,
 )
 
+from ...guard import ResourceGuard, paced
 from ...obs.metrics import REGISTRY as METRICS
 from ..model import XmlNode
 
@@ -107,12 +108,12 @@ class CollectionSearchIndex:
 
     @staticmethod
     def _contributions(
-        root: XmlNode,
+        root: XmlNode, guard: Optional[ResourceGuard] = None
     ) -> Tuple[Dict[str, PathSet], Set[str]]:
         """(term -> paths, root-to-leaf paths)."""
         term_paths: Dict[str, PathSet] = {}
         leaf_paths: Set[str] = set()
-        for node, path in root.iter_with_paths():
+        for node, path in paced(root.iter_with_paths(), guard, "search index build"):
             joined = "/".join(path)
             term_paths.setdefault(node.text, set()).add(joined)
             if not node.children:
@@ -143,11 +144,15 @@ class CollectionSearchIndex:
     def _occurrences(self) -> Dict[str, Dict]:
         return {"tag": self._tag_docs, "pc": self._pc_docs, "ad": self._ad_docs}
 
-    def add_document(self, key: str, root: XmlNode) -> None:
+    def add_document(
+        self, key: str, root: XmlNode, guard: Optional[ResourceGuard] = None
+    ) -> None:
+        """Index ``key``'s tree; a lazy build passes its query's ``guard``,
+        whose deadline the walks check (:func:`~repro.guard.paced`)."""
         if key in self._documents:
             self.remove_document_by_key(key)
-        term_paths, leaf_paths = self._contributions(root)
-        for value, paths in term_paths.items():
+        term_paths, leaf_paths = self._contributions(root, guard)
+        for value, paths in paced(term_paths.items(), guard, "search index build"):
             self._terms.setdefault(value, {})[key] = tuple(sorted(paths))
         for path in leaf_paths:
             self._paths.setdefault(path, set()).add(key)

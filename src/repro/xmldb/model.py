@@ -112,14 +112,6 @@ class XmlNode:
         """The object's content attribute — its own text."""
         return self.text
 
-    def string_value(self) -> str:
-        """Concatenated text of the whole subtree (XPath string-value)."""
-        parts: List[str] = []
-        for node in self.iter():
-            if node.text:
-                parts.append(node.text)
-        return " ".join(parts)
-
     # -- traversal -------------------------------------------------------------
 
     def iter(self) -> Iterator["XmlNode"]:

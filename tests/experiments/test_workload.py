@@ -5,12 +5,13 @@ import pytest
 from repro.core.conditions import Below, SimilarTo
 from repro.data import generate_corpus, render_dblp
 from repro.experiments.workload import (
+    build_epsilon_selection_pattern,
     build_join_pattern,
     build_scalability_pattern,
     build_selection_workload,
     build_system,
 )
-from repro.tax.conditions import And, Comparison, Contains
+from repro.tax.conditions import And, Comparison, Constant, Contains
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,18 @@ class TestScalabilityPatterns:
         assert not any(
             isinstance(op, SimilarTo) for op in pattern.condition.operands
         )
+
+    def test_epsilon_selection_pattern_targets_top_author(self):
+        corpus = generate_corpus(50, seed=9)
+        pattern = build_epsilon_selection_pattern(corpus)
+        similar = [
+            op for op in pattern.condition.operands if isinstance(op, SimilarTo)
+        ]
+        assert len(similar) == 1
+        target = similar[0].right
+        assert isinstance(target, Constant)
+        canonicals = {a.canonical for a in corpus.authors.values()}
+        assert target.value in canonicals
 
 
 class TestBuildSystem:

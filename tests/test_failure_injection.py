@@ -561,6 +561,34 @@ class TestResourceGuard:
         waited = time.monotonic() - began
         assert waited < 10 * deadline + 0.5  # generous CI bound
 
+    def test_cold_column_build_stops_at_the_deadline(self):
+        # The fetch builds the one big document's columns on first use;
+        # past the deadline the build itself raises and caches nothing.
+        db = self._big_database(2000)
+        collection = db.get_collection("bib")
+        collection.search_index(build=True)  # only the columns are cold
+        guard = ResourceGuard(deadline_seconds=0.0)
+        with pytest.raises(QueryTimeoutError, match="column build"):
+            _select(db, "paper(title $t)", guard)
+        assert collection._columns == {}
+        assert "xpath evaluation" not in guard.stage_steps  # the build charged nothing
+        report = _select(db, "paper(title $t)")
+        assert len(report.results) == 2000
+        assert set(collection._columns) == {"d"}
+
+    def test_cold_search_index_build_stops_at_the_deadline(self):
+        # A prunable selection builds the search index on first use; past
+        # the deadline the build raises and the collection keeps none.
+        db = self._big_database(2000)
+        collection = db.get_collection("bib")
+        guard = ResourceGuard(deadline_seconds=0.0)
+        with pytest.raises(QueryTimeoutError, match="search index build"):
+            _select(db, 'paper(title = "Paper number 7")', guard)
+        assert collection.search_index(build=False) is None
+        assert guard.steps == 0
+        assert len(_select(db, 'paper(title = "Paper number 7")').results) == 1
+        assert collection.search_index(build=False) is not None
+
     def test_step_budget_raises_resource_exhausted(self):
         db = self._big_database()
         guard = ResourceGuard(max_steps=50)

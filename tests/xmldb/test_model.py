@@ -107,10 +107,6 @@ class TestContent:
         author = tree.children[0].children[0]
         assert author.content == "Jeffrey D. Ullman"
 
-    def test_string_value_concatenates(self, tree):
-        assert "Jeffrey D. Ullman" in tree.string_value()
-        assert "A Survey" in tree.string_value()
-
 
 class TestCopying:
     def test_copy_is_deep(self, tree):

@@ -1,143 +1,16 @@
-"""Unit tests for explicit axes and the extended function library."""
-
-import math
+"""Explicit axes are outside the XPath the pattern compiler writes."""
 
 import pytest
 
-from repro.errors import XPathEvaluationError, XPathSyntaxError
-from repro.xmldb.parser import parse_document
-from repro.xmldb.xpath import evaluate_xpath
-
-
-@pytest.fixture
-def doc():
-    return parse_document(
-        """
-        <library>
-          <shelf id="s1">
-            <book year="1999"><title>Alpha</title></book>
-            <book year="2001"><title>Beta</title></book>
-            <book year="2003"><title>Gamma</title></book>
-          </shelf>
-          <shelf id="s2">
-            <book year="2005"><title>Delta</title></book>
-          </shelf>
-        </library>
-        """
-    )
+from repro.errors import XPathSyntaxError
+from repro.xmldb.xpath import XPathQuery
 
 
 class TestNamedAxes:
-    def test_child_axis_explicit(self, doc):
-        assert len(evaluate_xpath(doc, "/library/child::shelf")) == 2
-
-    def test_descendant_axis(self, doc):
-        assert len(evaluate_xpath(doc, "/library/descendant::book")) == 4
-
-    def test_descendant_excludes_self(self, doc):
-        assert evaluate_xpath(doc, "//book/descendant::book") == []
-
-    def test_descendant_or_self(self, doc):
-        results = evaluate_xpath(doc, "//book/descendant-or-self::book")
-        assert len(results) == 4
-
-    def test_ancestor_axis(self, doc):
-        results = evaluate_xpath(doc, "//title/ancestor::shelf")
-        assert len(results) == 2  # deduplicated
-
-    def test_ancestor_or_self(self, doc):
-        # //book[1] selects the first book of each shelf (Alpha, Delta);
-        # the union of their ancestor-or-self chains, in document order:
-        results = evaluate_xpath(doc, "//book[1]/ancestor-or-self::*")
-        tags = [node.tag for node in results]
-        assert tags == ["library", "shelf", "book", "shelf", "book"]
-
-    def test_ancestor_position_is_proximity(self, doc):
-        # The nearest ancestor is position 1 on a reverse axis.
-        results = evaluate_xpath(doc, "//title/ancestor::*[1]")
-        assert {node.tag for node in results} == {"book"}
-
-    def test_following_sibling(self, doc):
-        results = evaluate_xpath(
-            doc, "//book[title='Alpha']/following-sibling::book"
-        )
-        titles = [node.find_first("title").text for node in results]
-        assert titles == ["Beta", "Gamma"]
-
-    def test_preceding_sibling(self, doc):
-        results = evaluate_xpath(
-            doc, "//book[title='Gamma']/preceding-sibling::book"
-        )
-        titles = [node.find_first("title").text for node in results]
-        assert titles == ["Alpha", "Beta"]
-
-    def test_preceding_sibling_position_is_proximity(self, doc):
-        results = evaluate_xpath(
-            doc, "//book[title='Gamma']/preceding-sibling::book[1]"
-        )
-        assert results[0].find_first("title").text == "Beta"
-
-    def test_parent_axis_named(self, doc):
-        results = evaluate_xpath(doc, "//title/parent::book")
-        assert len(results) == 4
-
-    def test_self_axis_named(self, doc):
-        assert len(evaluate_xpath(doc, "//book/self::book")) == 4
-        assert evaluate_xpath(doc, "//book/self::shelf") == []
-
-    def test_attribute_axis_named(self, doc):
-        values = [a.value for a in evaluate_xpath(doc, "//shelf/attribute::id")]
-        assert values == ["s1", "s2"]
-
-    def test_unknown_axis_rejected(self, doc):
+    def test_unknown_axis_rejected(self):
         with pytest.raises(XPathSyntaxError):
-            evaluate_xpath(doc, "//book/sideways::title")
+            XPathQuery("//book/sideways::title")
 
-    def test_bare_colon_rejected(self, doc):
+    def test_bare_colon_rejected(self):
         with pytest.raises(XPathSyntaxError):
-            evaluate_xpath(doc, "//ns:book")
-
-
-class TestStringFunctions:
-    def test_substring(self, doc):
-        assert evaluate_xpath(doc, "substring('12345', 2)") == "2345"
-        assert evaluate_xpath(doc, "substring('12345', 2, 3)") == "234"
-        assert evaluate_xpath(doc, "substring('12345', 0, 3)") == "12"
-        assert evaluate_xpath(doc, "substring('12345', 1.5, 2.6)") == "234"
-
-    def test_substring_before_after(self, doc):
-        assert evaluate_xpath(doc, "substring-before('1999-05', '-')") == "1999"
-        assert evaluate_xpath(doc, "substring-after('1999-05', '-')") == "05"
-        assert evaluate_xpath(doc, "substring-before('abc', 'z')") == ""
-        assert evaluate_xpath(doc, "substring-after('abc', 'z')") == ""
-
-    def test_translate(self, doc):
-        assert evaluate_xpath(doc, "translate('bar', 'abc', 'ABC')") == "BAr"
-        assert evaluate_xpath(
-            doc, "translate('--aaa--', 'abc-', 'ABC')"
-        ) == "AAA"
-
-    def test_translate_enables_case_insensitive_contains(self, doc):
-        upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        lower = "abcdefghijklmnopqrstuvwxyz"
-        results = evaluate_xpath(
-            doc,
-            f"//title[contains(translate(., '{upper}', '{lower}'), 'alpha')]",
-        )
-        assert len(results) == 1
-
-
-class TestNumberFunctions:
-    def test_sum(self, doc):
-        assert evaluate_xpath(doc, "sum(//book/@year)") == 1999 + 2001 + 2003 + 2005
-
-    def test_sum_requires_nodeset(self, doc):
-        with pytest.raises(XPathEvaluationError):
-            evaluate_xpath(doc, "sum(3)")
-
-    def test_floor_ceiling_round(self, doc):
-        assert evaluate_xpath(doc, "floor(2.7)") == 2.0
-        assert evaluate_xpath(doc, "ceiling(2.1)") == 3.0
-        assert evaluate_xpath(doc, "round(2.5)") == 3.0
-        assert evaluate_xpath(doc, "round(-2.5)") == -2.0  # XPath rounds to +inf
-        assert math.isnan(evaluate_xpath(doc, "round(number('x'))"))
+            XPathQuery("//ns:book")
