@@ -30,17 +30,18 @@ class RelationBuild:
     #: :meth:`~repro.similarity.sea.SeaStats.to_dict` of the graph phase;
     #: None on the reuse rung (nothing was computed).
     sea: Optional[Dict[str, Any]] = None
-    #: The similarity graph was delta-maintained from the previous build.
+    #: The previous build was carried: reused outright or patched.
     incremental: bool = False
     #: The fused hierarchy was extended instead of recondensed.
     fusion_incremental: bool = False
     #: The previous enhancement was patched in place (SEA never ran).
     enhancement_patched: bool = False
-    #: Incremental builds since the last from-scratch build (0 = full).
+    #: Builds whose fusion followed the previous one since the last
+    #: from-scratch fusion (0 = full).
     chain_depth: int = 0
     #: The ladder rung that ran: ``reuse`` (previous SEO returned),
-    #: ``patch`` (enhancement patched in place), ``delta`` (SEA ran,
-    #: replaying cached verdicts) or ``full``.
+    #: ``patch`` (enhancement patched in place) or ``full`` (SEA ran
+    #: from scratch).
     rung: str = "full"
     #: Off the two cheap rungs, the precondition that failed: the write's
     #: ``fallback_reason``, a changed parameter, or the fusion /
@@ -58,7 +59,7 @@ class RelationBuild:
         if stats.enhancement_patched:
             rung = "patch"
         else:
-            rung = "delta" if stats.incremental else "full"
+            rung = "full"
             reason = reason or stats.patch_refused
         return cls(
             relation=relation,
@@ -66,7 +67,7 @@ class RelationBuild:
             sea_seconds=stats.sea_seconds,
             total_seconds=stats.total_seconds,
             sea=stats.sea.to_dict() if stats.sea is not None else None,
-            incremental=stats.incremental,
+            incremental=stats.enhancement_patched,
             fusion_incremental=stats.fusion_incremental,
             enhancement_patched=stats.enhancement_patched,
             chain_depth=stats.chain_depth,
@@ -91,17 +92,23 @@ class RelationBuild:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RelationBuild":
+        rung = payload.get("rung", "full")
+        incremental = bool(payload.get("incremental", False))
+        if rung == "delta":
+            # Saved while SEA could replay a verdict cache: SEA ran over
+            # the whole hierarchy, which is the full rung now.
+            rung, incremental = "full", False
         return cls(
             relation=payload["relation"],
             fusion_seconds=float(payload.get("fusion_seconds", 0.0)),
             sea_seconds=float(payload.get("sea_seconds", 0.0)),
             total_seconds=float(payload.get("total_seconds", 0.0)),
             sea=payload.get("sea"),
-            incremental=bool(payload.get("incremental", False)),
+            incremental=incremental,
             fusion_incremental=bool(payload.get("fusion_incremental", False)),
             enhancement_patched=bool(payload.get("enhancement_patched", False)),
             chain_depth=int(payload.get("chain_depth", 0)),
-            rung=payload.get("rung", "full"),
+            rung=rung,
             rung_reason=payload.get("rung_reason"),
         )
 

@@ -12,14 +12,15 @@ phases all experiments report:
 
 The paper's XPath is a sound prefilter — every fragment it pushes is
 implied by the condition, so it never drops a true answer — and the
-paper-faithful :class:`~repro.core.reference.ReferenceExecutor` runs it
-on the tree engine.  This executor's pipeline neither runs nor writes
-it (:meth:`QueryExecutor.explain` writes it, through
-:func:`prefilter_xpaths`): phase (i) compiles the verify program and the
-index probes from the original condition and records the SEO expansions
-they read; phase (ii) fetches the pattern root's candidate rows from the
-index-kept documents' columns, and the compiled verify program alone
-decides every answer in phase (iii), so conditions XPath cannot express
+paper-faithful :class:`~repro.core.reference.ReferenceExecutor` writes
+and runs it on the tree engine.  This executor's pipeline neither runs
+nor writes it (:meth:`QueryExecutor.explain` imports the writer,
+:func:`~repro.core.reference.prefilter_xpaths`): phase (i) compiles the
+verify program and the index probes from the original condition and
+records the SEO expansions they read; phase (ii) fetches the pattern
+root's candidate rows from the index-kept documents' columns, and the
+compiled verify program alone decides every answer in phase (iii), so
+conditions XPath cannot express
 (cross-node similarity, typed comparisons, negation) are answered
 exactly.  When the index probes decide every conjunct of a selection
 (:func:`~repro.core.planner.exact_tags`), a candidate whose document
@@ -29,7 +30,6 @@ already decided it.
 
 from __future__ import annotations
 
-import re
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -47,16 +47,10 @@ from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.conditions import (
     And,
-    Comparison,
     Condition,
-    ConditionContext,
-    Constant,
-    NodeContent,
-    Or,
     TrueCondition,
-    required_tags,
 )
-from ..tax.pattern import AD, PatternTree
+from ..tax.pattern import PatternTree
 from ..xmldb.columnar import DocumentColumns
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
@@ -74,11 +68,6 @@ from .planner import (
     prune_join_docs,
 )
 
-#: Largest ``or``-alternative chain pushed into an XPath predicate.  SEO
-#: expansions can produce hundreds of alternatives; past this cap the
-#: disjunction stays out of the XPath text.  The prefilter only narrows
-#: candidates, so the cap never changes an answer.
-MAX_OR_ALTERNATIVES = 32
 
 #: Size of the executor's compiled-plan LRU cache.
 DEFAULT_PLAN_CACHE_SIZE = 128
@@ -330,136 +319,6 @@ ExecutionReport._SCALAR_DEFAULTS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Pattern -> XPath compilation
-# ---------------------------------------------------------------------------
-
-
-#: Tags inlined as XPath name tests; anything else goes through ``name()``.
-_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
-
-
-def _xpath_literal(value: str) -> Optional[str]:
-    """Quote a string for XPath, or None when it cannot be quoted."""
-    if "'" not in value:
-        return f"'{value}'"
-    if '"' not in value:
-        return f'"{value}"'
-    return None  # mixed quotes: leave for the verification phase
-
-
-def _content_predicates(condition: Condition) -> Dict[int, List[str]]:
-    """Per-label XPath predicate fragments implied by the condition.
-
-    Pushes, from the positive conjunctive structure, content equalities
-    with a non-empty constant, alone or as a one-label disjunction, as
-    ``text() = 'x'``: it holds exactly when the node's own text (TAX's
-    ``content``) is ``x``.  ``. = 'x'`` would compare the whole
-    subtree's text, and ``text()`` selects nothing on an empty element.
-    Nothing else is pushed: ordering comparisons (TAX compares
-    non-numbers as strings, XPath's ``number()`` gives NaN), ``contains``
-    (case-insensitive in TAX) and semantic atoms stay with verification.
-    Sound, not complete — the XPath never drops a true answer.
-    """
-    predicates: Dict[int, List[str]] = {}
-
-    def equality_fragment(atom: Condition) -> Optional[Tuple[int, str]]:
-        if not isinstance(atom, Comparison) or atom.op != "=":
-            return None
-        left, right = atom.left, atom.right
-        if isinstance(left, Constant):
-            left, right = right, left
-        if not (isinstance(left, NodeContent) and isinstance(right, Constant)):
-            return None
-        literal = _xpath_literal(right.value) if right.value else None
-        return None if literal is None else (left.label, f"text() = {literal}")
-
-    def visit(node: Condition) -> None:
-        if isinstance(node, And):
-            for operand in node.operands:
-                visit(operand)
-        elif isinstance(node, Or):
-            if len(node.operands) > MAX_OR_ALTERNATIVES:
-                return
-            fragments = [equality_fragment(operand) for operand in node.operands]
-            if None in fragments:
-                return
-            labels = {label for label, _ in fragments}
-            if len(labels) == 1:
-                predicates.setdefault(labels.pop(), []).append(
-                    "(" + " or ".join(f for _, f in fragments) + ")"
-                )
-        else:
-            pair = equality_fragment(node)
-            if pair is not None:
-                predicates.setdefault(pair[0], []).append(pair[1])
-
-    visit(condition)
-    return predicates
-
-
-def compile_pattern_to_xpath(
-    pattern: PatternTree, condition: Optional[Condition] = None
-) -> str:
-    """Compile a pattern tree (+ an already-rewritten condition) to XPath.
-
-    The query selects candidate images of the pattern *root*; structure
-    below the root becomes nested existence predicates (`pc` -> child
-    path, `ad` -> ``.//`` path) and per-node content constraints become
-    value predicates (:func:`_content_predicates`).  The condition is
-    the one :func:`~repro.core.conditions.rewrite_condition` gives with
-    ``expand_similar=False``: a ``~`` expansion is narrower than ``~``.
-    """
-    if condition is None:
-        condition = pattern.condition
-    tags = required_tags(condition)
-    contents = _content_predicates(condition)
-
-    def tag_expr(label: int) -> str:
-        restriction = tags.get(label)
-        if restriction is None or len(restriction) != 1:
-            return "*"
-        (tag,) = restriction
-        if _PLAIN_NAME.match(tag):
-            return tag
-        # Not an XPath name (``dc:title``, ``a|b``, ``1a``): spliced in
-        # bare it would fail to parse or be read as XPath syntax.
-        literal = _xpath_literal(tag)
-        return "*" if literal is None else f"*[name() = {literal}]"
-
-    def name_predicate(label: int) -> Optional[str]:
-        restriction = tags.get(label)
-        if restriction is None or len(restriction) <= 1:
-            return None
-        if len(restriction) > MAX_OR_ALTERNATIVES:
-            return None  # capped: verification filters the tags exactly
-        literals = [_xpath_literal(tag) for tag in sorted(restriction)]
-        if None in literals:
-            return None  # unquotable alternative: verification filters it
-        alternatives = " or ".join(f"name() = {literal}" for literal in literals)
-        return f"({alternatives})"
-
-    def node_expression(label: int, is_root: bool) -> str:
-        node = pattern.node(label)
-        if is_root:
-            prefix = "//"
-        elif node.edge == AD:
-            prefix = ".//"
-        else:
-            prefix = ""
-        expression = prefix + tag_expr(label)
-        predicates: List[str] = []
-        name_pred = name_predicate(label)
-        if name_pred is not None:
-            predicates.append(name_pred)
-        predicates.extend(contents.get(label, ()))
-        for child in pattern.children(label):
-            predicates.append(node_expression(child.label, is_root=False))
-        return expression + "".join(f"[{p}]" for p in predicates)
-
-    return node_expression(pattern.root, is_root=True)
-
-
 def _subtree_pattern(pattern: PatternTree, new_root: int) -> PatternTree:
     """The sub-pattern rooted at ``new_root`` (structure only)."""
     sub = PatternTree()
@@ -523,8 +382,8 @@ def join_side_patterns(
     Each is the subtree under one child of the product root, carrying the
     conjuncts of ``condition`` that mention only that side.  A side's
     candidates are the rows its pattern embeds at, root bound to the
-    row; :func:`prefilter_xpaths` turns the side (with the rewritten
-    conjuncts) into its prefilter text.
+    row; :func:`~repro.core.reference.prefilter_xpaths` turns the side
+    (with the rewritten conjuncts) into its prefilter text.
     """
     root_children = pattern.children(pattern.root)
     if len(root_children) != 2:
@@ -537,29 +396,6 @@ def join_side_patterns(
         side.condition = _side_condition(condition, set(side.labels()))
         sides.append(side)
     return sides
-
-
-def prefilter_xpaths(
-    pattern: PatternTree, context: Optional[ConditionContext], join: bool
-) -> List[str]:
-    """The paper's prefilter XPath per side: one for a selection or a
-    projection, left then right for a join.
-
-    Under an SEO context the condition is rewritten first, with ``~``
-    left unexpanded (:func:`compile_pattern_to_xpath` says why); any
-    other context evaluates semantic atoms itself and rewrites nothing.
-    ``explain`` shows these texts and the reference executor runs them;
-    the production pipeline does neither.
-    """
-    condition = pattern.condition
-    if isinstance(context, SeoConditionContext):
-        condition = rewrite_condition(condition, context, expand_similar=False)
-    if join:
-        return [
-            compile_pattern_to_xpath(side)
-            for side in join_side_patterns(pattern, condition)
-        ]
-    return [compile_pattern_to_xpath(pattern, condition)]
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +748,8 @@ class QueryExecutor:
         pipeline itself runs; the rewrite and the XPath text (the
         reference executor's prefilter) are written here, on demand.
         """
+        from .reference import prefilter_xpaths  # the oracle's writer
+
         started = time.perf_counter()
         plan, _ = self._plan(pattern, join)
         if plan.prunable:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import DeltaRefused, ReproError, TossError
@@ -40,7 +40,7 @@ from ..ontology.fusion import canonical_fusion, extend_fusion, retract_fusion
 from ..ontology.hierarchy import Hierarchy, Ontology
 from ..ontology.lexicon import Lexicon
 from ..ontology.maker import CombinedExtraction, OntologyMaker, RelationDelta
-from ..similarity.incremental import EpsilonGraphCache
+from ..similarity.candidates import Occurrence
 from ..similarity.measures import StringSimilarityMeasure, get_measure
 from ..similarity.sea import ORDER_SAFE, restore_patch_state
 from ..similarity.seo import SeoBuildStats, SimilarityEnhancedOntology
@@ -106,8 +106,11 @@ class _RelationState:
     mode: str
     constraints: List[InteroperationConstraint]
     seo: SimilarityEnhancedOntology
-    graph_cache: EpsilonGraphCache
     chain_depth: int = 0
+    #: The enhancement patch's bigram-profile memo, by representative
+    #: (:func:`~repro.similarity.sea.extend_enhancement`); a full build
+    #: starts it empty.
+    profiles: Dict[str, FrozenSet[Occurrence]] = field(default_factory=dict)
 
 
 @dataclass
@@ -679,7 +682,7 @@ class TossSystem:
                         previous = self._relation_state.get(relation)
                         if previous is not None:
                             previous_seos[relation] = previous.seo
-                        built, graph_cache, chain_depth = self._build_relation(
+                        built, profiles, chain_depth = self._build_relation(
                             relation,
                             hierarchies,
                             constraints,
@@ -694,8 +697,8 @@ class TossSystem:
                             mode=mode,
                             constraints=constraints,
                             seo=built,
-                            graph_cache=graph_cache,
                             chain_depth=chain_depth,
+                            profiles=profiles,
                         )
                         # This relation is now current: drain its deltas so a
                         # later failure in another relation doesn't replay them.
@@ -766,10 +769,10 @@ class TossSystem:
         epsilon, measure, maker and DBA constraints, and its fusion equal
         to a fresh canonical fusion of those hierarchies (the enhancement
         is a function of the fusion, epsilon, measure and mode —
-        Theorem 1).  Its order-context buckets and verdict cache are then
-        re-derived from it (:func:`~repro.similarity.sea
-        .restore_patch_state`), so the next build starts on the patch or
-        reuse rung instead of ``first-build``.  Each outcome is counted
+        Theorem 1).  Its order-context buckets are then re-derived from
+        it (:func:`~repro.similarity.sea.restore_patch_state`), so the
+        next build starts on the patch or reuse rung instead of
+        ``first-build``.  Each outcome is counted
         (``system.restore.adopted`` / ``system.restore.refused.<reason>``)
         and noted on the next build's rung reason.
         """
@@ -796,14 +799,12 @@ class TossSystem:
                 continue
             METRICS.counter("system.restore.adopted").inc()
             self._restore_notes[relation] = "restored"
+            restore_patch_state(seo.enhancement, seo.fusion.hierarchy)
             self._relation_state[relation] = _RelationState(
                 epsilon=self.epsilon,
                 mode=ORDER_SAFE,
                 constraints=constraints,
                 seo=seo,
-                graph_cache=restore_patch_state(
-                    seo.enhancement, seo.fusion.hierarchy
-                ),
                 chain_depth=restored.chain_depths.get(relation, 0),
             )
 
@@ -894,12 +895,13 @@ class TossSystem:
         guard: Optional[ResourceGuard],
         report: BuildReport,
         tracer,
-    ) -> Tuple[SimilarityEnhancedOntology, EpsilonGraphCache, int]:
+    ) -> Tuple[SimilarityEnhancedOntology, Dict[str, FrozenSet[Occurrence]], int]:
         """Build one relation's SEO on the cheapest rung the deltas allow.
 
-        Cheapest first (the rung that ran and, off the two cheap ones,
-        the precondition that failed land in
-        :class:`~repro.core.build_report.RelationBuild` and on the
+        Returns the SEO, the profile memo the relation's next patch
+        reads, and the chain depth.  Cheapest first (the rung that ran
+        and, off the two cheap ones, the precondition that failed land
+        in :class:`~repro.core.build_report.RelationBuild` and on the
         relation's trace span):
 
         1. **reuse** — not poisoned, same epsilon/mode/constraints, and
@@ -911,11 +913,9 @@ class TossSystem:
            :func:`~repro.ontology.fusion.extend_fusion`, no condensation)
            and the previous enhancement is patched in place
            (:func:`~repro.similarity.sea.extend_enhancement`).
-        3. **delta** — SEA runs, replaying the rep-level verdict cache
-           and verifying only pairs involving new representatives: over
-           the followed fusion when just the enhancement patch was
-           refused, else over a from-scratch fusion.
-        4. **full** — everything else (no verdicts to replay).
+        3. **full** — SEA runs from scratch: over the followed fusion
+           when just the enhancement patch was refused (the refusal is
+           the rung reason), else over a from-scratch fusion.
 
         After a load, the previous build is the restored SEO once
         :meth:`_resume_restored` has proven it current; the first build
@@ -956,7 +956,7 @@ class TossSystem:
                     )
                 )
                 tracer.annotate(rung="reuse", rung_reason=note)
-                return prev.seo, prev.graph_cache, prev.chain_depth
+                return prev.seo, prev.profiles, prev.chain_depth
             try:
                 followed = extend_fusion(
                     retract_fusion(
@@ -980,19 +980,15 @@ class TossSystem:
                     mode=mode,
                     guard=guard,
                     fusion=followed,
-                    graph_cache=prev.graph_cache,
                     previous=prev.seo,
+                    profiles=prev.profiles,
                 )
                 built.build_stats.chain_depth = chain_depth
                 self._report_relation(
                     relation, built.build_stats, None, report, tracer, note
                 )
-                return built, prev.graph_cache, chain_depth
-        graph_cache = (
-            prev.graph_cache
-            if prev is not None and prev.epsilon == self.epsilon
-            else EpsilonGraphCache()
-        )
+                patched = built.build_stats.enhancement_patched
+                return built, prev.profiles if patched else {}, chain_depth
         built = SimilarityEnhancedOntology.build(
             hierarchies,
             self.measure,
@@ -1000,12 +996,11 @@ class TossSystem:
             constraints,
             mode=mode,
             guard=guard,
-            graph_cache=graph_cache,
         )
         self._report_relation(
             relation, built.build_stats, reason, report, tracer, note
         )
-        return built, graph_cache, 0
+        return built, {}, 0
 
     @staticmethod
     def _report_relation(

@@ -139,7 +139,7 @@ class ConstraintError(OntologyError):
 
 
 class DeltaRefused(ReproError):
-    """A delta rung's precondition failed; ``reason`` names which one.
+    """An incremental step's precondition failed; ``reason`` names which one.
 
     Raised by the incremental-maintenance steps (extraction retraction,
     fusion extension/retraction, enhancement patching) and caught by the

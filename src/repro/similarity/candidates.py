@@ -36,7 +36,9 @@ which removes the quadratic enumeration for realistic inputs.  One
 self-join (:func:`block_edges`) and the bipartite join
 (:func:`bipartite_index` + :func:`similar_pairs`).  The self-join
 walks strings in a deterministic length-sorted order against the
-already-indexed ones.
+already-indexed ones.  The enhancement patch probes one new string
+against its bucket's with :func:`similar_among`, the same filter pair
+without an index.
 
 For measures where the q-gram bound is unsound (anything other than
 plain :class:`~repro.similarity.measures.Levenshtein`), callers pass
@@ -155,6 +157,51 @@ def filter_survivors(
         if abs(length - lengths[q]) <= epsilon
         and len(occ_set ^ occ_sets[q]) <= budget
     ]
+
+
+def similar_among(
+    text: str,
+    others: Sequence[str],
+    measure: StringSimilarityMeasure,
+    epsilon: float,
+    profiles: Optional[Dict[str, FrozenSet[Occurrence]]],
+    stats: BlockStats,
+    guard: Optional[ResourceGuard] = None,
+) -> List[str]:
+    """Those of ``others`` (distinct strings) within ``epsilon`` of ``text``.
+
+    One probe of the enhancement patch: :func:`filter_survivors`, then
+    ``bounded_distance`` on what survives.  ``profiles`` memoises each
+    string's occurrence set across probes; None (measures the count
+    bound is unsound for) keeps the length filter only.  ``guard`` is
+    ticked once for the probe and once per verified candidate.
+    """
+    stats.probes += 1
+    if guard is not None:
+        guard.tick(1, what="SEA enhancement patch")
+    occ_set = occ_sets = None
+    if profiles is not None:
+
+        def profile(string: str) -> FrozenSet[Occurrence]:
+            occ = profiles.get(string)
+            if occ is None:
+                occ = profiles[string] = frozenset(bigram_occurrences(string))
+            return occ
+
+        occ_set = profile(text)
+        occ_sets = [profile(other) for other in others]
+    similar: List[str] = []
+    lengths = [len(other) for other in others]
+    for q in filter_survivors(
+        len(text), occ_set, range(len(others)), lengths, occ_sets, epsilon
+    ):
+        stats.candidates += 1
+        if guard is not None:
+            guard.tick(1, what="SEA enhancement patch")
+        if measure.bounded_distance(text, others[q], epsilon) <= epsilon:
+            stats.edges += 1
+            similar.append(others[q])
+    return similar
 
 
 #: What :meth:`CandidateIndex.profile` derives from one string.

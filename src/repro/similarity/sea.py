@@ -49,8 +49,14 @@ from ..guard import ResourceGuard
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.trace import current_tracer
 from ..ontology.hierarchy import Hierarchy
-from .candidates import BlockStats, block_edges, pair_count, supports_filter
-from .incremental import EpsilonGraphCache, clique_rep_buckets, delta_rep_edges
+from .candidates import (
+    BlockStats,
+    Occurrence,
+    block_edges,
+    pair_count,
+    similar_among,
+    supports_filter,
+)
 from .measures import StringSimilarityMeasure
 
 Node = Hashable
@@ -243,16 +249,10 @@ class SeaStats:
     #: for all-pairs verification (see :func:`supports_filter`).
     filter_used: bool = False
     graph_seconds: float = 0.0
-    #: True when the graph was built by replaying a previous build's
-    #: verdicts and verifying only the delta (see
-    #: :mod:`repro.similarity.incremental`).
-    incremental: bool = False
-    #: Rep-level pair verdicts replayed from the cache (incremental only).
-    reused_pairs: int = 0
     #: True when the previous enhancement was *patched in place* — only
     #: the buckets of the leaves that came or went were reprocessed and
     #: the enhanced hierarchy was edited, never rebuilt (see
-    #: :func:`extend_enhancement`).  Implies ``incremental``.
+    #: :func:`extend_enhancement`).
     patched: bool = False
 
     def to_dict(self) -> Dict[str, object]:
@@ -266,8 +266,6 @@ class SeaStats:
             "cliques": self.cliques,
             "filter_used": self.filter_used,
             "graph_seconds": self.graph_seconds,
-            "incremental": self.incremental,
-            "reused_pairs": self.reused_pairs,
             "patched": self.patched,
         }
 
@@ -295,62 +293,19 @@ def order_context_buckets(
 
 def restore_patch_state(
     enhancement: SimilarityEnhancement, hierarchy: Hierarchy
-) -> EpsilonGraphCache:
+) -> None:
     """Re-derive what the patch rung needs of an enhancement read from disk.
 
     A restored order-safe ``enhancement`` of ``hierarchy`` (the fused H
-    it was built over) carries neither the build's order-context buckets
-    nor a verdict cache; both are functions of what it does carry.  The
-    buckets are the order contexts of H, set on ``enhancement``.  The
-    returned :class:`~repro.similarity.incremental.EpsilonGraphCache`
-    holds, per bucket of two or more nodes, every representative and
-    the representative pairs that share a clique: two same-context nodes
-    are similar exactly when some maximal clique holds both, and Lemma 1
-    makes that verdict a function of their representatives (so a weak
-    measure, which SEA never replays, gets an empty cache).
+    it was built over) lacks the build's order-context buckets; they are
+    the order contexts of H, set on ``enhancement``.  Everything else
+    the patch reads — which same-context nodes are similar — is clique
+    co-membership, which the enhancement carries.
     """
     nodes = list(hierarchy.terms)
-    buckets = order_context_buckets(nodes, _order_context_index(hierarchy, nodes))
-    enhancement.context_buckets = buckets
-    cache = EpsilonGraphCache()
-    if enhancement.distance.measure.is_strong:
-        strings_of = enhancement.distance.strings_of
-        cache.refresh(
-            clique_rep_buckets(
-                [group for group in buckets.values() if len(group) >= 2],
-                (clique.members for clique in enhancement.hierarchy.terms),
-                lambda node: min(strings_of(node)),
-            )
-        )
-    return cache
-
-
-def _connect_rep_level(
-    adjacency: Dict[Node, Set[Node]],
-    nodes_by_rep: Dict[str, List[Node]],
-    rep_edges: Set[Tuple[str, str]],
-) -> int:
-    """Expand rep-level verdicts into node-level similarity edges.
-
-    Nodes sharing one representative are at distance 0 and always
-    connect; distinct-rep pairs connect exactly when their rep pair is an
-    epsilon-edge.  Returns the number of node-level edges added — the
-    same count a from-scratch :func:`block_edges` pass would report.
-    """
-    added = 0
-    for members in nodes_by_rep.values():
-        for i in range(len(members) - 1):
-            for j in range(i + 1, len(members)):
-                adjacency[members[i]].add(members[j])
-                adjacency[members[j]].add(members[i])
-                added += 1
-    for rep_a, rep_b in rep_edges:
-        for node_a in nodes_by_rep.get(rep_a, ()):
-            for node_b in nodes_by_rep.get(rep_b, ()):
-                adjacency[node_a].add(node_b)
-                adjacency[node_b].add(node_a)
-                added += 1
-    return added
+    enhancement.context_buckets = order_context_buckets(
+        nodes, _order_context_index(hierarchy, nodes)
+    )
 
 
 def _similarity_cliques(
@@ -359,7 +314,6 @@ def _similarity_cliques(
     epsilon: float,
     context_index: Optional[Dict[Node, OrderContext]] = None,
     guard: Optional[ResourceGuard] = None,
-    reuse: Optional[EpsilonGraphCache] = None,
 ) -> Tuple[
     List[FrozenSet[Node]], SeaStats, Optional[Dict[OrderContext, List[Node]]]
 ]:
@@ -399,71 +353,27 @@ def _similarity_cliques(
     stats.total_pairs = pair_count([len(group) for group in groups])
     started = time.perf_counter()
 
-    def connect(group: List[Node], index_pairs: Iterable[Tuple[int, int]]) -> None:
-        for i, j in index_pairs:
-            adjacency[group[i]].add(group[j])
-            adjacency[group[j]].add(group[i])
-
     if measure.is_strong:
         # Lemma 1: one representative per node decides similarity; the
         # lexicographic minimum makes the choice deterministic, which the
-        # verdict cache's replay relies on.
-        reps_by_group = [
-            [min(strings_of(node)) for node in group] for group in groups
-        ]
+        # enhancement patch's probes rely on.
         use_filter = supports_filter(measure)
         stats.filter_used = use_filter
-        if reuse is not None and len(reuse) > 0:
-            # Incremental path: replay cached rep-level verdicts, filter +
-            # verify only pairs involving representatives the cache has
-            # not seen.  Verdict purity (Lemma 1) makes the resulting
-            # edge set identical to the from-scratch branches below.
-            stats.incremental = True
-            block_stats = BlockStats()
-            refreshed: List[Tuple[Set[str], Set[Tuple[str, str]]]] = []
-            for group, reps in zip(groups, reps_by_group):
-                rep_set = set(reps)
-                rep_edges, reused = delta_rep_edges(
-                    rep_set, reuse, measure, epsilon, use_filter,
-                    guard=guard, stats=block_stats,
-                )
-                stats.reused_pairs += reused
-                refreshed.append((rep_set, rep_edges))
-                nodes_by_rep: Dict[str, List[Node]] = {}
-                for node, rep in zip(group, reps):
-                    nodes_by_rep.setdefault(rep, []).append(node)
-                stats.graph_edges += _connect_rep_level(
-                    adjacency, nodes_by_rep, rep_edges
-                )
-            reuse.refresh(refreshed)
-            stats.candidates = block_stats.candidates
-        else:
-            block_stats = BlockStats()
-            edges_by_group = []
-            for group, reps in zip(groups, reps_by_group):
-                edges, group_stats = block_edges(
-                    reps, measure, epsilon, guard=guard, use_filter=use_filter
-                )
-                block_stats.merge(group_stats)
-                edges_by_group.append(edges)
-                connect(group, edges)
-            stats.candidates = block_stats.candidates
-            stats.graph_edges = block_stats.edges
-            if reuse is not None:
-                # Seed the cache from this full build so the next one can
-                # take the delta path.  Same-rep pairs stay implicit (two
-                # nodes sharing a representative are always similar).
-                seeded: List[Tuple[Set[str], Set[Tuple[str, str]]]] = []
-                for edges, reps in zip(edges_by_group, reps_by_group):
-                    rep_edges = set()
-                    for i, j in edges:
-                        rep_i, rep_j = reps[i], reps[j]
-                        if rep_i != rep_j:
-                            rep_edges.add(
-                                (rep_i, rep_j) if rep_i <= rep_j else (rep_j, rep_i)
-                            )
-                    seeded.append((set(reps), rep_edges))
-                reuse.refresh(seeded)
+        block_stats = BlockStats()
+        for group in groups:
+            edges, group_stats = block_edges(
+                [min(strings_of(node)) for node in group],
+                measure,
+                epsilon,
+                guard=guard,
+                use_filter=use_filter,
+            )
+            block_stats.merge(group_stats)
+            for i, j in edges:
+                adjacency[group[i]].add(group[j])
+                adjacency[group[j]].add(group[i])
+        stats.candidates = block_stats.candidates
+        stats.graph_edges = block_stats.edges
     else:
         # Weak measures: node distance is the min over the full string-set
         # cross product, for which no sound prefilter exists here.
@@ -511,7 +421,6 @@ def sea(
     verify: bool = False,
     mode: str = STRICT,
     guard: Optional[ResourceGuard] = None,
-    reuse: Optional[EpsilonGraphCache] = None,
 ) -> SimilarityEnhancement:
     """Run the SEA algorithm of Figure 12.
 
@@ -538,13 +447,6 @@ def sea(
         over a pathological hierarchy is interrupted by
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.ResourceExhaustedError` instead of hanging.
-    reuse:
-        Optional :class:`~repro.similarity.incremental.EpsilonGraphCache`
-        carrying rep-level verdicts from a previous build under the same
-        ``(measure, epsilon)``.  Strong measures replay those verdicts
-        and verify only the new-representative delta; the cache is
-        refreshed in place either way (a full build seeds it).  The
-        resulting enhancement is identical to a from-scratch build.
 
     Raises
     ------
@@ -567,18 +469,15 @@ def sea(
     )
     # Lines 3-8 of Figure 12: build all maximal pairwise-similar node sets.
     tracer = current_tracer()
-    if reuse is not None and not distance.measure.is_strong:
-        reuse = None  # verdict purity (Lemma 1) only holds for strong measures
     with tracer.span("sea.similarity_graph", nodes=len(nodes)):
         cliques, stats, context_buckets = _similarity_cliques(
-            nodes, distance, epsilon, context_index, guard, reuse
+            nodes, distance, epsilon, context_index, guard
         )
         tracer.annotate(
             total_pairs=stats.total_pairs,
             candidates=stats.candidates,
             edges=stats.graph_edges,
             cliques=stats.cliques,
-            incremental=stats.incremental,
         )
     METRICS.counter("sea.candidates").inc(stats.candidates)
     METRICS.counter("sea.graph_edges").inc(stats.graph_edges)
@@ -693,7 +592,7 @@ def extend_enhancement(
     epsilon: float,
     mode: str = STRICT,
     guard: Optional[ResourceGuard] = None,
-    reuse: Optional[EpsilonGraphCache] = None,
+    profiles: Optional[Dict[str, FrozenSet[Occurrence]]] = None,
 ) -> EnhancementPatch:
     """Patch ``previous`` for minimal terms that came and went, in place of SEA.
 
@@ -727,11 +626,16 @@ def extend_enhancement(
       comparison pairs this patch never runs.
 
     Every structure the result carries (cliques, mu, H' with its
-    closures, context buckets, the rep-level verdict cache) is repaired
-    in time proportional to the touched buckets, never the hierarchy;
-    withdrawing a leaf runs no distance computation at all.  The output
-    is value-identical to a from-scratch :func:`sea` run over
-    ``hierarchy`` — the property suite byte-compares the two.
+    closures, context buckets) is repaired in time proportional to the
+    touched buckets, never the hierarchy.  Withdrawing a leaf runs no
+    distance computation at all; a new leaf's representative probes its
+    bucket's other representatives (:func:`~repro.similarity.candidates
+    .similar_among`), and every verdict between old members is read off
+    the cliques — co-membership is adjacency.  ``profiles`` memoises the
+    probes' bigram profiles by representative across patches; the
+    representatives of withdrawn leaves leave it.  The output is
+    value-identical to a from-scratch :func:`sea` run over ``hierarchy``
+    — the property suite byte-compares the two.
 
     Raises :class:`~repro.errors.DeltaRefused` naming the precondition
     whenever one fails (strict mode, changed epsilon, weak measure,
@@ -750,8 +654,6 @@ def extend_enhancement(
     buckets = previous.context_buckets
     if buckets is None:
         _refuse("no-context-buckets")
-    if reuse is None or len(reuse) == 0:
-        _refuse("no-verdict-cache")
     mu = previous.mu
     new_nodes = [node for node in hierarchy.terms if node not in mu]
     gone_nodes: List[Node] = []
@@ -813,8 +715,11 @@ def extend_enhancement(
 
     strings_of = distance.strings_of
     use_filter = supports_filter(measure)
+    if not use_filter:
+        profiles = None
+    elif profiles is None:
+        profiles = {}
     block_stats = BlockStats()
-    reused_pairs = 0
     #: touched leaf bucket -> (withdrawn leaves, new leaves)
     groups: Dict[OrderContext, Tuple[List[Node], List[Node]]] = {}
     for node in gone_nodes:
@@ -843,8 +748,6 @@ def extend_enhancement(
             cliques = clique_sets[node] = set(mu[node])
         return cliques
 
-    retired_reps: List[str] = []
-    absorb_updates: List[Tuple[Set[str], Set[Tuple[str, str]]]] = []
     group_sizes: List[int] = []
     for key, (gone, fresh) in groups.items():
         existing = updated_buckets.get(key, [])
@@ -856,14 +759,8 @@ def extend_enhancement(
         for node in gone:
             dying = cliques_of(node)
             del clique_sets[node]
-            rep = min(strings_of(node))
-            if not any(
-                min(strings_of(mate)) == rep
-                for clique in dying
-                for mate in clique.members
-                if mate != node
-            ):
-                retired_reps.append(rep)  # same-rep nodes always share a clique
+            if profiles is not None:
+                profiles.pop(min(strings_of(node)), None)
             for clique in dying:
                 for member in clique.members:
                     if member != node:
@@ -891,30 +788,32 @@ def extend_enhancement(
         if not fresh:
             continue
         group_sizes.append(len(members))
-        reps = {node: min(strings_of(node)) for node in members}
-        rep_set = set(reps.values())
-        rep_edges, reused = delta_rep_edges(
-            rep_set, reuse, measure, epsilon, use_filter,
-            guard=guard, stats=block_stats,
-        )
-        reused_pairs += reused
-        if len(members) >= 2:
-            absorb_updates.append((rep_set, rep_edges))
-        neighbour_reps: Dict[str, Set[str]] = {}
-        for rep_a, rep_b in rep_edges:
-            neighbour_reps.setdefault(rep_a, set()).add(rep_b)
-            neighbour_reps.setdefault(rep_b, set()).add(rep_a)
         nodes_by_rep: Dict[str, List[Node]] = {}
         for node in survivors:
-            nodes_by_rep.setdefault(reps[node], []).append(node)
+            nodes_by_rep.setdefault(min(strings_of(node)), []).append(node)
         # Insert the new leaves one at a time, keeping the same invariant.
         for node in fresh:
-            rep = reps[node]
-            neighbourhood = [
-                other for other in nodes_by_rep.get(rep, ()) if other != node
-            ]
-            for other_rep in neighbour_reps.get(rep, ()):
-                neighbourhood.extend(nodes_by_rep.get(other_rep, ()))
+            rep = min(strings_of(node))
+            mates = nodes_by_rep.get(rep)
+            if mates:
+                # Lemma 1: a node sharing the representative is at distance
+                # 0 and has the same neighbours — its cliques' members.
+                neighbourhood = list(
+                    {
+                        member
+                        for clique in cliques_of(mates[0])
+                        for member in clique.members
+                    }
+                )
+            else:
+                neighbourhood = [
+                    other
+                    for other_rep in similar_among(
+                        rep, list(nodes_by_rep), measure, epsilon, profiles,
+                        block_stats, guard,
+                    )
+                    for other in nodes_by_rep[other_rep]
+                ]
             if not neighbourhood:
                 clique = EnhancedNode(frozenset({node}))
                 added.append(clique)
@@ -975,8 +874,6 @@ def extend_enhancement(
     extended = patched.extended_with_lower_terms(new_edges, new_nodes=added)
     if extended is None:
         _refuse("new-clique-not-a-leaf")
-    reuse.retire(retired_reps)
-    reuse.absorb(absorb_updates)
 
     stats = SeaStats(
         mode=mode,
@@ -986,8 +883,6 @@ def extend_enhancement(
         graph_edges=block_stats.edges,
         cliques=len(extended),
         filter_used=use_filter,
-        incremental=True,
-        reused_pairs=reused_pairs,
         patched=True,
     )
     stats.pairs_pruned = max(0, stats.total_pairs - stats.candidates)

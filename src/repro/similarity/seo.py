@@ -42,7 +42,7 @@ from ..obs.trace import current_tracer
 from ..ontology.constraints import InteroperationConstraint
 from ..ontology.fusion import FusionResult, canonical_fusion
 from ..ontology.hierarchy import Hierarchy
-from .incremental import EpsilonGraphCache
+from .candidates import Occurrence
 from .measures import StringSimilarityMeasure
 from .sea import (
     EnhancedNode,
@@ -62,9 +62,6 @@ class SeoBuildStats:
     total_seconds: float = 0.0
     #: Similarity-graph counters.
     sea: Optional[SeaStats] = None
-    #: True when the similarity graph was delta-maintained from a previous
-    #: build instead of recomputed (see repro.similarity.incremental).
-    incremental: bool = False
     #: True when the fused hierarchy was extended from the previous
     #: build's fusion instead of recondensed.
     fusion_incremental: bool = False
@@ -86,7 +83,6 @@ class SeoBuildStats:
             "sea_seconds": self.sea_seconds,
             "total_seconds": self.total_seconds,
             "sea": self.sea.to_dict() if self.sea is not None else None,
-            "incremental": self.incremental,
             "fusion_incremental": self.fusion_incremental,
             "enhancement_patched": self.enhancement_patched,
             "patch_refused": self.patch_refused,
@@ -207,8 +203,8 @@ class SimilarityEnhancedOntology:
         mode: str = "strict",
         guard: Optional[ResourceGuard] = None,
         fusion: Optional[FusionResult] = None,
-        graph_cache: "Optional[EpsilonGraphCache]" = None,
         previous: "Optional[SimilarityEnhancedOntology]" = None,
+        profiles: Optional[Dict[str, FrozenSet[Occurrence]]] = None,
     ) -> "SimilarityEnhancedOntology":
         """Fuse ``hierarchies`` under ``constraints``, then enhance with SEA.
 
@@ -223,15 +219,14 @@ class SimilarityEnhancedOntology:
         mutation) passes ``fusion`` — a :class:`FusionResult` already
         extended from the previous build via
         :func:`~repro.ontology.fusion.extend_fusion`, skipping the
-        condensation entirely — and ``graph_cache``, the rep-level
-        verdict cache SEA replays (see :func:`~repro.similarity.sea.sea`).
-        A full build may also pass ``graph_cache`` just to seed it for
-        future deltas.  With ``previous`` (the SEO the extended fusion
-        grew out of) also given, the build first attempts the cheapest
-        path of all — :func:`~repro.similarity.sea.extend_enhancement`
-        patches the previous enhancement and string index in delta time,
-        and SEA never runs; a failed precondition is recorded in
-        :attr:`SeoBuildStats.patch_refused` and SEA runs instead.
+        condensation entirely.  With ``previous`` (the SEO the extended
+        fusion grew out of) also given, the build first attempts
+        :func:`~repro.similarity.sea.extend_enhancement`, which patches
+        the previous enhancement and string index in delta time, and SEA
+        never runs; ``profiles`` is the patch's bigram-profile memo.  A
+        failed precondition is recorded in
+        :attr:`SeoBuildStats.patch_refused` and SEA runs from scratch over
+        ``fusion`` instead.
         """
         stats = SeoBuildStats()
         stats.fusion_incremental = fusion is not None
@@ -252,7 +247,7 @@ class SimilarityEnhancedOntology:
                         epsilon,
                         mode=mode,
                         guard=guard,
-                        reuse=graph_cache,
+                        profiles=profiles,
                     )
                 except DeltaRefused as refused:
                     stats.patch_refused = refused.reason
@@ -265,13 +260,9 @@ class SimilarityEnhancedOntology:
         else:
             with tracer.span("seo.sea", mode=mode):
                 enhancement = sea(
-                    fusion.hierarchy, measure, epsilon, mode=mode, guard=guard,
-                    reuse=graph_cache,
+                    fusion.hierarchy, measure, epsilon, mode=mode, guard=guard
                 )
         stats.sea = enhancement.stats
-        stats.incremental = stats.enhancement_patched or (
-            enhancement.stats is not None and enhancement.stats.incremental
-        )
         stats.sea_seconds = (
             time.perf_counter() - started - stats.fusion_seconds
         )

@@ -1,6 +1,6 @@
 """The XPath the paper's rewrite writes, run over one document tree.
 
-:func:`~repro.core.executor.compile_pattern_to_xpath` turns a pattern
+:func:`~repro.core.reference.compile_pattern_to_xpath` turns a pattern
 tree into one ``//`` step whose structure and content are nested
 predicates, and the :class:`~repro.core.reference.ReferenceExecutor`
 (the test oracle) runs that text here, per document.  The grammar is

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.executor import QueryExecutor, compile_pattern_to_xpath
+from repro.core.executor import QueryExecutor
+from repro.core.reference import compile_pattern_to_xpath
 from repro.core.parser import parse_query
 from repro.tax.algebra import selection
 from repro.xmldb.database import Database

@@ -6,12 +6,14 @@ from repro.errors import QueryExecutionError
 from repro.core.conditions import Below, SeoConditionContext, SimilarTo
 from repro.core.executor import (
     QueryExecutor,
-    compile_pattern_to_xpath,
-    _content_predicates,
     _side_condition,
     _subtree_pattern,
 )
-from repro.core.reference import ReferenceExecutor
+from repro.core.reference import (
+    ReferenceExecutor,
+    compile_pattern_to_xpath,
+    _content_predicates,
+)
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology

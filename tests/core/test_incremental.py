@@ -5,6 +5,11 @@ import pytest
 from repro.errors import TossError
 from repro.core.parser import parse_query
 from repro.core.system import TossSystem
+from repro.obs.metrics import REGISTRY
+from repro.ontology import Ontology
+from repro.ontology.maker import OntologyMaker
+from repro.similarity.persistence import dump_seo
+from repro.xmldb.serializer import serialize
 
 FIRST = """
 <dblp>
@@ -170,3 +175,76 @@ class TestMutationReceipts:
         assert mutation[-1]["source"] == "dblp"
         assert mutation[-1]["incremental"] is True
         assert mutation[-1]["fallback_reason"] is None
+
+
+def zorb_paper(key, *tagged):
+    """A paper whose content sits under the given (tag, text) pairs."""
+    body = "".join(f"<{tag}>{text}</{tag}>" for tag, text in tagged)
+    return f'<dblp><inproceedings key="{key}">{body}</inproceedings></dblp>'
+
+
+class TestRefusedPatch:
+    """A write whose fusion follows but whose enhancement patch is refused
+    builds on the full rung, SEA from scratch over the followed fusion."""
+
+    @staticmethod
+    def system():
+        # "zorb" and "zorbs" hold the same leaf, so they share an order
+        # context and (epsilon 1) a clique: adding a leaf below one of
+        # them moves a non-singleton ancestor.
+        maker = OntologyMaker(content_tags={"author", "zorb", "zorbs"})
+        system = TossSystem(epsilon=1.0, maker=maker)
+        system.add_instance(
+            "dblp",
+            [
+                zorb_paper("p0", ("author", "J. Smith"), ("zorb", "Q1"), ("zorbs", "Q1")),
+                zorb_paper("p1", ("author", "A. Stone")),
+            ],
+        )
+        system.build()
+        return system
+
+    @staticmethod
+    def isa_rung(system):
+        (isa,) = [r for r in system.build_report.relations if r.relation == Ontology.ISA]
+        return isa.rung, isa.rung_reason, isa.fusion_incremental
+
+    @staticmethod
+    def assert_fresh(system):
+        fresh = TossSystem(epsilon=system.epsilon, maker=system.maker)
+        fresh.add_instance(
+            "dblp",
+            [serialize(root) for _key, root in system.database.get_collection("dblp").documents()],
+        )
+        fresh.build()
+        for relation in (Ontology.ISA, Ontology.PART_OF):
+            assert dump_seo(system.context.seos[relation]) == dump_seo(
+                fresh.context.seos[relation]
+            )
+
+    def test_refused_patch_builds_full_then_patches_again(self):
+        system = self.system()
+        before = REGISTRY.counter("sea.patch_refused.ancestor-not-singleton").value
+        system.add_documents("dblp", zorb_paper("p2", ("zorb", "Q2")))
+        system.build()
+        assert self.isa_rung(system) == ("full", "ancestor-not-singleton", True)
+        assert REGISTRY.counter("sea.patch_refused.ancestor-not-singleton").value == before + 1
+        self.assert_fresh(system)
+        # The next leaf-only write patches again.
+        system.add_documents("dblp", zorb_paper("p3", ("author", "J. Smyth")))
+        system.build()
+        assert self.isa_rung(system) == ("patch", None, True)
+        self.assert_fresh(system)
+
+    def test_a_withdrawn_authors_profile_leaves_the_memo(self):
+        system = self.system()
+        receipt = system.add_documents("dblp", zorb_paper("p2", ("author", "B. Swan")))
+        system.build()
+        profiles = system._relation_state[Ontology.ISA].profiles
+        assert {"B. Swan", "J. Smith", "A. Stone"} <= set(profiles)
+        system.remove_documents("dblp", receipt.documents_added)
+        system.build()
+        assert self.isa_rung(system)[0] == "patch"
+        assert system._relation_state[Ontology.ISA].profiles is profiles
+        assert "B. Swan" not in profiles and "J. Smith" in profiles
+        self.assert_fresh(system)

@@ -7,12 +7,8 @@ from repro.core.conditions import (
     SeoConditionContext,
     SimilarTo,
 )
-from repro.core.executor import (
-    DEFAULT_PLAN_CACHE_SIZE,
-    MAX_OR_ALTERNATIVES,
-    QueryExecutor,
-    compile_pattern_to_xpath,
-)
+from repro.core.executor import DEFAULT_PLAN_CACHE_SIZE, QueryExecutor
+from repro.core.reference import MAX_OR_ALTERNATIVES, compile_pattern_to_xpath
 from repro.core.planner import (
     ValuesProbe,
     build_plan_spec,

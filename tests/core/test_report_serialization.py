@@ -142,3 +142,23 @@ class TestBuildReportRoundTrip:
         )
         for payload in (route_keys, cache_keys):
             assert BuildReport.from_dict(payload).to_dict() == expected
+        # Stores saved while SEA could replay a verdict cache carry a
+        # "delta" rung and the replay's counters: SEA ran, so it is full,
+        # and the old counters stay on the record.
+        old_sea = dict(expected["relations"][0]["sea"], incremental=True, reused_pairs=7)
+        delta_keys = dict(
+            expected,
+            relations=[
+                dict(relation, rung="delta", incremental=True, sea=old_sea)
+                for relation in expected["relations"]
+            ],
+        )
+        loaded = BuildReport.from_dict(delta_keys)
+        assert loaded.to_dict() == dict(
+            expected,
+            relations=[
+                dict(relation, sea=old_sea) for relation in expected["relations"]
+            ],
+        )
+        assert "isa: rung full, " in loaded.summary()
+        assert loaded.candidates == 6

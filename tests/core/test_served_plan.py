@@ -8,6 +8,7 @@ XPath text are written only by ``explain`` and the reference executor.
 import pytest
 
 from repro.core import executor as executor_module
+from repro.core import reference as reference_module
 from repro.core.conditions import EXACT_FALLBACK_CONTEXT, SeoConditionContext
 from repro.core.executor import QueryExecutor
 from repro.core.parser import parse_query
@@ -92,7 +93,8 @@ def test_a_cold_query_writes_no_rewrite_and_no_xpath(monkeypatch, mode, kind):
         executor = QueryExecutor(database)
     parsed = parse_query((TAX_QUERIES if mode == "none" else QUERIES)[kind])
     oracle = _run(ReferenceExecutor(database, context), kind, parsed)
-    monkeypatch.setattr(executor_module, "compile_pattern_to_xpath", _refuse)
+    monkeypatch.setattr(reference_module, "compile_pattern_to_xpath", _refuse)
+    monkeypatch.setattr(reference_module, "rewrite_condition", _refuse)
     monkeypatch.setattr(executor_module, "rewrite_condition", _refuse)
     report = _run(executor, kind, parsed)
     assert not report.plan_cache_hit

@@ -11,9 +11,9 @@ import pytest
 
 from repro.core import TossSystem
 from repro.core.conditions import SeoConditionContext, SimilarTo
-from repro.core.executor import MAX_OR_ALTERNATIVES, QueryExecutor
+from repro.core.executor import QueryExecutor
 from repro.core.parser import parse_query
-from repro.core.reference import ReferenceExecutor
+from repro.core.reference import MAX_OR_ALTERNATIVES, ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology

@@ -164,7 +164,7 @@ def test_db_stats_depth_of_a_loaded_patched_store(tmp_path):
 def refused(system, reason, relations=RELATIONS):
     for relation in relations:
         rung, rung_reason = rungs(system)[relation]
-        assert rung in ("full", "delta")
+        assert rung == "full"
         assert rung_reason == f"restore-refused:{reason}"
 
 

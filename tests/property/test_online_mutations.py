@@ -284,7 +284,7 @@ def test_chain_depth_tracks_delta_builds(ops, dropped_edge_live):
         (isa,) = [r for r in live.build_report.relations if r.relation == Ontology.ISA]
         if refused:
             assert new_depth == 0
-            assert isa.rung in ("delta", "full")
+            assert isa.rung == "full"
             assert isa.rung_reason == "dropped-edge-live"
         else:
             # A write whose delta nets out to nothing is a no-op reuse.

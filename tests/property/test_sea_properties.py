@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import DeltaRefused, SimilarityInconsistencyError
 from repro.ontology import Hierarchy
-from repro.similarity.incremental import EpsilonGraphCache
 from repro.similarity.measures import Levenshtein
 from repro.similarity.sea import ORDER_SAFE, extend_enhancement, sea
 
@@ -134,11 +133,11 @@ def assert_same_enhancement(patched, scratch):
 def test_leaf_patch_equals_from_scratch_sea(base, rounds, epsilon):
     """Withdrawing and hanging minimal terms patches the enhancement to
     exactly what SEA builds from scratch: cliques, mu, H', buckets — round
-    after round, on the verdict cache the patches themselves maintain."""
-    cache = EpsilonGraphCache()
+    after round, on the profile memo the patches themselves maintain."""
+    profiles = {}
     leaves = dict(base)
     hierarchy = leaf_hierarchy(leaves)
-    enhancement = sea(hierarchy, Levenshtein(), epsilon, mode=ORDER_SAFE, reuse=cache)
+    enhancement = sea(hierarchy, Levenshtein(), epsilon, mode=ORDER_SAFE)
     for positions, arrivals in rounds:
         current = sorted(leaves)
         gone = {current[p % len(current)] for p in positions}
@@ -147,13 +146,13 @@ def test_leaf_patch_equals_from_scratch_sea(base, rounds, epsilon):
         target = leaf_hierarchy(after)
         try:
             patched, removed, added = extend_enhancement(
-                enhancement, hierarchy, target, epsilon, mode=ORDER_SAFE, reuse=cache
+                enhancement, hierarchy, target, epsilon, mode=ORDER_SAFE,
+                profiles=profiles,
             )
         except DeltaRefused as refused:
             # Legitimate only when a tag's context landed on another node's
-            # (e.g. both tags ended up over the same leaves), or the base
-            # had no two leaves to compare.
-            assert refused.reason in ("moved-context-collides", "no-verdict-cache")
+            # (e.g. both tags ended up over the same leaves).
+            assert refused.reason == "moved-context-collides"
             return
         scratch = sea(target, Levenshtein(), epsilon, mode=ORDER_SAFE, verify=True)
         assert_same_enhancement(patched, scratch)
@@ -162,30 +161,24 @@ def test_leaf_patch_equals_from_scratch_sea(base, rounds, epsilon):
         assert (previous_cliques - set(removed)) | set(added) == set(
             patched.hierarchy.terms
         )
-        live_reps = set(after) | set(TAGS) | {ROOT}
-        assert all(
-            rep in live_reps for bucket in cache._buckets for rep in bucket.reps
-        )
+        assert set(profiles) <= set(after)
         leaves, hierarchy, enhancement = after, target, patched
 
 
 def test_leaf_patch_refuses_on_a_non_singleton_ancestor():
     """A changed leaf moves its ancestors' contexts; an ancestor that is
     similar to another node cannot move without re-running SEA."""
-    cache = EpsilonGraphCache()
     old = Hierarchy(
         [("aaaa", "tagx"), ("aaab", "tagx"), ("aaaa", "tagy"), ("aaab", "tagy")]
     )
-    enhancement = sea(old, Levenshtein(), 1.0, mode=ORDER_SAFE, reuse=cache)
+    enhancement = sea(old, Levenshtein(), 1.0, mode=ORDER_SAFE)
     assert enhancement.cohabiting("tagx", "tagy")
     for target in (
         Hierarchy([("aaaa", "tagx"), ("aaaa", "tagy")]),  # "aaab" withdrawn
         old.extended_with_lower_terms([("aaac", "tagx"), ("aaac", "tagy")]),
     ):
         with pytest.raises(DeltaRefused) as refusal:
-            extend_enhancement(
-                enhancement, old, target, 1.0, mode=ORDER_SAFE, reuse=cache
-            )
+            extend_enhancement(enhancement, old, target, 1.0, mode=ORDER_SAFE)
         assert refusal.value.reason == "ancestor-not-singleton"
 
 
@@ -197,14 +190,13 @@ def test_leaf_patch_withdrawal_runs_no_distance_computation():
             Counting.calls += 1
             return super().bounded_distance(x, y, bound)
 
-    cache = EpsilonGraphCache()
     leaves = {"aaaa": TAGS[:1], "aaab": TAGS[:1], "aabb": TAGS[:1], "dddd": TAGS[1:]}
     old = leaf_hierarchy(leaves)
-    enhancement = sea(old, Counting(), 1.0, mode=ORDER_SAFE, reuse=cache)
+    enhancement = sea(old, Counting(), 1.0, mode=ORDER_SAFE)
     del leaves["aaab"]
     Counting.calls = 0
     patched, removed, added = extend_enhancement(
-        enhancement, old, leaf_hierarchy(leaves), 1.0, mode=ORDER_SAFE, reuse=cache
+        enhancement, old, leaf_hierarchy(leaves), 1.0, mode=ORDER_SAFE
     )
     assert Counting.calls == 0
     # {aaaa, aaab} and {aaab, aabb} die; their remainders are reborn.

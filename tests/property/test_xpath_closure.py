@@ -23,13 +23,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import Below, SeoConditionContext, SimilarTo
-from repro.core.executor import (
+from repro.core.executor import QueryExecutor, join_side_patterns
+from repro.core.reference import (
     MAX_OR_ALTERNATIVES,
-    QueryExecutor,
+    ReferenceExecutor,
     compile_pattern_to_xpath,
-    join_side_patterns,
 )
-from repro.core.reference import ReferenceExecutor
 from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology

@@ -275,6 +275,31 @@ class TestDbStatsCommand:
         assert "seo [isa]: delta chain depth 0 (full build)" in out
         assert "seo [part-of]: delta chain depth 0 (full build)" in out
 
+    def test_stats_prints_a_report_with_the_retired_delta_rung(
+        self, dblp_file, tmp_path, capsys
+    ):
+        import json
+        import os
+
+        root = str(tmp_path / "system")
+        assert main(
+            ["db", "build", "--source", f"dblp={dblp_file}",
+             "--epsilon", "1", root]
+        ) == 0
+        report_path = os.path.join(root, "build_report.json")
+        with open(report_path) as handle:
+            payload = json.load(handle)
+        for relation in payload["relations"]:
+            relation.update(rung="delta", incremental=True)
+            relation["sea"].update(incremental=True, reused_pairs=3)
+        with open(report_path, "w") as handle:
+            json.dump(payload, handle)
+        capsys.readouterr()
+        assert main(["db", "stats", root]) == 0
+        out = capsys.readouterr().out
+        assert "  isa: rung full (first-build)," in out
+        assert "delta" not in out.replace("delta chain depth", "")
+
     def test_stats_without_build_report(self, dblp_file, tmp_path, capsys):
         # `save` predates the build report; stats must degrade gracefully.
         root = str(tmp_path / "system")
