@@ -25,7 +25,10 @@ conditions XPath cannot express
 exactly.  When the index probes decide every conjunct of a selection
 (:func:`~repro.core.planner.exact_tags`), a candidate whose document
 holds one row of each pattern tag is booked without a scan: the probes
-already decided it.
+already decided it.  That witness, the root row and the answer's dedupe
+hash are a booking record on the document's columns, built by the first
+request that keeps the document and read by the fetch and verify of
+every later one.
 """
 
 from __future__ import annotations
@@ -891,6 +894,9 @@ class QueryExecutor:
             # XPath.  One side fetches in the stage span itself; a join's
             # two sides each get a child span.
             single = len(collections) == 1
+            # An index-exact plan's fetch reads the root row of a booked
+            # document off its booking record.
+            booking = plan.program.shape if plan.exact_tags is not None else None
             with _stage(tracer, guard, "xpath") as xpath_stage:
                 entries = []
                 for side, name, rows_of, keys in zip(
@@ -900,7 +906,7 @@ class QueryExecutor:
                         walks = tax_batch.match_memo_misses()
                         entries.append(
                             self.database.get_collection(name).fetch(
-                                rows_of, guard, keys
+                                rows_of, guard, keys, booking
                             )
                         )
                         tracer.annotate(candidates=len(entries[-1]))
@@ -913,16 +919,20 @@ class QueryExecutor:
 
             with _stage(tracer, guard, "verify") as verify_stage:
                 results, counts = verify(plan, entries, guard, tracer, term_pairs)
-                # Result trees the stage built (0 while answers stay rows)
-                # and candidates an index-exact plan booked without a scan.
+                # Result trees the stage built (0 while answers stay rows),
+                # candidates an index-exact plan booked without a scan, and
+                # the booking records built for documents met first here.
                 if isinstance(results, tax_batch.ResultRows):
-                    built, booked = results.built, results.booked
+                    built, booked, recorded = (
+                        results.built, results.booked, results.recorded
+                    )
                 else:
-                    built, booked = len(results), 0
+                    built, booked, recorded = len(results), 0, 0
                 tracer.annotate(
                     results=len(results),
                     materialized=built,
                     exact=booked,
+                    booking_records=recorded,
                     batched=True,
                     **counts,
                 )

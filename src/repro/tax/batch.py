@@ -97,9 +97,11 @@ class ResultRows(Sequence[XmlNode]):
     ``tax.results.materialized`` by the number it built.
     """
 
-    __slots__ = ("_refs", "_trees", "built", "booked")
+    __slots__ = ("_refs", "_trees", "built", "booked", "recorded")
 
-    def __init__(self, refs: List[ResultRef], built: int = 0, booked: int = 0) -> None:
+    def __init__(
+        self, refs: List[ResultRef], built: int = 0, booked: int = 0, recorded: int = 0
+    ) -> None:
         self._refs = refs
         self._trees: Optional[List[XmlNode]] = None
         #: How many answers exist as trees: the witnesses the verify
@@ -107,6 +109,8 @@ class ResultRows(Sequence[XmlNode]):
         self.built = built
         #: Candidates an index-exact selection booked without a scan.
         self.booked = booked
+        #: Booking records the selection built (documents it met first).
+        self.recorded = recorded
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -170,9 +174,15 @@ class _Verification:
 
     Results are kept on first occurrence of their canonical key —
     exactly :func:`~repro.tax.tree.dedupe` over every candidate's output.
+    A canonical key is a deep tuple, and a tuple does not cache its
+    hash, so :attr:`seen` maps a key's hash to the first key with that
+    hash: a booked candidate (:func:`selection_batched`) brings its
+    hash from its booking record, and keys compare in full only when
+    their hashes are equal.  A later key equal in hash but not in value
+    goes to :attr:`clashes`.
     """
 
-    __slots__ = ("guard", "cap", "count", "started", "seen", "out")
+    __slots__ = ("guard", "cap", "count", "started", "seen", "clashes", "out")
 
     def __init__(self, guard: Optional[ResourceGuard]) -> None:
         self.guard = guard
@@ -180,7 +190,8 @@ class _Verification:
         self.count = 0
         #: Candidates handed out since the last charge.
         self.started = 0
-        self.seen: Set[Tuple] = set()
+        self.seen: Dict[int, Tuple] = {}
+        self.clashes: Set[Tuple] = set()
         self.out: List = []
 
     def candidates(self, items: Sequence) -> Iterable:
@@ -206,37 +217,47 @@ class _Verification:
         started, self.started = self.started, 0
         self.guard.tick(started, "result verification")
 
+    def over_cap(self) -> None:
+        """Raise the result cap's error (called once ``count > cap``)."""
+        self._charge()
+        self.guard.check_results(self.count, "query verification")
+
+    def clash(self, key: Tuple) -> bool:
+        """Whether ``key``, whose hash an unequal earlier key holds in
+        :attr:`seen`, is new."""
+        clashes = self.clashes
+        if key in clashes:
+            return False
+        clashes.add(key)
+        return True
+
+    def fresh(self, key: Tuple) -> bool:
+        """Whether ``key`` occurs for the first time; records it."""
+        digest = hash(key)
+        seen = self.seen
+        prior = seen.get(digest)
+        if prior is None:
+            seen[digest] = key
+            return True
+        return prior != key and self.clash(key)
+
     def candidate_done(self, keyed: Sequence[Tuple[Tuple, object]]) -> None:
         """Book one candidate's ``(canonical key, result)`` pairs."""
+        out, fresh = self.out, self.fresh
         if len(keyed) == 1:
-            self.book(*keyed[0])
-            return
-        seen, out = self.seen, self.out
-        own: Set[Tuple] = set()
-        for key, result in keyed:
-            own.add(key)
-            if key not in seen:
-                seen.add(key)
+            key, result = keyed[0]
+            if fresh(key):
                 out.append(result)
-        self.count += len(own)
+            self.count += 1
+        else:
+            own: Set[Tuple] = set()
+            for key, result in keyed:
+                own.add(key)
+                if fresh(key):
+                    out.append(result)
+            self.count += len(own)
         if self.cap is not None and self.count > self.cap:
-            self._charge()
-            self.guard.check_results(self.count, "query verification")
-
-    def book(self, key: Tuple, result: object) -> None:
-        """Book a candidate whose one result is ``result``:
-        ``candidate_done([(key, result)])``."""
-        seen = self.seen
-        size = len(seen)
-        # One hash, not two: a canonical subtree key is a deep tuple,
-        # and a tuple does not cache its hash.
-        seen.add(key)
-        if len(seen) != size:
-            self.out.append(result)
-        self.count += 1
-        if self.cap is not None and self.count > self.cap:
-            self._charge()
-            self.guard.check_results(self.count, "query verification")
+            self.over_cap()
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +284,11 @@ class VerifyProgram:
     star: bool
     #: :func:`_root_groups` of the steps: the join's factored product.
     groups: Tuple[Tuple[BatchStep, ...], ...]
-    #: Each step's ``(label, parent, edge, tags_tuple)``: everything the
-    #: structural walks read, so the key of the columns' match memo.
-    shape: Tuple[Tuple, ...]
+    #: Each step's ``(label, parent, edge, tags_tuple)`` — everything the
+    #: structural walks read — written out once: the key of the columns'
+    #: match memo and booking records.  A string caches its hash, so a
+    #: per-document memo lookup does not rehash the nested steps.
+    shape: str
 
     @classmethod
     def compile(
@@ -291,7 +314,7 @@ class VerifyProgram:
             _root_prune(steps),
             _is_star(steps),
             _root_groups(steps),
-            tuple(step[:4] for step in steps),
+            repr(tuple(step[:4] for step in steps)),
         )
 
     def scan(
@@ -665,8 +688,13 @@ def selection_batched(
     the documents its probes kept).  On the fast path a candidate whose
     document holds exactly one row of each is booked as the answer
     without a scan — charged, capped and deduped like a scanned one;
-    every other candidate is scanned.  ``ResultRows.booked`` counts the
-    booked ones.
+    every other candidate is scanned.  Whether a document holds them is
+    a fact of its columns: its booking record (:func:`_booking_record`)
+    is built on the first candidate of the document and read by every
+    later request, fetch included, so a memo hit costs a dictionary
+    lookup and dedupes on the record's hash.  ``ResultRows.booked``
+    counts the booked candidates, ``ResultRows.recorded`` the records
+    this call built.
     """
     sl = list(sl_labels)
     pattern = program.pattern
@@ -683,23 +711,43 @@ def selection_batched(
         # deduped by subtree key (a copy's canonical key equals its
         # source's, so dedupe without the copy is exact).
         found: Dict[int, None] = {}
-        booked = 0
+        booked = recorded = 0
 
         def emit() -> None:
             found[rows[root_label]] = None
 
-        for cols, item in results.candidates(entries):
-            if exact_tags is not None and _one_row_each(cols, exact_tags):
-                booked += 1
-                results.book(cols.subtree_key(item), (cols, item))
-                continue
+        shape = program.shape if exact_tags is not None else None
+        seen, out, cap = results.seen, results.out, results.cap
+        for entry in results.candidates(entries):
+            cols, item = entry
+            if shape is not None:
+                record = cols.bookings.get(shape, _UNBOOKED)
+                if record is _UNBOOKED:
+                    record = _booking_record(cols, shape, exact_tags)
+                    recorded += 1
+                if record is not None and record[0] == item:
+                    # Booked: results.candidate_done([(key, entry)])
+                    # inlined, the key's hash read off the record, so a
+                    # memo hit calls no function.
+                    booked += 1
+                    _row, digest, key = record
+                    prior = seen.get(digest)
+                    if prior is None:
+                        seen[digest] = key
+                        out.append(entry)
+                    elif prior != key and results.clash(key):
+                        out.append(entry)
+                    results.count += 1
+                    if cap is not None and results.count > cap:
+                        results.over_cap()
+                    continue
             scan(cols, item, cols.end[item], binding, rows, emit)
             results.candidate_done(
                 [(cols.subtree_key(row), (cols, row)) for row in found]
             )
             found.clear()
         _count_exact(exact_tags, len(entries), booked)
-        return ResultRows(results.out, booked=booked)
+        return ResultRows(out, booked=booked, recorded=recorded)
     witnesses: List[XmlNode] = []
 
     def emit_witness() -> None:
@@ -713,13 +761,33 @@ def selection_batched(
     return results.out
 
 
-def _one_row_each(cols: DocumentColumns, tags: Sequence[str]) -> bool:
-    """The index-exact witness: the document holds one row of each tag."""
+#: :func:`selection_batched`'s stand-in for a document with no booking
+#: record yet under the plan's shape (None is a built, failing record).
+_UNBOOKED = object()
+
+
+def _booking_record(
+    cols: DocumentColumns, shape: str, tags: Sequence[str]
+) -> Optional[Tuple[int, int, Tuple]]:
+    """Build and keep the document's booking record under ``shape``.
+
+    The index-exact witness is that the document holds one row of each
+    of ``tags`` (root first); the record is then ``(root row, hash of
+    the row's subtree key, the key)``, else None.  Both depend on the
+    document alone, so they are built once per document version and
+    shape (:meth:`~repro.xmldb.columnar.DocumentColumns.book`).
+    """
     tag_rows = cols.tag_rows
+    record = None
     for tag in tags:
         if len(tag_rows.get(tag, ())) != 1:
-            return False
-    return True
+            break
+    else:
+        row = tag_rows[tags[0]][0]
+        key = cols.subtree_key(row)
+        record = (row, hash(key), key)
+    cols.book(shape, record)
+    return record
 
 
 def _count_exact(exact_tags: Optional[Sequence[str]], candidates: int, booked: int) -> None:

@@ -10,7 +10,18 @@ documents (:meth:`Collection.fetch`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import CollectionError, DocumentTooLargeError, XmlDbError
 from ..guard import CHECK_INTERVAL, ResourceGuard
@@ -243,59 +254,78 @@ class Collection:
 
     def _selected(
         self, document_keys: Optional["Iterable[str]"]
-    ) -> "Iterable[Tuple[str, XmlNode]]":
-        """The documents a query covers, in collection insertion order.
+    ) -> "Tuple[Iterable[Tuple[str, XmlNode]], Optional[AbstractSet[str]]]":
+        """The documents a query covers, in collection insertion order:
+        ``(items, wanted)``, where the caller skips an item whose key is
+        not in ``wanted`` (None keeps every item).
 
         A subset costs what it holds: its keys are sorted by insertion
         ordinal.  Past a quarter of the collection one ordered pass over
-        every document is the cheaper way to the same list.
+        every document, skipping the unwanted ones as it goes, is the
+        cheaper way to the same sequence.
         """
         documents = self._documents
         if document_keys is None:
-            return documents.items()
-        wanted = set(document_keys)
+            return documents.items(), None
+        wanted = (
+            document_keys
+            if isinstance(document_keys, (set, frozenset))
+            else set(document_keys)
+        )
         if 4 * len(wanted) > len(documents):
-            return [item for item in documents.items() if item[0] in wanted]
+            return documents.items(), wanted
         ordinals = self._ordinals
         return [
             (key, documents[key])
             for key in sorted(wanted & ordinals.keys(), key=ordinals.__getitem__)
-        ]
+        ], None
 
     def fetch(
         self,
         rows_of: Callable[[DocumentColumns], Sequence[int]],
         guard: Optional[ResourceGuard] = None,
         document_keys: Optional["Iterable[str]"] = None,
+        booking: Optional[str] = None,
     ) -> List[Tuple[DocumentColumns, int]]:
         """The query executor's candidate fetch: ``(columns, row)`` pairs.
 
         ``rows_of`` picks a document's candidate rows (ascending) from
         its cached columns; the pairs come per selected document, in
-        collection insertion order (see :meth:`_selected`).  A guard is
-        charged ``"xpath evaluation"`` one step per document plus one
-        per row, a chunk per call, and its result cap is checked as rows
-        accumulate.
+        collection insertion order (see :meth:`_selected`).  ``booking``
+        is an index-exact plan's shape: a document whose columns hold a
+        passing booking record under it (:meth:`DocumentColumns.book`)
+        contributes the record's root row — the one row ``rows_of``
+        would pick — without calling ``rows_of``.  A guard is charged
+        ``"xpath evaluation"`` one step per document plus one per row, a
+        chunk per call, and its result cap is checked as rows accumulate.
         """
         pairs: List[Tuple[DocumentColumns, int]] = []
         append = pairs.append
         column_cache = self._columns
         cap = guard.max_results if guard is not None else None
         pending = 0
-        for key, root in self._selected(document_keys):
+        items, wanted = self._selected(document_keys)
+        for key, root in items:
+            if wanted is not None and key not in wanted:
+                continue
             entry = column_cache.get(key)
             if entry is not None and entry[0] is root:
                 cols = entry[1]
             else:
                 cols = self.columns_for(key, root, guard)
-            rows = rows_of(cols)
-            if rows:
-                if len(rows) == 1:
+            record = cols.bookings.get(booking)
+            if record is not None:
+                append((cols, record[0]))
+                found = 1
+            else:
+                rows = rows_of(cols)
+                found = len(rows)
+                if found == 1:
                     append((cols, rows[0]))
-                else:
+                elif found:
                     pairs.extend((cols, row) for row in rows)
             if guard is not None:
-                pending += 1 + len(rows)
+                pending += 1 + found
                 if pending >= CHECK_INTERVAL:
                     guard.tick_each(pending, "xpath evaluation")
                     pending = 0

@@ -18,9 +18,11 @@ from ..guard import ResourceGuard, paced
 from .model import XmlNode, _object_ids
 from .serializer import serialize
 
-#: How many pattern shapes' structural matches one document's columns
-#: keep (:meth:`DocumentColumns.match_memo`); the oldest shape is dropped
-#: first.  A served workload's join texts share a handful of shapes.
+#: How many pattern shapes' structural matches, and how many shapes'
+#: booking records, one document's columns keep
+#: (:meth:`DocumentColumns.match_memo`, :meth:`DocumentColumns.book`); the
+#: oldest shape is dropped first.  A served workload's join texts share a
+#: handful of shapes, and its broad selections another.
 MATCH_MEMO_SHAPES = 8
 
 
@@ -46,6 +48,7 @@ class DocumentColumns:
         "depth",
         "tag_rows",
         "_subtree_keys",
+        "bookings",
         "_subtree_texts",
         "_parent_rows",
         "_matches",
@@ -91,6 +94,11 @@ class DocumentColumns:
         #: Canonical subtree keys, cached per row (repeated queries over
         #: a cached column set dedupe without re-walking the sources).
         self._subtree_keys: Dict[int, Tuple] = {}
+        #: Per index-exact pattern shape, the document's booking record:
+        #: ``(root row, hash of its subtree key, the key)``, or None when
+        #: the document does not hold one row of each of the shape's tags
+        #: (see :meth:`book`).
+        self.bookings: Dict[str, Optional[Tuple[int, int, Tuple]]] = {}
         #: Compact serialisations of answered subtrees, cached per row.
         self._subtree_texts: Dict[int, str] = {}
         #: Per-tag sorted parent rows (rows with >=1 child of the tag),
@@ -98,7 +106,7 @@ class DocumentColumns:
         self._parent_rows: Dict[str, List[int]] = {}
         #: Per pattern shape, the structural matches the batched verifier
         #: found in this document (see :meth:`match_memo`).
-        self._matches: Dict[Tuple, Dict] = {}
+        self._matches: Dict[str, Dict] = {}
 
     def tag_rows_in(self, tag: str, lo: int, hi: int) -> List[int]:
         """Rows with ``tag`` in the half-open row interval ``[lo, hi)``.
@@ -133,7 +141,7 @@ class DocumentColumns:
         stop = bisect_left(rows, hi, start)
         return rows[start:stop]
 
-    def match_memo(self, shape: Tuple) -> Dict:
+    def match_memo(self, shape: str) -> Dict:
         """The structural-match memo of one pattern shape, created empty
         on first use.
 
@@ -151,6 +159,21 @@ class DocumentColumns:
                 del matches[next(iter(matches))]
             memo = matches[shape] = {}
         return memo
+
+    def book(self, shape: str, record: Optional[Tuple[int, int, Tuple]]) -> None:
+        """Keep ``record`` as this document's booking under ``shape``.
+
+        :func:`repro.tax.batch.selection_batched` builds the record the
+        first time an index-exact plan of the shape keeps the document;
+        every later fetch and verify reads it from :attr:`bookings`.
+        Like the match memo, at most :data:`MATCH_MEMO_SHAPES` shapes are
+        kept, the oldest dropped first, and the records live and die with
+        these columns: a write replaces them, so it invalidates nothing.
+        """
+        bookings = self.bookings
+        if len(bookings) >= MATCH_MEMO_SHAPES:
+            del bookings[next(iter(bookings))]
+        bookings[shape] = record
 
     def subtree_key(self, row: int) -> Tuple:
         """:meth:`XmlNode.canonical_key` of the subtree at ``row``, cached.

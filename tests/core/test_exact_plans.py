@@ -8,20 +8,28 @@ without a scan: the report shows no SEO access and no verified
 document.  No ``author ~`` point text is admitted, nor any shape the
 rule lists as refused.  A document that holds a second ``<booktitle>``
 fails the per-document witness and is scanned, with the reference's
-answers.  Counts, not timings.
+answers.  The witness is a booking record on the document's columns,
+built once per document version: equal answers dedupe to one, a write
+builds one new record and no old one is read, and the guard charges and
+trips the same cold (records built) as warm (records read).  Counts,
+not timings.
 """
 
 import pytest
 
+from repro.core.executor import QueryExecutor
 from repro.core.parser import parse_query
+from repro.core.reference import ReferenceExecutor
 from repro.data import VENUE_POOL, generate_corpus, render_dblp
 from repro.data.sigmod import render_sigmod_pages
 from repro.experiments.workload import build_system
-from repro.errors import ResourceExhaustedError
+from repro.errors import QueryTimeoutError, ResourceExhaustedError
 from repro.guard import ResourceGuard
 from repro.obs import Observability
 from repro.obs.metrics import REGISTRY as METRICS
+from repro.tax import batch as tax_batch
 from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag, Not, Or
+from repro.xmldb.database import Database
 from repro.xmldb.serializer import serialize
 
 from tests.oracle import assert_matches_reference
@@ -225,3 +233,185 @@ def test_a_second_booktitle_is_scanned():
     assert (exact - before[0], scanned - before[1]) == (PAPERS - 1, 1)
     assert _verify_span(report)["attributes"]["exact"] == PAPERS - 1
     assert_matches_reference(report, _reference(system, BROAD), accesses=False)
+
+
+# ---------------------------------------------------------------------------
+# Booking records: the witness, the root row and the dedupe hash are a fact
+# of the document's columns
+# ---------------------------------------------------------------------------
+
+VLDB = 'inproceedings(booktitle = "VLDB", title)'
+
+
+def _paper(title, attributes='key="p" mdate="2004"', venue="VLDB"):
+    return (
+        f"<dblp><inproceedings {attributes}><booktitle>{venue}</booktitle>"
+        f"<title>{title}</title></inproceedings></dblp>"
+    )
+
+
+def _small(documents):
+    """A one-collection database of ``documents`` and an executor over it."""
+    database = Database()
+    collection = database.create_collection("dblp")
+    for index, text in enumerate(documents):
+        collection.add_document(f"d{index}", text)
+    executor = QueryExecutor(database, observability=Observability(enabled=True))
+    return database, executor
+
+
+def _select(executor, text, guard=None):
+    parsed = parse_query(text)
+    return executor.selection("dblp", parsed.pattern, parsed.roots, guard=guard)
+
+
+def _oracle(database, text):
+    parsed = parse_query(text)
+    return ReferenceExecutor(database).selection("dblp", parsed.pattern, parsed.roots)
+
+
+def test_equal_root_subtrees_give_one_answer():
+    database, executor = _small([
+        _paper("Tree Patterns"),
+        _paper("Tree Patterns"),
+        _paper("Tree Patterns", attributes='mdate="2004" key="p"'),
+        _paper("Other Patterns"),
+    ])
+    assert executor._plan(parse_query(VLDB).pattern, join=False)[0].exact_tags
+    for recorded in (4, 0):
+        report = _select(executor, VLDB)
+        assert report.candidates == 4 and report.docs_verified == 0
+        assert report.result_count == 2
+        attributes = _verify_span(report)["attributes"]
+        assert (attributes["exact"], attributes["booking_records"]) == (4, recorded)
+        assert_matches_reference(report, _oracle(database, VLDB), accesses=False)
+
+
+def test_hash_equal_unequal_keys_are_both_answers():
+    """Hand-built records give unequal subtrees one hash: the dedupe
+    compares the keys in full and keeps both, and a third document equal
+    to the second (the same hash again) is still a duplicate."""
+    database, executor = _small([
+        _paper("Tree Patterns"),
+        _paper("Other Patterns"),
+        _paper("Other Patterns"),
+        _paper("Tree Patterns"),
+    ])
+    plan, _hit = executor._plan(parse_query(VLDB).pattern, join=False)
+    collection = database.get_collection("dblp")
+    for key, root in collection.documents():
+        cols = collection.columns_for(key, root)
+        (row,) = cols.tag_rows["inproceedings"]
+        cols.book(plan.program.shape, (row, 42, cols.subtree_key(row)))
+    report = _select(executor, VLDB)
+    assert report.result_count == 2
+    assert _verify_span(report)["attributes"]["booking_records"] == 0
+    assert _verify_span(report)["attributes"]["exact"] == 4
+    assert_matches_reference(report, _oracle(database, VLDB), accesses=False)
+
+
+def test_verification_dedupes_hash_equal_keys_exactly():
+    class Clashing(tuple):
+        def __hash__(self):
+            return 7
+
+    results = tax_batch._Verification(None)
+    first, second = Clashing(("a",)), Clashing(("b",))
+    results.candidate_done([(first, 1), (second, 2), (Clashing(("b",)), 3)])
+    results.candidate_done([(Clashing(("a",)), 4)])
+    results.candidate_done([(Clashing(("c",)), 5)])
+    assert results.out == [1, 2, 5]
+    assert results.count == 4
+    assert results.seen == {7: first}
+    assert results.clashes == {second, Clashing(("c",))}
+
+
+def _booking_records(report):
+    return _verify_span(report)["attributes"]["booking_records"]
+
+
+def test_a_write_builds_one_record_and_reads_no_stale_one():
+    _corpus, system = _build()
+    collection = system.database.get_collection("dblp")
+    assert _booking_records(system.query("dblp", BROAD)) == PAPERS
+    assert _booking_records(system.query("dblp", BROAD)) == 0
+    key, root = next(iter(collection.documents()))
+    old_cols = collection.columns_for(key, root)
+    old_text = old_cols.subtree_text(old_cols.tag_rows["inproceedings"][0])
+    document = serialize(root)
+    closing = "</title>"
+    at = document.index(closing)
+    revisited = document[:at] + " Revisited" + document[at:]
+    extended = document[:at] + " Extended" + document[at:]
+    writes = (
+        ("replace", lambda: system.replace_documents("dblp", {key: revisited}), 1, PAPERS),
+        ("add", lambda: system.add_documents("dblp", extended), 1, PAPERS + 1),
+        ("remove", lambda: system.remove_documents("dblp", [key]), 0, PAPERS),
+    )
+    for name, write, built, answers in writes:
+        write()
+        system.build()
+        report = system.query("dblp", BROAD)
+        assert _booking_records(report) == built, name
+        assert report.result_count == report.candidates == answers, name
+        assert report.docs_verified == 0, name
+        assert old_text not in report.result_texts(), name
+        assert_matches_reference(report, _reference(system, BROAD), accesses=False)
+        assert _booking_records(system.query("dblp", BROAD)) == 0, name
+
+
+# ---------------------------------------------------------------------------
+# The guard charges what it charged before the records: warm equals cold
+# ---------------------------------------------------------------------------
+
+
+def _guarded(system, **limits):
+    parsed = parse_query(BROAD)
+    guard = ResourceGuard(**limits)
+    try:
+        report = system.executor.selection("dblp", parsed.pattern, parsed.roots, guard=guard)
+        outcome = ("ok", report.result_texts())
+    except (ResourceExhaustedError, QueryTimeoutError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, guard.steps, dict(guard.stage_steps)
+
+
+def test_a_guarded_broad_selection_charges_per_document_and_candidate():
+    _corpus, system = _build()
+    cold = _guarded(system, max_steps=10**9)
+    warm = _guarded(system, max_steps=10**9)
+    assert cold == warm
+    stages = warm[2]
+    assert stages["xpath evaluation"] == 2 * PAPERS
+    assert stages["result verification"] == PAPERS
+
+
+@pytest.mark.parametrize("where", ["fetch", "verify"])
+def test_a_step_budget_trips_on_the_same_step_cold_and_warm(where):
+    _corpus, system = _build()
+    full = _guarded(system, max_steps=10**9)
+    before_fetch = full[1] - full[2]["xpath evaluation"] - full[2]["result verification"]
+    if where == "fetch":
+        budget, stage = before_fetch + PAPERS + 3, "xpath evaluation"
+    else:
+        budget, stage = full[1] - PAPERS // 2, "result verification"
+    _corpus, cold_system = _build()
+    cold = _guarded(cold_system, max_steps=budget)
+    warm = _guarded(system, max_steps=budget)
+    assert cold == warm
+    assert cold[0] == (
+        "ResourceExhaustedError",
+        f"{stage} exceeded its evaluation budget of {budget} steps",
+    )
+    assert cold[1] == budget + 1
+
+
+def test_a_result_cap_trips_with_the_same_message_cold_and_warm():
+    _corpus, system = _build()
+    cold = _guarded(system, max_results=PAPERS - 1)
+    warm = _guarded(system, max_results=PAPERS - 1)
+    assert cold == warm
+    assert cold[0] == (
+        "ResourceExhaustedError",
+        f"query over 'dblp' produced {PAPERS} results, exceeding the cap of {PAPERS - 1}",
+    )

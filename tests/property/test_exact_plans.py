@@ -3,11 +3,14 @@
 A selection plan is index-exact (:func:`repro.core.planner.exact_tags`)
 when its index probes decide every conjunct and each label has its own
 tag.  Then a candidate whose document holds one row of each tag is
-booked without a scan.  Over drawn documents — one to three papers,
-repeated or missing child tags, a ``booktitle`` under a non-root parent,
-a paper nested in a paper — and patterns on both sides of the rule, the
-answers, their bytes and their order must equal the reference
-executor's, and the guard must charge one ``result verification`` step
+booked without a scan.  Over drawn stores — documents of one to three
+papers, repeated or missing child tags, a ``booktitle`` under a non-root
+parent, a paper nested in a paper, mixed with one-paper documents the
+rule books and with copies of earlier documents — and patterns on both
+sides of the rule, the answers, their bytes and their order must equal
+the reference executor's, cold (the documents' booking records built) and
+warm (read), and the guard must charge one ``xpath evaluation`` step per
+kept document and per candidate, and one ``result verification`` step
 per candidate, booked or scanned.
 """
 
@@ -157,11 +160,33 @@ def _two_papers():
     return root
 
 
+@st.composite
+def booked_documents(draw):
+    """One paper holding each of its tags once: booked by the admitted
+    patterns that name no other tag."""
+    paper = XmlNode("inproceedings")
+    paper.append(_leaf("title", TITLES, draw))
+    paper.append(_leaf("booktitle", VENUES, draw))
+    if draw(st.booleans()):
+        paper.append(_leaf("year", YEARS, draw))
+    root = XmlNode("dblp")
+    root.append(paper)
+    return root
+
+
+@st.composite
+def stores(draw):
+    """Booked and scanned documents, some of them copies of earlier ones."""
+    docs = draw(
+        st.lists(st.one_of(documents(), booked_documents()), min_size=1, max_size=5)
+    )
+    for index in draw(st.lists(st.integers(0, len(docs) - 1), max_size=3)):
+        docs.append(docs[index].copy())
+    return docs
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    docs=st.lists(documents(), min_size=1, max_size=4),
-    name=st.sampled_from(sorted(PATTERNS)),
-)
+@given(docs=stores(), name=st.sampled_from(sorted(PATTERNS)))
 @example(
     docs=[_two_papers()],
     name='inproceedings(booktitle below "database conference", title)',
@@ -190,3 +215,6 @@ def test_exact_plans_answer_like_the_reference(docs, name):
     guarded = production.selection("dblp", parsed.pattern, parsed.roots, guard=guard)
     assert_matches_reference(guarded, oracle, accesses=False)
     assert guard.stage_steps.get("result verification", 0) == guarded.candidates
+    assert guard.stage_steps.get("xpath evaluation", 0) == (
+        guarded.docs_scanned + guarded.candidates
+    )
