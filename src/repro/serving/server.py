@@ -177,12 +177,12 @@ class QueryServer:
         self.policy = policy
         self.fault_plan = fault_plan
         self.snapshot = SystemSnapshot.capture(system)
-        self.pool = self._make_pool()
+        self.pool = self._make_pool(self.snapshot)
         self._closed = False
 
-    def _make_pool(self) -> SupervisedWorkerPool:
+    def _make_pool(self, snapshot: SystemSnapshot) -> SupervisedWorkerPool:
         return SupervisedWorkerPool(
-            self.snapshot,
+            snapshot,
             self.workers,
             policy=self.policy,
             fault_plan=self.fault_plan,
@@ -214,9 +214,11 @@ class QueryServer:
             self.pool.apply_delta(delta)
             METRICS.counter("serving.delta_refreshes").inc()
             return "delta"
-        old_pool = self.pool
-        self.snapshot = SystemSnapshot.capture(self.system)
-        self.pool = self._make_pool()
+        # Swap the snapshot only with a started pool: a refresh that fails
+        # leaves the stale snapshot in place, so execution refuses it.
+        snapshot = SystemSnapshot.capture(self.system)
+        pool = self._make_pool(snapshot)
+        old_pool, self.snapshot, self.pool = self.pool, snapshot, pool
         old_pool.close()
         METRICS.counter("serving.full_refreshes").inc()
         self.system.observability.record_event("serving.full_refresh")

@@ -33,9 +33,10 @@ old, and once more in answer to the shutdown sentinel, which
 exact after ``close()``, and a SIGKILLed worker loses at most what it
 recorded since its last shipment.  The supervisor provides:
 
-* **crash detection & respawn** — the supervisor watches every worker's
-  liveness (readiness handshake, ``is_alive`` checks while busy) and
-  respawns dead ones with capped exponential backoff; a worker whose
+* **crash detection & respawn** — one sweep checks every worker's
+  liveness whatever the pool is waiting for (a batch, a delta's acks,
+  the fleet's handshakes) and dead ones respawn, inside a batch, with
+  capped exponential backoff; a worker whose
   spawns keep failing (e.g. snapshot transport corruption) is abandoned
   after a bounded number of consecutive failures rather than respawned
   forever;
@@ -60,9 +61,10 @@ recorded since its last shipment.  The supervisor provides:
   one batch is admitted half-open and its first crash re-trips.
 
 Recovery is fully observable: crash/retry/respawn/quarantine/trip
-counters in :data:`repro.obs.metrics.REGISTRY`, a supervisor span tree
-per recovered batch, and recovery events in the system's event and
-slow-query logs.  Fault injection (:mod:`repro.faults`) is honoured by
+counters in :data:`repro.obs.metrics.REGISTRY`, recovery events in the
+system's event and slow-query logs, and a supervisor span tree, flushed
+by whichever of ``run_batch``, ``apply_delta``, ``wait_ready`` or
+``close`` read them.  Fault injection (:mod:`repro.faults`) is honoured by
 the worker main loop, so every path above is deterministically
 testable.
 
@@ -76,7 +78,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Deque, Dict, List, Optional
@@ -413,9 +415,11 @@ class _Worker:
         self.pid: Optional[int] = None
         self.ready = False
         self.busy_index: Optional[int] = None
+        #: When the parent kills this incarnation: its task's hard
+        #: timeout, or the deadline of an outstanding delta ack.
         self.kill_at: Optional[float] = None
         self.spawn_count = -1
-        self.spawn_started: Optional[float] = None
+        self.spawn_started = 0.0
         #: Consecutive crash-ish events (task crashes, spawn failures);
         #: doubles the respawn backoff, reset by a completed task.
         self.consecutive_failures = 0
@@ -435,14 +439,37 @@ class _Worker:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    @property
-    def dispatchable(self) -> bool:
-        return (
-            not self.abandoned
-            and self.ready
-            and self.busy_index is None
-            and self.alive
-        )
+
+class _Run:
+    """One ``run_batch`` call's bookkeeping, indexed by task."""
+
+    __slots__ = ("tasks", "outcomes", "attempts", "crashes", "ready_at", "pending", "done")
+
+    def __init__(self, tasks: List[Dict[str, Any]]) -> None:
+        total = len(tasks)
+        self.tasks = tasks
+        self.outcomes: List[Optional[Dict[str, Any]]] = [None] * total
+        self.attempts = [0] * total
+        self.crashes = [0] * total
+        #: Earliest dispatch time per task (its retry backoff).
+        self.ready_at = [0.0] * total
+        self.pending: Deque[int] = deque(range(total))
+        self.done = 0
+
+    def finish(self, index: int, outcome: Dict[str, Any]) -> None:
+        self.outcomes[index] = outcome
+        self.done += 1
+
+
+#: Each ``stats()`` count and the ``serving.*`` counter booked with it.
+_COUNTERS = {
+    "crashes": "serving.worker_crashes",
+    "retries": "serving.task_retries",
+    "respawns": "serving.worker_respawns",
+    "hard_timeouts": "serving.hard_timeouts",
+    "quarantined": "serving.quarantined_tasks",
+    "spawn_failures": "serving.spawn_failures",
+}
 
 
 class SupervisedWorkerPool:
@@ -451,6 +478,11 @@ class SupervisedWorkerPool:
     ``snapshot`` / ``workers`` attributes and a
     ``run_batch``/``close``/context-manager surface, with the
     supervision semantics described in the module docstring.
+
+    Every worker message goes through :meth:`_on_message` and every
+    liveness check through :meth:`_sweep`, whichever public call is
+    waiting, so a respawn or a spawn failure is booked the same during a
+    batch, a delta broadcast, :meth:`wait_ready` or :meth:`close`.
 
     Parameters
     ----------
@@ -491,15 +523,17 @@ class SupervisedWorkerPool:
             FORK if FORK in multiprocessing.get_all_start_methods() else "spawn"
         )
         self._context = multiprocessing.get_context(start_method)
-        self._stats: Dict[str, Any] = {
-            "crashes": 0,
-            "retries": 0,
-            "respawns": 0,
-            "hard_timeouts": 0,
-            "quarantined": 0,
-            "spawn_failures": 0,
-            "respawn_seconds": [],
-        }
+        self._stats: Dict[str, Any] = dict.fromkeys(_COUNTERS, 0)
+        self._stats["respawn_seconds"] = []
+        #: Recovery events not yet flushed by :meth:`_record_recovery`.
+        self._events: List[Dict[str, Any]] = []
+        #: The running batch, where a ``done`` message goes.
+        self._run: Optional[_Run] = None
+        #: The outstanding delta broadcast: the workers whose
+        #: ``delta_applied`` is due (each to its delta task), and how many
+        #: applied it.
+        self._awaiting: Dict[int, Dict[str, Any]] = {}
+        self._applied = 0
         self._closed = False
         self._workers = [_Worker(worker_id) for worker_id in range(workers)]
         for worker in self._workers:
@@ -509,13 +543,9 @@ class SupervisedWorkerPool:
 
     def _spawn(self, worker: _Worker) -> None:
         worker.spawn_count += 1
-        worker.ready = False
-        worker.busy_index = None
-        worker.kill_at = None
         worker.respawn_at = None
         worker.spawn_started = time.monotonic()
         worker.shipped_at = None
-        self._discard_transport(worker)
         tasks, worker.requests = self._context.Pipe(duplex=False)
         worker.reader, writer = self._context.Pipe(duplex=False)
         # A delta-advanced snapshot dropped its genesis; respawns rebuild
@@ -547,12 +577,11 @@ class SupervisedWorkerPool:
         writer.close()
         tasks.close()
         if worker.spawn_count > 0:
-            self._stats["respawns"] += 1
-            METRICS.counter("serving.worker_respawns").inc()
+            self._book(None, "respawns")
 
     def _discard_transport(self, worker: _Worker) -> None:
-        """Retire a previous incarnation's request and response pipes;
-        their contents died with the worker."""
+        """Retire an incarnation's request and response pipes; whatever
+        they still hold died with it."""
         for conn in (worker.reader, worker.requests):
             if conn is not None:
                 try:
@@ -562,32 +591,30 @@ class SupervisedWorkerPool:
         worker.reader = worker.requests = None
 
     def _kill_worker(self, worker: _Worker) -> None:
-        if worker.process is None:
-            return
         worker.process.terminate()
         worker.process.join(0.5)
         if worker.process.is_alive():
             worker.process.kill()
             worker.process.join(1.0)
 
-    def _mark_dead(self, worker: _Worker, now: float, spawn_failure: bool) -> None:
-        """Retire a dead (or just-killed) worker and schedule its respawn."""
-        if worker.process is not None:
-            worker.process.join(0.1)
+    def _mark_dead(self, worker: _Worker, spawn_failure: bool = False) -> None:
+        """Retire a dead (or just-killed) worker, which owes no delta ack
+        any more, and schedule its respawn (none for an abandoned slot)."""
+        worker.process.join(0.1)
+        self._discard_transport(worker)
+        self._awaiting.pop(worker.worker_id, None)
         worker.ready = False
         worker.busy_index = None
         worker.kill_at = None
         worker.consecutive_failures += 1
         if spawn_failure:
             worker.spawn_failures += 1
-            self._stats["spawn_failures"] += 1
-            METRICS.counter("serving.spawn_failures").inc()
             if worker.spawn_failures >= self.policy.max_spawn_failures:
                 worker.abandoned = True
                 return
         else:
             worker.spawn_failures = 0
-        worker.respawn_at = now + backoff_delay(
+        worker.respawn_at = time.monotonic() + backoff_delay(
             self.policy.respawn_backoff_base,
             self.policy.respawn_backoff_cap,
             worker.consecutive_failures - 1,
@@ -615,11 +642,14 @@ class SupervisedWorkerPool:
         exits, so reading every response pipe to EOF leaves the parent's
         metric and window totals exactly what the workers recorded.  The
         drain and the joins share one ``timeout``: a hung worker's tail is
-        given up, never waited for past it.
+        given up, never waited for past it.  Messages drained here are
+        booked like any other; no liveness sweep runs, as every worker is
+        meant to exit.
         """
         if self._closed:
             return
         self._closed = True
+        started = time.perf_counter()
         for worker in self._workers:
             if worker.alive and worker.requests is not None:
                 try:
@@ -633,11 +663,11 @@ class SupervisedWorkerPool:
         ):
             self._next_response()
         for worker in self._workers:
-            if worker.process is not None:
-                worker.process.join(max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    self._kill_worker(worker)
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+            if worker.process.is_alive():
+                self._kill_worker(worker)
             self._discard_transport(worker)
+        self._record_recovery(time.perf_counter() - started, 0)
 
     def __enter__(self) -> "SupervisedWorkerPool":
         return self
@@ -671,30 +701,25 @@ class SupervisedWorkerPool:
         total = len(tasks)
         if not total:
             return []
-        outcomes: List[Optional[Dict[str, Any]]] = [None] * total
-        attempts = [0] * total
-        crashes = [0] * total
-        ready_at = [0.0] * total
-        pending: Deque[int] = deque(range(total))
-        events: List[Dict[str, Any]] = []
+        run = self._run = _Run(tasks)
         started = time.perf_counter()
-        done = 0
-        while done < total:
-            now = time.monotonic()
-            self._respawn_due(now)
-            self._ensure_live_workers()
-            self._dispatch(tasks, pending, attempts, ready_at, now)
-            message = self._next_response()
-            if message is not None:
-                done += self._handle_message(
-                    message, tasks, outcomes, attempts, crashes,
-                    ready_at, pending, events,
-                )
-            done += self._check_busy_workers(
-                tasks, outcomes, attempts, crashes, ready_at, pending, events
-            )
-        self._record_recovery(events, time.perf_counter() - started, total)
-        return outcomes
+        try:
+            while run.done < total:
+                now = time.monotonic()
+                self._respawn_due(now)
+                if all(worker.abandoned for worker in self._workers):
+                    raise ServingError(
+                        "every worker slot is permanently failed "
+                        f"(>= {self.policy.max_spawn_failures} consecutive spawn "
+                        "failures each); the snapshot cannot be served"
+                    )
+                self._dispatch(run, now)
+                self._next_response()
+                self._sweep()
+        finally:
+            self._run = None
+        self._record_recovery(time.perf_counter() - started, total)
+        return run.outcomes
 
     def apply_delta(self, delta: SnapshotDelta) -> Dict[str, int]:
         """Broadcast a :class:`~repro.serving.snapshot.SnapshotDelta` to
@@ -708,7 +733,8 @@ class SupervisedWorkerPool:
         snapshot (a fresh fork of the live parent, or a lazily rebuilt
         genesis), so every incarnation converges to the target
         generation no matter how the apply went.  Dead or backing-off
-        slots are skipped for the same reason.
+        slots are skipped for the same reason.  A booting worker that
+        dies before its ``ready`` is a spawn failure, as anywhere else.
 
         Returns ``{"applied": n, "respawning": m}``.
         """
@@ -722,102 +748,66 @@ class SupervisedWorkerPool:
         }
         if self.fault_plan is not None:
             task["faults"] = self.fault_plan.to_spec()
-
-        def send(worker: _Worker) -> None:
-            try:
-                worker.requests.send(task)
-            except OSError:
-                pass  # died: the liveness check below books it
-
-        awaiting: Dict[int, _Worker] = {}
-        # A delta can be far larger than a pipe's 64 KiB buffer, and a
-        # send blocks until the reader drains it, so only a worker that is
-        # reading gets one: an idle ready worker now, a worker still in
-        # its spawn handshake once its "ready" arrives.  That one was
-        # forked/booted from the *pre-advance* state, so it needs the
-        # delta too; replay is idempotent, so a worker that happens to be
-        # current converges to the same state.
-        booting = set()
-        for worker in self._workers:
-            if not worker.abandoned and worker.busy_index is None and worker.alive:
-                awaiting[worker.worker_id] = worker
-                if worker.ready:
-                    send(worker)
-                else:
-                    booting.add(worker.worker_id)
-        applied = 0
-        failures: List[Dict[str, Any]] = []
+        started = time.perf_counter()
         deadline = time.monotonic() + DELTA_APPLY_TIMEOUT
-        while awaiting and time.monotonic() < deadline:
-            message = self._next_response()
-            now = time.monotonic()
-            if message is not None:
-                kind = message[0]
-                worker = self._workers[message[1]]
-                if kind == "delta_applied" and worker.worker_id in awaiting:
-                    ok, detail = message[3], message[4]
-                    del awaiting[worker.worker_id]
-                    if ok:
-                        applied += 1
-                        worker.consecutive_failures = 0
-                        continue
-                    failures.append(
-                        {"worker": worker.worker_id, "detail": detail}
-                    )
-                    self._kill_worker(worker)
-                    self._mark_dead(worker, now, spawn_failure=False)
-                elif kind == "ready":
-                    worker.ready = True
-                    worker.pid = message[3]
-                    worker.spawn_failures = 0
-                    if worker.worker_id in booting:
-                        booting.discard(worker.worker_id)
-                        send(worker)
-            for worker_id in list(awaiting):
-                worker = awaiting[worker_id]
-                if not worker.alive:
-                    # Killed mid-apply (OOM, chaos): respawn from the
-                    # advanced snapshot recovers a consistent generation.
-                    del awaiting[worker_id]
-                    failures.append(
-                        {
-                            "worker": worker_id,
-                            "detail": (
-                                f"pid {worker.pid} died applying the delta "
-                                f"(exitcode {worker.process.exitcode})"
-                            ),
-                        }
-                    )
-                    self._mark_dead(worker, now, spawn_failure=False)
-        now = time.monotonic()
-        for worker_id, worker in awaiting.items():
-            failures.append(
-                {"worker": worker_id, "detail": "delta apply timed out"}
-            )
-            self._kill_worker(worker)
-            self._mark_dead(worker, now, spawn_failure=False)
-        observability = self.snapshot.system.observability
-        for failure in failures:
-            METRICS.counter("serving.delta_apply_failures").inc()
-            observability.record_event("serving.delta_apply_failed", **failure)
+        self._applied = 0
+        try:
+            # Only a reading worker is sent the delta (it can outgrow a
+            # pipe buffer): an idle ready one now, a booting one once its
+            # "ready" arrives (_on_message).  That one was forked before
+            # the advance; replay is idempotent, so it converges too.
+            for worker in self._workers:
+                if not worker.abandoned and worker.busy_index is None and worker.alive:
+                    self._awaiting[worker.worker_id] = task
+                    worker.kill_at = deadline
+                    if worker.ready:
+                        self._send(worker, task)
+            respawning = len(self._awaiting)
+            while self._awaiting:
+                self._next_response()
+                self._sweep()
+        finally:
+            self._awaiting.clear()
+        applied = self._applied
+        respawning -= applied
+        self._record_recovery(time.perf_counter() - started, 0)
         METRICS.counter("serving.delta_applies").inc()
-        observability.record_event(
+        self.snapshot.system.observability.record_event(
             "serving.delta_applied",
             workers=applied,
-            respawning=len(failures),
+            respawning=respawning,
             collections=len(delta.collections),
             documents=delta.documents_shipped,
             seos=len(delta.seos),
         )
-        return {"applied": applied, "respawning": len(failures)}
+        return {"applied": applied, "respawning": respawning}
 
-    def _ensure_live_workers(self) -> None:
-        if all(worker.abandoned for worker in self._workers):
-            raise ServingError(
-                "every worker slot is permanently failed "
-                f"(>= {self.policy.max_spawn_failures} consecutive spawn "
-                "failures each); the snapshot cannot be served"
-            )
+    def wait_ready(self, timeout: float = 30.0) -> int:
+        """Block until every live worker finished its spawn handshake.
+
+        Serving can start before the whole fleet is up — dispatch only
+        needs one ready worker — so callers that want steady-state
+        behaviour (pre-warmed deploys, benchmarks, tests that measure
+        the delta path rather than the spawn tail) use this barrier
+        after construction or a full refresh.  Slots that are abandoned
+        or backing off are not waited for, and a slot that died is
+        booked (as a spawn failure, before its handshake) rather than
+        waited for.  Returns the number of ready live workers.
+        """
+        if self._closed:
+            raise ServingError("the worker pool is closed")
+        started = time.perf_counter()
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline and any(
+            not worker.abandoned and not worker.ready and worker.respawn_at is None
+            for worker in self._workers
+        ):
+            self._next_response()
+            self._sweep()
+        self._record_recovery(time.perf_counter() - started, 0)
+        return sum(
+            1 for worker in self._workers if worker.alive and worker.ready
+        )
 
     @staticmethod
     def _task_request_id(task: Dict[str, Any]) -> Optional[str]:
@@ -825,42 +815,45 @@ class SupervisedWorkerPool:
         wire = task.get("request")
         return wire.get("id") if isinstance(wire, dict) else None
 
+    @staticmethod
+    def _send(worker: _Worker, task: Dict[str, Any]) -> None:
+        try:
+            worker.requests.send(task)
+        except OSError:
+            # The worker's end is gone: it died after the liveness check.
+            # Whatever it owes stays booked on it, so the sweep charges
+            # the death and reschedules.
+            pass
+
     def _respawn_due(self, now: float) -> None:
         for worker in self._workers:
             if (
-                not worker.abandoned
-                and not worker.alive
-                and worker.respawn_at is not None
+                worker.respawn_at is not None
                 and now >= worker.respawn_at
+                and not worker.alive
             ):
                 self._spawn(worker)
 
-    def _dispatch(
-        self,
-        tasks: List[Dict[str, Any]],
-        pending: Deque[int],
-        attempts: List[int],
-        ready_at: List[float],
-        now: float,
-    ) -> None:
+    def _dispatch(self, run: _Run, now: float) -> None:
+        pending = run.pending
         for worker in self._workers:
             if not pending:
                 return
-            if not worker.dispatchable:
+            if worker.busy_index is not None or not worker.ready or not worker.alive:
                 continue
             index = None
             for _ in range(len(pending)):
                 candidate = pending.popleft()
-                if ready_at[candidate] <= now:
+                if run.ready_at[candidate] <= now:
                     index = candidate
                     break
                 pending.append(candidate)
             if index is None:
                 return
-            task = dict(tasks[index])
+            task = dict(run.tasks[index])
             task["_index"] = index
             task["_fault_seq"] = index
-            task["_fault_attempt"] = attempts[index]
+            task["_fault_attempt"] = run.attempts[index]
             if task.get("collect_metrics"):
                 if (
                     worker.shipped_at is not None
@@ -871,55 +864,15 @@ class SupervisedWorkerPool:
                     worker.shipped_at = now
             if self.fault_plan is not None:
                 task["faults"] = self.fault_plan.to_spec()
-            try:
-                worker.requests.send(task)
-            except OSError:
-                # The worker's end is gone: it died after the liveness
-                # check.  The task stays booked on it, so the next check
-                # charges the crash to it and reschedules.
-                pass
+            self._send(worker, task)
             worker.busy_index = index
-            timeout = self.policy.task_hard_timeout(tasks[index])
+            timeout = self.policy.task_hard_timeout(run.tasks[index])
             worker.kill_at = now + timeout if timeout is not None else None
 
-    def wait_ready(self, timeout: float = 30.0) -> int:
-        """Block until every live worker finished its spawn handshake.
-
-        Serving can start before the whole fleet is up — dispatch only
-        needs one ready worker — so callers that want steady-state
-        behaviour (pre-warmed deploys, benchmarks, tests that measure
-        the delta path rather than the spawn tail) use this barrier
-        after construction or a full refresh.  Slots that are dead,
-        abandoned or backing off are not waited for.  Returns the
-        number of ready live workers.
-        """
-        if self._closed:
-            raise ServingError("the worker pool is closed")
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            pending = [
-                worker
-                for worker in self._workers
-                if not worker.abandoned and worker.alive and not worker.ready
-            ]
-            if not pending:
-                break
-            message = self._next_response()
-            if message is None:
-                continue
-            if message[0] == "ready":
-                worker = self._workers[message[1]]
-                worker.ready = True
-                worker.pid = message[3]
-                worker.spawn_failures = 0
-        return sum(
-            1 for worker in self._workers if worker.alive and worker.ready
-        )
-
-    def _next_response(self):
-        """The next message of a current worker incarnation, or None
-        after one poll interval.  Messages of retired incarnations are
-        dropped; a shutdown metric delta is absorbed, not returned."""
+    def _next_response(self) -> None:
+        """Wait one poll interval for the next worker message and book
+        it.  Each incarnation has its own pipe, so nothing a retired one
+        sent is ever read."""
         readers = [
             worker.reader
             for worker in self._workers
@@ -927,23 +880,18 @@ class SupervisedWorkerPool:
         ]
         if not readers:
             time.sleep(POLL_INTERVAL)
-            return None
+            return
         for conn in _connection_wait(readers, timeout=POLL_INTERVAL):
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 # The worker died (possibly mid-send).  Close the pipe so
-                # it stops polling as ready; the liveness check finalizes
-                # the worker itself.
+                # it stops polling as ready; the sweep books the death
+                # once the pipe is drained.
                 conn.close()
                 continue
-            worker = self._workers[message[1]]
-            if message[2] != worker.spawn_count:
-                continue  # an earlier incarnation's message: drop it
-            if message[0] != "metrics":
-                return message
-            self._absorb(message[3])  # a worker's shutdown tail
-        return None
+            self._on_message(message)
+            return
 
     @staticmethod
     def _absorb(delta) -> None:
@@ -954,52 +902,21 @@ class SupervisedWorkerPool:
         WINDOWS.absorb(windows)
         METRICS.counter("serving.metric_deltas").inc()
 
-    def _handle_message(
-        self, message, tasks, outcomes, attempts, crashes, ready_at,
-        pending, events,
-    ) -> int:
+    def _on_message(self, message) -> None:
+        """Book one worker message, whichever call read it — the one
+        place a message's kind is looked at.
+
+        ``done`` goes to the running batch and ``delta_applied`` to the
+        outstanding broadcast (one for neither is late, and dropped).
+        """
         kind = message[0]
         worker = self._workers[message[1]]
-        now = time.monotonic()
-        if kind == "ready":
-            pid = message[3]
-            worker.ready = True
-            worker.pid = pid
-            worker.spawn_failures = 0
-            if worker.spawn_count > 0 and worker.spawn_started is not None:
-                elapsed = now - worker.spawn_started
-                self._stats["respawn_seconds"].append(elapsed)
-                METRICS.histogram("serving.respawn_seconds").observe(elapsed)
-                event = {
-                    "event": "respawn",
-                    "worker": worker.worker_id,
-                    "seconds": elapsed,
-                }
-                if worker.last_request_id is not None:
-                    event["request_id"] = worker.last_request_id
-                    worker.last_request_id = None
-                events.append(event)
-            return 0
-        if kind == "spawn_failed":
-            detail = message[4]
-            if worker.respawn_at is not None or worker.abandoned:
-                # The death was already noticed through is_alive().
-                return 0
-            events.append(
-                {
-                    "event": "spawn_failed",
-                    "worker": worker.worker_id,
-                    "detail": detail,
-                }
-            )
-            self._mark_dead(worker, now, spawn_failure=True)
-            return 0
         if kind == "done":
-            index, outcome = message[3], message[4]
-            if worker.busy_index != index or outcomes[index] is not None:
+            run, index, outcome = self._run, message[3], message[4]
+            if run is None or worker.busy_index != index or run.outcomes[index] is not None:
                 # A late response for a task already finalized elsewhere;
                 # its delta goes with it, as its retry counts the work.
-                return 0
+                return
             if message[5] is not None:
                 self._absorb(message[5])
             worker.busy_index = None
@@ -1008,207 +925,190 @@ class SupervisedWorkerPool:
             if not isinstance(outcome, dict) or (
                 "report" not in outcome and "failure" not in outcome
             ):
-                return self._task_failed(
-                    index, tasks, outcomes, attempts, crashes, ready_at,
-                    pending, events, now,
-                    reason="transport",
-                    detail="corrupted worker response",
+                self._task_failed(
+                    run, index, "transport", "corrupted worker response",
                     worker_killed=False,
                 )
+                return
             self.breaker.record_success()
-            outcome["attempts"] = attempts[index] + 1
-            outcomes[index] = outcome
-            return 1
-        return 0  # pragma: no cover - no other message kinds exist
+            outcome["attempts"] = run.attempts[index] + 1
+            run.finish(index, outcome)
+        elif kind == "ready":
+            worker.ready = True
+            worker.pid = message[3]
+            worker.spawn_failures = 0
+            if worker.spawn_count > 0:
+                elapsed = time.monotonic() - worker.spawn_started
+                self._stats["respawn_seconds"].append(elapsed)
+                METRICS.histogram("serving.respawn_seconds").observe(elapsed)
+                self._book(
+                    "respawn", None, worker=worker.worker_id, seconds=elapsed,
+                    request_id=worker.last_request_id,
+                )
+                worker.last_request_id = None
+            if worker.worker_id in self._awaiting:
+                self._send(worker, self._awaiting[worker.worker_id])
+        elif kind == "spawn_failed":
+            self._spawn_failed(worker, message[4])
+        elif kind == "delta_applied":
+            if worker.worker_id not in self._awaiting:
+                return
+            if message[3]:
+                del self._awaiting[worker.worker_id]
+                self._applied += 1
+                worker.kill_at = None
+                worker.consecutive_failures = 0
+            else:
+                # The local system may be half-converged: the worker dies,
+                # and its respawn boots from the advanced snapshot.
+                self._delta_failed(worker, message[4])
+        elif kind == "metrics":
+            self._absorb(message[3])  # a worker's shutdown tail
 
-    def _check_busy_workers(
-        self, tasks, outcomes, attempts, crashes, ready_at, pending, events
-    ) -> int:
-        finalized = 0
+    def _sweep(self) -> None:
+        """The one liveness check, whichever call is waiting: book every
+        worker that died or is past its ``kill_at``, by what it owed — a
+        task, its ``ready``, a delta ack, or nothing.  A death is booked
+        once the worker's pipe is drained, after its last words."""
         now = time.monotonic()
         for worker in self._workers:
-            if worker.abandoned or worker.process is None:
+            if worker.abandoned or worker.respawn_at is not None:
                 continue
-            if worker.busy_index is not None:
-                index = worker.busy_index
-                if not worker.process.is_alive():
-                    worker.last_request_id = self._task_request_id(tasks[index])
-                    events.append(
-                        {
-                            "event": "crash",
-                            "worker": worker.worker_id,
-                            "pid": worker.pid,
-                            "task": index,
-                            "exitcode": worker.process.exitcode,
-                            "request_id": worker.last_request_id,
-                        }
+            hung = worker.process.is_alive()
+            if hung:
+                if worker.kill_at is None or now < worker.kill_at:
+                    continue
+                self._kill_worker(worker)
+            elif worker.reader is not None and not worker.reader.closed:
+                continue
+            exitcode = None if hung else worker.process.exitcode
+            index = worker.busy_index
+            if index is not None:
+                task = self._run.tasks[index]
+                worker.last_request_id = self._task_request_id(task)
+                if hung:
+                    event, stat, reason = "hard_timeout", "hard_timeouts", "hung"
+                    detail = (
+                        f"exceeded the {self.policy.task_hard_timeout(task):.1f}s "
+                        "parent-side hard timeout and was killed"
                     )
-                    self._mark_dead(worker, now, spawn_failure=False)
-                    finalized += self._task_failed(
-                        index, tasks, outcomes, attempts, crashes, ready_at,
-                        pending, events, now,
-                        reason="worker_died",
-                        detail=(
-                            f"pid {worker.pid} exited with "
-                            f"{worker.process.exitcode} mid-query"
-                        ),
-                        worker_killed=True,
-                    )
-                elif worker.kill_at is not None and now >= worker.kill_at:
-                    self._stats["hard_timeouts"] += 1
-                    METRICS.counter("serving.hard_timeouts").inc()
-                    worker.last_request_id = self._task_request_id(tasks[index])
-                    events.append(
-                        {
-                            "event": "hard_timeout",
-                            "worker": worker.worker_id,
-                            "pid": worker.pid,
-                            "task": index,
-                            "request_id": worker.last_request_id,
-                        }
-                    )
-                    timeout = self.policy.task_hard_timeout(tasks[index])
-                    self._kill_worker(worker)
-                    self._mark_dead(worker, now, spawn_failure=False)
-                    finalized += self._task_failed(
-                        index, tasks, outcomes, attempts, crashes, ready_at,
-                        pending, events, now,
-                        reason="hung",
-                        detail=(
-                            f"exceeded the {timeout:.1f}s parent-side hard "
-                            "timeout and was killed"
-                        ),
-                        worker_killed=True,
-                    )
-            elif worker.ready and not worker.process.is_alive():
+                else:
+                    event, stat, reason = "crash", None, "worker_died"
+                    detail = f"pid {worker.pid} exited with {exitcode} mid-query"
+                self._book(
+                    event, stat, worker=worker.worker_id, pid=worker.pid,
+                    task=index, exitcode=exitcode,
+                    request_id=worker.last_request_id,
+                )
+                self._mark_dead(worker)
+                self._task_failed(self._run, index, reason, detail, worker_killed=True)
+            elif hung:
+                self._delta_failed(worker, "delta apply timed out")
+            elif not worker.ready:
+                self._spawn_failed(
+                    worker, f"exited with {exitcode} before the ready handshake"
+                )
+            elif worker.worker_id in self._awaiting:
+                self._delta_failed(
+                    worker,
+                    f"pid {worker.pid} died applying the delta (exitcode {exitcode})",
+                )
+            else:
                 # Idle worker died between tasks: respawn, no task harmed.
-                events.append(
-                    {
-                        "event": "idle_crash",
-                        "worker": worker.worker_id,
-                        "pid": worker.pid,
-                        "exitcode": worker.process.exitcode,
-                    }
+                self._book(
+                    "idle_crash", None, worker=worker.worker_id,
+                    pid=worker.pid, exitcode=exitcode,
                 )
-                self._mark_dead(worker, now, spawn_failure=False)
-            elif (
-                not worker.ready
-                and worker.respawn_at is None
-                and not worker.process.is_alive()
-            ):
-                # Died before the handshake, and the spawn_failed message
-                # (if one was ever sent) died with it: a spawn failure.
-                events.append(
-                    {
-                        "event": "spawn_failed",
-                        "worker": worker.worker_id,
-                        "detail": (
-                            f"exited with {worker.process.exitcode} "
-                            "before the ready handshake"
-                        ),
-                    }
-                )
-                self._mark_dead(worker, now, spawn_failure=True)
-        return finalized
+                self._mark_dead(worker)
+
+    def _spawn_failed(self, worker: _Worker, detail: str) -> None:
+        self._book("spawn_failed", "spawn_failures", worker=worker.worker_id, detail=detail)
+        self._mark_dead(worker, spawn_failure=True)
+
+    def _delta_failed(self, worker: _Worker, detail: Optional[str]) -> None:
+        METRICS.counter("serving.delta_apply_failures").inc()
+        self._book("delta_apply_failed", None, worker=worker.worker_id, detail=detail)
+        self._kill_worker(worker)
+        self._mark_dead(worker)
 
     def _task_failed(
-        self, index, tasks, outcomes, attempts, crashes, ready_at,
-        pending, events, now, reason, detail, worker_killed,
-    ) -> int:
-        """Retry, quarantine or finalize one failed dispatch.
-
-        Returns 1 when the task is finalized (outcome recorded), 0 when
-        it was requeued for another attempt.
-        """
-        attempts[index] += 1
-        if worker_killed:
-            crashes[index] += 1
-        self._stats["crashes"] += 1
-        METRICS.counter("serving.worker_crashes").inc()
-        self.breaker.record_failure()
-        query = tasks[index].get("query", "")
-        request_id = self._task_request_id(tasks[index])
-        if crashes[index] >= self.policy.quarantine_after:
-            self._stats["quarantined"] += 1
-            METRICS.counter("serving.quarantined_tasks").inc()
-            events.append(
-                {"event": "quarantine", "task": index, "query": query,
-                 "request_id": request_id}
-            )
-            outcomes[index] = {
-                "failure": ("poison", query, crashes[index]),
-                "seconds": 0.0,
-                "attempts": attempts[index],
-            }
-            return 1
-        if attempts[index] > self.policy.max_retries:
-            outcomes[index] = {
-                "failure": ("crash", query, attempts[index], f"{reason}: {detail}"),
-                "seconds": 0.0,
-                "attempts": attempts[index],
-            }
-            return 1
-        self._stats["retries"] += 1
-        METRICS.counter("serving.task_retries").inc()
-        delay = backoff_delay(
-            self.policy.retry_backoff_base,
-            self.policy.retry_backoff_cap,
-            attempts[index] - 1,
-        )
-        events.append(
-            {"event": "retry", "task": index, "attempt": attempts[index],
-             "delay": delay, "reason": reason, "request_id": request_id}
-        )
-        ready_at[index] = now + delay
-        pending.append(index)
-        return 0
-
-    def _record_recovery(
-        self, events: List[Dict[str, Any]], batch_seconds: float, total: int
+        self, run: _Run, index: int, reason: str, detail: str, worker_killed: bool
     ) -> None:
-        """Route a recovered batch's events through the observability
-        stack: a supervisor span tree plus an event/slow-query log entry."""
+        """Retry, quarantine or finalize one failed dispatch."""
+        run.attempts[index] += 1
+        if worker_killed:
+            run.crashes[index] += 1
+        self._book(None, "crashes")
+        self.breaker.record_failure()
+        query = run.tasks[index].get("query", "")
+        request_id = self._task_request_id(run.tasks[index])
+        if run.crashes[index] >= self.policy.quarantine_after:
+            self._book(
+                "quarantine", "quarantined", task=index, query=query,
+                request_id=request_id,
+            )
+            failure: tuple = ("poison", query, run.crashes[index])
+        elif run.attempts[index] > self.policy.max_retries:
+            failure = ("crash", query, run.attempts[index], f"{reason}: {detail}")
+        else:
+            delay = backoff_delay(
+                self.policy.retry_backoff_base,
+                self.policy.retry_backoff_cap,
+                run.attempts[index] - 1,
+            )
+            self._book(
+                "retry", "retries", task=index, attempt=run.attempts[index],
+                delay=delay, reason=reason, request_id=request_id,
+            )
+            run.ready_at[index] = time.monotonic() + delay
+            run.pending.append(index)
+            return
+        run.finish(
+            index,
+            {"failure": failure, "seconds": 0.0, "attempts": run.attempts[index]},
+        )
+
+    def _book(self, event: Optional[str], stat: Optional[str], **fields) -> None:
+        """Book one recovery fact once: its ``stats()`` count with the
+        ``serving.*`` counter of :data:`_COUNTERS`, and its event (None
+        fields dropped) for the next :meth:`_record_recovery`."""
+        if stat is not None:
+            self._stats[stat] += 1
+            METRICS.counter(_COUNTERS[stat]).inc()
+        if event is not None:
+            entry: Dict[str, Any] = {"event": event}
+            entry.update((key, value) for key, value in fields.items() if value is not None)
+            self._events.append(entry)
+
+    def _record_recovery(self, seconds: float, total: int) -> None:
+        """Flush the booked recovery events through the observability
+        stack: an event-log entry each, plus a supervisor span tree and a
+        slow-query entry for the call (``total`` tasks) that read them."""
+        events, self._events = self._events, []
         if not events:
             return
         observability = self.snapshot.system.observability
-        for event in events:
-            observability.record_event(
-                f"serving.{event['event']}",
-                **{
-                    key: value
-                    for key, value in event.items()
-                    if key != "event" and value is not None
-                },
-            )
         tracer = observability.tracer()
-        with tracer.trace(
-            "serving.supervisor", events=len(events), tasks=total
-        ):
+        with tracer.trace("serving.supervisor", events=len(events), tasks=total):
             for event in events:
+                fields = {key: value for key, value in event.items() if key != "event"}
+                observability.record_event(f"serving.{event['event']}", **fields)
                 tracer.record_span(
                     f"recovery.{event['event']}",
-                    float(event.get("seconds", 0.0)),
-                    attributes={
-                        key: value
-                        for key, value in event.items()
-                        if key not in ("event", "seconds")
-                    },
+                    float(fields.pop("seconds", 0.0)),
+                    attributes=fields,
                 )
-        trace = tracer.finish()
+        counts = Counter(event["event"] for event in events)
         observability.record_query(
             "serving.recovery",
-            total_seconds=batch_seconds,
-            trace=trace,
+            total_seconds=seconds,
+            trace=tracer.finish(),
             extra={
                 "tasks": total,
-                "crashes": sum(1 for e in events if e["event"] == "crash"),
-                "hard_timeouts": sum(
-                    1 for e in events if e["event"] == "hard_timeout"
-                ),
-                "retries": sum(1 for e in events if e["event"] == "retry"),
-                "respawns": sum(1 for e in events if e["event"] == "respawn"),
-                "quarantined": sum(
-                    1 for e in events if e["event"] == "quarantine"
-                ),
+                "crashes": counts["crash"],
+                "hard_timeouts": counts["hard_timeout"],
+                "retries": counts["retry"],
+                "respawns": counts["respawn"],
+                "quarantined": counts["quarantine"],
             },
         )

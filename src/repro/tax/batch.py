@@ -129,7 +129,10 @@ class ResultRows(Sequence[XmlNode]):
             if type(ref) is not tuple:
                 append(serialize(ref))
             elif len(ref) == 2:
-                append(ref[0].subtree_text(ref[1]))
+                # The columns' text memo inline: a hit calls no function.
+                cols, row = ref
+                text = cols.subtree_texts.get(row)
+                append(cols.subtree_text(row) if text is None else text)
             else:
                 lcols, l_row, rcols, r_row = ref
                 append(

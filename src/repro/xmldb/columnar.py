@@ -49,7 +49,7 @@ class DocumentColumns:
         "tag_rows",
         "_subtree_keys",
         "bookings",
-        "_subtree_texts",
+        "subtree_texts",
         "_parent_rows",
         "_matches",
     )
@@ -99,8 +99,9 @@ class DocumentColumns:
         #: the document does not hold one row of each of the shape's tags
         #: (see :meth:`book`).
         self.bookings: Dict[str, Optional[Tuple[int, int, Tuple]]] = {}
-        #: Compact serialisations of answered subtrees, cached per row.
-        self._subtree_texts: Dict[int, str] = {}
+        #: Compact serialisations of answered subtrees, cached per row
+        #: (:meth:`subtree_text` fills it; ``ResultRows.texts`` reads it).
+        self.subtree_texts: Dict[int, str] = {}
         #: Per-tag sorted parent rows (rows with >=1 child of the tag),
         #: built on first use — the batched verifier's structural prune.
         self._parent_rows: Dict[str, List[int]] = {}
@@ -199,9 +200,9 @@ class DocumentColumns:
         repeated answer costs one dictionary lookup.  The memo lives and
         dies with these columns (a mutation replaces them).
         """
-        text = self._subtree_texts.get(row)
+        text = self.subtree_texts.get(row)
         if text is None:
-            text = self._subtree_texts[row] = serialize(self.nodes[row])
+            text = self.subtree_texts[row] = serialize(self.nodes[row])
         return text
 
     def materialize(

@@ -8,6 +8,7 @@ it through :meth:`SupervisedWorkerPool.apply_delta`, and the
 """
 
 import base64
+import errno
 import hashlib
 import json
 import pickle
@@ -17,6 +18,7 @@ import pytest
 
 from repro import faults
 from repro.core.parser import parse_query
+from repro.errors import SnapshotStaleError
 from repro.faults import FaultPlan, FaultRule
 from repro.serving import QueryServer, RetryPolicy, SupervisedWorkerPool
 from repro.serving import supervisor
@@ -460,3 +462,33 @@ class TestServerRefresh:
             for _ in range(CHANGELOG_CAPACITY + 1):
                 collection.replace_document("p0", NEW_DOC.replace("p99", "p0"))
             assert server.refresh() == "full"
+
+    def test_failed_full_refresh_keeps_refusing_the_stale_snapshot(
+        self, monkeypatch
+    ):
+        """A full refresh whose new pool cannot start leaves the old
+        snapshot in place: execution refuses it as stale instead of
+        answering from the old pool, and a later refresh recovers."""
+        system = make_system(count=6)
+        with QueryServer(
+            system, workers=1, default_collection="papers", policy=FAST
+        ) as server:
+            system.add_documents("papers", NEW_DOC)
+            for _ in range(CHANGELOG_CAPACITY + 1):
+                system.replace_documents("papers", {"p1": NEW_DOC.replace("p99", "p1")})
+            system.build()
+            assert server.snapshot.delta(system) is None
+
+            def refuse(*_):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(server, "_make_pool", refuse)
+            with pytest.raises(OSError):
+                server.refresh()
+            with pytest.raises(SnapshotStaleError):
+                server.execute_many([QUERY])
+            monkeypatch.undo()
+            assert server.refresh() == "full"
+            report = server.execute(QUERY)
+            assert [serialize(t) for t in report.results] == serial(system)
+            assert any("p99" in text for text in serial(system))

@@ -13,6 +13,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.faults import FaultPlan, FaultRule
+from repro.obs import EVENTS_FILENAME, JsonLinesSink, for_root, obs_directory
+from repro.obs.metrics import REGISTRY
 from repro.serving import (
     QueryRequest,
     QueryServer,
@@ -302,16 +304,8 @@ class TestSupervisedPool:
         task = dict(make_task())
         task.update({"_index": 0, "_fault_seq": 0, "_fault_attempt": 0})
         task["faults"] = plan.to_spec()
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            worker = pool._workers[0]
-            if worker.ready and worker.alive:
-                break
-            message = pool._next_response()
-            if message is not None:
-                pool._handle_message(
-                    message, [task], [None], [0], [0], [0.0], [], []
-                )
+        assert pool.wait_ready() == 1
+        worker = pool._workers[0]
         worker.requests.send(task)
         started = time.monotonic()
         pool.close(timeout=1.0)
@@ -321,6 +315,97 @@ class TestSupervisedPool:
     def test_invalid_worker_count(self, snapshot):
         with pytest.raises(ServingError):
             SupervisedWorkerPool(snapshot, 0)
+
+
+def events_of(root, kind):
+    sink = JsonLinesSink(obs_directory(root) / EVENTS_FILENAME)
+    return [entry for entry in sink.read() if entry["event"] == kind]
+
+
+#: Kill task 0's first attempt, and keep worker 0's respawn (spawn 1)
+#: booting for a second, so its handshake ends after the batch does.
+KILL_THEN_SLOW_RESPAWN = (
+    FaultRule(kind=faults.KILL, tasks=(0,)),
+    FaultRule(kind=faults.SLOW_START, tasks=(0,), attempts=(1,), seconds=1.0),
+)
+#: Respawn at once, inside the batch that killed the worker.
+RESPAWN_AT_ONCE = RetryPolicy(retry_backoff_base=0.01, respawn_backoff_base=0.0)
+
+
+class TestOneMessageHandler:
+    """A respawn or a spawn failure is booked the same whichever public
+    call reads the worker's message."""
+
+    def test_wait_ready_books_a_spawn_failure(self, tmp_path):
+        system = make_system()
+        system.set_observability(for_root(tmp_path))
+        plan = FaultPlan(
+            rules=(FaultRule(kind=faults.TRANSPORT, tasks=(0,), attempts=(0,)),)
+        )
+        with faults.inject(plan):
+            pool = SupervisedWorkerPool(
+                SystemSnapshot.capture(system), 2, policy=FAST
+            )
+        with pool:
+            assert pool.wait_ready() == 1
+            assert pool.stats()["spawn_failures"] == 1
+            assert pool._workers[0].respawn_at is not None
+        (event,) = events_of(tmp_path, "serving.spawn_failed")
+        assert event["worker"] == 0
+        assert "SnapshotTransportError" in event["detail"]
+
+    def _kill_and_refresh(self, tmp_path, rules):
+        """Kill request ``killed`` on worker 0, whose respawn is still
+        booting when the batch ends; then refresh over a delta.  Returns
+        the pool's stats and the refresh's counts."""
+        system = make_system()
+        system.set_observability(for_root(tmp_path))
+        with faults.inject(FaultPlan(rules=rules)):
+            with QueryServer(
+                system, workers=2, default_collection="papers",
+                policy=RESPAWN_AT_ONCE,
+            ) as server:
+                assert server.wait_ready() == 2
+                outcomes = server.execute_many(
+                    [QueryRequest(query=QUERY, request_id="killed"), QUERY]
+                )
+                assert all(outcome.ok for outcome in outcomes)
+                assert outcomes[0].report.request_id == "killed"
+                assert server.pool.stats()["respawn_seconds"] == []
+                system.add_documents(
+                    "papers",
+                    "<paper key='p50'><title>Paper 50</title>"
+                    "<author>Author 1</author><year>2004</year></paper>",
+                )
+                system.build()
+                pool = server.pool
+                assert server.refresh() == "delta"
+                return pool.stats()
+
+    def test_apply_delta_books_a_respawn(self, tmp_path):
+        histogram = REGISTRY.histogram("serving.respawn_seconds")
+        before = histogram.count
+        stats = self._kill_and_refresh(tmp_path, KILL_THEN_SLOW_RESPAWN)
+        assert stats["respawns"] == 1
+        assert len(stats["respawn_seconds"]) == 1
+        assert stats["respawn_seconds"][0] >= 1.0
+        assert histogram.count == before + 1
+        (event,) = events_of(tmp_path, "serving.respawn")
+        assert event["request_id"] == "killed"
+        (applied,) = events_of(tmp_path, "serving.delta_applied")
+        assert (applied["workers"], applied["respawning"]) == (2, 0)
+
+    def test_apply_delta_books_a_spawn_failure(self, tmp_path):
+        rules = KILL_THEN_SLOW_RESPAWN + (
+            FaultRule(kind=faults.TRANSPORT, tasks=(0,), attempts=(1,)),
+        )
+        stats = self._kill_and_refresh(tmp_path, rules)
+        assert stats["spawn_failures"] == 1
+        (event,) = events_of(tmp_path, "serving.spawn_failed")
+        assert "SnapshotTransportError" in event["detail"]
+        assert events_of(tmp_path, "serving.delta_apply_failed") == []
+        (applied,) = events_of(tmp_path, "serving.delta_applied")
+        assert (applied["workers"], applied["respawning"]) == (1, 1)
 
 
 class TestServerIntegration:
