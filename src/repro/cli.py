@@ -287,7 +287,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .core.parser import parse_query
 
     system, _ = _load_query_system(args)
-    executor, _degraded = system._query_executor()
+    executor = system._query_executor()
     parsed = parse_query(args.query)
     plan = executor.explain(parsed.pattern, join=len(parsed.roots) == 2)
     if args.json:

@@ -75,6 +75,8 @@ class SeoConditionContext(ConditionContext):
         The instance typing ``t(o, attr)``; defaults to tag-typing.
     """
 
+    similar_probe = "similar"
+
     def __init__(
         self,
         seo: SimilarityEnhancedOntology,
@@ -129,6 +131,26 @@ class SeoConditionContext(ConditionContext):
         if left == right:
             return True
         return left in seo.expand_below(right)
+
+    def expansion(self, atom: Condition) -> Optional[FrozenSet[str]]:
+        """The SEO expansion of a semantic atom's constant side (None for
+        a node-to-node atom); raises :class:`ConditionError` for a
+        relation with no attached SEO."""
+        if not isinstance(atom.right, Constant):
+            return None
+        constant = atom.right.value
+        if isinstance(atom, SimilarTo):
+            return self.seo.expand_similar(constant)
+        if isinstance(atom, (Below, SubtypeOf, InstanceOf)):
+            terms = self.seo.expand_below(constant)
+            if isinstance(atom, InstanceOf):
+                terms = frozenset(terms - {constant})
+            return terms
+        if isinstance(atom, Above):
+            return self.seo.expand_above(constant)
+        if isinstance(atom, PartOf):
+            return self.relation_seo(Ontology.PART_OF).expand_below(constant)
+        return None
 
     # -- typing ----------------------------------------------------------------
 
@@ -190,6 +212,9 @@ class ExactFallbackContext(ConditionContext):
     carry ``degraded=True`` so callers can tell.
     """
 
+    degraded = True
+    similar_probe = "equal"
+
     def similar(self, left: str, right: str) -> bool:
         return left == right
 
@@ -208,8 +233,14 @@ class ExactFallbackContext(ConditionContext):
     def part_of(self, left: str, right: str) -> bool:
         return left == right
 
-    def typed_compare(self, op: str, left: Term, right: Term, binding: Binding) -> bool:
-        return self.compare(op, left.resolve(binding), right.resolve(binding))
+    def expansion(self, atom: Condition) -> Optional[FrozenSet[str]]:
+        """The constant itself, which the equality stand-in accepts; the
+        empty set for ``instance_of``, which accepts nothing."""
+        if not isinstance(atom.right, Constant):
+            return None
+        if isinstance(atom, InstanceOf):
+            return frozenset()
+        return frozenset({atom.right.value})
 
 
 #: Shared stateless instance of the degraded-mode context.
@@ -245,8 +276,8 @@ def _apply_op(op: str, left: object, right: object) -> bool:
 class TypedComparison(Condition):
     """``X op Y`` with least-common-supertype conversion semantics.
 
-    Falls back to the plain syntactic comparison when evaluated with a
-    non-SEO context (plain TAX has no types beyond strings).
+    The context's ``typed_compare`` decides it: the base context's is the
+    plain syntactic comparison (plain TAX has no types beyond strings).
     """
 
     __slots__ = ("op", "left", "right")
@@ -258,14 +289,8 @@ class TypedComparison(Condition):
         self.left = left
         self.right = right
 
-    def evaluate(self, binding: Binding, context: Optional[ConditionContext] = None) -> bool:
-        if context is None:
-            context = DEFAULT_CONTEXT
-        if isinstance(context, SeoConditionContext):
-            return context.typed_compare(self.op, self.left, self.right, binding)
-        return context.compare(
-            self.op, self.left.resolve(binding), self.right.resolve(binding)
-        )
+    def evaluate(self, binding: Binding, context: ConditionContext = DEFAULT_CONTEXT) -> bool:
+        return context.typed_compare(self.op, self.left, self.right, binding)
 
     def labels(self) -> Set[int]:
         return self.left.labels() | self.right.labels()
@@ -286,9 +311,7 @@ class _SemanticAtom(Condition):
         self.left = left
         self.right = right
 
-    def evaluate(self, binding: Binding, context: Optional[ConditionContext] = None) -> bool:
-        if context is None:
-            context = DEFAULT_CONTEXT
+    def evaluate(self, binding: Binding, context: ConditionContext = DEFAULT_CONTEXT) -> bool:
         hook = getattr(context, self.HOOK)
         return hook(self.left.resolve(binding), self.right.resolve(binding))
 
@@ -367,24 +390,18 @@ class PartOf(_SemanticAtom):
 
 
 def _compile_typed_comparison(condition, context, recurse):
-    """TypedComparison: bind the context's dispatch once, at compile time."""
-    op = condition.op
-    if isinstance(context, SeoConditionContext):
-        typed_compare = context.typed_compare
-        left, right = condition.left, condition.right
+    """TypedComparison: bind the context's ``typed_compare`` once."""
 
-        def typed(binding, _tc=typed_compare, _op=op, _l=left, _r=right):
-            return _tc(_op, _l, _r, binding)
+    def typed(
+        binding,
+        _tc=context.typed_compare,
+        _op=condition.op,
+        _l=condition.left,
+        _r=condition.right,
+    ):
+        return _tc(_op, _l, _r, binding)
 
-        return typed
-    compare = context.compare
-    left = compile_term(condition.left)
-    right = compile_term(condition.right)
-
-    def syntactic(binding, _c=compare, _op=op, _l=left, _r=right):
-        return _c(_op, _l(binding), _r(binding))
-
-    return syntactic
+    return typed
 
 
 def _compile_semantic_atom(condition, context, recurse):
@@ -416,25 +433,6 @@ del _atom_class
 # ---------------------------------------------------------------------------
 
 
-def _expansion_for(atom: _SemanticAtom, context: SeoConditionContext) -> Optional[FrozenSet[str]]:
-    """The constant-side expansion set of a semantic atom, if it has one."""
-    if not isinstance(atom.right, Constant):
-        return None
-    constant = atom.right.value
-    if isinstance(atom, SimilarTo):
-        return context.seo.expand_similar(constant)
-    if isinstance(atom, (Below, SubtypeOf, InstanceOf)):
-        terms = context.seo.expand_below(constant)
-        if isinstance(atom, InstanceOf):
-            terms = frozenset(terms - {constant})
-        return terms
-    if isinstance(atom, Above):
-        return context.seo.expand_above(constant)
-    if isinstance(atom, PartOf):
-        return context.relation_seo(Ontology.PART_OF).expand_below(constant)
-    return None
-
-
 def rewrite_condition(
     condition: Condition,
     context: SeoConditionContext,
@@ -461,7 +459,7 @@ def rewrite_condition(
     if isinstance(condition, _SemanticAtom):
         if not expand_similar and isinstance(condition, SimilarTo):
             return condition
-        expansion = _expansion_for(condition, context)
+        expansion = context.expansion(condition)
         if expansion is None:
             return condition  # node-to-node semantic atom: leave for runtime
         atoms = [
@@ -492,23 +490,21 @@ def rewrite_condition(
     return condition
 
 
-def expansions_read(
-    condition: Condition, context: SeoConditionContext
-) -> Tuple[Optional[FrozenSet[str]], ...]:
-    """What a plan compiled from ``condition`` read of the SEO.
+def expansions_read(condition: Condition, context: ConditionContext) -> Tuple[object, ...]:
+    """What a plan compiled from ``condition`` read of the context.
 
-    The expansion of every semantic atom, in the order
-    :func:`rewrite_condition` visits them (None for a node-to-node atom).
+    The :meth:`~repro.tax.conditions.ConditionContext.expansion` of every
+    semantic atom, in the order :func:`rewrite_condition` visits them.
     The index probes and the exactness proof see the SEO only through
     these sets, so under another SEO a plan whose reads are equal is the
     plan a fresh compile would build.  Raises
     :class:`~repro.errors.ConditionError` where the rewrite would.
     """
-    reads: List[Optional[FrozenSet[str]]] = []
+    reads: List[object] = []
 
     def visit(node: Condition) -> None:
         if isinstance(node, _SemanticAtom):
-            reads.append(_expansion_for(node, context))
+            reads.append(context.expansion(node))
         elif isinstance(node, (And, Or)):
             for operand in node.operands:
                 visit(operand)

@@ -49,8 +49,11 @@ from ..obs.window import WINDOWS
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.conditions import (
+    DEFAULT_CONTEXT,
+    UNDECIDED,
     And,
     Condition,
+    ConditionContext,
     TrueCondition,
 )
 from ..tax.pattern import PatternTree
@@ -66,7 +69,6 @@ from .planner import (
     describe_verify_strategy,
     exact_tags,
     find_cross_probes,
-    has_semantic_atom,
     prune_candidates,
     prune_join_docs,
 )
@@ -410,7 +412,7 @@ def join_side_patterns(
 class CompiledPlan:
     """Everything about one query that does not depend on the documents.
 
-    Built once per pattern, operator shape and evaluation mode by
+    Built once per pattern, operator shape and context kind by
     :meth:`QueryExecutor._plan` and kept in the plan cache; every stage
     of the pipeline, and :meth:`QueryExecutor.explain`, reads it.  A
     selection or projection has one side, a join two (left, right).
@@ -424,8 +426,9 @@ class CompiledPlan:
     #: Per side: the fetch's candidate rows of one document's columns —
     #: the root rows of a selection, the anchored rows of a join side.
     fetchers: Tuple[Callable[[DocumentColumns], Sequence[int]], ...]
-    #: False when no side may be pruned: semantic atoms without an SEO
-    #: context must reach verification (and raise) on every document.
+    #: False when no side may be pruned: semantic atoms the context
+    #: cannot expand (plain TAX) must reach verification (and raise) on
+    #: every document.
     prunable: bool
     #: The verify stage, compiled from the *original* condition.
     program: tax_batch.VerifyProgram
@@ -446,45 +449,49 @@ class _PlanEntry:
 
     ``plan`` carries no verify program and no fetchers; ``verified`` and
     ``sides`` are the patterns they are compiled from, and ``reads`` the
-    SEO expansions the compile consumed (:func:`~repro.core.conditions.
-    expansions_read`; empty without an SEO).  ``bound`` is the plan
-    compiled for the executor's context of the time, with that context:
+    context's expansions the compile consumed (:func:`~repro.core.
+    conditions.expansions_read`).  ``bound`` is the plan compiled for the
+    executor's context of the time, with that context:
     :meth:`QueryExecutor.set_context` clears it.
     """
 
     plan: CompiledPlan
     verified: PatternTree
     sides: Tuple[PatternTree, ...]
-    reads: Tuple[Optional[AbstractSet[str]], ...]
-    bound: Optional[Tuple[Optional[SeoConditionContext], CompiledPlan]] = None
+    reads: Tuple[object, ...]
+    bound: Optional[Tuple[ConditionContext, CompiledPlan]] = None
 
 
 class QueryExecutor:
-    """Runs TOSS (or plain TAX) pattern queries against the database."""
+    """Runs TOSS (or plain TAX) pattern queries against the database.
+
+    ``context`` is the evaluation context, as for the reference executor:
+    an :class:`~repro.core.conditions.SeoConditionContext` for TOSS, the
+    exact-match fallback of degraded mode, or None for plain TAX
+    (:data:`~repro.tax.conditions.DEFAULT_CONTEXT`).  Every stage asks it
+    what it needs: the values a semantic atom lets the index probe, how a
+    cross ``~`` probes, the SEO and ontology accesses, and whether the
+    answers are degraded.
+    """
 
     def __init__(
         self,
         database: Database,
-        context: Optional[SeoConditionContext] = None,
+        context: Optional[ConditionContext] = None,
         guard: Optional[ResourceGuard] = None,
-        exact_fallback: bool = False,
         observability: Optional[Observability] = None,
     ) -> None:
         self.database = database
-        self.context = context
+        self.context = context if context is not None else DEFAULT_CONTEXT
         #: Default per-query resource guard (restarted at each query); a
         #: per-call ``guard=`` argument overrides it.
         self.guard = guard
-        #: With no SEO context, evaluate semantic atoms as exact string
-        #: matches instead of raising (degraded mode; see
-        #: :class:`~repro.core.conditions.ExactFallbackContext`).
-        self.exact_fallback = exact_fallback
         #: Bounded, thread-safe LRU over :class:`_PlanEntry` objects,
-        #: keyed by operator, pattern structure, condition and evaluation
-        #: mode — not by the context: an entry outlives SEO swaps while
-        #: its reads stay equal (:meth:`_plan`).  Hit/miss/eviction
-        #: counters are emitted as ``executor.plan_cache.*`` metrics by
-        #: the cache itself.
+        #: keyed by operator, pattern structure, condition and the
+        #: context's kind — not by the context: an entry outlives SEO
+        #: swaps while its reads stay equal (:meth:`_plan`).
+        #: Hit/miss/eviction counters are emitted as
+        #: ``executor.plan_cache.*`` metrics by the cache itself.
         self._plan_cache = LruCache(
             DEFAULT_PLAN_CACHE_SIZE, metric_prefix="executor.plan_cache"
         )
@@ -510,12 +517,8 @@ class QueryExecutor:
 
     # -- plan cache ---------------------------------------------------------
 
-    def set_context(
-        self,
-        context: Optional[SeoConditionContext],
-        seo_changed: bool = True,
-    ) -> None:
-        """Swap the SEO context in place, keeping the executor warm.
+    def set_context(self, context: ConditionContext, seo_changed: bool = True) -> None:
+        """Swap the evaluation context in place, keeping the executor warm.
 
         The system's incremental build path reuses one executor across
         builds, so the plan cache survives writes: a plan is keyed by
@@ -527,7 +530,9 @@ class QueryExecutor:
         it.  ``seo_changed=False`` (the no-op rebuild: nothing in any SEO
         moved) keeps the cross-probe and residue memos; otherwise they
         are dropped outright (they are keyed partly by ``id(seo)``,
-        which a recycled object id could collide with).
+        which a recycled object id could collide with).  A plan never
+        crosses context kinds (the exact fallback, plain TAX): the kind
+        is part of its key.
         """
         if context is not self.context:
             for entry in self._plan_cache.values():
@@ -541,8 +546,8 @@ class QueryExecutor:
         """The compiled plan for ``pattern`` and whether the cache had it.
 
         Compiles the verify program and per side one probe spec and one
-        fetcher, and records the SEO expansions they read — once per
-        (operator, pattern, evaluation mode), then served from the
+        fetcher, and records the context's expansions they read — once
+        per (operator, pattern, context kind), then served from the
         cache.  ``join`` splits the pattern into its two product sides.
 
         A cached plan not yet bound to the current context is checked
@@ -552,25 +557,25 @@ class QueryExecutor:
         Reads that moved recompile the whole plan
         (``executor.plan_cache.stale``; not reported as a hit).
         """
-        if self.context is not None:
-            mode = "seo"
-        else:
-            mode = "exact" if self.exact_fallback else "none"
+        context = self.context
         structure = tuple(
             (label, pattern.node(label).parent, pattern.node(label).edge)
             for label in pattern.labels()
         )
-        key = ("join" if join else "pattern", structure, repr(pattern.condition), mode)
+        key = (
+            "join" if join else "pattern",
+            structure,
+            repr(pattern.condition),
+            type(context),
+        )
         original = pattern.condition
         entry = self._plan_cache.get(key)
         bound = entry.bound if entry is not None else None
-        if bound is not None and bound[0] is self.context:
+        if bound is not None and bound[0] is context:
             return bound[1], True
-        # What a plan compiled now reads of the SEO; raises ConditionError
-        # where the compile would.
-        reads = (
-            expansions_read(original, self.context) if self.context is not None else ()
-        )
+        # What a plan compiled now reads of the context; raises
+        # ConditionError where the SEO rewrite would.
+        reads = expansions_read(original, context)
         if entry is not None:
             if reads == entry.reads:
                 METRICS.counter("executor.plan_cache.revalidated").inc()
@@ -583,33 +588,24 @@ class QueryExecutor:
         _copy_structure(pattern, verified)
         cross = similar = exact = None
         sides: Tuple[PatternTree, ...] = ()
+        # Semantic atoms the context cannot expand (plain TAX) must reach
+        # verification, and raise, on every document.
+        prunable = UNDECIDED not in reads
         if join:
             sides = tuple(join_side_patterns(pattern, original))
             left_labels, right_labels = (set(side.labels()) for side in sides)
             # The probe specs and the side fetch come from the *original*
             # side conjuncts: verification evaluates those.
             specs = tuple(
-                build_plan_spec(side, side.condition, self.context, self.exact_fallback)
-                for side in sides
-            )
-            prunable = not (
-                self.context is None
-                and not self.exact_fallback
-                and has_semantic_atom(original)
+                build_plan_spec(side, side.condition, context) for side in sides
             )
             if prunable:
-                probes = find_cross_probes(
-                    original, left_labels, right_labels, self.context,
-                    self.exact_fallback,
-                )
+                probes = find_cross_probes(original, left_labels, right_labels, context)
                 cross = probes[0] if probes else None
                 similar = next((p for p in probes if p.kind == "similar"), None)
         else:
-            specs = (
-                build_plan_spec(pattern, original, self.context, self.exact_fallback),
-            )
-            prunable = specs[0].prunable
-            exact = exact_tags(pattern, original, specs[0], self.context)
+            specs = (build_plan_spec(pattern, original, context),)
+            exact = exact_tags(pattern, original, specs[0], context)
         unbound = CompiledPlan(
             specs,
             (),
@@ -628,8 +624,7 @@ class QueryExecutor:
         """``entry``'s plan with its verify program and fetchers compiled
         against the current evaluation context (and kept on the entry
         until the next :meth:`set_context`)."""
-        owner = self.context
-        context = self._evaluation_context()
+        context = self.context
         program = tax_batch.VerifyProgram.compile(entry.verified, context)
         if entry.sides:
             fetchers = tuple(
@@ -639,7 +634,7 @@ class QueryExecutor:
         else:
             fetchers = (program.root_rows,)
         plan = replace(entry.plan, program=program, fetchers=fetchers)
-        entry.bound = (owner, plan)
+        entry.bound = (context, plan)
         return plan
 
     @staticmethod
@@ -653,26 +648,12 @@ class QueryExecutor:
             for line in spec.describe()
         ]
 
-    def _evaluation_context(self):
-        from ..tax.conditions import DEFAULT_CONTEXT
-
-        if self.context is not None:
-            return self.context
-        if self.exact_fallback:
-            from .conditions import EXACT_FALLBACK_CONTEXT
-
-            return EXACT_FALLBACK_CONTEXT
-        return DEFAULT_CONTEXT
-
     def _start_guard(self, guard: Optional[ResourceGuard]) -> Optional[ResourceGuard]:
         """Resolve the effective guard for one query and restart its clock."""
         guard = guard if guard is not None else self.guard
         if guard is not None:
             guard.start()
         return guard
-
-    def _accesses(self) -> int:
-        return self.context.ontology_accesses if self.context is not None else 0
 
     def _finish_query(
         self,
@@ -768,7 +749,7 @@ class QueryExecutor:
         original = pattern.condition
         rewritten = (
             rewrite_condition(original, self.context)
-            if self.context is not None
+            if isinstance(self.context, SeoConditionContext)
             else original
         )
         return QueryPlan(
@@ -869,7 +850,7 @@ class QueryExecutor:
         (the join's pair counters), also recorded on the verify span.
         """
         guard = self._start_guard(guard)
-        accesses_before = self._accesses()
+        accesses_before = self.context.ontology_accesses
         tracer = self.observability.tracer()
 
         with tracer.trace(f"query.{kind}", **attributes):
@@ -943,7 +924,8 @@ class QueryExecutor:
             xpath_stage.seconds,
             verify_stage.seconds,
             candidates=candidates,
-            ontology_accesses=self._accesses() - accesses_before,
+            ontology_accesses=self.context.ontology_accesses - accesses_before,
+            degraded=self.context.degraded,
             planner_seconds=plan_stage.seconds,
             docs_total=docs_total,
             docs_scanned=docs_scanned,
@@ -991,7 +973,7 @@ class QueryExecutor:
         doc_keys: List[Optional[AbstractSet[str]]] = [None] * len(targets)
         term_pairs = None
         if plan.prunable:
-            seo = self.context.seo if self.context is not None else None
+            seo = self.context.seo
             indexes = [target.search_index(guard=guard) for target in targets]
             for side, (spec, index) in enumerate(zip(plan.specs, indexes)):
                 if spec.prunable:

@@ -26,9 +26,9 @@ results identical to the full scan.
 
 Whenever an atom is not indexable it is simply skipped (the probe set
 gets weaker, never wrong); when the whole condition cannot be pruned
-safely — notably semantic atoms with no SEO context, where the scan path
-must raise — :func:`build_plan_spec` refuses and the executor falls back
-to the full scan.
+safely — a semantic atom the context cannot expand (plain TAX), where
+the scan path must raise — :func:`build_plan_spec` refuses and the
+executor falls back to the full scan.
 
 Sometimes the probes are also *sufficient*: :func:`exact_tags` proves,
 once per plan, that a selection's probes decide every conjunct, so a
@@ -54,7 +54,6 @@ from typing import (
     Tuple,
 )
 
-from ..errors import ConditionError
 from ..guard import ResourceGuard, TickRecorder, replay_ticks
 from ..lru import LruCache
 from ..obs.metrics import REGISTRY as METRICS
@@ -62,9 +61,11 @@ from ..obs.trace import current_tracer
 from ..similarity.candidates import BlockStats, bipartite_index, similar_pairs
 from ..similarity.seo import SimilarityEnhancedOntology
 from ..tax.conditions import (
+    UNDECIDED,
     And,
     Comparison,
     Condition,
+    ConditionContext,
     Constant,
     NodeContent,
     Not,
@@ -74,7 +75,7 @@ from ..tax.conditions import (
 )
 from ..tax.pattern import AD, PatternTree
 from ..xmldb.index import CollectionSearchIndex
-from .conditions import SeoConditionContext, SimilarTo, _SemanticAtom, _expansion_for
+from .conditions import SimilarTo, _SemanticAtom, expansions_read
 
 #: Skip pair probes whose tag-restriction product explodes.
 MAX_PAIR_COMBINATIONS = 16
@@ -229,42 +230,19 @@ def _content_equality(atom: Comparison) -> Optional[Tuple[int, str]]:
     return None
 
 
-def _exact_fallback_values(atom: _SemanticAtom) -> Optional[FrozenSet[str]]:
-    """The degraded-mode value set of a constant-sided semantic atom.
-
-    Under :class:`~repro.core.conditions.ExactFallbackContext` every
-    semantic operator collapses to string equality except ``instance_of``
-    which is always false — the empty probe, pruning to no documents,
-    exactly as the scan path verifies to no results.
-    """
-    from .conditions import InstanceOf
-
-    if not isinstance(atom.right, Constant):
-        return None
-    if isinstance(atom, InstanceOf):
-        return frozenset()
-    return frozenset({atom.right.value})
-
-
 def build_plan_spec(
     pattern: PatternTree,
     condition: Condition,
-    context: Optional[SeoConditionContext],
-    exact_fallback: bool,
+    context: ConditionContext,
 ) -> PlanSpec:
     """Derive index probes from a pattern and its *original* condition.
 
     Returns a non-prunable spec when pruning could change observable
-    behaviour: with no SEO context and no exact fallback, a semantic atom
-    makes the scan path raise — an empty pruned set would silently mask
-    that, so the planner steps aside.
+    behaviour: a semantic atom whose expansion the context cannot say
+    (plain TAX) makes the scan path raise — an empty pruned set would
+    silently mask that, so the planner steps aside.  Raises
+    :class:`~repro.errors.ConditionError` where the SEO rewrite would.
     """
-    if context is None and not exact_fallback and has_semantic_atom(condition):
-        return PlanSpec(
-            prunable=False,
-            reason="semantic atoms require an SEO context",
-        )
-
     tags = required_tags(condition)
     spec = PlanSpec(prunable=True)
 
@@ -299,41 +277,43 @@ def build_plan_spec(
                     ValuesProbe(label, _tags_of(tags, label), frozenset({value}))
                 )
             continue
+        # Each semantic atom is asked once: a top-level one for its probe
+        # values, a nested one (no probe) only whether the context can say.
+        if isinstance(conjunct, _SemanticAtom):
+            values = context.expansion(conjunct)
+            undecided = values is UNDECIDED
+        else:
+            values = None
+            undecided = has_semantic_atom(conjunct) and UNDECIDED in expansions_read(
+                conjunct, context
+            )
+        if undecided:
+            return PlanSpec(
+                prunable=False,
+                reason="semantic atoms require an SEO context",
+            )
         if isinstance(conjunct, Or):
             probe = _or_equality_probe(conjunct, tags)
             if probe is not None:
                 spec.value_probes.append(probe)
             continue
-        if isinstance(conjunct, _SemanticAtom):
-            if not isinstance(conjunct.left, NodeContent):
-                continue  # tag-side atoms are left to verification
+        if values is not None and isinstance(conjunct.left, NodeContent):
+            # A constant-sided atom over content (tag-side atoms are
+            # left to verification).
             label = conjunct.left.label
-            if context is not None:
-                try:
-                    expansion = _expansion_for(conjunct, context)
-                except ConditionError:
-                    continue  # e.g. part_of with no attached SEO
-                if expansion is None:
-                    continue  # node-to-node atom: no constant to expand
-                spec.value_probes.append(
-                    ValuesProbe(
-                        label,
-                        _tags_of(tags, label),
-                        expansion,
-                        similar_to=(
-                            conjunct.right.value
-                            if isinstance(conjunct, SimilarTo)
-                            else None
-                        ),
-                    )
+            spec.value_probes.append(
+                ValuesProbe(
+                    label,
+                    _tags_of(tags, label),
+                    values,
+                    similar_to=(
+                        conjunct.right.value
+                        if isinstance(conjunct, SimilarTo)
+                        and context.similar_probe == "similar"
+                        else None
+                    ),
                 )
-            elif exact_fallback:
-                values = _exact_fallback_values(conjunct)
-                if values is not None:
-                    spec.value_probes.append(
-                        ValuesProbe(label, _tags_of(tags, label), values)
-                    )
-            continue
+            )
         # Anything else (negation, typed/numeric comparisons, contains,
         # mixed disjunctions) is not probed: skipping only weakens pruning.
 
@@ -369,7 +349,7 @@ def exact_tags(
     pattern: PatternTree,
     condition: Condition,
     spec: PlanSpec,
-    context: Optional[SeoConditionContext],
+    context: ConditionContext,
 ) -> Optional[Tuple[str, ...]]:
     """The pattern's tags, root first, when ``spec`` decides a selection.
 
@@ -377,11 +357,11 @@ def exact_tags(
     pairwise distinct, every ``pc`` / ``ad`` edge has its pair probe, and
     every top-level conjunct is a tag equality, a content equality (or a
     one-label or-chain of them) or a constant-sided ``below`` /
-    ``subtype_of`` / ``instance_of`` / ``above`` / ``part_of`` under an
-    SEO context — each has a value probe whose term set is exactly what
-    the evaluator accepts.  Anything else (``~``, whose probe adds a
-    distance scan, ``Not``, ordering, typed and ``contains`` atoms,
-    cross-label atoms) returns None.
+    ``subtype_of`` / ``instance_of`` / ``above`` / ``part_of`` under a
+    context that is not degraded — each has a value probe whose term set
+    is exactly what the evaluator accepts.  Anything else (``~``, whose
+    probe adds a distance scan, ``Not``, ordering, typed and ``contains``
+    atoms, cross-label atoms) returns None.
 
     What it proves: in a kept document holding *one* row of each tag,
     the facts the probes intersected are facts about those rows, so they
@@ -419,9 +399,12 @@ def exact_tags(
 def _probe_decides(
     conjunct: Condition,
     tags: Dict[int, Set[str]],
-    context: Optional[SeoConditionContext],
+    context: ConditionContext,
 ) -> bool:
-    """True when a value or tag probe accepts exactly what ``conjunct`` does."""
+    """True when a value or tag probe accepts exactly what ``conjunct`` does.
+
+    A degraded context's answers stand in for semantic ones: its semantic
+    atoms are always verified, never booked."""
     if isinstance(conjunct, Comparison):
         return conjunct.op == "=" and (
             _tag_equality(conjunct) is not None
@@ -430,16 +413,13 @@ def _probe_decides(
     if isinstance(conjunct, Or):
         return _or_equality_probe(conjunct, tags) is not None
     if (
-        context is None
+        context.degraded
         or not isinstance(conjunct, _SemanticAtom)
         or isinstance(conjunct, SimilarTo)
         or not isinstance(conjunct.left, NodeContent)
     ):
         return False
-    try:
-        return _expansion_for(conjunct, context) is not None
-    except ConditionError:
-        return False  # e.g. part_of with no attached SEO: never probed
+    return context.expansion(conjunct) is not None
 
 
 def prune_candidates(
@@ -552,15 +532,16 @@ def find_cross_probes(
     condition: Condition,
     left_labels: Set[int],
     right_labels: Set[int],
-    context: Optional[SeoConditionContext],
-    exact_fallback: bool,
+    context: ConditionContext,
 ) -> Tuple[CrossProbe, ...]:
     """Every top-level cross-side content conjunct, as a probe, in order.
 
-    ``~`` needs an SEO to probe (under exact fallback it degrades to
-    equality, matching the degraded verification); plain ``=`` works in
-    any mode.  Empty when no such conjunct exists — per-side pruning
-    still applies, only the cross-side step is skipped.
+    ``~`` probes as the context's :attr:`~repro.tax.conditions.
+    ConditionContext.similar_probe` says (``"equal"`` under the exact
+    fallback, matching the degraded verification; not at all under plain
+    TAX); plain ``=`` works in any context.  Empty when no such conjunct
+    exists — per-side pruning still applies, only the cross-side step is
+    skipped.
     """
     tags = required_tags(condition)
     probes: List[CrossProbe] = []
@@ -573,9 +554,9 @@ def find_cross_probes(
             atom.right, NodeContent
         ):
             continue
-        if is_similar and context is None and not exact_fallback:
+        kind = context.similar_probe if is_similar else "equal"
+        if kind is None:
             continue
-        kind = "similar" if is_similar and context is not None else "equal"
         left_label, right_label = atom.left.label, atom.right.label
         if left_label in right_labels and right_label in left_labels:
             left_label, right_label = right_label, left_label

@@ -236,7 +236,7 @@ class ReferenceExecutor:
         self.context = context if context is not None else DEFAULT_CONTEXT
 
     def _accesses(self) -> int:
-        return getattr(self.context, "ontology_accesses", 0)
+        return self.context.ontology_accesses
 
     def _candidates(self, collection_name: str, xpath: str) -> List[XmlNode]:
         """Every node the XPath selects, documents in collection order."""

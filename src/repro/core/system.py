@@ -46,11 +46,17 @@ from ..similarity.sea import ORDER_SAFE, restore_patch_state
 from ..similarity.seo import SeoBuildStats, SimilarityEnhancedOntology
 from .build_report import BuildReport, RelationBuild
 from ..tax import algebra as tax_algebra
+from ..tax.conditions import ConditionContext
 from ..tax.pattern import PatternTree
 from ..xmldb.database import Database
 from ..xmldb.model import XmlNode
 from .algebra import TossAlgebra
-from .conditions import SeoConditionContext, TypingFunction, default_typing
+from .conditions import (
+    EXACT_FALLBACK_CONTEXT,
+    SeoConditionContext,
+    TypingFunction,
+    default_typing,
+)
 from .executor import ExecutionReport, QueryExecutor
 from .reference import ReferenceExecutor
 from .instance import OntologyExtendedInstance
@@ -839,7 +845,7 @@ class TossSystem:
         all land here.  ``seo_changed=False`` (every relation kept its
         previous SEO object) keeps the current context object, so the
         executor's plans stay bound to it.  The executor is reused
-        unless there is none yet or it is the exact-match fallback:
+        unless there is none yet, also after :meth:`degrade`:
         :meth:`~repro.core.executor.QueryExecutor.set_context` keeps its
         compiled plans (each is reused while the expansions it read are
         unchanged) and drops only what binds the old context.  The SEO
@@ -857,34 +863,33 @@ class TossSystem:
                 type_system=self.type_system,
                 typing=self.typing,
             )
-        if self.executor is not None and not self.executor.exact_fallback:
-            self.executor.set_context(self.context, seo_changed=seo_changed)
-        else:
-            self.executor = QueryExecutor(
-                self.database,
-                self.context,
-                guard=self.guard,
-                observability=self.observability,
-            )
+        self._serve(self.context, seo_changed)
         self.degraded = False
         self.build_error = None
         return self.context
 
     def degrade(self, error: Optional[ReproError] = None) -> None:
-        """Serve exact matches only: drop the context and wire the
-        exact-match fallback executor (queries keep working with plain
-        TAX semantics and report ``degraded=True``).  ``error`` is what
+        """Serve exact matches only: drop the context and evaluate under
+        the exact-match fallback (queries keep working with plain TAX
+        semantics and report ``degraded=True``).  ``error`` is what
         forced it, kept in :attr:`build_error`."""
         self.context = None
         self.degraded = True
         self.build_error = error
-        self.executor = QueryExecutor(
-            self.database,
-            None,
-            guard=self.guard,
-            exact_fallback=True,
-            observability=self.observability,
-        )
+        self._serve(EXACT_FALLBACK_CONTEXT)
+
+    def _serve(self, context: ConditionContext, seo_changed: bool = True) -> None:
+        """Run queries under ``context``: the executor's one evaluation
+        context, swapped in place once there is an executor."""
+        if self.executor is not None:
+            self.executor.set_context(context, seo_changed=seo_changed)
+        else:
+            self.executor = QueryExecutor(
+                self.database,
+                context,
+                guard=self.guard,
+                observability=self.observability,
+            )
 
     def _build_relation(
         self,
@@ -1066,15 +1071,15 @@ class TossSystem:
             raise TossError("call build() before querying")
         return self.context
 
-    def _query_executor(self) -> Tuple[QueryExecutor, bool]:
-        """The executor to run a query with, plus the degraded flag.
+    def _query_executor(self) -> QueryExecutor:
+        """The executor to run a query with.
 
         In degraded mode (the SEO build failed with ``on_failure=
-        "degrade"``) queries run through the exact-match fallback executor
-        instead of raising; reports are stamped ``degraded=True``.
+        "degrade"``) it evaluates under the exact-match fallback instead
+        of raising, and its reports say ``degraded=True``.
         """
         if self.executor is not None and (self.context is not None or self.degraded):
-            return self.executor, self.degraded
+            return self.executor
         raise TossError("call build() before querying")
 
     def ontology_size(self) -> int:
@@ -1112,10 +1117,7 @@ class TossSystem:
         sl_labels: Iterable[int] = (),
     ) -> ExecutionReport:
         """TOSS selection through the query executor."""
-        executor, degraded = self._query_executor()
-        report = executor.selection(collection, pattern, sl_labels)
-        report.degraded = degraded
-        return report
+        return self._query_executor().selection(collection, pattern, sl_labels)
 
     def project(
         self,
@@ -1124,10 +1126,7 @@ class TossSystem:
         pl: Sequence[tax_algebra.ProjectionEntry],
     ) -> ExecutionReport:
         """TOSS projection through the executor."""
-        executor, degraded = self._query_executor()
-        report = executor.projection(collection, pattern, pl)
-        report.degraded = degraded
-        return report
+        return self._query_executor().projection(collection, pattern, pl)
 
     def join(
         self,
@@ -1137,12 +1136,9 @@ class TossSystem:
         sl_labels: Iterable[int] = (),
     ) -> ExecutionReport:
         """TOSS join through the executor."""
-        executor, degraded = self._query_executor()
-        report = executor.join(
+        return self._query_executor().join(
             left_collection, right_collection, pattern, sl_labels
         )
-        report.degraded = degraded
-        return report
 
     def query(
         self,

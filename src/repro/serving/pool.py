@@ -102,7 +102,7 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
         system.set_observability(Observability(enabled=True))
     else:
         system.set_observability(NULL_OBSERVABILITY)
-    executor, _degraded = system._query_executor()
+    executor = system._query_executor()
     previous_guard = executor.guard
     executor.guard = guard
     started = time.perf_counter()

@@ -77,6 +77,34 @@ class ConditionContext:
     def part_of(self, left: str, right: str) -> bool:
         raise ConditionError("part_of needs an ontology context")
 
+    def typed_compare(self, op: str, left: Term, right: Term, binding: Binding) -> bool:
+        """``X op Y`` of a typed comparison: plain TAX has no types beyond
+        strings, so this is the syntactic :meth:`compare`."""
+        return self.compare(op, left.resolve(binding), right.resolve(binding))
+
+    # -- what the index planner asks (TOSS overrides these) -------------------
+
+    #: The SEO a ``~`` probe's distance scan and a cross probe consult.
+    seo = None
+    #: Semantic-hook calls that consulted an ontology (none here).
+    ontology_accesses = 0
+    #: True when semantic operators are answered by exact-match stand-ins
+    #: (degraded mode): answers are sound but not similarity-complete.
+    degraded = False
+    #: How a cross-side ``~`` conjunct probes the index: ``"similar"``
+    #: (through :attr:`seo`) or ``"equal"``; None: it is not probed.
+    similar_probe: Optional[str] = None
+
+    def expansion(self, atom: "Condition") -> object:
+        """The values a semantic atom over a constant lets the index probe
+        (a frozenset; None when the atom has no constant side).  Plain TAX
+        cannot say: :data:`UNDECIDED`, so a condition holding a semantic
+        atom is never pruned and its verification raises."""
+        return UNDECIDED
+
+
+#: :meth:`ConditionContext.expansion` of a context without an ontology.
+UNDECIDED = object()
 
 #: Module-level default so callers can omit the context for plain TAX.
 DEFAULT_CONTEXT = ConditionContext()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.conditions import (
+    EXACT_FALLBACK_CONTEXT,
     InstanceOf,
     SeoConditionContext,
     SimilarTo,
@@ -23,6 +24,7 @@ from repro.ontology import Hierarchy
 from repro.similarity.measures import Levenshtein
 from repro.similarity.seo import SimilarityEnhancedOntology
 from repro.tax.conditions import (
+    DEFAULT_CONTEXT,
     And,
     Comparison,
     Constant,
@@ -103,7 +105,7 @@ class TestPlanSpec:
         pattern = _author_pattern(
             Comparison("=", NodeContent(2), Constant("J. Smith"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         assert spec.prunable
         assert frozenset({"inproceedings"}) in spec.tag_probes
         assert frozenset({("inproceedings", "author")}) in spec.pc_probes
@@ -118,7 +120,7 @@ class TestPlanSpec:
             Comparison("=", NodeTag(1), Constant("dblp")),
             Comparison("=", NodeTag(2), Constant("title")),
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         assert frozenset({("dblp", "title")}) in spec.ad_probes
         assert not spec.pc_probes
 
@@ -129,7 +131,7 @@ class TestPlanSpec:
                 Comparison("=", NodeContent(2), Constant("J. Smythe")),
             )
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         [probe] = spec.value_probes
         assert probe.values == frozenset({"J. Smith", "J. Smythe"})
 
@@ -137,7 +139,7 @@ class TestPlanSpec:
         pattern = _author_pattern(
             SimilarTo(NodeContent(2), Constant("J. Smith"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         [probe] = spec.value_probes
         assert "J. Smith" in probe.values
         assert probe.similar_to == "J. Smith"
@@ -147,7 +149,7 @@ class TestPlanSpec:
             SimilarTo(NodeContent(2), Constant("J. Smith"))
         )
         assert has_semantic_atom(pattern.condition)
-        spec = build_plan_spec(pattern, pattern.condition, None, False)
+        spec = build_plan_spec(pattern, pattern.condition, DEFAULT_CONTEXT)
         assert not spec.prunable
         assert "SEO context" in spec.reason
 
@@ -158,7 +160,7 @@ class TestPlanSpec:
         pattern = _author_pattern(
             InstanceOf(NodeContent(2), Constant("author"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, None, True)
+        spec = build_plan_spec(pattern, pattern.condition, EXACT_FALLBACK_CONTEXT)
         [probe] = spec.value_probes
         assert probe.values == frozenset()
         index = database.get_collection("dblp").search_index()
@@ -170,7 +172,7 @@ class TestPruneCandidates:
         pattern = _author_pattern(
             Comparison("=", NodeContent(2), Constant("J. Smith"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         index = database.get_collection("dblp").search_index()
         assert prune_candidates(
             spec, index, seo=context.seo
@@ -182,7 +184,7 @@ class TestPruneCandidates:
         pattern = _author_pattern(
             SimilarTo(NodeContent(2), Constant("J. Smith"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         index = database.get_collection("dblp").search_index()
         kept = prune_candidates(spec, index, seo=context.seo)
         assert kept == {"a", "b"}
@@ -191,7 +193,7 @@ class TestPruneCandidates:
         pattern = _author_pattern(
             Comparison("=", NodeContent(2), Constant("J. Smith"))
         )
-        spec = build_plan_spec(pattern, pattern.condition, context, False)
+        spec = build_plan_spec(pattern, pattern.condition, context)
         index = database.get_collection("dblp").search_index()
         guard = ResourceGuard(max_steps=1000)
         prune_candidates(spec, index, guard=guard, seo=context.seo)
@@ -209,18 +211,18 @@ class TestCrossProbe:
             Comparison("=", NodeTag(5), Constant("title")),
             SimilarTo(NodeContent(2), NodeContent(5)),
         )
-        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context, False)
+        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context)
         assert probe.kind == "similar"
         assert (probe.left_label, probe.right_label) == (2, 5)
 
     def test_orientation_is_normalised(self, context):
         condition = SimilarTo(NodeContent(5), NodeContent(2))
-        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context, False)
+        (probe,) = find_cross_probes(condition, {1, 2}, {4, 5}, context)
         assert (probe.left_label, probe.right_label) == (2, 5)
 
     def test_no_context_no_fallback_gives_no_similarity_probe(self):
         condition = SimilarTo(NodeContent(2), NodeContent(5))
-        assert find_cross_probes(condition, {1, 2}, {4, 5}, None, False) == ()
+        assert find_cross_probes(condition, {1, 2}, {4, 5}, DEFAULT_CONTEXT) == ()
 
 
 class TestExecutorIntegration:

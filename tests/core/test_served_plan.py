@@ -87,7 +87,7 @@ def test_a_cold_query_writes_no_rewrite_and_no_xpath(monkeypatch, mode, kind):
         executor = QueryExecutor(database, context)
     elif mode == "exact_fallback":
         context = EXACT_FALLBACK_CONTEXT
-        executor = QueryExecutor(database, exact_fallback=True)
+        executor = QueryExecutor(database, EXACT_FALLBACK_CONTEXT)
     else:
         context = None
         executor = QueryExecutor(database)

@@ -6,7 +6,7 @@ from repro.errors import SimilarityInconsistencyError, TossError
 from repro.core.conditions import SimilarTo
 from repro.core.system import TossSystem
 from repro.ontology.constraints import parse_constraint
-from repro.tax.conditions import And, Comparison, Constant, NodeContent, NodeTag
+from repro.tax.conditions import DEFAULT_CONTEXT, And, Comparison, Constant, NodeContent, NodeTag
 from repro.tax.pattern import pattern_of
 
 DBLP = """
@@ -188,7 +188,7 @@ class TestQuerying:
         system.add_instance("dblp", DBLP)
         system.build()
         tax = system.tax_executor()
-        assert tax.context is None
+        assert tax.context is DEFAULT_CONTEXT
 
     def test_algebra_bound_to_context(self):
         system = TossSystem(epsilon=1.0)

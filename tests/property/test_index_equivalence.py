@@ -152,7 +152,9 @@ def test_selection_without_seo_context(store, kind, title, exact_fallback):
     # planner must refuse to prune so both paths raise identically.
     database = _database("lib", store)
     pattern = _selection_pattern(_atom(kind, title, "database conference"))
-    indexed = QueryExecutor(database, None, exact_fallback=exact_fallback)
+    indexed = QueryExecutor(
+        database, EXACT_FALLBACK_CONTEXT if exact_fallback else None
+    )
     scan = ReferenceExecutor(
         database, EXACT_FALLBACK_CONTEXT if exact_fallback else None
     )

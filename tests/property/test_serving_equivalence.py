@@ -103,7 +103,7 @@ def test_step_budget_trips_the_same_error_type(budget):
     query = 'paper(author ~ "Ann Smith")'
     serial_error = None
     try:
-        executor, _ = system._query_executor()
+        executor = system._query_executor()
         previous = executor.guard
         executor.guard = ResourceGuard(max_steps=budget)
         try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.conditions import EXACT_FALLBACK_CONTEXT
 from repro.errors import ServingError
 from repro.core.system import TossSystem
 from repro.guard import ResourceGuard
@@ -116,7 +117,7 @@ class TestRestore:
         assert genesis.degraded and genesis.seos == {}
         restored = boot(genesis)
         assert restored.degraded and restored.context is None
-        assert restored.executor.exact_fallback
+        assert restored.executor.context is EXACT_FALLBACK_CONTEXT
         assert (
             restored.database.generation_signature()
             == system.database.generation_signature()
