@@ -681,10 +681,10 @@ def _cmd_db_obs(args: argparse.Namespace) -> int:
 
         snapshot = read_metrics_snapshot(directory / METRICS_FILENAME)
         # Rolling windows are process-local: they carry data here only
-        # when something ran queries in this process (e.g. tests driving
-        # main() in-process); a bare CLI export ships the persisted
-        # cumulative metrics.
-        window_stats = WINDOWS.multi_stats() if WINDOWS.enabled else None
+        # when a QueryServer served requests in this process (e.g. tests
+        # driving main() in-process); a bare CLI export ships the
+        # persisted cumulative metrics.
+        window_stats = WINDOWS.multi_stats()
         if args.format == "prometheus":
             text = render_prometheus(snapshot, window_stats)
         else:

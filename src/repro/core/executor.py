@@ -45,7 +45,6 @@ from ..lru import LruCache
 from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import current_request
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, REGISTRY as METRICS
-from ..obs.window import WINDOWS
 from ..tax import algebra as tax_algebra
 from ..tax import batch as tax_batch
 from ..tax.conditions import (
@@ -685,11 +684,6 @@ class QueryExecutor:
             if context is not None:
                 attributes["request_id"] = context.request_id
         report.trace = tracer.finish()
-        WINDOWS.observe(
-            context.query_class if context is not None and context.query_class
-            else kind,
-            report.total_seconds,
-        )
         METRICS.counter("executor.queries").inc()
         METRICS.counter(f"executor.queries.{kind}").inc()
         if report.degraded:

@@ -451,9 +451,8 @@ class TossSystem:
         The fallback of :meth:`_write`, reached only with a recorded
         ``fallback_reason``: the extraction state could not follow the
         write, so the source is re-extracted and the pending deltas are
-        poisoned (the next build re-fuses — the similarity graph still
-        replays every cached verdict, so even this path stays far below
-        a cold build).
+        poisoned: the next build of each relation re-fuses and runs SEA
+        in full (the ``full`` rung), as a cold build does.
         """
         METRICS.counter("system.mutations.reextracted").inc()
         instance = self.instances[name]

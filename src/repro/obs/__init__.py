@@ -14,7 +14,7 @@ Layers, usable independently:
   serving edge through pool workers so all telemetry joins on one id;
 * :mod:`repro.obs.window` — rolling per-second windows
   (:data:`~repro.obs.window.WINDOWS`) for streaming QPS / latency
-  quantiles / error rate / SLO burn per query class;
+  quantiles / error rate / SLO burn per class of served request;
 * :mod:`repro.obs.profile` — an opt-in sampling profiler attributing
   wall time to executor phases;
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from .context import RequestContext, activate, current_request, new_request_id
 from .metrics import REGISTRY, MetricsRegistry, render_snapshot_text
-from .window import WINDOWS, WindowRegistry, merge_window_snapshots
+from .window import WINDOWS, WindowRegistry
 from .sinks import (
     JsonLinesSink,
     SlowQueryLog,
@@ -229,7 +229,6 @@ __all__ = [
     "current_request",
     "current_tracer",
     "for_root",
-    "merge_window_snapshots",
     "new_request_id",
     "obs_directory",
     "read_metrics_snapshot",

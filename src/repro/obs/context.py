@@ -8,7 +8,7 @@ lines, recovery records — and without a shared identity they cannot be
 joined back into one story.
 
 :class:`RequestContext` is that identity: a small immutable record
-(request id, tenant, query class, deadline) minted once at the edge
+(request id, tenant) minted once at the edge
 (:class:`~repro.serving.server.QueryServer` or the CLI) and threaded
 everywhere the work goes.  Two transports cover every hop:
 
@@ -60,21 +60,13 @@ class RequestContext:
     tenant:
         Optional tenant label (multi-tenant budget accounting joins on
         this; ``None`` for single-tenant / CLI use).
-    query_class:
-        Optional workload class (``"selection"``, ``"join"``, ...) used
-        to bucket rolling-window statistics; when absent the executor
-        falls back to the query kind it derives itself.
-    deadline_seconds:
-        Optional *relative* latency budget in seconds, carried for
-        observability (the enforcing deadline lives in the guard, which
-        is already propagated separately).  Relative, not absolute:
-        monotonic clocks do not agree across processes.
+
+    The enforcing deadline is not part of the identity: it travels in
+    the task's guard spec.
     """
 
     request_id: str
     tenant: Optional[str] = None
-    query_class: Optional[str] = None
-    deadline_seconds: Optional[float] = None
 
     @classmethod
     def mint(cls) -> "RequestContext":
@@ -87,10 +79,6 @@ class RequestContext:
         wire: Dict[str, Any] = {"id": self.request_id}
         if self.tenant is not None:
             wire["tenant"] = self.tenant
-        if self.query_class is not None:
-            wire["class"] = self.query_class
-        if self.deadline_seconds is not None:
-            wire["deadline"] = self.deadline_seconds
         return wire
 
     @classmethod
@@ -102,13 +90,7 @@ class RequestContext:
         request_id = wire.get("id")
         if not isinstance(request_id, str) or not request_id:
             return None
-        deadline = wire.get("deadline")
-        return cls(
-            request_id=request_id,
-            tenant=wire.get("tenant"),
-            query_class=wire.get("class"),
-            deadline_seconds=float(deadline) if deadline is not None else None,
-        )
+        return cls(request_id=request_id, tenant=wire.get("tenant"))
 
 
 #: The ambient activation stack.  Deliberately a module global, not

@@ -131,11 +131,11 @@ def _render_window_gauges(
     for suffix, field in _WINDOW_FIELDS:
         flat = metric_name(f"window.{suffix}")
         series: List[str] = []
-        for query_class in sorted(window_stats):
-            per_window = window_stats[query_class]
+        for request_class in sorted(window_stats):
+            per_window = window_stats[request_class]
             for size in sorted(per_window):
                 stats = per_window[size]
-                labels = _labels({"class": query_class, "window": f"{size}s"})
+                labels = _labels({"class": request_class, "window": f"{size}s"})
                 series.append(f"{flat}{labels} {_number(stats.get(field, 0))}")
         if series:
             lines.append(f"# TYPE {flat} gauge")
@@ -146,21 +146,18 @@ def _render_window_gauges(
 def render_json(
     metrics_snapshot: Mapping[str, Mapping[str, Any]],
     window_stats: Optional[Mapping[str, Mapping[int, Mapping[str, Any]]]] = None,
-    window_snapshot: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    """One canonical JSON document: cumulative metrics, rolling-window
-    statistics, and (optionally) the raw window slots for re-merging."""
+    """One canonical JSON document: cumulative metrics and (optionally)
+    rolling-window statistics."""
     payload: Dict[str, Any] = {
         "format": JSON_FORMAT,
         "metrics": dict(metrics_snapshot),
     }
     if window_stats is not None:
         payload["windows"] = {
-            query_class: {str(size): dict(stats) for size, stats in per.items()}
-            for query_class, per in window_stats.items()
+            request_class: {str(size): dict(stats) for size, stats in per.items()}
+            for request_class, per in window_stats.items()
         }
-    if window_snapshot is not None:
-        payload["window_slots"] = window_snapshot
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -235,15 +232,15 @@ def format_status_line(
         return f"{seconds * 1000.0:.0f}ms"
 
     parts: List[str] = []
-    for query_class in sorted(window_stats):
-        per_window = window_stats[query_class]
+    for request_class in sorted(window_stats):
+        per_window = window_stats[request_class]
         stats = per_window.get(window)
         if stats is None and per_window:
             stats = per_window[sorted(per_window)[0]]
         if not stats or not stats.get("count"):
             continue
         parts.append(
-            f"{query_class} qps={stats['qps']:.1f}"
+            f"{request_class} qps={stats['qps']:.1f}"
             f" p50={_ms(stats['p50'])}"
             f" p95={_ms(stats['p95'])}"
             f" p99={_ms(stats['p99'])}"

@@ -10,13 +10,13 @@ This module keeps one ring of per-second slots per query class:
 * :meth:`RollingWindow.observe` touches exactly one slot — a dict
   lookup, an epoch check, a handful of integer adds under one
   uncontended lock — so the hot path stays cheap enough to run on
-  every query;
+  every request;
 * :meth:`WindowRegistry.stats` folds the last N slots into streaming
-  p50/p95/p99, QPS, error rate, and SLO burn over 1s/10s/60s windows;
-* snapshots are plain lists keyed by absolute epoch seconds, so
-  :func:`merge_window_snapshots` is associative and order-independent
-  — worker snapshots fold into the parent exactly like
-  ``METRICS.absorb`` folds counter deltas.
+  p50/p95/p99, QPS, error rate, and SLO burn over 1s/10s/60s windows.
+
+The windows describe served traffic only: the serving parent books each
+request's outcome once (``QueryServer.execute_many``), so nothing here
+crosses a process boundary.
 
 Latency buckets are powers of two from 0.5 ms to ~262 s (upper-bound
 semantics, like Prometheus ``le``): coarse enough that a slot is ~20
@@ -26,20 +26,19 @@ latencies.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "LATENCY_BUCKET_BOUNDS",
     "DEFAULT_HORIZON_SECONDS",
     "STANDARD_WINDOWS",
-    "SloPolicy",
-    "DEFAULT_SLO",
+    "SLO_LATENCY_SECONDS",
+    "SLO_ERROR_BUDGET",
     "RollingWindow",
     "WindowRegistry",
-    "merge_window_snapshots",
     "WINDOWS",
 ]
 
@@ -56,25 +55,18 @@ DEFAULT_HORIZON_SECONDS = 60
 #: The window sizes ``WindowRegistry.multi_stats`` reports.
 STANDARD_WINDOWS: Tuple[int, ...] = (1, 10, 60)
 
-#: Snapshot schema version (bump on layout change).
-SNAPSHOT_FORMAT = 1
+#: What "good" means for a request: it does not error and finishes
+#: within ``SLO_LATENCY_SECONDS``.  ``slo_burn`` is the bad fraction
+#: divided by ``SLO_ERROR_BUDGET`` — the Google-SRE convention where 1.0
+#: means burning budget exactly at the sustainable rate and anything
+#: above is paging territory.
+SLO_LATENCY_SECONDS = 0.5
+SLO_ERROR_BUDGET = 0.01
 
-
-@dataclass(frozen=True)
-class SloPolicy:
-    """What "good" means for a query class.
-
-    A request is *bad* when it errors or exceeds ``latency_seconds``;
-    ``burn rate`` is the bad fraction divided by ``error_budget`` — the
-    Google-SRE convention where 1.0 means burning budget exactly at the
-    sustainable rate and anything above is paging territory.
-    """
-
-    latency_seconds: float = 0.5
-    error_budget: float = 0.01
-
-
-DEFAULT_SLO = SloPolicy()
+_CAPACITY = DEFAULT_HORIZON_SECONDS + 1
+_BUCKET_COUNT = len(LATENCY_BUCKET_BOUNDS) + 1  # + the overflow (+Inf) bucket
+#: Buckets whose upper bound is within the SLO latency (the good ones).
+_SLO_BUCKETS = bisect.bisect_right(LATENCY_BUCKET_BOUNDS, SLO_LATENCY_SECONDS)
 
 
 class _Slot:
@@ -82,12 +74,12 @@ class _Slot:
 
     __slots__ = ("epoch", "count", "errors", "total_seconds", "buckets")
 
-    def __init__(self, bucket_count: int) -> None:
+    def __init__(self) -> None:
         self.epoch = -1
         self.count = 0
         self.errors = 0
         self.total_seconds = 0.0
-        self.buckets = [0] * bucket_count
+        self.buckets = [0] * _BUCKET_COUNT
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
@@ -99,41 +91,27 @@ class _Slot:
             buckets[index] = 0
 
 
-def _bucket_index(seconds: float, bounds: Tuple[float, ...]) -> int:
-    for index, bound in enumerate(bounds):
-        if seconds <= bound:
-            return index
-    return len(bounds)  # overflow (+Inf) bucket
-
-
 class RollingWindow:
     """A ring of per-second slots for one query class.
 
-    The ring holds ``horizon + 1`` slots addressed by ``epoch %
-    capacity``; a slot whose stored epoch differs from the current one
-    is stale and is reset in place on first touch.  All methods take an
-    optional ``now`` (epoch seconds) so tests are deterministic.
+    The ring holds ``DEFAULT_HORIZON_SECONDS + 1`` slots addressed by
+    ``epoch % capacity``; a slot whose stored epoch differs from the
+    current one is stale and is reset in place on first touch.  All
+    methods take an optional ``now`` (epoch seconds) so tests are
+    deterministic.
     """
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON_SECONDS) -> None:
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.horizon = horizon
-        self.bounds = LATENCY_BUCKET_BOUNDS
-        self._capacity = horizon + 1
-        self._bucket_count = len(self.bounds) + 1
-        self._slots = [_Slot(self._bucket_count) for _ in range(self._capacity)]
+    def __init__(self) -> None:
+        self._slots = [_Slot() for _ in range(_CAPACITY)]
         self._lock = threading.Lock()
-
-    # -- writes ------------------------------------------------------------
 
     def observe(
         self, seconds: float, error: bool = False, now: Optional[float] = None
     ) -> None:
         epoch = int(now if now is not None else time.time())
-        index = _bucket_index(seconds, self.bounds)
+        index = bisect.bisect_left(LATENCY_BUCKET_BOUNDS, seconds)
         with self._lock:
-            slot = self._slots[epoch % self._capacity]
+            slot = self._slots[epoch % _CAPACITY]
             if slot.epoch != epoch:
                 slot.reset(epoch)
             slot.count += 1
@@ -142,93 +120,18 @@ class RollingWindow:
             slot.total_seconds += seconds
             slot.buckets[index] += 1
 
-    def reset(self) -> None:
-        with self._lock:
-            for slot in self._slots:
-                slot.epoch = -1
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(
-        self, now: Optional[float] = None, reset: bool = False
-    ) -> List[List[Any]]:
-        """Live slots as ``[epoch, count, errors, total_seconds,
-        [bucket counts]]`` rows, oldest first.
-
-        ``reset=True`` additionally clears the ring — the worker-side
-        delta convention (snapshot-and-reset, ship the delta home).
-        """
-        floor = int(now if now is not None else time.time()) - self._capacity
-        rows: List[List[Any]] = []
-        with self._lock:
-            for slot in self._slots:
-                if slot.epoch > floor and slot.count:
-                    rows.append(
-                        [
-                            slot.epoch,
-                            slot.count,
-                            slot.errors,
-                            slot.total_seconds,
-                            list(slot.buckets),
-                        ]
-                    )
-                if reset:
-                    slot.epoch = -1
-        rows.sort(key=lambda row: row[0])
-        return rows
-
-    def absorb_rows(
-        self, rows: Iterable[Iterable[Any]], now: Optional[float] = None
-    ) -> None:
-        """Fold snapshot rows into the live ring (additive per epoch).
-
-        Rows older than the horizon are dropped — they fell out of every
-        window this ring can answer for.  Bucket lists shorter or longer
-        than ours (a snapshot from a differently-configured ring) clip
-        into the overflow bucket rather than erroring.
-        """
-        current = int(now if now is not None else time.time())
-        floor = current - self._capacity
-        with self._lock:
-            for row in rows:
-                epoch, count, errors, total_seconds, buckets = (
-                    int(row[0]),
-                    int(row[1]),
-                    int(row[2]),
-                    float(row[3]),
-                    list(row[4]),
-                )
-                if epoch <= floor or epoch > current:
-                    continue
-                slot = self._slots[epoch % self._capacity]
-                if slot.epoch != epoch:
-                    slot.reset(epoch)
-                slot.count += count
-                slot.errors += errors
-                slot.total_seconds += total_seconds
-                mine = slot.buckets
-                for index, value in enumerate(buckets):
-                    mine[min(index, self._bucket_count - 1)] += int(value)
-
-    # -- reads -------------------------------------------------------------
-
-    def stats(
-        self,
-        window: int = 10,
-        now: Optional[float] = None,
-        slo: SloPolicy = DEFAULT_SLO,
-    ) -> Dict[str, Any]:
+    def stats(self, window: int = 10, now: Optional[float] = None) -> Dict[str, Any]:
         """Aggregate the last ``window`` seconds (including the current,
         possibly partial, one) into streaming statistics."""
-        if not 1 <= window <= self.horizon:
+        if not 1 <= window <= DEFAULT_HORIZON_SECONDS:
             raise ValueError(
-                f"window must be in [1, {self.horizon}], got {window}"
+                f"window must be in [1, {DEFAULT_HORIZON_SECONDS}], got {window}"
             )
         current = int(now if now is not None else time.time())
         floor = current - window
         count = errors = 0
         total_seconds = 0.0
-        buckets = [0] * self._bucket_count
+        buckets = [0] * _BUCKET_COUNT
         with self._lock:
             for slot in self._slots:
                 if floor < slot.epoch <= current and slot.count:
@@ -237,8 +140,8 @@ class RollingWindow:
                     total_seconds += slot.total_seconds
                     for index, value in enumerate(slot.buckets):
                         buckets[index] += value
-        slow = count - self._count_at_or_under(buckets, slo.latency_seconds)
-        bad = min(count, errors + max(0, slow))
+        slow = count - sum(buckets[:_SLO_BUCKETS])
+        bad = min(count, errors + slow)
         bad_fraction = (bad / count) if count else 0.0
         return {
             "window_seconds": window,
@@ -247,102 +150,58 @@ class RollingWindow:
             "qps": count / window,
             "error_rate": (errors / count) if count else 0.0,
             "mean_seconds": (total_seconds / count) if count else 0.0,
-            "p50": self._quantile(buckets, count, 0.50),
-            "p95": self._quantile(buckets, count, 0.95),
-            "p99": self._quantile(buckets, count, 0.99),
-            "slo_burn": bad_fraction / slo.error_budget if slo.error_budget else 0.0,
+            "p50": _quantile(buckets, count, 0.50),
+            "p95": _quantile(buckets, count, 0.95),
+            "p99": _quantile(buckets, count, 0.99),
+            "slo_burn": bad_fraction / SLO_ERROR_BUDGET,
         }
 
-    def _count_at_or_under(self, buckets: List[int], bound: float) -> int:
-        total = 0
-        for index, value in enumerate(buckets):
-            if index < len(self.bounds) and self.bounds[index] <= bound:
-                total += value
-        return total
 
-    def _quantile(self, buckets: List[int], count: int, q: float) -> float:
-        """Histogram quantile: linear interpolation inside the bucket the
-        rank lands in (Prometheus ``histogram_quantile`` convention)."""
-        if count == 0:
-            return 0.0
-        rank = q * count
-        cumulative = 0
-        for index, value in enumerate(buckets):
-            if value == 0:
-                continue
-            previous = cumulative
-            cumulative += value
-            if cumulative >= rank:
-                upper = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else self.bounds[-1] * 2.0
-                )
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                fraction = (rank - previous) / value
-                return lower + (upper - lower) * fraction
-        return self.bounds[-1] * 2.0
+def _quantile(buckets: List[int], count: int, q: float) -> float:
+    """Histogram quantile: linear interpolation inside the bucket the
+    rank lands in (Prometheus ``histogram_quantile`` convention)."""
+    bounds = LATENCY_BUCKET_BOUNDS
+    if count == 0:
+        return 0.0
+    rank = q * count
+    cumulative = 0
+    for index, value in enumerate(buckets):
+        if value == 0:
+            continue
+        previous = cumulative
+        cumulative += value
+        if cumulative >= rank:
+            upper = bounds[index] if index < len(bounds) else bounds[-1] * 2.0
+            lower = bounds[index - 1] if index > 0 else 0.0
+            fraction = (rank - previous) / value
+            return lower + (upper - lower) * fraction
+    return bounds[-1] * 2.0
 
 
 class WindowRegistry:
-    """Per-query-class rolling windows with registry-level snapshot/merge.
+    """Per-query-class rolling windows: a module-level singleton
+    (:data:`WINDOWS`) with ``reset`` as the tests' fixture hook."""
 
-    Mirrors the :class:`~repro.obs.metrics.MetricsRegistry` shape:
-    module-level singleton (:data:`WINDOWS`), ``enabled`` flag making
-    the disabled path a cheap early return, ``snapshot``/``absorb`` for
-    worker-delta folding, ``reset`` for forked workers.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._windows: Dict[str, RollingWindow] = {}
         self._lock = threading.Lock()
 
-    def window(self, query_class: str) -> RollingWindow:
-        with self._lock:
-            window = self._windows.get(query_class)
-            if window is None:
-                window = self._windows[query_class] = RollingWindow()
-            return window
-
     def observe(
         self,
-        query_class: str,
+        request_class: str,
         seconds: float,
         error: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        if not self.enabled:
-            return
-        self.window(query_class).observe(seconds, error=error, now=now)
+        with self._lock:
+            window = self._windows.get(request_class)
+            if window is None:
+                window = self._windows[request_class] = RollingWindow()
+        window.observe(seconds, error=error, now=now)
 
     def reset(self) -> None:
         with self._lock:
             self._windows.clear()
-
-    def snapshot(
-        self, now: Optional[float] = None, reset: bool = False
-    ) -> Dict[str, Any]:
-        classes: Dict[str, List[List[Any]]] = {}
-        with self._lock:
-            windows = dict(self._windows)
-        for name, window in sorted(windows.items()):
-            rows = window.snapshot(now=now, reset=reset)
-            if rows:
-                classes[name] = rows
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "horizon": DEFAULT_HORIZON_SECONDS,
-            "classes": classes,
-        }
-
-    def absorb(
-        self, snapshot: Optional[Mapping[str, Any]], now: Optional[float] = None
-    ) -> None:
-        if not self.enabled or not snapshot:
-            return
-        for name, rows in snapshot.get("classes", {}).items():
-            self.window(name).absorb_rows(rows, now=now)
 
     def stats(
         self,
@@ -369,54 +228,6 @@ class WindowRegistry:
         return result
 
 
-def merge_window_snapshots(
-    left: Mapping[str, Any], right: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Combine two registry snapshots additively.
-
-    Slots are keyed by absolute epoch second, so merging is a per-key
-    sum: associative, commutative, and order-independent — the property
-    the hypothesis suite pins down.  Inputs are not mutated.
-    """
-    merged: Dict[str, Dict[int, List[Any]]] = {}
-    for snapshot in (left, right):
-        for name, rows in snapshot.get("classes", {}).items():
-            slots = merged.setdefault(name, {})
-            for row in rows:
-                epoch = int(row[0])
-                existing = slots.get(epoch)
-                if existing is None:
-                    slots[epoch] = [
-                        epoch,
-                        int(row[1]),
-                        int(row[2]),
-                        float(row[3]),
-                        list(row[4]),
-                    ]
-                else:
-                    existing[1] += int(row[1])
-                    existing[2] += int(row[2])
-                    existing[3] += float(row[3])
-                    buckets = existing[4]
-                    for index, value in enumerate(row[4]):
-                        if index < len(buckets):
-                            buckets[index] += int(value)
-                        else:
-                            buckets.append(int(value))
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "horizon": max(
-            int(left.get("horizon", DEFAULT_HORIZON_SECONDS)),
-            int(right.get("horizon", DEFAULT_HORIZON_SECONDS)),
-        ),
-        "classes": {
-            name: [slots[epoch] for epoch in sorted(slots)]
-            for name, slots in sorted(merged.items())
-            if slots
-        },
-    }
-
-
-#: Process-wide registry, mirroring ``metrics.REGISTRY``.  Forked
-#: workers reset it on initialization and ship deltas home.
+#: Process-wide registry, mirroring ``metrics.REGISTRY``; the serving
+#: parent is the only writer.
 WINDOWS = WindowRegistry()

@@ -16,17 +16,18 @@ The cross-process discipline:
 * guards are per task — each task carries its deadline/step/result
   budget and the worker enforces it with a fresh guard;
 * observability is plain data — a worker returns its span tree with
-  each report, and ships its metric and rolling-window deltas
-  (:func:`take_metric_delta`: snapshot, then reset, so consecutive
-  shipments never overlap) at most once per second and once more at
-  shutdown; the supervisor absorbs them into the parent's registries.
+  each report, and ships its metric deltas (:func:`take_metric_delta`:
+  snapshot, then reset, so consecutive shipments never overlap) at most
+  once per second and once more at shutdown; the supervisor absorbs
+  them into the parent's registry.  The rolling windows never leave the
+  parent: the server books each answer it receives.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .. import errors as _errors
 from ..errors import (
@@ -41,7 +42,6 @@ from ..guard import ResourceGuard
 from ..obs import NULL_OBSERVABILITY, Observability
 from ..obs.context import RequestContext, activate
 from ..obs.metrics import REGISTRY as METRICS
-from ..obs.window import WINDOWS
 from .snapshot import SnapshotDelta, boot
 
 #: Worker-process state: the booted/inherited system, set by the
@@ -62,7 +62,6 @@ def _initialize_worker(genesis: Optional[SnapshotDelta]) -> None:
     # their metrics travel back to the parent as snapshot deltas.
     system.set_observability(NULL_OBSERVABILITY)
     METRICS.reset()
-    WINDOWS.reset()
     _WORKER["system"] = system
 
 
@@ -93,9 +92,9 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
             "worker_pid": pid,
         }
     guard = _guard_from_task(task)
-    # Re-activate the request identity the parent minted, so the spans,
-    # report and window slots this worker produces join the same
-    # cross-process timeline.
+    # Re-activate the request identity the parent minted, so the spans
+    # and report this worker produces join the same cross-process
+    # timeline.
     context = RequestContext.from_wire(task.get("request"))
     request_id = context.request_id if context is not None else None
     if task.get("trace"):
@@ -149,19 +148,16 @@ def run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
     return outcome
 
 
-def take_metric_delta() -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
-    """This worker's ``(metrics, windows)`` recorded since the previous
-    call, or None when nothing was.
+def take_metric_delta() -> Optional[Dict[str, Any]]:
+    """This worker's metrics recorded since the previous call, or None
+    when nothing was.
 
-    Both registries are cleared as they are read, so the parent's absorb
-    sees every increment and every window slot exactly once.
+    The registry is cleared as it is read, so the parent's absorb sees
+    every increment exactly once.
     """
     metrics = METRICS.snapshot()
     METRICS.reset()
-    windows = WINDOWS.snapshot(reset=True)
-    if not metrics and not windows["classes"]:
-        return None
-    return metrics, windows
+    return metrics or None
 
 
 def _attach_context(

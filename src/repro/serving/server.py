@@ -283,13 +283,9 @@ class QueryServer:
 
     def _context(self, request: QueryRequest) -> RequestContext:
         """The request identity dispatched with (and logged for) one query."""
-        spec = request.guard if request.guard is not None else self.default_guard
         return RequestContext(
             request_id=request.request_id or new_request_id(),
             tenant=request.tenant,
-            # query_class stays None: the executor knows the real kind
-            # (selection/projection/join) and buckets the windows itself.
-            deadline_seconds=spec.deadline_seconds if spec is not None else None,
         )
 
     def _task(
@@ -367,13 +363,6 @@ class QueryServer:
                         seconds=seconds,
                         request_id=context.request_id,
                     )
-                    # The worker never reached _finish_query, so the
-                    # parent books the failure into the rolling windows.
-                    WINDOWS.observe(
-                        "join" if request.right_collection else "selection",
-                        seconds,
-                        error=True,
-                    )
                 else:
                     report = ExecutionReport.from_dict(entry["report"])
                     outcome = QueryOutcome(
@@ -400,6 +389,13 @@ class QueryServer:
                 if failure is not None:
                     METRICS.counter("serving.query_errors").inc()
                 METRICS.histogram("serving.query_seconds").observe(seconds)
+                # The rolling windows' one writer: every served outcome,
+                # ok or failed, once, with its worker-measured seconds.
+                WINDOWS.observe(
+                    "join" if request.right_collection else "selection",
+                    seconds,
+                    error=failure is not None,
+                )
                 # One terminal record per request: the timeline's
                 # verify/completion entry, carrying the worker's span
                 # tree into the slow-query log when slow enough.

@@ -26,9 +26,9 @@ reading: tasks to idle ready workers, a snapshot delta to a booting
 worker only after its ``ready`` arrives.
 
 Worker metrics stay off the per-request path: a worker keeps
-accumulating its metric and rolling-window deltas and ships them inside
-an answer only when its previous shipment is :data:`METRIC_DELTA_INTERVAL`
-old, and once more in answer to the shutdown sentinel, which
+accumulating its metric delta and ships it inside an answer only when
+its previous shipment is :data:`METRIC_DELTA_INTERVAL` old, and once
+more in answer to the shutdown sentinel, which
 :meth:`SupervisedWorkerPool.close` drains — so the parent's totals are
 exact after ``close()``, and a SIGKILLed worker loses at most what it
 recorded since its last shipment.  The supervisor provides:
@@ -86,7 +86,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from .. import faults as _faults
 from ..errors import CircuitOpenError, ServingError
 from ..obs.metrics import REGISTRY as METRICS
-from ..obs.window import WINDOWS
 from . import pool as _pool
 from .pool import run_query_task, take_metric_delta
 from .snapshot import FORK, SnapshotDelta, SystemSnapshot, apply_snapshot_delta
@@ -640,9 +639,9 @@ class SupervisedWorkerPool:
 
         A worker answers the sentinel with its unshipped metric delta and
         exits, so reading every response pipe to EOF leaves the parent's
-        metric and window totals exactly what the workers recorded.  The
-        drain and the joins share one ``timeout``: a hung worker's tail is
-        given up, never waited for past it.  Messages drained here are
+        metric totals exactly what the workers recorded.  The drain and
+        the joins share one ``timeout``: a hung worker's tail is given
+        up, never waited for past it.  Messages drained here are
         booked like any other; no liveness sweep runs, as every worker is
         meant to exit.
         """
@@ -895,11 +894,8 @@ class SupervisedWorkerPool:
 
     @staticmethod
     def _absorb(delta) -> None:
-        """Fold one worker's ``(metrics, windows)`` delta into the
-        parent's registries."""
-        metrics, windows = delta
-        METRICS.absorb(metrics)
-        WINDOWS.absorb(windows)
+        """Fold one worker's metric delta into the parent's registry."""
+        METRICS.absorb(delta)
         METRICS.counter("serving.metric_deltas").inc()
 
     def _on_message(self, message) -> None:

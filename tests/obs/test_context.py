@@ -23,12 +23,7 @@ class TestRequestId:
 
 class TestWireForm:
     def test_round_trip_preserves_every_field(self):
-        context = RequestContext(
-            request_id="abc123",
-            tenant="acme",
-            query_class="join",
-            deadline_seconds=1.5,
-        )
+        context = RequestContext(request_id="abc123", tenant="acme")
         assert RequestContext.from_wire(context.to_wire()) == context
 
     def test_minimal_wire_omits_unset_fields(self):
@@ -43,10 +38,6 @@ class TestWireForm:
     )
     def test_from_wire_tolerates_garbage(self, garbage):
         assert RequestContext.from_wire(garbage) is None
-
-    def test_from_wire_coerces_deadline(self):
-        context = RequestContext.from_wire({"id": "x", "deadline": "2"})
-        assert context.deadline_seconds == 2.0
 
     def test_context_is_immutable(self):
         context = RequestContext.mint()

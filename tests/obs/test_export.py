@@ -125,14 +125,6 @@ class TestRenderJson:
         assert payload["metrics"]["executor.queries"]["value"] == 7
         assert payload["windows"]["selection"]["10"]["count"] == 1
 
-    def test_window_slots_attach_when_given(self, snapshot):
-        windows = WindowRegistry()
-        windows.observe("selection", 0.01, now=NOW)
-        payload = json.loads(
-            render_json(snapshot, window_snapshot=windows.snapshot(now=NOW))
-        )
-        assert payload["window_slots"]["classes"]["selection"]
-
 
 class TestStatusLine:
     def test_quiet_registry_reports_no_traffic(self):

@@ -153,6 +153,35 @@ class TestServeStats:
         # The final status line lands on stderr and reflects the batch.
         assert "[10s]" in captured.err
 
+    def test_final_status_line_counts_every_served_request(
+        self, papers_file, tmp_path, capsys
+    ):
+        from repro.obs.window import WINDOWS
+
+        WINDOWS.reset()  # requests served earlier in this process
+        queries = tmp_path / "q.txt"
+        queries.write_text(
+            'paper(author ~ "Author 1")\npaper(((\npaper(author ~ "Author 2")\n'
+        )
+        status = main(
+            [
+                "serve",
+                "--source", f"papers={papers_file}",
+                "--epsilon", "2",
+                "--queries", str(queries),
+                "--pool", "1",
+                "--stats",
+            ]
+        )
+        WINDOWS.reset()
+        assert status == 1
+        lines = capsys.readouterr().err.splitlines()
+        final = [line for line in lines if "[10s]" in line][-1]
+        # Three requests in the last 10 s, the unparsable one failed.
+        assert final.startswith("[10s] selection qps=0.3 ")
+        assert " err=33.3% " in final
+        assert "join" not in final
+
 
 class TestRemovedOptions:
     @pytest.mark.parametrize(
